@@ -371,9 +371,9 @@ func StartShardedTrader(opts ShardedTraderOptions) (*ShardedTraderHandle, error)
 		// on a duplicate name, so a later per-trader registration would
 		// silently shadow these. Offers and exports sum the primaries
 		// only (replicas hold copies of the same offers, so counting
-		// them would double count); queries sum every trader, because a
-		// promoted read replica serves real queries the primary never
-		// sees.
+		// them would double count); queries and what they scanned sum
+		// every trader, because a promoted read replica serves real
+		// queries the primary never sees.
 		reg.GaugeFunc("trading_offers", func() float64 {
 			n := 0
 			for _, tr := range primaries {
@@ -381,20 +381,19 @@ func StartShardedTrader(opts ShardedTraderOptions) (*ShardedTraderHandle, error)
 			}
 			return float64(n)
 		})
-		reg.GaugeFunc("trading_queries", func() float64 {
-			var n int64
-			for _, tr := range allTraders {
-				n += tr.Stats().Queries
+		sum := func(traders []*trading.Trader, field func(trading.TraderStats) int64) func() float64 {
+			return func() float64 {
+				var n int64
+				for _, tr := range traders {
+					n += field(tr.Stats())
+				}
+				return float64(n)
 			}
-			return float64(n)
-		})
-		reg.GaugeFunc("trading_exports", func() float64 {
-			var n int64
-			for _, tr := range primaries {
-				n += tr.Stats().Exports
-			}
-			return float64(n)
-		})
+		}
+		reg.GaugeFunc("trading_queries", sum(allTraders, func(s trading.TraderStats) int64 { return s.Queries }))
+		reg.GaugeFunc("trading_scanned", sum(allTraders, func(s trading.TraderStats) int64 { return s.Scanned }))
+		reg.GaugeFunc("trading_candidates", sum(allTraders, func(s trading.TraderStats) int64 { return s.Candidates }))
+		reg.GaugeFunc("trading_exports", sum(primaries, func(s trading.TraderStats) int64 { return s.Exports }))
 	}
 
 	var repo *idl.Repository

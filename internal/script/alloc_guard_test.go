@@ -1,6 +1,10 @@
 package script
 
-import "testing"
+import (
+	"testing"
+
+	"autoadapt/internal/testutil"
+)
 
 // Allocation-regression guards for the interpreter hot paths, in the style
 // of internal/wire and internal/orb. The resolver/pool overhaul took the
@@ -32,7 +36,7 @@ func TestAllocGuardNumericLoop(t *testing.T) {
 }
 
 func TestAllocGuardFib15(t *testing.T) {
-	if raceEnabled {
+	if testutil.RaceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
 	}
 	in := New(Options{})
@@ -77,7 +81,7 @@ func TestAllocGuardNumericLoopTreeWalk(t *testing.T) {
 }
 
 func TestAllocGuardFib15TreeWalk(t *testing.T) {
-	if raceEnabled {
+	if testutil.RaceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
 	}
 	in := New(Options{Engine: EngineTreeWalk})

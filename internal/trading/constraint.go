@@ -8,6 +8,7 @@ package trading
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -36,7 +37,7 @@ import (
 type Constraint struct {
 	src  string
 	root cexpr
-	refs map[string]struct{} // property names the expression references
+	refs []string // property names the expression references, sorted
 }
 
 // Source returns the original constraint text.
@@ -47,13 +48,7 @@ func (c *Constraint) Source() string { return c.src }
 // referenced dynamic properties are resolved at query time. Barewords that
 // double as string literals ("LoadAvgIncreasing == no") are included — a
 // name's role is only decided at evaluation time.
-func (c *Constraint) PropRefs() []string { return sortedRefs(c.refs) }
-
-// references reports whether the constraint mentions the property name.
-func (c *Constraint) references(name string) bool {
-	_, ok := c.refs[name]
-	return ok
-}
+func (c *Constraint) PropRefs() []string { return slices.Clone(c.refs) }
 
 // ParseConstraint compiles a constraint expression. An empty source
 // compiles to a constraint matching every offer.
@@ -70,9 +65,7 @@ func ParseConstraint(src string) (*Constraint, error) {
 	if p.pos != len(p.src) {
 		return nil, fmt.Errorf("trading: constraint %q: trailing input at %d", src, p.pos)
 	}
-	refs := make(map[string]struct{})
-	collectRefs(root, refs)
-	return &Constraint{src: src, root: root, refs: refs}, nil
+	return &Constraint{src: src, root: root, refs: sortedRefs(root)}, nil
 }
 
 // collectRefs walks an expression tree and records every property name it
@@ -93,7 +86,10 @@ func collectRefs(e cexpr, refs map[string]struct{}) {
 	}
 }
 
-func sortedRefs(refs map[string]struct{}) []string {
+// sortedRefs lists the property names e references, sorted.
+func sortedRefs(e cexpr) []string {
+	refs := make(map[string]struct{})
+	collectRefs(e, refs)
 	out := make([]string, 0, len(refs))
 	for n := range refs {
 		out = append(out, n)

@@ -32,15 +32,18 @@ import (
 // resolve an offer's dynamic properties before the offer is quarantined.
 const DefaultQuarantineThreshold = 3
 
-// offerRecord is the trader's bookkeeping around one exported Offer:
-// the lease deadline and the quarantine counters. All fields are guarded
-// by Trader.mu; the embedded offer's fields other than Props are immutable
-// after export.
+// offerRecord is the trader's bookkeeping around one exported Offer: its
+// export sequence number (the sort key of Trader.byType), the lease
+// deadline and the quarantine counters. All fields are guarded by
+// Trader.mu; seq and the embedded offer's fields other than Props are
+// immutable after export.
 type offerRecord struct {
-	offer       *Offer
+	offer       Offer
+	seq         int
 	expires     time.Time // lease deadline; zero = no lease
 	fails       int       // consecutive queries with failed resolutions
 	quarantined bool
+	gone        bool // withdrawn or reaped; a query may still hold the record
 }
 
 // expired reports whether the record's lease is past due at now. Records
@@ -133,10 +136,20 @@ func (t *Trader) Reap() int {
 	defer t.mu.Unlock()
 	now := t.clk.Now()
 	n := 0
-	for id, rec := range t.offers {
-		if rec.expired(now) {
-			delete(t.offers, id)
-			n++
+	for typ, list := range t.byType {
+		kept := list[:0]
+		for _, rec := range list {
+			if rec.expired(now) {
+				rec.gone = true
+				delete(t.offers, rec.offer.ID)
+				n++
+			} else {
+				kept = append(kept, rec)
+			}
+		}
+		if len(kept) < len(list) {
+			clear(list[len(kept):])
+			t.byType[typ] = kept
 		}
 	}
 	if tm := t.tm.Load(); tm != nil && n > 0 {
@@ -207,7 +220,7 @@ func (t *Trader) noteResolveOutcomes(ctx context.Context, candidates []offerView
 			case resolveSomeFailed:
 				dirty = true
 			case resolveAllOK:
-				if rec, ok := t.offers[candidates[i].o.ID]; ok && (rec.fails != 0 || rec.quarantined) {
+				if rec := candidates[i].rec; !rec.gone && (rec.fails != 0 || rec.quarantined) {
 					dirty = true
 				}
 			}
@@ -224,8 +237,8 @@ func (t *Trader) noteResolveOutcomes(ctx context.Context, candidates []offerView
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for i := range candidates {
-		rec, ok := t.offers[candidates[i].o.ID]
-		if !ok {
+		rec := candidates[i].rec
+		if rec.gone {
 			continue // withdrawn or reaped mid-query
 		}
 		switch outcomes[i] {

@@ -48,5 +48,7 @@ func (t *Trader) SetMetrics(reg *metrics.Registry) {
 	reg.GaugeFunc("trading_offers", func() float64 { return float64(t.OfferCount()) })
 	reg.GaugeFunc("trading_queries", func() float64 { return float64(t.statQueries.Load()) })
 	reg.GaugeFunc("trading_exports", func() float64 { return float64(t.statExports.Load()) })
+	reg.GaugeFunc("trading_scanned", func() float64 { return float64(t.statScanned.Load()) })
+	reg.GaugeFunc("trading_candidates", func() float64 { return float64(t.statCandidates.Load()) })
 	t.tm.Store(tm)
 }

@@ -68,6 +68,13 @@ func TestTraderMetricsQueryPath(t *testing.T) {
 	if !strings.Contains(text, "trading_offers 1\n") {
 		t.Errorf("exposition missing trading_offers 1:\n%s", text)
 	}
+	// Five queries each visited the type's one record and took it as a
+	// candidate (quarantine is not a scan filter).
+	for _, want := range []string{"trading_scanned 5\n", "trading_candidates 5\n"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("exposition missing %q:\n%s", want, text)
+		}
+	}
 }
 
 // TestTraderMetricsLeaseChurn checks renewals, reaping, and withdrawals.

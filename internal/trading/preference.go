@@ -3,7 +3,7 @@ package trading
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 	"strings"
 
 	"autoadapt/internal/wire"
@@ -27,7 +27,7 @@ type Preference struct {
 	src  string
 	kind prefKind
 	expr cexpr
-	refs map[string]struct{} // property names the expression references
+	refs []string // property names the expression references, sorted
 }
 
 type prefKind int
@@ -70,9 +70,7 @@ func ParsePreference(src string) (*Preference, error) {
 	if p.pos != len(p.src) {
 		return nil, fmt.Errorf("trading: preference %q: trailing input", src)
 	}
-	refs := make(map[string]struct{})
-	collectRefs(e, refs)
-	return &Preference{src: src, kind: kind, expr: e, refs: refs}, nil
+	return &Preference{src: src, kind: kind, expr: e, refs: sortedRefs(e)}, nil
 }
 
 // Source returns the original preference text.
@@ -81,83 +79,102 @@ func (p *Preference) Source() string { return p.src }
 // PropRefs returns the sorted set of property names the preference
 // expression references ("first" and "random" reference none). The trader
 // uses it for demand-driven snapshots.
-func (p *Preference) PropRefs() []string { return sortedRefs(p.refs) }
-
-// references reports whether the preference mentions the property name.
-func (p *Preference) references(name string) bool {
-	_, ok := p.refs[name]
-	return ok
-}
+func (p *Preference) PropRefs() []string { return slices.Clone(p.refs) }
 
 // Sort orders results in place.
 func (p *Preference) Sort(results []QueryResult) error {
+	if p.kind == prefFirst {
+		return nil
+	}
+	idx := make([]int, len(results))
+	for i := range idx {
+		idx[i] = i
+	}
+	var snap map[string]wire.Value
+	lookup := func(name string) (wire.Value, bool) {
+		v, ok := snap[name]
+		return v, ok
+	}
+	err := p.rank(idx, make([]prefKey, len(results)), func(i int) (string, PropLookup) {
+		snap = results[i].Snapshot
+		return results[i].Offer.ID, lookup
+	})
+	if err != nil {
+		return err
+	}
+	out := make([]QueryResult, len(results))
+	for i, j := range idx {
+		out[i] = results[j]
+	}
+	copy(results, out)
+	return nil
+}
+
+// prefKey is one offer's sort key under a preference: offers the
+// preference expression can be evaluated for come first, by ascending num.
+type prefKey struct {
+	ok  bool
+	num float64
+}
+
+// rank stable-sorts idx, a list of offer indices, by the preference. at(i)
+// yields offer i's id and property lookup; keys is scratch indexed by the
+// values in idx. Trader.Query ranks candidate indices with it before any
+// snapshot exists; Sort ranks finished results.
+func (p *Preference) rank(idx []int, keys []prefKey, at func(i int) (id string, lookup PropLookup)) error {
 	switch p.kind {
 	case prefFirst:
 		return nil
-	case prefRandom:
-		sort.SliceStable(results, func(i, j int) bool {
-			return offerHash(results[i].Offer.ID) < offerHash(results[j].Offer.ID)
-		})
-		return nil
-	case prefMin, prefMax, prefWith:
-		type keyed struct {
-			ok  bool
-			num float64
-		}
-		keys := make([]keyed, len(results))
-		for i := range results {
-			snap := results[i].Snapshot
-			v, err := p.expr.eval(func(name string) (wire.Value, bool) {
-				val, ok := snap[name]
-				return val, ok
-			})
-			if err != nil {
-				keys[i] = keyed{ok: false}
-				continue
-			}
-			switch p.kind {
-			case prefWith:
-				if v.Truthy() {
-					keys[i] = keyed{ok: true, num: 0}
-				} else {
-					keys[i] = keyed{ok: true, num: 1}
-				}
-			default:
-				n, isNum := v.AsNumber()
-				if !isNum {
-					keys[i] = keyed{ok: false}
-					continue
-				}
-				if p.kind == prefMax {
-					n = -n
-				}
-				keys[i] = keyed{ok: true, num: n}
-			}
-		}
-		// Index sort keeps the keys array aligned with results.
-		idx := make([]int, len(results))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.SliceStable(idx, func(a, b int) bool {
-			ka, kb := keys[idx[a]], keys[idx[b]]
-			if ka.ok != kb.ok {
-				return ka.ok // evaluable offers first
-			}
-			if !ka.ok {
-				return false
-			}
-			return ka.num < kb.num
-		})
-		out := make([]QueryResult, len(results))
-		for i, j := range idx {
-			out[i] = results[j]
-		}
-		copy(results, out)
-		return nil
+	case prefRandom, prefMin, prefMax, prefWith:
 	default:
 		return fmt.Errorf("trading: unknown preference kind %d", p.kind)
 	}
+	for _, i := range idx {
+		keys[i] = p.key(at(i))
+	}
+	slices.SortStableFunc(idx, func(a, b int) int {
+		ka, kb := keys[a], keys[b]
+		switch {
+		case ka.ok != kb.ok:
+			if ka.ok {
+				return -1
+			}
+			return 1
+		case !ka.ok:
+			return 0
+		case ka.num < kb.num:
+			return -1
+		case ka.num > kb.num:
+			return 1
+		}
+		return 0
+	})
+	return nil
+}
+
+// key computes one offer's sort key.
+func (p *Preference) key(id string, lookup PropLookup) prefKey {
+	if p.kind == prefRandom {
+		return prefKey{ok: true, num: float64(offerHash(id))}
+	}
+	v, err := p.expr.eval(lookup)
+	if err != nil {
+		return prefKey{}
+	}
+	if p.kind == prefWith {
+		if v.Truthy() {
+			return prefKey{ok: true, num: 0}
+		}
+		return prefKey{ok: true, num: 1}
+	}
+	n, isNum := v.AsNumber()
+	if !isNum {
+		return prefKey{}
+	}
+	if p.kind == prefMax {
+		n = -n
+	}
+	return prefKey{ok: true, num: n}
 }
 
 func offerHash(id string) uint32 {

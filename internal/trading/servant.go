@@ -254,15 +254,10 @@ func propValueFromWire(v wire.Value) (PropValue, error) {
 // PropsToWire encodes a property map in the wire table form understood by
 // propsFromWire. Exported for agents that export offers remotely.
 func PropsToWire(props map[string]PropValue) wire.Value {
-	tb := wire.NewTable()
+	tb := wire.NewTableSize(0, len(props))
 	for name, pv := range props {
 		if pv.IsDynamic() {
-			d := wire.NewTable()
-			d.SetString("dynamic", wire.Ref(pv.Dynamic))
-			if pv.Aspect != "" {
-				d.SetString("aspect", wire.String(pv.Aspect))
-			}
-			tb.SetString(name, wire.TableVal(d))
+			tb.SetString(name, dynamicToWire("dynamic", pv))
 		} else {
 			tb.SetString(name, pv.Static)
 		}
@@ -270,14 +265,25 @@ func PropsToWire(props map[string]PropValue) wire.Value {
 	return wire.TableVal(tb)
 }
 
+// dynamicToWire encodes a dynamic property's source: its monitor under
+// refKey, plus the aspect when there is one.
+func dynamicToWire(refKey string, pv PropValue) wire.Value {
+	d := wire.NewTableSize(0, 2)
+	d.SetString(refKey, wire.Ref(pv.Dynamic))
+	if pv.Aspect != "" {
+		d.SetString("aspect", wire.String(pv.Aspect))
+	}
+	return wire.TableVal(d)
+}
+
 func resultsToWire(results []QueryResult) wire.Value {
-	out := wire.NewTable()
+	out := wire.NewTableSize(len(results), 0)
 	for _, r := range results {
-		o := wire.NewTable()
+		o := wire.NewTableSize(0, 5)
 		o.SetString("id", wire.String(r.Offer.ID))
 		o.SetString("type", wire.String(r.Offer.ServiceType))
 		o.SetString("ref", wire.Ref(r.Offer.Ref))
-		snap := wire.NewTable()
+		snap := wire.NewTableSize(0, len(r.Snapshot))
 		for name, v := range r.Snapshot {
 			snap.SetString(name, v)
 		}
@@ -285,19 +291,17 @@ func resultsToWire(results []QueryResult) wire.Value {
 		// Dynamic property sources travel with the offer so clients (smart
 		// proxies) can attach observers to the same monitors the trader
 		// consults.
-		dyn := wire.NewTable()
+		var dyn *wire.Table
 		for name, pv := range r.Offer.Props {
 			if !pv.IsDynamic() {
 				continue
 			}
-			d := wire.NewTable()
-			d.SetString("ref", wire.Ref(pv.Dynamic))
-			if pv.Aspect != "" {
-				d.SetString("aspect", wire.String(pv.Aspect))
+			if dyn == nil {
+				dyn = wire.NewTableSize(0, len(r.Offer.Props))
 			}
-			dyn.SetString(name, wire.TableVal(d))
+			dyn.SetString(name, dynamicToWire("ref", pv))
 		}
-		if dyn.Size() > 0 {
+		if dyn != nil {
 			o.SetString("dynamics", wire.TableVal(dyn))
 		}
 		out.Append(wire.TableVal(o))
@@ -327,18 +331,20 @@ func ResultsFromWire(v wire.Value) ([]QueryResult, error) {
 				ServiceType: entry.GetString("type").Str(),
 				Ref:         ref,
 			},
-			Snapshot: map[string]wire.Value{},
 		}
 		if snap, ok := entry.GetString("properties").AsTable(); ok {
+			qr.Snapshot = make(map[string]wire.Value, snap.Size())
 			snap.Pairs(func(k, val wire.Value) bool {
 				if name, ok := k.AsString(); ok {
 					qr.Snapshot[name] = val
 				}
 				return true
 			})
+		} else {
+			qr.Snapshot = map[string]wire.Value{}
 		}
 		if dyn, ok := entry.GetString("dynamics").AsTable(); ok {
-			qr.Offer.Props = map[string]PropValue{}
+			qr.Offer.Props = make(map[string]PropValue, dyn.Size())
 			dyn.Pairs(func(k, val wire.Value) bool {
 				name, nameOK := k.AsString()
 				d, tblOK := val.AsTable()

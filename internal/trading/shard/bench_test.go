@@ -10,16 +10,14 @@ import (
 )
 
 // Experiment E14: sharded trader query throughput vs the single trader,
-// at 10k offers. The single trader scans its whole offer map under one
-// RWMutex on every query; four shards each scan a quarter of the offers
-// behind independent locks, so the target is ≥3× the single trader's
-// parallel query throughput. See EXPERIMENTS.md E14 and BENCH_7.json.
+// at 10k offers. When PR 7 wrote it, the single trader scanned its whole
+// offer map on every query and four shards each scanned a quarter: 3.24×.
+// Since the per-type index (PR 21) a query visits only the 50 offers of
+// its type wherever they live, and the three paths cost the same on one
+// core. See EXPERIMENTS.md E14, BENCH_7.json and BENCH_21.json.
 
 // 10k offers spread over 200 service types — the trader as the whole
-// system's rendezvous point, not one service's. Each query's own result
-// work (50 candidates) is small; the dominant cost is the full offer-map
-// scan every query pays under the single trader's lock, which is exactly
-// what partitioning removes.
+// system's rendezvous point, not one service's.
 const (
 	benchOffers = 10000
 	benchTypes  = 200
@@ -83,23 +81,22 @@ func benchQueries(b *testing.B, dir trading.Directory) {
 	})
 }
 
-// BenchmarkE14SingleTraderQuery10k is the "before": every query scans all
-// 10k offers under one trader's lock.
+// BenchmarkE14SingleTraderQuery10k queries one trader holding all 10k
+// offers.
 func BenchmarkE14SingleTraderQuery10k(b *testing.B) {
 	tr := trading.NewTrader(nil)
 	populateDirect(b, tr)
 	benchQueries(b, trading.Local{T: tr})
 }
 
-// BenchmarkE14Sharded4Query10k is the "after": the same population
-// partitioned across 4 shards behind the routing client.
+// BenchmarkE14Sharded4Query10k partitions the same population across 4
+// shards behind the routing client.
 func BenchmarkE14Sharded4Query10k(b *testing.B) {
 	benchQueries(b, newBenchRouter(b, 4))
 }
 
 // BenchmarkE14Sharded1Query10k isolates the router's own overhead: one
-// shard, so the scan cost matches the single trader and any delta is the
-// routing layer.
+// shard, so any delta to the single trader is the routing layer.
 func BenchmarkE14Sharded1Query10k(b *testing.B) {
 	benchQueries(b, newBenchRouter(b, 1))
 }

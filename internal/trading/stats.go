@@ -26,6 +26,11 @@ type TraderStats struct {
 	QueryNanos int64
 	// Offers is the current live offer count (lease-aware).
 	Offers int64
+	// Scanned counts the offer records Query visited to find its candidates,
+	// and Candidates those that became candidates. The per-type index makes
+	// them differ only by expired-but-unreaped records.
+	Scanned    int64
+	Candidates int64
 }
 
 // RPS computes the request rate between two snapshots taken dt apart.
@@ -52,6 +57,8 @@ func (t *Trader) Stats() TraderStats {
 		Exports:    t.statExports.Load(),
 		QueryNanos: t.statQueryNanos.Load(),
 		Offers:     int64(t.OfferCount()),
+		Scanned:    t.statScanned.Load(),
+		Candidates: t.statCandidates.Load(),
 	}
 }
 
@@ -62,10 +69,13 @@ func statsToWire(s TraderStats) wire.Value {
 	tb.SetString("exports", wire.Int(int(s.Exports)))
 	tb.SetString("querynanos", wire.Int(int(s.QueryNanos)))
 	tb.SetString("offers", wire.Int(int(s.Offers)))
+	tb.SetString("scanned", wire.Int(int(s.Scanned)))
+	tb.SetString("candidates", wire.Int(int(s.Candidates)))
 	return wire.TableVal(tb)
 }
 
-// statsFromWire decodes the servant's stats reply.
+// statsFromWire decodes the servant's stats reply. A key the peer does not
+// send (an older trader knows no scanned/candidates) reads as 0.
 func statsFromWire(v wire.Value) (TraderStats, error) {
 	tb, ok := v.AsTable()
 	if !ok {
@@ -76,6 +86,8 @@ func statsFromWire(v wire.Value) (TraderStats, error) {
 		Exports:    int64(tb.GetString("exports").Num()),
 		QueryNanos: int64(tb.GetString("querynanos").Num()),
 		Offers:     int64(tb.GetString("offers").Num()),
+		Scanned:    int64(tb.GetString("scanned").Num()),
+		Candidates: int64(tb.GetString("candidates").Num()),
 	}, nil
 }
 

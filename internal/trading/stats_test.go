@@ -87,12 +87,30 @@ func TestTraderStats(t *testing.T) {
 }
 
 func TestStatsWireRoundTrip(t *testing.T) {
-	in := TraderStats{Queries: 7, Exports: 3, QueryNanos: 12345, Offers: 9}
+	in := TraderStats{Queries: 7, Exports: 3, QueryNanos: 12345, Offers: 9, Scanned: 350, Candidates: 340}
 	out, err := statsFromWire(statsToWire(in))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out != in {
 		t.Fatalf("round trip: got %+v, want %+v", out, in)
+	}
+}
+
+// TestStatsFromOldShapeReply: a trader from before Scanned/Candidates sends
+// four keys; the new ones must read as 0, not fail the poll that doubles as
+// the shard manager's heartbeat.
+func TestStatsFromOldShapeReply(t *testing.T) {
+	old := wire.NewTable()
+	old.SetString("queries", wire.Int(7))
+	old.SetString("exports", wire.Int(3))
+	old.SetString("querynanos", wire.Int(12345))
+	old.SetString("offers", wire.Int(9))
+	out, err := statsFromWire(wire.TableVal(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (TraderStats{Queries: 7, Exports: 3, QueryNanos: 12345, Offers: 9}); out != want {
+		t.Fatalf("got %+v, want %+v", out, want)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -96,8 +97,14 @@ type Trader struct {
 	resolveTimeout  time.Duration
 
 	mu     sync.RWMutex
-	types  map[string]ServiceType
+	types  map[string]registeredType
 	offers map[string]*offerRecord
+	// byType indexes offers by service type in export order (ascending
+	// offerRecord.seq), holding exactly the records of t.offers: Export
+	// appends, Withdraw and Reap remove, nothing else touches it. Expiry and
+	// quarantine are filtered at query time, so an expired-but-unreaped
+	// record keeps its slot and Renew resurrects it in place.
+	byType map[string][]*offerRecord
 	nextID int
 
 	// Liveness knobs (see lease.go). clk stamps leases and drives the
@@ -113,6 +120,8 @@ type Trader struct {
 	statQueries    atomic.Int64
 	statExports    atomic.Int64
 	statQueryNanos atomic.Int64
+	statScanned    atomic.Int64
+	statCandidates atomic.Int64
 
 	// Optional registry-backed instrumentation (see metrics.go). Atomic so
 	// SetMetrics is safe against in-flight queries; nil = disabled.
@@ -158,8 +167,9 @@ func NewTrader(resolver DynamicResolver) *Trader {
 	return &Trader{
 		resolver:        resolver,
 		resolveParallel: defaultResolveParallel,
-		types:           make(map[string]ServiceType),
+		types:           make(map[string]registeredType),
 		offers:          make(map[string]*offerRecord),
+		byType:          make(map[string][]*offerRecord),
 		clk:             clock.Real{},
 		quarThreshold:   DefaultQuarantineThreshold,
 	}
@@ -191,11 +201,25 @@ func (t *Trader) SetResolveTimeout(d time.Duration) {
 	t.resolveTimeout = d
 }
 
+// registeredType is a service type plus what Export needs precomputed from
+// it: the declared-property set of a Strict type, built once in AddType.
+type registeredType struct {
+	ServiceType
+	declared map[string]struct{} // nil unless Strict
+}
+
 // AddType registers a service type. Re-adding a name replaces it.
 func (t *Trader) AddType(st ServiceType) {
+	rt := registeredType{ServiceType: st}
+	if st.Strict {
+		rt.declared = make(map[string]struct{}, len(st.Props))
+		for _, p := range st.Props {
+			rt.declared[p] = struct{}{}
+		}
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.types[st.Name] = st
+	t.types[st.Name] = rt
 }
 
 // TypeNames lists registered service types, sorted.
@@ -219,12 +243,8 @@ func (t *Trader) Export(serviceType string, ref wire.ObjRef, props map[string]Pr
 		return "", fmt.Errorf("%w: %q", ErrUnknownServiceType, serviceType)
 	}
 	if st.Strict {
-		declared := make(map[string]bool, len(st.Props))
-		for _, p := range st.Props {
-			declared[p] = true
-		}
 		for name := range props {
-			if !declared[name] {
+			if _, ok := st.declared[name]; !ok {
 				return "", fmt.Errorf("trading: offer property %q not declared by type %q", name, serviceType)
 			}
 		}
@@ -236,11 +256,16 @@ func (t *Trader) Export(serviceType string, ref wire.ObjRef, props map[string]Pr
 	for k, v := range props {
 		copied[k] = v
 	}
-	rec := &offerRecord{offer: &Offer{ID: id, ServiceType: serviceType, Ref: ref, Props: copied}}
+	rec := &offerRecord{
+		offer: Offer{ID: id, ServiceType: serviceType, Ref: ref, Props: copied},
+		seq:   t.nextID,
+	}
 	if t.leaseTTL > 0 {
 		rec.expires = t.clk.Now().Add(t.leaseTTL)
 	}
 	t.offers[id] = rec
+	// Sequence numbers only grow, so appending keeps the list export-ordered.
+	t.byType[serviceType] = append(t.byType[serviceType], rec)
 	return id, nil
 }
 
@@ -255,6 +280,11 @@ func (t *Trader) Withdraw(id string) error {
 		return fmt.Errorf("%w: %q", ErrUnknownOffer, id)
 	}
 	delete(t.offers, id)
+	rec.gone = true
+	list := t.byType[rec.offer.ServiceType]
+	if i, ok := slices.BinarySearchFunc(list, rec.seq, func(r *offerRecord, seq int) int { return r.seq - seq }); ok {
+		t.byType[rec.offer.ServiceType] = slices.Delete(list, i, i+1)
+	}
 	if tm := t.tm.Load(); tm != nil {
 		tm.withdrawals.Inc()
 	}
@@ -315,13 +345,14 @@ func (t *Trader) OfferCount() int {
 // properties resolved as *probes*, so a recovered monitor rehabilitates
 // its offer and the next query sees it again.
 //
-// Snapshots are demand-driven: static properties are always included, but
-// dynamic properties are resolved only when the constraint or preference
-// references them by name. Identical monitor calls — same object, same
-// aspect — are resolved once per query and the value shared, and distinct
-// resolutions fan out across a bounded worker pool (SetResolveParallel).
-// Memoization is per-query only, so repeated queries still observe fresh
-// monitor values.
+// Resolution is demand-driven: dynamic properties are resolved only when
+// the constraint or preference references them by name. Identical monitor
+// calls — same object, same aspect — are resolved once per query and the
+// value shared, and distinct resolutions fan out across a bounded worker
+// pool (SetResolveParallel). Memoization is per-query only, so repeated
+// queries still observe fresh monitor values. Snapshots (every static
+// property plus every referenced dynamic property that resolved) are built
+// only for the rows returned.
 func (t *Trader) Query(ctx context.Context, serviceType, constraint, preference string, maxResults int) ([]QueryResult, error) {
 	began := time.Now()
 	t.statQueries.Add(1)
@@ -359,32 +390,25 @@ func (t *Trader) Query(ctx context.Context, serviceType, constraint, preference 
 	}
 	workers := t.resolveParallel
 	resolveTimeout := t.resolveTimeout
-	// Capture each candidate's Props map pointer while holding the lock.
-	// Export and Modify install a fresh map and never mutate a published
-	// one, and an offer's other fields are immutable after export, so the
-	// captured pair stays consistent after the lock is released even if a
-	// concurrent Modify swaps in replacement properties.
+	// The type's list is already in export order, the deterministic base
+	// order preferences refine. Capture each candidate's Props map pointer
+	// while holding the lock: Export and Modify install a fresh map and
+	// never mutate a published one, and an offer's other fields are
+	// immutable after export, so the captured pair stays consistent after
+	// the lock is released even if a concurrent Modify swaps in replacement
+	// properties.
 	candidates := sc.candidates[:0]
 	now := t.clk.Now()
-	for _, rec := range t.offers {
-		o := rec.offer
-		if o.ServiceType == serviceType && !rec.expired(now) {
-			candidates = append(candidates, offerView{o: o, props: o.Props, quarantined: rec.quarantined})
+	recs := t.byType[serviceType]
+	for _, rec := range recs {
+		if !rec.expired(now) {
+			candidates = append(candidates, offerView{rec: rec, props: rec.offer.Props, quarantined: rec.quarantined})
 		}
 	}
 	t.mu.RUnlock()
 	sc.candidates = candidates
-	// Deterministic base order (offer export order) before preferences.
-	// Sort a permutation rather than the candidates themselves: swapping
-	// indices is cheaper, and the sequence numbers are parsed once instead
-	// of on every comparison.
-	order, seqs := sc.order[:0], sc.seqs[:0]
-	for i := range candidates {
-		order = append(order, i)
-		seqs = append(seqs, offerSeq(candidates[i].o.ID))
-	}
-	sc.order, sc.seqs = order, seqs
-	sort.Slice(order, func(i, j int) bool { return seqs[order[i]] < seqs[order[j]] })
+	t.statScanned.Add(int64(len(recs)))
+	t.statCandidates.Add(int64(len(candidates)))
 
 	resolveCtx := ctx
 	if resolveTimeout > 0 {
@@ -392,76 +416,116 @@ func (t *Trader) Query(ctx context.Context, serviceType, constraint, preference 
 		resolveCtx, cancel = context.WithTimeout(ctx, resolveTimeout)
 		defer cancel()
 	}
-	snaps := t.snapshotAll(resolveCtx, candidates, cons, pref, workers, sc)
+	// The names worth resolving: what the constraint or preference can read.
+	names := sc.names[:0]
+	if t.resolver != nil {
+		names = append(names, cons.refs...)
+		for _, name := range pref.refs {
+			if !slices.Contains(cons.refs, name) {
+				names = append(names, name)
+			}
+		}
+	}
+	sc.names = names
+	results := t.resolveReferenced(resolveCtx, candidates, names, workers, sc)
 	t.noteResolveOutcomes(ctx, candidates, sc.outcomes)
-	matched := make([]QueryResult, 0, len(candidates))
-	for _, ci := range order {
-		if candidates[ci].quarantined {
+
+	// One lookup serves every evaluation: cur selects the candidate, static
+	// values come from its captured Props and dynamic ones from the resolve
+	// results through its range in pend. A dynamic property that was not
+	// resolved (unreferenced, failed, or no resolver) is absent.
+	var cur *offerView
+	pend := sc.pend
+	lookup := func(name string) (wire.Value, bool) {
+		pv, ok := cur.props[name]
+		if !ok {
+			return wire.Value{}, false
+		}
+		if !pv.IsDynamic() {
+			return pv.Static, true
+		}
+		for _, p := range pend[cur.lo:cur.hi] {
+			if p.name == name {
+				r := &results[p.task]
+				return r.v, r.err == nil
+			}
+		}
+		return wire.Value{}, false
+	}
+	matched := sc.matched[:0]
+	for i := range candidates {
+		if candidates[i].quarantined {
 			continue // probed above, but untrusted until rehabilitated
 		}
-		snap := snaps[ci]
-		lookup := func(name string) (wire.Value, bool) {
-			v, ok := snap[name]
-			return v, ok
+		cur = &candidates[i]
+		if ok, err := cons.Eval(lookup); err == nil && ok {
+			matched = append(matched, i)
 		}
-		ok, err := cons.Eval(lookup)
-		if err != nil || !ok {
-			continue
-		}
-		c := candidates[ci]
-		matched = append(matched, QueryResult{
-			Offer: Offer{
-				ID:          c.o.ID,
-				ServiceType: c.o.ServiceType,
-				Ref:         c.o.Ref,
-				Props:       c.props,
-			},
-			Snapshot: snap,
-		})
 	}
-	if err := pref.Sort(matched); err != nil {
+	sc.matched = matched
+	sc.keys = slices.Grow(sc.keys[:0], len(candidates))[:len(candidates)]
+	err = pref.rank(matched, sc.keys, func(i int) (string, PropLookup) {
+		cur = &candidates[i]
+		return cur.rec.offer.ID, lookup
+	})
+	if err != nil {
 		return nil, err
 	}
 	if maxResults > 0 && len(matched) > maxResults {
 		matched = matched[:maxResults]
 	}
-	return matched, nil
+	out := make([]QueryResult, len(matched))
+	for n, i := range matched {
+		c := &candidates[i]
+		snap := make(map[string]wire.Value, len(c.props))
+		for name, pv := range c.props {
+			if !pv.IsDynamic() {
+				snap[name] = pv.Static
+			}
+		}
+		for _, p := range pend[c.lo:c.hi] {
+			if r := &results[p.task]; r.err == nil {
+				snap[p.name] = r.v
+			}
+		}
+		o := &c.rec.offer // Props may be changing; the other fields never do
+		out[n] = QueryResult{
+			Offer:    Offer{ID: o.ID, ServiceType: o.ServiceType, Ref: o.Ref, Props: c.props},
+			Snapshot: snap,
+		}
+	}
+	return out, nil
 }
 
-func offerSeq(id string) int {
-	n, _ := strconv.Atoi(id[len("offer-"):])
-	return n
-}
-
-// offerView pairs an offer with the Props map captured under the trader
-// lock, pinning a consistent property set for the rest of the query.
-// quarantined marks offers resolved only as probes, never matched.
+// offerView pairs an offer's record with the Props map captured under the
+// trader lock, pinning a consistent property set for the rest of the query.
+// quarantined marks offers resolved only as probes, never matched; lo:hi is
+// the offer's range in the query's pend list.
 type offerView struct {
-	o           *Offer
+	rec         *offerRecord
 	props       map[string]PropValue
 	quarantined bool
+	lo, hi      int
 }
 
 // pendingProp records that one offer property awaits one task's result.
 type pendingProp struct {
-	offer int // index into offers/snaps
-	name  string
-	task  int // index into tasks
+	name string
+	task int // index into tasks
 }
 
 // queryScratch is the recyclable working set of one query. Queries churn
-// through several short-lived slices (candidate views, sort permutations,
-// resolve tasks and results); pooling them keeps steady-state allocation
-// roughly proportional to the result set instead of the offer database.
-// Snapshot maps are NOT pooled — they escape into QueryResults.
+// through several short-lived slices (candidate views, matched indices,
+// sort keys, resolve tasks and results); pooling them keeps steady-state
+// allocation proportional to the result set instead of the candidates.
 type queryScratch struct {
 	candidates []offerView
-	order      []int
-	seqs       []int
+	names      []string
+	matched    []int
+	keys       []prefKey
 	tasks      []resolveTask
 	pend       []pendingProp
 	results    []resolveResult
-	snaps      []map[string]wire.Value
 	outcomes   []resolveOutcome
 	ti         taskIndex
 }
@@ -492,13 +556,12 @@ func putQueryScratch(sc *queryScratch) {
 	if cap(sc.candidates) > maxScratchEntries || cap(sc.pend) > maxScratchEntries {
 		return // oversized: let the GC reclaim the whole scratch
 	}
-	// Drop references so a pooled scratch does not pin offers, snapshot
-	// maps, or resolved values between queries.
+	// Drop references so a pooled scratch does not pin offers or resolved
+	// values between queries.
 	clear(sc.candidates[:cap(sc.candidates)])
 	clear(sc.tasks[:cap(sc.tasks)])
 	clear(sc.pend[:cap(sc.pend)])
 	clear(sc.results[:cap(sc.results)])
-	clear(sc.snaps[:cap(sc.snaps)])
 	queryScratchPool.Put(sc)
 }
 
@@ -604,37 +667,27 @@ type resolveResult struct {
 	err error
 }
 
-// snapshotAll builds one property snapshot per offer. Static properties
-// are copied directly; dynamic properties are resolved only if the
-// constraint or preference references their name, with identical monitor
-// calls deduplicated across all offers and fanned out over resolveAll.
-// Unreachable dynamic properties are simply absent from the snapshot, so
-// constraints referencing them fail for that offer only.
-func (t *Trader) snapshotAll(ctx context.Context, offers []offerView, cons *Constraint, pref *Preference, workers int, sc *queryScratch) []map[string]wire.Value {
-	snaps := sc.snaps[:0]
+// resolveReferenced resolves, for every candidate, the dynamic properties
+// among names (what the constraint or preference references), with
+// identical monitor calls deduplicated across all offers and fanned out
+// over resolveAll. It leaves each candidate's lo:hi range of sc.pend and
+// its sc.outcomes entry behind and returns the per-task results those pend
+// entries index.
+func (t *Trader) resolveReferenced(ctx context.Context, offers []offerView, names []string, workers int, sc *queryScratch) []resolveResult {
 	outcomes := sc.outcomes[:0]
-	// The dynamic-path structures are initialized lazily so purely static
-	// queries pay nothing for them.
-	var (
-		tasks []resolveTask
-		pend  []pendingProp
-		ti    *taskIndex
-	)
+	tasks, pend := sc.tasks[:0], sc.pend[:0]
+	// The dedup index is reset lazily so purely static queries pay nothing
+	// for it.
+	var ti *taskIndex
 	for i := range offers {
-		props := offers[i].props
-		snap := make(map[string]wire.Value, len(props))
-		snaps = append(snaps, snap)
 		outcomes = append(outcomes, resolveNone)
-		for name, pv := range props {
-			if !pv.IsDynamic() {
-				snap[name] = pv.Static
-				continue
-			}
-			if t.resolver == nil || (!cons.references(name) && !pref.references(name)) {
+		offers[i].lo = len(pend)
+		for _, name := range names {
+			pv, ok := offers[i].props[name]
+			if !ok || !pv.IsDynamic() {
 				continue
 			}
 			if ti == nil {
-				tasks, pend = sc.tasks[:0], sc.pend[:0]
 				ti = &sc.ti
 				// Offers in the paper's scenario carry ~2 referenced
 				// dynamic props each (a monitor value plus an aspect).
@@ -647,14 +700,11 @@ func (t *Trader) snapshotAll(ctx context.Context, offers []offerView, cons *Cons
 				tasks = append(tasks, resolveTask{ref: pv.Dynamic, aspect: pv.Aspect, hash: h})
 				ti.insert(tasks, idx)
 			}
-			pend = append(pend, pendingProp{offer: i, name: name, task: idx})
+			pend = append(pend, pendingProp{name: name, task: idx})
 		}
+		offers[i].hi = len(pend)
 	}
-	sc.snaps = snaps
-	sc.outcomes = outcomes
-	if ti != nil {
-		sc.tasks, sc.pend = tasks, pend
-	}
+	sc.outcomes, sc.tasks, sc.pend = outcomes, tasks, pend
 	results := t.resolveAll(ctx, tasks, workers, sc)
 	if tm := t.tm.Load(); tm != nil {
 		tm.resolveTasks.Observe(int64(len(tasks)))
@@ -668,17 +718,16 @@ func (t *Trader) snapshotAll(ctx context.Context, offers []offerView, cons *Cons
 			tm.resolveErrors.Add(failed)
 		}
 	}
-	for _, p := range pend {
-		if r := results[p.task]; r.err == nil {
-			snaps[p.offer][p.name] = r.v
-			if outcomes[p.offer] == resolveNone {
-				outcomes[p.offer] = resolveAllOK
+	for i := range offers {
+		for _, p := range pend[offers[i].lo:offers[i].hi] {
+			if results[p.task].err != nil {
+				outcomes[i] = resolveSomeFailed
+			} else if outcomes[i] == resolveNone {
+				outcomes[i] = resolveAllOK
 			}
-		} else {
-			outcomes[p.offer] = resolveSomeFailed
 		}
 	}
-	return snaps
+	return results
 }
 
 // serialResolveBudget is how long resolveAll works serially before fanning

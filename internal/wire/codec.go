@@ -90,33 +90,21 @@ func appendValue(dst []byte, v Value, depth int) ([]byte, error) {
 				return dst, err
 			}
 		}
-		dst = binary.AppendUvarint(dst, uint64(len(v.t.hash)))
 		// Deterministic order: encode pairs sorted by key, matching Pairs.
-		var encodeErr error
-		v.t.hashPairs(func(k, val Value) bool {
-			if dst, encodeErr = appendValue(dst, k, depth+1); encodeErr != nil {
-				return false
+		ps := v.t.sortedHash()
+		dst = binary.AppendUvarint(dst, uint64(len(ps)))
+		for i := range ps {
+			if dst, err = appendValue(dst, ps[i].k.value(), depth+1); err != nil {
+				return dst, err
 			}
-			dst, encodeErr = appendValue(dst, val, depth+1)
-			return encodeErr == nil
-		})
-		return dst, encodeErr
+			if dst, err = appendValue(dst, ps[i].v, depth+1); err != nil {
+				return dst, err
+			}
+		}
+		return dst, nil
 	default:
 		return dst, fmt.Errorf("wire: cannot encode kind %v", v.kind)
 	}
-}
-
-// hashPairs iterates only the hash part in sorted order.
-func (t *Table) hashPairs(fn func(k, v Value) bool) {
-	t.Pairs(func(k, v Value) bool {
-		if n, ok := k.AsNumber(); ok && n == math.Trunc(n) {
-			i := int(n)
-			if i >= 1 && i <= len(t.arr) {
-				return true // array part, skip
-			}
-		}
-		return fn(k, v)
-	})
 }
 
 func appendString(dst []byte, s string) []byte {
@@ -210,6 +198,8 @@ func (d *Decoder) value(depth int) (Value, error) {
 		if hashLen > uint64(d.Remaining()) {
 			return Nil(), ErrTruncated
 		}
+		// A pair is two bytes or more: a hostile count reserves no more.
+		t.reserveHash(int(min(hashLen, uint64(d.Remaining()/2))))
 		for i := uint64(0); i < hashLen; i++ {
 			k, err := d.value(depth + 1)
 			if err != nil {

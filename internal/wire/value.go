@@ -12,10 +12,11 @@
 package wire
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -268,9 +269,27 @@ func FormatNumber(n float64) string {
 // integer-keyed array part (1-based) plus a hash part keyed by arbitrary
 // non-nil scalar values. Tables are not safe for concurrent mutation; the
 // layers above confine each table to one goroutine or copy at boundaries.
+//
+// The hash part has two forms. Up to smallTableMax pairs live in small,
+// sorted by key: the records that cross the wire (an offer, its properties,
+// a stats reply) have a handful of fields, and a Go map costs over a
+// kilobyte and three allocations before it holds one. A larger hash part
+// spills to hash and stays there: hash != nil means spilled, and small nil.
+// Neither form stores a nil value.
 type Table struct {
-	arr  []Value
-	hash map[tableKey]Value
+	arr   []Value
+	small []tablePair
+	hash  map[tableKey]Value
+}
+
+// smallTableMax is the largest hash part kept in Table.small: eight pairs
+// cover every record the infrastructure itself sends, a lookup scans at
+// most eight keys, and the copy Pairs iterates (8 x 152 bytes) fits a stack.
+const smallTableMax = 8
+
+type tablePair struct {
+	k tableKey
+	v Value
 }
 
 // tableKey is the comparable form of a Value usable as a table key.
@@ -318,6 +337,23 @@ func (k tableKey) value() Value {
 // NewTable returns an empty table.
 func NewTable() *Table { return &Table{} }
 
+// NewTableSize returns an empty table with room for narr array elements
+// and nrec hash-part pairs, for builders that know what they will store.
+func NewTableSize(narr, nrec int) *Table {
+	t := &Table{arr: make([]Value, 0, narr)}
+	t.reserveHash(nrec)
+	return t
+}
+
+// reserveHash sizes the still-empty hash part for n pairs.
+func (t *Table) reserveHash(n int) {
+	if n > smallTableMax {
+		t.hash = make(map[tableKey]Value, n)
+	} else if n > 0 {
+		t.small = make([]tablePair, 0, n)
+	}
+}
+
 // NewList returns a table whose array part holds vs in order.
 func NewList(vs ...Value) *Table {
 	t := &Table{arr: make([]Value, len(vs))}
@@ -327,7 +363,7 @@ func NewList(vs ...Value) *Table {
 
 // NewRecord returns a table populated from string-keyed fields.
 func NewRecord(fields map[string]Value) *Table {
-	t := NewTable()
+	t := NewTableSize(0, len(fields))
 	for k, v := range fields {
 		t.SetString(k, v)
 	}
@@ -350,6 +386,65 @@ func (t *Table) Index(i int) Value {
 // Append adds v to the end of the array part.
 func (t *Table) Append(v Value) { t.arr = append(t.arr, v) }
 
+// hashLen reports the number of pairs in the hash part.
+func (t *Table) hashLen() int { return len(t.small) + len(t.hash) }
+
+// findSmall returns k's position in t.small, or the position that keeps
+// the slice sorted if k is not there.
+func (t *Table) findSmall(k tableKey) (int, bool) {
+	for i := range t.small {
+		if c := keyCmp(k, t.small[i].k); c <= 0 {
+			return i, c == 0
+		}
+	}
+	return len(t.small), false
+}
+
+// hashGet returns the hash part's value for k, nil if there is none.
+func (t *Table) hashGet(k tableKey) Value {
+	if t.hash != nil {
+		return t.hash[k]
+	}
+	if i, ok := t.findSmall(k); ok {
+		return t.small[i].v
+	}
+	return Value{}
+}
+
+func (t *Table) hashDelete(k tableKey) {
+	if t.hash != nil {
+		delete(t.hash, k)
+	} else if i, ok := t.findSmall(k); ok {
+		t.small = slices.Delete(t.small, i, i+1)
+	}
+}
+
+func (t *Table) hashSet(k tableKey, v Value) {
+	if t.hash != nil {
+		t.hash[k] = v
+		return
+	}
+	i, ok := t.findSmall(k)
+	switch {
+	case ok:
+		// The key is rewritten too, as a map does for keys that are equal
+		// but not identical (-0 and +0).
+		t.small[i] = tablePair{k, v}
+	case len(t.small) < smallTableMax:
+		if t.small == nil {
+			t.small = make([]tablePair, 0, smallTableMax/2)
+		}
+		t.small = slices.Insert(t.small, i, tablePair{k, v})
+	default:
+		t.hash = make(map[tableKey]Value, 2*smallTableMax)
+		for _, p := range t.small {
+			t.hash[p.k] = p.v
+		}
+		t.hash[k] = v
+		t.small = nil
+	}
+}
+
 // Get returns the value stored under key, or nil if absent or the key is
 // not usable.
 func (t *Table) Get(key Value) Value {
@@ -366,7 +461,7 @@ func (t *Table) Get(key Value) Value {
 	if err != nil {
 		return Nil()
 	}
-	return t.hash[k]
+	return t.hashGet(k)
 }
 
 // GetString returns the value stored under the string key name.
@@ -391,13 +486,13 @@ func (t *Table) Set(key, v Value) error {
 		if i == len(t.arr)+1 && !v.IsNil() {
 			t.arr = append(t.arr, v)
 			// Absorb any contiguous successors previously stored sparsely.
-			for {
+			for t.hashLen() > 0 {
 				k, _ := toKey(Int(len(t.arr) + 1))
-				nv, ok := t.hash[k]
-				if !ok {
+				nv := t.hashGet(k)
+				if nv.IsNil() {
 					break
 				}
-				delete(t.hash, k)
+				t.hashDelete(k)
 				t.arr = append(t.arr, nv)
 			}
 			return nil
@@ -408,13 +503,10 @@ func (t *Table) Set(key, v Value) error {
 		return err
 	}
 	if v.IsNil() {
-		delete(t.hash, k)
+		t.hashDelete(k)
 		return nil
 	}
-	if t.hash == nil {
-		t.hash = make(map[tableKey]Value)
-	}
-	t.hash[k] = v
+	t.hashSet(k, v)
 	return nil
 }
 
@@ -426,7 +518,8 @@ func (t *Table) SetString(name string, v Value) {
 
 // Pairs calls fn for every key/value pair: array part first in index order,
 // then hash part in deterministic (sorted) key order. Iteration stops if fn
-// returns false.
+// returns false. fn may mutate the table: the hash part is iterated as it
+// was when Pairs reached it.
 func (t *Table) Pairs(fn func(k, v Value) bool) {
 	for i, v := range t.arr {
 		if v.IsNil() {
@@ -436,42 +529,64 @@ func (t *Table) Pairs(fn func(k, v Value) bool) {
 			return
 		}
 	}
-	keys := make([]tableKey, 0, len(t.hash))
-	for k := range t.hash {
-		keys = append(keys, k)
+	ps := t.sortedHash()
+	if t.hash == nil {
+		var buf [smallTableMax]tablePair
+		ps = buf[:copy(buf[:], ps)]
 	}
-	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
-	for _, k := range keys {
-		if !fn(k.value(), t.hash[k]) {
+	for i := range ps {
+		if !fn(ps[i].k.value(), ps[i].v) {
 			return
 		}
 	}
 }
 
-func keyLess(a, b tableKey) bool {
+// sortedHash returns the hash part in key order: for a small table the
+// inline slice itself, which the caller must not hold across a mutation,
+// for a spilled one a fresh sorted slice.
+func (t *Table) sortedHash() []tablePair {
+	if t.hash == nil {
+		return t.small
+	}
+	ps := make([]tablePair, 0, len(t.hash))
+	for k, v := range t.hash {
+		ps = append(ps, tablePair{k, v})
+	}
+	slices.SortFunc(ps, func(a, b tablePair) int { return keyCmp(a.k, b.k) })
+	return ps
+}
+
+// keyCmp orders table keys: by kind, then by value within the kind.
+func keyCmp(a, b tableKey) int {
 	if a.kind != b.kind {
-		return a.kind < b.kind
+		return cmp.Compare(a.kind, b.kind)
 	}
 	switch a.kind {
 	case KindBool:
-		return !a.b && b.b
-	case KindNumber:
-		return a.n < b.n
-	case KindString:
-		return a.s < b.s
-	case KindObjRef:
-		if a.r.Endpoint != b.r.Endpoint {
-			return a.r.Endpoint < b.r.Endpoint
+		if a.b == b.b {
+			return 0
 		}
-		return a.r.Key < b.r.Key
+		if b.b {
+			return -1
+		}
+		return 1
+	case KindNumber:
+		return cmp.Compare(a.n, b.n)
+	case KindString:
+		return strings.Compare(a.s, b.s)
+	case KindObjRef:
+		if c := strings.Compare(a.r.Endpoint, b.r.Endpoint); c != 0 {
+			return c
+		}
+		return strings.Compare(a.r.Key, b.r.Key)
 	default:
-		return false
+		return 0
 	}
 }
 
 // Size reports the total number of stored pairs (array + hash).
 func (t *Table) Size() int {
-	n := len(t.hash)
+	n := t.hashLen()
 	for _, v := range t.arr {
 		if !v.IsNil() {
 			n++
@@ -486,6 +601,12 @@ func (t *Table) Copy() *Table {
 	out := &Table{arr: make([]Value, len(t.arr))}
 	for i, v := range t.arr {
 		out.arr[i] = copyValue(v)
+	}
+	if len(t.small) > 0 {
+		out.small = make([]tablePair, len(t.small))
+		for i, p := range t.small {
+			out.small[i] = tablePair{p.k, copyValue(p.v)}
+		}
 	}
 	if len(t.hash) > 0 {
 		out.hash = make(map[tableKey]Value, len(t.hash))
@@ -507,7 +628,7 @@ func (t *Table) equal(u *Table) bool {
 	if t == nil || u == nil {
 		return t == u
 	}
-	if len(t.arr) != len(u.arr) || len(t.hash) != len(u.hash) {
+	if len(t.arr) != len(u.arr) || t.hashLen() != u.hashLen() {
 		return false
 	}
 	for i := range t.arr {
@@ -515,8 +636,14 @@ func (t *Table) equal(u *Table) bool {
 			return false
 		}
 	}
+	// One of the two loops is empty; u may be in either form.
+	for _, p := range t.small {
+		if !p.v.Equal(u.hashGet(p.k)) {
+			return false
+		}
+	}
 	for k, v := range t.hash {
-		if !v.Equal(u.hash[k]) {
+		if !v.Equal(u.hashGet(k)) {
 			return false
 		}
 	}
