@@ -33,7 +33,7 @@ BENCH_BASELINE ?= bench_baseline.json
 # Fuzz budget per target in `make chaos`; nightly CI raises it to 5m.
 FUZZTIME ?= 10s
 
-.PHONY: check vet build test race bench bench-smoke bench-regression bench-baseline aabench chaos
+.PHONY: check vet build test race bench bench-smoke bench-regression bench-baseline aabench chaos loc
 
 check: vet build race
 
@@ -89,6 +89,14 @@ bench-baseline:
 aabench:
 	bash benchmark/run.sh --workload all --seconds 5
 	cd benchmark && $(GO) test ./...
+
+# Non-test Go lines per package under internal/ and cmd/, and their total:
+# the one command the size bars in ROADMAP.md and the PR descriptions quote.
+# CI's vet job appends it to the job summary.
+loc:
+	@find internal cmd -name '*.go' ! -name '*_test.go' -exec wc -l {} + | \
+		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+		     END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' | sort -k2
 
 # Hostile-input and overload robustness suites (PR 8): admission control
 # under request storms, budget sandboxing of shipped scripts (including

@@ -235,10 +235,7 @@ type ShardedTraderOptions struct {
 	// Shards is how many trader shards the offer space is partitioned
 	// across. Default 4.
 	Shards int
-	// Standbys is the pool of spare traders the shard manager promotes to
-	// read replicas of hot shards. Default 0 (no dynamic replication).
-	Standbys int
-	// Types registered at start (broadcast to every shard and standby).
+	// Types registered at start (broadcast to every shard).
 	Types []ServiceType
 	// CheckIDL type-checks inbound trader calls against the IDL.
 	CheckIDL bool
@@ -247,19 +244,15 @@ type ShardedTraderOptions struct {
 	// LeaseTTL so re-exports complete before an old owner is dropped.
 	LeaseTTL     time.Duration
 	ReapInterval time.Duration
-	// HotRPS is the per-shard query rate above which the manager attaches
-	// a read replica (see shard.ManagerOptions). Default 100.
-	HotRPS float64
 	// MaxConcurrent and ResolveTimeout: as in TraderOptions, applied to
 	// the ensemble's server and to every shard respectively.
 	MaxConcurrent  int
 	ResolveTimeout time.Duration
-	// Metrics, when non-nil, instruments the ensemble: every shard and
-	// standby shares the registry (counters aggregate across shards; the
-	// trading_offers/queries/exports gauges are re-registered as
-	// primary-shard sums), the shard manager exports its shard_manager_*
-	// gauges, and the well-known servant answers the `metrics` operation
-	// with the registry's text. Nil disables instrumentation.
+	// Metrics, when non-nil, instruments the ensemble: every shard shares
+	// the registry (counters aggregate across shards; the
+	// trading_offers/queries/exports gauges are re-registered as sums over
+	// the shards), and the well-known servant answers the `metrics`
+	// operation with the registry's text. Nil disables instrumentation.
 	Metrics *metrics.Registry
 	// Logger for connection and rebalancing diagnostics.
 	Logger *log.Logger
@@ -271,8 +264,6 @@ type ShardedTraderOptions struct {
 type ShardedTraderHandle struct {
 	// Router is the shard routing client (a trading.Directory).
 	Router *shard.Router
-	// Manager is the replica control loop (nil when Standbys is 0).
-	Manager *shard.Manager
 	// Ref is the wire reference clients bind to — indistinguishable from
 	// a single trader's.
 	Ref ObjRef
@@ -302,8 +293,9 @@ func StartShardedTrader(opts ShardedTraderOptions) (*ShardedTraderHandle, error)
 		return nil, err
 	}
 
-	var allTraders []*trading.Trader
-	newShard := func() *trading.Trader {
+	dirs := make([]trading.Directory, opts.Shards)
+	traders := make([]*trading.Trader, opts.Shards)
+	for i := range dirs {
 		tr := trading.NewTrader(trading.ClientResolver{Client: client})
 		tr.SetResolveTimeout(opts.ResolveTimeout)
 		tr.SetMetrics(opts.Metrics)
@@ -315,14 +307,8 @@ func StartShardedTrader(opts ShardedTraderOptions) (*ShardedTraderHandle, error)
 			}
 			h.stoppers = append(h.stoppers, tr.StartReaper(interval))
 		}
-		allTraders = append(allTraders, tr)
-		return tr
-	}
-	dirs := make([]trading.Directory, opts.Shards)
-	primaries := make([]*trading.Trader, opts.Shards)
-	for i := range dirs {
-		primaries[i] = newShard()
-		dirs[i] = trading.Local{T: primaries[i]}
+		traders[i] = tr
+		dirs[i] = trading.Local{T: tr}
 	}
 	grace := 30 * time.Second
 	if opts.LeaseTTL > 0 {
@@ -344,44 +330,14 @@ func StartShardedTrader(opts ShardedTraderOptions) (*ShardedTraderHandle, error)
 		}
 	}
 
-	if opts.Standbys > 0 {
-		standbys := make([]trading.Directory, opts.Standbys)
-		for i := range standbys {
-			standbys[i] = trading.Local{T: newShard()}
-		}
-		mgr, err := shard.NewManager(shard.ManagerOptions{
-			Router:   router,
-			Standbys: standbys,
-			HotRPS:   opts.HotRPS,
-			Logger:   opts.Logger,
-			Metrics:  opts.Metrics,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		h.Manager = mgr
-		h.stoppers = append(h.stoppers, mgr.Start())
-	}
-
 	if reg := opts.Metrics; reg != nil {
-		// Every shard's (and standby's) SetMetrics registered per-trader
-		// gauges under the same names, each seeing only its own slice of
-		// the ensemble; replace them with ensemble-wide sums. This must
-		// happen after the last newShard() call — GaugeFunc is last-wins
-		// on a duplicate name, so a later per-trader registration would
-		// silently shadow these. Offers and exports sum the primaries
-		// only (replicas hold copies of the same offers, so counting
-		// them would double count); queries and what they scanned sum
-		// every trader, because a promoted read replica serves real
-		// queries the primary never sees.
-		reg.GaugeFunc("trading_offers", func() float64 {
-			n := 0
-			for _, tr := range primaries {
-				n += tr.OfferCount()
-			}
-			return float64(n)
-		})
-		sum := func(traders []*trading.Trader, field func(trading.TraderStats) int64) func() float64 {
+		// Every shard's SetMetrics registered per-trader gauges under the
+		// same names, each seeing only its own slice of the ensemble;
+		// replace them with ensemble-wide sums. This must happen after
+		// every shard's SetMetrics — GaugeFunc is last-wins on a duplicate
+		// name, so a later per-trader registration would silently shadow
+		// these.
+		sum := func(field func(trading.TraderStats) int64) func() float64 {
 			return func() float64 {
 				var n int64
 				for _, tr := range traders {
@@ -390,10 +346,11 @@ func StartShardedTrader(opts ShardedTraderOptions) (*ShardedTraderHandle, error)
 				return float64(n)
 			}
 		}
-		reg.GaugeFunc("trading_queries", sum(allTraders, func(s trading.TraderStats) int64 { return s.Queries }))
-		reg.GaugeFunc("trading_scanned", sum(allTraders, func(s trading.TraderStats) int64 { return s.Scanned }))
-		reg.GaugeFunc("trading_candidates", sum(allTraders, func(s trading.TraderStats) int64 { return s.Candidates }))
-		reg.GaugeFunc("trading_exports", sum(primaries, func(s trading.TraderStats) int64 { return s.Exports }))
+		reg.GaugeFunc("trading_offers", sum(func(s trading.TraderStats) int64 { return s.Offers }))
+		reg.GaugeFunc("trading_queries", sum(func(s trading.TraderStats) int64 { return s.Queries }))
+		reg.GaugeFunc("trading_scanned", sum(func(s trading.TraderStats) int64 { return s.Scanned }))
+		reg.GaugeFunc("trading_candidates", sum(func(s trading.TraderStats) int64 { return s.Candidates }))
+		reg.GaugeFunc("trading_exports", sum(func(s trading.TraderStats) int64 { return s.Exports }))
 	}
 
 	var repo *idl.Repository
@@ -418,7 +375,7 @@ func StartShardedTrader(opts ShardedTraderOptions) (*ShardedTraderHandle, error)
 	if opts.CheckIDL {
 		iface = "Trader"
 	}
-	servant := shard.NewServant(router, h.Manager)
+	servant := shard.NewServant(router)
 	if opts.Metrics != nil {
 		servant.WithMetricsText(opts.Metrics.Text)
 	}
@@ -429,7 +386,7 @@ func StartShardedTrader(opts ShardedTraderOptions) (*ShardedTraderHandle, error)
 // Endpoint returns the sharded trader's endpoint string.
 func (t *ShardedTraderHandle) Endpoint() string { return t.server.Endpoint() }
 
-// Close stops the server, the replica manager, and every shard reaper.
+// Close stops the server and every shard reaper.
 func (t *ShardedTraderHandle) Close() error {
 	for _, stop := range t.stoppers {
 		stop()

@@ -251,8 +251,7 @@ func printShardStatus(v wire.Value) {
 			if b, _ := sh.GetString("alive").AsBool(); !b {
 				state = "DEAD"
 			}
-			fmt.Printf("%-10s %-6s replicas=%d", sh.GetString("name").Str(),
-				state, int(sh.GetString("replicas").Num()))
+			fmt.Printf("%-10s %s", sh.GetString("name").Str(), state)
 			if owned, ok := sh.GetString("owned").AsTable(); ok && owned.Len() > 0 {
 				fmt.Print("  owns:")
 				for j := 1; j <= owned.Len(); j++ {
@@ -262,20 +261,14 @@ func printShardStatus(v wire.Value) {
 			fmt.Println()
 		}
 	}
-	printCounterTable := func(label string, v wire.Value) {
-		sec, ok := v.AsTable()
-		if !ok {
-			return
-		}
-		fmt.Printf("%s:", label)
-		sec.Pairs(func(k, val wire.Value) bool {
+	if router, ok := tb.GetString("router").AsTable(); ok {
+		fmt.Print("router:")
+		router.Pairs(func(k, val wire.Value) bool {
 			fmt.Printf(" %s=%v", k.Str(), val)
 			return true
 		})
 		fmt.Println()
 	}
-	printCounterTable("router", tb.GetString("router"))
-	printCounterTable("manager", tb.GetString("manager"))
 }
 
 func parseArg(s string) wire.Value {

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	trader -listen 127.0.0.1:9050 -type LoadShared -type ImageService
-//	trader -shards 4 -standbys 2 -lease-ttl 10s
+//	trader -shards 4 -lease-ttl 10s
 //
 // Agents export offers to it (cmd/agentd), clients query it (cmd/adaptctl,
 // cmd/loadshare). Additional service types can also be added at run time
@@ -12,9 +12,8 @@
 //
 // With -shards N > 1 the offer space is partitioned across N in-process
 // trader shards behind the shard routing client, served at the same
-// well-known object key — clients cannot tell the difference. -standbys
-// adds a pool of spare traders the shard manager promotes to read
-// replicas of hot shards (see `adaptctl shards` for live placement).
+// well-known object key — clients cannot tell the difference (see
+// `adaptctl shards` for live placement).
 package main
 
 import (
@@ -50,8 +49,6 @@ func run() error {
 		leaseTTL = flag.Duration("lease-ttl", 0, "offer lease TTL; unrenewed offers expire (0 disables leasing)")
 		reap     = flag.Duration("reap-interval", 0, "how often expired offers are collected (default lease-ttl/3)")
 		shards   = flag.Int("shards", 1, "partition the offer space across N trader shards")
-		standbys = flag.Int("standbys", 0, "spare traders available as dynamic read replicas (sharded mode)")
-		hotRPS   = flag.Float64("hot-rps", 100, "per-shard query RPS above which a read replica is attached")
 		maxConc  = flag.Int("max-concurrent", 0, "dispatch pool size: max concurrently served requests (0 = ORB default, negative = unbounded)")
 		resolveT = flag.Duration("resolve-timeout", 0, "cap on each query's dynamic-property resolution phase (0 = caller deadline only)")
 		metrics  = flag.Bool("metrics", true, "instrument the daemon and serve the registry via the metrics operation (adaptctl metrics)")
@@ -93,12 +90,10 @@ func run() error {
 			Network:        autoadapt.TCP(),
 			Address:        *listen,
 			Shards:         *shards,
-			Standbys:       *standbys,
 			Types:          sts,
 			CheckIDL:       *check,
 			LeaseTTL:       *leaseTTL,
 			ReapInterval:   *reap,
-			HotRPS:         *hotRPS,
 			MaxConcurrent:  *maxConc,
 			ResolveTimeout: *resolveT,
 			Metrics:        reg,
@@ -131,8 +126,7 @@ func run() error {
 	fmt.Printf("trading service ready\n  endpoint:  %s\n  reference: %s\n  types:     %v\n",
 		endpoint, ref, types)
 	if *shards > 1 {
-		fmt.Printf("  shards:    %d (+%d standby replicas); inspect with: adaptctl shards\n",
-			*shards, *standbys)
+		fmt.Printf("  shards:    %d; inspect with: adaptctl shards\n", *shards)
 	}
 	if *leaseTTL > 0 {
 		fmt.Printf("  leases:    %v TTL (agents must renew; see agentd -lease-ttl)\n", *leaseTTL)

@@ -199,7 +199,7 @@ func TestCLIShardedTrader(t *testing.T) {
 	var traderEndpoint string
 	startDaemon(t, traderBin, []string{
 		"-listen", "127.0.0.1:0", "-type", "LoadShared",
-		"-shards", "3", "-standbys", "1", "-lease-ttl", "30s",
+		"-shards", "3", "-lease-ttl", "30s",
 	}, func(line string) bool {
 		if strings.Contains(line, "endpoint:") {
 			fields := strings.Fields(line)
@@ -242,7 +242,7 @@ func TestCLIShardedTrader(t *testing.T) {
 	if !strings.Contains(out, "owns: LoadShared") {
 		t.Fatalf("shards output lacks type placement:\n%s", out)
 	}
-	if !strings.Contains(out, "router:") || !strings.Contains(out, "freeStandbys=1") {
+	if !strings.Contains(out, "router:") || !strings.Contains(out, "probeFails=0") {
 		t.Fatalf("shards output lacks counters:\n%s", out)
 	}
 }

@@ -10,7 +10,7 @@ import (
 // an agent, a smart proxy, or a rebinder needs from a trader. It is
 // implemented by *Lookup (one remote trader), by Local (an in-process
 // trader), and by the sharded routing client (internal/trading/shard), so
-// distribution policy — one trader, many shards, replicas — is decoupled
+// distribution policy — one trader or many shards — is decoupled
 // from the components that use it.
 type Directory interface {
 	// Query finds offers of serviceType matching constraint, ordered by
@@ -68,7 +68,8 @@ func (l Local) AddType(_ context.Context, st ServiceType) error {
 func (l Local) Stats(context.Context) (TraderStats, error) { return l.T.Stats(), nil }
 
 // StatsProvider is the optional Directory extension exposing a trader's
-// load instrumentation. The shard manager polls it to decide replication.
+// load instrumentation. The shard router's Probe polls it as a liveness
+// heartbeat.
 type StatsProvider interface {
 	Stats(ctx context.Context) (TraderStats, error)
 }

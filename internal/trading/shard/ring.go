@@ -5,14 +5,13 @@
 // links; this package is the performance-first realization of that: the
 // offer space is partitioned by a stable hash of the service type, a thin
 // shard-aware routing client (Router) sends Export/Query/Withdraw/Renew/
-// Modify straight to the owning shard, and a control loop (Manager)
-// consumes per-shard load instrumentation to add read replicas for hot
-// shards and drop them when load subsides. Ownership survives shard churn
-// the way heartbeat-backed dynamic cluster distribution does: a dead shard's
-// types are reassigned to the survivors, agents re-export their offers to
-// the new owner through the ordinary lease-renewal path, and a rejoining
-// shard takes its types back with a grace window during which queries
-// consult both owners.
+// Modify straight to the owning shard, and a liveness poll (Router.Probe)
+// notices dead and rejoining shards between client calls. What the package
+// buys is failure isolation, not throughput: a dead shard's types are
+// reassigned to the survivors, agents re-export their offers to the new
+// owner through the ordinary lease-renewal path, and a rejoining shard
+// takes its types back with a grace window during which queries consult
+// both owners.
 package shard
 
 // Ownership is decided by rendezvous (highest-random-weight) hashing: each

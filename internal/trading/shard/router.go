@@ -38,31 +38,16 @@ type Options struct {
 	// agents have renewed-or-re-exported before the old owner is dropped.
 	// Default 30s.
 	HandoffGrace time.Duration
-	// FailThreshold is how many consecutive transport faults on a shard
-	// primary mark the shard dead and trigger reassignment. Default 1:
-	// faults that reach the router have already exhausted the ORB
-	// client's retries and breaker, so one strike is decisive.
-	FailThreshold int
-	// QueryParallel bounds the fan-out of multi-type queries (QueryTypes).
-	// Default 4.
-	QueryParallel int
 	// Clock stamps handoff grace windows. Default the real clock.
 	Clock clock.Clock
 	// Logger receives reassignment and failure diagnostics. Nil discards.
 	Logger *log.Logger
-	// OnReassign, if non-nil, observes every ownership move.
-	OnReassign func(serviceType string, from, to int)
 }
 
 // Stats counts a Router's activity.
 type Stats struct {
-	// Queries counts Query calls (single-type).
+	// Queries counts Query calls.
 	Queries int64
-	// FanoutQueries counts QueryTypes calls.
-	FanoutQueries int64
-	// ReplicaReads counts queries served by a read replica rather than
-	// the shard primary.
-	ReplicaReads int64
 	// Reassigns counts type-ownership moves.
 	Reassigns int64
 	// ShardStrikes counts transport faults charged against shard
@@ -74,23 +59,25 @@ type Stats struct {
 	// MigratedRenews counts renews answered with ErrUnknownOffer because
 	// ownership moved, forcing the exporter to re-export at the new owner.
 	MigratedRenews int64
+	// ProbeFails counts per-shard liveness polls (Probe) that ended in an
+	// error.
+	ProbeFails int64
 }
 
 // counters is the live (atomic) form of Stats: the query hot path bumps
 // these without touching the router lock.
 type counters struct {
-	queries, fanout, replicaReads, reassigns, strikes, handoffs, migrated atomic.Int64
+	queries, reassigns, strikes, handoffs, migrated, probeFails atomic.Int64
 }
 
 func (c *counters) snapshot() Stats {
 	return Stats{
 		Queries:        c.queries.Load(),
-		FanoutQueries:  c.fanout.Load(),
-		ReplicaReads:   c.replicaReads.Load(),
 		Reassigns:      c.reassigns.Load(),
 		ShardStrikes:   c.strikes.Load(),
 		HandoffMerges:  c.handoffs.Load(),
 		MigratedRenews: c.migrated.Load(),
+		ProbeFails:     c.probeFails.Load(),
 	}
 }
 
@@ -98,14 +85,7 @@ func (c *counters) snapshot() Stats {
 type shardState struct {
 	name    string
 	primary trading.Directory
-	// reads is the rotation set for queries: primary first, then the
-	// attached read replicas. The slice is replaced wholesale on
-	// attach/detach, never mutated, so the read path may use it outside
-	// the router lock.
-	reads []trading.Directory
-	alive bool
-	fails int
-	next  atomic.Uint64 // read-rotation cursor
+	alive   bool
 }
 
 // typeRoute is the ownership record for one service type.
@@ -151,12 +131,6 @@ func NewRouter(opts Options) (*Router, error) {
 	if opts.HandoffGrace <= 0 {
 		opts.HandoffGrace = 30 * time.Second
 	}
-	if opts.FailThreshold <= 0 {
-		opts.FailThreshold = 1
-	}
-	if opts.QueryParallel <= 0 {
-		opts.QueryParallel = 4
-	}
 	if opts.Clock == nil {
 		opts.Clock = clock.Real{}
 	}
@@ -170,7 +144,6 @@ func NewRouter(opts Options) (*Router, error) {
 		r.shards = append(r.shards, &shardState{
 			name:    opts.Names[i],
 			primary: d,
-			reads:   []trading.Directory{d},
 			alive:   true,
 		})
 	}
@@ -210,8 +183,7 @@ func (r *Router) Owner(serviceType string) int {
 	return r.ownerLocked(serviceType)
 }
 
-// KnownTypes returns the service types registered through AddType, for
-// priming replicas.
+// KnownTypes returns the service types registered through AddType.
 func (r *Router) KnownTypes() []trading.ServiceType {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -298,11 +270,11 @@ func (r *Router) splitOfferID(id string) (shard int, rest string, ok bool) {
 	return n, id[slash+1:], true
 }
 
-// noteFault charges one transport fault against shard idx's primary; at
-// FailThreshold consecutive faults the shard is marked dead and its types
-// are reassigned. Non-transport errors (application errors) prove the
-// shard alive and reset the strike count; context expiry indicts the
-// caller and counts neither way.
+// noteFault charges one transport fault against shard idx's primary, which
+// marks the shard dead and reassigns its types: faults that reach the
+// router have already exhausted the ORB client's retries and breaker, so one
+// strike is decisive. Non-transport errors (application errors) prove the
+// shard alive; context expiry indicts the caller and counts neither way.
 func (r *Router) noteFault(idx int, err error) {
 	switch {
 	case err == nil:
@@ -318,29 +290,22 @@ func (r *Router) noteFault(idx int, err error) {
 	defer r.mu.Unlock()
 	s := r.shards[idx]
 	r.cnt.strikes.Add(1)
-	s.fails++
-	if s.alive && s.fails >= r.opts.FailThreshold {
+	if s.alive {
 		s.alive = false
-		r.logf("shard: %s marked dead after %d consecutive faults (%v)", s.name, s.fails, err)
+		r.logf("shard: %s marked dead (%v)", s.name, err)
 		r.reassignLocked()
 	}
 }
 
-// noteOK resets shard idx's strike count and revives it if it was dead
-// (e.g. the manager's heartbeat poll succeeded again). The steady state —
-// alive, no strikes — returns without the write lock.
+// noteOK revives shard idx if it was dead (Probe's liveness poll succeeded
+// again). The steady state — alive — returns without the write lock.
 func (r *Router) noteOK(idx int) {
-	s := r.shards[idx]
-	r.mu.RLock()
-	clean := s.alive && s.fails == 0
-	r.mu.RUnlock()
-	if clean {
+	if r.Alive(idx) {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s.fails = 0
-	if !s.alive {
+	if s := r.shards[idx]; !s.alive {
 		s.alive = true
 		r.logf("shard: %s rejoined", s.name)
 		r.reassignLocked()
@@ -367,69 +332,12 @@ func (r *Router) reassignLocked() {
 		rt.owner = newOwner
 		r.cnt.reassigns.Add(1)
 		r.logf("shard: type %q reassigned %d -> %d", st, from, newOwner)
-		if r.opts.OnReassign != nil {
-			go r.opts.OnReassign(st, from, newOwner)
-		}
 	}
-}
-
-// readTarget picks the next read target for shard idx, rotating across the
-// primary and its attached replicas. It reports whether the pick is a
-// replica (slot > 0).
-func (r *Router) readTarget(idx int) (trading.Directory, bool) {
-	r.mu.RLock()
-	s := r.shards[idx]
-	reads := s.reads
-	r.mu.RUnlock()
-	if len(reads) == 1 {
-		return reads[0], false
-	}
-	slot := int(s.next.Add(1) % uint64(len(reads)))
-	return reads[slot], slot > 0
-}
-
-// AttachReplica adds a read replica to shard idx's rotation set. The
-// replica must already be primed (types registered, offers synced) — the
-// Manager does both.
-func (r *Router) AttachReplica(idx int, replica trading.Directory) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := r.shards[idx]
-	reads := make([]trading.Directory, 0, len(s.reads)+1)
-	reads = append(reads, s.reads...)
-	reads = append(reads, replica)
-	s.reads = reads
-}
-
-// DetachReplica removes a read replica from shard idx's rotation set,
-// reporting whether it was attached.
-func (r *Router) DetachReplica(idx int, replica trading.Directory) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := r.shards[idx]
-	for i, d := range s.reads {
-		if i > 0 && d == replica {
-			reads := make([]trading.Directory, 0, len(s.reads)-1)
-			reads = append(reads, s.reads[:i]...)
-			reads = append(reads, s.reads[i+1:]...)
-			s.reads = reads
-			return true
-		}
-	}
-	return false
-}
-
-// Replicas reports how many read replicas shard idx currently has.
-func (r *Router) Replicas(idx int) int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.shards[idx].reads) - 1
 }
 
 // Query implements trading.Directory: the query goes straight to the
-// owning shard (rotating across its primary and read replicas); during a
-// handoff grace window the previous owner is consulted too and the merged
-// results re-sorted by preference.
+// owning shard; during a handoff grace window the previous owner is
+// consulted too and the merged results re-sorted by preference.
 func (r *Router) Query(ctx context.Context, serviceType, constraint, preference string, maxResults int) ([]trading.QueryResult, error) {
 	r.cnt.queries.Add(1)
 	own, prev, err := r.route(serviceType)
@@ -438,9 +346,9 @@ func (r *Router) Query(ctx context.Context, serviceType, constraint, preference 
 	}
 	rs, err := r.queryShard(ctx, own, serviceType, constraint, preference, maxResults)
 	if err != nil {
-		// The owner (and any replicas) is unreachable: it has been marked
-		// dead and ownership reassigned. Answer from the new owner — the
-		// offers reappear there as agents re-export.
+		// The owner is unreachable: it has been marked dead and ownership
+		// reassigned. Answer from the new owner — the offers reappear
+		// there as agents re-export.
 		if own2, _, rerr := r.route(serviceType); rerr == nil && own2 != own {
 			r.logf("shard: query %q rerouted to %s after %v", serviceType, r.opts.Names[own2], err)
 			return r.queryShard(ctx, own2, serviceType, constraint, preference, maxResults)
@@ -461,41 +369,18 @@ func (r *Router) Query(ctx context.Context, serviceType, constraint, preference 
 	return mergeResults(preference, maxResults, rs, prs)
 }
 
-// queryShard runs one query against shard idx, rotating across read
-// targets. A replica failing is dropped from the rotation and the query
-// retried on the primary; a primary failing is charged as a strike.
+// queryShard runs one query against shard idx's primary and charges the
+// outcome to the shard.
 func (r *Router) queryShard(ctx context.Context, idx int, serviceType, constraint, preference string, maxResults int) ([]trading.QueryResult, error) {
-	target, isReplica := r.readTarget(idx)
-	rs, err := target.Query(ctx, serviceType, constraint, preference, maxResults)
-	if err == nil {
-		if isReplica {
-			r.cnt.replicaReads.Add(1)
-		} else {
-			r.noteOK(idx)
-		}
-		return rs, nil
-	}
-	if isReplica && transportFault(err) {
-		// The replica died, not the shard: drop it and fall back to the
-		// primary.
-		r.DetachReplica(idx, target)
-		r.logf("shard: %s dropped dead replica after %v", r.opts.Names[idx], err)
-		rs, err = r.shards[idx].primary.Query(ctx, serviceType, constraint, preference, maxResults)
-		if err == nil {
-			r.noteOK(idx)
-			return rs, nil
-		}
-		isReplica = false // the fault below is now the primary's
-	}
-	if !isReplica {
-		r.noteFault(idx, err)
-	}
+	rs, err := r.shards[idx].primary.Query(ctx, serviceType, constraint, preference, maxResults)
+	r.noteFault(idx, err)
 	return rs, err
 }
 
-// mergeResults merges preference-ordered result lists from several shards
-// into one globally ordered list, deduplicating by object reference (an
-// offer mid-migration may briefly exist on both owners).
+// mergeResults merges the preference-ordered result lists of a type's
+// current and previous owner into one globally ordered list, deduplicating
+// by object reference (an offer mid-migration may briefly exist on both
+// owners).
 func mergeResults(preference string, maxResults int, lists ...[]trading.QueryResult) ([]trading.QueryResult, error) {
 	total := 0
 	for _, l := range lists {
@@ -519,60 +404,6 @@ func mergeResults(preference string, maxResults int, lists ...[]trading.QueryRes
 		merged = merged[:maxResults]
 	}
 	return merged, nil
-}
-
-// QueryTypes queries several service types at once, fanning out to the
-// owning shards in parallel and merging the preference-ordered streams.
-// The fan-out is bounded by Options.QueryParallel with work handed out off
-// an atomic counter, like the trader's dynamic-property resolution pool.
-// Types unknown to their shard are skipped; the call fails only when a
-// type fails for some other reason.
-func (r *Router) QueryTypes(ctx context.Context, serviceTypes []string, constraint, preference string, maxResults int) ([]trading.QueryResult, error) {
-	r.cnt.fanout.Add(1)
-	if len(serviceTypes) == 0 {
-		return nil, nil
-	}
-	if len(serviceTypes) == 1 {
-		return r.Query(ctx, serviceTypes[0], constraint, preference, maxResults)
-	}
-	lists := make([][]trading.QueryResult, len(serviceTypes))
-	errs := make([]error, len(serviceTypes))
-	workers := r.opts.QueryParallel
-	if workers > len(serviceTypes) {
-		workers = len(serviceTypes)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(serviceTypes) {
-					return
-				}
-				lists[i], errs[i] = r.Query(ctx, serviceTypes[i], constraint, preference, maxResults)
-			}
-		}()
-	}
-	wg.Wait()
-	var firstErr error
-	kept := lists[:0]
-	for i := range lists {
-		switch {
-		case errs[i] == nil:
-			kept = append(kept, lists[i])
-		case errors.Is(errs[i], trading.ErrUnknownServiceType):
-			// A type nobody registered (yet) — not this call's failure.
-		case firstErr == nil:
-			firstErr = fmt.Errorf("shard: query %q: %w", serviceTypes[i], errs[i])
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return mergeResults(preference, maxResults, kept...)
 }
 
 // Export implements trading.Directory: the offer lands on the type's
@@ -682,9 +513,8 @@ func (r *Router) Renew(ctx context.Context, offerID string) error {
 }
 
 // AddType implements trading.Directory: service types are broadcast to
-// every shard (ownership can move to any of them) and remembered for
-// priming future replicas. Dead shards are skipped; the manager re-primes
-// them when they rejoin.
+// every shard (ownership can move to any of them) and remembered. Dead
+// shards are skipped; Probe re-primes them when they rejoin.
 func (r *Router) AddType(ctx context.Context, st trading.ServiceType) error {
 	r.mu.Lock()
 	r.types[st.Name] = st
@@ -702,6 +532,72 @@ func (r *Router) AddType(ctx context.Context, st trading.ServiceType) error {
 		}
 	}
 	return firstErr
+}
+
+// Probe polls every shard primary's stats operation once, as a liveness
+// heartbeat: a transport fault marks the shard dead exactly as a failed
+// client call would, and a dead shard that answers again rejoins. The
+// rejoining shard may have restarted empty, so every known service type is
+// registered on it first — otherwise it would take its types back and then
+// refuse their exports. Shards that are no trading.StatsProvider are not
+// probed.
+func (r *Router) Probe(ctx context.Context) {
+	for i, s := range r.shards {
+		sp, ok := s.primary.(trading.StatsProvider)
+		if !ok {
+			continue
+		}
+		_, err := sp.Stats(ctx)
+		if err == nil && !r.Alive(i) {
+			for _, st := range r.KnownTypes() {
+				if err = s.primary.AddType(ctx, st); err != nil {
+					break
+				}
+			}
+		}
+		if err != nil {
+			r.cnt.probeFails.Add(1)
+		}
+		r.noteFault(i, err)
+	}
+}
+
+// StartProbe runs Probe every interval (default 2s) on Options.Clock, each
+// tick bounded by interval, until the returned stop function is called.
+// stop is idempotent and blocks until the loop goroutine has exited. It is
+// meant for routers over remote primaries (*trading.Lookup); in-process
+// shards cannot transport-fault.
+func (r *Router) StartProbe(interval time.Duration) (stop func()) {
+	if interval <= 0 {
+		interval = 2 * time.Second
+	}
+	stopCh := make(chan struct{})
+	done := make(chan struct{})
+	// The first timer is armed before StartProbe returns, so a caller
+	// driving a simulated clock can Advance immediately afterwards.
+	tick, cancel := r.opts.Clock.After(interval)
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-tick:
+				ctx, cancelCtx := context.WithTimeout(context.Background(), interval)
+				r.Probe(ctx)
+				cancelCtx()
+			case <-stopCh:
+				cancel()
+				return
+			}
+			tick, cancel = r.opts.Clock.After(interval)
+		}
+	}()
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			close(stopCh)
+			<-done
+		})
+	}
 }
 
 // transportFault reports whether err indicts the shard's transport rather

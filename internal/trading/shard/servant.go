@@ -16,22 +16,17 @@ import (
 // `adaptctl shards`:
 //
 //	shardStatus reply: table{
-//	    shards  = list of table{name, alive, replicas, owned=list(type)},
-//	    router  = table{queries, fanoutQueries, replicaReads, reassigns,
-//	              shardStrikes, handoffMerges, migratedRenews},
-//	    manager = table{ticks, grows, shrinks, syncedOffers, pollFails,
-//	              freeStandbys},   -- only when a Manager is attached
+//	    shards = list of table{name, alive, owned=list(type)},
+//	    router = table{queries, reassigns, shardStrikes, handoffMerges,
+//	             migratedRenews, probeFails},
 //	}
 type Servant struct {
 	inner  *trading.Servant
 	router *Router
-	mgr    *Manager
 }
 
-// NewServant wraps a router (and, optionally, its manager) for
-// registration on an ORB server. mgr may be nil when no control loop
-// runs.
-func NewServant(r *Router, mgr *Manager) *Servant {
+// NewServant wraps a router for registration on an ORB server.
+func NewServant(r *Router) *Servant {
 	typeNames := func() []string {
 		sts := r.KnownTypes()
 		names := make([]string, len(sts))
@@ -44,7 +39,6 @@ func NewServant(r *Router, mgr *Manager) *Servant {
 	return &Servant{
 		inner:  trading.NewDirectoryServant(r, typeNames),
 		router: r,
-		mgr:    mgr,
 	}
 }
 
@@ -82,7 +76,6 @@ func (s *Servant) status() wire.Value {
 		sh := wire.NewTable()
 		sh.SetString("name", wire.String(r.ShardName(i)))
 		sh.SetString("alive", wire.Bool(r.Alive(i)))
-		sh.SetString("replicas", wire.Int(r.Replicas(i)))
 		types := wire.NewTable()
 		sort.Strings(owned[i])
 		for _, t := range owned[i] {
@@ -95,27 +88,14 @@ func (s *Servant) status() wire.Value {
 	rst := r.Stats()
 	router := wire.NewTable()
 	router.SetString("queries", wire.Int(int(rst.Queries)))
-	router.SetString("fanoutQueries", wire.Int(int(rst.FanoutQueries)))
-	router.SetString("replicaReads", wire.Int(int(rst.ReplicaReads)))
 	router.SetString("reassigns", wire.Int(int(rst.Reassigns)))
 	router.SetString("shardStrikes", wire.Int(int(rst.ShardStrikes)))
 	router.SetString("handoffMerges", wire.Int(int(rst.HandoffMerges)))
 	router.SetString("migratedRenews", wire.Int(int(rst.MigratedRenews)))
+	router.SetString("probeFails", wire.Int(int(rst.ProbeFails)))
 
 	out := wire.NewTable()
 	out.SetString("shards", wire.TableVal(shards))
 	out.SetString("router", wire.TableVal(router))
-
-	if s.mgr != nil {
-		mst := s.mgr.Stats()
-		mgr := wire.NewTable()
-		mgr.SetString("ticks", wire.Int(int(mst.Ticks)))
-		mgr.SetString("grows", wire.Int(int(mst.Grows)))
-		mgr.SetString("shrinks", wire.Int(int(mst.Shrinks)))
-		mgr.SetString("syncedOffers", wire.Int(int(mst.SyncedOffers)))
-		mgr.SetString("pollFails", wire.Int(int(mst.PollFails)))
-		mgr.SetString("freeStandbys", wire.Int(s.mgr.FreeStandbys()))
-		out.SetString("manager", wire.TableVal(mgr))
-	}
 	return wire.TableVal(out)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -38,8 +39,8 @@ func svcRef(i int) wire.ObjRef {
 // flakyDir wraps a Directory with a kill switch: while down, every call
 // fails with a transport fault (orb.ErrClosed), like a severed trader.
 type flakyDir struct {
-	inner trading.Directory
 	mu    sync.Mutex
+	inner trading.Local
 	down  bool
 }
 
@@ -49,62 +50,78 @@ func (f *flakyDir) setDown(d bool) {
 	f.down = d
 }
 
-func (f *flakyDir) err() error {
+// restartEmpty replaces the trader behind the shard with a fresh one, like
+// a trader process that lost its state across a restart.
+func (f *flakyDir) restartEmpty() *trading.Trader {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.inner = trading.Local{T: trading.NewTrader(nil)}
+	return f.inner.T
+}
+
+func (f *flakyDir) dir() (trading.Local, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.down {
-		return fmt.Errorf("flaky: %w", orb.ErrClosed)
+		return trading.Local{}, fmt.Errorf("flaky: %w", orb.ErrClosed)
 	}
-	return nil
+	return f.inner, nil
 }
 
 func (f *flakyDir) Query(ctx context.Context, st, c, p string, max int) ([]trading.QueryResult, error) {
-	if err := f.err(); err != nil {
+	d, err := f.dir()
+	if err != nil {
 		return nil, err
 	}
-	return f.inner.Query(ctx, st, c, p, max)
+	return d.Query(ctx, st, c, p, max)
 }
 
 func (f *flakyDir) Export(ctx context.Context, st string, ref wire.ObjRef, props map[string]trading.PropValue) (string, error) {
-	if err := f.err(); err != nil {
+	d, err := f.dir()
+	if err != nil {
 		return "", err
 	}
-	return f.inner.Export(ctx, st, ref, props)
+	return d.Export(ctx, st, ref, props)
 }
 
 func (f *flakyDir) Withdraw(ctx context.Context, id string) error {
-	if err := f.err(); err != nil {
+	d, err := f.dir()
+	if err != nil {
 		return err
 	}
-	return f.inner.Withdraw(ctx, id)
+	return d.Withdraw(ctx, id)
 }
 
 func (f *flakyDir) Modify(ctx context.Context, id string, props map[string]trading.PropValue) error {
-	if err := f.err(); err != nil {
+	d, err := f.dir()
+	if err != nil {
 		return err
 	}
-	return f.inner.Modify(ctx, id, props)
+	return d.Modify(ctx, id, props)
 }
 
 func (f *flakyDir) Renew(ctx context.Context, id string) error {
-	if err := f.err(); err != nil {
+	d, err := f.dir()
+	if err != nil {
 		return err
 	}
-	return f.inner.Renew(ctx, id)
+	return d.Renew(ctx, id)
 }
 
 func (f *flakyDir) AddType(ctx context.Context, st trading.ServiceType) error {
-	if err := f.err(); err != nil {
+	d, err := f.dir()
+	if err != nil {
 		return err
 	}
-	return f.inner.AddType(ctx, st)
+	return d.AddType(ctx, st)
 }
 
 func (f *flakyDir) Stats(ctx context.Context) (trading.TraderStats, error) {
-	if err := f.err(); err != nil {
+	d, err := f.dir()
+	if err != nil {
 		return trading.TraderStats{}, err
 	}
-	return f.inner.(trading.StatsProvider).Stats(ctx)
+	return d.Stats(ctx)
 }
 
 // newCluster builds n in-process shards behind a router.
@@ -228,51 +245,6 @@ func TestRouterRoundTrip(t *testing.T) {
 	}
 }
 
-func TestQueryTypesFanoutMerge(t *testing.T) {
-	ctx := context.Background()
-	r, _, _ := newCluster(t, 3, Options{QueryParallel: 2})
-	types := []string{"A", "B", "C", "D", "E", "F"}
-	rank := 0
-	for _, st := range types {
-		if err := r.AddType(ctx, trading.ServiceType{Name: st}); err != nil {
-			t.Fatal(err)
-		}
-		for j := 0; j < 2; j++ {
-			if _, err := r.Export(ctx, st, svcRef(rank), map[string]trading.PropValue{
-				"Rank": {Static: wire.Int(rank)},
-			}); err != nil {
-				t.Fatal(err)
-			}
-			rank++
-		}
-	}
-	rs, err := r.QueryTypes(ctx, types, "", "min Rank", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != rank {
-		t.Fatalf("fan-out returned %d results, want %d", len(rs), rank)
-	}
-	for i := 1; i < len(rs); i++ {
-		a := rs[i-1].Snapshot["Rank"].Num()
-		b := rs[i].Snapshot["Rank"].Num()
-		if a > b {
-			t.Fatalf("merged results out of preference order at %d: %v > %v", i, a, b)
-		}
-	}
-	// Unknown types are skipped, not fatal.
-	rs, err = r.QueryTypes(ctx, []string{"A", "NoSuchType"}, "", "", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != 2 {
-		t.Fatalf("fan-out with unknown type: %d results, want 2", len(rs))
-	}
-	if st := r.Stats(); st.FanoutQueries != 2 {
-		t.Fatalf("FanoutQueries = %d, want 2", st.FanoutQueries)
-	}
-}
-
 func TestShardDeathReassignsAndMigrates(t *testing.T) {
 	ctx := context.Background()
 	sim := clock.NewSim(time.Unix(0, 0))
@@ -363,173 +335,141 @@ func TestShardDeathReassignsAndMigrates(t *testing.T) {
 	}
 }
 
-func TestManagerGrowsAndShrinksReplicas(t *testing.T) {
-	ctx := context.Background()
-	sim := clock.NewSim(time.Unix(0, 0))
-	r, _, _ := newCluster(t, 2, Options{})
-	standby := trading.NewTrader(nil)
-	mgr, err := NewManager(ManagerOptions{
-		Router:   r,
-		Standbys: []trading.Directory{trading.Local{T: standby}},
-		HotRPS:   50,
-		CoolRPS:  10,
-		Clock:    sim, // RPS is computed over simulated 2s intervals
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.AddType(ctx, trading.ServiceType{Name: "Hot"}); err != nil {
-		t.Fatal(err)
-	}
-	hotShard := r.Owner("Hot")
-	if _, err := r.Export(ctx, "Hot", svcRef(0), map[string]trading.PropValue{
-		"Rank": {Static: wire.Int(7)},
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	mgr.Tick(ctx) // first sample: baseline only
-	for i := 0; i < 200; i++ {
-		if _, err := r.Query(ctx, "Hot", "", "", 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sim.Advance(2 * time.Second)
-	mgr.Tick(ctx) // 200 queries / 2s = 100 rps: hot
-	if got := r.Replicas(hotShard); got != 1 {
-		t.Fatalf("replicas after hot tick = %d, want 1", got)
-	}
-	if countOffers(t, standby, "Hot") != 1 {
-		t.Fatalf("replica holds %d Hot offers, want 1", countOffers(t, standby, "Hot"))
-	}
-	// Reads now rotate onto the replica.
-	for i := 0; i < 4; i++ {
-		rs, err := r.Query(ctx, "Hot", "", "", 0)
-		if err != nil || len(rs) != 1 {
-			t.Fatalf("replicated query %d: %d results, err %v", i, len(rs), err)
-		}
-		if rs[0].Snapshot["Rank"].Num() != 7 {
-			t.Fatalf("replica served wrong snapshot: %v", rs[0].Snapshot)
-		}
-	}
-	if st := r.Stats(); st.ReplicaReads == 0 {
-		t.Fatal("no query was served by the replica")
-	}
-
-	sim.Advance(2 * time.Second)
-	mgr.Tick(ctx) // a handful of queries / 2s: cool
-	if got := r.Replicas(hotShard); got != 0 {
-		t.Fatalf("replicas after cool tick = %d, want 0", got)
-	}
-	if mgr.FreeStandbys() != 1 {
-		t.Fatalf("standby not returned to pool: %d free", mgr.FreeStandbys())
-	}
-	if countOffers(t, standby, "Hot") != 0 {
-		t.Fatalf("detached replica still holds %d offers", countOffers(t, standby, "Hot"))
-	}
-	ms := mgr.Stats()
-	if ms.Grows != 1 || ms.Shrinks != 1 || ms.SyncedOffers != 1 {
-		t.Fatalf("manager stats = %+v, want 1 grow, 1 shrink, 1 synced offer", ms)
-	}
-}
-
-func TestManagerResyncTracksOfferChurn(t *testing.T) {
-	ctx := context.Background()
-	r, _, _ := newCluster(t, 1, Options{})
-	standby := trading.NewTrader(nil)
-	mgr, err := NewManager(ManagerOptions{
-		Router:   r,
-		Standbys: []trading.Directory{trading.Local{T: standby}},
-		HotRPS:   10,
-		CoolRPS:  0.001, // never cools: resync path stays exercised
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.AddType(ctx, trading.ServiceType{Name: "S"}); err != nil {
-		t.Fatal(err)
-	}
-	idA, err := r.Export(ctx, "S", svcRef(0), map[string]trading.PropValue{"Rank": {Static: wire.Int(0)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr.Tick(ctx)
-	for i := 0; i < 100; i++ {
-		if _, err := r.Query(ctx, "S", "", "", 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mgr.Tick(ctx)
-	if r.Replicas(0) != 1 {
-		t.Fatal("replica not attached")
-	}
-	// Churn the offer set: add one, remove the original.
-	if _, err := r.Export(ctx, "S", svcRef(1), map[string]trading.PropValue{"Rank": {Static: wire.Int(1)}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Withdraw(ctx, idA); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		if _, err := r.Query(ctx, "S", "", "", 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mgr.Tick(ctx)
-	if got := countOffers(t, standby, "S"); got != 1 {
-		t.Fatalf("replica offer count after churn resync = %d, want 1", got)
-	}
-	rs, err := trading.Local{T: standby}.Query(ctx, "S", "", "", 0)
-	if err != nil || len(rs) != 1 {
-		t.Fatalf("replica query: %d results, err %v", len(rs), err)
-	}
-	if rs[0].Snapshot["Rank"].Num() != 1 {
-		t.Fatal("replica kept the withdrawn offer instead of the new one")
-	}
-}
-
-func TestManagerDropsReplicasOfDeadShard(t *testing.T) {
+// TestProbeMarksDeadAndRejoins: the liveness poll is the only thing that
+// notices a shard nobody is calling. A failed poll marks it dead and moves
+// its types; a poll that succeeds again revives it, with its service types
+// re-registered first.
+func TestProbeMarksDeadAndRejoins(t *testing.T) {
 	ctx := context.Background()
 	r, _, flaky := newCluster(t, 2, Options{})
-	standby := trading.NewTrader(nil)
-	mgr, err := NewManager(ManagerOptions{
-		Router:   r,
-		Standbys: []trading.Directory{trading.Local{T: standby}},
-		HotRPS:   10,
-		CoolRPS:  0.001,
-	})
-	if err != nil {
+	if err := r.AddType(ctx, trading.ServiceType{Name: "S"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.AddType(ctx, trading.ServiceType{Name: "S"}); err != nil {
+	if _, err := r.Query(ctx, "S", "", "", 0); err != nil { // creates the route record
 		t.Fatal(err)
 	}
 	own := r.Owner("S")
-	mgr.Tick(ctx)
-	for i := 0; i < 100; i++ {
-		if _, err := r.Query(ctx, "S", "", "", 0); err != nil {
-			t.Fatal(err)
+
+	r.Probe(ctx)
+	if st := r.Stats(); st.ProbeFails != 0 || st.ShardStrikes != 0 || !r.Alive(0) || !r.Alive(1) {
+		t.Fatalf("healthy probe changed state: %+v", st)
+	}
+
+	flaky[own].setDown(true)
+	r.Probe(ctx)
+	if r.Alive(own) {
+		t.Fatal("dead shard still alive after failed probe")
+	}
+	if got := r.Owner("S"); got != 1-own {
+		t.Fatalf("owner after failed probe = %d, want %d", got, 1-own)
+	}
+	r.Probe(ctx) // still down: counted, not re-reassigned
+	if st := r.Stats(); st.ProbeFails != 2 || st.Reassigns != 1 {
+		t.Fatalf("stats after two failed probes = %+v, want 2 probe fails, 1 reassign", st)
+	}
+
+	fresh := flaky[own].restartEmpty()
+	flaky[own].setDown(false)
+	r.Probe(ctx)
+	if !r.Alive(own) {
+		t.Fatal("shard did not rejoin after probe recovery")
+	}
+	if got := r.Owner("S"); got != own {
+		t.Fatalf("owner after rejoin = %d, want %d", got, own)
+	}
+	if !slices.Contains(fresh.TypeNames(), "S") {
+		t.Fatal("rejoined shard was not re-primed with the known types")
+	}
+	if st := r.Stats(); st.ProbeFails != 2 || st.Reassigns != 2 {
+		t.Fatalf("stats after rejoin = %+v, want 2 probe fails, 2 reassigns", st)
+	}
+}
+
+// TestProbeReprimesRejoinedShard: a shard that restarts empty while it is
+// dead must get the router's known types back before it takes ownership
+// again, or every export of its types fails with ErrUnknownServiceType. A
+// type registered while the shard was down (AddType skips dead shards) is
+// covered by the same re-prime.
+func TestProbeReprimesRejoinedShard(t *testing.T) {
+	ctx := context.Background()
+	r, _, flaky := newCluster(t, 3, Options{})
+	if err := r.AddType(ctx, trading.ServiceType{Name: "Early"}); err != nil {
+		t.Fatal(err)
+	}
+	own := r.Owner("Early")
+	if _, err := r.Export(ctx, "Early", svcRef(0), nil); err != nil {
+		t.Fatal(err)
+	}
+
+	flaky[own].setDown(true)
+	r.Probe(ctx)
+	if r.Alive(own) {
+		t.Fatal("severed shard still alive after probe")
+	}
+	if err := r.AddType(ctx, trading.ServiceType{Name: "Late"}); err != nil {
+		t.Fatalf("AddType with a dead shard: %v", err)
+	}
+	fresh := flaky[own].restartEmpty()
+	flaky[own].setDown(false)
+	r.Probe(ctx)
+	if !r.Alive(own) {
+		t.Fatal("restarted shard did not rejoin")
+	}
+
+	id, err := r.Export(ctx, "Early", svcRef(1), nil)
+	if err != nil {
+		t.Fatalf("export to the rejoined owner: %v", err)
+	}
+	if idx, _, _ := r.splitOfferID(id); idx != own {
+		t.Fatalf("export landed on shard %d, want rightful owner %d", idx, own)
+	}
+	if got := countOffers(t, fresh, "Early"); got != 1 {
+		t.Fatalf("rejoined owner holds %d Early offers, want 1", got)
+	}
+	if !slices.Contains(fresh.TypeNames(), "Late") {
+		t.Fatal("type registered while the shard was down was not primed on rejoin")
+	}
+}
+
+// TestStartProbeLoop drives the probe loop on a simulated clock: nothing
+// happens until a full interval elapses, each interval runs one probe, and
+// stop ends the loop.
+func TestStartProbeLoop(t *testing.T) {
+	sim := clock.NewSim(time.Unix(0, 0))
+	r, _, flaky := newCluster(t, 2, Options{Clock: sim})
+	stop := r.StartProbe(time.Second)
+	defer stop()
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
 		}
 	}
-	mgr.Tick(ctx)
-	if r.Replicas(own) != 1 {
-		t.Fatal("replica not attached")
+	armed := func() bool { return sim.PendingTimers() == 1 }
+
+	flaky[1].setDown(true)
+	sim.Advance(999 * time.Millisecond)
+	if !r.Alive(1) {
+		t.Fatal("probe ran before its interval elapsed")
 	}
-	flaky[own].setDown(true)
-	mgr.Tick(ctx) // heartbeat poll fails: shard dead, replicas dropped
-	if r.Alive(own) {
-		t.Fatal("dead shard still alive after failed heartbeat poll")
+	sim.Advance(time.Millisecond)
+	waitFor("the probe to mark shard 1 dead", func() bool { return !r.Alive(1) })
+
+	flaky[1].setDown(false)
+	waitFor("the loop to re-arm", armed)
+	sim.Advance(time.Second)
+	waitFor("the probe to revive shard 1", func() bool { return r.Alive(1) })
+
+	waitFor("the loop to re-arm", armed)
+	stop()
+	stop() // idempotent
+	if n := sim.PendingTimers(); n != 0 {
+		t.Fatalf("stop left %d timers armed", n)
 	}
-	if r.Replicas(own) != 0 {
-		t.Fatalf("dead shard still has %d replicas", r.Replicas(own))
-	}
-	if mgr.FreeStandbys() != 1 {
-		t.Fatal("standby not reclaimed from dead shard")
-	}
-	flaky[own].setDown(false)
-	mgr.Tick(ctx) // heartbeat poll succeeds: shard rejoins
-	if !r.Alive(own) {
-		t.Fatal("shard did not rejoin after heartbeat recovery")
+	if st := r.Stats(); st.ProbeFails != 1 {
+		t.Fatalf("ProbeFails = %d, want 1", st.ProbeFails)
 	}
 }
 

@@ -3,7 +3,6 @@ package trading
 import (
 	"context"
 	"errors"
-	"time"
 
 	"autoadapt/internal/wire"
 )
@@ -11,9 +10,8 @@ import (
 var errStatsReply = errors.New("trading: stats reply is not a table")
 
 // Per-trader load instrumentation. The counters are cumulative and lock-free
-// (the query hot path touches two atomics); consumers that want rates — the
-// shard manager's RPS and mean-latency signals — poll Stats periodically and
-// difference successive snapshots.
+// (the query hot path touches two atomics); consumers that want rates poll
+// Stats periodically and difference successive snapshots.
 
 // TraderStats is a snapshot of one trader's activity counters.
 type TraderStats struct {
@@ -31,23 +29,6 @@ type TraderStats struct {
 	// them differ only by expired-but-unreaped records.
 	Scanned    int64
 	Candidates int64
-}
-
-// RPS computes the request rate between two snapshots taken dt apart.
-func (s TraderStats) RPS(prev TraderStats, dt time.Duration) float64 {
-	if dt <= 0 {
-		return 0
-	}
-	return float64(s.Queries-prev.Queries) / dt.Seconds()
-}
-
-// MeanLatency computes the mean query latency between two snapshots.
-func (s TraderStats) MeanLatency(prev TraderStats) time.Duration {
-	n := s.Queries - prev.Queries
-	if n <= 0 {
-		return 0
-	}
-	return time.Duration((s.QueryNanos - prev.QueryNanos) / n)
 }
 
 // Stats returns a snapshot of the trader's activity counters.

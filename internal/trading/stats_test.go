@@ -78,12 +78,6 @@ func TestTraderStats(t *testing.T) {
 	if after.QueryNanos <= before.QueryNanos {
 		t.Fatalf("query nanos did not advance: %d -> %d", before.QueryNanos, after.QueryNanos)
 	}
-	if lat := after.MeanLatency(before); lat <= 0 {
-		t.Fatalf("mean latency = %v, want > 0", lat)
-	}
-	if rps := after.RPS(before, time.Second); rps != 5 {
-		t.Fatalf("rps over 1s = %v, want 5", rps)
-	}
 }
 
 func TestStatsWireRoundTrip(t *testing.T) {
@@ -99,7 +93,7 @@ func TestStatsWireRoundTrip(t *testing.T) {
 
 // TestStatsFromOldShapeReply: a trader from before Scanned/Candidates sends
 // four keys; the new ones must read as 0, not fail the poll that doubles as
-// the shard manager's heartbeat.
+// the shard router's liveness probe.
 func TestStatsFromOldShapeReply(t *testing.T) {
 	old := wire.NewTable()
 	old.SetString("queries", wire.Int(7))

@@ -21,17 +21,18 @@ func TestShardedTraderFullStack(t *testing.T) {
 	network := NewInprocNetwork()
 	ctx := context.Background()
 
+	reg := NewMetricsRegistry()
 	trader, err := StartShardedTrader(ShardedTraderOptions{
-		Network:  network,
-		Address:  "trader",
-		Shards:   3,
-		Standbys: 1,
+		Network: network,
+		Address: "trader",
+		Shards:  3,
 		Types: []ServiceType{
 			{Name: "Hello", Props: []string{"LoadAvg", "LoadAvgIncreasing", "Host"}},
 			{Name: "Other", Props: []string{"LoadAvg"}},
 		},
 		CheckIDL: true,
 		LeaseTTL: time.Minute,
+		Metrics:  reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -113,8 +114,7 @@ func TestShardedTraderFullStack(t *testing.T) {
 	}
 
 	// shardStatus reports the placement: three live shards, every type
-	// owned by exactly one of them, and a manager section with one free
-	// standby.
+	// owned by exactly one of them.
 	st, err := client.Invoke(ctx, trader.Ref, "shardStatus")
 	if err != nil {
 		t.Fatal(err)
@@ -144,68 +144,13 @@ func TestShardedTraderFullStack(t *testing.T) {
 	if !ok || routerTb.GetString("queries").Num() == 0 {
 		t.Fatalf("shardStatus router counters = %v", status.GetString("router"))
 	}
-	mgrTb, ok := status.GetString("manager").AsTable()
-	if !ok {
-		t.Fatal("shardStatus has no manager section despite standbys")
-	}
-	if got := int(mgrTb.GetString("freeStandbys").Num()); got != 1 {
-		t.Fatalf("freeStandbys = %d, want 1", got)
-	}
-}
-
-// Regression: the ensemble-wide trading_* gauges must survive standby
-// creation. Standbys are built with the same SetMetrics(reg) path as the
-// shards, and GaugeFunc is last-wins on a duplicate name — registering
-// the ensemble sums before the standbys existed let an idle standby's
-// per-trader gauge shadow them, so a sharded daemon with -standbys
-// reported trading_queries 0 forever while the shared latency histogram
-// kept counting.
-func TestShardedTraderEnsembleGaugesWithStandbys(t *testing.T) {
-	network := NewInprocNetwork()
-	ctx := context.Background()
-
-	reg := NewMetricsRegistry()
-	trader, err := StartShardedTrader(ShardedTraderOptions{
-		Network:  network,
-		Address:  "trader",
-		Shards:   2,
-		Standbys: 1,
-		Types: []ServiceType{
-			{Name: "Hello", Props: []string{"LoadAvg", "LoadAvgIncreasing", "Host"}},
-		},
-		CheckIDL: true,
-		Metrics:  reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = trader.Close() })
-
-	platform, err := Connect(network, trader.Ref, "client")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = platform.Close() })
-
-	ag, err := StartAgent(ctx, AgentOptions{
-		Network:       network,
-		Address:       "srv-0",
-		Lookup:        platform.Lookup,
-		ServiceType:   "Hello",
-		Servant:       helloServant("srv-0"),
-		LoadSource:    newDialSource(0.2),
-		MonitorPeriod: 25 * time.Millisecond,
-		StaticProps:   map[string]wire.Value{"Host": wire.String("srv-0")},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = ag.Close(context.Background()) })
-
-	if _, err := platform.Lookup.Query(ctx, "Hello", "", "min LoadAvg", 0); err != nil {
-		t.Fatal(err)
+	if routerTb.GetString("probeFails").Kind() != wire.KindNumber {
+		t.Fatalf("shardStatus router counters lack probeFails: %v", status.GetString("router"))
 	}
 
+	// The trading_* gauges are sums over the shards: every shard registers
+	// per-trader gauges under the same names (GaugeFunc is last-wins), so
+	// without the re-registration they would show one shard's slice.
 	gauge := func(name string) float64 {
 		var v float64
 		for _, line := range strings.Split(reg.Text(), "\n") {
@@ -218,10 +163,10 @@ func TestShardedTraderEnsembleGaugesWithStandbys(t *testing.T) {
 	if got := gauge("trading_queries"); got < 1 {
 		t.Errorf("trading_queries = %g after a query, want >= 1", got)
 	}
-	if got := gauge("trading_offers"); got != 1 {
-		t.Errorf("trading_offers = %g with one exported offer, want 1", got)
+	if got := gauge("trading_offers"); got != 2 {
+		t.Errorf("trading_offers = %g with two exported offers, want 2", got)
 	}
-	if got := gauge("trading_exports"); got < 1 {
-		t.Errorf("trading_exports = %g after an export, want >= 1", got)
+	if got := gauge("trading_exports"); got < 2 {
+		t.Errorf("trading_exports = %g after two exports, want >= 2", got)
 	}
 }
