@@ -33,7 +33,7 @@ BENCH_BASELINE ?= bench_baseline.json
 # Fuzz budget per target in `make chaos`; nightly CI raises it to 5m.
 FUZZTIME ?= 10s
 
-.PHONY: check vet build test race bench bench-smoke bench-regression bench-baseline aabench chaos loc
+.PHONY: check vet build test race bench bench-smoke bench-regression bench-baseline aabench aabench-pairs chaos loc
 
 check: vet build race
 
@@ -89,6 +89,23 @@ bench-baseline:
 aabench:
 	bash benchmark/run.sh --workload all --seconds 5
 	cd benchmark && $(GO) test ./...
+
+# Before/after numbers for a PR that claims a gain: PAIRS pairs of full
+# benchmark runs, commit PARENT (unpacked from `git archive` into a temporary
+# directory) against the working tree, same seed within a pair, first side
+# alternating, medians and quartiles printed and written to BENCH_$(N).json.
+# Seeds default to $(N)01 onwards, so each PR measures on seeds no earlier
+# PR or development run has used. Ten 20 s pairs take about 40 minutes.
+#
+#	make aabench-pairs N=23 PARENT=3e67d4c CLAIM=adapt_cycle.op_x
+PARENT ?= HEAD
+PAIRS ?= 10
+SECONDS ?= 20
+N ?= 0
+SEED ?= $(N)01
+CLAIM ?=
+aabench-pairs:
+	$(GO) run ./cmd/benchpairs -parent $(PARENT) -pairs $(PAIRS) -seconds $(SECONDS) -seed $(SEED) -claim '$(CLAIM)' -o BENCH_$(N).json
 
 # Non-test Go lines per package under internal/ and cmd/, and their total:
 # the one command the size bars in ROADMAP.md and the PR descriptions quote.

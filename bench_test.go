@@ -277,8 +277,10 @@ const e10MonServiceTime = 200 * time.Microsecond
 // a real TCP ORB endpoint, as the offer count grows. Monitors are spread
 // across `hosts` TCP servers to model a cluster of monitor hosts. workers
 // = 1 reproduces the seed's serial resolution loop; workers = 0 keeps the
-// trader's default bounded fan-out.
-func benchRemoteQuery(b *testing.B, offers, hosts, workers int) {
+// trader's default bounded fan-out. With twoAspects every offer also
+// carries LoadAvgIncreasing, a second aspect of the same monitor — the
+// paper's Fig. 6 offer — and the query references both.
+func benchRemoteQuery(b *testing.B, offers, hosts, workers int, twoAspects bool) {
 	var servers []*orb.Server
 	for h := 0; h < hosts; h++ {
 		srv, err := orb.NewServer(orb.ServerOptions{Network: orb.TCPNetwork{}, Address: "127.0.0.1:0"})
@@ -297,23 +299,46 @@ func benchRemoteQuery(b *testing.B, offers, hosts, workers int) {
 	tr.AddType(trading.ServiceType{Name: "S"})
 	for i := 0; i < offers; i++ {
 		load := float64(i % 10)
+		read := func(aspect wire.Value) wire.Value {
+			if aspect.Str() == "Increasing" {
+				return wire.String("no")
+			}
+			return wire.Number(load)
+		}
 		monRef := servers[i%hosts].Register(fmt.Sprintf("mon-%d", i), "", orb.ServantFunc(
 			func(op string, args []wire.Value) ([]wire.Value, error) {
-				if op != "getValue" {
+				var out []wire.Value
+				switch {
+				case op == "getValue":
+					out = []wire.Value{wire.Number(load)}
+				case op == "getAspectValue" && len(args) == 1:
+					out = []wire.Value{read(args[0])}
+				case op == "getAspectValues":
+					for _, a := range args {
+						out = append(out, read(a))
+					}
+				default:
 					return nil, fmt.Errorf("monitor: no such operation %q", op)
 				}
 				time.Sleep(e10MonServiceTime)
-				return []wire.Value{wire.Number(load)}, nil
+				return out, nil
 			}))
 		props := map[string]trading.PropValue{"LoadAvg": {Dynamic: monRef}}
+		if twoAspects {
+			props["LoadAvgIncreasing"] = trading.PropValue{Dynamic: monRef, Aspect: "Increasing"}
+		}
 		svcRef := wire.ObjRef{Endpoint: fmt.Sprintf("inproc|svc-%d", i), Key: "svc"}
 		if _, err := tr.Export("S", svcRef, props); err != nil {
 			b.Fatal(err)
 		}
 	}
+	constraint := "LoadAvg < 5"
+	if twoAspects {
+		constraint += " and LoadAvgIncreasing == no"
+	}
 	ctx := context.Background()
 	query := func() {
-		rs, err := tr.Query(ctx, "S", "LoadAvg < 5", "min LoadAvg", 4)
+		rs, err := tr.Query(ctx, "S", constraint, "min LoadAvg", 4)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -329,11 +354,14 @@ func benchRemoteQuery(b *testing.B, offers, hosts, workers int) {
 	}
 }
 
-func BenchmarkE10RemoteQuery16(b *testing.B)        { benchRemoteQuery(b, 16, 4, 0) }
-func BenchmarkE10RemoteQuery64(b *testing.B)        { benchRemoteQuery(b, 64, 4, 0) }
-func BenchmarkE10RemoteQuery256(b *testing.B)       { benchRemoteQuery(b, 256, 4, 0) }
-func BenchmarkE10RemoteQuery64Serial(b *testing.B)  { benchRemoteQuery(b, 64, 4, 1) }
-func BenchmarkE10RemoteQuery256Serial(b *testing.B) { benchRemoteQuery(b, 256, 4, 1) }
+func BenchmarkE10RemoteQuery16(b *testing.B)        { benchRemoteQuery(b, 16, 4, 0, false) }
+func BenchmarkE10RemoteQuery64(b *testing.B)        { benchRemoteQuery(b, 64, 4, 0, false) }
+func BenchmarkE10RemoteQuery256(b *testing.B)       { benchRemoteQuery(b, 256, 4, 0, false) }
+func BenchmarkE10RemoteQuery64Serial(b *testing.B)  { benchRemoteQuery(b, 64, 4, 1, false) }
+func BenchmarkE10RemoteQuery256Serial(b *testing.B) { benchRemoteQuery(b, 256, 4, 1, false) }
+
+func BenchmarkE10RemoteQuery64TwoAspects(b *testing.B)       { benchRemoteQuery(b, 64, 4, 0, true) }
+func BenchmarkE10RemoteQuery64TwoAspectsSerial(b *testing.B) { benchRemoteQuery(b, 64, 4, 1, true) }
 
 // ---- E6 ----
 

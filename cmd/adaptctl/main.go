@@ -14,6 +14,7 @@
 //	adaptctl invoke 'tcp|host:port/service' work 0.25
 //	adaptctl monitor 'tcp|host:port/monitor/LoadAvg'
 //	adaptctl aspect  'tcp|host:port/monitor/LoadAvg' Increasing
+//	adaptctl aspect  'tcp|host:port/monitor/LoadAvg' Load1 Increasing   # one getAspectValues call, one sample
 //	adaptctl define  'tcp|host:port/monitor/LoadAvg' Load15 'function(self,v,m) return v[3] end'
 //
 // Arguments to invoke are parsed as numbers when possible, as booleans for
@@ -202,17 +203,31 @@ func run() error {
 		return nil
 	case "aspect":
 		if len(args) < 3 {
-			return fmt.Errorf("usage: adaptctl aspect <monitor-objref> <name>")
+			return fmt.Errorf("usage: adaptctl aspect <monitor-objref> <name>... (several names: one getAspectValues call, all from one sample)")
 		}
 		ref, err := wire.ParseObjRef(args[1])
 		if err != nil {
 			return err
 		}
-		rs, err := client.Invoke(ctx, ref, "getAspectValue", wire.String(args[2]))
+		if len(args) == 3 {
+			rs, err := client.Invoke(ctx, ref, "getAspectValue", wire.String(args[2]))
+			if err != nil {
+				return err
+			}
+			fmt.Println(rs[0])
+			return nil
+		}
+		names := make([]wire.Value, len(args)-2)
+		for i, name := range args[2:] {
+			names[i] = wire.String(name)
+		}
+		rs, err := client.Invoke(ctx, ref, "getAspectValues", names...)
 		if err != nil {
 			return err
 		}
-		fmt.Println(rs[0])
+		for i, v := range rs {
+			fmt.Printf("aspect %-16s %s\n", args[2+i]+":", v)
+		}
 		return nil
 	case "define":
 		if len(args) < 4 {

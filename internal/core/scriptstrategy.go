@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"autoadapt/internal/script"
 	"autoadapt/internal/wire"
@@ -23,8 +24,10 @@ import (
 //	                                 (generalised: self:monitor(prop))
 //	self._loadavg                  — set by the strategy itself (Fig. 7 line 4)
 //
-// Monitor objects support getValue(), getAspectValue(name), and
-// attachEventObserver(observer, event, code), all forwarded over the ORB.
+// Monitor objects support getValue(), getAspectValue(name),
+// getAspectValues(name, ...) — one round trip, one sample, one result per
+// name — and attachEventObserver(observer, event, code), all forwarded over
+// the ORB.
 
 // SetScriptStrategy compiles src — AdaptScript source evaluating to a
 // function(self) — and installs it as the strategy for event. This is the
@@ -176,6 +179,20 @@ func (sp *SmartProxy) buildScriptSelf(ctx context.Context) script.Value {
 			}
 			return fromWireAll(rs), nil
 		}))
+		t.SetString("getAspectValues", script.Func("monitor.getAspectValues", func(_ *script.Interp, args []script.Value) ([]script.Value, error) {
+			if len(args) < 2 {
+				return nil, fmt.Errorf("getAspectValues: name required")
+			}
+			names := make([]wire.Value, len(args)-1)
+			for i, a := range args[1:] {
+				names[i] = wire.String(a.Str())
+			}
+			rs, err := sp.opts.Client.Invoke(ctx, ref, "getAspectValues", names...)
+			if err != nil {
+				return nil, err
+			}
+			return fromWireAll(rs), nil
+		}))
 		t.SetString("attachEventObserver", script.Func("monitor.attachEventObserver", func(_ *script.Interp, args []script.Value) ([]script.Value, error) {
 			if len(args) < 4 {
 				return nil, fmt.Errorf("attachEventObserver: observer, event, code required")
@@ -207,12 +224,25 @@ func (sp *SmartProxy) buildScriptSelf(ctx context.Context) script.Value {
 	sel := sp.sel
 	sp.mu.Unlock()
 	if sel != nil {
+		// Properties served by one monitor (Fig. 6: LoadAvg and
+		// LoadAvgIncreasing) share one monitor object.
+		type builtMon struct {
+			ref wire.ObjRef
+			obj script.Value
+		}
+		built := make([]builtMon, 0, 4)
 		for prop := range sel.result.Offer.Props {
-			if ref, ok := sel.result.Offer.MonitorFor(prop); ok {
-				mon := makeMonObj(ref)
-				self.SetString("_"+lowercase(prop)+"mon", mon)
-				self.SetString("_monitor_"+prop, mon)
+			ref, ok := sel.result.Offer.MonitorFor(prop)
+			if !ok {
+				continue
 			}
+			i := slices.IndexFunc(built, func(b builtMon) bool { return b.ref == ref })
+			if i < 0 {
+				i = len(built)
+				built = append(built, builtMon{ref, makeMonObj(ref)})
+			}
+			self.SetString("_"+lowercase(prop)+"mon", built[i].obj)
+			self.SetString("_monitor_"+prop, built[i].obj)
 		}
 		self.SetString("_server", script.Ref(sel.result.Offer.Ref))
 	}

@@ -686,6 +686,37 @@ func TestScriptStrategyUsesORBAndTraderBindings(t *testing.T) {
 	}
 }
 
+// TestScriptSelfSharesOneMonitorObject: the Fig. 6 offer serves LoadAvg and
+// LoadAvgIncreasing from one monitor, so every name self binds for them is
+// the same object, and its getAspectValues reads both in one call.
+func TestScriptSelfSharesOneMonitorObject(t *testing.T) {
+	w := newWorld(t, 1)
+	w.setLoad(0, 10, 15, 15)
+	sp := w.newProxy(Options{})
+	err := sp.SetScriptStrategy("Probe", `function(self)
+		assert(self._loadavgmon == self._loadavgincreasingmon, "two objects for one monitor")
+		assert(self._monitor_LoadAvg == self._loadavgmon and self._monitor_LoadAvgIncreasing == self._loadavgmon)
+		probe_load, probe_incr, probe_value = self._loadavgmon:getAspectValues("Load1", "Increasing", "")
+	end`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sp.Bind(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	sp.OnEvent("Probe")
+	if err := sp.Adapt(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	vs, err := sp.in.Eval("check", "return probe_load, probe_incr, probe_value[2]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(vs) != 3 || vs[0].Num() != 10 || vs[1].Str() != "no" || vs[2].Num() != 15 {
+		t.Fatalf("getAspectValues from a strategy = %v", vs)
+	}
+}
+
 func TestFailoverReselectsOnServerCrash(t *testing.T) {
 	w := newWorld(t, 2)
 	w.setLoad(0, 10, 15, 15)

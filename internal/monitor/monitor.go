@@ -14,7 +14,8 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -202,8 +203,8 @@ type Monitor struct {
 	value     script.Value
 	version   uint64       // bumped whenever value is (re)set; starts at 1
 	updateFn  script.Value // compiled UpdateScript, if any
-	aspects   map[string]*aspect
-	observers map[int]*observer
+	aspects   []*aspect    // ordered by name, the order each sample evaluates them in
+	observers []*observer  // ordered by id, likewise
 	nextObsID int
 	selfTable script.Value // table exposing monitor methods to shipped code
 	closed    bool
@@ -228,9 +229,7 @@ func New(opts Options) (*Monitor, error) {
 			MemBudget:  opts.ScriptMemBudget,
 			Engine:     opts.ScriptEngine,
 		}),
-		version:   1,
-		aspects:   make(map[string]*aspect),
-		observers: make(map[int]*observer),
+		version: 1,
 	}
 	if opts.Client != nil {
 		scriptbind.InstallORB(m.in, opts.Client)
@@ -302,11 +301,11 @@ func (m *Monitor) buildSelfTable() script.Value {
 		if len(args) < 2 {
 			return nil, errors.New("getAspectValue: aspect name required")
 		}
-		a, ok := m.aspects[args[1].Str()]
+		i, ok := m.findAspect(args[1].Str())
 		if !ok {
 			return []script.Value{script.Nil()}, nil
 		}
-		return []script.Value{a.value}, nil
+		return []script.Value{m.aspects[i].value}, nil
 	}))
 	return script.TableVal(t)
 }
@@ -389,28 +388,37 @@ func (m *Monitor) Tick() error {
 	return nil
 }
 
+// findAspect returns where the aspect called name is in m.aspects, or
+// where it would be inserted. Caller holds m.mu.
+func (m *Monitor) findAspect(name string) (int, bool) {
+	return slices.BinarySearchFunc(m.aspects, name, func(a *aspect, name string) int {
+		return strings.Compare(a.name, name)
+	})
+}
+
+// findObserver is findAspect for m.observers and an observer id.
+func (m *Monitor) findObserver(id int) (int, bool) {
+	return slices.BinarySearchFunc(m.observers, id, func(o *observer, id int) int { return o.id - id })
+}
+
 // detectLocked recomputes every aspect and evaluates every observer's
-// predicate (both sorted for determinism), returning the observers whose
-// events fired plus a wire snapshot of the property value to push with
-// them. Caller holds m.mu.
+// predicate (in name and id order, for determinism), returning the
+// observers whose events fired plus a wire snapshot of the property value
+// to push with them. Caller holds m.mu.
 func (m *Monitor) detectLocked() ([]*observer, wire.Value) {
 	// Recompute aspects.
-	names := make([]string, 0, len(m.aspects))
-	for n := range m.aspects {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		a := m.aspects[n]
+	for i := 0; i < len(m.aspects); i++ {
+		a := m.aspects[i]
 		vs, err := m.in.Call(a.fn, []script.Value{a.self, m.value, m.selfTable})
 		if err != nil {
-			m.logf("monitor %s: aspect %s: %v", m.opts.Name, n, err)
+			m.logf("monitor %s: aspect %s: %v", m.opts.Name, a.name, err)
 			if script.IsBudgetError(err) {
 				a.budgetFails++
 				if limit := m.maxScriptFailures(); limit > 0 && a.budgetFails >= limit {
-					delete(m.aspects, n)
+					m.aspects = slices.Delete(m.aspects, i, i+1)
+					i--
 					m.logf("monitor %s: quarantined aspect %s after %d budget aborts",
-						m.opts.Name, n, a.budgetFails)
+						m.opts.Name, a.name, a.budgetFails)
 				}
 			}
 			continue
@@ -424,13 +432,8 @@ func (m *Monitor) detectLocked() ([]*observer, wire.Value) {
 	}
 	// Event detection.
 	var toNotify []*observer
-	ids := make([]int, 0, len(m.observers))
-	for id := range m.observers {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		o := m.observers[id]
+	for i := 0; i < len(m.observers); i++ {
+		o := m.observers[i]
 		if o.sink != nil && o.notifiedVersion == m.version {
 			// Push observer already streamed this sample (SetValue runs
 			// detection immediately; a following Tick re-detects the same
@@ -447,9 +450,10 @@ func (m *Monitor) detectLocked() ([]*observer, wire.Value) {
 			if script.IsBudgetError(err) {
 				o.budgetFails++
 				if limit := m.maxScriptFailures(); limit > 0 && o.budgetFails >= limit {
-					delete(m.observers, id)
+					m.observers = slices.Delete(m.observers, i, i+1)
+					i--
 					m.logf("monitor %s: quarantined predicate for %s (observer %d) after %d budget aborts",
-						m.opts.Name, o.eventID, id, o.budgetFails)
+						m.opts.Name, o.eventID, o.id, o.budgetFails)
 				}
 			}
 			continue
@@ -544,10 +548,11 @@ func (m *Monitor) deliver(toNotify []*observer, val wire.Value) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, oc := range outcomes {
-		o, ok := m.observers[oc.id]
+		i, ok := m.findObserver(oc.id)
 		if !ok {
 			continue // detached while we were delivering
 		}
+		o := m.observers[i]
 		if oc.err == nil {
 			o.failures = 0
 			continue
@@ -555,7 +560,7 @@ func (m *Monitor) deliver(toNotify []*observer, val wire.Value) {
 		o.failures++
 		gone := errors.Is(oc.err, orb.ErrSubscriptionClosed)
 		if gone || (limit > 0 && o.failures >= limit) {
-			delete(m.observers, oc.id)
+			m.observers = slices.Delete(m.observers, i, i+1)
 			m.logf("monitor %s: detached observer %d for %s after %d failed notifications: %v",
 				m.opts.Name, oc.id, o.eventID, o.failures, oc.err)
 		}
@@ -616,12 +621,27 @@ func (m *Monitor) DefineAspect(name, evaluatorSrc string) error {
 	if err != nil {
 		return err
 	}
-	m.aspects[name] = &aspect{
+	a := &aspect{
 		name: name,
 		fn:   fn,
 		self: script.TableVal(script.NewTable()),
 	}
+	if i, ok := m.findAspect(name); ok {
+		m.aspects[i] = a
+	} else {
+		m.aspects = slices.Insert(m.aspects, i, a)
+	}
 	return nil
+}
+
+// aspectLocked returns the last computed value of the aspect called name.
+// Caller holds m.mu.
+func (m *Monitor) aspectLocked(name string) (script.Value, error) {
+	i, ok := m.findAspect(name)
+	if !ok {
+		return script.Nil(), fmt.Errorf("%w: %q", ErrNoSuchAspect, name)
+	}
+	return m.aspects[i].value, nil
 }
 
 // AspectValue returns the last computed value of an aspect
@@ -632,22 +652,48 @@ func (m *Monitor) AspectValue(name string) (wire.Value, error) {
 	if m.closed {
 		return wire.Nil(), ErrClosed
 	}
-	a, ok := m.aspects[name]
-	if !ok {
-		return wire.Nil(), fmt.Errorf("%w: %q", ErrNoSuchAspect, name)
+	v, err := m.aspectLocked(name)
+	if err != nil {
+		return wire.Nil(), err
 	}
-	return a.value.ToWire()
+	return v.ToWire()
+}
+
+// AspectValues returns, position for position, the last computed value of
+// each named aspect, "" naming the property value itself
+// (getAspectValues). They are read under one hold of the monitor's lock, so
+// all of them belong to one sample; separate AspectValue calls can straddle
+// a Tick. One undefined name fails the whole call.
+func (m *Monitor) AspectValues(names ...string) ([]wire.Value, error) {
+	out := make([]wire.Value, len(names))
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		return nil, ErrClosed
+	}
+	for i, name := range names {
+		v, err := m.value, error(nil)
+		if name != "" {
+			v, err = m.aspectLocked(name)
+		}
+		if err == nil {
+			out[i], err = v.ToWire()
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // DefinedAspects lists aspect names, sorted (definedAspects).
 func (m *Monitor) DefinedAspects() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.aspects))
-	for n := range m.aspects {
-		out = append(out, n)
+	out := make([]string, len(m.aspects))
+	for i, a := range m.aspects {
+		out[i] = a.name
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -667,7 +713,8 @@ func (m *Monitor) AttachObserver(ref wire.ObjRef, eventID, predicateSrc string) 
 	}
 	m.nextObsID++
 	id := m.nextObsID
-	m.observers[id] = &observer{id: id, ref: ref, eventID: eventID, fn: fn}
+	// Ids only grow, so appending keeps the list ordered.
+	m.observers = append(m.observers, &observer{id: id, ref: ref, eventID: eventID, fn: fn})
 	return id, nil
 }
 
@@ -688,7 +735,7 @@ func (m *Monitor) AttachPushObserver(eventID, predicateSrc string, sink orb.Even
 	}
 	m.nextObsID++
 	id := m.nextObsID
-	m.observers[id] = &observer{id: id, eventID: eventID, fn: fn, sink: sink}
+	m.observers = append(m.observers, &observer{id: id, eventID: eventID, fn: fn, sink: sink})
 	return id, nil
 }
 
@@ -697,7 +744,9 @@ func (m *Monitor) AttachPushObserver(eventID, predicateSrc string, sink orb.Even
 func (m *Monitor) DetachObserver(id int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	delete(m.observers, id)
+	if i, ok := m.findObserver(id); ok {
+		m.observers = slices.Delete(m.observers, i, i+1)
+	}
 }
 
 // ObserverCount reports registered observers (diagnostics).

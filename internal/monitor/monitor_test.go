@@ -529,6 +529,14 @@ func TestMonitorOverORB(t *testing.T) {
 	if err != nil || av.Str() != "yes" {
 		t.Fatalf("remote getAspectValue = %v, %v", av, err)
 	}
+	// Both in one round trip, "" naming the value itself.
+	both, err := proxy.Call(nil, "getAspectValues", wire.String(""), wire.String("Increasing"))
+	if err != nil || len(both) != 2 || both[1].Str() != "yes" {
+		t.Fatalf("remote getAspectValues = %v, %v", both, err)
+	}
+	if tb, ok := both[0].AsTable(); !ok || tb.Index(1).Num() != 60 {
+		t.Fatalf("remote getAspectValues value = %v", both[0])
+	}
 	da, err := proxy.Call1(nil, "definedAspects")
 	if err != nil {
 		t.Fatal(err)
@@ -574,6 +582,9 @@ func TestServantBadArgs(t *testing.T) {
 		{"setValue", nil},
 		{"getAspectValue", nil},
 		{"getAspectValue", []wire.Value{wire.String("missing")}},
+		{"getAspectValues", nil},
+		{"getAspectValues", []wire.Value{wire.String(""), wire.String("missing")}},
+		{"getAspectValues", []wire.Value{wire.Int(1)}},
 		{"defineAspect", []wire.Value{wire.String("only-name")}},
 		{"attachEventObserver", nil},
 		{"attachEventObserver", []wire.Value{wire.String("not-ref"), wire.String("E"), wire.String("f")}},

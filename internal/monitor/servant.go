@@ -35,7 +35,8 @@ func (s *Servant) Subscribe(topic string, args []wire.Value, sink orb.EventSink)
 	return func() { s.m.DetachObserver(id) }, nil
 }
 
-// Invoke implements orb.Servant, dispatching the operations of Figs. 1-2.
+// Invoke implements orb.Servant, dispatching the operations of Figs. 1-2
+// and getAspectValues, the positional multi-read of Monitor.AspectValues.
 func (s *Servant) Invoke(op string, args []wire.Value) ([]wire.Value, error) {
 	switch op {
 	case "getValue":
@@ -61,6 +62,25 @@ func (s *Servant) Invoke(op string, args []wire.Value) ([]wire.Value, error) {
 			return nil, wrapMonErr(err)
 		}
 		return []wire.Value{v}, nil
+	case "getAspectValues":
+		// Not in the paper's IDL, whose subset cannot say "any number of
+		// names": a caller refused the operation falls back to the two above.
+		if len(args) < 1 {
+			return nil, orb.Appf("getAspectValues: at least one aspect name required")
+		}
+		var buf [8]string // keeps the usual handful of names off the heap
+		names := buf[:0]
+		for i, a := range args {
+			if a.Kind() != wire.KindString {
+				return nil, orb.Appf("getAspectValues: argument %d: aspect names are strings", i+1)
+			}
+			names = append(names, a.Str())
+		}
+		vs, err := s.m.AspectValues(names...)
+		if err != nil {
+			return nil, wrapMonErr(err)
+		}
+		return vs, nil
 	case "definedAspects":
 		out := wire.NewTable()
 		for _, n := range s.m.DefinedAspects() {

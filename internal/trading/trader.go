@@ -86,13 +86,16 @@ type QueryResult struct {
 // Trader is the trading service: a thread-safe repository of service types
 // and offers plus the query engine. Expose it over the ORB with NewServant.
 type Trader struct {
-	// Resolver fetches dynamic property values. In production this is an
-	// *orb.Client; tests may stub it.
+	// resolver fetches dynamic property values. In production this is a
+	// ClientResolver; tests may stub it. batch is the same resolver as the
+	// query path calls it, one object at a time: resolver itself when it
+	// implements BatchResolver, a per-aspect loop over it otherwise.
 	resolver DynamicResolver
+	batch    BatchResolver
 
-	// resolveParallel bounds how many dynamic-property resolutions a
-	// single query runs concurrently; resolveTimeout caps the whole
-	// resolution phase of one query (0 = no cap beyond the caller's ctx).
+	// resolveParallel bounds how many objects a single query interrogates
+	// concurrently; resolveTimeout caps the whole resolution phase of one
+	// query (0 = no cap beyond the caller's ctx).
 	resolveParallel int
 	resolveTimeout  time.Duration
 
@@ -139,7 +142,33 @@ type DynamicResolver interface {
 	ResolveDynamic(ctx context.Context, ref wire.ObjRef, aspect string) (wire.Value, error)
 }
 
-// ClientResolver adapts an orb.Client to DynamicResolver.
+// Resolution is the outcome of resolving one dynamic property.
+type Resolution struct {
+	Value wire.Value
+	Err   error
+}
+
+// BatchResolver is the optional interface of a DynamicResolver that can
+// read several aspects of one object in a single interrogation. A query
+// resolves per object: every (object, aspect) pair it references is
+// deduplicated, the pairs are grouped by object, and each group is handed
+// to ResolveBatch once. ResolveBatch fills out[i] for aspects[i] ("" names
+// the property value itself); len(out) == len(aspects) >= 1.
+type BatchResolver interface {
+	ResolveBatch(ctx context.Context, ref wire.ObjRef, aspects []string, out []Resolution)
+}
+
+// perAspect adapts a plain DynamicResolver to BatchResolver, so the query
+// path has one shape whatever the resolver can do.
+type perAspect struct{ DynamicResolver }
+
+func (r perAspect) ResolveBatch(ctx context.Context, ref wire.ObjRef, aspects []string, out []Resolution) {
+	for i, aspect := range aspects {
+		out[i].Value, out[i].Err = r.ResolveDynamic(ctx, ref, aspect)
+	}
+}
+
+// ClientResolver adapts an orb.Client to DynamicResolver and BatchResolver.
 type ClientResolver struct{ Client *orb.Client }
 
 // ResolveDynamic implements DynamicResolver: getValue() or
@@ -161,11 +190,69 @@ func (r ClientResolver) ResolveDynamic(ctx context.Context, ref wire.ObjRef, asp
 	return rs[0], nil
 }
 
+// ResolveBatch implements BatchResolver: one getAspectValues(aspects...)
+// round trip for two or more aspects of an object, whose monitor reads them
+// under one lock, so the values belong to one sample. A single aspect goes
+// out as the ResolveDynamic call it always was.
+//
+// When the object answers the batch with an error of its own — one of the
+// aspects is undefined, or the peer predates getAspectValues — or with the
+// wrong number of values, the aspects are asked for one by one, so the
+// defined ones still resolve and each failure is the one a per-aspect
+// resolver would have seen. A transport or deadline error fails the whole
+// group at once: asking an unreachable monitor N more times would cost N
+// more timeouts to learn the same thing.
+func (r ClientResolver) ResolveBatch(ctx context.Context, ref wire.ObjRef, aspects []string, out []Resolution) {
+	if len(aspects) > 1 {
+		args := make([]wire.Value, len(aspects))
+		for i, aspect := range aspects {
+			args[i] = wire.String(aspect)
+		}
+		rs, err := r.Client.Invoke(ctx, ref, "getAspectValues", args...)
+		switch {
+		case err == nil && len(rs) == len(aspects):
+			for i := range out {
+				out[i] = Resolution{Value: rs[i]}
+			}
+			return
+		case err != nil && !rejectedByObject(err):
+			for i := range out {
+				out[i] = Resolution{Value: wire.Nil(), Err: err}
+			}
+			return
+		}
+	}
+	perAspect{r}.ResolveBatch(ctx, ref, aspects, out)
+}
+
+// rejectedByObject reports whether err is the referenced object's own
+// answer to a call it received — a servant's application error, or its
+// interface check refusing the operation or its arguments — as opposed to a
+// failure to reach the object or to get an answer in time.
+func rejectedByObject(err error) bool {
+	var re *orb.RemoteError
+	if !errors.As(err, &re) {
+		return false
+	}
+	switch re.Code {
+	case orb.CodeApp, orb.CodeInternal, orb.CodeBadOperation, orb.CodeBadParam:
+		return true
+	}
+	return false
+}
+
 // NewTrader returns an empty trader using resolver for dynamic properties.
 // A nil resolver makes every dynamic property evaluate as missing.
 func NewTrader(resolver DynamicResolver) *Trader {
+	var batch BatchResolver
+	if b, ok := resolver.(BatchResolver); ok {
+		batch = b
+	} else if resolver != nil {
+		batch = perAspect{resolver}
+	}
 	return &Trader{
 		resolver:        resolver,
+		batch:           batch,
 		resolveParallel: defaultResolveParallel,
 		types:           make(map[string]registeredType),
 		offers:          make(map[string]*offerRecord),
@@ -175,8 +262,8 @@ func NewTrader(resolver DynamicResolver) *Trader {
 	}
 }
 
-// SetResolveParallel bounds how many dynamic properties one query resolves
-// concurrently. n <= 1 forces serial resolution.
+// SetResolveParallel bounds how many objects one query interrogates for
+// their dynamic properties concurrently. n <= 1 forces serial resolution.
 func (t *Trader) SetResolveParallel(n int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -346,13 +433,14 @@ func (t *Trader) OfferCount() int {
 // its offer and the next query sees it again.
 //
 // Resolution is demand-driven: dynamic properties are resolved only when
-// the constraint or preference references them by name. Identical monitor
-// calls — same object, same aspect — are resolved once per query and the
-// value shared, and distinct resolutions fan out across a bounded worker
-// pool (SetResolveParallel). Memoization is per-query only, so repeated
-// queries still observe fresh monitor values. Snapshots (every static
-// property plus every referenced dynamic property that resolved) are built
-// only for the rows returned.
+// the constraint or preference references them by name. Identical reads —
+// same object, same aspect — are resolved once per query and the value
+// shared; the distinct reads are grouped by object, each object is
+// interrogated once for all of its aspects (BatchResolver), and the objects
+// fan out across a bounded worker pool (SetResolveParallel). Memoization is
+// per-query only, so repeated queries still observe fresh monitor values.
+// Snapshots (every static property plus every referenced dynamic property
+// that resolved) are built only for the rows returned.
 func (t *Trader) Query(ctx context.Context, serviceType, constraint, preference string, maxResults int) ([]QueryResult, error) {
 	began := time.Now()
 	t.statQueries.Add(1)
@@ -447,7 +535,7 @@ func (t *Trader) Query(ctx context.Context, serviceType, constraint, preference 
 		for _, p := range pend[cur.lo:cur.hi] {
 			if p.name == name {
 				r := &results[p.task]
-				return r.v, r.err == nil
+				return r.Value, r.Err == nil
 			}
 		}
 		return wire.Value{}, false
@@ -484,8 +572,8 @@ func (t *Trader) Query(ctx context.Context, serviceType, constraint, preference 
 			}
 		}
 		for _, p := range pend[c.lo:c.hi] {
-			if r := &results[p.task]; r.err == nil {
-				snap[p.name] = r.v
+			if r := &results[p.task]; r.Err == nil {
+				snap[p.name] = r.Value
 			}
 		}
 		o := &c.rec.offer // Props may be changing; the other fields never do
@@ -511,23 +599,26 @@ type offerView struct {
 // pendingProp records that one offer property awaits one task's result.
 type pendingProp struct {
 	name string
-	task int // index into tasks
+	task int // index into the query's results (into tasks until they are grouped)
 }
 
 // queryScratch is the recyclable working set of one query. Queries churn
 // through several short-lived slices (candidate views, matched indices,
-// sort keys, resolve tasks and results); pooling them keeps steady-state
-// allocation proportional to the result set instead of the candidates.
+// sort keys, resolve tasks, groups and results); pooling them keeps
+// steady-state allocation proportional to the result set instead of the
+// candidates.
 type queryScratch struct {
 	candidates []offerView
 	names      []string
 	matched    []int
 	keys       []prefKey
 	tasks      []resolveTask
+	groups     []resolveGroup
+	aspects    []string
 	pend       []pendingProp
-	results    []resolveResult
+	results    []Resolution
 	outcomes   []resolveOutcome
-	ti         taskIndex
+	gi         groupIndex
 }
 
 // resolveOutcome summarizes one offer's dynamic-property resolutions
@@ -560,24 +651,41 @@ func putQueryScratch(sc *queryScratch) {
 	// values between queries.
 	clear(sc.candidates[:cap(sc.candidates)])
 	clear(sc.tasks[:cap(sc.tasks)])
+	clear(sc.groups[:cap(sc.groups)])
+	clear(sc.aspects[:cap(sc.aspects)])
 	clear(sc.pend[:cap(sc.pend)])
 	clear(sc.results[:cap(sc.results)])
 	queryScratchPool.Put(sc)
 }
 
-// resolveTask is one monitor interrogation: distinct offers whose dynamic
-// properties point at the same object and aspect share a single task
-// within a query. hash caches the key hash for the dedup index.
+// resolveTask is one distinct read of a query: offers whose dynamic
+// properties point at the same object and aspect share a single task. The
+// tasks of one object form a chain through next, in order of first
+// reference; slot is the task's place in the query's aspects and results
+// once the groups are laid out.
 type resolveTask struct {
-	ref    wire.ObjRef
 	aspect string
-	hash   uint64
+	next   int // next task of the same group, -1 at the end
+	slot   int
 }
 
-// taskIndex is an open-addressing hash index over a resolveTask slice,
-// deduplicating (ref, aspect) keys without a per-entry allocation: slots
-// hold 1-based task indices and key data lives in the tasks themselves.
-type taskIndex struct {
+// resolveGroup is one monitor interrogation: the tasks of a query that
+// read the same object. head and tail are the ends of its task chain; its
+// aspects and results are the range lo:hi of the query's. hash caches the
+// key hash for the dedup index.
+type resolveGroup struct {
+	ref        wire.ObjRef
+	hash       uint64
+	head, tail int
+	lo, hi     int
+}
+
+// groupIndex is an open-addressing hash index over a resolveGroup slice,
+// finding the group of an object reference without a per-entry allocation:
+// slots hold 1-based group indices and key data lives in the groups
+// themselves. (Within a group, tasks are told apart by walking its chain: a
+// query reads a handful of aspects per object.)
+type groupIndex struct {
 	slots []int32
 	mask  uint64
 	n     int
@@ -585,59 +693,56 @@ type taskIndex struct {
 
 // reset prepares the index for about hint keys, reusing the slot table
 // from a previous query when it is already large enough.
-func (ti *taskIndex) reset(hint int) {
+func (gi *groupIndex) reset(hint int) {
 	size := 16
 	for size < 2*hint {
 		size <<= 1
 	}
-	if len(ti.slots) < size {
-		ti.slots = make([]int32, size)
+	if len(gi.slots) < size {
+		gi.slots = make([]int32, size)
 	} else {
-		clear(ti.slots)
+		clear(gi.slots)
 	}
-	ti.mask = uint64(len(ti.slots) - 1)
-	ti.n = 0
+	gi.mask = uint64(len(gi.slots) - 1)
+	gi.n = 0
 }
 
-// lookup returns the index of the task matching (h, ref, aspect), or -1.
-func (ti *taskIndex) lookup(tasks []resolveTask, h uint64, ref wire.ObjRef, aspect string) int {
-	for i := h & ti.mask; ; i = (i + 1) & ti.mask {
-		s := ti.slots[i]
+// lookup returns the index of the group for ref, which hashes to h, or -1.
+func (gi *groupIndex) lookup(groups []resolveGroup, h uint64, ref wire.ObjRef) int {
+	for i := h & gi.mask; ; i = (i + 1) & gi.mask {
+		s := gi.slots[i]
 		if s == 0 {
 			return -1
 		}
-		t := &tasks[s-1]
-		if t.hash == h && t.ref == ref && t.aspect == aspect {
+		if g := &groups[s-1]; g.hash == h && g.ref == ref {
 			return int(s - 1)
 		}
 	}
 }
 
-// insert records task idx (which must already be in tasks), growing the
+// insert records group idx (which must already be in groups), growing the
 // table when it passes half full.
-func (ti *taskIndex) insert(tasks []resolveTask, idx int) {
-	if 2*(ti.n+1) > len(ti.slots) {
-		bigger := &taskIndex{
-			slots: make([]int32, 2*len(ti.slots)),
-			mask:  uint64(2*len(ti.slots) - 1),
-		}
-		for _, s := range ti.slots {
+func (gi *groupIndex) insert(groups []resolveGroup, idx int) {
+	if 2*(gi.n+1) > len(gi.slots) {
+		old := gi.slots
+		gi.slots = make([]int32, 2*len(old))
+		gi.mask = uint64(len(gi.slots) - 1)
+		for _, s := range old {
 			if s != 0 {
-				bigger.place(tasks[s-1].hash, s)
+				gi.place(groups[s-1].hash, s)
 			}
 		}
-		ti.slots, ti.mask = bigger.slots, bigger.mask
 	}
-	ti.place(tasks[idx].hash, int32(idx+1))
-	ti.n++
+	gi.place(groups[idx].hash, int32(idx+1))
+	gi.n++
 }
 
-func (ti *taskIndex) place(h uint64, slot int32) {
-	i := h & ti.mask
-	for ti.slots[i] != 0 {
-		i = (i + 1) & ti.mask
+func (gi *groupIndex) place(h uint64, slot int32) {
+	i := h & gi.mask
+	for gi.slots[i] != 0 {
+		i = (i + 1) & gi.mask
 	}
-	ti.slots[i] = slot
+	gi.slots[i] = slot
 }
 
 const (
@@ -656,29 +761,18 @@ func fnvString(h uint64, s string) uint64 {
 	return h
 }
 
-func hashResolveKey(ref wire.ObjRef, aspect string) uint64 {
-	h := fnvString(fnvOffset64, ref.Endpoint)
-	h = fnvString(h, ref.Key)
-	return fnvString(h, aspect)
-}
-
-type resolveResult struct {
-	v   wire.Value
-	err error
-}
-
 // resolveReferenced resolves, for every candidate, the dynamic properties
-// among names (what the constraint or preference references), with
-// identical monitor calls deduplicated across all offers and fanned out
-// over resolveAll. It leaves each candidate's lo:hi range of sc.pend and
-// its sc.outcomes entry behind and returns the per-task results those pend
-// entries index.
-func (t *Trader) resolveReferenced(ctx context.Context, offers []offerView, names []string, workers int, sc *queryScratch) []resolveResult {
+// among names (what the constraint or preference references). The reads are
+// grouped by the object they address and, within a group, identical aspects
+// are deduplicated into one task, across all offers; resolveAll then
+// interrogates each object once. It leaves each candidate's lo:hi range of
+// sc.pend and its sc.outcomes entry behind and returns the results those
+// pend entries index.
+func (t *Trader) resolveReferenced(ctx context.Context, offers []offerView, names []string, workers int, sc *queryScratch) []Resolution {
 	outcomes := sc.outcomes[:0]
-	tasks, pend := sc.tasks[:0], sc.pend[:0]
-	// The dedup index is reset lazily so purely static queries pay nothing
-	// for it.
-	var ti *taskIndex
+	tasks, groups, pend := sc.tasks[:0], sc.groups[:0], sc.pend[:0]
+	// The index is reset lazily so purely static queries pay nothing for it.
+	var gi *groupIndex
 	for i := range offers {
 		outcomes = append(outcomes, resolveNone)
 		offers[i].lo = len(pend)
@@ -687,30 +781,59 @@ func (t *Trader) resolveReferenced(ctx context.Context, offers []offerView, name
 			if !ok || !pv.IsDynamic() {
 				continue
 			}
-			if ti == nil {
-				ti = &sc.ti
-				// Offers in the paper's scenario carry ~2 referenced
-				// dynamic props each (a monitor value plus an aspect).
-				ti.reset(2 * len(offers))
+			if gi == nil {
+				gi = &sc.gi
+				// Offers in the paper's scenario read their dynamic props
+				// off one monitor each.
+				gi.reset(len(offers))
 			}
-			h := hashResolveKey(pv.Dynamic, pv.Aspect)
-			idx := ti.lookup(tasks, h, pv.Dynamic, pv.Aspect)
+			h := fnvString(fnvString(fnvOffset64, pv.Dynamic.Endpoint), pv.Dynamic.Key)
+			g := gi.lookup(groups, h, pv.Dynamic)
+			if g < 0 {
+				g = len(groups)
+				groups = append(groups, resolveGroup{ref: pv.Dynamic, hash: h, head: -1, tail: -1})
+				gi.insert(groups, g)
+			}
+			idx := groups[g].head
+			for idx >= 0 && tasks[idx].aspect != pv.Aspect {
+				idx = tasks[idx].next
+			}
 			if idx < 0 {
 				idx = len(tasks)
-				tasks = append(tasks, resolveTask{ref: pv.Dynamic, aspect: pv.Aspect, hash: h})
-				ti.insert(tasks, idx)
+				tasks = append(tasks, resolveTask{aspect: pv.Aspect, next: -1})
+				if tail := groups[g].tail; tail >= 0 {
+					tasks[tail].next = idx
+				} else {
+					groups[g].head = idx
+				}
+				groups[g].tail = idx
 			}
 			pend = append(pend, pendingProp{name: name, task: idx})
 		}
 		offers[i].hi = len(pend)
 	}
-	sc.outcomes, sc.tasks, sc.pend = outcomes, tasks, pend
-	results := t.resolveAll(ctx, tasks, workers, sc)
+	// Lay the groups out back to back, in order of first reference, so each
+	// has its aspects and its results contiguous, then point every pending
+	// property at its task's slot in that layout.
+	aspects := slices.Grow(sc.aspects[:0], len(tasks))[:0]
+	for g := range groups {
+		groups[g].lo = len(aspects)
+		for i := groups[g].head; i >= 0; i = tasks[i].next {
+			tasks[i].slot = len(aspects)
+			aspects = append(aspects, tasks[i].aspect)
+		}
+		groups[g].hi = len(aspects)
+	}
+	for i := range pend {
+		pend[i].task = tasks[pend[i].task].slot
+	}
+	sc.outcomes, sc.tasks, sc.groups, sc.aspects, sc.pend = outcomes, tasks, groups, aspects, pend
+	results := t.resolveAll(ctx, groups, aspects, workers, sc)
 	if tm := t.tm.Load(); tm != nil {
 		tm.resolveTasks.Observe(int64(len(tasks)))
 		var failed uint64
 		for i := range results {
-			if results[i].err != nil {
+			if results[i].Err != nil {
 				failed++
 			}
 		}
@@ -720,7 +843,7 @@ func (t *Trader) resolveReferenced(ctx context.Context, offers []offerView, name
 	}
 	for i := range offers {
 		for _, p := range pend[offers[i].lo:offers[i].hi] {
-			if results[p.task].err != nil {
+			if results[p.task].Err != nil {
 				outcomes[i] = resolveSomeFailed
 			} else if outcomes[i] == resolveNone {
 				outcomes[i] = resolveAllOK
@@ -730,52 +853,50 @@ func (t *Trader) resolveReferenced(ctx context.Context, offers []offerView, name
 	return results
 }
 
+// resolveGroup interrogates one group's object for the group's aspects.
+func (t *Trader) resolveGroup(ctx context.Context, g *resolveGroup, aspects []string, results []Resolution) {
+	t.batch.ResolveBatch(ctx, g.ref, aspects[g.lo:g.hi], results[g.lo:g.hi])
+}
+
 // serialResolveBudget is how long resolveAll works serially before fanning
-// out. In-process or stubbed monitors resolve a whole task list inside the
+// out. In-process or stubbed monitors resolve a whole query inside the
 // budget without paying for a single goroutine; remote monitors blow
 // through it after a couple of calls and the remainder goes parallel.
 const serialResolveBudget = 100 * time.Microsecond
 
-// resolveAll fetches every task's current value. It starts serially under
-// serialResolveBudget, then fans the remaining tasks out across up to
-// workers goroutines. Parallel work is handed out in contiguous chunks off
-// an atomic counter: fast monitors do not idle behind slow ones, the
-// counter is touched once per chunk rather than once per task, and each
-// worker writes a contiguous run of results, avoiding cache-line ping-pong
-// when resolutions are cheap.
-func (t *Trader) resolveAll(ctx context.Context, tasks []resolveTask, workers int, sc *queryScratch) []resolveResult {
+// resolveAll interrogates every group's object for the group's aspects. It
+// starts serially under serialResolveBudget, then fans the remaining groups
+// out across up to workers goroutines. Parallel work is handed out in
+// contiguous chunks off an atomic counter: fast monitors do not idle behind
+// slow ones, the counter is touched once per chunk rather than once per
+// group, and each worker writes a contiguous run of results, avoiding
+// cache-line ping-pong when resolutions are cheap.
+func (t *Trader) resolveAll(ctx context.Context, groups []resolveGroup, aspects []string, workers int, sc *queryScratch) []Resolution {
 	// Every index in results is written below before it is read, so a
 	// recycled slice needs no clearing here.
-	var results []resolveResult
-	if cap(sc.results) >= len(tasks) {
-		results = sc.results[:len(tasks)]
-	} else {
-		results = make([]resolveResult, len(tasks))
-		sc.results = results
+	results := slices.Grow(sc.results[:0], len(aspects))[:len(aspects)]
+	sc.results = results
+	if workers > len(groups) {
+		workers = len(groups)
 	}
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	start := 0
-	if workers > 1 {
-		begin := time.Now()
-		for ; start < len(tasks); start++ {
-			// The clock check runs per-task for the first 8 tasks so one
-			// slow remote resolution escapes to the parallel path at once,
-			// then amortizes over 8 tasks to stay out of the fast path.
-			if start > 0 && (start < 8 || start%8 == 0) && time.Since(begin) > serialResolveBudget {
-				break
-			}
-			task := &tasks[start]
-			results[start].v, results[start].err = t.resolver.ResolveDynamic(ctx, task.ref, task.aspect)
-		}
-	} else {
-		for i := range tasks {
-			results[i].v, results[i].err = t.resolver.ResolveDynamic(ctx, tasks[i].ref, tasks[i].aspect)
+	if workers <= 1 {
+		for i := range groups {
+			t.resolveGroup(ctx, &groups[i], aspects, results)
 		}
 		return results
 	}
-	rest := len(tasks) - start
+	start := 0
+	begin := time.Now()
+	for ; start < len(groups); start++ {
+		// The clock check runs per-group for the first 8 groups so one
+		// slow remote resolution escapes to the parallel path at once,
+		// then amortizes over 8 groups to stay out of the fast path.
+		if start > 0 && (start < 8 || start%8 == 0) && time.Since(begin) > serialResolveBudget {
+			break
+		}
+		t.resolveGroup(ctx, &groups[start], aspects, results)
+	}
+	rest := len(groups) - start
 	if rest <= 0 {
 		return results
 	}
@@ -797,15 +918,12 @@ func (t *Trader) resolveAll(ctx context.Context, tasks []resolveTask, workers in
 			defer wg.Done()
 			for {
 				lo := int(next.Add(int64(chunk))) - chunk
-				if lo >= len(tasks) {
+				if lo >= len(groups) {
 					return
 				}
-				hi := lo + chunk
-				if hi > len(tasks) {
-					hi = len(tasks)
-				}
+				hi := min(lo+chunk, len(groups))
 				for i := lo; i < hi; i++ {
-					results[i].v, results[i].err = t.resolver.ResolveDynamic(ctx, tasks[i].ref, tasks[i].aspect)
+					t.resolveGroup(ctx, &groups[i], aspects, results)
 				}
 			}
 		}()
