@@ -480,11 +480,8 @@ func (c *Client) dialEndpoint(ctx context.Context, endpoint string) (*clientConn
 // in-flight window), and replies complete out of order through the
 // pending map.
 type clientConn struct {
-	raw net.Conn
-	c   *Client // owner: options and stats
-
-	writeMu sync.Mutex
-	batch   *batchWriter // non-nil when write batching is enabled
+	c *Client    // owner: options and stats
+	w connWriter // the transport connection and its write side
 
 	// window is the in-flight cap semaphore (nil = unbounded): a slot is
 	// held from send until the reply arrives, the caller abandons the
@@ -524,8 +521,8 @@ func putPendingCall(pc *pendingCall) {
 
 func newClientConn(raw net.Conn, c *Client) *clientConn {
 	cc := &clientConn{
-		raw:        raw,
 		c:          c,
+		w:          connWriter{conn: raw},
 		nextID:     1,
 		nextSub:    1,
 		pending:    make(map[uint64]*pendingCall),
@@ -536,7 +533,9 @@ func newClientConn(raw net.Conn, c *Client) *clientConn {
 		cc.window = make(chan struct{}, c.maxInFlight)
 	}
 	if c.batchWindow > 0 {
-		cc.batch = newBatchWriter(cc, c.batchWindow, c.batchBytes)
+		cc.w.batch = &frameBatch{w: &cc.w, window: c.batchWindow, limit: c.batchBytes,
+			timeout: c.writeTimeout, onFail: cc.close,
+			frames: &c.stats.batchedFrames, flushes: &c.stats.batchFlushes}
 	}
 	go cc.readLoop()
 	return cc
@@ -572,10 +571,10 @@ func (cc *clientConn) close(err error) {
 	subs := cc.subs
 	cc.subs = map[uint64]*Subscription{}
 	cc.mu.Unlock()
-	if cc.batch != nil {
-		cc.batch.stop()
+	if cc.w.batch != nil {
+		cc.w.batch.stop(err)
 	}
-	_ = cc.raw.Close()
+	_ = cc.w.conn.Close()
 	for _, pc := range waiters {
 		if pc.fut != nil {
 			pc.fut.complete(nil, err)
@@ -610,7 +609,7 @@ func (cc *clientConn) register(fut *Future) (*pendingCall, uint64, error) {
 
 func (cc *clientConn) readLoop() {
 	defer close(cc.readerDone)
-	fr := wire.NewFrameReader(cc.raw)
+	fr := wire.NewFrameReader(cc.w.conn)
 	for {
 		payload, err := fr.Next()
 		if err != nil {
@@ -664,35 +663,33 @@ func (cc *clientConn) readLoop() {
 	}
 }
 
-// writeFrame sends one pre-framed buffer, either straight to the wire
-// under the write lock or into the connection's batch when batching is
-// enabled. Direct writes are bounded by the tighter of the invocation
-// deadline and the connection's write timeout so a stuck peer cannot hold
-// writeMu forever. The deadline is set and cleared inside the lock,
-// keeping concurrent writers' deadlines from clobbering each other. The
-// whole frame goes out in one Write.
-func (cc *clientConn) writeFrame(fb *wire.FrameBuffer, deadline time.Time) error {
-	if cc.batch != nil {
-		return cc.batch.add(fb)
+// send writes the frame encoded in fb and returns fb to its pool. A frame
+// over wire.MaxFrameSize is refused before anything can reach the wire or
+// the batch: that is a local encode error and the connection, with every
+// sibling in flight on it, stays alive. A write failure kills the connection
+// (the stream position is undefined). Direct writes are bounded by the
+// tighter of deadline and the client's write timeout, so a stuck peer cannot
+// hold the write lock forever; batched ones by the flush's own timeout.
+func (cc *clientConn) send(fb *wire.FrameBuffer, deadline time.Time) error {
+	defer wire.PutFrameBuffer(fb)
+	frame, err := fb.Frame()
+	if err != nil {
+		return err
 	}
-	if cc.c.writeTimeout > 0 {
-		bound := time.Now().Add(cc.c.writeTimeout)
+	if wt := cc.c.writeTimeout; wt > 0 && cc.w.batch == nil {
+		bound := time.Now().Add(wt)
 		if deadline.IsZero() || bound.Before(deadline) {
 			deadline = bound
 		}
 	}
-	cc.writeMu.Lock()
-	defer cc.writeMu.Unlock()
-	if !deadline.IsZero() {
-		_ = cc.raw.SetWriteDeadline(deadline)
-		defer func() { _ = cc.raw.SetWriteDeadline(time.Time{}) }()
+	if err = cc.w.writeFrame(frame, deadline); err != nil {
+		cc.close(fmt.Errorf("orb: write failed: %w", err))
 	}
-	return fb.WriteFrame(cc.raw)
+	return err
 }
 
-// sendRequest encodes and writes one request frame. A write failure kills
-// the connection (the stream position is undefined); encode failures are
-// local and leave it alive. The caller still owns the pending entry.
+// sendRequest encodes and sends one request frame (see send for what a
+// failure does to the connection). The caller still owns the pending entry.
 func (cc *clientConn) sendRequest(ctx context.Context, id uint64, key, op string, args []wire.Value) error {
 	req := wire.Request{ID: id, ObjectKey: key, Operation: op, Args: args}
 	var deadline time.Time
@@ -707,54 +704,51 @@ func (cc *clientConn) sendRequest(ctx context.Context, id uint64, key, op string
 		return err
 	}
 	fb.B = out
-	err = cc.writeFrame(fb, deadline)
-	wire.PutFrameBuffer(fb)
-	if err != nil {
-		cc.close(fmt.Errorf("orb: write failed: %w", err))
-	}
-	return err
+	return cc.send(fb, deadline)
 }
 
-var noopRelease = func() {}
-
 // acquireSlot claims an in-flight window slot, blocking (or fast-failing,
-// per ClientOptions.FailFast) when the window is full. The returned
-// release is idempotent and must be called exactly once per acquired
-// request lifecycle.
-func (cc *clientConn) acquireSlot(ctx context.Context) (func(), error) {
+// per ClientOptions.FailFast) when the window is full. Every successful
+// acquire is paired with exactly one releaseSlot: roundTrip defers it, an
+// asynchronous call releases when its Future completes.
+func (cc *clientConn) acquireSlot(ctx context.Context) error {
 	if cc.window == nil {
-		return noopRelease, nil
+		return nil
 	}
 	select {
 	case cc.window <- struct{}{}:
 	default:
 		if cc.c.failFast {
 			cc.c.stats.windowRejects.Add(1)
-			return nil, ErrWindowFull
+			return ErrWindowFull
 		}
 		cc.c.stats.windowWaits.Add(1)
 		select {
 		case cc.window <- struct{}{}:
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return ctx.Err()
 		case <-cc.readerDone: // the connection died while we waited
 			cc.mu.Lock()
 			err := cc.deadErr
 			cc.mu.Unlock()
-			return nil, &ConnectError{Err: err}
+			return &ConnectError{Err: err}
 		}
 	}
-	var once sync.Once
-	return func() { once.Do(func() { <-cc.window }) }, nil
+	return nil
+}
+
+func (cc *clientConn) releaseSlot() {
+	if cc.window != nil {
+		<-cc.window
+	}
 }
 
 func (cc *clientConn) roundTrip(ctx context.Context, key, op string, args []wire.Value) ([]wire.Value, error) {
 	cc.c.stats.syncCalls.Add(1)
-	release, err := cc.acquireSlot(ctx)
-	if err != nil {
+	if err := cc.acquireSlot(ctx); err != nil {
 		return nil, err
 	}
-	defer release()
+	defer cc.releaseSlot()
 	pc, id, err := cc.register(nil)
 	if err != nil {
 		return nil, err
@@ -828,13 +822,7 @@ func (cc *clientConn) sendOneway(key, op string, args []wire.Value) error {
 		return err
 	}
 	fb.B = out
-	err = cc.writeFrame(fb, time.Time{})
-	wire.PutFrameBuffer(fb)
-	if err != nil {
-		cc.close(fmt.Errorf("orb: write failed: %w", err))
-		return err
-	}
-	return nil
+	return cc.send(fb, time.Time{})
 }
 
 // Proxy is a convenience handle binding a client to one object reference —

@@ -23,11 +23,16 @@ import (
 // completes exactly once — with the reply, the connection's death, or the
 // caller's cancellation — and is safe for concurrent use.
 type Future struct {
-	cc      *clientConn // nil for collocated invocations
-	id      uint64
-	done    chan struct{}
-	release func()      // in-flight window slot, released exactly once
-	onDone  func(error) // circuit-breaker feedback
+	// cc is nil for collocated invocations. A remote future holds one of
+	// cc's in-flight window slots until it completes.
+	cc   *clientConn
+	id   uint64
+	done chan struct{}
+	// br, when non-nil, is the endpoint's circuit breaker: completion
+	// feeds the outcome back exactly once (probe = this call was the
+	// half-open probe).
+	br    *breaker
+	probe bool
 
 	once    sync.Once
 	results []wire.Value
@@ -69,11 +74,11 @@ func (f *Future) complete(rep *wire.Reply, err error) {
 		} else {
 			f.results, f.err = replyToResults(rep)
 		}
-		if f.onDone != nil {
-			f.onDone(f.err)
+		if f.br != nil {
+			f.br.record(f.err, f.probe)
 		}
-		if f.release != nil {
-			f.release()
+		if f.cc != nil {
+			f.cc.releaseSlot()
 		}
 		close(f.done)
 		// Observers registered after this point see done closed and run on
@@ -149,9 +154,9 @@ func (c *Client) InvokeAsync(ctx context.Context, ref wire.ObjRef, op string, ar
 }
 
 // invokeRemoteAsync issues one pipelined request. Breaker bookkeeping is
-// exactly-once per allow: failures before the future exists record here;
-// once the future is constructed its onDone owns the record (including
-// the send-failure path, where cancel/close completes the future).
+// exactly-once per allow: failures before the future is registered record
+// here; from then on its completion owns the record and the window slot
+// (including the send-failure path, where cancel/close completes it).
 func (c *Client) invokeRemoteAsync(ctx context.Context, ref wire.ObjRef, op string, args []wire.Value) (*Future, error) {
 	br := c.breakerFor(ref.Endpoint)
 	probe := false
@@ -161,29 +166,20 @@ func (c *Client) invokeRemoteAsync(ctx context.Context, ref wire.ObjRef, op stri
 			return nil, err
 		}
 	}
-	record := func(err error) {
+	cc, err := c.conn(ctx, ref.Endpoint)
+	if err == nil {
+		err = cc.acquireSlot(ctx)
+	}
+	if err != nil {
 		if br != nil {
 			br.record(err, probe)
 		}
-	}
-	cc, err := c.conn(ctx, ref.Endpoint)
-	if err != nil {
-		record(err)
 		return nil, err
 	}
-	release, err := cc.acquireSlot(ctx)
-	if err != nil {
-		record(err)
-		return nil, err
-	}
-	fut := &Future{cc: cc, done: make(chan struct{}), release: release}
-	if br != nil {
-		fut.onDone = record
-	}
+	fut := &Future{cc: cc, done: make(chan struct{}), br: br, probe: probe}
 	_, id, err := cc.register(fut)
 	if err != nil {
-		release()
-		record(err)
+		fut.complete(nil, err) // frees the slot, feeds the breaker
 		return nil, err
 	}
 	fut.id = id

@@ -267,8 +267,7 @@ func (cc *clientConn) subscribe(ctx context.Context, key, topic string, args []w
 	}
 }
 
-// sendSubscribe encodes and writes one subscribe frame (write failures
-// kill the connection, like sendRequest).
+// sendSubscribe encodes and sends one subscribe frame (see send).
 func (cc *clientConn) sendSubscribe(ctx context.Context, sub *wire.Subscribe) error {
 	var deadline time.Time
 	if dl, ok := ctx.Deadline(); ok {
@@ -281,12 +280,7 @@ func (cc *clientConn) sendSubscribe(ctx context.Context, sub *wire.Subscribe) er
 		return err
 	}
 	fb.B = out
-	err = cc.writeFrame(fb, deadline)
-	wire.PutFrameBuffer(fb)
-	if err != nil {
-		cc.close(fmt.Errorf("orb: write failed: %w", err))
-	}
-	return err
+	return cc.send(fb, deadline)
 }
 
 // sendUnsubscribe tells the server to tear down stream subID.
@@ -299,12 +293,7 @@ func (cc *clientConn) sendUnsubscribe(subID uint64) error {
 	cc.mu.Unlock()
 	fb := wire.GetFrameBuffer()
 	fb.B = wire.AppendUnsubscribe(fb.B, subID)
-	err := cc.writeFrame(fb, time.Time{})
-	wire.PutFrameBuffer(fb)
-	if err != nil {
-		cc.close(fmt.Errorf("orb: write failed: %w", err))
-	}
-	return err
+	return cc.send(fb, time.Time{})
 }
 
 // removeSub detaches stream subID (no-op if already gone).

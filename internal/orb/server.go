@@ -133,7 +133,8 @@ type ServerStats struct {
 	// BatchedFrames counts reply/event frames that went through a write
 	// batch rather than straight to the socket.
 	BatchedFrames uint64
-	// BatchFlushes counts coalesced writes (syscalls) for those frames.
+	// BatchFlushes counts coalesced writes (syscalls) for those frames,
+	// including one that fails and takes the connection with it.
 	BatchFlushes uint64
 	// ShedRequests counts requests refused at admission with
 	// CodeOverloaded (or silently dropped, for oneways) because the
@@ -222,6 +223,9 @@ func NewServer(opts ServerOptions) (*Server, error) {
 		endpoint: JoinEndpoint(opts.Network.Name(), l.Addr()),
 		servants: make(map[string]*servantEntry),
 		conns:    make(map[net.Conn]struct{}),
+	}
+	if s.opts.BatchBytes <= 0 {
+		s.opts.BatchBytes = DefaultBatchBytes
 	}
 	if opts.MaxConcurrent >= 0 {
 		s.maxConcurrent = opts.MaxConcurrent
@@ -423,34 +427,6 @@ func (s *Server) admit(cw *connWriter, j connJob, reqWG *sync.WaitGroup) {
 	}
 }
 
-// connWriter serializes frame writes on one server connection. Reply
-// writes and event pushes share it, so a pushed event can never interleave
-// bytes with a reply. With batching enabled (ServerOptions.BatchWindow)
-// frames detour through the connection's serverBatch instead.
-type connWriter struct {
-	conn  net.Conn
-	mu    sync.Mutex
-	batch *serverBatch // non-nil when reply batching is enabled
-}
-
-// writeFrame writes one framed buffer under the connection write lock,
-// bounded by deadline when non-zero (set and cleared inside the lock so
-// concurrent writers' deadlines never clobber each other). With batching
-// enabled the frame is queued instead and the batch's flush applies its
-// own write deadline.
-func (w *connWriter) writeFrame(fb *wire.FrameBuffer, deadline time.Time) error {
-	if w.batch != nil {
-		return w.batch.add(fb)
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if !deadline.IsZero() {
-		_ = w.conn.SetWriteDeadline(deadline)
-		defer func() { _ = w.conn.SetWriteDeadline(time.Time{}) }()
-	}
-	return fb.WriteFrame(w.conn)
-}
-
 // eventSink is the server side of one push stream: the servant's Push
 // calls encode Event frames onto the subscriber's connection. closed flips
 // when the subscriber unsubscribes or its connection dies, making further
@@ -475,13 +451,17 @@ func (es *eventSink) Push(values ...wire.Value) error {
 		return err
 	}
 	fb.B = out
-	err = es.w.writeFrame(fb, time.Now().Add(DefaultWriteTimeout))
+	frame, err := fb.Frame()
+	if err != nil {
+		wire.PutFrameBuffer(fb)
+		return err // oversized event: nothing was written, the stream is fine
+	}
+	err = es.w.writeFrame(frame, time.Now().Add(DefaultWriteTimeout))
 	wire.PutFrameBuffer(fb)
 	if err != nil {
 		_ = es.w.conn.Close()
-		return err
 	}
-	return nil
+	return err
 }
 
 // serverSub pairs a stream's sink with the servant's cancel.
@@ -510,8 +490,12 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 	cw := &connWriter{conn: conn}
 	if s.opts.BatchWindow > 0 {
-		cw.batch = newServerBatch(s, cw, conn, s.opts.BatchWindow, s.opts.BatchBytes)
-		defer cw.batch.stop()
+		// A failed flush drops the connection; the read loop observes the
+		// close and tears everything else down.
+		cw.batch = &frameBatch{w: cw, window: s.opts.BatchWindow, limit: s.opts.BatchBytes,
+			timeout: DefaultWriteTimeout, onFail: func(error) { _ = conn.Close() },
+			frames: &s.stats.batchedFrames, flushes: &s.stats.batchFlushes}
+		defer cw.batch.stop(net.ErrClosed)
 	}
 	var reqWG sync.WaitGroup
 	var worker chan connJob // resident worker, started on first demand
@@ -633,7 +617,9 @@ func (s *Server) handle(cw *connWriter, j connJob) {
 	}
 }
 
-// writeReply encodes and writes one reply frame from a pooled buffer.
+// writeReply encodes and writes one reply frame from a pooled buffer. A
+// reply too large to frame is answered with a CodeInternal error reply in
+// its place, so the caller learns of it instead of waiting out its deadline.
 func (s *Server) writeReply(cw *connWriter, rep *wire.Reply, deadline time.Time) error {
 	fb := wire.GetFrameBuffer()
 	out, err := wire.AppendReply(fb.B, rep)
@@ -643,7 +629,13 @@ func (s *Server) writeReply(cw *connWriter, rep *wire.Reply, deadline time.Time)
 		return nil // local encode bug; the connection itself is fine
 	}
 	fb.B = out
-	err = cw.writeFrame(fb, deadline)
+	frame, err := fb.Frame()
+	if err != nil {
+		wire.PutFrameBuffer(fb)
+		return s.writeReply(cw, &wire.Reply{ID: rep.ID, ErrCode: CodeInternal,
+			Err: "reply exceeds frame size limit"}, deadline)
+	}
+	err = cw.writeFrame(frame, deadline)
 	wire.PutFrameBuffer(fb)
 	return err
 }
