@@ -246,11 +246,11 @@ func TestForgetRepoolsWaiter(t *testing.T) {
 		<-cc.readerDone
 	}()
 	allocs := testing.AllocsPerRun(2000, func() {
-		_, id, err := cc.register(nil)
+		_, id, err := cc.register(nil, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !cc.forget(id) {
+		if !cc.forget(id, false) {
 			t.Fatal("forget lost a just-registered entry")
 		}
 	})

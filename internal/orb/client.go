@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"syscall"
 	"time"
 
 	"autoadapt/internal/metrics"
@@ -415,11 +416,16 @@ func (c *Client) conn(ctx context.Context, endpoint string) (*clientConn, error)
 			return nil, ErrClosed
 		}
 		if cc, ok := c.conns[endpoint]; ok {
-			if !cc.isDead() {
-				c.mu.Unlock()
+			c.mu.Unlock()
+			if cc.alive() { // may peek the socket: not under c.mu
 				return cc, nil
 			}
-			delete(c.conns, endpoint)
+			c.mu.Lock()
+			if c.conns[endpoint] == cc {
+				delete(c.conns, endpoint)
+			}
+			c.mu.Unlock()
+			continue
 		}
 		if d, ok := c.dials[endpoint]; ok {
 			c.mu.Unlock()
@@ -478,10 +484,13 @@ func (c *Client) dialEndpoint(ctx context.Context, endpoint string) (*clientConn
 // clientConn multiplexes requests over one transport connection: any
 // number of requests may be in flight at once (bounded by the client's
 // in-flight window), and replies complete out of order through the
-// pending map.
+// pending map. One goroutine at a time reads it (the read role): on TCP an
+// uncancellable synchronous caller reads for itself (see passRole).
 type clientConn struct {
-	c *Client    // owner: options and stats
-	w connWriter // the transport connection and its write side
+	c   *Client           // owner: options and stats
+	w   connWriter        // the transport connection and its write side
+	fr  *wire.FrameReader // read by whoever holds the read role
+	raw syscall.RawConn   // nil: no file descriptor, always a background reader
 
 	// window is the in-flight cap semaphore (nil = unbounded): a slot is
 	// held from send until the reply arrives, the caller abandons the
@@ -496,7 +505,11 @@ type clientConn struct {
 	dead    bool
 	deadErr error
 
-	readerDone chan struct{}
+	reading    bool          // the read role is held
+	background int           // pending futures and cancellable calls
+	orphans    int           // replies still owed to abandoned requests
+	idleSince  time.Time     // when the role was last left free
+	readerDone chan struct{} // closed once the connection is dead and the role free
 }
 
 // pendingCall is one in-flight request awaiting its reply. Exactly one of
@@ -506,7 +519,12 @@ type clientConn struct {
 type pendingCall struct {
 	ch  chan *wire.Reply
 	fut *Future
+	bg  bool // counted in background: a future, or a caller that may give up
 }
+
+var roleToken = new(wire.Reply) // on a waiting caller's channel: the read role
+
+const idleProbe = time.Millisecond // see alive
 
 var pendingCallPool = sync.Pool{
 	New: func() any { return &pendingCall{ch: make(chan *wire.Reply, 1)} },
@@ -515,7 +533,7 @@ var pendingCallPool = sync.Pool{
 func getPendingCall() *pendingCall { return pendingCallPool.Get().(*pendingCall) }
 
 func putPendingCall(pc *pendingCall) {
-	pc.fut = nil
+	pc.fut, pc.bg = nil, false
 	pendingCallPool.Put(pc)
 }
 
@@ -523,11 +541,15 @@ func newClientConn(raw net.Conn, c *Client) *clientConn {
 	cc := &clientConn{
 		c:          c,
 		w:          connWriter{conn: raw},
+		fr:         wire.NewFrameReader(raw),
 		nextID:     1,
 		nextSub:    1,
 		pending:    make(map[uint64]*pendingCall),
 		subs:       make(map[uint64]*Subscription),
 		readerDone: make(chan struct{}),
+	}
+	if sc, ok := raw.(syscall.Conn); ok {
+		cc.raw, _ = sc.SyscallConn() // an error leaves it nil: no file descriptor
 	}
 	if c.maxInFlight > 0 {
 		cc.window = make(chan struct{}, c.maxInFlight)
@@ -537,7 +559,7 @@ func newClientConn(raw net.Conn, c *Client) *clientConn {
 			timeout: c.writeTimeout, onFail: cc.close,
 			frames: &c.stats.batchedFrames, flushes: &c.stats.batchFlushes}
 	}
-	go cc.readLoop()
+	cc.passRole() // with no file descriptor, to a background reader for good
 	return cc
 }
 
@@ -545,6 +567,29 @@ func (cc *clientConn) isDead() bool {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	return cc.dead
+}
+
+// alive reports whether cc can carry a call. A connection nobody has read
+// for idleProbe is peeked (under cc.mu, so no caller takes the read role
+// meanwhile): if the peer closed it, the call redials instead of writing.
+func (cc *clientConn) alive() bool {
+	cc.mu.Lock()
+	if cc.dead || cc.reading || cc.raw == nil || time.Since(cc.idleSince) < idleProbe {
+		defer cc.mu.Unlock()
+		return !cc.dead
+	}
+	ok := false // stays false if Read fails before peeking
+	_ = cc.raw.Read(func(fd uintptr) bool {
+		var b [1]byte
+		n, _, err := syscall.Recvfrom(int(fd), b[:], syscall.MSG_PEEK|syscall.MSG_DONTWAIT)
+		ok = n > 0 || err == syscall.EAGAIN || err == syscall.EINTR
+		return true
+	})
+	cc.mu.Unlock()
+	if !ok {
+		cc.close(fmt.Errorf("orb: connection lost: %w", io.ErrUnexpectedEOF))
+	}
+	return ok
 }
 
 // deadError returns the connection's death cause (ErrClosed as a fallback
@@ -568,8 +613,12 @@ func (cc *clientConn) close(err error) {
 	cc.deadErr = err
 	waiters := cc.pending
 	cc.pending = map[uint64]*pendingCall{}
+	cc.background, cc.orphans = 0, 0
 	subs := cc.subs
 	cc.subs = map[uint64]*Subscription{}
+	if !cc.reading {
+		close(cc.readerDone)
+	}
 	cc.mu.Unlock()
 	if cc.w.batch != nil {
 		cc.w.batch.stop(err)
@@ -590,7 +639,7 @@ func (cc *clientConn) close(err error) {
 
 // register allocates a request id and installs a waiter for its reply.
 // fut == nil installs a pooled synchronous waiter.
-func (cc *clientConn) register(fut *Future) (*pendingCall, uint64, error) {
+func (cc *clientConn) register(fut *Future, cancellable bool) (*pendingCall, uint64, error) {
 	cc.mu.Lock()
 	if cc.dead {
 		err := cc.deadErr
@@ -603,15 +652,66 @@ func (cc *clientConn) register(fut *Future) (*pendingCall, uint64, error) {
 	pc := getPendingCall()
 	pc.fut = fut
 	cc.pending[id] = pc
+	if pc.bg = fut != nil || cancellable; pc.bg {
+		cc.background++
+	}
+	if !cc.reading {
+		cc.passRole()
+	}
 	cc.mu.Unlock()
 	return pc, id, nil
 }
 
-func (cc *clientConn) readLoop() {
-	defer close(cc.readerDone)
-	fr := wire.NewFrameReader(cc.w.conn)
+// removeLocked drops a pending entry (cc.mu held).
+func (cc *clientConn) removeLocked(id uint64, pc *pendingCall) {
+	delete(cc.pending, id)
+	if pc.bg {
+		cc.background--
+	}
+}
+
+// needsBackground: is a read owed that no synchronous caller will do? (cc.mu held)
+func (cc *clientConn) needsBackground() bool {
+	return cc.raw == nil || cc.background > 0 || cc.orphans > 0 || len(cc.subs) > 0
+}
+
+// releaseRole gives up the read role.
+func (cc *clientConn) releaseRole() {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	if cc.dead {
+		cc.reading = false
+		close(cc.readerDone)
+		return
+	}
+	cc.passRole()
+}
+
+// passRole gives the read role to a synchronous caller still waiting (it
+// finds the token later), else to a background reader if needed (cc.mu held).
+func (cc *clientConn) passRole() {
+	cc.reading = true
+	if len(cc.pending) > cc.background {
+		for _, pc := range cc.pending {
+			if !pc.bg {
+				pc.ch <- roleToken // buffered, and empty while nobody reads
+				return
+			}
+		}
+	}
+	if cc.needsBackground() {
+		go cc.read(nil)
+		return
+	}
+	cc.reading, cc.idleSince = false, time.Now()
+}
+
+// read routes frames with the read role: for a synchronous caller (self)
+// until its reply is in, for the background reader (nil) while one is needed.
+func (cc *clientConn) read(self *pendingCall) {
+	defer cc.releaseRole()
 	for {
-		payload, err := fr.Next()
+		payload, err := cc.fr.Next()
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				err = io.ErrUnexpectedEOF
@@ -629,22 +729,28 @@ func (cc *clientConn) readLoop() {
 			cc.mu.Lock()
 			pc, ok := cc.pending[msg.Rep.ID]
 			if ok {
-				delete(cc.pending, msg.Rep.ID)
+				cc.removeLocked(msg.Rep.ID, pc)
+			} else if cc.orphans > 0 {
+				cc.orphans--
 			}
+			more := self != nil || cc.needsBackground()
 			cc.mu.Unlock()
-			if !ok {
+			switch {
+			case !ok:
 				// The caller abandoned the request before its reply
 				// landed (forget won the race). Account for it: silent
 				// drops make pipelining bugs invisible.
 				cc.c.stats.lateReplies.Add(1)
-				continue
-			}
-			if pc.fut != nil {
+			case pc.fut != nil:
 				fut := pc.fut
 				putPendingCall(pc)
 				fut.complete(msg.Rep, nil)
-			} else {
+			default:
 				pc.ch <- msg.Rep
+				more = more && pc != self
+			}
+			if !more {
+				return
 			}
 		case msg.Event != nil:
 			cc.mu.Lock()
@@ -749,58 +855,59 @@ func (cc *clientConn) roundTrip(ctx context.Context, key, op string, args []wire
 		return nil, err
 	}
 	defer cc.releaseSlot()
-	pc, id, err := cc.register(nil)
+	pc, id, err := cc.register(nil, ctx.Done() != nil)
 	if err != nil {
 		return nil, err
 	}
 	if err := cc.sendRequest(ctx, id, key, op, args); err != nil {
-		cc.forget(id)
+		if !cc.forget(id, false) && <-pc.ch == roleToken {
+			cc.releaseRole() // the write killed the connection; its close shut pc.ch
+		}
 		return nil, err
 	}
-
-	select {
-	case rep, ok := <-pc.ch:
-		if !ok {
-			cc.mu.Lock()
-			err := cc.deadErr
-			cc.mu.Unlock()
-			return nil, err
+	for {
+		select {
+		case rep, ok := <-pc.ch:
+			if !ok {
+				return nil, cc.deadError()
+			}
+			if rep == roleToken {
+				cc.read(pc)
+				continue
+			}
+			putPendingCall(pc)
+			return replyToResults(rep)
+		case <-ctx.Done():
+			if !cc.forget(id, true) && !cc.isDead() {
+				// The reply won the race with our cancellation: it was (or
+				// is being) delivered into a waiter nobody will read.
+				cc.c.stats.lateReplies.Add(1)
+			}
+			cc.c.stats.canceled.Add(1)
+			return nil, ctx.Err()
 		}
-		putPendingCall(pc)
-		return replyToResults(rep)
-	case <-ctx.Done():
-		if !cc.forget(id) && !cc.isDead() {
-			// The reply won the race with our cancellation: it was (or
-			// is being) delivered into a waiter nobody will read.
-			cc.c.stats.lateReplies.Add(1)
-		}
-		cc.c.stats.canceled.Add(1)
-		return nil, ctx.Err()
 	}
 }
 
-// forget abandons the waiter for id, reporting whether it was still
-// pending. When it was, the pooled waiter is drained and repooled: claims
-// happen under cc.mu, so once forget has removed the entry the read loop
-// can no longer touch it, and connection close cannot close its channel —
-// a cancel storm recycles waiters instead of churning allocations. When
-// the entry is gone, the reply either already completed (the caller
-// decides how to account for that) or the connection died.
-func (cc *clientConn) forget(id uint64) bool {
+// forget abandons the waiter for id, reporting whether it was still pending
+// (if not, the reply completed or the connection died). A forgotten request
+// that went out (sent) keeps a background reader until its reply is read and
+// counted late. Claims happen under cc.mu, so the waiter is safely repooled.
+func (cc *clientConn) forget(id uint64, sent bool) bool {
 	cc.mu.Lock()
 	pc, ok := cc.pending[id]
 	if ok {
-		delete(cc.pending, id)
+		cc.removeLocked(id, pc)
+		if sent {
+			cc.orphans++
+		}
 	}
 	cc.mu.Unlock()
 	if !ok {
 		return false
 	}
-	if pc.fut == nil {
-		select { // defensive: claims are exclusive, so this never fires
-		case <-pc.ch:
-		default:
-		}
+	if pc.fut == nil && len(pc.ch) > 0 && <-pc.ch == roleToken {
+		cc.releaseRole() // handed the role, then its send failed
 	}
 	putPendingCall(pc)
 	return true

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"syscall"
 	"time"
 )
 
@@ -180,6 +181,14 @@ func (fc *faultConn) Read(p []byte) (int, error) {
 	fc.observeFrames(p[:n])
 	fc.mu.Unlock()
 	return n, err
+}
+
+// SyscallConn forwards the descriptor: a client keeps its caller-reads path.
+func (fc *faultConn) SyscallConn() (syscall.RawConn, error) {
+	if sc, ok := fc.Conn.(syscall.Conn); ok {
+		return sc.SyscallConn()
+	}
+	return nil, errors.ErrUnsupported
 }
 
 // sever closes the underlying connection; called with fc.mu held, which

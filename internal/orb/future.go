@@ -45,7 +45,7 @@ type Future struct {
 
 // OnComplete registers fn to run exactly once when the future completes —
 // immediately, on the caller, if it already has. Completion may be
-// observed on the connection's read goroutine, so fn must not block.
+// observed on whichever goroutine reads the connection, so fn must not block.
 func (f *Future) OnComplete(fn func(results []wire.Value, err error)) { f.addObserver(fn) }
 
 // addObserver registers fn to run when the future completes; if it
@@ -99,7 +99,7 @@ func (f *Future) complete(rep *wire.Reply, err error) {
 // outcome stands.
 func (f *Future) cancel(err error) {
 	if f.cc != nil {
-		f.cc.forget(f.id)
+		f.cc.forget(f.id, true)
 	}
 	f.complete(nil, err)
 }
@@ -177,17 +177,17 @@ func (c *Client) invokeRemoteAsync(ctx context.Context, ref wire.ObjRef, op stri
 		return nil, err
 	}
 	fut := &Future{cc: cc, done: make(chan struct{}), br: br, probe: probe}
-	_, id, err := cc.register(fut)
+	_, id, err := cc.register(fut, false)
 	if err != nil {
 		fut.complete(nil, err) // frees the slot, feeds the breaker
 		return nil, err
 	}
 	fut.id = id
 	if err := cc.sendRequest(ctx, id, ref.Key, op, args); err != nil {
-		// cancel forgets the entry (or lets connection close complete the
-		// future), releasing the slot — and recording into the breaker —
-		// exactly once either way.
-		fut.cancel(err)
+		// Forget the entry (or let close complete the future): the slot is
+		// released, and the breaker fed, exactly once either way.
+		cc.forget(id, false)
+		fut.complete(nil, err)
 		return nil, err
 	}
 	return fut, nil

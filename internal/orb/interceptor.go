@@ -115,7 +115,7 @@ func (c *InterceptingClient) Invoke(ctx context.Context, ref wire.ObjRef, op str
 // InvokeAsync runs the SendRequest chain (each stage may redirect), then
 // begins a pipelined invocation on the final target. ReceiveReply runs, in
 // reverse order, when the future completes — on whichever goroutine
-// observes the completion (the connection's read loop, or a canceling
+// observes the completion (the connection's reader, or a canceling
 // waiter), so interceptors must be ready for delivery off the caller's
 // goroutine.
 func (c *InterceptingClient) InvokeAsync(ctx context.Context, ref wire.ObjRef, op string, args ...wire.Value) (*Future, error) {

@@ -23,7 +23,7 @@ import (
 // DefaultSubscriptionBuffer is the per-subscription event buffer used when
 // ClientOptions.SubscribeBuffer is unset. A full buffer drops new events
 // (counted in ClientStats.EventsDropped) rather than blocking the
-// connection's read loop.
+// connection's reader.
 const DefaultSubscriptionBuffer = 16
 
 // ErrSubscriptionClosed is returned by EventSink.Push once the subscriber
@@ -99,7 +99,7 @@ func (s *Subscription) Close() error {
 // deliver hands one pushed event to the subscriber, reporting whether the
 // subscription is still open. A full buffer drops the event (and counts
 // it) instead of stalling the delivering goroutine — for remote
-// subscriptions that goroutine is the connection's read loop, which must
+// subscriptions that goroutine is the connection's reader, which must
 // never block on a slow consumer.
 func (s *Subscription) deliver(values []wire.Value) bool {
 	s.mu.Lock()
@@ -219,24 +219,19 @@ func safeSubscribe(es EventSource, topic string, args []wire.Value, sink EventSi
 // of the ack's processing are never dropped.
 func (cc *clientConn) subscribe(ctx context.Context, key, topic string, args []wire.Value) (*Subscription, error) {
 	sub := &Subscription{c: cc.c, cc: cc, ch: make(chan []wire.Value, cc.c.subBuffer)}
-	cc.mu.Lock()
-	if cc.dead {
-		err := cc.deadErr
-		cc.mu.Unlock()
-		return nil, &ConnectError{Err: err}
+	pc, id, err := cc.register(nil, true) // waits on ctx like a cancellable call
+	if err != nil {
+		return nil, err
 	}
-	id := cc.nextID
-	cc.nextID++
+	cc.mu.Lock()
 	subID := cc.nextSub
 	cc.nextSub++
-	pc := getPendingCall()
-	cc.pending[id] = pc
 	sub.id = subID
 	cc.subs[subID] = sub
 	cc.mu.Unlock()
 
 	if err := cc.sendSubscribe(ctx, &wire.Subscribe{ID: id, SubID: subID, ObjectKey: key, Topic: topic, Args: args}); err != nil {
-		cc.forget(id)
+		cc.forget(id, false)
 		cc.removeSub(subID)
 		return nil, err
 	}
@@ -255,7 +250,7 @@ func (cc *clientConn) subscribe(ctx context.Context, key, topic string, args []w
 		}
 		return sub, nil
 	case <-ctx.Done():
-		if !cc.forget(id) && !cc.isDead() {
+		if !cc.forget(id, true) && !cc.isDead() {
 			cc.c.stats.lateReplies.Add(1)
 		}
 		cc.removeSub(subID)

@@ -32,9 +32,9 @@ const (
 	CodeOverloaded = wire.StatusOverloaded
 )
 
-// Admission-control defaults. A server dispatches at most
-// MaxConcurrent requests at once across all connections (plus one resident
-// worker per connection and the inline fast path); up to MaxQueue more wait
+// Admission-control defaults. A server dispatches at most MaxConcurrent
+// requests at once across all connections, beyond one per connection (run by
+// its reader or resident worker) and FastServants; up to MaxQueue more wait
 // in the dispatch queue, and beyond that two-way requests are shed with
 // CodeOverloaded replies and oneways are dropped.
 const (
@@ -59,11 +59,11 @@ func (f ServantFunc) Invoke(op string, args []wire.Value) ([]wire.Value, error) 
 }
 
 // FastServant is an optional Servant extension. A servant that implements
-// it (reporting true) is dispatched *inline* on its connection's read
-// goroutine: no handoff, no goroutine, the cheapest possible path. Only
-// servants that return quickly and never block may opt in — an inline
-// servant stalls every other request on its connection while it runs, and
-// one that blocks forever wedges the connection.
+// it (reporting true) is always dispatched on its connection's reader, even
+// with requests queued behind it, and no watchdog rescues it (see watch).
+// Only servants that return quickly and never block may opt in — a
+// FastServant stalls every other request on its connection while it runs,
+// and one that blocks forever wedges the connection.
 type FastServant interface {
 	Servant
 	FastDispatch() bool
@@ -110,12 +110,12 @@ type ServerOptions struct {
 	// BatchBytes is the pending-byte threshold that flushes a reply batch
 	// early. 0 means DefaultBatchBytes. Ignored unless BatchWindow > 0.
 	BatchBytes int
-	// MaxConcurrent caps the server-wide dispatch pool: the number of
-	// non-inline requests executing at once beyond each connection's
-	// resident worker. 0 means DefaultMaxConcurrent; negative restores the
-	// pre-admission-control behavior of spilling an unbounded goroutine per
-	// pipelined request (benchmark baselines only — a hostile or merely
-	// bursty client can then drive goroutine count without limit).
+	// MaxConcurrent caps the server-wide dispatch pool: requests executing
+	// at once beyond one per connection and FastServants. 0 means
+	// DefaultMaxConcurrent; negative restores the pre-admission-control
+	// behavior of spilling an unbounded goroutine per pipelined request
+	// (benchmark baselines only — a hostile or merely bursty client can then
+	// drive goroutine count without limit).
 	MaxConcurrent int
 	// MaxQueue bounds how many admitted requests may wait for a pool
 	// worker. When the queue is full, two-way requests are shed with a
@@ -151,11 +151,14 @@ type ServerStats struct {
 	// QueueDepth is the number of admitted requests currently waiting for
 	// a pool worker (a gauge, not a counter).
 	QueueDepth int
+	// InlineDispatches counts requests run on their connection's reader
+	// (FastServants aside); InlineRescues, those a watchdog tick outlasted.
+	InlineDispatches, InlineRescues uint64
 }
 
 type serverStats struct {
-	batchedFrames, batchFlushes                atomic.Uint64
-	shedRequests, expiredShed, spilledRequests atomic.Uint64
+	batchedFrames, batchFlushes, inlineDispatches, inlineRescues atomic.Uint64
+	shedRequests, expiredShed, spilledRequests                   atomic.Uint64
 }
 
 // Server is an object adapter: it owns a listener, a table of servants
@@ -169,7 +172,7 @@ type Server struct {
 	servants map[string]*servantEntry
 	closed   bool
 
-	conns   map[net.Conn]struct{}
+	conns   map[*serverConn]struct{}
 	connsMu sync.Mutex
 
 	stats serverStats
@@ -189,11 +192,13 @@ type Server struct {
 // Stats returns a snapshot of the server's counters.
 func (s *Server) Stats() ServerStats {
 	st := ServerStats{
-		BatchedFrames:   s.stats.batchedFrames.Load(),
-		BatchFlushes:    s.stats.batchFlushes.Load(),
-		ShedRequests:    s.stats.shedRequests.Load(),
-		ExpiredShed:     s.stats.expiredShed.Load(),
-		SpilledRequests: s.stats.spilledRequests.Load(),
+		BatchedFrames:    s.stats.batchedFrames.Load(),
+		BatchFlushes:     s.stats.batchFlushes.Load(),
+		ShedRequests:     s.stats.shedRequests.Load(),
+		ExpiredShed:      s.stats.expiredShed.Load(),
+		SpilledRequests:  s.stats.spilledRequests.Load(),
+		InlineDispatches: s.stats.inlineDispatches.Load(),
+		InlineRescues:    s.stats.inlineRescues.Load(),
 	}
 	if s.queue != nil {
 		st.QueueDepth = len(s.queue)
@@ -204,7 +209,7 @@ func (s *Server) Stats() ServerStats {
 type servantEntry struct {
 	servant Servant
 	iface   string // interface name for type checking ("" = unchecked)
-	inline  bool   // dispatch on the read goroutine (see FastServant)
+	inline  bool   // always dispatch on the reader (see FastServant)
 }
 
 // NewServer starts a server listening on the configured address. The
@@ -222,7 +227,7 @@ func NewServer(opts ServerOptions) (*Server, error) {
 		listener: l,
 		endpoint: JoinEndpoint(opts.Network.Name(), l.Addr()),
 		servants: make(map[string]*servantEntry),
-		conns:    make(map[net.Conn]struct{}),
+		conns:    make(map[*serverConn]struct{}),
 	}
 	if s.opts.BatchBytes <= 0 {
 		s.opts.BatchBytes = DefaultBatchBytes
@@ -300,12 +305,12 @@ func (s *Server) Close() error {
 	err := s.listener.Close()
 	s.connsMu.Lock()
 	for c := range s.conns {
-		_ = c.Close()
+		_ = c.conn.Close()
 	}
 	s.connsMu.Unlock()
 	s.wg.Wait()
-	// All read loops are done, so nothing can enqueue or spawn workers
-	// anymore; drain the pool and wait for it.
+	// All connection goroutines are done, so nothing can enqueue or spawn
+	// workers anymore; drain the pool and wait for it.
 	if s.queue != nil {
 		close(s.queue)
 		s.poolWG.Wait()
@@ -326,11 +331,21 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
+		c := &serverConn{s: s, conn: conn, cw: &connWriter{conn: conn}, fr: wire.NewFrameReader(conn),
+			jobs: make(chan connJob), subs: make(map[uint64]*serverSub)}
+		if s.opts.BatchWindow > 0 {
+			// A failed flush drops the connection; its reader tears down the rest.
+			c.cw.batch = &frameBatch{w: c.cw, window: s.opts.BatchWindow, limit: s.opts.BatchBytes,
+				timeout: DefaultWriteTimeout, onFail: func(error) { _ = conn.Close() },
+				frames: &s.stats.batchedFrames, flushes: &s.stats.batchFlushes}
+		}
 		s.connsMu.Lock()
-		s.conns[conn] = struct{}{}
+		s.conns[c] = struct{}{}
 		s.connsMu.Unlock()
-		s.wg.Add(1)
-		go s.serveConn(conn)
+		c.busy.Add(1) // the worker
+		s.wg.Add(2)
+		go c.read()
+		go c.work()
 	}
 }
 
@@ -470,73 +485,87 @@ type serverSub struct {
 	cancel func()
 }
 
-// serveConn reads frames off one connection and dispatches them. The hot
-// path avoids a goroutine per request: servants marked inline (FastServant)
-// run directly on the read goroutine; everything else is handed to a single
-// resident worker goroutine, and only when that worker is already busy —
-// i.e. the client is genuinely pipelining concurrent requests, or a servant
-// is slow/blocking — does a request overflow into the server-wide bounded
-// dispatch pool (see admit). Concurrent invocations on one multiplexed
-// connection still interleave, but the server's goroutine count is capped
-// at conns + MaxConcurrent instead of growing with the offered load;
-// beyond the pool's queue, requests are shed with CodeOverloaded.
-func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		_ = conn.Close()
-		s.connsMu.Lock()
-		delete(s.conns, conn)
-		s.connsMu.Unlock()
-	}()
-	cw := &connWriter{conn: conn}
-	if s.opts.BatchWindow > 0 {
-		// A failed flush drops the connection; the read loop observes the
-		// close and tears everything else down.
-		cw.batch = &frameBatch{w: cw, window: s.opts.BatchWindow, limit: s.opts.BatchBytes,
-			timeout: DefaultWriteTimeout, onFail: func(error) { _ = conn.Close() },
-			frames: &s.stats.batchedFrames, flushes: &s.stats.batchFlushes}
-		defer cw.batch.stop(net.ErrClosed)
+// serverConn is one accepted connection and its two goroutines. The reader
+// runs a request itself when nothing is buffered behind it and the worker is
+// idle; the worker takes the rest, and past a busy worker requests go to the
+// pool or are shed (see admit). A rescue (see watch) starts a new reader.
+type serverConn struct {
+	s    *Server
+	conn net.Conn
+	cw   *connWriter
+	fr   *wire.FrameReader
+	jobs chan connJob // to the worker
+
+	slot      atomic.Bool   // held by whichever of the two runs a dispatch
+	inlineSeq atomic.Uint64 // odd while the reader runs one
+	listed    atomic.Bool   // in watch.conns
+	seen      uint64        // inlineSeq at the watchdog's previous visit (watch.mu)
+
+	subs map[uint64]*serverSub // push streams, owned by the read role
+	busy sync.WaitGroup        // the worker, rescued dispatches, legacy spills
+}
+
+// work runs the resident worker until the connection ends.
+func (c *serverConn) work() {
+	defer c.s.wg.Done()
+	defer c.busy.Done()
+	for j := range c.jobs {
+		c.s.handle(c.cw, j)
+		c.slot.Store(false)
 	}
-	var reqWG sync.WaitGroup
-	var worker chan connJob // resident worker, started on first demand
-	// subs holds this connection's push streams. Only the read goroutine
-	// (including this teardown) touches the map, so it needs no lock.
-	subs := make(map[uint64]*serverSub)
-	defer func() {
-		if worker != nil {
-			close(worker)
+}
+
+// read runs the reader until the connection ends or a rescue replaces it.
+func (c *serverConn) read() {
+	defer c.s.wg.Done()
+	if c.readFrames() {
+		c.busy.Done() // rescued, and now its dispatch is over
+		return
+	}
+	// Reading failed: the worker and any spills finish, then the streams
+	// (sinks first, so pushes fail fast, then servant cancels) and the socket.
+	close(c.jobs)
+	c.busy.Wait()
+	for _, ss := range c.subs {
+		ss.sink.closed.Store(true)
+	}
+	for _, ss := range c.subs {
+		if ss.cancel != nil {
+			ss.cancel()
 		}
-		reqWG.Wait()
-		// Sinks first (pushes fail fast), then servant cancels.
-		for _, ss := range subs {
-			ss.sink.closed.Store(true)
-		}
-		for _, ss := range subs {
-			if ss.cancel != nil {
-				ss.cancel()
-			}
-		}
-	}()
-	fr := wire.NewFrameReader(conn)
+	}
+	if c.cw.batch != nil {
+		c.cw.batch.stop(net.ErrClosed)
+	}
+	_ = c.conn.Close()
+	c.s.connsMu.Lock()
+	delete(c.s.conns, c)
+	c.s.connsMu.Unlock()
+}
+
+// readFrames reads until the connection fails (false) or a rescue takes
+// the read role during one of its dispatches (true).
+func (c *serverConn) readFrames() (rescued bool) {
+	s := c.s
 	for {
-		payload, err := fr.Next()
+		payload, err := c.fr.Next()
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.ErrClosedPipe) {
 				s.logf("orb: read frame: %v", err)
 			}
-			return
+			return false
 		}
 		msg, err := wire.DecodeMessage(payload)
 		if err != nil {
 			s.logf("orb: decode message: %v", err)
-			return // protocol error: drop the connection
+			return false // protocol error: drop the connection
 		}
 		switch msg.Type {
 		case wire.MsgRequest, wire.MsgOneway:
 			job := connJob{
 				entry:  s.servantEntryFor(msg.Req.ObjectKey),
 				req:    msg.Req,
-				cw:     cw,
+				cw:     c.cw,
 				oneway: msg.Type == wire.MsgOneway,
 			}
 			// Deadline-aware shedding: a request whose wire deadline has
@@ -549,40 +578,40 @@ func (s *Server) serveConn(conn net.Conn) {
 				if !job.oneway {
 					rep := &wire.Reply{ID: job.req.ID, ErrCode: CodeDeadline,
 						Err: fmt.Sprintf("deadline expired before dispatch of %q", job.req.Operation)}
-					if err := s.writeReply(cw, rep, time.Now().Add(time.Second)); err != nil {
+					if err := s.writeReply(c.cw, rep, time.Now().Add(time.Second)); err != nil {
 						s.logf("orb: write expired-shed reply: %v", err)
 					}
 				}
 				continue
 			}
-			if job.entry != nil && job.entry.inline {
-				s.handle(cw, job)
-				continue
-			}
-			if worker == nil {
-				worker = make(chan connJob)
-				reqWG.Add(1)
-				go func(jobs <-chan connJob) {
-					defer reqWG.Done()
-					for j := range jobs {
-						s.handle(cw, j)
-					}
-				}(worker)
-			}
-			select {
-			case worker <- job:
-			default: // worker busy: the client is pipelining; overflow into
-				// the bounded dispatch pool (or shed).
-				s.admit(cw, job, &reqWG)
+			switch {
+			case job.entry != nil && job.entry.inline:
+				s.handle(c.cw, job)
+			case !c.slot.CompareAndSwap(false, true): // pipelining, or a slow servant
+				s.admit(c.cw, job, &c.busy)
+			case c.fr.Buffered() == 0:
+				s.stats.inlineDispatches.Add(1)
+				seq := c.inlineSeq.Add(1)
+				if !c.listed.Swap(true) {
+					watchInline(c)
+				}
+				s.handle(c.cw, job)
+				kept := c.inlineSeq.CompareAndSwap(seq, seq+1)
+				c.slot.Store(false)
+				if !kept {
+					return true
+				}
+			default:
+				c.jobs <- job // the worker freed the slot, so it is about to receive
 			}
 		case wire.MsgSubscribe:
 			// Handled inline: registering a sink must be quick (EventSource
 			// contract), and serial handling makes duplicate-id checks
 			// race-free without a lock.
-			s.handleSubscribe(cw, msg.Sub, subs)
+			s.handleSubscribe(c.cw, msg.Sub, c.subs)
 		case wire.MsgUnsubscribe:
-			if ss, ok := subs[msg.UnsubID]; ok {
-				delete(subs, msg.UnsubID)
+			if ss, ok := c.subs[msg.UnsubID]; ok {
+				delete(c.subs, msg.UnsubID)
 				ss.sink.closed.Store(true)
 				if ss.cancel != nil {
 					ss.cancel()
@@ -590,7 +619,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 		default:
 			s.logf("orb: unexpected %s message on server connection", msg.Type)
-			return
+			return false
 		}
 	}
 }
@@ -707,7 +736,7 @@ func (s *Server) dispatchEntryUntimed(entry *servantEntry, req *wire.Request) *w
 	if req.Deadline != 0 && time.Now().UnixNano() > req.Deadline {
 		// Backstop for requests that expired after admission (e.g. while
 		// queued for a pool worker); admission-time expiry is caught in
-		// serveConn. Both count as ExpiredShed.
+		// readFrames. Both count as ExpiredShed.
 		s.stats.expiredShed.Add(1)
 		return &wire.Reply{ID: req.ID, ErrCode: CodeDeadline,
 			Err: fmt.Sprintf("deadline expired before dispatch of %q", req.Operation)}
@@ -748,4 +777,64 @@ func safeInvoke(sv Servant, op string, args []wire.Value) (results []wire.Value,
 		}
 	}()
 	return sv.Invoke(op, args)
+}
+
+// watch is the inline-dispatch watchdog. A reader lists its connection as an
+// inline dispatch starts. While any is listed, one goroutine ticks every
+// inlineTick, hands the read role of a dispatch unchanged across a whole tick
+// to a new reader (a rescue), and unlists connections between dispatches.
+// A timer per dispatch would cost a netpoller wake-up per round trip.
+var watch struct {
+	mu      sync.Mutex
+	conns   []*serverConn // listed, each once
+	ticking bool
+}
+
+const inlineTick = time.Millisecond
+
+// watchInline lists c, which has just started an inline dispatch.
+func watchInline(c *serverConn) {
+	watch.mu.Lock()
+	watch.conns = append(watch.conns, c)
+	if !watch.ticking {
+		watch.ticking = true
+		go watchLoop()
+	}
+	watch.mu.Unlock()
+}
+
+func watchLoop() {
+	for idle := false; ; {
+		time.Sleep(inlineTick)
+		watch.mu.Lock()
+		listed := watch.conns[:0]
+		for _, c := range watch.conns {
+			v := c.inlineSeq.Load()
+			if v&1 == 1 && v == c.seen && c.inlineSeq.CompareAndSwap(v, v+1) {
+				// busy counts the stuck dispatch; the worker keeps it and wg > 0.
+				c.s.stats.inlineRescues.Add(1)
+				c.busy.Add(1)
+				c.s.wg.Add(1)
+				go c.read()
+				v++
+			}
+			c.seen = v
+			if v&1 == 0 {
+				// Unlist it, unless its reader started a dispatch unaware.
+				c.listed.Store(false)
+				if c.inlineSeq.Load() == v || c.listed.Swap(true) {
+					continue
+				}
+			}
+			listed = append(listed, c)
+		}
+		clear(watch.conns[len(listed):])
+		watch.conns = listed
+		stop := idle && len(listed) == 0
+		idle, watch.ticking = len(listed) == 0, !stop
+		watch.mu.Unlock()
+		if stop {
+			return
+		}
+	}
 }

@@ -200,7 +200,8 @@ type Message struct {
 	UnsubID uint64 // set when Type == MsgUnsubscribe
 }
 
-// DecodeMessage decodes a frame payload into a protocol message.
+// DecodeMessage decodes a frame payload into a protocol message. The
+// Message and its body are one allocation.
 func DecodeMessage(payload []byte) (*Message, error) {
 	if len(payload) == 0 {
 		return nil, ErrTruncated
@@ -209,7 +210,12 @@ func DecodeMessage(payload []byte) (*Message, error) {
 	d := NewDecoder(payload[1:])
 	switch mt {
 	case MsgRequest, MsgOneway:
-		req := &Request{}
+		x := &struct {
+			Message
+			req Request
+		}{Message: Message{Type: mt}}
+		x.Req = &x.req
+		req := x.Req
 		var err error
 		if req.ID, err = d.u64(); err != nil {
 			return nil, err
@@ -246,9 +252,14 @@ func DecodeMessage(payload []byte) (*Message, error) {
 		if d.Remaining() != 0 {
 			return nil, fmt.Errorf("wire: %d trailing bytes in request", d.Remaining())
 		}
-		return &Message{Type: mt, Req: req}, nil
+		return &x.Message, nil
 	case MsgReply, MsgErrorReply:
-		rep := &Reply{}
+		x := &struct {
+			Message
+			rep Reply
+		}{Message: Message{Type: mt}}
+		x.Rep = &x.rep
+		rep := x.Rep
 		var err error
 		if rep.ID, err = d.u64(); err != nil {
 			return nil, err
@@ -263,7 +274,7 @@ func DecodeMessage(payload []byte) (*Message, error) {
 			if rep.Err == "" {
 				rep.Err = "unknown remote error"
 			}
-			return &Message{Type: mt, Rep: rep}, nil
+			return &x.Message, nil
 		}
 		n, err := d.u64()
 		if err != nil {
@@ -283,9 +294,14 @@ func DecodeMessage(payload []byte) (*Message, error) {
 		if d.Remaining() != 0 {
 			return nil, fmt.Errorf("wire: %d trailing bytes in reply", d.Remaining())
 		}
-		return &Message{Type: mt, Rep: rep}, nil
+		return &x.Message, nil
 	case MsgSubscribe:
-		sub := &Subscribe{}
+		x := &struct {
+			Message
+			sub Subscribe
+		}{Message: Message{Type: mt}}
+		x.Sub = &x.sub
+		sub := x.Sub
 		var err error
 		if sub.ID, err = d.u64(); err != nil {
 			return nil, err
@@ -317,7 +333,7 @@ func DecodeMessage(payload []byte) (*Message, error) {
 		if d.Remaining() != 0 {
 			return nil, fmt.Errorf("wire: %d trailing bytes in subscribe", d.Remaining())
 		}
-		return &Message{Type: mt, Sub: sub}, nil
+		return &x.Message, nil
 	case MsgUnsubscribe:
 		subID, err := d.u64()
 		if err != nil {
@@ -328,7 +344,12 @@ func DecodeMessage(payload []byte) (*Message, error) {
 		}
 		return &Message{Type: mt, UnsubID: subID}, nil
 	case MsgEvent:
-		ev := &Event{}
+		x := &struct {
+			Message
+			ev Event
+		}{Message: Message{Type: mt}}
+		x.Event = &x.ev
+		ev := x.Event
 		var err error
 		if ev.SubID, err = d.u64(); err != nil {
 			return nil, err
@@ -351,7 +372,7 @@ func DecodeMessage(payload []byte) (*Message, error) {
 		if d.Remaining() != 0 {
 			return nil, fmt.Errorf("wire: %d trailing bytes in event", d.Remaining())
 		}
-		return &Message{Type: mt, Event: ev}, nil
+		return &x.Message, nil
 	default:
 		return nil, fmt.Errorf("wire: unknown message type 0x%02x", payload[0])
 	}

@@ -95,6 +95,10 @@ func NewFrameReader(r io.Reader) *FrameReader {
 	return &FrameReader{br: bufio.NewReaderSize(r, 8<<10)}
 }
 
+// Buffered reports how many bytes have been read off the connection but not
+// yet returned by Next: non-zero means the peer has already sent more.
+func (fr *FrameReader) Buffered() int { return fr.br.Buffered() }
+
 // Next reads one frame and returns its payload, rejecting frames larger
 // than MaxFrameSize. The returned slice is reused by the next call.
 func (fr *FrameReader) Next() ([]byte, error) {
