@@ -3,7 +3,7 @@
 GO ?= go
 
 # Every package with benchmarks: the root experiment benches (E1–E12),
-# the script-engine kernels, the ORB invocation/pipelining suites (E13),
+# the script kernels (VM and test reference), the ORB invocation/pipelining suites (E13),
 # the sharded-trader E14 suite, the metrics hot paths, and the
 # internal/experiment macro benches (E16 SLO routing).
 BENCHPKGS = . ./internal/script ./internal/orb ./internal/trading/... ./internal/metrics ./internal/experiment
@@ -117,10 +117,11 @@ loc:
 
 # Hostile-input and overload robustness suites (PR 8): admission control
 # under request storms, budget sandboxing of shipped scripts (including
-# the hostile differential corpus, run on both engines), script/aspect/
+# the hostile differential corpus, run VM vs. reference), script/aspect/
 # strategy quarantine, the wire fuzz properties plus a short run of the
-# native fuzzers — including the VM/tree-walker differential fuzzer — and
-# the E15 governed-vs-ungoverned overload experiment.
+# native fuzzers — including the VM-vs-reference differential fuzzer and
+# the trader's constraint and preference parsers — and the E15
+# governed-vs-ungoverned overload experiment.
 chaos:
 	$(GO) test -count=1 -run 'Admission|Overloaded|LegacySpill' ./internal/orb
 	$(GO) test -count=1 -run 'Budget|CallCtx|MemBudget|Differential|DeepRecursion' ./internal/script
@@ -129,4 +130,6 @@ chaos:
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzDecodeMessage -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzCompileResolve -fuzztime $(FUZZTIME) ./internal/script
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzVMDiff -fuzztime $(FUZZTIME) ./internal/script
+	$(GO) test -count=1 -run '^$$' -fuzz FuzzParseConstraint -fuzztime $(FUZZTIME) ./internal/trading
+	$(GO) test -count=1 -run '^$$' -fuzz FuzzParsePreference -fuzztime $(FUZZTIME) ./internal/trading
 	$(GO) test -count=1 -run 'Overload|HostileQuarantine' ./internal/experiment

@@ -40,7 +40,6 @@ import (
 	"autoadapt/internal/monitor"
 	"autoadapt/internal/orb"
 	"autoadapt/internal/rebind"
-	"autoadapt/internal/script"
 	"autoadapt/internal/trading"
 	"autoadapt/internal/trading/shard"
 	"autoadapt/internal/wire"
@@ -82,23 +81,7 @@ type (
 	// MetricsRegistry collects counters, gauges, and latency histograms
 	// from every instrumented layer (see internal/metrics).
 	MetricsRegistry = metrics.Registry
-	// ScriptEngine selects the AdaptScript execution engine on
-	// ProxyOptions.ScriptEngine / AgentOptions.ScriptEngine: the bytecode
-	// VM (default) or the tree-walking reference interpreter.
-	ScriptEngine = script.Engine
 )
-
-// AdaptScript execution engines (see internal/script): EngineVM compiles
-// resolved chunks to register bytecode on first call; EngineTreeWalk is the
-// direct AST interpreter kept as the semantic reference.
-const (
-	EngineVM       = script.EngineVM
-	EngineTreeWalk = script.EngineTreeWalk
-)
-
-// ParseScriptEngine maps a command-line engine name ("vm", "treewalk", or
-// empty for the default) to a ScriptEngine.
-func ParseScriptEngine(s string) (ScriptEngine, error) { return script.ParseEngine(s) }
 
 // TCP is the production transport.
 func TCP() Network { return orb.TCPNetwork{} }

@@ -28,7 +28,6 @@ import (
 	"autoadapt"
 	"autoadapt/internal/monitor"
 	"autoadapt/internal/orb"
-	"autoadapt/internal/script"
 	"autoadapt/internal/trading"
 	"autoadapt/internal/wire"
 )
@@ -53,14 +52,9 @@ func run() error {
 		maxConc   = flag.Int("max-concurrent", 0, "dispatch pool size: max concurrently served requests (0 = ORB default, negative = unbounded)")
 		clockBud  = flag.Duration("script-clock-budget", 0, "wall-clock budget per script evaluation (config, aspects, predicates; 0 = unbounded)")
 		memBud    = flag.Int64("script-mem-budget", 0, "accounted-allocation budget in bytes per script evaluation (0 = unbounded)")
-		scriptEng = flag.String("script-engine", "vm", `AdaptScript engine: "vm" (bytecode, default) or "treewalk" (reference interpreter)`)
 	)
 	flag.Parse()
 
-	engine, err := script.ParseEngine(*scriptEng)
-	if err != nil {
-		return err
-	}
 	ref, err := wire.ParseObjRef(*traderRef)
 	if err != nil {
 		return err
@@ -114,7 +108,6 @@ func run() error {
 		MaxConcurrent:    *maxConc,
 		ScriptWallBudget: *clockBud,
 		ScriptMemBudget:  *memBud,
-		ScriptEngine:     engine,
 		StaticProps:      map[string]wire.Value{"Host": wire.String(hostName)},
 		Logger:           log.New(os.Stderr, "agentd ", log.LstdFlags),
 	})

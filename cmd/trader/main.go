@@ -52,18 +52,10 @@ func run() error {
 		maxConc  = flag.Int("max-concurrent", 0, "dispatch pool size: max concurrently served requests (0 = ORB default, negative = unbounded)")
 		resolveT = flag.Duration("resolve-timeout", 0, "cap on each query's dynamic-property resolution phase (0 = caller deadline only)")
 		metrics  = flag.Bool("metrics", true, "instrument the daemon and serve the registry via the metrics operation (adaptctl metrics)")
-		scrEng   = flag.String("script-engine", "vm", `AdaptScript engine name, validated for fleet-launcher uniformity ("vm" or "treewalk"); the trader itself evaluates no AdaptScript`)
 		types    typeList
 	)
 	flag.Var(&types, "type", "service type to register (repeatable)")
 	flag.Parse()
-	// The trader runs no shipped scripts — constraint/preference evaluation
-	// is the trading package's own query language — but fleet launchers pass
-	// one flag set to every daemon, so accept and validate the engine name
-	// here rather than failing only on the trader.
-	if _, err := autoadapt.ParseScriptEngine(*scrEng); err != nil {
-		return err
-	}
 	if len(types) == 0 {
 		types = typeList{"LoadShared"}
 	}

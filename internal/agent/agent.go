@@ -89,11 +89,6 @@ type Options struct {
 	// off.
 	ScriptWallBudget time.Duration
 	ScriptMemBudget  int64
-	// ScriptEngine selects the AdaptScript execution engine for all of the
-	// agent's shipped code (config script, aspects, event predicates): the
-	// default bytecode VM, or the tree-walking reference interpreter
-	// (script.EngineTreeWalk).
-	ScriptEngine script.Engine
 }
 
 // Agent is a running service agent.
@@ -171,8 +166,7 @@ func Start(ctx context.Context, opts Options) (*Agent, error) {
 		monitor.ORBNotifier{Client: notify},
 		monitor.WithSelfRef(srv.RefFor(MonitorKey)),
 		monitor.WithLogger(opts.Logger),
-		monitor.WithScriptBudgets(opts.ScriptWallBudget, opts.ScriptMemBudget),
-		monitor.WithScriptEngine(opts.ScriptEngine))
+		monitor.WithScriptBudgets(opts.ScriptWallBudget, opts.ScriptMemBudget))
 	if err != nil {
 		return nil, fmt.Errorf("agent: create monitor: %w", err)
 	}
@@ -265,7 +259,6 @@ func (a *Agent) RunConfigScript(src string) error {
 		Cache:      configScriptCache,
 		WallBudget: a.opts.ScriptWallBudget,
 		MemBudget:  a.opts.ScriptMemBudget,
-		Engine:     a.opts.ScriptEngine,
 	})
 	in.SetGlobal("defineaspect", script.Func("defineaspect", func(_ *script.Interp, args []script.Value) ([]script.Value, error) {
 		if len(args) < 2 {

@@ -44,6 +44,34 @@ func (Real) After(d time.Duration) (<-chan time.Time, func() bool) {
 // Sleep implements Clock.
 func (Real) Sleep(d time.Duration) { time.Sleep(d) }
 
+// Every runs fn every interval on c until the returned stop function is
+// called. The first timer is armed before Every returns, so a caller driving
+// a Sim can Advance immediately afterwards; each later one is armed when fn
+// returns. stop is idempotent, blocks until the loop has exited, and leaves
+// no timer pending. interval must be positive.
+func Every(c Clock, interval time.Duration, fn func()) (stop func()) {
+	stopCh := make(chan struct{})
+	done := make(chan struct{})
+	tick, cancel := c.After(interval)
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-tick:
+				fn()
+			case <-stopCh:
+				cancel()
+				return
+			}
+			tick, cancel = c.After(interval)
+		}
+	}()
+	return sync.OnceFunc(func() {
+		close(stopCh)
+		<-done
+	})
+}
+
 // Sim is a deterministic simulated clock. Time advances only through Advance
 // or AdvanceTo. Timers created with After fire, in timestamp order, while
 // time passes. Sim is safe for concurrent use.

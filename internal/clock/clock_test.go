@@ -293,3 +293,49 @@ func TestSimConcurrentAfterAndAdvance(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// waitPending polls until s has n pending timers: a loop re-arms its timer
+// on its own goroutine, after the tick that released it.
+func waitPending(t *testing.T, s *Sim, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.PendingTimers() != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("pending timers = %d, want %d", s.PendingTimers(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func TestEverySimClock(t *testing.T) {
+	s := NewSim(epoch)
+	ticks := make(chan time.Time, 8)
+	stop := Every(s, time.Second, func() { ticks <- s.Now() })
+	// The first timer is armed before Every returns.
+	if n := s.PendingTimers(); n != 1 {
+		t.Fatalf("pending timers after Every = %d, want 1", n)
+	}
+	for i := 1; i <= 3; i++ {
+		s.Advance(time.Second)
+		select {
+		case got := <-ticks:
+			if want := epoch.Add(time.Duration(i) * time.Second); !got.Equal(want) {
+				t.Fatalf("tick %d ran at %v, want %v", i, got, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("tick %d did not run", i)
+		}
+		waitPending(t, s, 1)
+	}
+	stop()
+	stop() // idempotent
+	if n := s.PendingTimers(); n != 0 {
+		t.Fatalf("pending timers after stop = %d, want 0", n)
+	}
+	s.Advance(time.Minute)
+	select {
+	case got := <-ticks:
+		t.Fatalf("fn ran after stop, at %v", got)
+	default:
+	}
+}

@@ -102,10 +102,6 @@ type Options struct {
 	// the adaptation path.
 	ScriptWallBudget time.Duration
 	ScriptMemBudget  int64
-	// ScriptEngine selects the AdaptScript execution engine for strategy
-	// evaluation: the default bytecode VM, or the tree-walking reference
-	// interpreter (script.EngineTreeWalk) for A/B comparison and fallback.
-	ScriptEngine script.Engine
 	// MaxStrategyFailures quarantines a script strategy after this many
 	// consecutive budget-exhaustion aborts (step, wall, or memory): the
 	// strategy is uninstalled and the event falls back to "no strategy".
@@ -214,7 +210,6 @@ func New(opts Options) (*SmartProxy, error) {
 			MaxSteps:   opts.MaxScriptSteps,
 			WallBudget: opts.ScriptWallBudget,
 			MemBudget:  opts.ScriptMemBudget,
-			Engine:     opts.ScriptEngine,
 			Clock:      clock.Real{}, // §VI time-of-day context for strategies
 		}),
 	}

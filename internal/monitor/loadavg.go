@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"autoadapt/internal/clock"
-	"autoadapt/internal/script"
 	"autoadapt/internal/wire"
 )
 
@@ -153,10 +152,4 @@ func WithScriptBudgets(wall time.Duration, mem int64) func(*Options) {
 		o.ScriptWallBudget = wall
 		o.ScriptMemBudget = mem
 	}
-}
-
-// WithScriptEngine selects the AdaptScript execution engine for shipped
-// code; the zero value is the default bytecode VM.
-func WithScriptEngine(e script.Engine) func(*Options) {
-	return func(o *Options) { o.ScriptEngine = e }
 }

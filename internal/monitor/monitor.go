@@ -138,11 +138,6 @@ type Options struct {
 	// after this many consecutive budget aborts. Zero means
 	// DefaultMaxScriptFailures; negative disables the quarantine.
 	MaxScriptFailures int
-	// ScriptEngine selects the AdaptScript execution engine for shipped
-	// code (update functions, aspects, event predicates): the default
-	// bytecode VM, or the tree-walking reference interpreter
-	// (script.EngineTreeWalk).
-	ScriptEngine script.Engine
 	// SelfRef is the monitor's own object reference, passed to predicates
 	// that want to hand it onward. May be zero.
 	SelfRef wire.ObjRef
@@ -227,7 +222,6 @@ func New(opts Options) (*Monitor, error) {
 			Clock:      opts.Clock,
 			WallBudget: opts.ScriptWallBudget,
 			MemBudget:  opts.ScriptMemBudget,
-			Engine:     opts.ScriptEngine,
 		}),
 		version: 1,
 	}

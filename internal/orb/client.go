@@ -431,7 +431,10 @@ func (c *Client) conn(ctx context.Context, endpoint string) (*clientConn, error)
 			c.mu.Unlock()
 			select {
 			case <-d.done:
-				if d.err != nil {
+				// A dial its starter abandoned failed with the starter's
+				// context error, not this caller's: loop and dial again.
+				abandoned := errors.Is(d.err, context.Canceled) || errors.Is(d.err, context.DeadlineExceeded)
+				if d.err != nil && (!abandoned || ctx.Err() != nil) {
 					return nil, d.err
 				}
 				continue // adopt the fresh conn (or redial if it died already)

@@ -282,6 +282,76 @@ func TestConcurrentInvokesShareOneDial(t *testing.T) {
 	}
 }
 
+// firstDialBlocks holds the first Dial until release is closed and lets
+// every later one straight through, so a test can abandon one dial while it
+// is in flight.
+type firstDialBlocks struct {
+	inner   *InprocNetwork
+	started chan struct{} // closed when the first Dial begins
+	release chan struct{}
+	dials   atomic.Int64
+}
+
+func (f *firstDialBlocks) Name() string                      { return f.inner.Name() }
+func (f *firstDialBlocks) Listen(a string) (Listener, error) { return f.inner.Listen(a) }
+func (f *firstDialBlocks) Dial(a string) (net.Conn, error) {
+	if f.dials.Add(1) == 1 {
+		close(f.started)
+		<-f.release
+	}
+	return f.inner.Dial(a)
+}
+
+// TestAbandonedDialDoesNotFailWaiters: caller A starts a dial and is
+// cancelled while B, whose context is live, waits on the same singleflight
+// dial. A's cancellation is A's alone, so B must dial again and get a
+// working connection instead of A's context.Canceled.
+func TestAbandonedDialDoesNotFailWaiters(t *testing.T) {
+	inner := NewInprocNetwork()
+	bnet := &firstDialBlocks{inner: inner, started: make(chan struct{}), release: make(chan struct{})}
+	defer close(bnet.release) // the abandoned dial then finishes and is reaped
+	srv, err := NewServer(ServerOptions{Network: inner, Address: "abandon"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ref := srv.Register("echo", "", echoServant())
+	client := NewClient(bnet)
+	defer client.Close()
+
+	ctxA, cancelA := context.WithCancel(context.Background())
+	defer cancelA()
+	aDone := make(chan error, 1)
+	go func() {
+		_, err := client.Invoke(ctxA, ref, "echo", wire.Int(1))
+		aDone <- err
+	}()
+	<-bnet.started
+	bDone := make(chan error, 1)
+	go func() {
+		_, err := client.Invoke(context.Background(), ref, "echo", wire.Int(2))
+		bDone <- err
+	}()
+	// Let B join A's dial. A B that arrives after the cancel dials for
+	// itself, so a slow start can only make the test pass vacuously.
+	time.Sleep(20 * time.Millisecond)
+	cancelA()
+	if err := <-aDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled caller err = %v, want context.Canceled", err)
+	}
+	select {
+	case err := <-bDone:
+		if err != nil {
+			t.Fatalf("waiter failed with the abandoned dial's error: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiter stuck after the dial it joined was abandoned")
+	}
+	if n := bnet.dials.Load(); n != 2 {
+		t.Fatalf("dials = %d, want 2 (the abandoned one and the waiter's own)", n)
+	}
+}
+
 func TestRetrySucceedsAfterDroppedDial(t *testing.T) {
 	inner := NewInprocNetwork()
 	fnet := NewFaultNetwork(inner)

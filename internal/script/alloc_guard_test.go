@@ -10,11 +10,12 @@ import (
 // of internal/wire and internal/orb. The resolver/pool overhaul took the
 // tree walker's numeric-loop kernel from ~7000 allocs per run to one (the
 // return-value slice) and Fib15 from ~20700 to ~3950; the bytecode VM —
-// now the default engine, guarded under the plain names below — holds the
-// loop at 1 alloc and takes Fib15 to ~4 (fixed-arg calls borrow the caller's
-// register window instead of allocating). The explicit *TreeWalk variants
-// keep the reference engine pinned at its own ceilings. Ceilings carry
-// slack over the measured counts so toolchain noise does not flake them.
+// the only production executor, guarded under the plain names below — holds
+// the loop at 1 alloc and takes Fib15 to ~4 (fixed-arg calls borrow the
+// caller's register window instead of allocating). The explicit *TreeWalk
+// variants keep the reference interpreter pinned at its own ceilings.
+// Ceilings carry slack over the measured counts so toolchain noise does not
+// flake them.
 
 func TestAllocGuardNumericLoop(t *testing.T) {
 	in := New(Options{})
@@ -51,7 +52,7 @@ func TestAllocGuardFib15(t *testing.T) {
 	// Measured: ~4 allocs on the VM (one pooled frame grow + the return
 	// slice; recursive script→script calls reuse register windows). The
 	// tree walker needs ~3950 and the seed interpreter ~20700 — fail long
-	// before either regression can sneak back into the default engine.
+	// before either regression can sneak back into the VM.
 	if allocs := testing.AllocsPerRun(5, func() {
 		if _, err := in.Call(fn, nil); err != nil {
 			t.Fatal(err)
@@ -62,7 +63,7 @@ func TestAllocGuardFib15(t *testing.T) {
 }
 
 func TestAllocGuardNumericLoopTreeWalk(t *testing.T) {
-	in := New(Options{Engine: EngineTreeWalk})
+	in := newReference(Options{})
 	fn, err := in.Compile("loop", "local s = 0 for i = 1, 1000 do s = s + i end return s")
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +85,7 @@ func TestAllocGuardFib15TreeWalk(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
 	}
-	in := New(Options{Engine: EngineTreeWalk})
+	in := newReference(Options{})
 	fn, err := in.Compile("fib",
 		"local function fib(n) if n < 2 then return n end return fib(n-1) + fib(n-2) end return fib(15)")
 	if err != nil {

@@ -288,10 +288,10 @@ type funcProto struct {
 	numBoxes   int // boxed (captured) locals in the frame
 	upvals     []upvalDesc
 
-	// vm caches the bytecode compiled from this proto, populated lazily on
-	// the first VM-engine call (see compile.go). Atomic because resolved
-	// protos are shared read-only across interpreters via the ChunkCache;
-	// a racing double-compile produces identical code and either store
-	// wins. The tree-walk engine never touches it.
+	// vm caches the bytecode compiled from this proto (or its ErrTooLarge),
+	// populated lazily on the first call (see compile.go). Atomic because
+	// resolved protos are shared read-only across interpreters via the
+	// ChunkCache; a racing double-compile produces identical code and either
+	// store wins.
 	vm atomic.Pointer[vmCode]
 }

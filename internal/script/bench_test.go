@@ -3,14 +3,14 @@ package script
 import "testing"
 
 // Interpreter benchmarks supplementing experiment E7: raw language-kernel
-// costs, useful when tuning the tree walker.
+// costs, useful when tuning the VM.
 
 func benchEval(b *testing.B, src string) {
-	benchEvalEngine(b, src, Options{})
+	benchEvalOn(b, src, New)
 }
 
-func benchEvalEngine(b *testing.B, src string, opts Options) {
-	in := New(opts)
+func benchEvalOn(b *testing.B, src string, newInterp func(Options) *Interp) {
+	in := newInterp(Options{})
 	fn, err := in.Compile("bench", src)
 	if err != nil {
 		b.Fatal(err)
@@ -44,31 +44,30 @@ func BenchmarkNumericLoop(b *testing.B) {
 	benchEval(b, numericLoopSrc)
 }
 
-// Engine-explicit variants of the two gate kernels: the VM pair pins the
-// default engine's numbers under their own names, and the TreeWalk pair
-// keeps the reference interpreter measured so the VM's speedup factor (the
-// ROADMAP's ≥2× Fib15 bar) stays visible in every bench run.
+// Executor-explicit variants of the two gate kernels: the VM pair pins the
+// production numbers under their own names, and the TreeWalk pair keeps the
+// test reference interpreter measured so the VM's speedup factor (the ≥2×
+// Fib15 bar) stays visible in every bench run.
 
 func BenchmarkFib15VM(b *testing.B) {
-	benchEvalEngine(b, fib15Src, Options{Engine: EngineVM})
+	benchEvalOn(b, fib15Src, New)
 }
 
 func BenchmarkNumericLoopVM(b *testing.B) {
-	benchEvalEngine(b, numericLoopSrc, Options{Engine: EngineVM})
+	benchEvalOn(b, numericLoopSrc, New)
 }
 
 func BenchmarkFib15TreeWalk(b *testing.B) {
-	benchEvalEngine(b, fib15Src, Options{Engine: EngineTreeWalk})
+	benchEvalOn(b, fib15Src, newReference)
 }
 
 func BenchmarkNumericLoopTreeWalk(b *testing.B) {
-	benchEvalEngine(b, numericLoopSrc, Options{Engine: EngineTreeWalk})
+	benchEvalOn(b, numericLoopSrc, newReference)
 }
 
 // BenchmarkCompileProtoFig7 measures the VM's lazy bytecode-compile cost in
 // isolation: parse+resolve once, then time compileProto on the resolved
-// proto. This is the one-time cost a ChunkCache miss pays on first call
-// under the VM engine.
+// proto. This is the one-time cost a ChunkCache miss pays on first call.
 func BenchmarkCompileProtoFig7(b *testing.B) {
 	in := New(Options{CacheSize: -1})
 	fn, err := in.Compile("fig7", benchFig7Src)
@@ -79,8 +78,8 @@ func BenchmarkCompileProtoFig7(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if compileProto(proto) == vmUnsupported {
-			b.Fatal("unsupported")
+		if code := compileProto(proto); code.err != nil {
+			b.Fatal(code.err)
 		}
 	}
 }

@@ -15,20 +15,18 @@ import (
 // account kills allocation bombs the step budget alone would let run for a
 // long time (a table bomb "steps" slowly but allocates fast).
 //
-// Every test here runs against both engines: the bytecode VM executes a
-// different artifact than the tree walker, so budget enforcement has to be
-// proven on each independently — a missed opStep or uncharged allocation in
-// the VM would pass silently if only the reference engine were exercised.
-
-var bothEngines = []Engine{EngineVM, EngineTreeWalk}
+// Every test here runs against the VM and the reference interpreter: they
+// execute different artifacts, so budget enforcement has to be proven on
+// each independently — a missed opStep or uncharged allocation in the VM
+// would pass silently if only the reference were exercised.
 
 const infiniteLoopSrc = `local i = 0 while true do i = i + 1 end`
 
 func TestWallBudgetSimClock(t *testing.T) {
-	for _, eng := range bothEngines {
-		t.Run(eng.String(), func(t *testing.T) {
+	for _, eng := range engines {
+		t.Run(eng.name, func(t *testing.T) {
 			sim := clock.NewSim(time.Unix(0, 0))
-			in := New(Options{Clock: sim, WallBudget: 50 * time.Millisecond, MaxSteps: -1, Engine: eng})
+			in := eng.new(Options{Clock: sim, WallBudget: 50 * time.Millisecond, MaxSteps: -1})
 			fn, err := in.Compile("spin", infiniteLoopSrc)
 			if err != nil {
 				t.Fatal(err)
@@ -68,10 +66,10 @@ func TestWallBudgetFrozenClockNeverTrips(t *testing.T) {
 	// Under a frozen sim clock even a 1ns wall budget must not fire: the
 	// budget is checked against the injected clock, never the real one, so
 	// sim-driven experiments stay deterministic regardless of host speed.
-	for _, eng := range bothEngines {
-		t.Run(eng.String(), func(t *testing.T) {
+	for _, eng := range engines {
+		t.Run(eng.name, func(t *testing.T) {
 			sim := clock.NewSim(time.Unix(0, 0))
-			in := New(Options{Clock: sim, WallBudget: time.Nanosecond, Engine: eng})
+			in := eng.new(Options{Clock: sim, WallBudget: time.Nanosecond})
 			vs, err := in.Eval("loop", `local s = 0 for i = 1, 100000 do s = s + i end return s`)
 			if err != nil {
 				t.Fatalf("frozen-clock run aborted: %v", err)
@@ -84,9 +82,9 @@ func TestWallBudgetFrozenClockNeverTrips(t *testing.T) {
 }
 
 func TestCallCtxCancel(t *testing.T) {
-	for _, eng := range bothEngines {
-		t.Run(eng.String(), func(t *testing.T) {
-			in := New(Options{MaxSteps: -1, Engine: eng})
+	for _, eng := range engines {
+		t.Run(eng.name, func(t *testing.T) {
+			in := eng.new(Options{MaxSteps: -1})
 			fn, err := in.Compile("spin", infiniteLoopSrc)
 			if err != nil {
 				t.Fatal(err)
@@ -112,9 +110,9 @@ func TestCallCtxCancel(t *testing.T) {
 }
 
 func TestCallCtxDeadline(t *testing.T) {
-	for _, eng := range bothEngines {
-		t.Run(eng.String(), func(t *testing.T) {
-			in := New(Options{MaxSteps: -1, Engine: eng})
+	for _, eng := range engines {
+		t.Run(eng.name, func(t *testing.T) {
+			in := eng.new(Options{MaxSteps: -1})
 			fn, err := in.Compile("spin", infiniteLoopSrc)
 			if err != nil {
 				t.Fatal(err)
@@ -142,10 +140,10 @@ func TestMemBudgetBombs(t *testing.T) {
 		{"format-bomb", `local s = "y" while true do s = string.format("%s%s", s, s) end`},
 		{"insert-bomb", `local t = {} while true do table.insert(t, 1) end`},
 	}
-	for _, eng := range bothEngines {
+	for _, eng := range engines {
 		for _, tc := range cases {
-			t.Run(eng.String()+"/"+tc.name, func(t *testing.T) {
-				in := New(Options{MemBudget: 1 << 16, MaxSteps: -1, Engine: eng})
+			t.Run(eng.name+"/"+tc.name, func(t *testing.T) {
+				in := eng.new(Options{MemBudget: 1 << 16, MaxSteps: -1})
 				_, err := in.Eval(tc.name, tc.src)
 				if !errors.Is(err, ErrMemBudget) {
 					t.Fatalf("err = %v, want ErrMemBudget", err)
@@ -161,9 +159,9 @@ func TestMemBudgetBombs(t *testing.T) {
 func TestMemBudgetAllowsModestWork(t *testing.T) {
 	// The same budget that kills the bombs must not starve a realistic
 	// strategy-sized workload.
-	for _, eng := range bothEngines {
-		t.Run(eng.String(), func(t *testing.T) {
-			in := New(Options{MemBudget: 1 << 16, Engine: eng})
+	for _, eng := range engines {
+		t.Run(eng.name, func(t *testing.T) {
+			in := eng.new(Options{MemBudget: 1 << 16})
 			vs, err := in.Eval("modest", `
 				local t = {}
 				for i = 1, 50 do t[i] = "host-" .. i end
@@ -179,9 +177,9 @@ func TestMemBudgetAllowsModestWork(t *testing.T) {
 }
 
 func TestDeepRecursionBounded(t *testing.T) {
-	for _, eng := range bothEngines {
-		t.Run(eng.String(), func(t *testing.T) {
-			in := New(Options{Engine: eng})
+	for _, eng := range engines {
+		t.Run(eng.name, func(t *testing.T) {
+			in := eng.new(Options{})
 			_, err := in.Eval("deep", `local function f(n) return f(n + 1) end return f(0)`)
 			if err == nil {
 				t.Fatal("unbounded recursion did not error")
@@ -193,9 +191,10 @@ func TestDeepRecursionBounded(t *testing.T) {
 // TestBudgetedInterpsSharedCacheRace exercises concurrently budgeted
 // interpreters sharing one ChunkCache under -race: budgets are per-Interp
 // state and must not introduce sharing through the cache. Workers alternate
-// engines, so the cached proto is raced between tree-walk execution and the
-// VM's lazy bytecode compile (funcProto.vm is an atomic pointer; concurrent
-// first-call compiles must be safe and invisible).
+// between the VM and the reference, so the cached proto is raced between
+// tree-walk execution and the VM's lazy bytecode compile (funcProto.vm is an
+// atomic pointer; concurrent first-call compiles must be safe and
+// invisible).
 func TestBudgetedInterpsSharedCacheRace(t *testing.T) {
 	cache := NewChunkCache(16)
 	var wg sync.WaitGroup
@@ -203,11 +202,10 @@ func TestBudgetedInterpsSharedCacheRace(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			in := New(Options{
+			in := engines[w%len(engines)].new(Options{
 				Cache:      cache,
 				WallBudget: time.Second,
 				MemBudget:  1 << 20,
-				Engine:     bothEngines[w%len(bothEngines)],
 			})
 			for i := 0; i < 50; i++ {
 				vs, err := in.Eval("shared", `
@@ -230,11 +228,11 @@ func TestBudgetedInterpsSharedCacheRace(t *testing.T) {
 
 // TestAllocGuardNumericLoopBudgeted proves armed budgets are free on the
 // hot path: the numeric-loop kernel keeps the same allocation ceiling as
-// the unbudgeted guards in alloc_guard_test.go, on both engines.
+// the unbudgeted guards in alloc_guard_test.go, on the VM and the reference.
 func TestAllocGuardNumericLoopBudgeted(t *testing.T) {
-	for _, eng := range bothEngines {
-		t.Run(eng.String(), func(t *testing.T) {
-			in := New(Options{WallBudget: time.Minute, MemBudget: 1 << 30, Engine: eng})
+	for _, eng := range engines {
+		t.Run(eng.name, func(t *testing.T) {
+			in := eng.new(Options{WallBudget: time.Minute, MemBudget: 1 << 30})
 			fn, err := in.Compile("loop", "local s = 0 for i = 1, 1000 do s = s + i end return s")
 			if err != nil {
 				t.Fatal(err)
@@ -247,7 +245,7 @@ func TestAllocGuardNumericLoopBudgeted(t *testing.T) {
 					t.Fatal(err)
 				}
 			}); allocs > 4 {
-				t.Fatalf("budgeted NumericLoop (%s): %.1f allocs/op, want <= 4 (budgets must add 0)", eng, allocs)
+				t.Fatalf("budgeted NumericLoop (%s): %.1f allocs/op, want <= 4 (budgets must add 0)", eng.name, allocs)
 			}
 		})
 	}

@@ -1,9 +1,12 @@
 package script
 
+import "fmt"
+
 // Bytecode compiler: lowers a slot-resolved funcProto to a flat register
 // instruction stream executed by vm.go. The compiler runs once per proto,
-// lazily on the first VM-engine call, and the result is cached on the proto
-// itself — so ChunkCache hits reuse compiled code across interpreters.
+// lazily on its first call, and the result is cached on the proto itself —
+// so ChunkCache hits reuse compiled code across interpreters. A proto over a
+// VM limit compiles to its ErrTooLarge, cached the same way.
 //
 // Register model. The resolver already assigned every unboxed local a flat
 // slot index (0..numSlots-1); those indices are used verbatim as the low
@@ -15,13 +18,14 @@ package script
 // becomes the frame's register count.
 //
 // Step/budget parity. The compiler emits an opStep at every statement entry
-// and at every loop head, exactly where the tree-walker calls frame.step —
-// so both engines charge identical step counts and trip budgets on the same
-// statement with the same source line. The differential corpus and
-// FuzzVMDiff compare error strings byte-for-byte on the strength of this.
+// and at every loop head, exactly where the reference interpreter
+// (reference_test.go) charges a step — so both charge identical step counts
+// and trip budgets on the same statement with the same source line. The
+// differential corpus and FuzzVMDiff compare error strings byte-for-byte on
+// the strength of this.
 //
 // Evaluation-order parity. Operands evaluate left to right exactly as the
-// tree-walker does. An operand already living in a local slot is used in
+// reference does. An operand already living in a local slot is used in
 // place only when no later operand of the same instruction can call script
 // code (which could mutate the slot through a closure); otherwise it is
 // copied to a temp at its evaluation point. Instructions write their
@@ -32,22 +36,12 @@ const (
 	// rkConst offsets constant-table indices in RK operands: an operand
 	// >= rkConst refers to consts[operand-rkConst], below it to a register.
 	rkConst = 1 << 24
-	// maxVMRegs bounds a frame's register file; pathological (fuzzed)
-	// functions beyond it fall back to the tree-walker.
+	// maxVMRegs bounds a frame's register file; a function beyond it (or
+	// beyond rkConst constants) compiles to ErrTooLarge.
 	maxVMRegs = 1 << 16
 )
 
-// vmUnsupported marks a proto the compiler bailed on; callVM falls back to
-// the tree-walker for it.
-var vmUnsupported = &vmCode{}
-
-// errVMUnsupported is panicked by the compiler on constructs it does not
-// lower (there are none today short of resource limits); compileProto
-// recovers it into the vmUnsupported sentinel.
-var errVMUnsupported = &RuntimeError{Msg: "script: vm compile fell back"}
-
-// forWhat indexes opCheckNum's operand-description strings, matching the
-// tree-walker's evalNumber call sites.
+// forWhat indexes opCheckNum's operand-description strings.
 var forWhat = [...]string{"'for' initial value", "'for' limit", "'for' step"}
 
 // protoCode returns the compiled code for p, compiling on first use. Protos
@@ -63,15 +57,6 @@ func protoCode(p *funcProto) *vmCode {
 }
 
 func compileProto(p *funcProto) (code *vmCode) {
-	defer func() {
-		if r := recover(); r != nil {
-			if r == errVMUnsupported { //nolint:errorlint // sentinel identity
-				code = vmUnsupported
-				return
-			}
-			panic(r)
-		}
-	}()
 	c := &compiler{
 		chunk:   p.chunk,
 		constIx: make(map[constKey]int32),
@@ -79,7 +64,17 @@ func compileProto(p *funcProto) (code *vmCode) {
 		free:    p.numSlots,
 		floor:   p.numSlots,
 		maxRegs: p.numSlots,
+		line:    p.line,
 	}
+	// The limit checks panic with ErrTooLarge; any other panic is a bug.
+	defer func() {
+		if r := recover(); r != nil {
+			if r != ErrTooLarge { //nolint:errorlint // sentinel identity
+				panic(r)
+			}
+			code = &vmCode{err: fmt.Errorf("%s:%d: %w", p.chunk, c.line, ErrTooLarge)}
+		}
+	}()
 	c.stmts(p.body.stmts)
 	c.emit(opReturnNone, 0, 0, 0, p.line)
 	return &vmCode{
@@ -112,6 +107,7 @@ type compiler struct {
 	free    int // next free temp register
 	floor   int // statement reset point; raised inside loops
 	maxRegs int
+	line    int // line of the statement being compiled, for ErrTooLarge
 
 	// breaks holds, per enclosing loop, the opJmp indices emitted by break
 	// statements, patched to the loop end on loop exit.
@@ -136,7 +132,7 @@ func (c *compiler) reserve(n int) int {
 	if c.free > c.maxRegs {
 		c.maxRegs = c.free
 		if c.maxRegs > maxVMRegs {
-			panic(errVMUnsupported)
+			panic(ErrTooLarge)
 		}
 	}
 	return base
@@ -153,7 +149,7 @@ func (c *compiler) reserveFloor(n int) int {
 	if c.floor > c.maxRegs {
 		c.maxRegs = c.floor
 		if c.maxRegs > maxVMRegs {
-			panic(errVMUnsupported)
+			panic(ErrTooLarge)
 		}
 	}
 	return base
@@ -166,7 +162,7 @@ func (c *compiler) constIdx(v Value) int32 {
 	}
 	i := int32(len(c.consts))
 	if i >= rkConst {
-		panic(errVMUnsupported)
+		panic(ErrTooLarge)
 	}
 	c.consts = append(c.consts, v)
 	c.constIx[k] = i
@@ -248,7 +244,7 @@ func isMultiExpr(e expr) bool {
 // volatile indicates that script code may run between this evaluation and
 // the consuming instruction (a later operand contains a call); in that case
 // an unboxed local is copied to a temp so the consuming instruction reads
-// the value as of now, exactly as the tree-walker would.
+// the value as of now, exactly as the reference would.
 func (c *compiler) operand(e expr, volatile bool) int {
 	if k, ok := c.constRK(e); ok {
 		return k
@@ -279,7 +275,8 @@ func (c *compiler) stmts(ss []stmt) {
 
 func (c *compiler) stmt(s stmt) {
 	c.free = c.floor
-	c.emit(opStep, 0, 0, 0, s.nodeLine())
+	c.line = s.nodeLine()
+	c.emit(opStep, 0, 0, 0, c.line)
 	switch st := s.(type) {
 	case *blockStmt:
 		c.stmts(st.stmts)
@@ -290,7 +287,7 @@ func (c *compiler) stmt(s stmt) {
 		pi := c.protoIdx(st.fn.proto)
 		if li.boxed {
 			// Box first (defined nil) so the function can recurse through
-			// its own cell, mirroring the tree-walker's define-then-fill.
+			// its own cell, mirroring the reference's define-then-fill.
 			c.emit(opNewBox, li.index, int(c.constIdx(Nil())), 0, st.line)
 			t := c.temp()
 			c.emit(opClosure, t, pi, 0, st.line)
@@ -321,14 +318,14 @@ func (c *compiler) stmt(s stmt) {
 	case *breakStmt:
 		if len(c.breaks) == 0 {
 			// A break with no enclosing loop exits the function with no
-			// values (the tree-walker's ctlBreak falls out of callClosure).
+			// values (the reference's ctlBreak falls out of its call).
 			c.emit(opReturnNone, 0, 0, 0, st.line)
 		} else {
 			j := c.emit(opJmp, 0, 0, 0, st.line)
 			c.breaks[len(c.breaks)-1] = append(c.breaks[len(c.breaks)-1], j)
 		}
 	default:
-		panic(errVMUnsupported)
+		panic(fmt.Sprintf("script: compile: unhandled statement %T", s))
 	}
 }
 
@@ -358,7 +355,7 @@ func (c *compiler) compileLocal(st *localStmt) {
 
 func (c *compiler) compileAssign(st *assignStmt) {
 	if len(st.targets) == 1 && len(st.exprs) == 1 {
-		// Value first, then target address — the tree-walker's order.
+		// Value first, then target address — the reference's order.
 		if ne, ok := st.targets[0].(*nameExpr); ok && ne.ref.kind == varLocal && !ne.ref.li.boxed {
 			c.exprTo(st.exprs[0], ne.ref.li.index)
 			return
@@ -397,13 +394,13 @@ func (c *compiler) assignTo(target expr, src int) {
 	case *indexExpr:
 		save := c.free
 		obj := c.regOperand(t.obj, hasCall(t.key))
-		// The tree-walker validates the object before evaluating the key.
+		// The reference validates the object before evaluating the key.
 		c.emit(opCheckTable, obj, 0, 0, t.line)
 		key := c.operand(t.key, false)
 		c.emit(opSetIndex, obj, key, src, t.line)
 		c.free = save
 	default:
-		panic(errVMUnsupported)
+		panic(fmt.Sprintf("script: compile: unhandled assignment target %T", target))
 	}
 }
 
@@ -460,7 +457,7 @@ func (c *compiler) compileIf(st *ifStmt) {
 
 func (c *compiler) compileWhile(st *whileStmt) {
 	head := len(c.ins)
-	c.emit(opStep, 0, 0, 0, st.line) // per-iteration charge, like frame.step in the exec loop
+	c.emit(opStep, 0, 0, 0, st.line) // per-iteration charge, as the reference's loop charges
 	c.free = c.floor
 	t := c.temp()
 	c.exprTo(st.cond, t)
@@ -648,14 +645,14 @@ func (c *compiler) exprTo(e expr, dst int) {
 		case tokHash:
 			op = opLen
 		default:
-			panic(errVMUnsupported)
+			panic(fmt.Sprintf("script: compile: unhandled unary operator %v", ex.op))
 		}
 		c.emit(op, dst, v, 0, ex.line)
 		c.free = save
 	case *binExpr:
 		c.binTo(ex, dst)
 	default:
-		panic(errVMUnsupported)
+		panic(fmt.Sprintf("script: compile: unhandled expression %T", e))
 	}
 }
 
@@ -710,7 +707,7 @@ func (c *compiler) binTo(ex *binExpr, dst int) {
 	case tokGe:
 		op = opGe
 	default:
-		panic(errVMUnsupported)
+		panic(fmt.Sprintf("script: compile: unhandled binary operator %v", ex.op))
 	}
 	save := c.free
 	lhs := c.operand(ex.lhs, hasCall(ex.rhs))
@@ -798,7 +795,7 @@ func (c *compiler) callInto(e expr, want int) int {
 	case *methodCallExpr:
 		method, objE, mname, args, line = true, ex.obj, ex.name, ex.args, ex.line
 	default:
-		panic(errVMUnsupported)
+		panic(fmt.Sprintf("script: compile: unhandled call %T", e))
 	}
 	if len(args) == 0 || !isMultiExpr(args[len(args)-1]) {
 		nf := 1

@@ -10,12 +10,12 @@ import (
 )
 
 // The differential corpus pins the observable semantics of the interpreter
-// across engine rewrites. The golden file was generated by the pre-resolver
-// tree walker (environment chains, string-keyed lookups); the resolver-based
-// engine must reproduce every result byte for byte. Regenerate only when the
-// *language* deliberately changes: go test ./internal/script -run
-// TestDifferentialCorpus -update-golden.
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/differential.golden from the current engine")
+// across executor rewrites. The golden file was generated by the
+// pre-resolver tree walker (environment chains, string-keyed lookups); the
+// VM and the reference interpreter must both reproduce every result byte for
+// byte. Regenerate only when the *language* deliberately changes: go test
+// ./internal/script -run TestDifferentialCorpus -update-golden.
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/differential.golden from the reference interpreter")
 
 type diffCase struct {
 	name  string
@@ -379,7 +379,7 @@ var diffCorpus = []diffCase{
 	// ---- hostile scripts under explicit budgets (PR 8 sandbox) ----
 	// Budget aborts are part of the observable semantics now: a shipped
 	// strategy that spins, allocates, or recurses without bound must fail
-	// with the same classified error on every engine.
+	// with the same classified error on the VM and the reference.
 	{name: "hostile-infinite-loop", opts: Options{MaxSteps: 10000},
 		src: `local i = 0 while true do i = i + 1 end`},
 	{name: "hostile-table-bomb", opts: Options{MaxSteps: -1, MemBudget: 1 << 16},
@@ -529,18 +529,16 @@ func renderValue(v Value, depth int) string {
 	return sb.String()
 }
 
-// runDiffCase evaluates a corpus case on the tree-walking reference engine;
-// the golden file is always generated from it. runDiffCaseEngine runs the
-// same case on an explicit engine so the verification loop can hold both
-// engines to one golden line.
+// runDiffCase evaluates a corpus case on the reference interpreter; the
+// golden file is always generated from it. runDiffCaseOn runs the same case
+// on an explicit executor so the verification loop can hold the VM and the
+// reference to one golden line.
 func runDiffCase(c diffCase) string {
-	return runDiffCaseEngine(c, EngineTreeWalk)
+	return runDiffCaseOn(c, newReference)
 }
 
-func runDiffCaseEngine(c diffCase, e Engine) string {
-	opts := c.opts
-	opts.Engine = e
-	in := New(opts)
+func runDiffCaseOn(c diffCase, newInterp func(Options) *Interp) string {
+	in := newInterp(c.opts)
 	if c.setup != nil {
 		c.setup(in)
 	}
@@ -588,10 +586,10 @@ func TestDifferentialCorpus(t *testing.T) {
 			t.Errorf("case %q missing from golden file (run -update-golden after reviewing)", c.name)
 			continue
 		}
-		for _, eng := range []Engine{EngineTreeWalk, EngineVM} {
-			if got := runDiffCaseEngine(c, eng); got != wantLine {
-				t.Errorf("case %q (engine %s) diverged from pre-resolver semantics:\n  got  %s\n  want %s",
-					c.name, eng, got, wantLine)
+		for _, eng := range engines {
+			if got := runDiffCaseOn(c, eng.new); got != wantLine {
+				t.Errorf("case %q (%s) diverged from pre-resolver semantics:\n  got  %s\n  want %s",
+					c.name, eng.name, got, wantLine)
 			}
 		}
 	}

@@ -66,13 +66,13 @@ func FuzzCompileResolve(f *testing.F) {
 }
 
 // fuzzPtr scrubs heap addresses (print(t) renders "table: 0xc000...")
-// before engine outputs are compared: the two engines necessarily build
+// before outputs are compared: the VM and the reference necessarily build
 // distinct table instances, so raw pointers always differ.
 var fuzzPtr = regexp.MustCompile(`0x[0-9a-f]+`)
 
 // fuzzRenderValue is an order-insensitive cousin of renderValue
 // (differential_test.go): Pairs orders table- and function-keyed entries by
-// pointer address, which is engine-instance-specific, so pair strings are
+// pointer address, which is instance-specific, so pair strings are
 // sorted per nesting level instead of trusting iteration order.
 func fuzzRenderValue(v Value, depth int) string {
 	t, ok := v.AsTable()
@@ -105,13 +105,15 @@ func fuzzRenderResult(vs []Value, err error) string {
 	return strings.Join(parts, " | ")
 }
 
-// FuzzVMDiff executes every fuzzed chunk on both engines — the bytecode VM
-// and the tree-walking reference — and requires identical results, error
-// strings, and print() output. This is the differential corpus's hostile
-// sibling: the fixed corpus pins the cases we thought of, the fuzzer hunts
-// for evaluation-order, budget-placement, or register-clobber divergences
-// we did not. Budgets are armed so bombs terminate deterministically on
-// both sides (budget error text is position-stamped and must also match).
+// FuzzVMDiff executes every fuzzed chunk on the bytecode VM and on the
+// tree-walking reference and requires identical results, error strings, and
+// print() output. This is the differential corpus's hostile sibling: the
+// fixed corpus pins the cases we thought of, the fuzzer hunts for
+// evaluation-order, budget-placement, or register-clobber divergences we did
+// not. Budgets are armed so bombs terminate deterministically on both sides
+// (budget error text is position-stamped and must also match). A chunk the
+// VM rejects with ErrTooLarge is skipped: that limit is documented, and the
+// reference has none.
 func FuzzVMDiff(f *testing.F) {
 	seeds := []string{
 		"return 1 + 2 * 3",
@@ -142,14 +144,13 @@ func FuzzVMDiff(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		run := func(e Engine) (string, string, error) {
+		run := func(newInterp func(Options) *Interp) (string, string, error) {
 			var buf bytes.Buffer
-			in := New(Options{
+			in := newInterp(Options{
 				MaxSteps:  20_000,
 				MemBudget: 1 << 20,
 				CacheSize: -1,
 				Stdout:    &buf,
-				Engine:    e,
 			})
 			fn, err := in.Compile("fuzz", src)
 			if err != nil {
@@ -158,10 +159,10 @@ func FuzzVMDiff(f *testing.F) {
 			vs, callErr := in.Call(fn, []Value{Number(1), String("arg")})
 			return fuzzRenderResult(vs, callErr), fuzzPtr.ReplaceAllString(buf.String(), "0xPTR"), nil
 		}
-		vmRes, vmOut, vmCompileErr := run(EngineVM)
-		twRes, twOut, twCompileErr := run(EngineTreeWalk)
-		// Compilation is engine-independent (shared lex/parse/resolve), so a
-		// compile error on one side must appear on the other verbatim.
+		vmRes, vmOut, vmCompileErr := run(New)
+		twRes, twOut, twCompileErr := run(newReference)
+		// Compilation is shared (lex/parse/resolve), so a compile error on
+		// one side must appear on the other verbatim.
 		if (vmCompileErr == nil) != (twCompileErr == nil) {
 			t.Fatalf("compile divergence: vm=%v treewalk=%v", vmCompileErr, twCompileErr)
 		}
@@ -169,6 +170,10 @@ func FuzzVMDiff(f *testing.F) {
 			if vmCompileErr.Error() != twCompileErr.Error() {
 				t.Fatalf("compile error text divergence:\n  vm       %v\n  treewalk %v", vmCompileErr, twCompileErr)
 			}
+			return
+		}
+		tooLarge := ErrTooLarge.Error()
+		if strings.Contains(vmRes+vmOut, tooLarge) && !strings.Contains(twRes+twOut, tooLarge) {
 			return
 		}
 		if vmRes != twRes {

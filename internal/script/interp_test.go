@@ -487,6 +487,39 @@ func TestStepBudgetNotCatchableByPcall(t *testing.T) {
 	}
 }
 
+// TestTooLargeFunction pins the VM's one resource limit: a function that
+// needs more than maxVMRegs registers fails every call with a positioned
+// ErrTooLarge, an ordinary error that pcall catches. The reference
+// interpreter has no such limit and runs the same call.
+func TestTooLargeFunction(t *testing.T) {
+	call := "f(" + strings.Repeat("1, ", 69_999) + "1)"
+	argc := Func("f", func(_ *Interp, args []Value) ([]Value, error) {
+		return []Value{Int(len(args))}, nil
+	})
+	in := New(Options{})
+	in.SetGlobal("f", argc)
+	for i := 0; i < 2; i++ { // the second Eval hits the cached proto and its cached error
+		_, err := in.Eval("big", "local n = 0\nreturn "+call)
+		if !errors.Is(err, ErrTooLarge) || !strings.HasPrefix(err.Error(), "big:2: ") {
+			t.Fatalf("eval %d: err = %v, want big:2: ErrTooLarge", i, err)
+		}
+	}
+	vs, err := in.Eval("big", "return pcall(function()\nreturn "+call+" end)")
+	if err != nil {
+		t.Fatalf("pcall did not catch ErrTooLarge: %v", err)
+	}
+	if len(vs) != 2 || vs[0].Truthy() || vs[1].ToString() != "big:2: "+ErrTooLarge.Error() {
+		t.Fatalf("pcall = %v, want false, big:2: %v", vs, ErrTooLarge)
+	}
+
+	ref := newReference(Options{})
+	ref.SetGlobal("f", argc)
+	vs, err = ref.Eval("big", "return "+call)
+	if err != nil || len(vs) != 1 || vs[0].Num() != 70_000 {
+		t.Fatalf("reference = %v, %v; want 70000", vs, err)
+	}
+}
+
 func TestCallStackOverflow(t *testing.T) {
 	in := New(Options{})
 	_, err := in.Eval("t", `

@@ -11,12 +11,14 @@
 // multiple return values, and a sandboxed global environment into which the
 // host injects primitives.
 //
-// The interpreter is a tree walker with a per-call step budget so that code
-// received from remote, semi-trusted peers cannot spin a monitor forever.
-// Compilation runs parse → resolve (resolve.go turns every variable
-// reference into an integer slot, box or upvalue index and folds constant
-// subexpressions) → a content-addressed chunk cache (cache.go), so sources
-// that arrive repeatedly over the wire compile once.
+// The interpreter is a register VM with per-call step, wall-clock and
+// memory budgets so that code received from remote, semi-trusted peers
+// cannot spin a monitor forever. Compilation runs parse → resolve
+// (resolve.go turns every variable reference into an integer slot, box or
+// upvalue index and folds constant subexpressions) → a content-addressed
+// chunk cache (cache.go), so sources that arrive repeatedly over the wire
+// compile once; each function is lowered to bytecode (compile.go) on its
+// first call and run by vm.go.
 //
 // # Concurrency
 //
@@ -109,8 +111,8 @@ func (c *Closure) Name() string {
 
 // Value is a dynamically typed script value. The zero Value is nil.
 //
-// The layout is deliberately tight (64 bytes): the tree walker passes and
-// copies Values on every expression, so the rare object-reference payload
+// The layout is deliberately tight (64 bytes): the VM copies Values between
+// registers on nearly every instruction, so the rare object-reference payload
 // lives behind a pointer instead of inlining wire.ObjRef's two strings.
 type Value struct {
 	n    float64

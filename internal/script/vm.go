@@ -1,7 +1,6 @@
 package script
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 )
@@ -9,14 +8,16 @@ import (
 // Register VM executing the bytecode produced by compile.go. The dispatch
 // loop is a single switch inside a pc loop; Go compiles it to a jump table.
 //
-// Semantics contract: this engine is observationally identical to the
-// tree-walker — same values, same error strings with the same source
+// The VM is the only executor. Semantics contract: it is observationally
+// identical to the tree-walking reference interpreter kept in
+// reference_test.go — same values, same error strings with the same source
 // positions, same step/wall/memory budget charges at the same program
 // points, same evaluation order and side-effect order. TestDifferentialCorpus
-// runs the full golden corpus on both engines and FuzzVMDiff cross-checks
-// arbitrary chunks, so any divergence is a bug here or in compile.go.
+// runs the full golden corpus on both and FuzzVMDiff cross-checks arbitrary
+// chunks, so any divergence is a bug here or in compile.go. The one
+// documented difference is ErrTooLarge: the reference has no resource limits.
 //
-// Budget placement mirrors the tree-walker exactly: opStep at statement
+// Budget placement mirrors the reference exactly: opStep at statement
 // entries and loop heads increments the shared step counter, checks the
 // step budget, and every budgetCheckInterval steps consults the
 // context/wall-clock deadline (the amortized 1/1024 interrupt poll).
@@ -59,13 +60,13 @@ const (
 	opGt     // regs[a] = rk(b) > rk(c)
 	opGe     // regs[a] = rk(b) >= rk(c)
 
-	opGetIndex   // regs[a] = regs[b][rk(c)]
-	opCheckTable // error unless regs[a] is a table (assignment target)
-	opSetIndex   // regs[a][rk(b)] = rk(c), charges memEntryCost
-	opNewTable   // regs[a] = {}, charges memTableCost + b*memEntryCost upfront
-	opAppend     // regs[a]:append(rk(b)), no charge (prepaid by opNewTable)
+	opGetIndex      // regs[a] = regs[b][rk(c)]
+	opCheckTable    // error unless regs[a] is a table (assignment target)
+	opSetIndex      // regs[a][rk(b)] = rk(c), charges memEntryCost
+	opNewTable      // regs[a] = {}, charges memTableCost + b*memEntryCost upfront
+	opAppend        // regs[a]:append(rk(b)), no charge (prepaid by opNewTable)
 	opAppendScratch // pop mark; charge and append scratch values to regs[a]
-	opTabSet     // regs[a][rk(b)] = rk(c) in a constructor, no charge
+	opTabSet        // regs[a][rk(b)] = rk(c) in a constructor, no charge
 
 	opJmp      // pc = a
 	opJmpIf    // if regs[a] truthy then pc = b
@@ -103,8 +104,10 @@ type instr struct {
 }
 
 // vmCode is a compiled funcProto: flat code, constants, global-name and
-// nested-proto tables, and the frame's register count.
+// nested-proto tables, and the frame's register count — or, for a proto
+// over a VM limit, only err, the ErrTooLarge every call returns.
 type vmCode struct {
+	err     error
 	chunk   string
 	ins     []instr
 	consts  []Value
@@ -127,7 +130,7 @@ type vmFrame struct {
 var vmFramePool = sync.Pool{New: func() any { return &vmFrame{} }}
 
 // putVMFrame recycles a frame, clearing value references so pooled frames
-// do not pin tables or closures against the GC (mirrors putFrame).
+// do not pin tables or closures against the GC.
 func putVMFrame(f *vmFrame) {
 	r := f.regs[:cap(f.regs)]
 	clear(r)
@@ -150,44 +153,18 @@ func vmRK(regs, consts []Value, x int32) Value {
 	return regs[x]
 }
 
-func vmRTErr(chunk string, line int32, format string, args ...any) error {
-	return &RuntimeError{Chunk: chunk, Line: int(line), Msg: fmt.Sprintf(format, args...)}
-}
-
-// vmWrapCallErr is frame.wrapCallErr for the VM: attach a position to
-// errors that lack one, pass budget/cancellation errors through unwrapped.
-func vmWrapCallErr(chunk string, line int32, err error) error {
-	var rt *RuntimeError
-	if errors.As(err, &rt) {
-		return err
-	}
-	var syn *SyntaxError
-	if errors.As(err, &syn) {
-		return err
-	}
-	if IsBudgetError(err) {
-		return err
-	}
-	return &RuntimeError{Chunk: chunk, Line: int(line), Msg: err.Error()}
-}
-
-// callVM executes cl with the VM engine, appending results to *out. The
-// caller owns *out; script→script calls pass the caller frame's scratch
-// stack so no per-call result slice is allocated.
+// callVM executes cl, appending results to *out. The caller owns *out;
+// script→script calls pass the caller frame's scratch stack so no per-call
+// result slice is allocated.
 func (in *Interp) callVM(cl *Closure, args []Value, depth int, out *[]Value) error {
 	p := cl.proto
 	code := protoCode(p)
-	if code == vmUnsupported {
-		vs, err := in.callClosureTree(cl, args, depth)
-		if err != nil {
-			return err
-		}
-		*out = append(*out, vs...)
-		return nil
+	if code.err != nil {
+		return code.err
 	}
-	// Frame storage is charged with the tree-walker's model numbers
-	// (slots+boxes, not the VM's register count) so memory-budget trips
-	// are bit-identical across engines.
+	// Frame storage is charged with the resolver's model numbers
+	// (slots+boxes, not the VM's register count), as the reference
+	// interpreter charges it, so memory-budget trips match it bit for bit.
 	if in.memBudget > 0 {
 		if err := in.chargeMem(p.numSlots*memValueCost + p.numBoxes*(memValueCost+8)); err != nil {
 			return err
@@ -234,7 +211,7 @@ func (in *Interp) callVM(cl *Closure, args []Value, depth int, out *[]Value) err
 // Script callees receive args as-is — a borrowed register window or scratch
 // segment; they copy params into their own frame before the caller resumes.
 // GoFunc callees get a leaked pooled copy because builtins such as assert()
-// retain their argument slice — exactly the tree-walker's buffer discipline.
+// retain their argument slice.
 func (in *Interp) vmDoCall(fr *vmFrame, fn Value, args []Value, regs []Value, dst, want, depth int, out *[]Value) ([]Value, error) {
 	if depth+1 > maxCallDepth {
 		return nil, &RuntimeError{Msg: "call stack overflow"}
@@ -359,47 +336,47 @@ func (in *Interp) runVM(fr *vmFrame, cl *Closure, code *vmCode, depth int, out *
 			if x.kind == KindNumber && y.kind == KindNumber {
 				regs[i.a] = Number(x.n + y.n)
 			} else {
-				return vmArithErr(chunk, i.line, x, y)
+				return arithErr(chunk, int(i.line), x, y)
 			}
 		case opSub:
 			x, y := vmRK(regs, consts, i.b), vmRK(regs, consts, i.c)
 			if x.kind == KindNumber && y.kind == KindNumber {
 				regs[i.a] = Number(x.n - y.n)
 			} else {
-				return vmArithErr(chunk, i.line, x, y)
+				return arithErr(chunk, int(i.line), x, y)
 			}
 		case opMul:
 			x, y := vmRK(regs, consts, i.b), vmRK(regs, consts, i.c)
 			if x.kind == KindNumber && y.kind == KindNumber {
 				regs[i.a] = Number(x.n * y.n)
 			} else {
-				return vmArithErr(chunk, i.line, x, y)
+				return arithErr(chunk, int(i.line), x, y)
 			}
 		case opDiv:
 			x, y := vmRK(regs, consts, i.b), vmRK(regs, consts, i.c)
 			if x.kind == KindNumber && y.kind == KindNumber {
 				regs[i.a] = Number(x.n / y.n)
 			} else {
-				return vmArithErr(chunk, i.line, x, y)
+				return arithErr(chunk, int(i.line), x, y)
 			}
 		case opMod:
 			x, y := vmRK(regs, consts, i.b), vmRK(regs, consts, i.c)
 			if x.kind == KindNumber && y.kind == KindNumber {
 				regs[i.a] = Number(x.n - floorDiv(x.n, y.n)*y.n)
 			} else {
-				return vmArithErr(chunk, i.line, x, y)
+				return arithErr(chunk, int(i.line), x, y)
 			}
 		case opPow:
 			x, y := vmRK(regs, consts, i.b), vmRK(regs, consts, i.c)
 			if x.kind == KindNumber && y.kind == KindNumber {
 				regs[i.a] = Number(pow(x.n, y.n))
 			} else {
-				return vmArithErr(chunk, i.line, x, y)
+				return arithErr(chunk, int(i.line), x, y)
 			}
 		case opUnm:
 			x := vmRK(regs, consts, i.b)
 			if x.kind != KindNumber {
-				return vmRTErr(chunk, i.line, "attempt to negate a %s value", x.Kind())
+				return rtErr(chunk, int(i.line), "attempt to negate a %s value", x.Kind())
 			}
 			regs[i.a] = Number(-x.n)
 		case opNot:
@@ -412,16 +389,16 @@ func (in *Interp) runVM(fr *vmFrame, cl *Closure, code *vmCode, depth int, out *
 			case KindTable:
 				regs[i.a] = Int(x.t.Len())
 			default:
-				return vmRTErr(chunk, i.line, "attempt to get length of a %s value", x.Kind())
+				return rtErr(chunk, int(i.line), "attempt to get length of a %s value", x.Kind())
 			}
 		case opConcat:
 			x, y := vmRK(regs, consts, i.b), vmRK(regs, consts, i.c)
 			ls, lok := concatString(x)
 			rs, rok := concatString(y)
 			if !lok || !rok {
-				return vmRTErr(chunk, i.line, "attempt to concatenate a %s value", pickBadKind(x, y, lok))
+				return rtErr(chunk, int(i.line), "attempt to concatenate a %s value", pickBadKind(x, y, lok))
 			}
-			if err := in.vmChargeMem(chunk, i.line, len(ls)+len(rs)); err != nil {
+			if err := in.chargeMemAt(chunk, int(i.line), len(ls)+len(rs)); err != nil {
 				return err
 			}
 			regs[i.a] = String(ls + rs)
@@ -433,28 +410,28 @@ func (in *Interp) runVM(fr *vmFrame, cl *Closure, code *vmCode, depth int, out *
 			x, y := vmRK(regs, consts, i.b), vmRK(regs, consts, i.c)
 			res, ok := compareValues(x, y)
 			if !ok {
-				return vmRTErr(chunk, i.line, "attempt to compare %s with %s", x.Kind(), y.Kind())
+				return rtErr(chunk, int(i.line), "attempt to compare %s with %s", x.Kind(), y.Kind())
 			}
 			regs[i.a] = Bool(res < 0)
 		case opLe:
 			x, y := vmRK(regs, consts, i.b), vmRK(regs, consts, i.c)
 			res, ok := compareValues(x, y)
 			if !ok {
-				return vmRTErr(chunk, i.line, "attempt to compare %s with %s", x.Kind(), y.Kind())
+				return rtErr(chunk, int(i.line), "attempt to compare %s with %s", x.Kind(), y.Kind())
 			}
 			regs[i.a] = Bool(res <= 0)
 		case opGt:
 			x, y := vmRK(regs, consts, i.b), vmRK(regs, consts, i.c)
 			res, ok := compareValues(x, y)
 			if !ok {
-				return vmRTErr(chunk, i.line, "attempt to compare %s with %s", x.Kind(), y.Kind())
+				return rtErr(chunk, int(i.line), "attempt to compare %s with %s", x.Kind(), y.Kind())
 			}
 			regs[i.a] = Bool(res > 0)
 		case opGe:
 			x, y := vmRK(regs, consts, i.b), vmRK(regs, consts, i.c)
 			res, ok := compareValues(x, y)
 			if !ok {
-				return vmRTErr(chunk, i.line, "attempt to compare %s with %s", x.Kind(), y.Kind())
+				return rtErr(chunk, int(i.line), "attempt to compare %s with %s", x.Kind(), y.Kind())
 			}
 			regs[i.a] = Bool(res >= 0)
 
@@ -467,25 +444,25 @@ func (in *Interp) runVM(fr *vmFrame, cl *Closure, code *vmCode, depth int, out *
 			case KindString:
 				lib, ok := in.globals.GetString("string").AsTable()
 				if !ok {
-					return vmRTErr(chunk, i.line, "attempt to index a string value")
+					return rtErr(chunk, int(i.line), "attempt to index a string value")
 				}
 				regs[i.a] = lib.Get(key)
 			default:
-				return vmRTErr(chunk, i.line, "attempt to index a %s value (key %s)", obj.Kind(), key.ToString())
+				return rtErr(chunk, int(i.line), "attempt to index a %s value (key %s)", obj.Kind(), key.ToString())
 			}
 		case opCheckTable:
 			if obj := regs[i.a]; obj.kind != KindTable {
-				return vmRTErr(chunk, i.line, "attempt to index a %s value", obj.Kind())
+				return rtErr(chunk, int(i.line), "attempt to index a %s value", obj.Kind())
 			}
 		case opSetIndex:
-			if err := in.vmChargeMem(chunk, i.line, memEntryCost); err != nil {
+			if err := in.chargeMemAt(chunk, int(i.line), memEntryCost); err != nil {
 				return err
 			}
 			if err := regs[i.a].t.Set(vmRK(regs, consts, i.b), vmRK(regs, consts, i.c)); err != nil {
-				return vmRTErr(chunk, i.line, "%v", err)
+				return rtErr(chunk, int(i.line), "%v", err)
 			}
 		case opNewTable:
-			if err := in.vmChargeMem(chunk, i.line, memTableCost+int(i.b)*memEntryCost); err != nil {
+			if err := in.chargeMemAt(chunk, int(i.line), memTableCost+int(i.b)*memEntryCost); err != nil {
 				return err
 			}
 			regs[i.a] = TableVal(NewTable())
@@ -495,7 +472,7 @@ func (in *Interp) runVM(fr *vmFrame, cl *Closure, code *vmCode, depth int, out *
 			m := fr.marks[len(fr.marks)-1]
 			fr.marks = fr.marks[:len(fr.marks)-1]
 			vs := fr.scratch[m:]
-			if err := in.vmChargeMem(chunk, i.line, len(vs)*memEntryCost); err != nil {
+			if err := in.chargeMemAt(chunk, int(i.line), len(vs)*memEntryCost); err != nil {
 				fr.scratch = fr.scratch[:m]
 				return err
 			}
@@ -506,7 +483,7 @@ func (in *Interp) runVM(fr *vmFrame, cl *Closure, code *vmCode, depth int, out *
 			fr.scratch = fr.scratch[:m]
 		case opTabSet:
 			if err := regs[i.a].t.Set(vmRK(regs, consts, i.b), vmRK(regs, consts, i.c)); err != nil {
-				return vmRTErr(chunk, i.line, "%v", err)
+				return rtErr(chunk, int(i.line), "%v", err)
 			}
 
 		case opJmp:
@@ -548,14 +525,14 @@ func (in *Interp) runVM(fr *vmFrame, cl *Closure, code *vmCode, depth int, out *
 				}
 			}
 			if fn.IsNil() {
-				return vmRTErr(chunk, i.line, "attempt to call method %q on a %s value", name, obj.Kind())
+				return rtErr(chunk, int(i.line), "attempt to call method %q on a %s value", name, obj.Kind())
 			}
 			regs[i.a] = fn
 
 		case opCall:
 			base := int(i.a)
 			if _, err := in.vmDoCall(fr, regs[base], regs[base+1:base+1+int(i.b)], regs, base, int(i.c), depth, out); err != nil {
-				return vmWrapCallErr(chunk, i.line, err)
+				return wrapCallErr(chunk, int(i.line), err)
 			}
 		case opCallScratch:
 			m := fr.marks[len(fr.marks)-1]
@@ -564,7 +541,7 @@ func (in *Interp) runVM(fr *vmFrame, cl *Closure, code *vmCode, depth int, out *
 			_, err := in.vmDoCall(fr, regs[i.a], fr.scratch[m:], regs, int(i.b), int(i.c), depth, out)
 			if err != nil {
 				fr.scratch = fr.scratch[:m]
-				return vmWrapCallErr(chunk, i.line, err)
+				return wrapCallErr(chunk, int(i.line), err)
 			}
 			if int(i.c) == wantScratch {
 				// Compact the results down over the consumed arguments.
@@ -576,7 +553,7 @@ func (in *Interp) runVM(fr *vmFrame, cl *Closure, code *vmCode, depth int, out *
 		case opCallRet:
 			base := int(i.a)
 			if _, err := in.vmDoCall(fr, regs[base], regs[base+1:base+1+int(i.b)], regs, base, wantRet, depth, out); err != nil {
-				return vmWrapCallErr(chunk, i.line, err)
+				return wrapCallErr(chunk, int(i.line), err)
 			}
 			return nil
 		case opCallScratchRet:
@@ -585,7 +562,7 @@ func (in *Interp) runVM(fr *vmFrame, cl *Closure, code *vmCode, depth int, out *
 			_, err := in.vmDoCall(fr, regs[i.a], fr.scratch[m:], regs, 0, wantRet, depth, out)
 			if err != nil {
 				fr.scratch = fr.scratch[:m]
-				return vmWrapCallErr(chunk, i.line, err)
+				return wrapCallErr(chunk, int(i.line), err)
 			}
 			return nil
 
@@ -593,14 +570,14 @@ func (in *Interp) runVM(fr *vmFrame, cl *Closure, code *vmCode, depth int, out *
 			v := regs[i.a]
 			n, ok := v.AsNumber()
 			if !ok {
-				return vmRTErr(chunk, i.line, "%s must be a number (got %s)", forWhat[i.b], v.Kind())
+				return rtErr(chunk, int(i.line), "%s must be a number (got %s)", forWhat[i.b], v.Kind())
 			}
 			regs[i.a] = Number(n)
 		case opForPrep:
 			base := i.a
 			step := regs[base+2].n
 			if step == 0 {
-				return vmRTErr(chunk, i.line, "'for' step is zero")
+				return rtErr(chunk, int(i.line), "'for' step is zero")
 			}
 			iv, limit := regs[base].n, regs[base+1].n
 			if !((step > 0 && iv <= limit) || (step < 0 && iv >= limit)) {
@@ -630,7 +607,7 @@ func (in *Interp) runVM(fr *vmFrame, cl *Closure, code *vmCode, depth int, out *
 				fr.scratch = append(fr.scratch, regs[base+1], regs[base+2])
 				if err := in.callVM(iter.cl, fr.scratch[m:m+2], depth+1, &fr.scratch); err != nil {
 					fr.scratch = fr.scratch[:m]
-					return err // iterator errors propagate unwrapped, as in execGenFor
+					return err // iterator errors propagate unwrapped
 				}
 				rets = fr.scratch[m+2:]
 			case iter.gf != nil:
@@ -682,25 +659,7 @@ func (in *Interp) runVM(fr *vmFrame, cl *Closure, code *vmCode, depth int, out *
 			return nil
 
 		default:
-			return vmRTErr(chunk, i.line, "unhandled opcode %d", i.op)
+			return rtErr(chunk, int(i.line), "unhandled opcode %d", i.op)
 		}
 	}
-}
-
-func vmArithErr(chunk string, line int32, x, y Value) error {
-	return vmRTErr(chunk, line, "attempt to perform arithmetic on a %s value",
-		pickBadKind(x, y, x.kind == KindNumber))
-}
-
-// vmChargeMem is Interp.chargeMem with the VM's source position attached to
-// the budget error (mirrors frame.chargeMem).
-func (in *Interp) vmChargeMem(chunk string, line int32, n int) error {
-	if in.memBudget <= 0 {
-		return nil
-	}
-	in.mem += int64(n)
-	if in.mem > in.memBudget {
-		return fmt.Errorf("%s:%d: %w", chunk, line, ErrMemBudget)
-	}
-	return nil
 }

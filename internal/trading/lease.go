@@ -3,7 +3,6 @@ package trading
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"autoadapt/internal/clock"
@@ -53,8 +52,8 @@ func (r *offerRecord) expired(now time.Time) bool {
 }
 
 // SetClock replaces the trader's time source (default clock.Real{}).
-// Call it before exporting offers; tests use a clock.Sim to drive lease
-// expiry deterministically.
+// Call it before exporting offers and before StartReaper, which reads the
+// clock once; tests use a clock.Sim to drive lease expiry deterministically.
 func (t *Trader) SetClock(c clock.Clock) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -158,44 +157,16 @@ func (t *Trader) Reap() int {
 	return n
 }
 
-// StartReaper runs Reap every interval on the trader's clock until the
-// returned stop function is called. stop is idempotent and blocks until
-// the reaper goroutine has exited.
+// StartReaper runs Reap every interval (default 1s) on the trader's clock
+// until the returned stop function is called; see clock.Every.
 func (t *Trader) StartReaper(interval time.Duration) (stop func()) {
 	if interval <= 0 {
 		interval = time.Second
 	}
-	stopCh := make(chan struct{})
-	done := make(chan struct{})
-	// The first timer is armed before StartReaper returns, so a caller
-	// driving a simulated clock can Advance immediately afterwards.
 	t.mu.RLock()
 	clk := t.clk
 	t.mu.RUnlock()
-	ch, cancel := clk.After(interval)
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-ch:
-				t.Reap()
-			case <-stopCh:
-				cancel()
-				return
-			}
-			t.mu.RLock()
-			clk := t.clk
-			t.mu.RUnlock()
-			ch, cancel = clk.After(interval)
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			close(stopCh)
-			<-done
-		})
-	}
+	return clock.Every(clk, interval, func() { t.Reap() })
 }
 
 // noteResolveOutcomes folds one query's per-offer resolution outcomes into

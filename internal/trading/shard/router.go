@@ -563,41 +563,18 @@ func (r *Router) Probe(ctx context.Context) {
 }
 
 // StartProbe runs Probe every interval (default 2s) on Options.Clock, each
-// tick bounded by interval, until the returned stop function is called.
-// stop is idempotent and blocks until the loop goroutine has exited. It is
-// meant for routers over remote primaries (*trading.Lookup); in-process
-// shards cannot transport-fault.
+// tick bounded by interval, until the returned stop function is called; see
+// clock.Every. It is meant for routers over remote primaries
+// (*trading.Lookup); in-process shards cannot transport-fault.
 func (r *Router) StartProbe(interval time.Duration) (stop func()) {
 	if interval <= 0 {
 		interval = 2 * time.Second
 	}
-	stopCh := make(chan struct{})
-	done := make(chan struct{})
-	// The first timer is armed before StartProbe returns, so a caller
-	// driving a simulated clock can Advance immediately afterwards.
-	tick, cancel := r.opts.Clock.After(interval)
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-tick:
-				ctx, cancelCtx := context.WithTimeout(context.Background(), interval)
-				r.Probe(ctx)
-				cancelCtx()
-			case <-stopCh:
-				cancel()
-				return
-			}
-			tick, cancel = r.opts.Clock.After(interval)
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			close(stopCh)
-			<-done
-		})
-	}
+	return clock.Every(r.opts.Clock, interval, func() {
+		ctx, cancel := context.WithTimeout(context.Background(), interval)
+		defer cancel()
+		r.Probe(ctx)
+	})
 }
 
 // transportFault reports whether err indicts the shard's transport rather
