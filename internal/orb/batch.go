@@ -3,6 +3,7 @@ package orb
 import (
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,15 +27,25 @@ type connWriter struct {
 // writeFrame sends one complete frame (header + payload, see
 // wire.FrameBuffer.Frame): queued when batching is enabled — the flush
 // applies the batch's own write timeout — and otherwise written under the
-// write lock, bounded by deadline when non-zero.
+// write lock, bounded by deadline when non-zero. A deadline that passed
+// while the caller queued for the lock fails with errWriteExpired before
+// any byte of frame is written.
 func (w *connWriter) writeFrame(frame []byte, deadline time.Time) error {
 	if w.batch != nil {
 		return w.batch.add(frame)
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if !deadline.IsZero() && !time.Now().Before(deadline) {
+		return errWriteExpired
+	}
 	return w.writeLocked(frame, deadline)
 }
+
+// errWriteExpired reports a frame never written because its deadline had
+// passed: the stream is intact. It matches os.ErrDeadlineExceeded, as the
+// failed Write it stands in for would.
+var errWriteExpired = fmt.Errorf("orb: write deadline passed before the write: %w", os.ErrDeadlineExceeded)
 
 // writeLocked sends p in one Write; the caller holds w.mu. The deadline is
 // set and cleared inside the lock, so concurrent writers' deadlines never

@@ -775,16 +775,22 @@ func (cc *clientConn) read(self *pendingCall) {
 // send writes the frame encoded in fb and returns fb to its pool. A frame
 // over wire.MaxFrameSize is refused before anything can reach the wire or
 // the batch: that is a local encode error and the connection, with every
-// sibling in flight on it, stays alive. A write failure kills the connection
-// (the stream position is undefined). Direct writes are bounded by the
-// tighter of deadline and the client's write timeout, so a stuck peer cannot
-// hold the write lock forever; batched ones by the flush's own timeout.
+// sibling in flight on it, stays alive. So does the caller's own deadline
+// passing while it queued for the write lock behind a slow write: nothing
+// was written, and only this call fails, with context.DeadlineExceeded.
+// Any other write failure kills the connection (the stream position is
+// undefined) — the client's write timeout lapsing included, since that
+// bound exists to tear down a peer that stopped reading. Direct writes are
+// bounded by the tighter of deadline and that timeout, so a stuck peer
+// cannot hold the write lock forever; batched ones by the flush's own
+// timeout.
 func (cc *clientConn) send(fb *wire.FrameBuffer, deadline time.Time) error {
 	defer wire.PutFrameBuffer(fb)
 	frame, err := fb.Frame()
 	if err != nil {
 		return err
 	}
+	own := deadline
 	if wt := cc.c.writeTimeout; wt > 0 && cc.w.batch == nil {
 		bound := time.Now().Add(wt)
 		if deadline.IsZero() || bound.Before(deadline) {
@@ -792,6 +798,9 @@ func (cc *clientConn) send(fb *wire.FrameBuffer, deadline time.Time) error {
 		}
 	}
 	if err = cc.w.writeFrame(frame, deadline); err != nil {
+		if errors.Is(err, errWriteExpired) && deadline.Equal(own) {
+			return fmt.Errorf("orb: write: %w", context.DeadlineExceeded)
+		}
 		cc.close(fmt.Errorf("orb: write failed: %w", err))
 	}
 	return err

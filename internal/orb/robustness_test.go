@@ -352,6 +352,85 @@ func TestAbandonedDialDoesNotFailWaiters(t *testing.T) {
 	}
 }
 
+// firstWriteHeld holds the first Write on any of its connections until
+// release is closed, and counts dials.
+type firstWriteHeld struct {
+	inner   *InprocNetwork
+	held    chan struct{} // closed when the first Write begins
+	release chan struct{}
+	writes  atomic.Int64
+	dials   atomic.Int64
+}
+
+func (f *firstWriteHeld) Name() string                      { return f.inner.Name() }
+func (f *firstWriteHeld) Listen(a string) (Listener, error) { return f.inner.Listen(a) }
+func (f *firstWriteHeld) Dial(a string) (net.Conn, error) {
+	f.dials.Add(1)
+	c, err := f.inner.Dial(a)
+	if err != nil {
+		return nil, err
+	}
+	return &heldConn{Conn: c, f: f}, nil
+}
+
+type heldConn struct {
+	net.Conn
+	f *firstWriteHeld
+}
+
+func (c *heldConn) Write(p []byte) (int, error) {
+	if c.f.writes.Add(1) == 1 {
+		close(c.f.held)
+		<-c.f.release
+	}
+	return c.Conn.Write(p)
+}
+
+// TestExpiredWriteDeadlineSparesSiblings: a caller whose deadline lapses
+// while it queues for the write lock behind a slow write fails alone, with
+// DeadlineExceeded. Not a byte of its frame went out, so the connection —
+// and the call whose write it waited behind — lives on.
+func TestExpiredWriteDeadlineSparesSiblings(t *testing.T) {
+	inner := NewInprocNetwork()
+	hnet := &firstWriteHeld{inner: inner, held: make(chan struct{}), release: make(chan struct{})}
+	srv, err := NewServer(ServerOptions{Network: inner, Address: "held-write"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ref := srv.Register("echo", "", echoServant())
+	client := NewClient(hnet)
+	defer client.Close()
+
+	first := make(chan error, 1)
+	go func() {
+		_, err := client.Invoke(context.Background(), ref, "echo", wire.Int(1))
+		first <- err
+	}()
+	<-hnet.held // the first call's frame is in Write, under the write lock
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	second := make(chan error, 1)
+	go func() {
+		_, err := client.Invoke(ctx, ref, "echo", wire.Int(2))
+		second <- err
+	}()
+	<-ctx.Done() // the second caller's deadline lapses while it waits for the lock
+	close(hnet.release)
+	if err := <-first; err != nil {
+		t.Fatalf("the call whose write was held: %v", err)
+	}
+	if err := <-second; !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("the expired caller: err = %v, want DeadlineExceeded", err)
+	}
+	if rs, err := client.Invoke(context.Background(), ref, "echo", wire.Int(3)); err != nil || rs[0].Num() != 3 {
+		t.Fatalf("the connection after the expired write: %v, err %v", rs, err)
+	}
+	if n := hnet.dials.Load(); n != 1 {
+		t.Fatalf("dials = %d, want 1: the expired write killed the connection", n)
+	}
+}
+
 func TestRetrySucceedsAfterDroppedDial(t *testing.T) {
 	inner := NewInprocNetwork()
 	fnet := NewFaultNetwork(inner)
@@ -618,10 +697,12 @@ func TestLocalOnewayWaitedOnClose(t *testing.T) {
 
 // TestWriteDeadlineUnsticksStuckPeer connects to a listener that accepts
 // but never reads: without write deadlines the frame write would block
-// writeMu forever.
+// writeMu forever. The lapsed write timeout is a transport failure, not the
+// caller's deadline: it tears the connection down, so the next call redials.
 func TestWriteDeadlineUnsticksStuckPeer(t *testing.T) {
-	n := NewInprocNetwork()
-	l, err := n.Listen("mute")
+	inner := NewInprocNetwork()
+	n := NewFaultNetwork(inner) // no fault armed: it only counts dials
+	l, err := inner.Listen("mute")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -639,13 +720,21 @@ func TestWriteDeadlineUnsticksStuckPeer(t *testing.T) {
 	client := NewClientOpts(ClientOptions{Networks: []Network{n}, WriteTimeout: 50 * time.Millisecond})
 	defer client.Close()
 	ref := wire.ObjRef{Endpoint: "inproc|mute", Key: "x"}
-	start := time.Now()
-	_, err = client.Invoke(context.Background(), ref, "op")
-	if err == nil {
-		t.Fatal("invoke to mute peer succeeded")
+	for i := 1; i <= 2; i++ {
+		start := time.Now()
+		_, err = client.Invoke(context.Background(), ref, "op")
+		if err == nil {
+			t.Fatalf("invoke %d to mute peer succeeded", i)
+		}
+		if errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("invoke %d without a deadline failed with %v", i, err)
+		}
+		if elapsed := time.Since(start); elapsed > 2*time.Second {
+			t.Fatalf("stuck write held for %v despite write timeout", elapsed)
+		}
 	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("stuck write held for %v despite write timeout", elapsed)
+	if d := n.Dials(); d != 2 {
+		t.Fatalf("dials = %d, want 2: the timed-out write left the connection up", d)
 	}
 }
 

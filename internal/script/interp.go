@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 	"time"
 
 	"autoadapt/internal/clock"
@@ -384,25 +383,6 @@ func (in *Interp) callClosure(cl *Closure, args []Value, depth int) ([]Value, er
 		return nil, err
 	}
 	return out, nil
-}
-
-// valueBuf is a pooled []Value used for call arguments and other short-lived
-// value lists, mirroring the wire package's FrameBuffer pattern. Buffers
-// passed as arguments to GoFuncs are never recycled — builtins such as
-// assert() return their argument slice — so the VM, which draws buffers
-// only for GoFunc arguments, never puts one back; the reference interpreter
-// recycles the ones it passes to script closures.
-type valueBuf struct{ vs []Value }
-
-var valueBufPool = sync.Pool{New: func() any { return &valueBuf{vs: make([]Value, 0, 8)} }}
-
-func getValueBuf() *valueBuf { return valueBufPool.Get().(*valueBuf) }
-
-func putValueBuf(b *valueBuf) {
-	vs := b.vs[:cap(b.vs)]
-	clear(vs)
-	b.vs = vs[:0]
-	valueBufPool.Put(b)
 }
 
 // rtErr builds a positioned runtime error.

@@ -21,6 +21,23 @@ func newReference(opts Options) *Interp {
 	return in
 }
 
+// valueBuf is a pooled []Value for the argument lists the reference
+// interpreter passes to script closures, which it recycles after the call.
+// (GoFunc arguments are never recycled — builtins such as assert() return
+// their argument slice.)
+type valueBuf struct{ vs []Value }
+
+var valueBufPool = sync.Pool{New: func() any { return &valueBuf{vs: make([]Value, 0, 8)} }}
+
+func getValueBuf() *valueBuf { return valueBufPool.Get().(*valueBuf) }
+
+func putValueBuf(b *valueBuf) {
+	vs := b.vs[:cap(b.vs)]
+	clear(vs)
+	b.vs = vs[:0]
+	valueBufPool.Put(b)
+}
+
 // engines lists the two executors, for tests that run each case on both.
 var engines = []struct {
 	name string

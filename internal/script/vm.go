@@ -240,9 +240,13 @@ func (in *Interp) vmDoCall(fr *vmFrame, fn Value, args []Value, regs []Value, ds
 		fr.scratch = fr.scratch[:m]
 		return nil, nil
 	case fn.gf != nil:
-		buf := getValueBuf()
-		gargs := append(buf.vs[:0], args...)
-		buf.vs = gargs
+		// A builtin may keep its argument slice (assert returns it), so it
+		// gets a copy of its own rather than a window on the registers.
+		var gargs []Value
+		if len(args) > 0 {
+			gargs = make([]Value, len(args))
+			copy(gargs, args)
+		}
 		rets, err := fn.gf.Fn(in, gargs)
 		if err != nil {
 			return nil, err

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -34,9 +33,13 @@ import (
 // property evaluates as a string literal when compared against a string
 // property — this matches the paper's "LoadAvgIncreasing == no", where
 // "no" is unquoted.
+//
+// Parsing compiles the expression once into a tree of cnodes that read the
+// values of the referenced properties from an array indexed like refs; the
+// trader fills that array from an offer's slots, Eval through a lookup.
 type Constraint struct {
 	src  string
-	root cexpr
+	root *cnode
 	refs []string // property names the expression references, sorted
 }
 
@@ -54,7 +57,7 @@ func (c *Constraint) PropRefs() []string { return slices.Clone(c.refs) }
 // compiles to a constraint matching every offer.
 func ParseConstraint(src string) (*Constraint, error) {
 	if strings.TrimSpace(src) == "" {
-		return &Constraint{src: src, root: litExpr{wire.Bool(true)}}, nil
+		return &Constraint{src: src, root: &cnode{op: opLit, lit: boolVal(true)}}, nil
 	}
 	p := &cparser{src: src}
 	root, err := p.parseOr()
@@ -65,37 +68,26 @@ func ParseConstraint(src string) (*Constraint, error) {
 	if p.pos != len(p.src) {
 		return nil, fmt.Errorf("trading: constraint %q: trailing input at %d", src, p.pos)
 	}
-	return &Constraint{src: src, root: root, refs: sortedRefs(root)}, nil
+	return &Constraint{src: src, root: root, refs: numberRefs(root)}, nil
 }
 
-// collectRefs walks an expression tree and records every property name it
-// can read during evaluation.
-func collectRefs(e cexpr, refs map[string]struct{}) {
-	switch x := e.(type) {
-	case propExpr:
-		refs[x.name] = struct{}{}
-	case existExpr:
-		refs[x.name] = struct{}{}
-	case notExpr:
-		collectRefs(x.e, refs)
-	case negExpr:
-		collectRefs(x.e, refs)
-	case binCExpr:
-		collectRefs(x.lhs, refs)
-		collectRefs(x.rhs, refs)
-	}
-}
-
-// sortedRefs lists the property names e references, sorted.
-func sortedRefs(e cexpr) []string {
-	refs := make(map[string]struct{})
-	collectRefs(e, refs)
-	out := make([]string, 0, len(refs))
-	for n := range refs {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+// numberRefs lists the property names the expression reads, sorted, and
+// points every node that reads one at the name's index in that list.
+func numberRefs(root *cnode) []string {
+	var refs []string
+	root.walk(func(n *cnode) {
+		if n.op == opProp || n.op == opExist {
+			refs = append(refs, n.name)
+		}
+	})
+	slices.Sort(refs)
+	refs = slices.Compact(refs)
+	root.walk(func(n *cnode) {
+		if n.op == opProp || n.op == opExist {
+			n.ref, _ = slices.BinarySearch(refs, n.name)
+		}
+	})
+	return refs
 }
 
 // PropLookup resolves a property name during evaluation. ok=false means
@@ -106,167 +98,114 @@ type PropLookup func(name string) (wire.Value, bool)
 // semantics, an offer for which evaluation fails (e.g. a comparison against
 // a missing property) simply does not match — the error reports why.
 func (c *Constraint) Eval(lookup PropLookup) (bool, error) {
-	v, err := c.root.eval(lookup)
+	v, err := c.root.run(lookupVals(nil, c.refs, lookup))
 	if err != nil {
 		return false, err
 	}
-	return v.Truthy(), nil
+	return v.truthy(), nil
 }
 
-// ---- expression tree ----
-
-type cexpr interface {
-	eval(lookup PropLookup) (wire.Value, error)
+// lookupVals appends to dst the values lookup gives for refs: the adapter
+// that runs the public entry points on the compiled evaluator.
+func lookupVals(dst []cval, refs []string, lookup PropLookup) []cval {
+	for _, name := range refs {
+		v, ok := lookup(name)
+		if !ok {
+			dst = append(dst, cval{kind: kindMissing})
+		} else if c, ok := scalarOf(&v); ok {
+			dst = append(dst, c)
+		} else {
+			held := v // escapes; taking &v would move every v to the heap
+			dst = append(dst, cval{kind: held.Kind(), v: &held})
+		}
+	}
+	return dst
 }
 
-type litExpr struct{ v wire.Value }
+// ---- compiled form ----
 
-func (e litExpr) eval(PropLookup) (wire.Value, error) { return e.v, nil }
-
-type propExpr struct{ name string }
-
-func (e propExpr) eval(lookup PropLookup) (wire.Value, error) {
-	v, ok := lookup(e.name)
-	if !ok {
-		// Unquoted barewords double as string literals (paper's "== no").
-		return wire.String(e.name), nil
-	}
-	return v, nil
+// cval is a value as the compiled evaluator passes it, in 40 bytes instead
+// of a wire.Value's 80: scalars inline (a boolean as n = 0 or 1), and for
+// bytes, tables and object references — which the language can only compare
+// for equality — a pointer to the wire.Value they came from. kindMissing
+// marks a property the offer does not have; it never leaves a value array.
+type cval struct {
+	kind wire.Kind
+	n    float64
+	s    string
+	v    *wire.Value
 }
 
-type existExpr struct{ name string }
+const kindMissing wire.Kind = -1
 
-func (e existExpr) eval(lookup PropLookup) (wire.Value, error) {
-	_, ok := lookup(e.name)
-	return wire.Bool(ok), nil
+func boolVal(b bool) cval {
+	if b {
+		return cval{kind: wire.KindBool, n: 1}
+	}
+	return cval{kind: wire.KindBool}
 }
 
-type notExpr struct{ e cexpr }
+func numVal(n float64) cval { return cval{kind: wire.KindNumber, n: n} }
 
-func (e notExpr) eval(lookup PropLookup) (wire.Value, error) {
-	v, err := e.e.eval(lookup)
-	if err != nil {
-		return wire.Nil(), err
+// scalarOf converts a nil, boolean, number or string; ok is false for the
+// other kinds.
+func scalarOf(v *wire.Value) (cval, bool) {
+	switch v.Kind() {
+	case wire.KindNil:
+		return cval{}, true
+	case wire.KindBool:
+		b, _ := v.AsBool()
+		return boolVal(b), true
+	case wire.KindNumber:
+		return numVal(v.Num()), true
+	case wire.KindString:
+		return cval{kind: wire.KindString, s: v.Str()}, true
 	}
-	return wire.Bool(!v.Truthy()), nil
+	return cval{}, false
 }
 
-type negExpr struct{ e cexpr }
-
-func (e negExpr) eval(lookup PropLookup) (wire.Value, error) {
-	v, err := e.e.eval(lookup)
-	if err != nil {
-		return wire.Nil(), err
+// valueOf converts *v, which must stay put while the result is in use.
+func valueOf(v *wire.Value) cval {
+	if c, ok := scalarOf(v); ok {
+		return c
 	}
-	n, ok := v.AsNumber()
-	if !ok {
-		return wire.Nil(), fmt.Errorf("trading: cannot negate %s", v.Kind())
-	}
-	return wire.Number(-n), nil
+	return cval{kind: v.Kind(), v: v}
 }
 
-type binCExpr struct {
-	op       string
-	lhs, rhs cexpr
+// truthy is wire.Value.Truthy: only nil and false are false.
+func (a cval) truthy() bool {
+	switch a.kind {
+	case wire.KindNil:
+		return false
+	case wire.KindBool:
+		return a.n != 0
+	}
+	return true
 }
 
-func (e binCExpr) eval(lookup PropLookup) (wire.Value, error) {
-	switch e.op {
-	case "and":
-		l, err := e.lhs.eval(lookup)
-		if err != nil {
-			return wire.Nil(), err
+// looseEqual compares for the constraint language: wire.Value.Equal (NaN
+// equals NaN, -0 does not equal +0), except that booleans compare equal to
+// the barewords "yes"/"no"/"true"/"false" so paper-style constraints work
+// against boolean-valued properties.
+func (a cval) looseEqual(b cval) bool {
+	if a.kind == b.kind {
+		switch a.kind {
+		case wire.KindNil:
+			return true
+		case wire.KindBool:
+			return a.n == b.n
+		case wire.KindNumber:
+			return math.Float64bits(a.n) == math.Float64bits(b.n) || math.IsNaN(a.n) && math.IsNaN(b.n)
+		case wire.KindString:
+			return a.s == b.s
 		}
-		if !l.Truthy() {
-			return wire.Bool(false), nil
-		}
-		r, err := e.rhs.eval(lookup)
-		if err != nil {
-			return wire.Nil(), err
-		}
-		return wire.Bool(r.Truthy()), nil
-	case "or":
-		l, err := e.lhs.eval(lookup)
-		if err != nil {
-			return wire.Nil(), err
-		}
-		if l.Truthy() {
-			return wire.Bool(true), nil
-		}
-		r, err := e.rhs.eval(lookup)
-		if err != nil {
-			return wire.Nil(), err
-		}
-		return wire.Bool(r.Truthy()), nil
+		return a.v.Equal(*b.v)
 	}
-	l, err := e.lhs.eval(lookup)
-	if err != nil {
-		return wire.Nil(), err
-	}
-	r, err := e.rhs.eval(lookup)
-	if err != nil {
-		return wire.Nil(), err
-	}
-	switch e.op {
-	case "+", "-", "*", "/":
-		ln, lok := l.AsNumber()
-		rn, rok := r.AsNumber()
-		if !lok || !rok {
-			return wire.Nil(), fmt.Errorf("trading: arithmetic on %s and %s", l.Kind(), r.Kind())
-		}
-		switch e.op {
-		case "+":
-			return wire.Number(ln + rn), nil
-		case "-":
-			return wire.Number(ln - rn), nil
-		case "*":
-			return wire.Number(ln * rn), nil
-		default:
-			if rn == 0 {
-				return wire.Nil(), fmt.Errorf("trading: division by zero")
-			}
-			return wire.Number(ln / rn), nil
-		}
-	case "==":
-		return wire.Bool(looseEqual(l, r)), nil
-	case "!=":
-		return wire.Bool(!looseEqual(l, r)), nil
-	case "<", "<=", ">", ">=":
-		cmp, err := compareValues(l, r)
-		if err != nil {
-			return wire.Nil(), err
-		}
-		switch e.op {
-		case "<":
-			return wire.Bool(cmp < 0), nil
-		case "<=":
-			return wire.Bool(cmp <= 0), nil
-		case ">":
-			return wire.Bool(cmp > 0), nil
-		default:
-			return wire.Bool(cmp >= 0), nil
-		}
-	default:
-		return wire.Nil(), fmt.Errorf("trading: unknown operator %q", e.op)
-	}
-}
-
-// looseEqual compares for the constraint language: like wire.Value.Equal
-// but booleans compare equal to the barewords "yes"/"no"/"true"/"false"
-// so paper-style constraints work against boolean-valued properties.
-func looseEqual(a, b wire.Value) bool {
-	if a.Kind() == b.Kind() {
-		return a.Equal(b)
-	}
-	ab, aIsBool := a.AsBool()
-	bs, bIsStr := b.AsString()
-	if aIsBool && bIsStr {
-		return boolWord(ab, bs)
-	}
-	bb, bIsBool := b.AsBool()
-	as, aIsStr := a.AsString()
-	if bIsBool && aIsStr {
-		return boolWord(bb, as)
+	switch {
+	case a.kind == wire.KindBool && b.kind == wire.KindString:
+		return boolWord(a.n != 0, b.s)
+	case b.kind == wire.KindBool && a.kind == wire.KindString:
+		return boolWord(b.n != 0, a.s)
 	}
 	return false
 }
@@ -278,25 +217,147 @@ func boolWord(b bool, s string) bool {
 	return s == "no" || s == "false"
 }
 
-func compareValues(a, b wire.Value) (int, error) {
-	an, aok := a.AsNumber()
-	bn, bok := b.AsNumber()
-	if aok && bok {
+// compare orders two numbers or two strings.
+func (a cval) compare(b cval) (int, error) {
+	switch {
+	case a.kind == wire.KindNumber && b.kind == wire.KindNumber:
 		switch {
-		case an < bn:
+		case a.n < b.n:
 			return -1, nil
-		case an > bn:
+		case a.n > b.n:
 			return 1, nil
-		default:
-			return 0, nil
+		}
+		return 0, nil
+	case a.kind == wire.KindString && b.kind == wire.KindString:
+		return strings.Compare(a.s, b.s), nil
+	}
+	return 0, fmt.Errorf("trading: cannot order %s against %s", a.kind, b.kind)
+}
+
+// cop is a compiled node's operation.
+type cop uint8
+
+const (
+	opLit   cop = iota // lit
+	opProp             // the value at ref, else the bareword name as a string
+	opExist            // whether the value at ref exists
+	opNot              // unary: l
+	opNeg
+	opAnd // binary: l, r
+	opOr
+	opEq
+	opNe
+	opLt
+	opLe
+	opGt
+	opGe
+	opAdd
+	opSub
+	opMul
+	opDiv
+)
+
+// binOps maps the parser's operator tokens to opcodes.
+var binOps = map[string]cop{
+	"and": opAnd, "or": opOr,
+	"==": opEq, "!=": opNe, "<": opLt, "<=": opLe, ">": opGt, ">=": opGe,
+	"+": opAdd, "-": opSub, "*": opMul, "/": opDiv,
+}
+
+// cnode is one node of a compiled expression. Nodes are immutable after
+// parsing, so one tree serves every query that uses its source.
+type cnode struct {
+	op   cop
+	ref  int    // opProp, opExist: index of name in the expression's refs
+	name string // opProp, opExist
+	lit  cval   // opLit: a number, string or boolean
+	l, r *cnode
+}
+
+func (n *cnode) walk(fn func(*cnode)) {
+	if n != nil {
+		fn(n)
+		n.l.walk(fn)
+		n.r.walk(fn)
+	}
+}
+
+// run evaluates the expression over vals, the values of its refs in order.
+func (n *cnode) run(vals []cval) (cval, error) {
+	switch n.op {
+	case opLit:
+		return n.lit, nil
+	case opProp:
+		if v := vals[n.ref]; v.kind != kindMissing {
+			return v, nil
+		}
+		// Unquoted barewords double as string literals (paper's "== no").
+		return cval{kind: wire.KindString, s: n.name}, nil
+	case opExist:
+		return boolVal(vals[n.ref].kind != kindMissing), nil
+	}
+	l, err := n.l.run(vals)
+	if err != nil {
+		return cval{}, err
+	}
+	switch n.op {
+	case opNot:
+		return boolVal(!l.truthy()), nil
+	case opNeg:
+		if l.kind != wire.KindNumber {
+			return cval{}, fmt.Errorf("trading: cannot negate %s", l.kind)
+		}
+		return numVal(-l.n), nil
+	case opAnd:
+		if !l.truthy() {
+			return boolVal(false), nil
+		}
+	case opOr:
+		if l.truthy() {
+			return boolVal(true), nil
 		}
 	}
-	as, aok := a.AsString()
-	bs, bok := b.AsString()
-	if aok && bok {
-		return strings.Compare(as, bs), nil
+	r, err := n.r.run(vals)
+	if err != nil {
+		return cval{}, err
 	}
-	return 0, fmt.Errorf("trading: cannot order %s against %s", a.Kind(), b.Kind())
+	switch n.op {
+	case opAnd, opOr:
+		return boolVal(r.truthy()), nil
+	case opEq:
+		return boolVal(l.looseEqual(r)), nil
+	case opNe:
+		return boolVal(!l.looseEqual(r)), nil
+	case opLt, opLe, opGt, opGe:
+		c, err := l.compare(r)
+		if err != nil {
+			return cval{}, err
+		}
+		switch n.op {
+		case opLt:
+			return boolVal(c < 0), nil
+		case opLe:
+			return boolVal(c <= 0), nil
+		case opGt:
+			return boolVal(c > 0), nil
+		}
+		return boolVal(c >= 0), nil
+	}
+	if l.kind != wire.KindNumber || r.kind != wire.KindNumber {
+		return cval{}, fmt.Errorf("trading: arithmetic on %s and %s", l.kind, r.kind)
+	}
+	switch n.op {
+	case opAdd:
+		return numVal(l.n + r.n), nil
+	case opSub:
+		return numVal(l.n - r.n), nil
+	case opMul:
+		return numVal(l.n * r.n), nil
+	}
+	if r.n == 0 {
+		return cval{}, fmt.Errorf("trading: division by zero")
+	}
+	return numVal(l.n / r.n), nil
 }
 
 // ---- parser ----
@@ -362,7 +423,10 @@ func (p *cparser) acceptOp(ops ...string) (string, bool) {
 	return "", false
 }
 
-func (p *cparser) parseOr() (cexpr, error) {
+// bin builds the node of a binary operator token.
+func bin(op string, l, r *cnode) *cnode { return &cnode{op: binOps[op], l: l, r: r} }
+
+func (p *cparser) parseOr() (*cnode, error) {
 	lhs, err := p.parseAnd()
 	if err != nil {
 		return nil, err
@@ -372,12 +436,12 @@ func (p *cparser) parseOr() (cexpr, error) {
 		if err != nil {
 			return nil, err
 		}
-		lhs = binCExpr{op: "or", lhs: lhs, rhs: rhs}
+		lhs = bin("or", lhs, rhs)
 	}
 	return lhs, nil
 }
 
-func (p *cparser) parseAnd() (cexpr, error) {
+func (p *cparser) parseAnd() (*cnode, error) {
 	lhs, err := p.parseNot()
 	if err != nil {
 		return nil, err
@@ -387,23 +451,23 @@ func (p *cparser) parseAnd() (cexpr, error) {
 		if err != nil {
 			return nil, err
 		}
-		lhs = binCExpr{op: "and", lhs: lhs, rhs: rhs}
+		lhs = bin("and", lhs, rhs)
 	}
 	return lhs, nil
 }
 
-func (p *cparser) parseNot() (cexpr, error) {
+func (p *cparser) parseNot() (*cnode, error) {
 	if p.acceptWord("not") {
 		e, err := p.parseNot()
 		if err != nil {
 			return nil, err
 		}
-		return notExpr{e}, nil
+		return &cnode{op: opNot, l: e}, nil
 	}
 	return p.parseCmp()
 }
 
-func (p *cparser) parseCmp() (cexpr, error) {
+func (p *cparser) parseCmp() (*cnode, error) {
 	lhs, err := p.parseSum()
 	if err != nil {
 		return nil, err
@@ -413,12 +477,12 @@ func (p *cparser) parseCmp() (cexpr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return binCExpr{op: op, lhs: lhs, rhs: rhs}, nil
+		return bin(op, lhs, rhs), nil
 	}
 	return lhs, nil
 }
 
-func (p *cparser) parseSum() (cexpr, error) {
+func (p *cparser) parseSum() (*cnode, error) {
 	lhs, err := p.parseProd()
 	if err != nil {
 		return nil, err
@@ -432,11 +496,11 @@ func (p *cparser) parseSum() (cexpr, error) {
 		if err != nil {
 			return nil, err
 		}
-		lhs = binCExpr{op: op, lhs: lhs, rhs: rhs}
+		lhs = bin(op, lhs, rhs)
 	}
 }
 
-func (p *cparser) parseProd() (cexpr, error) {
+func (p *cparser) parseProd() (*cnode, error) {
 	lhs, err := p.parseUnary()
 	if err != nil {
 		return nil, err
@@ -450,11 +514,11 @@ func (p *cparser) parseProd() (cexpr, error) {
 		if err != nil {
 			return nil, err
 		}
-		lhs = binCExpr{op: op, lhs: lhs, rhs: rhs}
+		lhs = bin(op, lhs, rhs)
 	}
 }
 
-func (p *cparser) parseUnary() (cexpr, error) {
+func (p *cparser) parseUnary() (*cnode, error) {
 	p.skipSpace()
 	if p.pos < len(p.src) && p.src[p.pos] == '-' {
 		p.pos++
@@ -462,19 +526,19 @@ func (p *cparser) parseUnary() (cexpr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return negExpr{e}, nil
+		return &cnode{op: opNeg, l: e}, nil
 	}
 	if p.acceptWord("exist") {
 		name := p.takeIdent()
 		if name == "" {
 			return nil, p.errf("'exist' requires a property name")
 		}
-		return existExpr{name}, nil
+		return &cnode{op: opExist, name: name}, nil
 	}
 	return p.parsePrimary()
 }
 
-func (p *cparser) parsePrimary() (cexpr, error) {
+func (p *cparser) parsePrimary() (*cnode, error) {
 	p.skipSpace()
 	if p.pos >= len(p.src) {
 		return nil, p.errf("unexpected end of constraint")
@@ -505,7 +569,7 @@ func (p *cparser) parsePrimary() (cexpr, error) {
 		}
 		s := p.src[start:p.pos]
 		p.pos++
-		return litExpr{wire.String(s)}, nil
+		return &cnode{op: opLit, lit: cval{kind: wire.KindString, s: s}}, nil
 	case c >= '0' && c <= '9' || c == '.':
 		start := p.pos
 		for p.pos < len(p.src) {
@@ -521,18 +585,18 @@ func (p *cparser) parsePrimary() (cexpr, error) {
 		if err != nil || math.IsNaN(n) {
 			return nil, p.errf("malformed number %q", p.src[start:p.pos])
 		}
-		return litExpr{wire.Number(n)}, nil
+		return &cnode{op: opLit, lit: numVal(n)}, nil
 	default:
 		w := p.takeIdent()
 		switch w {
 		case "":
 			return nil, p.errf("unexpected character %q", string(rune(c)))
 		case "true", "TRUE":
-			return litExpr{wire.Bool(true)}, nil
+			return &cnode{op: opLit, lit: boolVal(true)}, nil
 		case "false", "FALSE":
-			return litExpr{wire.Bool(false)}, nil
+			return &cnode{op: opLit, lit: boolVal(false)}, nil
 		default:
-			return propExpr{w}, nil
+			return &cnode{op: opProp, name: w}, nil
 		}
 	}
 }

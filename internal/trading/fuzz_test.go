@@ -1,6 +1,7 @@
 package trading
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -33,19 +34,29 @@ var preferenceSeeds = []string{
 }
 
 // fuzzLookup serves a property of every kind the evaluator tells apart —
-// number, string, bool — or reports it missing, chosen by the name's
-// length so fuzzed names reach every kind. It records each name it is
-// asked for.
+// numbers (NaN and both zeros among them), strings, bools — or reports it
+// missing, chosen by the name's length so fuzzed names reach every kind. It
+// records each name it is asked for.
 func fuzzLookup(asked map[string]bool) PropLookup {
 	return func(name string) (wire.Value, bool) {
 		asked[name] = true
-		switch len(name) % 4 {
+		switch len(name) % 9 {
 		case 0:
 			return wire.Number(float64(len(name))), true
 		case 1:
 			return wire.String("no"), true
 		case 2:
 			return wire.Bool(true), true
+		case 3:
+			return wire.Number(math.NaN()), true
+		case 4:
+			return wire.Number(math.Copysign(0, -1)), true
+		case 5:
+			return wire.Number(0), true
+		case 6:
+			return wire.String(name), true
+		case 7:
+			return wire.Bool(false), true
 		}
 		return wire.Value{}, false
 	}
@@ -72,7 +83,9 @@ func addSeeds(f *testing.F, seeds ...[]string) {
 }
 
 // FuzzParseConstraint: parsing never panics, and an accepted constraint
-// evaluates without panicking and looks up only names in PropRefs().
+// looks up only names in PropRefs() and evaluates, compiled, exactly as the
+// reference tree walk does: the same value, the same error-or-not, and
+// through the public Eval the same error text.
 func FuzzParseConstraint(f *testing.F) {
 	addSeeds(f, constraintSeeds, diffQueries.constraints)
 	for _, q := range batchQueries {
@@ -84,12 +97,24 @@ func FuzzParseConstraint(f *testing.F) {
 			return
 		}
 		asked := map[string]bool{}
-		_, _ = c.Eval(fuzzLookup(asked))
+		lookup := fuzzLookup(asked)
+		want, werr := c.root.eval(lookup)
+		got, gerr := c.root.run(lookupVals(nil, c.refs, lookup))
+		ok, err := c.Eval(lookup)
+		switch {
+		case (gerr == nil) != (werr == nil) || (err == nil) != (werr == nil):
+			t.Fatalf("%q: compiled err %v, Eval err %v, reference err %v", src, gerr, err, werr)
+		case werr != nil && err.Error() != werr.Error():
+			t.Fatalf("%q: Eval error %q, reference %q", src, err, werr)
+		case werr == nil && (!cvalValue(got).Equal(want) || ok != want.Truthy()):
+			t.Fatalf("%q: compiled %v (Eval %v), reference %v", src, cvalValue(got), ok, want)
+		}
 		checkAsked(t, src, asked, c.PropRefs())
 	})
 }
 
-// FuzzParsePreference is FuzzParseConstraint for preferences.
+// FuzzParsePreference is FuzzParseConstraint for preferences: the compiled
+// sort key equals the reference's.
 func FuzzParsePreference(f *testing.F) {
 	addSeeds(f, preferenceSeeds, diffQueries.preferences)
 	for _, q := range batchQueries {
@@ -97,15 +122,17 @@ func FuzzParsePreference(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		p, err := ParsePreference(src)
-		if err != nil {
-			return
+		if err != nil || p.kind == prefFirst {
+			return // "first" keeps export order: there is no key
 		}
 		asked := map[string]bool{}
 		lookup := fuzzLookup(asked)
-		if err := p.rank([]int{0, 1}, make([]prefKey, 2), func(i int) (string, PropLookup) {
-			return []string{"offer-1", "offer-2"}[i], lookup
-		}); err != nil {
-			t.Fatalf("%q: rank: %v", src, err)
+		for _, id := range []string{"offer-1", "offer-2"} {
+			want := referenceKey(p, id, lookup)
+			got := p.key(id, lookupVals(nil, p.refs, lookup))
+			if got != want && !(math.IsNaN(got.num) && math.IsNaN(want.num) && got.ok == want.ok) {
+				t.Fatalf("%q: key of %s %+v, reference %+v", src, id, got, want)
+			}
 		}
 		checkAsked(t, src, asked, p.PropRefs())
 	})

@@ -1,6 +1,7 @@
 package trading
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -44,8 +45,9 @@ func (r *loadResolver) ResolveDynamic(_ context.Context, ref wire.ObjRef, aspect
 
 // referenceQuery is the pre-index Trader.Query, minus scratch pooling,
 // resolve deduplication and the quarantine bookkeeping (it must not change
-// the state the real query is about to see).
-func referenceQuery(t *Trader, serviceType string, cons *Constraint, pref *Preference, maxResults int) []QueryResult {
+// the state the real query is about to see). props is the reference's own
+// record of what each offer id was last exported or modified with.
+func referenceQuery(t *Trader, props map[string]map[string]PropValue, serviceType string, cons *Constraint, pref *Preference, maxResults int) []QueryResult {
 	type candidate struct {
 		o           *Offer // only the immutable fields are read
 		props       map[string]PropValue
@@ -56,7 +58,7 @@ func referenceQuery(t *Trader, serviceType string, cons *Constraint, pref *Prefe
 	now := t.clk.Now()
 	for _, rec := range t.offers {
 		if o := &rec.offer; o.ServiceType == serviceType && !rec.expired(now) {
-			candidates = append(candidates, candidate{o, o.Props, rec.quarantined})
+			candidates = append(candidates, candidate{o, props[o.ID], rec.quarantined})
 		}
 	}
 	t.mu.RUnlock()
@@ -239,6 +241,7 @@ func diffRun(t *testing.T, seed int64, steps int) {
 		return props
 	}
 	var ids []string // every id ever exported: stale ones exercise the error paths
+	exported := map[string]map[string]PropValue{}
 	pick := func() string {
 		if len(ids) == 0 {
 			return "offer-0"
@@ -250,17 +253,22 @@ func diffRun(t *testing.T, seed int64, steps int) {
 		switch n := rng.Intn(20); {
 		case n < 7:
 			op = "export"
-			id, err := tr.Export(types[rng.Intn(len(types))], serverRef(step), randProps(rng.Intn(12)))
+			props := randProps(rng.Intn(12))
+			id, err := tr.Export(types[rng.Intn(len(types))], serverRef(step), props)
 			if err != nil {
 				t.Fatal(err)
 			}
 			ids = append(ids, id)
+			exported[id] = props
 		case n < 10:
 			op = "withdraw"
 			_ = tr.Withdraw(pick())
 		case n < 12:
 			op = "modify"
-			_ = tr.Modify(pick(), randProps(rng.Intn(12)))
+			id, props := pick(), randProps(rng.Intn(12))
+			if tr.Modify(id, props) == nil {
+				exported[id] = props
+			}
 		case n < 15:
 			op = "renew"
 			_ = tr.Renew(pick())
@@ -292,7 +300,7 @@ func diffRun(t *testing.T, seed int64, steps int) {
 			}
 			for _, max := range []int{0, 1, 3} {
 				// The reference runs first: the real query may quarantine.
-				want := referenceQuery(tr, typ, cons, pref, max)
+				want := referenceQuery(tr, exported, typ, cons, pref, max)
 				got, err := tr.Query(context.Background(), typ, cons.Source(), prefSrc, max)
 				if err != nil {
 					t.Fatal(err)
@@ -306,6 +314,103 @@ func diffRun(t *testing.T, seed int64, steps int) {
 	st := tr.Stats()
 	if st.Scanned < st.Candidates || st.Candidates == 0 {
 		t.Fatalf("scanned %d, candidates %d", st.Scanned, st.Candidates)
+	}
+}
+
+// TestQueryWireMatchesResultsToWire: the servant's query reply, encoded
+// straight from the offers' slots, is byte for byte resultsToWire over
+// Query's rows — for every differential query shape, over offers with
+// static, dynamic, failing and quarantined properties, a property exported
+// with a nil value, and names first seen by Export and by Modify.
+func TestQueryWireMatchesResultsToWire(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	res := &loadResolver{loads: map[wire.ObjRef]float64{}, down: map[wire.ObjRef]bool{}}
+	local, remote := NewTrader(res), NewTrader(res)
+	traders := []*Trader{local, remote}
+	sv := NewServant(remote)
+	for _, tr := range traders {
+		tr.SetQuarantineThreshold(2)
+		tr.AddType(ServiceType{Name: "A", Props: []string{"Load", "Trend", "Cores", "Tier"}})
+	}
+	var ids []string
+	for i := 0; i < 40; i++ {
+		mon := monitorRef(i % 12)
+		res.loads[mon] = float64(rng.Intn(100))
+		props := map[string]PropValue{"Cores": {Static: wire.Int(1 << rng.Intn(5))}}
+		if rng.Intn(4) > 0 {
+			props["Load"] = PropValue{Dynamic: mon}
+		}
+		if rng.Intn(2) == 0 {
+			props["Trend"] = PropValue{Dynamic: mon, Aspect: "Increasing"}
+		}
+		switch rng.Intn(4) {
+		case 0:
+			props["Tier"] = PropValue{Static: wire.String([]string{"gold", "tin"}[rng.Intn(2)])}
+		case 1:
+			props["Tier"] = PropValue{} // present, with a nil value
+		case 2:
+			props[fmt.Sprint("Extra", i%3)] = PropValue{Static: wire.TableVal(wire.NewList(wire.Int(i)))}
+		}
+		for _, tr := range traders {
+			id, err := tr.Export("A", serverRef(i), props)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tr == local {
+				ids = append(ids, id)
+			}
+		}
+	}
+	quarantined := 0
+	for round := 0; round < 4; round++ {
+		res.mu.Lock()
+		for i := 0; i < 12; i++ {
+			if rng.Intn(3) == 0 {
+				res.down[monitorRef(i)] = !res.down[monitorRef(i)]
+			}
+		}
+		res.mu.Unlock()
+		if round == 2 {
+			for _, tr := range traders {
+				props := map[string]PropValue{"Late": {Static: wire.String("x")}, "Load": {Dynamic: monitorRef(3)}}
+				if err := tr.Modify(ids[5], props); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, cons := range diffQueries.constraints {
+			for _, pref := range diffQueries.preferences {
+				for _, max := range []int{0, 1, 3} {
+					rs, err := local.Query(context.Background(), "A", cons, pref, max)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := wire.EncodeValue(resultsToWire(rs))
+					if err != nil {
+						t.Fatal(err)
+					}
+					reply, err := sv.Invoke("query", []wire.Value{wire.String("A"), wire.String(cons), wire.String(pref), wire.Int(max)})
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := wire.EncodeValue(reply[0])
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got, want) {
+						t.Fatalf("round %d, query %q %q max %d: servant reply %v, resultsToWire %v", round, cons, pref, max, reply[0], resultsToWire(rs))
+					}
+				}
+			}
+		}
+		for _, id := range ids {
+			if local.Quarantined(id) {
+				quarantined++
+			}
+		}
+	}
+	if quarantined == 0 {
+		t.Fatal("no offer was ever quarantined: the test covers less than it claims")
 	}
 }
 
@@ -354,8 +459,10 @@ func TestWithdrawnMidQueryIsGone(t *testing.T) {
 	}
 }
 
-// TestIndexConcurrentQueriesAndWrites runs queries against concurrent
-// Export/Withdraw/Modify on one type; it is meaningful under -race.
+// TestIndexConcurrentQueriesAndWrites runs queries, local and through the
+// servant, against concurrent Export/Withdraw/Modify on one type, some of
+// them with property names the type has never seen, so its slot table grows
+// while queries read it; it is meaningful under -race.
 func TestIndexConcurrentQueriesAndWrites(t *testing.T) {
 	res := &loadResolver{loads: map[wire.ObjRef]float64{}, down: map[wire.ObjRef]bool{monitorRef(1): true}}
 	for i := 0; i < 4; i++ {
@@ -363,11 +470,16 @@ func TestIndexConcurrentQueriesAndWrites(t *testing.T) {
 	}
 	tr := NewTrader(res)
 	tr.AddType(ServiceType{Name: "S"})
-	props := func(i int) map[string]PropValue {
-		return map[string]PropValue{"Load": {Dynamic: monitorRef(i % 4)}, "Cores": {Static: wire.Int(i)}}
-	}
+	sv := NewServant(tr)
 	var wg sync.WaitGroup
 	for w := 0; w < 3; w++ {
+		props := func(i int) map[string]PropValue {
+			p := map[string]PropValue{"Load": {Dynamic: monitorRef(i % 4)}, "Cores": {Static: wire.Int(i)}}
+			if i%5 == 0 {
+				p[fmt.Sprintf("Fresh%d-%d", w, i)] = PropValue{Static: wire.Int(i)}
+			}
+			return p
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -398,7 +510,16 @@ func TestIndexConcurrentQueriesAndWrites(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 300; i++ {
-				rs, err := tr.Query(context.Background(), "S", "Load < 25", "min Load", 3)
+				var rs []QueryResult
+				var err error
+				if q == 0 {
+					rs, err = tr.Query(context.Background(), "S", "Load < 25", "min Load", 3)
+				} else {
+					var reply []wire.Value
+					if reply, err = sv.Invoke("query", []wire.Value{wire.String("S"), wire.String("Load < 25"), wire.String("min Load"), wire.Int(3)}); err == nil {
+						rs, err = ResultsFromWire(reply[0])
+					}
+				}
 				if err != nil {
 					t.Error(err)
 					return
@@ -450,11 +571,13 @@ func TestQueryAllocsIndependentOfCandidates(t *testing.T) {
 		return testing.AllocsPerRun(50, query)
 	}
 	small, large := measure(50), measure(500)
-	// Measured 9: the result slice, three snapshot maps of two allocations
-	// each, and the lookup and rank closures. The bound is what the query
-	// allocated before resolution was grouped by monitor (PR 23): grouping
-	// through a plain DynamicResolver must cost no allocation.
-	if small != large || small > 10 {
-		t.Fatalf("allocs per query: %.0f for 50 candidates, %.0f for 500; want equal and <= 10", small, large)
+	// Measured 13: the result slice, and for each of the three rows a
+	// snapshot map and a Props map of two allocations each. The bound is
+	// what the query allocated before resolution was grouped by monitor
+	// (10: grouping through a plain DynamicResolver must cost no
+	// allocation), plus the rows' Props maps, which Query builds from the
+	// offers' slots since offers stopped keeping a map of their own.
+	if small != large || small > 10+3*2 {
+		t.Fatalf("allocs per query: %.0f for 50 candidates, %.0f for 500; want equal and <= 16", small, large)
 	}
 }

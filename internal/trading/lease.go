@@ -32,12 +32,13 @@ import (
 const DefaultQuarantineThreshold = 3
 
 // offerRecord is the trader's bookkeeping around one exported Offer: its
-// export sequence number (the sort key of Trader.byType), the lease
-// deadline and the quarantine counters. All fields are guarded by
-// Trader.mu; seq and the embedded offer's fields other than Props are
-// immutable after export.
+// properties by slot, its export sequence number (the sort key of
+// Trader.byType), the lease deadline and the quarantine counters. All
+// fields are guarded by Trader.mu; seq and the offer's fields are immutable
+// after export, and the offer's Props stays nil — props holds them.
 type offerRecord struct {
 	offer       Offer
+	props       slotProps
 	seq         int
 	expires     time.Time // lease deadline; zero = no lease
 	fails       int       // consecutive queries with failed resolutions

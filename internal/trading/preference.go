@@ -26,7 +26,7 @@ import (
 type Preference struct {
 	src  string
 	kind prefKind
-	expr cexpr
+	expr *cnode
 	refs []string // property names the expression references, sorted
 }
 
@@ -70,7 +70,7 @@ func ParsePreference(src string) (*Preference, error) {
 	if p.pos != len(p.src) {
 		return nil, fmt.Errorf("trading: preference %q: trailing input", src)
 	}
-	return &Preference{src: src, kind: kind, expr: e, refs: sortedRefs(e)}, nil
+	return &Preference{src: src, kind: kind, expr: e, refs: numberRefs(e)}, nil
 }
 
 // Source returns the original preference text.
@@ -81,27 +81,28 @@ func (p *Preference) Source() string { return p.src }
 // uses it for demand-driven snapshots.
 func (p *Preference) PropRefs() []string { return slices.Clone(p.refs) }
 
-// Sort orders results in place.
+// Sort orders results in place, by the values in their snapshots.
 func (p *Preference) Sort(results []QueryResult) error {
-	if p.kind == prefFirst {
+	switch p.kind {
+	case prefFirst:
 		return nil
+	case prefRandom, prefMin, prefMax, prefWith:
+	default:
+		return fmt.Errorf("trading: unknown preference kind %d", p.kind)
 	}
 	idx := make([]int, len(results))
-	for i := range idx {
+	keys := make([]prefKey, len(results))
+	var vals []cval
+	for i := range results {
 		idx[i] = i
+		snap := results[i].Snapshot
+		vals = lookupVals(vals[:0], p.refs, func(name string) (wire.Value, bool) {
+			v, ok := snap[name]
+			return v, ok
+		})
+		keys[i] = p.key(results[i].Offer.ID, vals)
 	}
-	var snap map[string]wire.Value
-	lookup := func(name string) (wire.Value, bool) {
-		v, ok := snap[name]
-		return v, ok
-	}
-	err := p.rank(idx, make([]prefKey, len(results)), func(i int) (string, PropLookup) {
-		snap = results[i].Snapshot
-		return results[i].Offer.ID, lookup
-	})
-	if err != nil {
-		return err
-	}
+	sortByKeys(idx, keys)
 	out := make([]QueryResult, len(results))
 	for i, j := range idx {
 		out[i] = results[j]
@@ -117,21 +118,9 @@ type prefKey struct {
 	num float64
 }
 
-// rank stable-sorts idx, a list of offer indices, by the preference. at(i)
-// yields offer i's id and property lookup; keys is scratch indexed by the
-// values in idx. Trader.Query ranks candidate indices with it before any
-// snapshot exists; Sort ranks finished results.
-func (p *Preference) rank(idx []int, keys []prefKey, at func(i int) (id string, lookup PropLookup)) error {
-	switch p.kind {
-	case prefFirst:
-		return nil
-	case prefRandom, prefMin, prefMax, prefWith:
-	default:
-		return fmt.Errorf("trading: unknown preference kind %d", p.kind)
-	}
-	for _, i := range idx {
-		keys[i] = p.key(at(i))
-	}
+// sortByKeys stable-sorts idx, a list of offer indices, by keys, which is
+// indexed by the values in idx.
+func sortByKeys(idx []int, keys []prefKey) {
 	slices.SortStableFunc(idx, func(a, b int) int {
 		ka, kb := keys[a], keys[b]
 		switch {
@@ -149,28 +138,28 @@ func (p *Preference) rank(idx []int, keys []prefKey, at func(i int) (id string, 
 		}
 		return 0
 	})
-	return nil
 }
 
-// key computes one offer's sort key.
-func (p *Preference) key(id string, lookup PropLookup) prefKey {
+// key computes the sort key of the offer with the given id, whose values of
+// p.refs are vals.
+func (p *Preference) key(id string, vals []cval) prefKey {
 	if p.kind == prefRandom {
 		return prefKey{ok: true, num: float64(offerHash(id))}
 	}
-	v, err := p.expr.eval(lookup)
+	v, err := p.expr.run(vals)
 	if err != nil {
 		return prefKey{}
 	}
 	if p.kind == prefWith {
-		if v.Truthy() {
+		if v.truthy() {
 			return prefKey{ok: true, num: 0}
 		}
 		return prefKey{ok: true, num: 1}
 	}
-	n, isNum := v.AsNumber()
-	if !isNum {
+	if v.kind != wire.KindNumber {
 		return prefKey{}
 	}
+	n := v.n
 	if p.kind == prefMax {
 		n = -n
 	}

@@ -53,15 +53,18 @@ const DefaultObjectKey = "Trader"
 // the difference.
 type Servant struct {
 	dir     Directory
+	query   func(ctx context.Context, serviceType, constraint, preference string, maxResults int) (wire.Value, error)
 	types   func() []string            // listTypes; nil → empty list
 	stats   func() (TraderStats, bool) // stats; nil or false → unsupported
 	metrics func() string              // metrics exposition; nil → unsupported
 }
 
-// NewServant wraps an in-process trader.
+// NewServant wraps an in-process trader. Its query replies are encoded
+// straight from the offers' slots (Trader.queryWire).
 func NewServant(t *Trader) *Servant {
 	return &Servant{
 		dir:   Local{T: t},
+		query: t.queryWire,
 		types: t.TypeNames,
 		stats: func() (TraderStats, bool) { return t.Stats(), true },
 	}
@@ -71,7 +74,14 @@ func NewServant(t *Trader) *Servant {
 // shard router — under the same wire interface as a single trader.
 // typeNames backs the listTypes operation and may be nil.
 func NewDirectoryServant(d Directory, typeNames func() []string) *Servant {
-	return &Servant{dir: d, types: typeNames}
+	query := func(ctx context.Context, serviceType, constraint, preference string, maxResults int) (wire.Value, error) {
+		results, err := d.Query(ctx, serviceType, constraint, preference, maxResults)
+		if err != nil {
+			return wire.Nil(), err
+		}
+		return resultsToWire(results), nil
+	}
+	return &Servant{dir: d, query: query, types: typeNames}
 }
 
 // WithMetricsText arms the servant's "metrics" operation: fn renders the
@@ -103,11 +113,11 @@ func (s *Servant) Invoke(op string, args []wire.Value) ([]wire.Value, error) {
 		if len(args) > 2 {
 			preference = args[2].Str()
 		}
-		results, err := s.dir.Query(ctx, args[0].Str(), constraint, preference, max)
+		reply, err := s.query(ctx, args[0].Str(), constraint, preference, max)
 		if err != nil {
 			return nil, orb.Appf("query: %v", err)
 		}
-		return []wire.Value{resultsToWire(results)}, nil
+		return []wire.Value{reply}, nil
 	case "export":
 		if len(args) < 2 {
 			return nil, orb.Appf("export: type and reference required")
@@ -276,37 +286,87 @@ func dynamicToWire(refKey string, pv PropValue) wire.Value {
 	return wire.TableVal(d)
 }
 
+// replyRow builds one row of a query reply — the wire format's single
+// definition, filled by resultsToWire from a QueryResult's maps and by
+// queryWire from an offer's slots.
+type replyRow struct {
+	row, snap, dyn *wire.Table
+	n              int // size hint for the property tables
+}
+
+func newReplyRow(o *Offer, n int) replyRow {
+	row := wire.NewTableSize(0, 5)
+	row.SetString("id", wire.String(o.ID))
+	row.SetString("type", wire.String(o.ServiceType))
+	row.SetString("ref", wire.Ref(o.Ref))
+	return replyRow{row: row, snap: wire.NewTableSize(0, n), n: n}
+}
+
+// property adds one snapshot value.
+func (r *replyRow) property(name string, v wire.Value) { r.snap.SetString(name, v) }
+
+// dynamic adds the source of one dynamic property. Sources travel with the
+// offer so clients (smart proxies) can attach observers to the same
+// monitors the trader consults.
+func (r *replyRow) dynamic(name string, pv PropValue) {
+	if r.dyn == nil {
+		r.dyn = wire.NewTableSize(0, r.n)
+	}
+	r.dyn.SetString(name, dynamicToWire("ref", pv))
+}
+
+func (r *replyRow) value() wire.Value {
+	r.row.SetString("properties", wire.TableVal(r.snap))
+	if r.dyn != nil {
+		r.row.SetString("dynamics", wire.TableVal(r.dyn))
+	}
+	return wire.TableVal(r.row)
+}
+
 func resultsToWire(results []QueryResult) wire.Value {
 	out := wire.NewTableSize(len(results), 0)
 	for _, r := range results {
-		o := wire.NewTableSize(0, 5)
-		o.SetString("id", wire.String(r.Offer.ID))
-		o.SetString("type", wire.String(r.Offer.ServiceType))
-		o.SetString("ref", wire.Ref(r.Offer.Ref))
-		snap := wire.NewTableSize(0, len(r.Snapshot))
+		row := newReplyRow(&r.Offer, max(len(r.Snapshot), len(r.Offer.Props)))
 		for name, v := range r.Snapshot {
-			snap.SetString(name, v)
+			row.property(name, v)
 		}
-		o.SetString("properties", wire.TableVal(snap))
-		// Dynamic property sources travel with the offer so clients (smart
-		// proxies) can attach observers to the same monitors the trader
-		// consults.
-		var dyn *wire.Table
 		for name, pv := range r.Offer.Props {
-			if !pv.IsDynamic() {
-				continue
+			if pv.IsDynamic() {
+				row.dynamic(name, pv)
 			}
-			if dyn == nil {
-				dyn = wire.NewTableSize(0, len(r.Offer.Props))
-			}
-			dyn.SetString(name, dynamicToWire("ref", pv))
 		}
-		if dyn != nil {
-			o.SetString("dynamics", wire.TableVal(dyn))
-		}
-		out.Append(wire.TableVal(o))
+		out.Append(row.value())
 	}
 	return wire.TableVal(out)
+}
+
+// queryWire is Query encoded as the servant's reply: rows go from the
+// offers' slots straight into wire tables, with no Props or Snapshot map in
+// between. The encoded bytes are those of resultsToWire over Query's rows.
+func (t *Trader) queryWire(ctx context.Context, serviceType, constraint, preference string, maxResults int) (wire.Value, error) {
+	var out *wire.Table
+	err := t.query(ctx, serviceType, constraint, preference, maxResults, func(sc *queryScratch) {
+		out = wire.NewTableSize(len(sc.matched), 0)
+		for _, i := range sc.matched {
+			c := &sc.candidates[i]
+			row := newReplyRow(&c.rec.offer, len(c.props.slots))
+			for k, s := range c.props.slots {
+				pv := &c.props.val[k]
+				name := sc.slotNames[s]
+				if v := sc.snapValue(c, int(s), pv); v != nil {
+					row.property(name, *v)
+				}
+				if pv.IsDynamic() {
+					row.dynamic(name, *pv)
+				}
+			}
+			out.Append(row.value())
+		}
+	})
+	if err != nil {
+		return wire.Nil(), err
+	}
+	return wire.TableVal(out), nil
 }
 
 // ResultsFromWire decodes a query reply on the client side.

@@ -100,7 +100,7 @@ type Trader struct {
 	resolveTimeout  time.Duration
 
 	mu     sync.RWMutex
-	types  map[string]registeredType
+	types  map[string]*registeredType
 	offers map[string]*offerRecord
 	// byType indexes offers by service type in export order (ascending
 	// offerRecord.seq), holding exactly the records of t.offers: Export
@@ -254,7 +254,7 @@ func NewTrader(resolver DynamicResolver) *Trader {
 		resolver:        resolver,
 		batch:           batch,
 		resolveParallel: defaultResolveParallel,
-		types:           make(map[string]registeredType),
+		types:           make(map[string]*registeredType),
 		offers:          make(map[string]*offerRecord),
 		byType:          make(map[string][]*offerRecord),
 		clk:             clock.Real{},
@@ -288,25 +288,109 @@ func (t *Trader) SetResolveTimeout(d time.Duration) {
 	t.resolveTimeout = d
 }
 
-// registeredType is a service type plus what Export needs precomputed from
-// it: the declared-property set of a Strict type, built once in AddType.
+// registeredType is a service type plus what the trader keeps per type:
+// the declared-property set of a Strict type, and the slot table that
+// numbers the type's property names. AddType numbers the declared names;
+// names first seen by Export or Modify are appended under the write lock.
+// Slots are never renumbered or reused, so a slot's name never changes and
+// a names slice captured under the read lock stays valid.
 type registeredType struct {
 	ServiceType
 	declared map[string]struct{} // nil unless Strict
+	slots    map[string]int      // property name → slot
+	names    []string            // slot → property name
 }
 
-// AddType registers a service type. Re-adding a name replaces it.
+// slot returns name's slot, numbering it first if the type has not seen it.
+func (rt *registeredType) slot(name string) int {
+	s, ok := rt.slots[name]
+	if !ok {
+		s = len(rt.names)
+		rt.slots[name] = s
+		rt.names = append(rt.names, name)
+	}
+	return s
+}
+
+// check rejects, for a Strict type, properties the type does not declare.
+func (rt *registeredType) check(props map[string]PropValue) error {
+	if !rt.Strict {
+		return nil
+	}
+	for name := range props {
+		if _, ok := rt.declared[name]; !ok {
+			return fmt.Errorf("trading: offer property %q not declared by type %q", name, rt.Name)
+		}
+	}
+	return nil
+}
+
+// slotted stores props by the type's slots, numbering names it has not seen.
+func (rt *registeredType) slotted(props map[string]PropValue) slotProps {
+	if len(props) == 0 {
+		return slotProps{}
+	}
+	p := slotProps{slots: make([]int32, 0, len(props)), val: make([]PropValue, len(props))}
+	for name := range props {
+		p.slots = append(p.slots, int32(rt.slot(name)))
+	}
+	slices.Sort(p.slots)
+	for i, s := range p.slots {
+		p.val[i] = props[rt.names[s]]
+	}
+	return p
+}
+
+// slotProps is one offer's properties by its type's slots: val[i] is the
+// property in slot slots[i], and slots ascends. Storage is proportional to
+// the offer's own properties, however many slots its type has numbered. A
+// property exported with a nil static value is present. A published
+// slotProps is never mutated — Export and Modify install fresh slices — so
+// a query that copied it under the read lock reads a consistent set after
+// releasing the lock.
+type slotProps struct {
+	slots []int32
+	val   []PropValue
+}
+
+// get returns the property in slot s; a negative s, or a slot the offer
+// does not use, is absent. Slots are distinct and ascend from 0, so slot s
+// sits at index s when the offer has every slot below it — the usual case,
+// offers of a type carrying the same names — and otherwise below s.
+func (p slotProps) get(s int) (*PropValue, bool) {
+	if s < 0 {
+		return nil, false
+	}
+	if s < len(p.slots) && int(p.slots[s]) == s {
+		return &p.val[s], true
+	}
+	i, ok := slices.BinarySearch(p.slots[:min(s, len(p.slots))], int32(s))
+	if !ok {
+		return nil, false
+	}
+	return &p.val[i], true
+}
+
+// AddType registers a service type. Re-adding a name replaces its
+// description and keeps its slot numbering.
 func (t *Trader) AddType(st ServiceType) {
-	rt := registeredType{ServiceType: st}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	rt := t.types[st.Name]
+	if rt == nil {
+		rt = &registeredType{slots: make(map[string]int, len(st.Props))}
+		t.types[st.Name] = rt
+	}
+	rt.ServiceType, rt.declared = st, nil
 	if st.Strict {
 		rt.declared = make(map[string]struct{}, len(st.Props))
 		for _, p := range st.Props {
 			rt.declared[p] = struct{}{}
 		}
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.types[st.Name] = rt
+	for _, p := range st.Props {
+		rt.slot(p)
+	}
 }
 
 // TypeNames lists registered service types, sorted.
@@ -329,22 +413,15 @@ func (t *Trader) Export(serviceType string, ref wire.ObjRef, props map[string]Pr
 	if !ok {
 		return "", fmt.Errorf("%w: %q", ErrUnknownServiceType, serviceType)
 	}
-	if st.Strict {
-		for name := range props {
-			if _, ok := st.declared[name]; !ok {
-				return "", fmt.Errorf("trading: offer property %q not declared by type %q", name, serviceType)
-			}
-		}
+	if err := st.check(props); err != nil {
+		return "", err
 	}
 	t.nextID++
 	t.statExports.Add(1)
 	id := "offer-" + strconv.Itoa(t.nextID)
-	copied := make(map[string]PropValue, len(props))
-	for k, v := range props {
-		copied[k] = v
-	}
 	rec := &offerRecord{
-		offer: Offer{ID: id, ServiceType: serviceType, Ref: ref, Props: copied},
+		offer: Offer{ID: id, ServiceType: serviceType, Ref: ref},
+		props: st.slotted(props),
 		seq:   t.nextID,
 	}
 	if t.leaseTTL > 0 {
@@ -381,10 +458,10 @@ func (t *Trader) Withdraw(id string) error {
 	return nil
 }
 
-// Modify replaces the properties of an existing offer. It is lease-aware:
-// modifying an expired offer reports ErrUnknownOffer without touching the
-// record, so a later Renew resurrects the offer with its pre-expiry
-// properties deterministically.
+// Modify replaces the properties of an existing offer, which a Strict type
+// checks as Export does. It is lease-aware: modifying an expired offer
+// reports ErrUnknownOffer without touching the record, so a later Renew
+// resurrects the offer with its pre-expiry properties deterministically.
 func (t *Trader) Modify(id string, props map[string]PropValue) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -395,11 +472,11 @@ func (t *Trader) Modify(id string, props map[string]PropValue) error {
 	if rec.expired(t.clk.Now()) {
 		return fmt.Errorf("%w: %q (lease expired)", ErrUnknownOffer, id)
 	}
-	copied := make(map[string]PropValue, len(props))
-	for k, v := range props {
-		copied[k] = v
+	st := t.types[rec.offer.ServiceType]
+	if err := st.check(props); err != nil {
+		return err
 	}
-	rec.offer.Props = copied
+	rec.props = st.slotted(props)
 	return nil
 }
 
@@ -439,9 +516,27 @@ func (t *Trader) OfferCount() int {
 // interrogated once for all of its aspects (BatchResolver), and the objects
 // fan out across a bounded worker pool (SetResolveParallel). Memoization is
 // per-query only, so repeated queries still observe fresh monitor values.
-// Snapshots (every static property plus every referenced dynamic property
-// that resolved) are built only for the rows returned.
+//
+// The names the constraint and preference reference are mapped to the
+// type's slots once per query, under the read lock that captures the
+// candidates; each candidate's values of those names then fill the small
+// array the compiled expressions read. Props and Snapshot maps (every
+// static property plus every referenced dynamic property that resolved)
+// are built only for the rows returned.
 func (t *Trader) Query(ctx context.Context, serviceType, constraint, preference string, maxResults int) ([]QueryResult, error) {
+	var out []QueryResult
+	err := t.query(ctx, serviceType, constraint, preference, maxResults, func(sc *queryScratch) {
+		out = make([]QueryResult, len(sc.matched))
+		for n, i := range sc.matched {
+			out[n] = sc.result(&sc.candidates[i])
+		}
+	})
+	return out, err
+}
+
+// query selects the rows of a query into sc.matched, in order and cut to
+// maxResults, and hands the scratch to render before recycling it.
+func (t *Trader) query(ctx context.Context, serviceType, constraint, preference string, maxResults int, render func(sc *queryScratch)) error {
 	began := time.Now()
 	t.statQueries.Add(1)
 	tm := t.tm.Load()
@@ -457,40 +552,63 @@ func (t *Trader) Query(ctx context.Context, serviceType, constraint, preference 
 		if tm != nil {
 			tm.queryErrors.Inc()
 		}
-		return nil, err
+		return err
 	}
 	pref, err := cachedPreference(preference)
 	if err != nil {
 		if tm != nil {
 			tm.queryErrors.Inc()
 		}
-		return nil, err
+		return err
 	}
 	sc := getQueryScratch()
 	defer putQueryScratch(sc)
+	// The names the query reads: the constraint's, then those only the
+	// preference has. The constraint's refs are thus a prefix of the list,
+	// and prefAt places each of the preference's refs in it.
+	names := append(sc.names[:0], cons.refs...)
+	prefAt := sc.prefAt[:0]
+	for _, name := range pref.refs {
+		u := slices.Index(names, name)
+		if u < 0 {
+			u = len(names)
+			names = append(names, name)
+		}
+		prefAt = append(prefAt, u)
+	}
+	sc.names, sc.prefAt = names, prefAt
 	t.mu.RLock()
-	if _, ok := t.types[serviceType]; !ok {
+	rt, ok := t.types[serviceType]
+	if !ok {
 		t.mu.RUnlock()
 		if tm != nil {
 			tm.queryErrors.Inc()
 		}
-		return nil, fmt.Errorf("%w: %q", ErrUnknownServiceType, serviceType)
+		return fmt.Errorf("%w: %q", ErrUnknownServiceType, serviceType)
 	}
 	workers := t.resolveParallel
 	resolveTimeout := t.resolveTimeout
+	slotOf := sc.slotOf[:0]
+	for _, name := range names {
+		s, ok := rt.slots[name]
+		if !ok {
+			s = -1 // no offer of the type has the property
+		}
+		slotOf = append(slotOf, s)
+	}
+	sc.slotOf, sc.slotNames = slotOf, rt.names
 	// The type's list is already in export order, the deterministic base
-	// order preferences refine. Capture each candidate's Props map pointer
-	// while holding the lock: Export and Modify install a fresh map and
-	// never mutate a published one, and an offer's other fields are
-	// immutable after export, so the captured pair stays consistent after
-	// the lock is released even if a concurrent Modify swaps in replacement
-	// properties.
+	// order preferences refine. Capture each candidate's properties while
+	// holding the lock: Export and Modify install fresh slices and never
+	// mutate published ones, and an offer's other fields are immutable
+	// after export, so the captured pair stays consistent after the lock is
+	// released even if a concurrent Modify swaps in replacement properties.
 	candidates := sc.candidates[:0]
 	now := t.clk.Now()
 	recs := t.byType[serviceType]
 	for _, rec := range recs {
 		if !rec.expired(now) {
-			candidates = append(candidates, offerView{rec: rec, props: rec.offer.Props, quarantined: rec.quarantined})
+			candidates = append(candidates, offerView{rec: rec, props: rec.props, quarantined: rec.quarantined})
 		}
 	}
 	t.mu.RUnlock()
@@ -504,112 +622,137 @@ func (t *Trader) Query(ctx context.Context, serviceType, constraint, preference 
 		resolveCtx, cancel = context.WithTimeout(ctx, resolveTimeout)
 		defer cancel()
 	}
-	// The names worth resolving: what the constraint or preference can read.
-	names := sc.names[:0]
-	if t.resolver != nil {
-		names = append(names, cons.refs...)
-		for _, name := range pref.refs {
-			if !slices.Contains(cons.refs, name) {
-				names = append(names, name)
-			}
-		}
+	// Without a resolver nothing resolves and dynamic properties read as
+	// missing.
+	resolve := slotOf
+	if t.resolver == nil {
+		resolve = nil
 	}
-	sc.names = names
-	results := t.resolveReferenced(resolveCtx, candidates, names, workers, sc)
+	t.resolveReferenced(resolveCtx, candidates, resolve, workers, sc)
 	t.noteResolveOutcomes(ctx, candidates, sc.outcomes)
 
-	// One lookup serves every evaluation: cur selects the candidate, static
-	// values come from its captured Props and dynamic ones from the resolve
-	// results through its range in pend. A dynamic property that was not
-	// resolved (unreferenced, failed, or no resolver) is absent.
-	var cur *offerView
-	pend := sc.pend
-	lookup := func(name string) (wire.Value, bool) {
-		pv, ok := cur.props[name]
-		if !ok {
-			return wire.Value{}, false
-		}
-		if !pv.IsDynamic() {
-			return pv.Static, true
-		}
-		for _, p := range pend[cur.lo:cur.hi] {
-			if p.name == name {
-				r := &results[p.task]
-				return r.Value, r.Err == nil
-			}
-		}
-		return wire.Value{}, false
-	}
+	vals := slices.Grow(sc.vals[:0], len(names))[:len(names)]
+	prefVals := slices.Grow(sc.prefVals[:0], len(prefAt))[:len(prefAt)]
+	sc.vals, sc.prefVals = vals, prefVals
+	keys := slices.Grow(sc.keys[:0], len(candidates))[:len(candidates)]
+	sc.keys = keys
+	ranked := pref.kind != prefFirst
 	matched := sc.matched[:0]
 	for i := range candidates {
-		if candidates[i].quarantined {
+		c := &candidates[i]
+		if c.quarantined {
 			continue // probed above, but untrusted until rehabilitated
 		}
-		cur = &candidates[i]
-		if ok, err := cons.Eval(lookup); err == nil && ok {
-			matched = append(matched, i)
+		sc.load(c, vals)
+		if v, err := cons.root.run(vals[:len(cons.refs)]); err != nil || !v.truthy() {
+			continue
+		}
+		matched = append(matched, i)
+		if ranked {
+			for k, u := range prefAt {
+				prefVals[k] = vals[u]
+			}
+			keys[i] = pref.key(c.rec.offer.ID, prefVals)
 		}
 	}
-	sc.matched = matched
-	sc.keys = slices.Grow(sc.keys[:0], len(candidates))[:len(candidates)]
-	err = pref.rank(matched, sc.keys, func(i int) (string, PropLookup) {
-		cur = &candidates[i]
-		return cur.rec.offer.ID, lookup
-	})
-	if err != nil {
-		return nil, err
+	if ranked {
+		sortByKeys(matched, keys)
 	}
 	if maxResults > 0 && len(matched) > maxResults {
 		matched = matched[:maxResults]
 	}
-	out := make([]QueryResult, len(matched))
-	for n, i := range matched {
-		c := &candidates[i]
-		snap := make(map[string]wire.Value, len(c.props))
-		for name, pv := range c.props {
-			if !pv.IsDynamic() {
-				snap[name] = pv.Static
-			}
-		}
-		for _, p := range pend[c.lo:c.hi] {
-			if r := &results[p.task]; r.Err == nil {
-				snap[p.name] = r.Value
-			}
-		}
-		o := &c.rec.offer // Props may be changing; the other fields never do
-		out[n] = QueryResult{
-			Offer:    Offer{ID: o.ID, ServiceType: o.ServiceType, Ref: o.Ref, Props: c.props},
-			Snapshot: snap,
-		}
-	}
-	return out, nil
+	sc.matched = matched
+	render(sc)
+	return nil
 }
 
-// offerView pairs an offer's record with the Props map captured under the
+// load fills vals with candidate c's values of the query's names: statics
+// from its slots, dynamics from this query's resolutions, and kindMissing
+// where the offer lacks the property or its dynamic value did not resolve.
+func (sc *queryScratch) load(c *offerView, vals []cval) {
+	for u, s := range sc.slotOf {
+		vals[u] = cval{kind: kindMissing}
+		if pv, ok := c.props.get(s); ok {
+			if v := sc.snapValue(c, s, pv); v != nil {
+				vals[u] = valueOf(v)
+			}
+		}
+	}
+}
+
+// snapValue is the value c's property pv, in slot s, has for this query:
+// its static value, or its dynamic value if the query resolved it; nil
+// otherwise.
+func (sc *queryScratch) snapValue(c *offerView, s int, pv *PropValue) *wire.Value {
+	if !pv.IsDynamic() {
+		return &pv.Static
+	}
+	for _, p := range sc.pend[c.lo:c.hi] {
+		if p.slot == s {
+			if r := &sc.results[p.task]; r.Err == nil {
+				return &r.Value
+			}
+			return nil
+		}
+	}
+	return nil
+}
+
+// result renders candidate c as a QueryResult: its properties, and the
+// snapshot the query evaluated — every static property plus every
+// referenced dynamic property that resolved.
+func (sc *queryScratch) result(c *offerView) QueryResult {
+	o := &c.rec.offer
+	n := len(c.props.slots)
+	r := QueryResult{
+		Offer:    Offer{ID: o.ID, ServiceType: o.ServiceType, Ref: o.Ref},
+		Snapshot: make(map[string]wire.Value, n),
+	}
+	if n > 0 {
+		r.Offer.Props = make(map[string]PropValue, n)
+	}
+	for i, s := range c.props.slots {
+		pv := &c.props.val[i]
+		name := sc.slotNames[s]
+		r.Offer.Props[name] = *pv
+		if v := sc.snapValue(c, int(s), pv); v != nil {
+			r.Snapshot[name] = *v
+		}
+	}
+	return r
+}
+
+// offerView pairs an offer's record with the properties captured under the
 // trader lock, pinning a consistent property set for the rest of the query.
 // quarantined marks offers resolved only as probes, never matched; lo:hi is
 // the offer's range in the query's pend list.
 type offerView struct {
 	rec         *offerRecord
-	props       map[string]PropValue
+	props       slotProps
 	quarantined bool
 	lo, hi      int
 }
 
-// pendingProp records that one offer property awaits one task's result.
+// pendingProp records that the offer property in one slot awaits one task's
+// result.
 type pendingProp struct {
-	name string
+	slot int
 	task int // index into the query's results (into tasks until they are grouped)
 }
 
 // queryScratch is the recyclable working set of one query. Queries churn
-// through several short-lived slices (candidate views, matched indices,
-// sort keys, resolve tasks, groups and results); pooling them keeps
-// steady-state allocation proportional to the result set instead of the
-// candidates.
+// through several short-lived slices (the referenced names and their slots,
+// candidate views, value arrays, matched indices, sort keys, resolve tasks,
+// groups and results); pooling them keeps steady-state allocation
+// proportional to the result set instead of the candidates.
 type queryScratch struct {
+	names      []string // what the constraint or preference reads
+	prefAt     []int    // the preference's refs, as indices into names
+	slotOf     []int    // each name's slot in the type; -1 = none
+	slotNames  []string // the type's names by slot
 	candidates []offerView
-	names      []string
+	vals       []cval // one candidate's values of names
+	prefVals   []cval // the same, of the preference's refs
 	matched    []int
 	keys       []prefKey
 	tasks      []resolveTask
@@ -649,7 +792,10 @@ func putQueryScratch(sc *queryScratch) {
 	}
 	// Drop references so a pooled scratch does not pin offers or resolved
 	// values between queries.
+	sc.slotNames = nil
 	clear(sc.candidates[:cap(sc.candidates)])
+	clear(sc.vals[:cap(sc.vals)])
+	clear(sc.prefVals[:cap(sc.prefVals)])
 	clear(sc.tasks[:cap(sc.tasks)])
 	clear(sc.groups[:cap(sc.groups)])
 	clear(sc.aspects[:cap(sc.aspects)])
@@ -761,14 +907,14 @@ func fnvString(h uint64, s string) uint64 {
 	return h
 }
 
-// resolveReferenced resolves, for every candidate, the dynamic properties
-// among names (what the constraint or preference references). The reads are
-// grouped by the object they address and, within a group, identical aspects
-// are deduplicated into one task, across all offers; resolveAll then
-// interrogates each object once. It leaves each candidate's lo:hi range of
-// sc.pend and its sc.outcomes entry behind and returns the results those
-// pend entries index.
-func (t *Trader) resolveReferenced(ctx context.Context, offers []offerView, names []string, workers int, sc *queryScratch) []Resolution {
+// resolveReferenced resolves, for every candidate, its dynamic properties
+// in slots (those of what the constraint or preference references). The
+// reads are grouped by the object they address and, within a group,
+// identical aspects are deduplicated into one task, across all offers;
+// resolveAll then interrogates each object once. It leaves each candidate's
+// lo:hi range of sc.pend, its sc.outcomes entry, and the sc.results those
+// pend entries index behind.
+func (t *Trader) resolveReferenced(ctx context.Context, offers []offerView, slots []int, workers int, sc *queryScratch) {
 	outcomes := sc.outcomes[:0]
 	tasks, groups, pend := sc.tasks[:0], sc.groups[:0], sc.pend[:0]
 	// The index is reset lazily so purely static queries pay nothing for it.
@@ -776,8 +922,8 @@ func (t *Trader) resolveReferenced(ctx context.Context, offers []offerView, name
 	for i := range offers {
 		outcomes = append(outcomes, resolveNone)
 		offers[i].lo = len(pend)
-		for _, name := range names {
-			pv, ok := offers[i].props[name]
+		for _, s := range slots {
+			pv, ok := offers[i].props.get(s)
 			if !ok || !pv.IsDynamic() {
 				continue
 			}
@@ -808,7 +954,7 @@ func (t *Trader) resolveReferenced(ctx context.Context, offers []offerView, name
 				}
 				groups[g].tail = idx
 			}
-			pend = append(pend, pendingProp{name: name, task: idx})
+			pend = append(pend, pendingProp{slot: s, task: idx})
 		}
 		offers[i].hi = len(pend)
 	}
@@ -850,7 +996,6 @@ func (t *Trader) resolveReferenced(ctx context.Context, offers []offerView, name
 			}
 		}
 	}
-	return results
 }
 
 // resolveGroup interrogates one group's object for the group's aspects.

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -82,6 +84,61 @@ func TestStrictTypeRejectsUndeclaredProps(t *testing.T) {
 	}
 	if _, err := tr.Export("S", serverRef(0), map[string]PropValue{"a": {Static: wire.Int(1)}}); err != nil {
 		t.Fatalf("declared property rejected: %v", err)
+	}
+}
+
+// TestModifyStrictRejectsUndeclaredProps: Modify checks a Strict type's
+// declaration as Export does, locally and through the servant, and a
+// rejected Modify leaves the offer's properties as they were.
+func TestModifyStrictRejectsUndeclaredProps(t *testing.T) {
+	tr := NewTrader(nil)
+	tr.AddType(ServiceType{Name: "S", Props: []string{"a"}, Strict: true})
+	id, err := tr.Export("S", serverRef(0), map[string]PropValue{"a": {Static: wire.Int(1)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Modify(id, map[string]PropValue{"b": {Static: wire.Int(2)}}); err == nil {
+		t.Fatal("local Modify accepted a property the strict type does not declare")
+	}
+	modify := []wire.Value{wire.String(id), PropsToWire(map[string]PropValue{"a": {Static: wire.Int(3)}, "c": {Static: wire.Int(3)}})}
+	if _, err := NewServant(tr).Invoke("modify", modify); err == nil || !strings.Contains(err.Error(), "not declared") {
+		t.Fatalf("Modify through the servant: err = %v, want the undeclared property refused", err)
+	}
+	rs, err := tr.Query(context.Background(), "S", "", "", 0)
+	if err != nil || len(rs) != 1 {
+		t.Fatalf("query = %v, %v", rs, err)
+	}
+	if len(rs[0].Offer.Props) != 1 || rs[0].Snapshot["a"].Num() != 1 {
+		t.Fatalf("after refused modifies the offer has %v, want a = 1 only", rs[0].Snapshot)
+	}
+	if err := tr.Modify(id, map[string]PropValue{"a": {Static: wire.Int(4)}}); err != nil {
+		t.Fatalf("declared property rejected: %v", err)
+	}
+}
+
+// TestFreshNamesKeepOfferStorageBounded: on a non-Strict type every name an
+// export invents takes a new slot, and an offer stores only the slots it
+// uses, so offers whose names were numbered late cost no more than early
+// ones — heap per offer stays flat instead of growing with the slot table.
+func TestFreshNamesKeepOfferStorageBounded(t *testing.T) {
+	const n = 1000
+	tr := NewTrader(nil)
+	tr.AddType(ServiceType{Name: "S", Props: []string{"a"}})
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		props := map[string]PropValue{fmt.Sprint("p", i): {Static: wire.Int(i)}}
+		if _, err := tr.Export("S", serverRef(i), props); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perOffer := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n
+	runtime.KeepAlive(tr)
+	if perOffer > 2<<10 {
+		t.Fatalf("heap per offer = %d B after %d exports with fresh names, want <= 2 KiB", perOffer, n)
 	}
 }
 
