@@ -33,13 +33,11 @@ import (
 	"time"
 
 	"autoadapt/internal/agent"
-	"autoadapt/internal/baseline"
 	"autoadapt/internal/core"
 	"autoadapt/internal/idl"
 	"autoadapt/internal/metrics"
 	"autoadapt/internal/monitor"
 	"autoadapt/internal/orb"
-	"autoadapt/internal/rebind"
 	"autoadapt/internal/trading"
 	"autoadapt/internal/trading/shard"
 	"autoadapt/internal/wire"
@@ -75,9 +73,6 @@ type (
 	PropValue = trading.PropValue
 	// QueryResult is one trader match.
 	QueryResult = trading.QueryResult
-	// Rebinder is a self-healing service binding that re-queries the
-	// trader when its bound server dies (see internal/rebind).
-	Rebinder = rebind.Rebinder
 	// MetricsRegistry collects counters, gauges, and latency histograms
 	// from every instrumented layer (see internal/metrics).
 	MetricsRegistry = metrics.Registry
@@ -422,14 +417,6 @@ func (p *Platform) NewSmartProxy(opts ProxyOptions) (*SmartProxy, error) {
 		opts.ObserverServer = p.ObserverServer
 	}
 	return core.New(opts)
-}
-
-// NewRebinder creates a self-healing binding for the given service type:
-// invocations go to the best matching offer and, when that server dies,
-// automatically rebind through the trader (whose leases have pruned dead
-// offers). preference defaults to "min LoadAvg".
-func (p *Platform) NewRebinder(serviceType, constraint, preference string) *Rebinder {
-	return baseline.NewRebinding(p.Client, p.Lookup, serviceType, constraint, preference)
 }
 
 // Close tears the platform down.

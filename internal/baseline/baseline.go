@@ -27,16 +27,6 @@ type Invoker interface {
 	Invoke(ctx context.Context, op string, args ...wire.Value) ([]wire.Value, error)
 }
 
-// AsyncInvoker extends Invoker with pipelined invocation: InvokeAsync
-// selects a target with the policy's usual rule and issues the request
-// without waiting for its reply, so an open-loop driver can keep a window
-// of calls in flight. Selection happens at issue time; async invocations
-// are single-attempt (no retry, no mid-flight re-selection).
-type AsyncInvoker interface {
-	Invoker
-	InvokeAsync(ctx context.Context, op string, args ...wire.Value) (*orb.Future, error)
-}
-
 // ErrNoOffers is returned when binding finds no exported offers.
 var ErrNoOffers = errors.New("baseline: no offers available")
 
@@ -96,17 +86,6 @@ func (s *Static) Invoke(ctx context.Context, op string, args ...wire.Value) ([]w
 	return p.Call(ctx, op, args...)
 }
 
-// InvokeAsync implements AsyncInvoker.
-func (s *Static) InvokeAsync(ctx context.Context, op string, args ...wire.Value) (*orb.Future, error) {
-	s.mu.Lock()
-	p := s.proxy
-	s.mu.Unlock()
-	if p == nil {
-		return nil, errors.New("baseline: static client not bound")
-	}
-	return p.CallAsync(ctx, op, args...)
-}
-
 // listBound is the shared machinery of RoundRobin and Random: a one-time
 // query for every offer of the type.
 type listBound struct {
@@ -158,15 +137,6 @@ func (r *RoundRobin) Invoke(ctx context.Context, op string, args ...wire.Value) 
 	return r.client.Invoke(ctx, ref, op, args...)
 }
 
-// InvokeAsync implements AsyncInvoker: rotation advances at issue time.
-func (r *RoundRobin) InvokeAsync(ctx context.Context, op string, args ...wire.Value) (*orb.Future, error) {
-	ref, err := r.nextRef()
-	if err != nil {
-		return nil, err
-	}
-	return r.client.InvokeAsync(ctx, ref, op, args...)
-}
-
 func (r *RoundRobin) nextRef() (wire.ObjRef, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -203,15 +173,6 @@ func (r *Random) Invoke(ctx context.Context, op string, args ...wire.Value) ([]w
 		return nil, err
 	}
 	return r.client.Invoke(ctx, ref, op, args...)
-}
-
-// InvokeAsync implements AsyncInvoker: the draw happens at issue time.
-func (r *Random) InvokeAsync(ctx context.Context, op string, args ...wire.Value) (*orb.Future, error) {
-	ref, err := r.randRef()
-	if err != nil {
-		return nil, err
-	}
-	return r.client.InvokeAsync(ctx, ref, op, args...)
 }
 
 func (r *Random) randRef() (wire.ObjRef, error) {

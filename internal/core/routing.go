@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"autoadapt/internal/orb"
@@ -30,7 +29,6 @@ type opRoute struct {
 
 	mu    sync.Mutex
 	proxy *orb.Proxy
-	offer wire.ObjRef
 }
 
 // RouteOperation installs a per-operation route: op is dispatched to a
@@ -48,7 +46,7 @@ func (sp *SmartProxy) RouteOperation(ctx context.Context, op, constraint, prefer
 		preference = sp.opts.Preference
 	}
 	r := &opRoute{constraint: constraint, preference: preference}
-	if err := sp.selectRoute(ctx, r); err != nil {
+	if err := sp.selectRoute(ctx, r, nil); err != nil {
 		return err
 	}
 	sp.mu.Lock()
@@ -60,20 +58,18 @@ func (sp *SmartProxy) RouteOperation(ctx context.Context, op, constraint, prefer
 	return nil
 }
 
-func (sp *SmartProxy) selectRoute(ctx context.Context, r *opRoute) error {
-	if sp.opts.Lookup == nil {
-		return fmt.Errorf("core: operation routing requires a trading lookup")
-	}
-	results, err := sp.opts.Lookup.Query(ctx, sp.opts.ServiceType, r.constraint, r.preference, 1)
+// selectRoute points r at the best offer for its constraint that is not in
+// failed.
+func (sp *SmartProxy) selectRoute(ctx context.Context, r *opRoute, failed []wire.ObjRef) error {
+	res, ok, err := sp.pick(ctx, r.constraint, r.preference, failed)
 	if err != nil {
-		return fmt.Errorf("core: route selection: %w", err)
+		return err
 	}
-	if len(results) == 0 {
+	if !ok {
 		return ErrNoOffer
 	}
 	r.mu.Lock()
-	r.offer = results[0].Offer.Ref
-	r.proxy = sp.opts.Client.NewProxy(r.offer)
+	r.proxy = sp.opts.Client.NewProxy(res.Offer.Ref)
 	r.mu.Unlock()
 	return nil
 }
@@ -89,7 +85,7 @@ func (sp *SmartProxy) RouteTarget(op string) wire.ObjRef {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.offer
+	return r.proxy.Ref()
 }
 
 // SetAlternativeOp registers alt as the fallback method for op: if the
@@ -107,8 +103,8 @@ func (sp *SmartProxy) SetAlternativeOp(op, alt string) {
 	sp.altOps[op] = alt
 }
 
-// routedInvoke handles a routed operation, re-selecting once on transport
-// failure.
+// routedInvoke handles a routed operation, re-selecting away from the
+// route's server and retrying once when the fault indicts it.
 func (sp *SmartProxy) routedInvoke(ctx context.Context, r *opRoute, op string, args []wire.Value) ([]wire.Value, error) {
 	r.mu.Lock()
 	proxy := r.proxy
@@ -120,11 +116,11 @@ func (sp *SmartProxy) routedInvoke(ctx context.Context, r *opRoute, op string, a
 	if rs2, ok := sp.tryAlternative(ctx, proxy, op, args, err); ok {
 		return rs2, nil
 	}
-	if !isTransportError(err) {
+	if !indictsBinding(err) {
 		return nil, err
 	}
-	// The routed server died: re-select and retry once.
-	if serr := sp.selectRoute(ctx, r); serr != nil {
+	// The routed server died: re-select away from it and retry once.
+	if serr := sp.selectRoute(ctx, r, []wire.ObjRef{proxy.Ref()}); serr != nil {
 		return nil, err
 	}
 	r.mu.Lock()

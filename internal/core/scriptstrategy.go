@@ -150,7 +150,7 @@ func (sp *SmartProxy) buildScriptSelf(ctx context.Context) script.Value {
 		}
 		// Runs without sp.mu: Select takes its own locks. The strategy
 		// runs under adaptMu, so concurrent adaptations cannot interleave.
-		ok, err := sp.selectUnlockedFromScript(ctx, query)
+		ok, err := sp.Select(ctx, query)
 		if err != nil {
 			return []script.Value{script.Bool(false)}, nil
 		}
@@ -247,12 +247,6 @@ func (sp *SmartProxy) buildScriptSelf(ctx context.Context) script.Value {
 		self.SetString("_server", script.Ref(sel.result.Offer.Ref))
 	}
 	return script.TableVal(self)
-}
-
-// selectUnlockedFromScript is Select without the re-entrant adaptMu (the
-// caller already holds it via runStrategies) and without sp.mu held.
-func (sp *SmartProxy) selectUnlockedFromScript(ctx context.Context, constraint string) (bool, error) {
-	return sp.Select(ctx, constraint)
 }
 
 func fromWireAll(vs []wire.Value) []script.Value {

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -110,9 +111,10 @@ type Options struct {
 	MaxStrategyFailures int
 	// Failover treats availability as a nonfunctional requirement: when an
 	// invocation fails with a transport-level error (server crashed,
-	// connection lost — not application errors), the proxy re-selects with
-	// its configured constraint and retries the invocation, governed by
-	// Retry.
+	// connection lost — not application errors, not the caller's own
+	// cancellation or deadline), the proxy re-selects with its configured
+	// constraint, passing over every server that already failed during the
+	// invocation, and retries it, governed by Retry.
 	Failover bool
 	// Retry shapes the failover path: MaxAttempts bounds the total number
 	// of invocation attempts (the first included) and Backoff spaces the
@@ -348,25 +350,44 @@ func (sp *SmartProxy) Bind(ctx context.Context) error {
 // It reports whether a server was selected. Keeping the current server
 // when the query comes back empty is the paper's Fig. 7 behaviour.
 func (sp *SmartProxy) Select(ctx context.Context, constraint string) (bool, error) {
+	return sp.selectSkipping(ctx, constraint, nil)
+}
+
+// selectSkipping is Select that never binds a server in failed.
+func (sp *SmartProxy) selectSkipping(ctx context.Context, constraint string, failed []wire.ObjRef) (bool, error) {
 	sp.mu.Lock()
 	if sp.closed {
 		sp.mu.Unlock()
 		return false, ErrClosed
 	}
-	lookup := sp.opts.Lookup
 	sp.stats.Selections++
 	sp.mu.Unlock()
-	if lookup == nil {
-		return false, errors.New("core: no trading lookup configured")
+	r, ok, err := sp.pick(ctx, constraint, sp.opts.Preference, failed)
+	if !ok {
+		return false, err
 	}
-	results, err := lookup.Query(ctx, sp.opts.ServiceType, constraint, sp.opts.Preference, 1)
+	return true, sp.bindResult(ctx, r)
+}
+
+// pick is the one trader lookup behind Select, failover and operation
+// routes. It asks for the best len(failed)+1 offers and returns the first
+// whose server has not already failed during this invocation, so a dead
+// server whose lease has not yet run out is passed over. With nothing
+// failed it is a plain best-1 query.
+func (sp *SmartProxy) pick(ctx context.Context, constraint, preference string, failed []wire.ObjRef) (trading.QueryResult, bool, error) {
+	if sp.opts.Lookup == nil {
+		return trading.QueryResult{}, false, errors.New("core: no trading lookup configured")
+	}
+	results, err := sp.opts.Lookup.Query(ctx, sp.opts.ServiceType, constraint, preference, len(failed)+1)
 	if err != nil {
-		return false, fmt.Errorf("core: select: %w", err)
+		return trading.QueryResult{}, false, fmt.Errorf("core: select: %w", err)
 	}
-	if len(results) == 0 {
-		return false, nil
+	for _, r := range results {
+		if !slices.Contains(failed, r.Offer.Ref) {
+			return r, true, nil
+		}
 	}
-	return true, sp.bindResult(ctx, results[0])
+	return trading.QueryResult{}, false, nil
 }
 
 // BindTo binds the proxy directly to a query result (bypassing the
@@ -555,76 +576,69 @@ func (sp *SmartProxy) Invoke(ctx context.Context, op string, args ...wire.Value)
 		return nil, ErrNotBound
 	}
 	rs, err := sel.proxy.Call(ctx, op, args...)
-	if err != nil {
-		sp.mu.Lock()
-		sp.stats.FailedInvokes++
-		sp.mu.Unlock()
-		if rs2, ok := sp.tryAlternative(ctx, sel.proxy, op, args, err); ok {
-			return rs2, nil
-		}
-		if sp.opts.Failover && isTransportError(err) {
-			if rs, ferr := sp.failover(ctx, sel, op, args); ferr == nil {
-				return rs, nil
-			}
-		}
-		return nil, err
+	if err == nil {
+		return rs, nil
 	}
-	return rs, nil
+	sp.mu.Lock()
+	sp.stats.FailedInvokes++
+	sp.mu.Unlock()
+	if rs, ok := sp.tryAlternative(ctx, sel.proxy, op, args, err); ok {
+		return rs, nil
+	}
+	if sp.opts.Failover && indictsBinding(err) {
+		return sp.failover(ctx, sel.result.Offer.Ref, op, args, err)
+	}
+	return nil, err
 }
 
-// isTransportError distinguishes infrastructure failures (worth a
-// failover) from application errors returned by the servant (which must
-// surface to the caller unchanged).
-func isTransportError(err error) bool {
+// indictsBinding is the proxy's one fault rule: err says the bound server
+// is unusable (a transport fault or a breaker fast-fail) unless it is the
+// server's own answer (orb.RemoteError) or the caller's own cancellation
+// or deadline, neither of which another server would cure.
+func indictsBinding(err error) bool {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return false
+	}
 	var re *orb.RemoteError
 	return !errors.As(err, &re)
 }
 
-// failover re-selects away from the failed server and retries, spacing
-// attempts with the configured retry policy's backoff. With a zero-value
-// policy it performs a single immediate retry (the paper's behaviour).
-func (sp *SmartProxy) failover(ctx context.Context, failed *selection, op string, args []wire.Value) ([]wire.Value, error) {
-	sp.logf("core: failover: %s unreachable, re-selecting", failed.result.Offer.Ref)
+// failover re-selects away from every server that failed during this
+// invocation and retries, spacing attempts with the configured retry
+// policy's backoff. With a zero-value policy it performs a single immediate
+// retry (the paper's behaviour). When the trader offers nothing new the
+// proxy keeps its binding and the invocation fails with the last fault.
+func (sp *SmartProxy) failover(ctx context.Context, dead wire.ObjRef, op string, args []wire.Value, cause error) ([]wire.Value, error) {
+	sp.logf("core: failover: %s unreachable, re-selecting", dead)
 	policy := sp.opts.Retry
-	attempts := policy.MaxAttempts
-	if attempts < 2 {
-		attempts = 2 // the original call was attempt 1; retry at least once
-	}
-	lastErr := error(ErrNoOffer)
+	attempts := max(policy.MaxAttempts, 2) // the original call was attempt 1; retry at least once
+	failed := []wire.ObjRef{dead}
 	for attempt := 2; attempt <= attempts; attempt++ {
-		if attempt > 2 {
-			if err := orb.SleepBackoff(ctx, policy.Backoff(attempt-1)); err != nil {
-				return nil, lastErr
-			}
+		if attempt > 2 && orb.SleepBackoff(ctx, policy.Backoff(attempt-1)) != nil {
+			break
 		}
-		ok, err := sp.Select(ctx, sp.opts.Constraint)
+		ok, err := sp.selectSkipping(ctx, sp.opts.Constraint, failed)
+		if err == nil && !ok && sp.opts.FallbackSortOnly {
+			ok, err = sp.selectSkipping(ctx, "", failed)
+		}
 		if err != nil {
-			return nil, err
-		}
-		if !ok && sp.opts.FallbackSortOnly {
-			ok, err = sp.Select(ctx, "")
-			if err != nil {
-				return nil, err
-			}
+			sp.logf("core: failover re-selection: %v", err)
+			break
 		}
 		sp.mu.Lock()
 		sel := sp.sel
 		sp.mu.Unlock()
-		if !ok || sel == nil || sel.result.Offer.Ref == failed.result.Offer.Ref {
-			lastErr = ErrNoOffer
+		if !ok || sel == nil || slices.Contains(failed, sel.result.Offer.Ref) {
 			continue
 		}
 		rs, err := sel.proxy.Call(ctx, op, args...)
-		if err == nil {
-			return rs, nil
+		if err == nil || !indictsBinding(err) {
+			return rs, err
 		}
-		lastErr = err
-		if !isTransportError(err) {
-			return nil, err
-		}
-		failed = sel // this server failed too; keep hunting
+		cause = err
+		failed = append(failed, sel.result.Offer.Ref) // this server failed too; keep hunting
 	}
-	return nil, lastErr
+	return nil, cause
 }
 
 // Adapt drains the event queue and runs the strategy for each pending

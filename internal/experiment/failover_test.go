@@ -7,8 +7,8 @@ import (
 	"time"
 
 	"autoadapt/internal/agent"
-	"autoadapt/internal/baseline"
 	"autoadapt/internal/clock"
+	"autoadapt/internal/core"
 	"autoadapt/internal/monitor"
 	"autoadapt/internal/orb"
 	"autoadapt/internal/trading"
@@ -47,9 +47,9 @@ func e11Settle(t *testing.T, sim *clock.Sim, d time.Duration, timers int) {
 // connection is severed by the fault injector and its process is gone), and
 // the liveness layer heals around it end to end —
 //
-//   - the rebinding proxy re-queries the trader, skips the dead replica's
-//     still-registered offer, and completes the invocation on the survivor
-//     (no invocation lost);
+//   - the failover smart proxy re-queries the trader, skips the dead
+//     replica's still-registered offer, and completes the invocation on the
+//     survivor (no invocation lost);
 //   - the crashed agent's offer, never renewed, drops out of Query and
 //     OfferCount within one lease TTL and is reaped;
 //   - the circuit breaker answers further invocations of the dead endpoint
@@ -117,7 +117,7 @@ func TestE11CrashFailover(t *testing.T) {
 	defer ag.Close(context.Background())
 	ref2 := ag.ServiceRef()
 
-	// Data plane: the rebinding proxy invokes through the fault injector
+	// Data plane: the failover proxy invokes through the fault injector
 	// with retry/backoff and a per-endpoint circuit breaker.
 	cli := orb.NewClientOpts(orb.ClientOptions{
 		Networks: []orb.Network{fnet},
@@ -125,19 +125,16 @@ func TestE11CrashFailover(t *testing.T) {
 		Breaker:  orb.BreakerPolicy{Threshold: 3, Cooldown: time.Hour},
 	})
 	defer cli.Close()
-	rb := baseline.NewRebinding(cli, lookup, ServiceTypeName, "", "min LoadAvg")
-	if err := rb.Bind(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if rb.Current() != ref1 {
-		t.Fatalf("initial binding = %v, want the preferred host-1", rb.Current())
+	sp := e11Proxy(t, cli, lookup)
+	if cur, _ := sp.Current(); cur != ref1 {
+		t.Fatalf("initial binding = %v, want the preferred host-1", cur)
 	}
 
 	// Steady load against host-1; its connection is armed to be severed
 	// after the third reply — the crash happens mid-load.
 	fnet.SeverNextConnAfterFrames(3)
 	for i := 0; i < 3; i++ {
-		rs, err := rb.Invoke(ctx, "hello")
+		rs, err := sp.Invoke(ctx, "hello")
 		if err != nil || rs[0].Str() != "hello from host-1" {
 			t.Fatalf("warm invoke %d = %v, %v", i, rs, err)
 		}
@@ -145,22 +142,21 @@ func TestE11CrashFailover(t *testing.T) {
 
 	// The crash: the in-flight connection is dead (sever) and so is the
 	// process (server closed). The trader still lists host-1's offer — its
-	// lease has not expired — so the rebinder must skip the ref that just
+	// lease has not expired — so the proxy must skip the ref that just
 	// failed, not trust the trader blindly.
 	_ = h1.Close()
 	if n := tr.OfferCount(); n != 2 {
 		t.Fatalf("offers right after crash = %d, want 2 (lease not yet expired)", n)
 	}
-	rs, err := rb.Invoke(ctx, "hello")
+	rs, err := sp.Invoke(ctx, "hello")
 	if err != nil {
 		t.Fatalf("invocation lost in the crash: %v", err)
 	}
 	if rs[0].Str() != "hello from host-2" {
 		t.Fatalf("post-crash reply = %q, want the survivor", rs[0].Str())
 	}
-	st := rb.Stats()
-	if st.Rebinds != 1 {
-		t.Fatalf("stats after failover = %+v, want exactly one rebind", st)
+	if st := sp.Stats(); st.Switches != 1 {
+		t.Fatalf("stats after failover = %+v, want exactly one switch", st)
 	}
 
 	// Breaker criterion, measured on a fresh client so the attempt count
@@ -217,11 +213,27 @@ func TestE11CrashFailover(t *testing.T) {
 	}
 
 	// A client binding fresh now never even sees the dead replica.
-	rb2 := baseline.NewRebinding(cli, lookup, ServiceTypeName, "", "min LoadAvg")
-	if err := rb2.Bind(ctx); err != nil {
+	if cur, _ := e11Proxy(t, cli, lookup).Current(); cur != ref2 {
+		t.Fatalf("fresh binding = %v, want host-2", cur)
+	}
+}
+
+// e11Proxy binds a failover smart proxy to the least-loaded replica.
+func e11Proxy(t *testing.T, cli *orb.Client, lookup trading.Directory) *core.SmartProxy {
+	t.Helper()
+	sp, err := core.New(core.Options{
+		Client:      cli,
+		Lookup:      lookup,
+		ServiceType: ServiceTypeName,
+		Preference:  "min LoadAvg",
+		Failover:    true,
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if rb2.Current() != ref2 {
-		t.Fatalf("fresh binding = %v, want host-2", rb2.Current())
+	t.Cleanup(sp.Close)
+	if err := sp.Bind(context.Background()); err != nil {
+		t.Fatal(err)
 	}
+	return sp
 }

@@ -8,7 +8,6 @@ import (
 	"autoadapt/internal/baseline"
 	"autoadapt/internal/core"
 	"autoadapt/internal/monitor"
-	"autoadapt/internal/rebind"
 	"autoadapt/internal/wire"
 )
 
@@ -39,9 +38,9 @@ const (
 )
 
 // AllPolicies lists every selection policy in report order. rebind is
-// static selection plus failure-driven rebinding (package rebind): under
-// E1's fault-free load it behaves like static, and E11 exercises its
-// self-healing path.
+// static selection plus failure-driven rebinding (a smart proxy with
+// Failover and no watches): under E1's fault-free load it behaves like
+// static, and E11 exercises its self-healing path.
 var AllPolicies = []string{PolicyAdaptive, PolicyStatic, PolicyRebind, PolicyRoundRobin, PolicyRandom}
 
 // LoadShareConfig parameterizes experiment E1.
@@ -121,7 +120,6 @@ func LoadSharing(cfg LoadShareConfig, policy string) (*LoadShareResult, error) {
 	// Build one invoker per client.
 	invokers := make([]baseline.Invoker, cfg.Clients)
 	var proxies []*core.SmartProxy
-	var rebinders []*rebind.Rebinder
 	for i := 0; i < cfg.Clients; i++ {
 		switch policy {
 		case PolicyAdaptive:
@@ -159,12 +157,22 @@ func LoadSharing(cfg LoadShareConfig, policy string) (*LoadShareResult, error) {
 			}
 			invokers[i] = c
 		case PolicyRebind:
-			c := baseline.NewRebinding(w.Client, w.Lookup, ServiceTypeName, "", "min LoadAvg")
-			if err := c.Bind(ctx); err != nil {
+			sp, err := core.New(core.Options{
+				Client:      w.Client,
+				Lookup:      w.Lookup,
+				ServiceType: ServiceTypeName,
+				Preference:  "min LoadAvg",
+				Failover:    true,
+			})
+			if err != nil {
 				return nil, err
 			}
-			rebinders = append(rebinders, c)
-			invokers[i] = c
+			defer sp.Close()
+			if err := sp.Bind(ctx); err != nil {
+				return nil, err
+			}
+			proxies = append(proxies, sp)
+			invokers[i] = sp
 		case PolicyRoundRobin:
 			c := baseline.NewRoundRobin(w.Client, w.Lookup, ServiceTypeName)
 			if err := c.Bind(ctx); err != nil {
@@ -237,19 +245,12 @@ func LoadSharing(cfg LoadShareConfig, policy string) (*LoadShareResult, error) {
 		MaxOverMean:  MaxOverMean(w.BusySeconds()),
 		PerServer:    w.ServedCounts(),
 	}
-	if policy == PolicyAdaptive {
-		for _, sp := range proxies {
-			st := sp.Stats()
-			res.Switches += st.Switches
-			res.TraderQueries += st.Selections
-		}
-	} else if policy == PolicyRebind {
-		for _, rb := range rebinders {
-			st := rb.Stats()
-			res.Switches += st.Rebinds
-			res.TraderQueries += st.Queries
-		}
-	} else {
+	for _, sp := range proxies {
+		st := sp.Stats()
+		res.Switches += st.Switches
+		res.TraderQueries += st.Selections
+	}
+	if proxies == nil {
 		// Every baseline performs exactly one trader query at bind time.
 		res.TraderQueries = int64(cfg.Clients)
 	}

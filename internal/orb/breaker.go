@@ -17,9 +17,9 @@ import (
 // ErrCircuitOpen — no dial, no backoff — until a cooldown elapses and a
 // single half-open probe is allowed through to test the peer. A successful
 // probe recloses the circuit; a failed one reopens it for another
-// cooldown. Smart proxies and rebinders treat ErrCircuitOpen like any
-// other transport fault (re-select, rebind), but they learn about the dead
-// peer in microseconds instead of after the retry budget.
+// cooldown. A failover smart proxy treats ErrCircuitOpen like any other
+// transport fault (re-select, rebind), but it learns about the dead peer
+// in microseconds instead of after the retry budget.
 
 // ErrCircuitOpen is returned (wrapped, with the endpoint) when an
 // invocation is refused because the target endpoint's circuit breaker is

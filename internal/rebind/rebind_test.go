@@ -1,3 +1,7 @@
+// Package rebind holds the rebinding regression tests: a client bound to a
+// service type through the trader keeps working when its server dies. The
+// healing itself is core.SmartProxy's failover (Options.Failover); these
+// tests drive it end to end over an inproc network with ranked servers.
 package rebind
 
 import (
@@ -5,12 +9,13 @@ import (
 	"errors"
 	"testing"
 
+	"autoadapt/internal/core"
 	"autoadapt/internal/orb"
 	"autoadapt/internal/trading"
 	"autoadapt/internal/wire"
 )
 
-// world is a trader plus two ranked hello servers on one inproc network.
+// world is a trader plus ranked hello servers on one inproc network.
 type world struct {
 	net    *orb.InprocNetwork
 	trader *trading.Trader
@@ -46,8 +51,8 @@ func newWorld(t *testing.T, hosts ...string) *world {
 	return w
 }
 
-// startHost brings up (or back up) a named hello server and exports its
-// offer with the given rank (lower rank = preferred).
+// startHost brings up a named hello server and exports its offer with the
+// given rank (lower rank = preferred).
 func (w *world) startHost(t *testing.T, name string, rank int) {
 	t.Helper()
 	srv, err := orb.NewServer(orb.ServerOptions{Network: w.net, Address: name})
@@ -70,177 +75,133 @@ func (w *world) startHost(t *testing.T, name string, rank int) {
 	w.srvs[name], w.refs[name], w.ids[name] = srv, ref, id
 }
 
-func newRebinder(w *world, opts func(*Options)) *Rebinder {
-	o := Options{
+// bound returns a failover proxy bound to the best-ranked offer.
+func (w *world) bound(t *testing.T) *core.SmartProxy {
+	t.Helper()
+	sp, err := core.New(core.Options{
 		Client:      w.client,
 		Lookup:      w.lookup,
 		ServiceType: "Hello",
 		Preference:  "min Rank",
+		Failover:    true,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if opts != nil {
-		opts(&o)
+	t.Cleanup(sp.Close)
+	if err := sp.Bind(context.Background()); err != nil {
+		t.Fatal(err)
 	}
-	return New(o)
+	return sp
+}
+
+func current(sp *core.SmartProxy) wire.ObjRef {
+	ref, _ := sp.Current()
+	return ref
 }
 
 func TestRebindsToSurvivorOnDeadServer(t *testing.T) {
 	w := newWorld(t, "h1", "h2")
-	var moves [][2]wire.ObjRef
-	rb := newRebinder(w, func(o *Options) {
-		o.OnRebind = func(from, to wire.ObjRef) { moves = append(moves, [2]wire.ObjRef{from, to}) }
-	})
+	sp := w.bound(t)
 	ctx := context.Background()
-	if err := rb.Bind(ctx); err != nil {
-		t.Fatal(err)
+	if current(sp) != w.refs["h1"] {
+		t.Fatalf("bound to %v, want h1 (min Rank)", current(sp))
 	}
-	if rb.Current() != w.refs["h1"] {
-		t.Fatalf("bound to %v, want h1 (min Rank)", rb.Current())
-	}
-	if rs, err := rb.Invoke(ctx, "hello"); err != nil || rs[0].Str() != "hello from h1" {
+	if rs, err := sp.Invoke(ctx, "hello"); err != nil || rs[0].Str() != "hello from h1" {
 		t.Fatalf("first invoke = %v, %v", rs, err)
 	}
 	// h1 crashes. Its offer is still registered (lease not yet expired) —
-	// the rebinder must skip the ref that just failed and route to h2,
+	// the proxy must skip the ref that just failed and route to h2,
 	// without losing the invocation.
 	_ = w.srvs["h1"].Close()
-	rs, err := rb.Invoke(ctx, "hello")
+	rs, err := sp.Invoke(ctx, "hello")
 	if err != nil {
 		t.Fatalf("invoke across crash: %v", err)
 	}
 	if rs[0].Str() != "hello from h2" {
 		t.Fatalf("rebound reply = %q", rs[0].Str())
 	}
-	if rb.Current() != w.refs["h2"] {
-		t.Fatalf("current = %v, want h2", rb.Current())
+	if current(sp) != w.refs["h2"] {
+		t.Fatalf("current = %v, want h2", current(sp))
 	}
-	st := rb.Stats()
-	if st.Rebinds != 1 || st.Invocations != 2 {
+	st := sp.Stats()
+	if st.Switches != 1 || st.Invocations != 2 {
 		t.Fatalf("stats = %+v", st)
-	}
-	if len(moves) != 2 || moves[1][0] != w.refs["h1"] || moves[1][1] != w.refs["h2"] {
-		t.Fatalf("OnRebind saw %v", moves)
 	}
 	// Subsequent invocations stay on the survivor.
-	if rs, err := rb.Invoke(ctx, "hello"); err != nil || rs[0].Str() != "hello from h2" {
+	if rs, err := sp.Invoke(ctx, "hello"); err != nil || rs[0].Str() != "hello from h2" {
 		t.Fatalf("steady state = %v, %v", rs, err)
-	}
-}
-
-func TestStaleFallbackWhenTraderEmpty(t *testing.T) {
-	w := newWorld(t, "h1")
-	var warned []wire.ObjRef
-	rb := newRebinder(w, func(o *Options) {
-		o.OnStaleFallback = func(ref wire.ObjRef, cause error) { warned = append(warned, ref) }
-	})
-	ctx := context.Background()
-	if err := rb.Bind(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rb.Invoke(ctx, "hello"); err != nil {
-		t.Fatal(err)
-	}
-	// The binding later moved to an offer whose process has since vanished
-	// (simulated by pointing cur at a dead endpoint), and the trader has no
-	// offers at all. The rebinder falls back to the last-known-good ref —
-	// h1, still alive — with a staleness warning.
-	if err := w.trader.Withdraw(w.ids["h1"]); err != nil {
-		t.Fatal(err)
-	}
-	rb.mu.Lock()
-	rb.cur = wire.ObjRef{Endpoint: "inproc|ghost", Key: "svc"}
-	rb.mu.Unlock()
-	rs, err := rb.Invoke(ctx, "hello")
-	if err != nil {
-		t.Fatalf("stale-fallback invoke: %v", err)
-	}
-	if rs[0].Str() != "hello from h1" {
-		t.Fatalf("fallback reply = %q", rs[0].Str())
-	}
-	if rb.Current() != w.refs["h1"] {
-		t.Fatalf("successful fallback did not rebind: %v", rb.Current())
-	}
-	if len(warned) != 1 || warned[0] != w.refs["h1"] {
-		t.Fatalf("OnStaleFallback saw %v", warned)
-	}
-	if st := rb.Stats(); st.StaleFallbacks != 1 {
-		t.Fatalf("stats = %+v", st)
 	}
 }
 
 func TestStaleFallbackExhausted(t *testing.T) {
 	w := newWorld(t, "h1")
-	rb := newRebinder(w, nil)
+	sp := w.bound(t)
 	ctx := context.Background()
-	if err := rb.Bind(ctx); err != nil {
+	if _, err := sp.Invoke(ctx, "hello"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rb.Invoke(ctx, "hello"); err != nil {
-		t.Fatal(err)
-	}
-	// Everything is gone: no offers, and the last-known-good server is
-	// dead too. The error names the terminal condition.
+	// Everything is gone: no offers, and the bound server is dead too. The
+	// invocation fails with the transport fault, and the proxy keeps its
+	// binding because the trader offers nothing new.
 	if err := w.trader.Withdraw(w.ids["h1"]); err != nil {
 		t.Fatal(err)
 	}
 	_ = w.srvs["h1"].Close()
-	if _, err := rb.Invoke(ctx, "hello"); !errors.Is(err, ErrNoOffers) {
-		t.Fatalf("err = %v, want ErrNoOffers", err)
+	before := sp.Stats()
+	_, err := sp.Invoke(ctx, "hello")
+	var re *orb.RemoteError
+	if err == nil || errors.As(err, &re) {
+		t.Fatalf("err = %v, want a transport fault", err)
+	}
+	st := sp.Stats()
+	if st.Selections != before.Selections+1 || st.Switches != before.Switches {
+		t.Fatalf("stats %+v -> %+v, want one re-selection and no switch", before, st)
+	}
+	if current(sp) != w.refs["h1"] {
+		t.Fatalf("binding moved to %v", current(sp))
 	}
 }
 
 func TestApplicationErrorsPassThrough(t *testing.T) {
 	w := newWorld(t, "h1", "h2")
-	rb := newRebinder(w, nil)
+	sp := w.bound(t)
 	ctx := context.Background()
-	if err := rb.Bind(ctx); err != nil {
-		t.Fatal(err)
-	}
+	before := sp.Stats()
 	// A servant-level error is an answer, not a fault: no rebinding.
-	_, err := rb.Invoke(ctx, "boom")
+	_, err := sp.Invoke(ctx, "boom")
 	var re *orb.RemoteError
 	if !errors.As(err, &re) {
 		t.Fatalf("err = %v, want RemoteError", err)
 	}
-	if st := rb.Stats(); st.Rebinds != 0 {
+	if st := sp.Stats(); st.Switches != 0 || st.Selections != before.Selections {
 		t.Fatalf("app error caused rebinding: %+v", st)
 	}
-	if rb.Current() != w.refs["h1"] {
-		t.Fatalf("binding moved to %v", rb.Current())
+	if current(sp) != w.refs["h1"] {
+		t.Fatalf("binding moved to %v", current(sp))
 	}
 }
 
 func TestInterceptorRedirectsAbandonedRef(t *testing.T) {
 	w := newWorld(t, "h1", "h2")
-	rb := newRebinder(w, nil)
+	sp := w.bound(t)
 	ctx := context.Background()
-	if err := rb.Bind(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rb.Invoke(ctx, "hello"); err != nil {
+	if _, err := sp.Invoke(ctx, "hello"); err != nil {
 		t.Fatal(err)
 	}
 	_ = w.srvs["h1"].Close()
-	if _, err := rb.Invoke(ctx, "hello"); err != nil {
+	if _, err := sp.Invoke(ctx, "hello"); err != nil {
 		t.Fatal(err)
 	}
-	// A plain client still holding h1's ref goes through the interceptor
-	// and lands on the current binding instead.
+	// A plain client still holding h1's ref goes through the redirector
+	// and lands on the proxy's current binding instead.
 	ic := orb.NewInterceptingClient(w.client)
-	ic.Use(rb.Interceptor())
+	ic.Use(core.NewRedirector(sp))
 	rs, err := ic.Invoke(ctx, w.refs["h1"], "hello")
 	if err != nil {
 		t.Fatalf("intercepted invoke: %v", err)
 	}
 	if rs[0].Str() != "hello from h2" {
 		t.Fatalf("intercepted reply = %q, want redirect to h2", rs[0].Str())
-	}
-}
-
-func TestLazyBindOnFirstInvoke(t *testing.T) {
-	w := newWorld(t, "h1")
-	rb := newRebinder(w, nil)
-	rs, err := rb.Invoke(context.Background(), "hello")
-	if err != nil || rs[0].Str() != "hello from h1" {
-		t.Fatalf("lazy bind invoke = %v, %v", rs, err)
 	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // Directory is the client-facing surface of the trading service: everything
-// an agent, a smart proxy, or a rebinder needs from a trader. It is
+// an agent, a smart proxy, or a baseline client needs from a trader. It is
 // implemented by *Lookup (one remote trader), by Local (an in-process
 // trader), and by the sharded routing client (internal/trading/shard), so
 // distribution policy — one trader or many shards — is decoupled

@@ -96,8 +96,8 @@ type typeRoute struct {
 }
 
 // Router is the thin shard-aware routing client. It implements
-// trading.Directory, so agents, smart proxies, rebinders, and baselines
-// work against a sharded trader unchanged.
+// trading.Directory, so agents, smart proxies and baselines work against
+// a sharded trader unchanged.
 type Router struct {
 	opts Options
 	cnt  counters
