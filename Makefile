@@ -117,15 +117,18 @@ loc:
 
 # Hostile-input and overload robustness suites (PR 8): admission control
 # under request storms, budget sandboxing of shipped scripts (including
-# the hostile differential corpus, run VM vs. reference), script/aspect/
-# strategy quarantine, the wire fuzz properties plus a short run of the
+# the hostile differential corpus, run VM vs. reference), the one strike
+# rule and every quarantine built on it (trader offers, monitor aspects,
+# predicates and observers, script strategies), the wire fuzz properties
+# plus a short run of the
 # native fuzzers — including the VM-vs-reference differential fuzzer and
 # the trader's constraint and preference parsers — and the E15
 # governed-vs-ungoverned overload experiment.
 chaos:
-	$(GO) test -count=1 -run 'Admission|Overloaded|LegacySpill' ./internal/orb
+	$(GO) test -count=1 -run 'Admission|Overloaded|LegacyUnboundedSpill' ./internal/orb
 	$(GO) test -count=1 -run 'Budget|CallCtx|MemBudget|Differential|DeepRecursion' ./internal/script
-	$(GO) test -count=1 -run 'Quarantine|OrdinaryScriptErrors' ./internal/monitor ./internal/core
+	$(GO) test -count=1 -run 'Quarantine|OrdinaryScriptErrors|Reinstalled' ./internal/monitor ./internal/core
+	$(GO) test -count=1 -run 'Quarantin|Strike' ./internal/trading ./internal/strikes
 	$(GO) test -count=1 -run 'Property|Decode|Frame|Truncat|Overloaded' ./internal/wire
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzDecodeMessage -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzCompileResolve -fuzztime $(FUZZTIME) ./internal/script

@@ -107,8 +107,8 @@ type TraderOptions struct {
 	// LeaseTTL is set. Default LeaseTTL/3.
 	ReapInterval time.Duration
 	// MaxConcurrent bounds the trader server's dispatch pool
-	// (orb.ServerOptions.MaxConcurrent): 0 uses the ORB default, negative
-	// restores the unbounded legacy spill.
+	// (orb.ServerOptions.MaxConcurrent): 0 uses the ORB default; negative is
+	// an error.
 	MaxConcurrent int
 	// ResolveTimeout caps the dynamic-property resolution phase of each
 	// query so a wedged monitor cannot stall the trader (0 = only the

@@ -49,7 +49,7 @@ func run() error {
 		period    = flag.Duration("period", time.Minute, "monitor update period (paper: 60s)")
 		leaseTTL  = flag.Duration("lease-ttl", 0, "trader's offer lease TTL; enables the renewal heartbeat (0 disables)")
 		config    = flag.String("config", "", "AdaptScript agent configuration file")
-		maxConc   = flag.Int("max-concurrent", 0, "dispatch pool size: max concurrently served requests (0 = ORB default, negative = unbounded)")
+		maxConc   = flag.Int("max-concurrent", 0, "dispatch pool size: max concurrently served requests (0 = ORB default)")
 		clockBud  = flag.Duration("script-clock-budget", 0, "wall-clock budget per script evaluation (config, aspects, predicates; 0 = unbounded)")
 		memBud    = flag.Int64("script-mem-budget", 0, "accounted-allocation budget in bytes per script evaluation (0 = unbounded)")
 	)

@@ -49,7 +49,7 @@ func run() error {
 		leaseTTL = flag.Duration("lease-ttl", 0, "offer lease TTL; unrenewed offers expire (0 disables leasing)")
 		reap     = flag.Duration("reap-interval", 0, "how often expired offers are collected (default lease-ttl/3)")
 		shards   = flag.Int("shards", 1, "partition the offer space across N trader shards")
-		maxConc  = flag.Int("max-concurrent", 0, "dispatch pool size: max concurrently served requests (0 = ORB default, negative = unbounded)")
+		maxConc  = flag.Int("max-concurrent", 0, "dispatch pool size: max concurrently served requests (0 = ORB default)")
 		resolveT = flag.Duration("resolve-timeout", 0, "cap on each query's dynamic-property resolution phase (0 = caller deadline only)")
 		metrics  = flag.Bool("metrics", true, "instrument the daemon and serve the registry via the metrics operation (adaptctl metrics)")
 		types    typeList

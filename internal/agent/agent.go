@@ -80,8 +80,8 @@ type Options struct {
 	// from scratch if the trader forgot it. 0 disables the heartbeat.
 	LeaseTTL time.Duration
 	// MaxConcurrent bounds the agent server's dispatch pool (see
-	// orb.ServerOptions.MaxConcurrent): 0 uses the ORB default, negative
-	// restores the unbounded legacy spill.
+	// orb.ServerOptions.MaxConcurrent): 0 uses the ORB default; negative is
+	// an error.
 	MaxConcurrent int
 	// ScriptWallBudget and ScriptMemBudget sandbox every piece of shipped
 	// code the agent runs: the start-up config script and all monitor

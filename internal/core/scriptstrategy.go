@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"autoadapt/internal/script"
+	"autoadapt/internal/strikes"
 	"autoadapt/internal/wire"
 )
 
@@ -51,56 +52,31 @@ func (sp *SmartProxy) SetScriptStrategy(event, src string) error {
 
 // installScriptStrategy wraps a compiled strategy closure as a Strategy. The
 // activation runs under the caller's context (cancellation propagates into
-// the interpreter) and under the proxy's script budgets; consecutive
-// budget-exhaustion aborts quarantine the strategy (noteStrategyOutcome).
+// the interpreter) and under the proxy's script budgets. strikes.Limit
+// consecutive budget-exhaustion aborts quarantine the strategy: it is
+// uninstalled and the event falls back to "no strategy". Only budget errors
+// count: an ordinary script error (nil offer, remote failure) is the
+// strategy working as written, not hostile code. The strikes belong to
+// this installation, so code installed anew for the event starts clean.
 func (sp *SmartProxy) installScriptStrategy(event string, fn script.Value) {
+	var fails strikes.Count // guarded by adaptMu, which every activation holds
 	sp.SetStrategy(event, func(ctx context.Context, p *SmartProxy) error {
 		self := p.buildScriptSelf(ctx)
 		p.scriptMu.Lock()
 		_, err := p.in.CallCtx(ctx, fn, []script.Value{self})
 		p.scriptMu.Unlock()
-		p.noteStrategyOutcome(event, err)
+		if !script.IsBudgetError(err) {
+			fails.Reset()
+		} else if fails.Fail() {
+			p.mu.Lock()
+			delete(p.strategies, event)
+			p.stats.QuarantinedStrategies++
+			p.mu.Unlock()
+			p.logf("core: strategy %q quarantined after %d consecutive budget aborts (last: %v)",
+				event, strikes.Limit, err)
+		}
 		return err
 	})
-}
-
-// maxStrategyFailures resolves Options.MaxStrategyFailures: 0 means
-// DefaultMaxStrategyFailures, negative disables quarantine.
-func (sp *SmartProxy) maxStrategyFailures() int {
-	switch {
-	case sp.opts.MaxStrategyFailures > 0:
-		return sp.opts.MaxStrategyFailures
-	case sp.opts.MaxStrategyFailures < 0:
-		return 0
-	default:
-		return DefaultMaxStrategyFailures
-	}
-}
-
-// noteStrategyOutcome tracks consecutive budget-exhaustion aborts of a
-// script strategy and uninstalls it at the quarantine threshold. Only
-// budget errors count: an ordinary script error (nil offer, remote failure)
-// is the strategy working as written, not hostile code.
-func (sp *SmartProxy) noteStrategyOutcome(event string, err error) {
-	limit := sp.maxStrategyFailures()
-	if limit == 0 {
-		return
-	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if err == nil || !script.IsBudgetError(err) {
-		delete(sp.strategyFails, event)
-		return
-	}
-	sp.strategyFails[event]++
-	if sp.strategyFails[event] < limit {
-		return
-	}
-	delete(sp.strategies, event)
-	delete(sp.strategyFails, event)
-	sp.stats.QuarantinedStrategies++
-	sp.logf("core: strategy %q quarantined after %d consecutive budget aborts (last: %v)",
-		event, limit, err)
 }
 
 // SetScriptStrategiesTable evaluates src, which must yield a table mapping

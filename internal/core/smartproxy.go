@@ -103,12 +103,6 @@ type Options struct {
 	// the adaptation path.
 	ScriptWallBudget time.Duration
 	ScriptMemBudget  int64
-	// MaxStrategyFailures quarantines a script strategy after this many
-	// consecutive budget-exhaustion aborts (step, wall, or memory): the
-	// strategy is uninstalled and the event falls back to "no strategy".
-	// Ordinary script errors do not count. 0 uses
-	// DefaultMaxStrategyFailures; negative disables quarantine.
-	MaxStrategyFailures int
 	// Failover treats availability as a nonfunctional requirement: when an
 	// invocation fails with a transport-level error (server crashed,
 	// connection lost — not application errors, not the caller's own
@@ -156,14 +150,9 @@ type Stats struct {
 	PushWatches     int64
 	ObserverWatches int64
 	// QuarantinedStrategies counts script strategies uninstalled after
-	// repeated budget-exhaustion aborts (see Options.MaxStrategyFailures).
+	// strikes.Limit consecutive budget-exhaustion aborts.
 	QuarantinedStrategies int64
 }
-
-// DefaultMaxStrategyFailures is the consecutive budget-abort threshold at
-// which a script strategy is quarantined when Options.MaxStrategyFailures
-// is zero.
-const DefaultMaxStrategyFailures = 3
 
 var observerSeq atomic.Int64
 
@@ -173,13 +162,12 @@ type SmartProxy struct {
 	observerRef wire.ObjRef
 	observerKey string
 
-	mu            sync.Mutex // guards selection, strategies, queue, stats
-	sel           *selection
-	strategies    map[string]Strategy
-	strategyFails map[string]int // consecutive budget aborts per script strategy
-	queue         []string
-	closed        bool
-	stats         Stats
+	mu         sync.Mutex // guards selection, strategies, queue, stats
+	sel        *selection
+	strategies map[string]Strategy
+	queue      []string
+	closed     bool
+	stats      Stats
 
 	adaptMu sync.Mutex // serializes adaptation passes
 
@@ -205,9 +193,8 @@ func New(opts Options) (*SmartProxy, error) {
 		return nil, errors.New("core: Options.Client is required")
 	}
 	sp := &SmartProxy{
-		opts:          opts,
-		strategies:    make(map[string]Strategy),
-		strategyFails: make(map[string]int),
+		opts:       opts,
+		strategies: make(map[string]Strategy),
 		in: script.New(script.Options{
 			MaxSteps:   opts.MaxScriptSteps,
 			WallBudget: opts.ScriptWallBudget,

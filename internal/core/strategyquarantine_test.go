@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"autoadapt/internal/script"
+	"autoadapt/internal/strikes"
 )
 
 // Strategy quarantine: adaptation strategies are shipped code (the
@@ -24,7 +25,7 @@ func TestScriptStrategyQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	for i := 0; i < DefaultMaxStrategyFailures; i++ {
+	for i := 0; i < strikes.Limit; i++ {
 		sp.OnEvent("Hog")
 		err := sp.Adapt(ctx)
 		if err == nil || !script.IsBudgetError(errors.Unwrap(err)) && !strings.Contains(err.Error(), "budget") {
@@ -49,7 +50,7 @@ func TestScriptStrategyOrdinaryErrorsNotQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	for i := 0; i < DefaultMaxStrategyFailures*3; i++ {
+	for i := 0; i < strikes.Limit*3; i++ {
 		sp.OnEvent("Buggy")
 		if err := sp.Adapt(ctx); err == nil || !strings.Contains(err.Error(), "boom") {
 			t.Fatalf("Adapt %d: err = %v, want the strategy's own error", i+1, err)
@@ -89,21 +90,42 @@ func TestScriptStrategySuccessResetsQuarantineCounter(t *testing.T) {
 	}
 }
 
-func TestScriptStrategyQuarantineDisabled(t *testing.T) {
-	w := newWorld(t, 1)
-	w.setLoad(0, 10, 15, 15)
-	sp := w.newProxy(Options{MaxScriptSteps: 5000, MaxStrategyFailures: -1})
-	if err := sp.SetScriptStrategy("Hog", hogStrategySrc); err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	for i := 0; i < DefaultMaxStrategyFailures*2; i++ {
-		sp.OnEvent("Hog")
-		if err := sp.Adapt(ctx); err == nil {
-			t.Fatalf("Adapt %d: nil error, want budget abort (strategy must stay installed)", i+1)
-		}
-	}
-	if got := sp.Stats().QuarantinedStrategies; got != 0 {
-		t.Fatalf("QuarantinedStrategies = %d, want 0 (negative threshold disables)", got)
+// TestReinstalledScriptStrategyStartsClean: strikes belong to one installed
+// strategy, so new code pushed for an event does not inherit the aborts of
+// the code it replaces — through either install path.
+func TestReinstalledScriptStrategyStartsClean(t *testing.T) {
+	for name, install := range map[string]func(*SmartProxy) error{
+		"SetScriptStrategy": func(sp *SmartProxy) error { return sp.SetScriptStrategy("Hog", hogStrategySrc) },
+		"SetScriptStrategiesTable": func(sp *SmartProxy) error {
+			return sp.SetScriptStrategiesTable(`{ Hog = ` + hogStrategySrc + ` }`)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			w := newWorld(t, 1)
+			w.setLoad(0, 10, 15, 15)
+			sp := w.newProxy(Options{MaxScriptSteps: 5000})
+			ctx := context.Background()
+			abort := func(n int) {
+				t.Helper()
+				for i := 0; i < n; i++ {
+					sp.OnEvent("Hog")
+					if err := sp.Adapt(ctx); err == nil {
+						t.Fatal("Adapt: nil error, want budget abort (strategy must be installed)")
+					}
+				}
+			}
+			if err := install(sp); err != nil {
+				t.Fatal(err)
+			}
+			abort(strikes.Limit - 1)
+			if err := install(sp); err != nil {
+				t.Fatal(err)
+			}
+			abort(1)
+			if got := sp.Stats().QuarantinedStrategies; got != 0 {
+				t.Fatalf("QuarantinedStrategies = %d, want 0 (reinstalled code inherited its predecessor's strikes)", got)
+			}
+			abort(1) // still installed: the next activation still runs it
+		})
 	}
 }

@@ -17,10 +17,11 @@ import (
 // (Slots concurrent executions of ServiceTime each) and is offered
 // LoadFactor times its capacity for Duration. The governed mode runs the
 // admission-controlled dispatch pool (MaxConcurrent + MaxQueue + deadline
-// shedding); the ungoverned baseline is the legacy unbounded spill
-// (MaxConcurrent < 0) that admits everything. The claim under test: the
-// governed server keeps goodput near capacity and latency bounded with a
-// flat goroutine count, while the baseline queues itself to death.
+// shedding); the ungoverned baseline is a pool and queue each as large as
+// the offered request count, so it admits everything and, its workers
+// spawning lazily, runs one goroutine per waiting request. The claim under
+// test: the governed server keeps goodput near capacity and latency bounded
+// with a flat goroutine count, while the baseline queues itself to death.
 
 // OverloadConfig sizes the E15 overload experiment.
 type OverloadConfig struct {
@@ -58,23 +59,24 @@ func Overload(cfg OverloadConfig) ([]OverloadResult, error) {
 		cfg.Waiters = 64
 	}
 	var out []OverloadResult
-	for _, mode := range []struct {
-		name          string
-		maxConc, maxQ int
-	}{
-		{"governed", cfg.MaxConcurrent, cfg.MaxQueue},
-		{"ungoverned", -1, 0},
-	} {
-		r, err := runOverload(cfg, mode.name, mode.maxConc, mode.maxQ)
+	for _, mode := range []string{"governed", "ungoverned"} {
+		r, err := runOverload(cfg, mode)
 		if err != nil {
-			return nil, fmt.Errorf("experiment: overload %s: %w", mode.name, err)
+			return nil, fmt.Errorf("experiment: overload %s: %w", mode, err)
 		}
 		out = append(out, r)
 	}
 	return out, nil
 }
 
-func runOverload(cfg OverloadConfig, mode string, maxConc, maxQ int) (OverloadResult, error) {
+func runOverload(cfg OverloadConfig, mode string) (OverloadResult, error) {
+	interval := time.Duration(float64(cfg.ServiceTime) / (float64(cfg.Slots) * cfg.LoadFactor))
+	total := int(cfg.Duration / interval)
+	capacity := int(float64(cfg.Duration) / float64(cfg.ServiceTime) * float64(cfg.Slots))
+	maxConc, maxQ := cfg.MaxConcurrent, cfg.MaxQueue
+	if mode == "ungoverned" {
+		maxConc, maxQ = total, total
+	}
 	net := orb.NewInprocNetwork()
 	srv, err := orb.NewServer(orb.ServerOptions{
 		Network: net, Address: "overload-host",
@@ -98,10 +100,6 @@ func runOverload(cfg OverloadConfig, mode string, maxConc, maxQ int) (OverloadRe
 	}))
 	client := orb.NewClient(net)
 	defer client.Close()
-
-	interval := time.Duration(float64(cfg.ServiceTime) / (float64(cfg.Slots) * cfg.LoadFactor))
-	total := int(cfg.Duration / interval)
-	capacity := int(float64(cfg.Duration) / float64(cfg.ServiceTime) * float64(cfg.Slots))
 
 	type pending struct {
 		fut    *orb.Future

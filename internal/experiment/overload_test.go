@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"autoadapt/internal/monitor"
+	"autoadapt/internal/strikes"
 )
 
 // E15 shape: under 2x offered load the governed server keeps goodput near
@@ -72,7 +72,7 @@ func TestHostileQuarantineLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("hostile aspect quarantined after %d events", ticks)
-	if ticks != monitor.DefaultMaxScriptFailures {
-		t.Errorf("quarantine latency = %d events, want %d", ticks, monitor.DefaultMaxScriptFailures)
+	if ticks != strikes.Limit {
+		t.Errorf("quarantine latency = %d events, want %d", ticks, strikes.Limit)
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"autoadapt/internal/orb"
 	"autoadapt/internal/script"
 	"autoadapt/internal/scriptbind"
+	"autoadapt/internal/strikes"
 	"autoadapt/internal/wire"
 )
 
@@ -71,9 +72,9 @@ type UpdateFunc func() (wire.Value, error)
 
 // Notifier delivers event notifications to observers. The production
 // implementation wraps an orb.Client oneway call; tests may record. The
-// returned error feeds the monitor's quarantine: after
-// Options.MaxNotifyFailures consecutive failures an observer is detached,
-// so one dead observer cannot burn delivery work on every tick forever.
+// returned error feeds the monitor's quarantine: after strikes.Limit
+// consecutive failures an observer is detached, so one dead observer cannot
+// burn delivery work on every tick forever.
 type Notifier interface {
 	Notify(observer wire.ObjRef, eventID string) error
 }
@@ -85,19 +86,6 @@ type NotifierFunc func(observer wire.ObjRef, eventID string) error
 func (f NotifierFunc) Notify(observer wire.ObjRef, eventID string) error {
 	return f(observer, eventID)
 }
-
-// DefaultMaxNotifyFailures is the consecutive-failure quarantine threshold
-// applied when Options.MaxNotifyFailures is zero.
-const DefaultMaxNotifyFailures = 3
-
-// DefaultMaxScriptFailures is the consecutive budget-abort threshold at
-// which a shipped aspect evaluator or event predicate is quarantined
-// (removed) when Options.MaxScriptFailures is zero. Ordinary script errors
-// (a typo'd field, a type error) do not count — only resource aborts
-// (step/wall/memory budget, cancellation), which mark the code as hostile
-// or runaway: each evaluation burns the full budget, so keeping it would
-// tax every tick forever.
-const DefaultMaxScriptFailures = 3
 
 // Options configures a monitor.
 type Options struct {
@@ -120,10 +108,6 @@ type Options struct {
 	Notifier Notifier
 	// Logger receives script errors from shipped code. Nil discards.
 	Logger *log.Logger
-	// MaxNotifyFailures detaches an observer after this many consecutive
-	// failed notifications (a successful delivery resets the count). Zero
-	// means DefaultMaxNotifyFailures; negative disables the quarantine.
-	MaxNotifyFailures int
 	// MaxScriptSteps bounds each shipped-code evaluation (see script
 	// package). Zero applies script.DefaultMaxSteps.
 	MaxScriptSteps int
@@ -134,10 +118,6 @@ type Options struct {
 	// ScriptMemBudget bounds each shipped-code evaluation's accounted
 	// allocation in bytes. Zero disables the bound.
 	ScriptMemBudget int64
-	// MaxScriptFailures quarantines (removes) an aspect or event predicate
-	// after this many consecutive budget aborts. Zero means
-	// DefaultMaxScriptFailures; negative disables the quarantine.
-	MaxScriptFailures int
 	// SelfRef is the monitor's own object reference, passed to predicates
 	// that want to hand it onward. May be zero.
 	SelfRef wire.ObjRef
@@ -162,7 +142,7 @@ type aspect struct {
 	self  script.Value // persistent state table
 	value script.Value // last computed value
 	// budgetFails counts consecutive budget aborts (script quarantine).
-	budgetFails int
+	budgetFails strikes.Count
 }
 
 type observer struct {
@@ -175,10 +155,10 @@ type observer struct {
 	// the subscriber as ORB events instead of oneway notifyEvent calls.
 	sink orb.EventSink
 	// failures counts consecutive failed notifications (quarantine).
-	failures int
+	failures strikes.Count
 	// budgetFails counts consecutive budget aborts of the predicate
 	// (script quarantine, independent of delivery failures).
-	budgetFails int
+	budgetFails strikes.Count
 	// notifiedVersion is the value version this push observer last fired
 	// at. Detection may run more than once per sample (SetValue streams
 	// immediately, then the next Tick re-detects the same value); push
@@ -398,7 +378,12 @@ func (m *Monitor) findObserver(id int) (int, bool) {
 // detectLocked recomputes every aspect and evaluates every observer's
 // predicate (in name and id order, for determinism), returning the
 // observers whose events fired plus a wire snapshot of the property value
-// to push with them. Caller holds m.mu.
+// to push with them. An aspect evaluator or predicate that aborts on its
+// budget strikes.Limit times in a row is quarantined (removed). Ordinary
+// script errors (a typo'd field, a type error) do not count — only
+// resource aborts (step/wall/memory budget, cancellation), which mark the
+// code as hostile or runaway: each evaluation burns the full budget, so
+// keeping it would tax every tick forever. Caller holds m.mu.
 func (m *Monitor) detectLocked() ([]*observer, wire.Value) {
 	// Recompute aspects.
 	for i := 0; i < len(m.aspects); i++ {
@@ -406,18 +391,15 @@ func (m *Monitor) detectLocked() ([]*observer, wire.Value) {
 		vs, err := m.in.Call(a.fn, []script.Value{a.self, m.value, m.selfTable})
 		if err != nil {
 			m.logf("monitor %s: aspect %s: %v", m.opts.Name, a.name, err)
-			if script.IsBudgetError(err) {
-				a.budgetFails++
-				if limit := m.maxScriptFailures(); limit > 0 && a.budgetFails >= limit {
-					m.aspects = slices.Delete(m.aspects, i, i+1)
-					i--
-					m.logf("monitor %s: quarantined aspect %s after %d budget aborts",
-						m.opts.Name, a.name, a.budgetFails)
-				}
+			if script.IsBudgetError(err) && a.budgetFails.Fail() {
+				m.aspects = slices.Delete(m.aspects, i, i+1)
+				i--
+				m.logf("monitor %s: quarantined aspect %s after %d budget aborts",
+					m.opts.Name, a.name, a.budgetFails)
 			}
 			continue
 		}
-		a.budgetFails = 0
+		a.budgetFails.Reset()
 		if len(vs) > 0 {
 			a.value = vs[0]
 		} else {
@@ -441,18 +423,15 @@ func (m *Monitor) detectLocked() ([]*observer, wire.Value) {
 		vs, err := m.in.Call(o.fn, []script.Value{obsArg, m.value, m.selfTable})
 		if err != nil {
 			m.logf("monitor %s: predicate for %s: %v", m.opts.Name, o.eventID, err)
-			if script.IsBudgetError(err) {
-				o.budgetFails++
-				if limit := m.maxScriptFailures(); limit > 0 && o.budgetFails >= limit {
-					m.observers = slices.Delete(m.observers, i, i+1)
-					i--
-					m.logf("monitor %s: quarantined predicate for %s (observer %d) after %d budget aborts",
-						m.opts.Name, o.eventID, o.id, o.budgetFails)
-				}
+			if script.IsBudgetError(err) && o.budgetFails.Fail() {
+				m.observers = slices.Delete(m.observers, i, i+1)
+				i--
+				m.logf("monitor %s: quarantined predicate for %s (observer %d) after %d budget aborts",
+					m.opts.Name, o.eventID, o.id, o.budgetFails)
 			}
 			continue
 		}
-		o.budgetFails = 0
+		o.budgetFails.Reset()
 		if len(vs) > 0 && vs[0].Truthy() {
 			if o.sink != nil {
 				o.notifiedVersion = m.version
@@ -480,30 +459,6 @@ func (m *Monitor) hasPushObserversLocked() bool {
 	return false
 }
 
-// maxNotifyFailures resolves the quarantine threshold (0 = disabled).
-func (m *Monitor) maxNotifyFailures() int {
-	switch {
-	case m.opts.MaxNotifyFailures > 0:
-		return m.opts.MaxNotifyFailures
-	case m.opts.MaxNotifyFailures < 0:
-		return 0
-	default:
-		return DefaultMaxNotifyFailures
-	}
-}
-
-// maxScriptFailures resolves the script-quarantine threshold (0 = disabled).
-func (m *Monitor) maxScriptFailures() int {
-	switch {
-	case m.opts.MaxScriptFailures > 0:
-		return m.opts.MaxScriptFailures
-	case m.opts.MaxScriptFailures < 0:
-		return 0
-	default:
-		return DefaultMaxScriptFailures
-	}
-}
-
 // AspectCount reports installed aspects (diagnostics; quarantine tests).
 func (m *Monitor) AspectCount() int {
 	m.mu.Lock()
@@ -514,9 +469,9 @@ func (m *Monitor) AspectCount() int {
 // deliver sends the fired events outside the monitor lock — pushed onto
 // each observer's subscription sink, or (classic observers) through the
 // configured Notifier — then applies quarantine bookkeeping: a delivery
-// failure bumps the observer's consecutive-failure count and detaches it
-// at the threshold (immediately when its subscription is gone), a success
-// resets the count.
+// failure is a strike against the observer and detaches it at
+// strikes.Limit (immediately when its subscription is gone), a success
+// resets its strikes.
 func (m *Monitor) deliver(toNotify []*observer, val wire.Value) {
 	if len(toNotify) == 0 {
 		return
@@ -538,7 +493,6 @@ func (m *Monitor) deliver(toNotify []*observer, val wire.Value) {
 		}
 		outcomes = append(outcomes, outcome{id: o.id, err: err})
 	}
-	limit := m.maxNotifyFailures()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, oc := range outcomes {
@@ -548,12 +502,10 @@ func (m *Monitor) deliver(toNotify []*observer, val wire.Value) {
 		}
 		o := m.observers[i]
 		if oc.err == nil {
-			o.failures = 0
+			o.failures.Reset()
 			continue
 		}
-		o.failures++
-		gone := errors.Is(oc.err, orb.ErrSubscriptionClosed)
-		if gone || (limit > 0 && o.failures >= limit) {
+		if o.failures.Fail() || errors.Is(oc.err, orb.ErrSubscriptionClosed) {
 			m.observers = slices.Delete(m.observers, i, i+1)
 			m.logf("monitor %s: detached observer %d for %s after %d failed notifications: %v",
 				m.opts.Name, oc.id, o.eventID, o.failures, oc.err)

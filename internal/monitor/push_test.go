@@ -8,6 +8,7 @@ import (
 
 	"autoadapt/internal/clock"
 	"autoadapt/internal/orb"
+	"autoadapt/internal/strikes"
 	"autoadapt/internal/wire"
 )
 
@@ -81,7 +82,7 @@ func TestPushObserverStreamsWithoutTick(t *testing.T) {
 
 // TestQuarantineDetachesDeadObserver drives a timer-ticked monitor on the
 // sim clock against a notifier that always fails: after
-// DefaultMaxNotifyFailures consecutive failed deliveries the observer is
+// strikes.Limit consecutive failed deliveries the observer is
 // quarantined (detached) and delivery work stops.
 func TestQuarantineDetachesDeadObserver(t *testing.T) {
 	sim := clock.NewSim(epoch)
@@ -98,9 +99,9 @@ func TestQuarantineDetachesDeadObserver(t *testing.T) {
 	if _, err := m.AttachObserver(obsRef("dead"), LoadIncreaseEvent, LoadIncreasePredicateSrc(50)); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < DefaultMaxNotifyFailures; i++ {
+	for i := 0; i < strikes.Limit; i++ {
 		if m.ObserverCount() != 1 {
-			t.Fatalf("observer detached after %d failures, want %d", i, DefaultMaxNotifyFailures)
+			t.Fatalf("observer detached after %d failures, want %d", i, strikes.Limit)
 		}
 		waitForTimer(t, sim)
 		sim.Advance(time.Minute)
@@ -110,7 +111,7 @@ func TestQuarantineDetachesDeadObserver(t *testing.T) {
 	for m.ObserverCount() != 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("ObserverCount = %d after %d failed deliveries, want 0",
-				m.ObserverCount(), DefaultMaxNotifyFailures)
+				m.ObserverCount(), strikes.Limit)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -122,12 +123,12 @@ func TestQuarantineResetsOnSuccess(t *testing.T) {
 	calls := 0
 	flaky := NotifierFunc(func(wire.ObjRef, string) error {
 		calls++
-		if calls%2 == 0 {
-			return nil // every other delivery succeeds
+		if calls%strikes.Limit == 0 {
+			return nil // one strike short of the limit, then a success
 		}
 		return errors.New("transient")
 	})
-	m, err := New(Options{Name: "x", Notifier: flaky, MaxNotifyFailures: 2})
+	m, err := New(Options{Name: "x", Notifier: flaky})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,38 +139,13 @@ func TestQuarantineResetsOnSuccess(t *testing.T) {
 	if err := m.SetValue(wire.Int(1)); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 3*strikes.Limit; i++ {
 		if err := m.Tick(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if m.ObserverCount() != 1 {
 		t.Fatal("flaky-but-recovering observer was quarantined")
-	}
-}
-
-// TestQuarantineDisabled checks that a negative threshold keeps even a
-// permanently failing observer attached.
-func TestQuarantineDisabled(t *testing.T) {
-	failing := NotifierFunc(func(wire.ObjRef, string) error { return errors.New("no") })
-	m, err := New(Options{Name: "x", Notifier: failing, MaxNotifyFailures: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	if _, err := m.AttachObserver(obsRef("o"), "E", "function() return true end"); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SetValue(wire.Int(1)); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < DefaultMaxNotifyFailures+2; i++ {
-		if err := m.Tick(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if m.ObserverCount() != 1 {
-		t.Fatal("observer quarantined despite MaxNotifyFailures < 0")
 	}
 }
 

@@ -3,6 +3,7 @@ package monitor
 import (
 	"testing"
 
+	"autoadapt/internal/strikes"
 	"autoadapt/internal/wire"
 )
 
@@ -34,7 +35,7 @@ func TestAspectQuarantineAfterBudgetAborts(t *testing.T) {
 	end`); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < DefaultMaxScriptFailures; i++ {
+	for i := 0; i < strikes.Limit; i++ {
 		if got := m.AspectCount(); got != 2 {
 			t.Fatalf("AspectCount before abort %d = %d, want 2", i+1, got)
 		}
@@ -44,15 +45,15 @@ func TestAspectQuarantineAfterBudgetAborts(t *testing.T) {
 	}
 	if got := m.AspectCount(); got != 1 {
 		t.Fatalf("AspectCount after %d budget aborts = %d, want 1 (hog evicted)",
-			DefaultMaxScriptFailures, got)
+			strikes.Limit, got)
 	}
 	// The healthy aspect survived and kept computing through the aborts.
 	v, err := m.AspectValue("healthy")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Num() != float64(DefaultMaxScriptFailures) {
-		t.Fatalf("healthy aspect = %v, want %d", v.Num(), DefaultMaxScriptFailures)
+	if v.Num() != float64(strikes.Limit) {
+		t.Fatalf("healthy aspect = %v, want %d", v.Num(), strikes.Limit)
 	}
 }
 
@@ -63,7 +64,7 @@ func TestOrdinaryScriptErrorsDoNotQuarantine(t *testing.T) {
 	if err := m.DefineAspect("buggy", `function(self, v, mon) return v.missing.deep end`); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < DefaultMaxScriptFailures*3; i++ {
+	for i := 0; i < strikes.Limit*3; i++ {
 		if err := m.Tick(); err != nil {
 			t.Fatalf("tick %d: %v", i, err)
 		}
@@ -100,7 +101,7 @@ func TestPredicateQuarantineAfterBudgetAborts(t *testing.T) {
 		"HogEvent", `function(obs, v, mon) while true do end end`); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < DefaultMaxScriptFailures; i++ {
+	for i := 0; i < strikes.Limit; i++ {
 		if got := m.ObserverCount(); got != 1 {
 			t.Fatalf("ObserverCount before abort %d = %d, want 1", i+1, got)
 		}
@@ -110,25 +111,6 @@ func TestPredicateQuarantineAfterBudgetAborts(t *testing.T) {
 	}
 	if got := m.ObserverCount(); got != 0 {
 		t.Fatalf("ObserverCount after %d budget aborts = %d, want 0 (predicate evicted)",
-			DefaultMaxScriptFailures, got)
-	}
-}
-
-func TestScriptQuarantineDisabled(t *testing.T) {
-	m, err := New(Options{Name: "q", MaxScriptSteps: 5000, MaxScriptFailures: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	if err := m.DefineAspect("hog", hogSrc); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < DefaultMaxScriptFailures*2; i++ {
-		if err := m.Tick(); err != nil {
-			t.Fatalf("tick %d: %v", i, err)
-		}
-	}
-	if got := m.AspectCount(); got != 1 {
-		t.Fatalf("AspectCount = %d, want 1 (MaxScriptFailures < 0 disables quarantine)", got)
+			strikes.Limit, got)
 	}
 }

@@ -223,40 +223,29 @@ func TestAdmissionExpiredDeadlineShed(t *testing.T) {
 	}
 }
 
-// TestLegacyUnboundedSpill checks the MaxConcurrent < 0 escape hatch:
-// every overflow request spills into its own goroutine (counted), nothing
-// is shed, and all of them complete.
+// TestLegacyUnboundedSpill: the one-goroutine-per-request spill that a
+// negative MaxConcurrent used to select is gone. NewServer refuses a
+// negative MaxConcurrent or MaxQueue — values that reach it from the
+// daemons' -max-concurrent flag — before it binds the address.
 func TestLegacyUnboundedSpill(t *testing.T) {
-	g, srv, client, ref := newGatedPoolPair(t, -1, 0)
-	defer srv.Close()
-	defer client.Close()
-	defer g.open()
-
-	const n = 16
-	ctx := context.Background()
-	futs := make([]*Future, 0, n)
-	for i := 0; i < n; i++ {
-		f, err := client.InvokeAsync(ctx, ref, "wait")
-		if err != nil {
-			t.Fatalf("InvokeAsync #%d: %v", i, err)
-		}
-		futs = append(futs, f)
-	}
-	g.open()
-	for i, f := range futs {
-		if _, err := f.Wait(ctx); err != nil {
-			t.Fatalf("Wait #%d: %v", i, err)
+	inproc := NewInprocNetwork()
+	for _, opts := range []ServerOptions{
+		{MaxConcurrent: -1},
+		{MaxQueue: -1},
+		{MaxConcurrent: -1, MaxQueue: -1},
+	} {
+		opts.Network, opts.Address = inproc, "spill"
+		if srv, err := NewServer(opts); err == nil {
+			srv.Close()
+			t.Fatalf("NewServer(MaxConcurrent %d, MaxQueue %d) = nil error, want a rejection",
+				opts.MaxConcurrent, opts.MaxQueue)
 		}
 	}
-	st := srv.Stats()
-	if st.ShedRequests != 0 {
-		t.Fatalf("ShedRequests = %d in legacy mode, want 0", st.ShedRequests)
+	srv, err := NewServer(ServerOptions{Network: inproc, Address: "spill"})
+	if err != nil {
+		t.Fatalf("NewServer after the rejections: %v (a rejected server kept its address)", err)
 	}
-	// The resident worker takes one request; the other n-1 in-flight
-	// requests spill (exact count depends on how many were concurrent).
-	if st.SpilledRequests == 0 {
-		t.Fatalf("SpilledRequests = 0, want > 0; stats %+v", st)
-	}
+	srv.Close()
 }
 
 // TestOverloadedClassification pins the client-side contract for admission

@@ -259,29 +259,6 @@ func TestForgetRepoolsWaiter(t *testing.T) {
 	}
 }
 
-func TestAsyncWindowFailFast(t *testing.T) {
-	g, client, ref := newGatedPair(t, ClientOptions{MaxInFlight: 1, FailFast: true})
-	ctx := context.Background()
-	slow, err := client.InvokeAsync(ctx, ref, "wait")
-	if err != nil {
-		t.Fatalf("InvokeAsync: %v", err)
-	}
-	if _, err := client.InvokeAsync(ctx, ref, "echo"); !errors.Is(err, ErrWindowFull) {
-		t.Fatalf("err = %v, want ErrWindowFull", err)
-	}
-	if got := client.Stats().WindowRejects; got != 1 {
-		t.Fatalf("WindowRejects = %d, want 1", got)
-	}
-	g.open()
-	if _, err := slow.Wait(ctx); err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
-	// The slot freed with the reply: the window admits requests again.
-	if _, err := client.Invoke(ctx, ref, "echo"); err != nil {
-		t.Fatalf("post-release invoke: %v", err)
-	}
-}
-
 func TestAsyncWindowBlocksAndUnblocks(t *testing.T) {
 	g, client, ref := newGatedPair(t, ClientOptions{MaxInFlight: 1})
 	ctx := context.Background()

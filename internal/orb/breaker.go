@@ -185,8 +185,6 @@ func endpointFault(err error) bool {
 		return false // our own fast-fail must not feed back into the count
 	case errors.Is(err, ErrClosed), errors.Is(err, ErrUnknownNetwork):
 		return false
-	case errors.Is(err, ErrWindowFull):
-		return false // local flow control, not evidence about the peer
 	}
 	if !isRetryNeutral(err) && !isRemoteReply(err) {
 		return true

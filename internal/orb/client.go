@@ -21,11 +21,6 @@ var (
 	// ErrUnknownNetwork is returned when a reference names a transport the
 	// client was not configured with.
 	ErrUnknownNetwork = errors.New("orb: unknown network in object reference")
-	// ErrWindowFull is returned in FailFast mode when a connection's
-	// in-flight window (ClientOptions.MaxInFlight) has no free slot. It is
-	// deterministic load shedding, not a transport fault: retrying
-	// immediately would only re-contend the window.
-	ErrWindowFull = errors.New("orb: connection in-flight window full")
 	// ErrOverloaded matches (via errors.Is) a RemoteError carrying
 	// CodeOverloaded: the server shed the request at admission because its
 	// dispatch pool and queue were full. Nothing was dispatched, so the
@@ -86,14 +81,11 @@ type ClientOptions struct {
 	Now func() time.Time
 	// MaxInFlight caps the requests awaiting replies on each connection
 	// (0 = unbounded). When the window is full, new invocations block
-	// until a slot frees — or fail fast with ErrWindowFull when FailFast
-	// is set. The cap is the pipelining flow-control knob: it bounds both
+	// until a slot frees, the caller's context ends or the connection
+	// dies. The cap is the pipelining flow-control knob: it bounds both
 	// client memory (pending futures) and the burst a client can land on
 	// one server connection.
 	MaxInFlight int
-	// FailFast makes a full in-flight window reject new invocations with
-	// ErrWindowFull instead of blocking (load shedding at the edge).
-	FailFast bool
 	// BatchWindow enables write batching: request frames are coalesced
 	// for up to this duration (or until BatchBytes accumulate) and
 	// flushed with a single Write, trading up to BatchWindow of latency
@@ -103,9 +95,6 @@ type ClientOptions struct {
 	// BatchBytes flushes a batch early once this many bytes are pending.
 	// 0 means DefaultBatchBytes. Only meaningful with BatchWindow > 0.
 	BatchBytes int
-	// SubscribeBuffer is the per-subscription event buffer (see
-	// Client.Subscribe). 0 means DefaultSubscriptionBuffer.
-	SubscribeBuffer int
 	// Metrics, when non-nil, instruments the client: per-endpoint invoke
 	// latency histograms and outcome-class counters, breaker transition
 	// counters, and the ClientStats counters as gauges (see metrics.go).
@@ -122,10 +111,8 @@ type Client struct {
 	timeout      time.Duration
 	writeTimeout time.Duration
 	maxInFlight  int
-	failFast     bool
 	batchWindow  time.Duration
 	batchBytes   int
-	subBuffer    int
 
 	stats   clientStats
 	metrics *clientMetrics // nil = instrumentation disabled
@@ -184,10 +171,6 @@ func NewClientOpts(opts ClientOptions) *Client {
 	if now == nil {
 		now = time.Now
 	}
-	sb := opts.SubscribeBuffer
-	if sb <= 0 {
-		sb = DefaultSubscriptionBuffer
-	}
 	bb := opts.BatchBytes
 	if bb <= 0 {
 		bb = DefaultBatchBytes
@@ -198,10 +181,8 @@ func NewClientOpts(opts ClientOptions) *Client {
 		timeout:       opts.InvokeTimeout,
 		writeTimeout:  wt,
 		maxInFlight:   opts.MaxInFlight,
-		failFast:      opts.FailFast,
 		batchWindow:   opts.BatchWindow,
 		batchBytes:    bb,
-		subBuffer:     sb,
 		breakerPolicy: opts.Breaker,
 		breakerNow:    now,
 		breakers:      make(map[string]*breaker),
@@ -825,8 +806,8 @@ func (cc *clientConn) sendRequest(ctx context.Context, id uint64, key, op string
 	return cc.send(fb, deadline)
 }
 
-// acquireSlot claims an in-flight window slot, blocking (or fast-failing,
-// per ClientOptions.FailFast) when the window is full. Every successful
+// acquireSlot claims an in-flight window slot, blocking while the window is
+// full. Every successful
 // acquire is paired with exactly one releaseSlot: roundTrip defers it, an
 // asynchronous call releases when its Future completes.
 func (cc *clientConn) acquireSlot(ctx context.Context) error {
@@ -836,10 +817,6 @@ func (cc *clientConn) acquireSlot(ctx context.Context) error {
 	select {
 	case cc.window <- struct{}{}:
 	default:
-		if cc.c.failFast {
-			cc.c.stats.windowRejects.Add(1)
-			return ErrWindowFull
-		}
 		cc.c.stats.windowWaits.Add(1)
 		select {
 		case cc.window <- struct{}{}:

@@ -229,7 +229,6 @@ type ClientStats struct {
 	LateReplies   uint64 // replies orphaned by forget/cancel races
 	Canceled      uint64 // invocations abandoned by their context
 	WindowWaits   uint64 // sends that blocked on a full in-flight window
-	WindowRejects uint64 // sends fast-failed with ErrWindowFull
 	BatchFlushes  uint64 // coalesced batch writes
 	BatchedFrames uint64 // frames that rode a batch
 	EventsPushed  uint64 // pushed events delivered to subscriptions
@@ -241,7 +240,7 @@ type ClientStats struct {
 type clientStats struct {
 	syncCalls, asyncCalls, oneways atomic.Uint64
 	lateReplies, canceled          atomic.Uint64
-	windowWaits, windowRejects     atomic.Uint64
+	windowWaits                    atomic.Uint64
 	batchFlushes, batchedFrames    atomic.Uint64
 	eventsPushed, eventsDropped    atomic.Uint64
 	subscribes                     atomic.Uint64
@@ -256,7 +255,6 @@ func (c *Client) Stats() ClientStats {
 		LateReplies:   c.stats.lateReplies.Load(),
 		Canceled:      c.stats.canceled.Load(),
 		WindowWaits:   c.stats.windowWaits.Load(),
-		WindowRejects: c.stats.windowRejects.Load(),
 		BatchFlushes:  c.stats.batchFlushes.Load(),
 		BatchedFrames: c.stats.batchedFrames.Load(),
 		EventsPushed:  c.stats.eventsPushed.Load(),

@@ -29,7 +29,7 @@ const (
 	classApp
 	classOverloaded
 	classDeadline
-	classRejected // local fast-fail: circuit open or window full
+	classRejected // local fast-fail: circuit open
 	classTransport
 	classCount
 )
@@ -45,7 +45,7 @@ func classify(err error) int {
 		return classOK
 	case errors.Is(err, ErrOverloaded):
 		return classOverloaded
-	case errors.Is(err, ErrCircuitOpen), errors.Is(err, ErrWindowFull):
+	case errors.Is(err, ErrCircuitOpen):
 		return classRejected
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return classDeadline
@@ -86,7 +86,6 @@ func newClientMetrics(reg *metrics.Registry, stats *clientStats) *clientMetrics 
 		"orb_client_late_replies":   {&stats.lateReplies},
 		"orb_client_canceled":       {&stats.canceled},
 		"orb_client_window_waits":   {&stats.windowWaits},
-		"orb_client_window_rejects": {&stats.windowRejects},
 		"orb_client_batch_flushes":  {&stats.batchFlushes},
 		"orb_client_batched_frames": {&stats.batchedFrames},
 		"orb_client_events_pushed":  {&stats.eventsPushed},
@@ -188,9 +187,6 @@ func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 		reg.GaugeFunc(name, a.float)
 	}
 	reg.GaugeFunc("orb_server_queue_depth", func() float64 {
-		if s.queue == nil {
-			return 0
-		}
 		return float64(len(s.queue))
 	})
 	reg.GaugeFunc("orb_server_pool_workers", func() float64 {

@@ -116,7 +116,6 @@ func TestClassify(t *testing.T) {
 		{context.DeadlineExceeded, classDeadline},
 		{context.Canceled, classDeadline},
 		{ErrCircuitOpen, classRejected},
-		{ErrWindowFull, classRejected},
 		{&ConnectError{Err: errors.New("refused")}, classTransport},
 	}
 	for _, c := range cases {

@@ -132,8 +132,6 @@ func (p RetryPolicy) Retryable(err error) bool {
 		return false // the breaker's whole point is to not keep trying
 	case errors.Is(err, ErrClosed), errors.Is(err, ErrUnknownNetwork):
 		return false
-	case errors.Is(err, ErrWindowFull):
-		return false // deliberate load shedding; retrying re-contends the window
 	case isRetryNeutral(err):
 		return false
 	}

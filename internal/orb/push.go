@@ -20,8 +20,8 @@ import (
 // oneway invocations driven off a Tick poll; with a subscription the
 // notification is streamed the moment the monitor detects the event.
 
-// DefaultSubscriptionBuffer is the per-subscription event buffer used when
-// ClientOptions.SubscribeBuffer is unset. A full buffer drops new events
+// DefaultSubscriptionBuffer is every subscription's event buffer. A full
+// buffer drops new events
 // (counted in ClientStats.EventsDropped) rather than blocking the
 // connection's reader.
 const DefaultSubscriptionBuffer = 16
@@ -182,7 +182,7 @@ func (c *Client) subscribeLocal(local *Server, key, topic string, args []wire.Va
 	if !ok {
 		return nil, &RemoteError{Code: CodeBadOperation, Msg: fmt.Sprintf("object %q does not push events", key)}
 	}
-	sub := &Subscription{c: c, ch: make(chan []wire.Value, c.subBuffer)}
+	sub := &Subscription{c: c, ch: make(chan []wire.Value, DefaultSubscriptionBuffer)}
 	cancel, err := safeSubscribe(es, topic, args, localSink{sub})
 	if err != nil {
 		return nil, remoteSubscribeError(err)
@@ -218,7 +218,7 @@ func safeSubscribe(es EventSource, topic string, args []wire.Value, sink EventSi
 // reply. The stream is installed *before* the send so events racing ahead
 // of the ack's processing are never dropped.
 func (cc *clientConn) subscribe(ctx context.Context, key, topic string, args []wire.Value) (*Subscription, error) {
-	sub := &Subscription{c: cc.c, cc: cc, ch: make(chan []wire.Value, cc.c.subBuffer)}
+	sub := &Subscription{c: cc.c, cc: cc, ch: make(chan []wire.Value, DefaultSubscriptionBuffer)}
 	pc, id, err := cc.register(nil, true) // waits on ctx like a cancellable call
 	if err != nil {
 		return nil, err

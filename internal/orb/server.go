@@ -112,15 +112,12 @@ type ServerOptions struct {
 	BatchBytes int
 	// MaxConcurrent caps the server-wide dispatch pool: requests executing
 	// at once beyond one per connection and FastServants. 0 means
-	// DefaultMaxConcurrent; negative restores the pre-admission-control
-	// behavior of spilling an unbounded goroutine per pipelined request
-	// (benchmark baselines only — a hostile or merely bursty client can then
-	// drive goroutine count without limit).
+	// DefaultMaxConcurrent; negative is an error.
 	MaxConcurrent int
 	// MaxQueue bounds how many admitted requests may wait for a pool
 	// worker. When the queue is full, two-way requests are shed with a
 	// CodeOverloaded error reply and oneways are dropped. 0 means
-	// DefaultMaxQueue. Ignored when MaxConcurrent is negative.
+	// DefaultMaxQueue; negative is an error.
 	MaxQueue int
 	// Metrics, when non-nil, instruments dispatch: a latency histogram,
 	// per-reply-code counters, and the ServerStats counters as gauges
@@ -145,8 +142,7 @@ type ServerStats struct {
 	// the caller has given up, so dispatching would be pure waste.
 	ExpiredShed uint64
 	// SpilledRequests counts requests that overflowed their connection's
-	// resident worker into the shared dispatch pool (the bounded successor
-	// of the old per-request goroutine spill).
+	// resident worker into the shared dispatch pool.
 	SpilledRequests uint64
 	// QueueDepth is the number of admitted requests currently waiting for
 	// a pool worker (a gauge, not a counter).
@@ -179,8 +175,7 @@ type Server struct {
 	sm    *serverMetrics // nil = instrumentation disabled
 
 	// Admission control: queue feeds a pool of at most maxConcurrent
-	// workers, spawned lazily as demand appears. queue is nil when
-	// MaxConcurrent is negative (legacy unbounded spill).
+	// workers, spawned lazily as demand appears.
 	queue         chan connJob
 	maxConcurrent int
 	poolWorkers   atomic.Int64
@@ -191,19 +186,16 @@ type Server struct {
 
 // Stats returns a snapshot of the server's counters.
 func (s *Server) Stats() ServerStats {
-	st := ServerStats{
+	return ServerStats{
 		BatchedFrames:    s.stats.batchedFrames.Load(),
 		BatchFlushes:     s.stats.batchFlushes.Load(),
 		ShedRequests:     s.stats.shedRequests.Load(),
 		ExpiredShed:      s.stats.expiredShed.Load(),
 		SpilledRequests:  s.stats.spilledRequests.Load(),
+		QueueDepth:       len(s.queue),
 		InlineDispatches: s.stats.inlineDispatches.Load(),
 		InlineRescues:    s.stats.inlineRescues.Load(),
 	}
-	if s.queue != nil {
-		st.QueueDepth = len(s.queue)
-	}
-	return st
 }
 
 type servantEntry struct {
@@ -217,6 +209,9 @@ type servantEntry struct {
 func NewServer(opts ServerOptions) (*Server, error) {
 	if opts.Network == nil {
 		return nil, errors.New("orb: ServerOptions.Network is required")
+	}
+	if opts.MaxConcurrent < 0 || opts.MaxQueue < 0 {
+		return nil, fmt.Errorf("orb: negative MaxConcurrent (%d) or MaxQueue (%d)", opts.MaxConcurrent, opts.MaxQueue)
 	}
 	l, err := opts.Network.Listen(opts.Address)
 	if err != nil {
@@ -232,17 +227,15 @@ func NewServer(opts ServerOptions) (*Server, error) {
 	if s.opts.BatchBytes <= 0 {
 		s.opts.BatchBytes = DefaultBatchBytes
 	}
-	if opts.MaxConcurrent >= 0 {
-		s.maxConcurrent = opts.MaxConcurrent
-		if s.maxConcurrent == 0 {
-			s.maxConcurrent = DefaultMaxConcurrent
-		}
-		maxQueue := opts.MaxQueue
-		if maxQueue == 0 {
-			maxQueue = DefaultMaxQueue
-		}
-		s.queue = make(chan connJob, maxQueue)
+	s.maxConcurrent = opts.MaxConcurrent
+	if s.maxConcurrent == 0 {
+		s.maxConcurrent = DefaultMaxConcurrent
 	}
+	maxQueue := opts.MaxQueue
+	if maxQueue == 0 {
+		maxQueue = DefaultMaxQueue
+	}
+	s.queue = make(chan connJob, maxQueue)
 	s.sm = newServerMetrics(opts.Metrics, s)
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -311,10 +304,8 @@ func (s *Server) Close() error {
 	s.wg.Wait()
 	// All connection goroutines are done, so nothing can enqueue or spawn
 	// workers anymore; drain the pool and wait for it.
-	if s.queue != nil {
-		close(s.queue)
-		s.poolWG.Wait()
-	}
+	close(s.queue)
+	s.poolWG.Wait()
 	return err
 }
 
@@ -413,18 +404,7 @@ func (s *Server) poolWorker() {
 // admit routes one non-inline request past its connection's busy resident
 // worker: into the bounded dispatch pool, or — when pool and queue are
 // saturated — sheds it with a CodeOverloaded reply (oneways are dropped).
-// With MaxConcurrent < 0 the legacy unbounded spill applies and reqWG
-// tracks the goroutine.
-func (s *Server) admit(cw *connWriter, j connJob, reqWG *sync.WaitGroup) {
-	if s.queue == nil {
-		s.stats.spilledRequests.Add(1)
-		reqWG.Add(1)
-		go func(j connJob) {
-			defer reqWG.Done()
-			s.handle(cw, j)
-		}(j)
-		return
-	}
+func (s *Server) admit(cw *connWriter, j connJob) {
 	select {
 	case s.queue <- j:
 		s.stats.spilledRequests.Add(1)
@@ -502,7 +482,7 @@ type serverConn struct {
 	seen      uint64        // inlineSeq at the watchdog's previous visit (watch.mu)
 
 	subs map[uint64]*serverSub // push streams, owned by the read role
-	busy sync.WaitGroup        // the worker, rescued dispatches, legacy spills
+	busy sync.WaitGroup        // the worker and rescued dispatches
 }
 
 // work runs the resident worker until the connection ends.
@@ -522,7 +502,7 @@ func (c *serverConn) read() {
 		c.busy.Done() // rescued, and now its dispatch is over
 		return
 	}
-	// Reading failed: the worker and any spills finish, then the streams
+	// Reading failed: the worker and any rescued dispatches finish, then the streams
 	// (sinks first, so pushes fail fast, then servant cancels) and the socket.
 	close(c.jobs)
 	c.busy.Wait()
@@ -588,7 +568,7 @@ func (c *serverConn) readFrames() (rescued bool) {
 			case job.entry != nil && job.entry.inline:
 				s.handle(c.cw, job)
 			case !c.slot.CompareAndSwap(false, true): // pipelining, or a slow servant
-				s.admit(c.cw, job, &c.busy)
+				s.admit(c.cw, job)
 			case c.fr.Buffered() == 0:
 				s.stats.inlineDispatches.Add(1)
 				seq := c.inlineSeq.Add(1)

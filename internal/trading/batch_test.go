@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"autoadapt/internal/orb"
+	"autoadapt/internal/strikes"
 	"autoadapt/internal/wire"
 )
 
@@ -172,17 +173,13 @@ func (w *batchWorld) trader(t *testing.T, r DynamicResolver, workers int) *Trade
 	return tr
 }
 
-// strikes is each offer's quarantine bookkeeping, by offer id.
-func strikes(tr *Trader) map[string][2]int {
+// offerStrikes is each offer's quarantine bookkeeping, by offer id.
+func offerStrikes(tr *Trader) map[string]strikes.Count {
 	tr.mu.RLock()
 	defer tr.mu.RUnlock()
-	out := make(map[string][2]int, len(tr.offers))
+	out := make(map[string]strikes.Count, len(tr.offers))
 	for id, rec := range tr.offers {
-		q := 0
-		if rec.quarantined {
-			q = 1
-		}
-		out[id] = [2]int{rec.fails, q}
+		out[id] = rec.strikes
 	}
 	return out
 }
@@ -194,10 +191,10 @@ func sameOutcome(batch, loop *Trader, got, want []QueryResult) error {
 	if err := sameResults(got, want); err != nil {
 		return fmt.Errorf("batch vs per-aspect: %w", err)
 	}
-	gs := strikes(batch)
-	for id, want := range strikes(loop) {
+	gs := offerStrikes(batch)
+	for id, want := range offerStrikes(loop) {
 		if gs[id] != want {
-			return fmt.Errorf("%s fails/quarantined = %v, per-aspect %v", id, gs[id], want)
+			return fmt.Errorf("%s strikes = %d, per-aspect %d", id, gs[id], want)
 		}
 	}
 	return nil

@@ -58,7 +58,7 @@ func referenceQuery(t *Trader, props map[string]map[string]PropValue, serviceTyp
 	now := t.clk.Now()
 	for _, rec := range t.offers {
 		if o := &rec.offer; o.ServiceType == serviceType && !rec.expired(now) {
-			candidates = append(candidates, candidate{o, props[o.ID], rec.quarantined})
+			candidates = append(candidates, candidate{o, props[o.ID], rec.strikes.Out()})
 		}
 	}
 	t.mu.RUnlock()
@@ -218,7 +218,6 @@ func diffRun(t *testing.T, seed int64, steps int) {
 	tr := NewTrader(res)
 	tr.SetClock(sim)
 	tr.SetLeaseTTL(30 * time.Second)
-	tr.SetQuarantineThreshold(2)
 	types := []string{"A", "B", "C"}
 	for _, n := range types {
 		tr.AddType(ServiceType{Name: n, Props: []string{"Load", "Trend", "Cores", "Tier"}, Strict: n == "C"})
@@ -329,7 +328,6 @@ func TestQueryWireMatchesResultsToWire(t *testing.T) {
 	traders := []*Trader{local, remote}
 	sv := NewServant(remote)
 	for _, tr := range traders {
-		tr.SetQuarantineThreshold(2)
 		tr.AddType(ServiceType{Name: "A", Props: []string{"Load", "Trend", "Cores", "Tier"}})
 	}
 	var ids []string
@@ -454,7 +452,7 @@ func TestWithdrawnMidQueryIsGone(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.noteResolveOutcomes(context.Background(), []offerView{{rec: rec}}, []resolveOutcome{resolveSomeFailed})
-	if rec.fails != 0 {
+	if rec.strikes != 0 {
 		t.Fatalf("withdrawn record was charged a failure")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"autoadapt/internal/clock"
+	"autoadapt/internal/strikes"
 )
 
 // Offer liveness: leases, the reaper, and quarantine.
@@ -16,7 +17,7 @@ import (
 // *leases*: an exporter must renew its offer within the lease TTL or the
 // offer stops matching (lazily, the moment the lease is past due) and is
 // eventually deleted by the reaper. Independently, offers whose dynamic
-// properties fail to resolve on several consecutive queries are
+// properties fail to resolve on strikes.Limit consecutive queries are
 // *quarantined* — kept registered, still probed, but excluded from query
 // results until a resolution succeeds or the exporter renews.
 //
@@ -27,23 +28,18 @@ import (
 // an expired-but-unreaped offer resurrects it deterministically — the
 // record, its ID, and its properties are exactly as before expiry.
 
-// DefaultQuarantineThreshold is how many consecutive queries must fail to
-// resolve an offer's dynamic properties before the offer is quarantined.
-const DefaultQuarantineThreshold = 3
-
 // offerRecord is the trader's bookkeeping around one exported Offer: its
 // properties by slot, its export sequence number (the sort key of
-// Trader.byType), the lease deadline and the quarantine counters. All
+// Trader.byType), the lease deadline and the quarantine strikes. All
 // fields are guarded by Trader.mu; seq and the offer's fields are immutable
 // after export, and the offer's Props stays nil — props holds them.
 type offerRecord struct {
-	offer       Offer
-	props       slotProps
-	seq         int
-	expires     time.Time // lease deadline; zero = no lease
-	fails       int       // consecutive queries with failed resolutions
-	quarantined bool
-	gone        bool // withdrawn or reaped; a query may still hold the record
+	offer   Offer
+	props   slotProps
+	seq     int
+	expires time.Time     // lease deadline; zero = no lease
+	strikes strikes.Count // consecutive queries with failed resolutions; Out = quarantined
+	gone    bool          // withdrawn or reaped; a query may still hold the record
 }
 
 // expired reports whether the record's lease is past due at now. Records
@@ -81,15 +77,6 @@ func (t *Trader) LeaseTTL() time.Duration {
 	return t.leaseTTL
 }
 
-// SetQuarantineThreshold sets how many consecutive resolution-failing
-// queries quarantine an offer (default DefaultQuarantineThreshold).
-// Values below 1 disable quarantining entirely.
-func (t *Trader) SetQuarantineThreshold(n int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.quarThreshold = n
-}
-
 // Renew extends the lease of an offer by the trader's lease TTL from now,
 // clears its quarantine state, and resurrects it if it had expired but was
 // not yet reaped. Renewing an offer the trader does not know (never
@@ -109,12 +96,11 @@ func (t *Trader) Renew(id string) error {
 	}
 	if tm := t.tm.Load(); tm != nil {
 		tm.renewals.Inc()
-		if rec.quarantined {
+		if rec.strikes.Out() {
 			tm.rehabilitated.Inc()
 		}
 	}
-	rec.fails = 0
-	rec.quarantined = false
+	rec.strikes.Reset()
 	return nil
 }
 
@@ -124,7 +110,7 @@ func (t *Trader) Quarantined(id string) bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	rec, ok := t.offers[id]
-	return ok && rec.quarantined
+	return ok && rec.strikes.Out()
 }
 
 // Reap deletes every offer whose lease is past due and returns how many
@@ -171,28 +157,27 @@ func (t *Trader) StartReaper(interval time.Duration) (stop func()) {
 }
 
 // noteResolveOutcomes folds one query's per-offer resolution outcomes into
-// the quarantine counters: a query in which every attempted resolution of
-// an offer answered rehabilitates it (fails reset, quarantine lifted),
-// while a query with at least one failed resolution counts against it and
-// quarantines it at the threshold. Queries that resolved nothing for an
+// the quarantine strikes: a query in which every attempted resolution of
+// an offer answered rehabilitates it (strikes reset, quarantine lifted),
+// while a query with at least one failed resolution is a strike against it
+// and quarantines it at strikes.Limit. Queries that resolved nothing for an
 // offer leave its state untouched, as does a query whose ctx was canceled
 // (the failures indict the caller, not the monitors).
 func (t *Trader) noteResolveOutcomes(ctx context.Context, candidates []offerView, outcomes []resolveOutcome) {
 	// Check under the read lock first and upgrade only when some record
 	// actually needs mutating. In the steady state — healthy monitors, no
-	// quarantine counters to reset — every outcome is resolveAllOK against
-	// records already at fails == 0, so hot read-only queries never
-	// serialize on the trader's write lock.
+	// strikes to reset — every outcome is resolveAllOK against records
+	// already at zero strikes, so hot read-only queries never serialize on
+	// the trader's write lock.
 	t.mu.RLock()
-	threshold := t.quarThreshold
 	dirty := false
-	if threshold >= 1 && ctx.Err() == nil {
+	if ctx.Err() == nil {
 		for i := range candidates {
 			switch outcomes[i] {
 			case resolveSomeFailed:
 				dirty = true
 			case resolveAllOK:
-				if rec := candidates[i].rec; !rec.gone && (rec.fails != 0 || rec.quarantined) {
+				if rec := candidates[i].rec; !rec.gone && rec.strikes != 0 {
 					dirty = true
 				}
 			}
@@ -215,18 +200,13 @@ func (t *Trader) noteResolveOutcomes(ctx context.Context, candidates []offerView
 		}
 		switch outcomes[i] {
 		case resolveAllOK:
-			if tm != nil && rec.quarantined {
+			if tm != nil && rec.strikes.Out() {
 				tm.rehabilitated.Inc()
 			}
-			rec.fails = 0
-			rec.quarantined = false
+			rec.strikes.Reset()
 		case resolveSomeFailed:
-			rec.fails++
-			if rec.fails >= threshold && !rec.quarantined {
-				rec.quarantined = true
-				if tm != nil {
-					tm.quarantined.Inc()
-				}
+			if rec.strikes.Fail() && tm != nil {
+				tm.quarantined.Inc()
 			}
 		}
 	}

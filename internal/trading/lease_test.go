@@ -271,18 +271,6 @@ func TestRenewLiftsQuarantine(t *testing.T) {
 	}
 }
 
-func TestQuarantineDisabled(t *testing.T) {
-	tr, res, id := newFlakyTrader(t)
-	tr.SetQuarantineThreshold(0)
-	res.setFail(true)
-	for i := 0; i < 5; i++ {
-		queryLoad(t, tr)
-	}
-	if tr.Quarantined(id) {
-		t.Fatal("offer quarantined with quarantining disabled")
-	}
-}
-
 func TestMapOfferErrReconstructsSentinel(t *testing.T) {
 	// Across the servant/Lookup wire boundary the sentinel identity is
 	// reconstructed from the APP_ERROR message, so agents can errors.Is.

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"autoadapt/internal/strikes"
 	"autoadapt/internal/wire"
 )
 
@@ -16,7 +17,7 @@ import (
 func TestQueryHealthySkipsWriteLock(t *testing.T) {
 	tr, _ := newLoadedTrader([]float64{0.5, 1.5}, []bool{false, false})
 
-	// Prime once so any initial fails/quarantined state is settled.
+	// Prime once so any initial strikes are settled.
 	if _, err := tr.Query(context.Background(), "LoadShared", "LoadAvg < 99", "min LoadAvg", 0); err != nil {
 		t.Fatal(err)
 	}
@@ -50,13 +51,13 @@ func TestQueryFailureStillQuarantines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < DefaultQuarantineThreshold; i++ {
+	for i := 0; i < strikes.Limit; i++ {
 		if _, err := tr.Query(context.Background(), "S", "LoadAvg < 1", "", 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if !tr.Quarantined(id) {
-		t.Fatalf("offer %s not quarantined after %d failing queries", id, DefaultQuarantineThreshold)
+		t.Fatalf("offer %s not quarantined after %d failing queries", id, strikes.Limit)
 	}
 }
 

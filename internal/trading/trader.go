@@ -111,12 +111,9 @@ type Trader struct {
 	nextID int
 
 	// Liveness knobs (see lease.go). clk stamps leases and drives the
-	// reaper; leaseTTL 0 disables leasing; quarThreshold is how many
-	// consecutive dynamic-property resolution failures quarantine an
-	// offer (values < 1 disable quarantining).
-	clk           clock.Clock
-	leaseTTL      time.Duration
-	quarThreshold int
+	// reaper; leaseTTL 0 disables leasing.
+	clk      clock.Clock
+	leaseTTL time.Duration
 
 	// Load instrumentation (see stats.go). Atomics, not mu-guarded: the
 	// query hot path must not serialize on bookkeeping.
@@ -258,7 +255,6 @@ func NewTrader(resolver DynamicResolver) *Trader {
 		offers:          make(map[string]*offerRecord),
 		byType:          make(map[string][]*offerRecord),
 		clk:             clock.Real{},
-		quarThreshold:   DefaultQuarantineThreshold,
 	}
 }
 
@@ -608,7 +604,7 @@ func (t *Trader) query(ctx context.Context, serviceType, constraint, preference 
 	recs := t.byType[serviceType]
 	for _, rec := range recs {
 		if !rec.expired(now) {
-			candidates = append(candidates, offerView{rec: rec, props: rec.props, quarantined: rec.quarantined})
+			candidates = append(candidates, offerView{rec: rec, props: rec.props, quarantined: rec.strikes.Out()})
 		}
 	}
 	t.mu.RUnlock()
