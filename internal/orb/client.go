@@ -703,7 +703,7 @@ func (cc *clientConn) read(self *pendingCall) {
 			cc.close(fmt.Errorf("orb: connection lost: %w", err))
 			return
 		}
-		msg, err := wire.DecodeMessage(payload)
+		msg, err := cc.fr.Decode(payload)
 		if err != nil {
 			cc.close(fmt.Errorf("orb: protocol error: %w", err))
 			return

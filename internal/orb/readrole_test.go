@@ -3,6 +3,7 @@ package orb
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net"
 	"strings"
@@ -400,6 +401,18 @@ func TestRescueBlockedInlineDispatch(t *testing.T) {
 			// The connection keeps working, inline again once idle.
 			if rs, err := client.Invoke(context.Background(), ref, "echo", wire.Int(7)); err != nil || rs[0].Num() != 7 {
 				t.Fatalf("after the rescue = %v, %v", rs, err)
+			}
+			// The rescuing reader took the connection's intern table with the
+			// read role: requests that repeat the same keys decode through it.
+			for i := 0; i < 100; i++ {
+				arg := wire.NewTableSize(0, 3)
+				arg.SetString("id", wire.String(fmt.Sprintf("offer-%d", i%4)))
+				arg.SetString("aspect", wire.String("Increasing"))
+				arg.SetString("n", wire.Int(i))
+				rs, err := client.Invoke(context.Background(), ref, "echo", wire.TableVal(arg))
+				if err != nil || len(rs) != 1 || !rs[0].Equal(wire.TableVal(arg)) {
+					t.Fatalf("request %d after the rescue = %v, %v", i, rs, err)
+				}
 			}
 			_ = client.Close()
 			_ = srv.Close()

@@ -473,8 +473,8 @@ type serverConn struct {
 	s    *Server
 	conn net.Conn
 	cw   *connWriter
-	fr   *wire.FrameReader
-	jobs chan connJob // to the worker
+	fr   *wire.FrameReader // with its intern table, used by the reader only (a rescue hands both on)
+	jobs chan connJob      // to the worker
 
 	slot      atomic.Bool   // held by whichever of the two runs a dispatch
 	inlineSeq atomic.Uint64 // odd while the reader runs one
@@ -535,7 +535,7 @@ func (c *serverConn) readFrames() (rescued bool) {
 			}
 			return false
 		}
-		msg, err := wire.DecodeMessage(payload)
+		msg, err := c.fr.Decode(payload)
 		if err != nil {
 			s.logf("orb: decode message: %v", err)
 			return false // protocol error: drop the connection

@@ -88,6 +88,47 @@ func TestAllocGuardDecodeMessage(t *testing.T) {
 	}); allocs > 2 {
 		t.Fatalf("DecodeMessage(reply): %.1f allocs/op, want <= 2", allocs)
 	}
+	// Through a warm intern table the two field strings are hits: exactly 2.
+	fr := NewFrameReader(nil)
+	if allocs := testing.AllocsPerRun(200, func() {
+		if _, err := fr.Decode(encReq); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 2 {
+		t.Fatalf("FrameReader.Decode(request): %.1f allocs/op, want <= 2", allocs)
+	}
+}
+
+// loopReader serves the same bytes over and over.
+type loopReader struct {
+	b   []byte
+	off int
+}
+
+func (l *loopReader) Read(p []byte) (int, error) {
+	n := copy(p, l.b[l.off:])
+	l.off = (l.off + n) % len(l.b)
+	return n, nil
+}
+
+// TestAllocGuardFrameReaderNext: reading a frame into a warm reader
+// allocates nothing, the header included.
+func TestAllocGuardFrameReaderNext(t *testing.T) {
+	frame, err := (&FrameBuffer{B: append(make([]byte, frameHeaderLen), "payload"...)}).Frame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr := NewFrameReader(&loopReader{b: frame})
+	if _, err := fr.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if p, err := fr.Next(); err != nil || string(p) != "payload" {
+			t.Fatalf("Next = %q, %v", p, err)
+		}
+	}); allocs > 0 {
+		t.Fatalf("warm FrameReader.Next: %.1f allocs/op, want 0", allocs)
+	}
 }
 
 // queryReply3 builds what trading.resultsToWire builds for three offers of
@@ -136,15 +177,17 @@ func props4() Value {
 // TestAllocGuardSmallTables pins what the trader's wire traffic costs in the
 // small-table form: building is two allocations per table (the Table and
 // its presized pair slice), encoding into a warm buffer none, and decoding
-// two per table plus one per string (keys included).
+// two per table plus one per string (keys included). Through a warm intern
+// table, as a connection's FrameReader decodes, the strings of up to
+// maxInterned bytes cost nothing: what is left is the tables.
 func TestAllocGuardSmallTables(t *testing.T) {
 	for _, tc := range []struct {
-		name                string
-		build               func() Value
-		maxBuild, maxDecode float64 // measured: 33/118 and 6/19
+		name                         string
+		build                        func() Value
+		maxBuild, maxDecode, maxWarm float64 // measured: 32/113/32 and 6/21/6
 	}{
-		{"query reply, 3 rows", queryReply3, 34, 116},
-		{"props, 4 entries", props4, 7, 22},
+		{"query reply, 3 rows", queryReply3, 34, 116, 33},
+		{"props, 4 entries", props4, 7, 22, 7},
 	} {
 		built := testing.AllocsPerRun(100, func() { tc.build() })
 		if built > tc.maxBuild {
@@ -166,6 +209,16 @@ func TestAllocGuardSmallTables(t *testing.T) {
 		if allocs > tc.maxDecode {
 			t.Errorf("%s: decode %.0f allocs, want <= %.0f", tc.name, allocs, tc.maxDecode)
 		}
-		t.Logf("%s: build %.0f allocs, decode %.0f allocs, %d bytes", tc.name, built, allocs, len(buf))
+		in := new(internTable)
+		warm := testing.AllocsPerRun(100, func() {
+			d := Decoder{buf: buf, in: in}
+			if _, err := d.Value(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if warm > tc.maxWarm {
+			t.Errorf("%s: decode through a warm intern table %.0f allocs, want <= %.0f", tc.name, warm, tc.maxWarm)
+		}
+		t.Logf("%s: build %.0f allocs, decode %.0f allocs (%.0f interned), %d bytes", tc.name, built, allocs, warm, len(buf))
 	}
 }

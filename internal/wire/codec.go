@@ -116,10 +116,11 @@ func appendString(dst []byte, s string) []byte {
 type Decoder struct {
 	buf []byte
 	pos int
+	in  *internTable // nil: every string is a fresh copy (see FrameReader.Decode)
 }
 
-// NewDecoder returns a decoder over buf. The decoder does not copy buf;
-// decoded strings share its memory via Go string conversion (copied).
+// NewDecoder returns a decoder over buf. The decoder does not copy buf, and
+// nothing it decodes aliases buf: every string it returns is a copy.
 func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
 
 // Remaining reports how many undecoded bytes are left.
@@ -227,9 +228,12 @@ func (d *Decoder) str() (string, error) {
 	if n > uint64(d.Remaining()) {
 		return "", ErrTruncated
 	}
-	s := string(d.buf[d.pos : d.pos+int(n)])
+	b := d.buf[d.pos : d.pos+int(n)]
 	d.pos += int(n)
-	return s, nil
+	if d.in != nil && len(b) > 0 && len(b) <= maxInterned {
+		return d.in.intern(b), nil
+	}
+	return string(b), nil
 }
 
 func (d *Decoder) uvarint() (uint64, error) {

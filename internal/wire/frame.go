@@ -203,11 +203,17 @@ type Message struct {
 // DecodeMessage decodes a frame payload into a protocol message. The
 // Message and its body are one allocation.
 func DecodeMessage(payload []byte) (*Message, error) {
+	return decodeMessage(payload, nil)
+}
+
+// decodeMessage decodes payload, taking short strings from in when it is
+// not nil.
+func decodeMessage(payload []byte, in *internTable) (*Message, error) {
 	if len(payload) == 0 {
 		return nil, ErrTruncated
 	}
 	mt := MsgType(payload[0])
-	d := NewDecoder(payload[1:])
+	d := &Decoder{buf: payload[1:], in: in}
 	switch mt {
 	case MsgRequest, MsgOneway:
 		x := &struct {

@@ -46,9 +46,11 @@ type testingT interface {
 }
 
 // FuzzDecodeMessage is the coverage-guided companion to the
-// testing/quick properties: DecodeMessage must never panic, and any
-// payload it accepts must decode identically a second time.
+// testing/quick properties: DecodeMessage must never panic, any payload it
+// accepts must decode identically a second time, and one long-lived
+// reader's interning decode must agree with it on every input.
 func FuzzDecodeMessage(f *testing.F) {
+	fr := NewFrameReader(nil)
 	for _, seed := range seedMessages(f) {
 		f.Add(seed)
 	}
@@ -58,6 +60,9 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add(deepTablePayload(byte(MsgEvent), maxDepth+8))
 	f.Add([]byte{0xff, 0x00, 0x7f})
 	f.Fuzz(func(t *testing.T, b []byte) {
+		if d := internDiff(fr, b); d != "" {
+			t.Fatal(d)
+		}
 		msg, err := DecodeMessage(b)
 		if err != nil {
 			return

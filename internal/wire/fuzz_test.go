@@ -53,13 +53,19 @@ func TestPropertyDecodeMessageNeverPanics(t *testing.T) {
 			args[0] = reflect.ValueOf(b)
 		},
 	}
+	// One long-lived interning reader decodes every input as well, and must
+	// agree with the plain decode.
+	fr := NewFrameReader(nil)
 	prop := func(b []byte) (ok bool) {
 		defer func() {
 			if recover() != nil {
 				ok = false
 			}
 		}()
-		_, _ = DecodeMessage(b)
+		if d := internDiff(fr, b); d != "" {
+			t.Log(d)
+			return false
+		}
 		return true
 	}
 	if err := quick.Check(prop, cfg); err != nil {
