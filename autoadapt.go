@@ -379,54 +379,35 @@ func (t *ShardedTraderHandle) Close() error {
 	return err
 }
 
-// Platform is the client-side runtime: an ORB client, a lookup bound to a
-// trader, and a local server hosting observer callbacks.
+// Platform is the client-side runtime: an ORB client and a lookup bound to
+// a trader. It listens on nothing: smart proxies hear their events on push
+// subscriptions over the client's own connections.
 type Platform struct {
 	Client *orb.Client
 	Lookup *trading.Lookup
-	// ObserverServer hosts EventObserver callbacks for smart proxies.
-	ObserverServer *orb.Server
 }
 
-// Connect builds a Platform: it dials nothing eagerly, binds the lookup to
-// traderRef, and starts a local callback server on callbackAddr.
-func Connect(network Network, traderRef ObjRef, callbackAddr string) (*Platform, error) {
+// Connect builds a Platform: it dials nothing eagerly and binds the lookup
+// to traderRef.
+func Connect(network Network, traderRef ObjRef) (*Platform, error) {
 	if network == nil {
 		return nil, errors.New("autoadapt: network is required")
 	}
 	client := orb.NewClient(network)
-	srv, err := orb.NewServer(orb.ServerOptions{Network: network, Address: callbackAddr})
-	if err != nil {
-		_ = client.Close()
-		return nil, err
-	}
-	return &Platform{
-		Client:         client,
-		Lookup:         trading.NewLookup(client, traderRef),
-		ObserverServer: srv,
-	}, nil
+	return &Platform{Client: client, Lookup: trading.NewLookup(client, traderRef)}, nil
 }
 
 // NewSmartProxy creates a smart proxy wired to the platform. The caller
-// sets ServiceType/Constraint/Preference/Watches on opts; Client, Lookup
-// and ObserverServer are filled in.
+// sets ServiceType/Constraint/Preference/Watches on opts; Client and Lookup
+// are filled in.
 func (p *Platform) NewSmartProxy(opts ProxyOptions) (*SmartProxy, error) {
 	opts.Client = p.Client
 	opts.Lookup = p.Lookup
-	if opts.ObserverServer == nil {
-		opts.ObserverServer = p.ObserverServer
-	}
 	return core.New(opts)
 }
 
 // Close tears the platform down.
-func (p *Platform) Close() error {
-	err := p.Client.Close()
-	if serr := p.ObserverServer.Close(); err == nil {
-		err = serr
-	}
-	return err
-}
+func (p *Platform) Close() error { return p.Client.Close() }
 
 // StartAgent announces a servant through a service agent (see
 // internal/agent for the full option set).

@@ -37,7 +37,6 @@ func run() error {
 		limit     = flag.Float64("limit", 2, "LoadAvg limit in the selection constraint")
 		calls     = flag.Int("calls", 50, "number of hello calls to make")
 		interval  = flag.Duration("interval", time.Second, "delay between calls")
-		callback  = flag.String("callback", "127.0.0.1:0", "TCP address for observer callbacks")
 	)
 	flag.Parse()
 
@@ -45,7 +44,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	platform, err := autoadapt.Connect(autoadapt.TCP(), ref, *callback)
+	platform, err := autoadapt.Connect(autoadapt.TCP(), ref)
 	if err != nil {
 		return err
 	}

@@ -141,7 +141,7 @@ func TestCLIDeploymentEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	platform, err := Connect(TCP(), ref, "127.0.0.1:0")
+	platform, err := Connect(TCP(), ref)
 	if err != nil {
 		t.Fatal(err)
 	}

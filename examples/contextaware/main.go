@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"os"
 	"sync/atomic"
-	"time"
 
 	"autoadapt"
 	"autoadapt/internal/monitor"
@@ -53,7 +52,7 @@ func run() error {
 	}
 	defer trader.Close()
 
-	platform, err := autoadapt.Connect(network, trader.Ref, "wearable")
+	platform, err := autoadapt.Connect(network, trader.Ref)
 	if err != nil {
 		return err
 	}
@@ -73,21 +72,6 @@ func run() error {
 		defer srv.Close()
 	}
 
-	// The user's location is a monitored context property on the wearable.
-	location := &atomic.Value{}
-	location.Store("lobby")
-	locMon, err := monitor.New(monitor.Options{
-		Name: "UserLocation",
-		Update: func() (wire.Value, error) {
-			return wire.String(location.Load().(string)), nil
-		},
-		Notifier: monitor.ORBNotifier{Client: platform.Client},
-	})
-	if err != nil {
-		return err
-	}
-	defer locMon.Close()
-
 	// The display proxy: constraint and strategy are rebuilt per location.
 	proxy, err := platform.NewSmartProxy(autoadapt.ProxyOptions{
 		ServiceType: "Display",
@@ -98,6 +82,26 @@ func run() error {
 		return err
 	}
 	defer proxy.Close()
+
+	// The user's location is a monitored context property on the wearable.
+	// The monitor lives beside the proxy, so its notifier hands events to
+	// the proxy directly, before the tick that detected them returns.
+	location := &atomic.Value{}
+	location.Store("lobby")
+	locMon, err := monitor.New(monitor.Options{
+		Name: "UserLocation",
+		Update: func() (wire.Value, error) {
+			return wire.String(location.Load().(string)), nil
+		},
+		Notifier: monitor.NotifierFunc(func(_ wire.ObjRef, eventID string) error {
+			proxy.OnEvent(eventID)
+			return nil
+		}),
+	})
+	if err != nil {
+		return err
+	}
+	defer locMon.Close()
 	proxy.SetStrategy("UserMoved", func(ctx context.Context, p *autoadapt.SmartProxy) error {
 		v, err := locMon.Value()
 		if err != nil {
@@ -117,7 +121,7 @@ func run() error {
 
 	// A shipped predicate that fires whenever the location changes — the
 	// paper's remote-evaluation pattern applied to a context property.
-	if _, err := locMon.AttachObserver(proxy.ObserverRef(), "UserMoved",
+	if _, err := locMon.AttachObserver(wire.ObjRef{}, "UserMoved",
 		`function(observer, value, monitor)
 			local moved = (monitor.last ~= nil and monitor.last ~= value)
 			monitor.last = value
@@ -138,21 +142,11 @@ func run() error {
 	// The user walks through the building.
 	occupancy["auditorium"].Store(40) // a talk is on
 	walk := []string{"lobby", "lab", "lab", "auditorium", "lobby"}
-	prev := "lobby"
 	for step, room := range walk {
 		location.Store(room)
 		if err := locMon.Tick(); err != nil { // location sensor update
 			return err
 		}
-		if room != prev {
-			// Notifications are oneway; wait for delivery so the demo's
-			// output is deterministic.
-			deadline := time.Now().Add(5 * time.Second)
-			for len(proxy.PendingEvents()) == 0 && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
-			}
-		}
-		prev = room
 		if err := show(fmt.Sprintf("notification #%d", step+1)); err != nil {
 			return err
 		}

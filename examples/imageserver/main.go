@@ -96,7 +96,7 @@ func run() error {
 	}
 	defer trader.Close()
 
-	platform, err := autoadapt.Connect(network, trader.Ref, "client")
+	platform, err := autoadapt.Connect(network, trader.Ref)
 	if err != nil {
 		return err
 	}

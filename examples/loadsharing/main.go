@@ -15,6 +15,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"time"
@@ -58,7 +59,7 @@ const fig7Strategy = `{
 func run() error {
 	// Part 1: show the Fig. 7 strategy driving a live proxy.
 	fmt.Println("— Fig. 7 strategy, shipped as script source —")
-	w, err := experiment.NewWorld(experiment.WorldConfig{Servers: 3, SyncNotify: true})
+	w, err := experiment.NewWorld(experiment.WorldConfig{Servers: 3})
 	if err != nil {
 		return err
 	}
@@ -80,7 +81,6 @@ func run() error {
 		Constraint:       "LoadAvg < 3 and LoadAvgIncreasing == no",
 		Preference:       "min LoadAvg",
 		FallbackSortOnly: true,
-		ObserverServer:   w.ObsSrv,
 		Watches: []core.Watch{{
 			Prop:      "LoadAvg",
 			Event:     monitor.LoadIncreaseEvent,
@@ -106,6 +106,9 @@ func run() error {
 	if err := w.TickMonitors(); err != nil {
 		return err
 	}
+	if err := awaitEvent(sp); err != nil {
+		return err
+	}
 	if _, err := sp.Invoke(ctx, "hello"); err != nil {
 		return err
 	}
@@ -117,6 +120,9 @@ func run() error {
 	w.Hosts[0].SetLoadAvg(7.0, 2.0, 2.0)
 	w.Hosts[1].SetLoadAvg(0.4, 0.6, 0.6)
 	if err := w.TickMonitors(); err != nil {
+		return err
+	}
+	if err := awaitEvent(sp); err != nil {
 		return err
 	}
 	if _, err := sp.Invoke(ctx, "hello"); err != nil {
@@ -140,5 +146,16 @@ func run() error {
 		return err
 	}
 	fmt.Println(table.Render())
+	return nil
+}
+
+// awaitEvent waits until the monitor's pushed event has reached the proxy,
+// so the next invocation is the one that runs the strategy.
+func awaitEvent(sp *core.SmartProxy) error {
+	for deadline := time.Now().Add(5 * time.Second); len(sp.PendingEvents()) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			return errors.New("the watch never fired")
+		}
+	}
 	return nil
 }

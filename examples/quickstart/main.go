@@ -68,8 +68,8 @@ func run() error {
 	defer trader.Close()
 	fmt.Println("trader listening on", trader.Endpoint())
 
-	// 2. Client platform: ORB client + lookup + observer callback server.
-	platform, err := autoadapt.Connect(network, trader.Ref, "127.0.0.1:0")
+	// 2. Client platform: ORB client + lookup.
+	platform, err := autoadapt.Connect(network, trader.Ref)
 	if err != nil {
 		return err
 	}

@@ -43,7 +43,7 @@ func deployment(t *testing.T, network Network, addr func(role string) string) (*
 	}
 	t.Cleanup(func() { _ = trader.Close() })
 
-	platform, err := Connect(network, trader.Ref, addr("client"))
+	platform, err := Connect(network, trader.Ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestTraderIDLCheckRejectsBadCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer trader.Close()
-	platform, err := Connect(n, trader.Ref, "idl-client")
+	platform, err := Connect(n, trader.Ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,15 +184,8 @@ func TestPlatformValidation(t *testing.T) {
 	if _, err := StartTrader(TraderOptions{}); err == nil {
 		t.Fatal("StartTrader without network succeeded")
 	}
-	if _, err := Connect(nil, ObjRef{}, "x"); err == nil {
+	if _, err := Connect(nil, ObjRef{}); err == nil {
 		t.Fatal("Connect without network succeeded")
-	}
-	n := NewInprocNetwork()
-	if _, err := n.Listen("taken"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Connect(n, ObjRef{}, "taken"); err == nil {
-		t.Fatal("Connect on a taken address succeeded")
 	}
 }
 

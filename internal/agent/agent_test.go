@@ -226,19 +226,12 @@ func TestAgentEndToEndWithSmartProxy(t *testing.T) {
 		o.LoadSource = steadyLoad(1.5, 1.6, 1.7)
 	})
 
-	obsSrv, err := orb.NewServer(orb.ServerOptions{Network: f.net, Address: "client"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = obsSrv.Close() })
-
 	sp, err := core.New(core.Options{
-		Client:         f.client,
-		Lookup:         f.lookup,
-		ServiceType:    "LoadShared",
-		Constraint:     "LoadAvg < 2 and LoadAvgIncreasing == no",
-		Preference:     "min LoadAvg",
-		ObserverServer: obsSrv,
+		Client:      f.client,
+		Lookup:      f.lookup,
+		ServiceType: "LoadShared",
+		Constraint:  "LoadAvg < 2 and LoadAvgIncreasing == no",
+		Preference:  "min LoadAvg",
 		Watches: []core.Watch{{
 			Prop:      "LoadAvg",
 			Event:     monitor.LoadIncreaseEvent,

@@ -18,7 +18,6 @@ func TestRedirectorMakesStandardClientAdaptive(t *testing.T) {
 	w.setLoad(1, 20, 25, 25)
 
 	sp := w.newProxy(Options{
-		ObserverServer: w.obsSrv,
 		Watches: []Watch{{
 			Prop:      "LoadAvg",
 			Event:     monitor.LoadIncreaseEvent,

@@ -20,7 +20,7 @@ import (
 //
 //	self:_select(query)            — re-query the trader and switch server;
 //	                                 returns true when a server was found
-//	self._observer                 — the proxy's EventObserver reference
+//	self._observer                 — stands for the proxy as an observer
 //	self._loadavgmon               — monitor object for the watched property
 //	                                 (generalised: self:monitor(prop))
 //	self._loadavg                  — set by the strategy itself (Fig. 7 line 4)
@@ -28,7 +28,13 @@ import (
 // Monitor objects support getValue(), getAspectValue(name),
 // getAspectValues(name, ...) — one round trip, one sample, one result per
 // name — and attachEventObserver(observer, event, code), all forwarded over
-// the ORB.
+// the ORB. attachEventObserver(self._observer, event, code) is Fig. 7's
+// re-arm: the proxy re-subscribes event with the new code on that monitor,
+// replacing its earlier subscription there.
+
+// selfObserver is self._observer. Its endpoint has no "network|address"
+// form, so no real object reference equals it.
+var selfObserver = wire.ObjRef{Endpoint: "self", Key: "observer"}
 
 // SetScriptStrategy compiles src — AdaptScript source evaluating to a
 // function(self) — and installs it as the strategy for event. This is the
@@ -116,7 +122,7 @@ func (sp *SmartProxy) SetScriptStrategiesTable(src string) error {
 // selection.
 func (sp *SmartProxy) buildScriptSelf(ctx context.Context) script.Value {
 	self := script.NewTable()
-	self.SetString("_observer", script.Ref(sp.observerRef))
+	self.SetString("_observer", script.Ref(selfObserver))
 
 	// self:_select(query) — Fig. 7 line 9.
 	self.SetString("_select", script.Func("_select", func(_ *script.Interp, args []script.Value) ([]script.Value, error) {
@@ -174,15 +180,13 @@ func (sp *SmartProxy) buildScriptSelf(ctx context.Context) script.Value {
 				return nil, fmt.Errorf("attachEventObserver: observer, event, code required")
 			}
 			obsRef, _ := args[1].AsRef()
+			if obsRef == selfObserver {
+				return nil, sp.rearm(ctx, ref, args[2].Str(), args[3].Str())
+			}
 			rs, err := sp.opts.Client.Invoke(ctx, ref, "attachEventObserver",
 				wire.Ref(obsRef), wire.String(args[2].Str()), wire.String(args[3].Str()))
 			if err != nil {
 				return nil, err
-			}
-			// Re-arming a watch from a strategy replaces the proxy's
-			// managed observation on this monitor (Fig. 7 relaxation).
-			if obsRef == sp.observerRef && len(rs) > 0 {
-				sp.replaceObservation(ref, int(rs[0].Num()))
 			}
 			return fromWireAll(rs), nil
 		}))

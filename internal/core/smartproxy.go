@@ -3,8 +3,8 @@
 //
 // A smart proxy represents a *type* of service, not a specific server. It
 // selects the component that best suits the application's nonfunctional
-// requirements through the trading service, registers itself as an event
-// observer on the monitors associated with the selected offer, queues
+// requirements through the trading service, subscribes to events on the
+// monitors associated with the selected offer, queues
 // incoming notifications, and — immediately before the next service
 // invocation — activates the adaptation strategy associated with each
 // pending event ("the postponement of event handling avoids conflicts with
@@ -20,9 +20,7 @@ import (
 	"fmt"
 	"log"
 	"slices"
-	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"autoadapt/internal/clock"
@@ -53,8 +51,7 @@ type Strategy func(ctx context.Context, sp *SmartProxy) error
 // interest in Event with the shipped Predicate (AdaptScript source,
 // evaluated at the monitor — the paper's Fig. 4). The proxy opens a push
 // subscription (orb.Subscribe) so detections stream back the moment the
-// monitor fires; monitors that predate push fall back to the paper's
-// oneway notifyEvent callback, which needs an ObserverServer.
+// monitor fires. A monitor that refuses Subscribe leaves the watch unserved.
 type Watch struct {
 	Prop      string
 	Event     string
@@ -82,12 +79,6 @@ type Options struct {
 	FallbackSortOnly bool
 	// Watches are installed on each newly selected server's monitors.
 	Watches []Watch
-	// ObserverServer hosts this proxy's EventObserver callback object.
-	// Optional: watches are served by push subscriptions; the callback
-	// object is only the fallback for monitors that refuse Subscribe, and
-	// the target for script strategies that re-arm a watch with
-	// attachEventObserver (Fig. 7).
-	ObserverServer *orb.Server
 	// Immediate disables the paper's postponed event handling: strategies
 	// run in the notification upcall instead of before the next
 	// invocation. This is ablation A1 (experiment E3).
@@ -117,14 +108,9 @@ type Options struct {
 	Retry orb.RetryPolicy
 }
 
-type observation struct {
-	monitor wire.ObjRef
-	id      int
-}
-
 // watchSub is one live push subscription serving a Watch, remembered with
-// the monitor it streams from so re-armed watches (replaceObservation) and
-// rebinds can tear it down.
+// the monitor it streams from so re-armed watches (rearm) and rebinds can
+// tear it down.
 type watchSub struct {
 	monitor wire.ObjRef
 	sub     *orb.Subscription
@@ -133,7 +119,6 @@ type watchSub struct {
 type selection struct {
 	result trading.QueryResult
 	proxy  *orb.Proxy
-	obs    []observation
 	subs   []watchSub
 }
 
@@ -145,22 +130,14 @@ type Stats struct {
 	EventsQueued  int64
 	EventsHandled int64
 	FailedInvokes int64
-	// PushWatches counts watches served by a push subscription;
-	// ObserverWatches counts those that fell back to the oneway callback.
-	PushWatches     int64
-	ObserverWatches int64
 	// QuarantinedStrategies counts script strategies uninstalled after
 	// strikes.Limit consecutive budget-exhaustion aborts.
 	QuarantinedStrategies int64
 }
 
-var observerSeq atomic.Int64
-
 // SmartProxy is the paper's smart proxy.
 type SmartProxy struct {
-	opts        Options
-	observerRef wire.ObjRef
-	observerKey string
+	opts Options
 
 	mu         sync.Mutex // guards selection, strategies, queue, stats
 	sel        *selection
@@ -210,11 +187,6 @@ func New(opts Options) (*SmartProxy, error) {
 	if opts.Lookup != nil {
 		scriptbind.InstallTrading(sp.in, opts.Lookup)
 	}
-	if opts.ObserverServer != nil {
-		sp.observerKey = "observer/" + opts.ServiceType + "/" + strconv.FormatInt(observerSeq.Add(1), 10)
-		sp.observerRef = opts.ObserverServer.Register(sp.observerKey, "EventObserver",
-			orb.ServantFunc(sp.observerInvoke))
-	}
 	return sp, nil
 }
 
@@ -222,23 +194,6 @@ func (sp *SmartProxy) logf(format string, args ...any) {
 	if sp.opts.Logger != nil {
 		sp.opts.Logger.Printf(format, args...)
 	}
-}
-
-// ObserverRef returns the proxy's EventObserver callback reference (zero
-// if no observer server was configured).
-func (sp *SmartProxy) ObserverRef() wire.ObjRef { return sp.observerRef }
-
-// observerInvoke implements the EventObserver interface (Fig. 2).
-func (sp *SmartProxy) observerInvoke(op string, args []wire.Value) ([]wire.Value, error) {
-	if op != "notifyEvent" {
-		return nil, orb.Appf("observer: no such operation %q", op)
-	}
-	event := ""
-	if len(args) > 0 {
-		event = args[0].Str()
-	}
-	sp.OnEvent(event)
-	return nil, nil
 }
 
 // OnEvent receives an event notification. In the default (postponed) mode
@@ -398,66 +353,53 @@ func (sp *SmartProxy) bindResult(ctx context.Context, r trading.QueryResult) err
 	}
 	sp.mu.Unlock()
 
-	// Install watches on the new server's monitors before switching, so
-	// no event window is lost. Push subscriptions first: detections stream
-	// back on this connection instead of arriving as Tick-polled oneway
-	// callbacks. The callback path survives only as the fallback for
-	// monitors that refuse Subscribe.
+	// Subscribe on the new server's monitors before switching, so no event
+	// window is lost. A monitor that refuses leaves its watch unserved.
 	newSel := &selection{result: r, proxy: sp.opts.Client.NewProxy(r.Offer.Ref)}
-	var pushed, observed int64
 	for _, w := range sp.opts.Watches {
 		mon, ok := r.Offer.MonitorFor(w.Prop)
 		if !ok {
 			sp.logf("core: offer %s has no monitor for property %q", r.Offer.ID, w.Prop)
 			continue
 		}
-		sub, err := sp.opts.Client.Subscribe(ctx, mon, w.Event, wire.String(w.Predicate))
-		if err == nil {
-			newSel.subs = append(newSel.subs, watchSub{monitor: mon, sub: sub})
-			pushed++
-			go sp.drainSub(sub)
-			continue
-		}
-		if sp.observerRef.IsZero() {
-			sp.logf("core: subscribe %q on %s: %v (no observer fallback configured)", w.Event, mon, err)
-			continue
-		}
-		sp.logf("core: subscribe %q on %s: %v; falling back to oneway observer", w.Event, mon, err)
-		idv, err := sp.opts.Client.Invoke(ctx, mon, "attachEventObserver",
-			wire.Ref(sp.observerRef), wire.String(w.Event), wire.String(w.Predicate))
+		sub, err := sp.subscribe(ctx, mon, w.Event, w.Predicate)
 		if err != nil {
-			sp.logf("core: attach %q on %s: %v", w.Event, mon, err)
+			sp.logf("core: subscribe %q on %s: %v; watch skipped", w.Event, mon, err)
 			continue
 		}
-		id := 0
-		if len(idv) > 0 {
-			id = int(idv[0].Num())
-		}
-		newSel.obs = append(newSel.obs, observation{monitor: mon, id: id})
-		observed++
+		newSel.subs = append(newSel.subs, watchSub{monitor: mon, sub: sub})
 	}
 
 	sp.mu.Lock()
 	if sp.closed {
 		sp.mu.Unlock()
-		sp.teardown(newSel)
+		teardown(newSel)
 		return ErrClosed
 	}
 	sp.sel = newSel
-	sp.stats.PushWatches += pushed
-	sp.stats.ObserverWatches += observed
 	if old != nil {
 		sp.stats.Switches++
 	}
 	sp.mu.Unlock()
 
-	sp.teardown(old)
+	teardown(old)
 	return nil
+}
+
+// subscribe ships predicate to mon as a push subscription for event and
+// starts feeding what it pushes into the proxy's event queue.
+func (sp *SmartProxy) subscribe(ctx context.Context, mon wire.ObjRef, event, predicate string) (*orb.Subscription, error) {
+	sub, err := sp.opts.Client.Subscribe(ctx, mon, event, wire.String(predicate))
+	if err != nil {
+		return nil, err
+	}
+	go sp.drainSub(sub)
+	return sub, nil
 }
 
 // drainSub feeds one subscription's pushed events — (eventID, value)
 // pairs — into the proxy's event queue. The goroutine ends when the
-// subscription closes: on rebind, Close, or connection death.
+// subscription closes: on rebind, re-arm, Close, or connection death.
 func (sp *SmartProxy) drainSub(sub *orb.Subscription) {
 	for ev := range sub.Events() {
 		if len(ev) == 0 {
@@ -470,65 +412,48 @@ func (sp *SmartProxy) drainSub(sub *orb.Subscription) {
 	}
 }
 
-// teardown releases a selection's event plumbing: push subscriptions are
-// closed (which cancels the monitor-side observer) and oneway
-// observations detached.
-func (sp *SmartProxy) teardown(sel *selection) {
-	if sel == nil {
-		return
+// teardown closes a selection's push subscriptions, which cancels the
+// monitor-side observers.
+func teardown(sel *selection) {
+	if sel != nil {
+		closeSubs(sel.subs)
 	}
-	for _, ws := range sel.subs {
+}
+
+func closeSubs(subs []watchSub) {
+	for _, ws := range subs {
 		_ = ws.sub.Close()
 	}
-	sp.detach(sel.obs)
 }
 
-// replaceObservation swaps the proxy's managed observation(s) on mon for
-// the freshly attached newID. Script strategies that re-arm a watch with a
-// relaxed predicate (Fig. 7 lines 10-17) go through this path, so the old
-// observer stops firing and Close still cleans up the new one.
-func (sp *SmartProxy) replaceObservation(mon wire.ObjRef, newID int) {
+// rearm is Fig. 7's relaxation (lines 10-17): it subscribes event with the
+// new predicate on mon and closes the proxy's earlier subscriptions there,
+// so the old predicate stops firing and a rebind or Close still tears the
+// new one down.
+func (sp *SmartProxy) rearm(ctx context.Context, mon wire.ObjRef, event, predicate string) error {
+	sub, err := sp.subscribe(ctx, mon, event, predicate)
+	if err != nil {
+		return err
+	}
+	fresh := watchSub{monitor: mon, sub: sub}
+	var stale []watchSub
 	sp.mu.Lock()
-	var toDetach []observation
-	var toClose []*orb.Subscription
-	if sp.sel != nil {
-		kept := sp.sel.obs[:0]
-		for _, o := range sp.sel.obs {
-			if o.monitor == mon {
-				toDetach = append(toDetach, o)
-			} else {
-				kept = append(kept, o)
-			}
-		}
-		sp.sel.obs = append(kept, observation{monitor: mon, id: newID})
-		// A push subscription on the same monitor is superseded too: the
-		// strategy's new predicate replaces the one the subscription ships.
-		keptSubs := sp.sel.subs[:0]
+	if sp.sel == nil { // closed meanwhile: nothing owns the new subscription
+		stale = append(stale, fresh)
+	} else {
+		kept := sp.sel.subs[:0]
 		for _, ws := range sp.sel.subs {
 			if ws.monitor == mon {
-				toClose = append(toClose, ws.sub)
+				stale = append(stale, ws)
 			} else {
-				keptSubs = append(keptSubs, ws)
+				kept = append(kept, ws)
 			}
 		}
-		sp.sel.subs = keptSubs
+		sp.sel.subs = append(kept, fresh)
 	}
 	sp.mu.Unlock()
-	for _, s := range toClose {
-		_ = s.Close()
-	}
-	sp.detach(toDetach)
-}
-
-// detach best-effort removes observations from their monitors.
-func (sp *SmartProxy) detach(obs []observation) {
-	for _, o := range obs {
-		_, err := sp.opts.Client.Invoke(context.Background(), o.monitor,
-			"detachEventObserver", wire.Int(o.id))
-		if err != nil {
-			sp.logf("core: detach observer %d from %s: %v", o.id, o.monitor, err)
-		}
-	}
+	closeSubs(stale)
+	return nil
 }
 
 // Invoke forwards op to the currently selected server, first handling any
@@ -664,7 +589,7 @@ func (sp *SmartProxy) runStrategies(ctx context.Context, events []string) error 
 	return firstErr
 }
 
-// Close detaches observations and unregisters the observer servant.
+// Close closes the proxy's subscriptions; later calls fail with ErrClosed.
 func (sp *SmartProxy) Close() {
 	sp.mu.Lock()
 	if sp.closed {
@@ -675,8 +600,5 @@ func (sp *SmartProxy) Close() {
 	sel := sp.sel
 	sp.sel = nil
 	sp.mu.Unlock()
-	sp.teardown(sel)
-	if sp.opts.ObserverServer != nil {
-		sp.opts.ObserverServer.Unregister(sp.observerKey)
-	}
+	teardown(sel)
 }

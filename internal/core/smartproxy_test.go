@@ -17,14 +17,13 @@ import (
 
 // testWorld wires up the paper's Fig. 6 architecture in-process: a trader,
 // N server hosts (each a service servant + a push-fed LoadAvg monitor with
-// the Increasing aspect), and a client side (observer server + client).
+// the Increasing aspect), and a client.
 type testWorld struct {
 	t        *testing.T
 	net      *orb.InprocNetwork
 	client   *orb.Client
 	lookup   *trading.Lookup
 	trader   *trading.Trader
-	obsSrv   *orb.Server
 	monitors []*monitor.Monitor
 	hosts    []*orb.Server
 	served   []*atomic.Int64
@@ -49,15 +48,6 @@ func newWorld(t *testing.T, n int) *testWorld {
 	t.Cleanup(func() { _ = w.client.Close() })
 	w.lookup = trading.NewLookup(w.client, traderRef)
 
-	w.obsSrv, err = orb.NewServer(orb.ServerOptions{Network: w.net, Address: "client-host"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = w.obsSrv.Close() })
-
-	notifyClient := orb.NewClient(w.net)
-	t.Cleanup(func() { _ = notifyClient.Close() })
-
 	for i := 0; i < n; i++ {
 		host, err := orb.NewServer(orb.ServerOptions{Network: w.net, Address: fmt.Sprintf("host-%d", i)})
 		if err != nil {
@@ -66,10 +56,7 @@ func newWorld(t *testing.T, n int) *testWorld {
 		t.Cleanup(func() { _ = host.Close() })
 		w.hosts = append(w.hosts, host)
 
-		m, err := monitor.New(monitor.Options{
-			Name:     "LoadAvg",
-			Notifier: monitor.ORBNotifier{Client: notifyClient},
-		})
+		m, err := monitor.New(monitor.Options{Name: "LoadAvg"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +217,6 @@ func TestEventQueuedAndHandledBeforeNextInvocation(t *testing.T) {
 	w.setLoad(0, 10, 15, 15)
 	w.setLoad(1, 20, 25, 25)
 	sp := w.newProxy(Options{
-		ObserverServer: w.obsSrv,
 		Watches: []Watch{{
 			Prop:      "LoadAvg",
 			Event:     monitor.LoadIncreaseEvent,
@@ -287,16 +273,11 @@ func TestEventQueuedAndHandledBeforeNextInvocation(t *testing.T) {
 	if st.Switches != 1 || st.EventsHandled != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	// Both bindings served the watch by push subscription, not the oneway
-	// callback fallback.
-	if st.PushWatches != 2 || st.ObserverWatches != 0 {
-		t.Fatalf("watch stats = %+v, want 2 push / 0 observer", st)
-	}
 }
 
-// TestWatchFallsBackToOnewayObserver covers monitors that predate push:
-// a servant without EventSource refuses Subscribe, and the proxy installs
-// the paper's oneway notifyEvent observer instead.
+// TestWatchFallsBackToOnewayObserver covers monitors that predate push: a
+// servant without EventSource refuses Subscribe, and the proxy still binds,
+// skipping the watch rather than falling back to a oneway observer.
 func TestWatchFallsBackToOnewayObserver(t *testing.T) {
 	w := newWorld(t, 1)
 	w.setLoad(0, 10, 15, 15)
@@ -307,25 +288,21 @@ func TestWatchFallsBackToOnewayObserver(t *testing.T) {
 	w.hosts[0].Register("monitor/LoadAvg", "", orb.ServantFunc(inner.Invoke))
 
 	sp := w.newProxy(Options{
-		ObserverServer: w.obsSrv,
 		Watches: []Watch{{
 			Prop:      "LoadAvg",
 			Event:     monitor.LoadIncreaseEvent,
 			Predicate: monitor.LoadIncreasePredicateSrc(50),
 		}},
 	})
-	ctx := context.Background()
-	if err := sp.Bind(ctx); err != nil {
+	if err := sp.Bind(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	st := sp.Stats()
-	if st.PushWatches != 0 || st.ObserverWatches != 1 {
-		t.Fatalf("watch stats = %+v, want 0 push / 1 observer", st)
+	if ref, _ := sp.Current(); ref != hostRef(0) {
+		t.Fatalf("bound to %v", ref)
 	}
-	// The fallback path still delivers: spike the load and watch the
-	// notification arrive through the observer servant.
-	w.setLoad(0, 60, 30, 20)
-	waitFor(t, func() bool { return len(sp.PendingEvents()) == 1 })
+	if n := w.monitors[0].ObserverCount(); n != 0 {
+		t.Fatalf("refused watch left %d observers on the monitor", n)
+	}
 }
 
 func TestDuplicateEventsCollapse(t *testing.T) {
@@ -460,8 +437,7 @@ func TestRebindSameServerKeepsObservations(t *testing.T) {
 	w := newWorld(t, 1)
 	w.setLoad(0, 10, 15, 15)
 	sp := w.newProxy(Options{
-		ObserverServer: w.obsSrv,
-		Watches:        []Watch{{Prop: "LoadAvg", Event: "E", Predicate: "function() return false end"}},
+		Watches: []Watch{{Prop: "LoadAvg", Event: "E", Predicate: "function() return false end"}},
 	})
 	ctx := context.Background()
 	if err := sp.Bind(ctx); err != nil {
@@ -487,8 +463,7 @@ func TestCloseDetachesAndRejects(t *testing.T) {
 	w := newWorld(t, 1)
 	w.setLoad(0, 10, 15, 15)
 	sp := w.newProxy(Options{
-		ObserverServer: w.obsSrv,
-		Watches:        []Watch{{Prop: "LoadAvg", Event: "E", Predicate: "function() return false end"}},
+		Watches: []Watch{{Prop: "LoadAvg", Event: "E", Predicate: "function() return false end"}},
 	})
 	if err := sp.Bind(context.Background()); err != nil {
 		t.Fatal(err)
@@ -506,42 +481,44 @@ func TestCloseDetachesAndRejects(t *testing.T) {
 	}
 }
 
-// TestPaperFig7ScriptStrategy runs the paper's Fig. 7 adaptation strategy,
-// adapted only in its comment syntax, through the script strategy bridge:
-// on LoadIncrease, look for an alternative server; if none exists, keep the
-// current one and relax the performance requirement from 50 to 70.
+// fig7Strategies is the paper's Fig. 7 adaptation strategy, adapted only in
+// its comment syntax: on LoadIncrease, look for an alternative server; if
+// none exists, keep the current one and relax the performance requirement
+// from 50 to 70.
+const fig7Strategies = `{
+	LoadIncrease = function(self)
+		-- get the current load average
+		self._loadavg = self._loadavgmon:getValue()
+		-- look for an alternative server
+		local query
+		query = "LoadAvg < 50 and LoadAvgIncreasing == no"
+		if not self:_select(query) then
+			self._loadavgmon:attachEventObserver(
+				self._observer,
+				"LoadIncrease",
+				[[function(observer, value, monitor)
+					local incr
+					incr = monitor:getAspectValue("Increasing")
+					return value[1] > 70 and incr == "yes"
+				end]])
+		end
+	end
+}`
+
+// TestPaperFig7ScriptStrategy runs fig7Strategies through the script
+// strategy bridge: first a switch, then a relaxation.
 func TestPaperFig7ScriptStrategy(t *testing.T) {
 	w := newWorld(t, 2)
 	w.setLoad(0, 10, 15, 15)
 	w.setLoad(1, 20, 25, 25)
 	sp := w.newProxy(Options{
-		ObserverServer: w.obsSrv,
 		Watches: []Watch{{
 			Prop:      "LoadAvg",
 			Event:     monitor.LoadIncreaseEvent,
 			Predicate: monitor.LoadIncreasePredicateSrc(50),
 		}},
 	})
-	err := sp.SetScriptStrategiesTable(`{
-		LoadIncrease = function(self)
-			-- get the current load average
-			self._loadavg = self._loadavgmon:getValue()
-			-- look for an alternative server
-			local query
-			query = "LoadAvg < 50 and LoadAvgIncreasing == no"
-			if not self:_select(query) then
-				self._loadavgmon:attachEventObserver(
-					self._observer,
-					"LoadIncrease",
-					[[function(observer, value, monitor)
-						local incr
-						incr = monitor:getAspectValue("Increasing")
-						return value[1] > 70 and incr == "yes"
-					end]])
-			end
-		end
-	}`)
-	if err != nil {
+	if err := sp.SetScriptStrategiesTable(fig7Strategies); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -565,8 +542,8 @@ func TestPaperFig7ScriptStrategy(t *testing.T) {
 	}
 
 	// Case 2: both hosts loaded → strategy keeps host-1 and relaxes the
-	// threshold to 70 by re-arming the watch with the laxer predicate
-	// (the old observation is replaced, so the count stays at one).
+	// threshold to 70 by re-subscribing with the laxer predicate (the old
+	// subscription closes, so the count settles back at one).
 	before := w.monitors[1].ObserverCount()
 	w.setLoad(0, 90, 50, 40)
 	w.setLoad(1, 60, 30, 20) // rising and over 50: fires the watch
@@ -578,9 +555,7 @@ func TestPaperFig7ScriptStrategy(t *testing.T) {
 	if ref != hostRef(1) {
 		t.Fatalf("strategy abandoned host-1 for %v", ref)
 	}
-	if got := w.monitors[1].ObserverCount(); got != before {
-		t.Fatalf("relaxed observer should replace the strict one: count %d → %d", before, got)
-	}
+	waitFor(t, func() bool { return w.monitors[1].ObserverCount() == before })
 
 	// The relaxed predicate ignores load 60 (old threshold exceeded, new
 	// one not) but fires at 75. Predicate evaluation happens inside Tick,
@@ -591,6 +566,115 @@ func TestPaperFig7ScriptStrategy(t *testing.T) {
 	}
 	w.setLoad(1, 75, 40, 30)
 	waitFor(t, func() bool { return len(sp.PendingEvents()) >= 1 })
+}
+
+// TestFig7RearmResubscribes follows one relaxed watch through its life on a
+// proxy built like the benchmark's (client, lookup and watches only): the
+// re-arm replaces the strict subscription, the relaxed predicate fires at
+// 75 and not at 60, and a later switch closes it.
+func TestFig7RearmResubscribes(t *testing.T) {
+	w := newWorld(t, 2)
+	w.setLoad(0, 10, 15, 15)
+	w.setLoad(1, 90, 80, 70) // excluded until it cools down
+	sp, err := New(Options{
+		Client:      w.client,
+		Lookup:      w.lookup,
+		ServiceType: "LoadShared",
+		Constraint:  "LoadAvg < 50 and LoadAvgIncreasing == no",
+		Preference:  "min LoadAvg",
+		Watches: []Watch{{
+			Prop:      "LoadAvg",
+			Event:     monitor.LoadIncreaseEvent,
+			Predicate: monitor.LoadIncreasePredicateSrc(50),
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sp.Close)
+	if err := sp.SetScriptStrategiesTable(fig7Strategies); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := sp.Bind(ctx); err != nil {
+		t.Fatal(err)
+	}
+	mon := w.monitors[0]
+	if n := mon.ObserverCount(); n != 1 {
+		t.Fatalf("observers after bind = %d, want 1", n)
+	}
+
+	// host-0 crosses 50 with nowhere to go: the strategy relaxes to 70.
+	w.setLoad(0, 60, 30, 20)
+	waitFor(t, func() bool { return len(sp.PendingEvents()) == 1 })
+	if _, err := sp.Invoke(ctx, "hello"); err != nil {
+		t.Fatal(err)
+	}
+	if ref, _ := sp.Current(); ref != hostRef(0) {
+		t.Fatalf("strategy abandoned host-0 for %v", ref)
+	}
+	waitFor(t, func() bool { return mon.ObserverCount() == 1 })
+
+	w.setLoad(0, 60, 30, 20)
+	if n := len(sp.PendingEvents()); n != 0 {
+		t.Fatalf("relaxed watch fired at 60: %d pending", n)
+	}
+	w.setLoad(0, 75, 40, 30)
+	waitFor(t, func() bool { return len(sp.PendingEvents()) == 1 })
+
+	// host-1 cools down, so the next activation switches: the relaxed
+	// subscription on host-0 closes and the strict watch opens on host-1.
+	w.setLoad(1, 10, 15, 15)
+	if _, err := sp.Invoke(ctx, "hello"); err != nil {
+		t.Fatal(err)
+	}
+	if ref, _ := sp.Current(); ref != hostRef(1) {
+		t.Fatalf("after relief: current = %v, want host-1", ref)
+	}
+	waitFor(t, func() bool { return mon.ObserverCount() == 0 })
+	if n := w.monitors[1].ObserverCount(); n != 1 {
+		t.Fatalf("observers on host-1 = %d, want 1", n)
+	}
+}
+
+// TestStrategyDeadlineBoundsRemoteCalls: a strategy's remote calls run
+// under the invocation's context, so a strategy stuck on a wedged server
+// cannot hold Invoke past the caller's deadline.
+func TestStrategyDeadlineBoundsRemoteCalls(t *testing.T) {
+	w := newWorld(t, 1)
+	w.setLoad(0, 10, 15, 15)
+	release := make(chan struct{})
+	w.hosts[0].Register("wedge", "", orb.ServantFunc(func(string, []wire.Value) ([]wire.Value, error) {
+		<-release
+		return nil, nil
+	}))
+	t.Cleanup(func() { close(release) }) // runs before the host closes
+	sp := w.newProxy(Options{})
+	if err := sp.SetScriptStrategy("Stall", `function(self)
+		orb.invoke(orb.ref("inproc|host-0/wedge"), "hang")
+	end`); err != nil {
+		t.Fatal(err)
+	}
+	if err := sp.Bind(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	sp.OnEvent("Stall")
+
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := sp.Invoke(ctx, "hello")
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("Invoke = %v, want the caller's deadline", err)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("Invoke still blocked 3s after a 200ms deadline")
+	}
 }
 
 func TestScriptStrategyCompileErrors(t *testing.T) {
@@ -617,13 +701,11 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Options{}); err == nil {
 		t.Fatal("missing client accepted")
 	}
-	// Watches no longer require an ObserverServer: they are served by push
-	// subscriptions, and the callback object is only the oneway fallback.
 	client := orb.NewClient(orb.NewInprocNetwork())
 	defer client.Close()
 	sp, err := New(Options{Client: client, Watches: []Watch{{}}})
 	if err != nil {
-		t.Fatalf("watches without observer server rejected: %v", err)
+		t.Fatalf("watches rejected: %v", err)
 	}
 	sp.Close()
 }

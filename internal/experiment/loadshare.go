@@ -24,7 +24,9 @@ import (
 // Time is discrete: every Step the driver runs due client requests
 // (accounted on simulated hosts with windowed load-average updates), and
 // every MonitorPeriod it ticks the monitors, which fire shipped predicates
-// and deliver notifications synchronously. Mid-run, background load is
+// and push the events on each adaptive proxy's subscription; a proxy
+// handles an event at its first invocation after the event arrives.
+// Mid-run, background load is
 // injected on the most-loaded host, reproducing the disturbance that makes
 // one-shot selection "become unbalanced".
 
@@ -104,7 +106,7 @@ type LoadShareResult struct {
 // LoadSharing runs E1 for one policy and returns its result row.
 func LoadSharing(cfg LoadShareConfig, policy string) (*LoadShareResult, error) {
 	cfg.fillDefaults()
-	w, err := NewWorld(WorldConfig{Servers: cfg.Servers, SyncNotify: true})
+	w, err := NewWorld(WorldConfig{Servers: cfg.Servers})
 	if err != nil {
 		return nil, err
 	}
@@ -130,7 +132,6 @@ func LoadSharing(cfg LoadShareConfig, policy string) (*LoadShareResult, error) {
 				Constraint:       constraint,
 				Preference:       "min LoadAvg",
 				FallbackSortOnly: true,
-				ObserverServer:   w.ObsSrv,
 				Watches: []core.Watch{{
 					Prop:      "LoadAvg",
 					Event:     monitor.LoadIncreaseEvent,
@@ -228,7 +229,7 @@ func LoadSharing(cfg LoadShareConfig, policy string) (*LoadShareResult, error) {
 		}
 		// Close the accounting window.
 		w.SampleHosts(cfg.Step)
-		// Monitor ticks on their period (synchronous notification).
+		// Monitor ticks on their period (events are pushed asynchronously).
 		if now%cfg.MonitorPeriod == 0 && now > 0 {
 			if err := w.TickMonitors(); err != nil {
 				return nil, err

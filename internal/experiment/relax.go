@@ -80,7 +80,7 @@ func RelaxedRequery(cfg RelaxConfig) ([]RelaxResult, error) {
 
 func runRelax(cfg RelaxConfig, strategy string) (RelaxResult, error) {
 	res := RelaxResult{Strategy: strategy, RecoveredAtTick: -1}
-	w, err := NewWorld(WorldConfig{Servers: cfg.Servers, SyncNotify: true})
+	w, err := NewWorld(WorldConfig{Servers: cfg.Servers})
 	if err != nil {
 		return res, err
 	}
@@ -110,7 +110,6 @@ func runRelax(cfg RelaxConfig, strategy string) (RelaxResult, error) {
 		Constraint:       constraint,
 		Preference:       "min LoadAvg",
 		FallbackSortOnly: true,
-		ObserverServer:   w.ObsSrv,
 		Watches: []core.Watch{{
 			Prop:      "LoadAvg",
 			Event:     monitor.LoadIncreaseEvent,

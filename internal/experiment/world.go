@@ -5,7 +5,6 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -26,13 +25,12 @@ const WorkOp = "work"
 
 // World is the paper's Fig. 6 deployment, assembled in-process: a trader,
 // N server hosts (service servant + simulated host + LoadAvg monitor with
-// the Fig. 3 aspects), and client-side plumbing.
+// the Fig. 3 aspects), and a client.
 type World struct {
 	Net      *orb.InprocNetwork
 	Trader   *trading.Trader
 	Lookup   *trading.Lookup
 	Client   *orb.Client
-	ObsSrv   *orb.Server
 	Hosts    []*hostenv.Host
 	Monitors []*monitor.Monitor
 	MonRefs  []wire.ObjRef
@@ -45,18 +43,6 @@ type World struct {
 // WorldConfig sizes a World.
 type WorldConfig struct {
 	Servers int
-	// SyncNotify delivers event notifications synchronously (two-way)
-	// instead of oneway, making experiment timing deterministic.
-	SyncNotify bool
-}
-
-// syncNotifier delivers notifications as blocking two-way calls so a
-// monitor tick completes only after observers have seen their events.
-type syncNotifier struct{ client *orb.Client }
-
-func (n syncNotifier) Notify(ref wire.ObjRef, eventID string) error {
-	_, err := n.client.Invoke(context.Background(), ref, "notifyEvent", wire.String(eventID))
-	return err
 }
 
 // NewWorld assembles the deployment. Close releases everything.
@@ -84,19 +70,6 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	w.clients = append(w.clients, w.Client)
 	w.Lookup = trading.NewLookup(w.Client, traderRef)
 
-	w.ObsSrv, err = orb.NewServer(orb.ServerOptions{Network: w.Net, Address: "client-host"})
-	if err != nil {
-		return fail(err)
-	}
-	w.servers = append(w.servers, w.ObsSrv)
-
-	notifyClient := orb.NewClient(w.Net)
-	w.clients = append(w.clients, notifyClient)
-	var notifier monitor.Notifier = monitor.ORBNotifier{Client: notifyClient}
-	if cfg.SyncNotify {
-		notifier = syncNotifier{client: notifyClient}
-	}
-
 	for i := 0; i < cfg.Servers; i++ {
 		host := hostenv.New(hostenv.Options{Name: fmt.Sprintf("host-%d", i)})
 		w.Hosts = append(w.Hosts, host)
@@ -108,8 +81,7 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 		w.servers = append(w.servers, srv)
 
 		m, err := monitor.New(monitor.Options{
-			Name:     "LoadAvg",
-			Notifier: notifier,
+			Name: "LoadAvg",
 			Update: func() (wire.Value, error) {
 				one, five, fifteen, err := host.LoadAvg()
 				if err != nil {

@@ -274,16 +274,23 @@ func (in *Interp) CallCtx(ctx context.Context, fn Value, args []Value) ([]Value,
 	}
 	in.mem = 0
 	in.memBudget = in.opts.MemBudget
-	in.ctx = nil
-	if ctx != nil && ctx.Done() != nil {
-		in.ctx = ctx
-	}
+	in.ctx = ctx
 	in.deadline = time.Time{}
 	if in.opts.WallBudget > 0 {
 		in.deadline = in.now().Add(in.opts.WallBudget)
 	}
-	in.interruptible = in.ctx != nil || !in.deadline.IsZero()
+	in.interruptible = (ctx != nil && ctx.Done() != nil) || !in.deadline.IsZero()
 	return in.call(fn, args, 0)
+}
+
+// Context returns the context of the running CallCtx, or Background when
+// it was given none. GoFuncs that block on the script's behalf (remote
+// calls) use it, so the caller's cancellation and deadline reach them.
+func (in *Interp) Context() context.Context {
+	if in.ctx == nil {
+		return context.Background()
+	}
+	return in.ctx
 }
 
 // now reads the sandbox clock: the injected Options.Clock when present

@@ -13,7 +13,6 @@
 package scriptbind
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -37,7 +36,7 @@ func InstallORB(in *script.Interp, client *orb.Client) {
 	lib := script.NewTable()
 
 	invoke := func(oneway bool) func(*script.Interp, []script.Value) ([]script.Value, error) {
-		return func(_ *script.Interp, args []script.Value) ([]script.Value, error) {
+		return func(in *script.Interp, args []script.Value) ([]script.Value, error) {
 			if len(args) < 2 {
 				return nil, errors.New("orb.invoke(ref, op, ...)")
 			}
@@ -56,7 +55,7 @@ func InstallORB(in *script.Interp, client *orb.Client) {
 			if oneway {
 				return nil, client.InvokeOneway(ref, op, wargs...)
 			}
-			rs, err := client.Invoke(context.Background(), ref, op, wargs...)
+			rs, err := client.Invoke(in.Context(), ref, op, wargs...)
 			if err != nil {
 				return nil, err
 			}
@@ -101,7 +100,7 @@ func InstallORB(in *script.Interp, client *orb.Client) {
 func ProxyTable(client *orb.Client, ref wire.ObjRef) script.Value {
 	t := script.NewTable()
 	t.SetString("_ref", script.Ref(ref))
-	t.SetString("call", script.Func("proxy.call", func(_ *script.Interp, args []script.Value) ([]script.Value, error) {
+	t.SetString("call", script.Func("proxy.call", func(in *script.Interp, args []script.Value) ([]script.Value, error) {
 		// args[0] is the proxy table itself (method-call sugar).
 		if len(args) < 2 {
 			return nil, errors.New("proxy:call(op, ...)")
@@ -114,7 +113,7 @@ func ProxyTable(client *orb.Client, ref wire.ObjRef) script.Value {
 		if err != nil {
 			return nil, err
 		}
-		rs, err := client.Invoke(context.Background(), ref, op, wargs...)
+		rs, err := client.Invoke(in.Context(), ref, op, wargs...)
 		if err != nil {
 			return nil, err
 		}
@@ -136,12 +135,12 @@ func Bind(client *orb.Client, proxy script.Value, ops ...string) error {
 	}
 	for _, op := range ops {
 		opName := op
-		t.SetString(opName, script.Func("proxy."+opName, func(_ *script.Interp, args []script.Value) ([]script.Value, error) {
+		t.SetString(opName, script.Func("proxy."+opName, func(in *script.Interp, args []script.Value) ([]script.Value, error) {
 			wargs, err := toWireAll(args[1:]) // skip self
 			if err != nil {
 				return nil, err
 			}
-			rs, err := client.Invoke(context.Background(), ref, opName, wargs...)
+			rs, err := client.Invoke(in.Context(), ref, opName, wargs...)
 			if err != nil {
 				return nil, err
 			}
@@ -164,7 +163,7 @@ func Bind(client *orb.Client, proxy script.Value, ops ...string) error {
 func InstallTrading(in *script.Interp, lookup trading.Directory) {
 	lib := script.NewTable()
 
-	lib.SetString("query", script.Func("trader.query", func(_ *script.Interp, args []script.Value) ([]script.Value, error) {
+	lib.SetString("query", script.Func("trader.query", func(in *script.Interp, args []script.Value) ([]script.Value, error) {
 		if len(args) < 1 {
 			return nil, errors.New("trader.query(type, ...)")
 		}
@@ -179,7 +178,7 @@ func InstallTrading(in *script.Interp, lookup trading.Directory) {
 		if len(args) > 3 {
 			maxResults = int(args[3].Num())
 		}
-		results, err := lookup.Query(context.Background(), args[0].Str(), constraint, preference, maxResults)
+		results, err := lookup.Query(in.Context(), args[0].Str(), constraint, preference, maxResults)
 		if err != nil {
 			return nil, err
 		}
@@ -199,7 +198,7 @@ func InstallTrading(in *script.Interp, lookup trading.Directory) {
 		return []script.Value{script.TableVal(out)}, nil
 	}))
 
-	lib.SetString("export", script.Func("trader.export", func(_ *script.Interp, args []script.Value) ([]script.Value, error) {
+	lib.SetString("export", script.Func("trader.export", func(in *script.Interp, args []script.Value) ([]script.Value, error) {
 		if len(args) < 2 {
 			return nil, errors.New("trader.export(type, ref [, props])")
 		}
@@ -211,21 +210,21 @@ func InstallTrading(in *script.Interp, lookup trading.Directory) {
 		if err != nil {
 			return nil, err
 		}
-		id, err := lookup.Export(context.Background(), args[0].Str(), ref, props)
+		id, err := lookup.Export(in.Context(), args[0].Str(), ref, props)
 		if err != nil {
 			return nil, err
 		}
 		return []script.Value{script.String(id)}, nil
 	}))
 
-	lib.SetString("withdraw", script.Func("trader.withdraw", func(_ *script.Interp, args []script.Value) ([]script.Value, error) {
+	lib.SetString("withdraw", script.Func("trader.withdraw", func(in *script.Interp, args []script.Value) ([]script.Value, error) {
 		if len(args) < 1 {
 			return nil, errors.New("trader.withdraw(id)")
 		}
-		return nil, lookup.Withdraw(context.Background(), args[0].Str())
+		return nil, lookup.Withdraw(in.Context(), args[0].Str())
 	}))
 
-	lib.SetString("modify", script.Func("trader.modify", func(_ *script.Interp, args []script.Value) ([]script.Value, error) {
+	lib.SetString("modify", script.Func("trader.modify", func(in *script.Interp, args []script.Value) ([]script.Value, error) {
 		if len(args) < 2 {
 			return nil, errors.New("trader.modify(id, props)")
 		}
@@ -233,7 +232,7 @@ func InstallTrading(in *script.Interp, lookup trading.Directory) {
 		if err != nil {
 			return nil, err
 		}
-		return nil, lookup.Modify(context.Background(), args[0].Str(), props)
+		return nil, lookup.Modify(in.Context(), args[0].Str(), props)
 	}))
 
 	in.SetGlobal("trader", script.TableVal(lib))

@@ -39,7 +39,7 @@ func TestShardedTraderFullStack(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = trader.Close() })
 
-	platform, err := Connect(network, trader.Ref, "client")
+	platform, err := Connect(network, trader.Ref)
 	if err != nil {
 		t.Fatal(err)
 	}
