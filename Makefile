@@ -120,9 +120,9 @@ loc:
 # the hostile differential corpus, run VM vs. reference), the one strike
 # rule and every quarantine built on it (trader offers, monitor aspects,
 # predicates and observers, script strategies), the wire fuzz properties
-# plus a short run of the
-# native fuzzers — including the VM-vs-reference differential fuzzer and
-# the trader's constraint and preference parsers — and the E15
+# plus a short run of the native fuzzers — the wire decoder and the
+# compact value's representation, the VM-vs-reference differential fuzzer
+# and the trader's constraint and preference parsers — and the E15
 # governed-vs-ungoverned overload experiment.
 chaos:
 	$(GO) test -count=1 -run 'Admission|Overloaded|LegacyUnboundedSpill' ./internal/orb
@@ -131,6 +131,7 @@ chaos:
 	$(GO) test -count=1 -run 'Quarantin|Strike' ./internal/trading ./internal/strikes
 	$(GO) test -count=1 -run 'Property|Decode|Frame|Truncat|Overloaded' ./internal/wire
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzDecodeMessage -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -count=1 -run '^$$' -fuzz FuzzValueRepr -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzCompileResolve -fuzztime $(FUZZTIME) ./internal/script
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzVMDiff -fuzztime $(FUZZTIME) ./internal/script
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzParseConstraint -fuzztime $(FUZZTIME) ./internal/trading

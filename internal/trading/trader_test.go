@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"autoadapt/internal/orb"
 	"autoadapt/internal/wire"
@@ -65,6 +66,14 @@ func newLoadedTrader(loads []float64, increasing []bool) (*Trader, *stubResolver
 		}
 	}
 	return tr, res
+}
+
+// TestPropValueSize pins an offer's per-property slot at the compact
+// value plus its dynamic ref and aspect: 32 + 32 + 16 bytes.
+func TestPropValueSize(t *testing.T) {
+	if got := unsafe.Sizeof(PropValue{}); got > 80 {
+		t.Errorf("unsafe.Sizeof(PropValue{}) = %d, want <= 80", got)
+	}
 }
 
 func TestExportRequiresKnownType(t *testing.T) {

@@ -1,6 +1,9 @@
 package wire
 
-import "testing"
+import (
+	"strconv"
+	"testing"
+)
 
 // Allocation-regression guards for the codec hot paths. The pooled-buffer
 // overhaul got the append-style encoders to zero allocations per message;
@@ -220,5 +223,45 @@ func TestAllocGuardSmallTables(t *testing.T) {
 			t.Errorf("%s: decode through a warm intern table %.0f allocs, want <= %.0f", tc.name, warm, tc.maxWarm)
 		}
 		t.Logf("%s: build %.0f allocs, decode %.0f allocs (%.0f interned), %d bytes", tc.name, built, allocs, warm, len(buf))
+	}
+}
+
+var (
+	sinkValue Value
+	sinkRef   ObjRef
+	sinkStr   string
+)
+
+// TestAllocGuardValueRepr pins that the compact Value holds a string or a
+// ref by pointer: packing one, unpacking it and looking a string key up in
+// either form of table cost no allocation.
+func TestAllocGuardValueRepr(t *testing.T) {
+	r := ObjRef{Endpoint: "tcp|10.0.0.1:9000", Key: "monitor/LoadAvg"}
+	s := "LoadAvgIncreasing"
+	rv, sv := Ref(r), String(s)
+	small := NewTableSize(0, 4)
+	big := NewTableSize(0, 2*smallTableMax)
+	for i := 0; i < 2*smallTableMax; i++ {
+		big.SetString(strconv.Itoa(i), Int(i))
+	}
+	small.SetString(s, rv)
+	big.SetString(s, rv)
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"Ref", func() { sinkValue = Ref(r) }},
+		{"String", func() { sinkValue = String(s) }},
+		{"AsRef", func() { sinkRef, _ = rv.AsRef() }},
+		{"AsString", func() { sinkStr, _ = sv.AsString() }},
+		{"Table.GetString (small)", func() { sinkValue = small.GetString(s) }},
+		{"Table.GetString (spilled)", func() { sinkValue = big.GetString(s) }},
+	} {
+		if allocs := testing.AllocsPerRun(200, tc.fn); allocs != 0 {
+			t.Errorf("%s: %.1f allocs/op, want 0", tc.name, allocs)
+		}
+	}
+	if !small.GetString(s).Equal(rv) || !big.GetString(s).Equal(rv) {
+		t.Fatal("GetString lost the ref")
 	}
 }

@@ -60,38 +60,40 @@ func appendValue(dst []byte, v Value, depth int) ([]byte, error) {
 	if depth > maxDepth {
 		return dst, ErrTooDeep
 	}
-	switch v.kind {
+	switch v.kind() {
 	case KindNil:
 		return append(dst, tagNil), nil
 	case KindBool:
-		if v.b {
+		if v.boolean() {
 			return append(dst, tagTrue), nil
 		}
 		return append(dst, tagFalse), nil
 	case KindNumber:
 		dst = append(dst, tagNumber)
-		return binary.BigEndian.AppendUint64(dst, math.Float64bits(v.n)), nil
+		return binary.BigEndian.AppendUint64(dst, math.Float64bits(v.num())), nil
 	case KindString:
 		dst = append(dst, tagString)
-		return appendString(dst, v.s), nil
+		return appendString(dst, v.str()), nil
 	case KindBytes:
 		dst = append(dst, tagBytes)
-		return appendString(dst, v.s), nil
+		return appendString(dst, v.str()), nil
 	case KindObjRef:
+		r := v.ref()
 		dst = append(dst, tagObjRef)
-		dst = appendString(dst, v.r.Endpoint)
-		return appendString(dst, v.r.Key), nil
+		dst = appendString(dst, r.Endpoint)
+		return appendString(dst, r.Key), nil
 	case KindTable:
+		t := v.table()
 		dst = append(dst, tagTable)
-		dst = binary.AppendUvarint(dst, uint64(len(v.t.arr)))
+		dst = binary.AppendUvarint(dst, uint64(len(t.arr)))
 		var err error
-		for _, e := range v.t.arr {
+		for _, e := range t.arr {
 			if dst, err = appendValue(dst, e, depth+1); err != nil {
 				return dst, err
 			}
 		}
 		// Deterministic order: encode pairs sorted by key, matching Pairs.
-		ps := v.t.sortedHash()
+		ps := t.sortedHash()
 		dst = binary.AppendUvarint(dst, uint64(len(ps)))
 		for i := range ps {
 			if dst, err = appendValue(dst, ps[i].k.value(), depth+1); err != nil {
@@ -103,7 +105,7 @@ func appendValue(dst []byte, v Value, depth int) ([]byte, error) {
 		}
 		return dst, nil
 	default:
-		return dst, fmt.Errorf("wire: cannot encode kind %v", v.kind)
+		return dst, fmt.Errorf("wire: cannot encode kind %v", v.kind())
 	}
 }
 
@@ -165,7 +167,7 @@ func (d *Decoder) value(depth int) (Value, error) {
 		if err != nil {
 			return Nil(), err
 		}
-		return Value{kind: KindBytes, s: s}, nil
+		return bytesVal(s), nil
 	case tagObjRef:
 		ep, err := d.str()
 		if err != nil {

@@ -19,8 +19,8 @@ type refTable struct {
 }
 
 func (t *refTable) get(key Value) Value {
-	if key.kind == KindNumber && key.n == math.Trunc(key.n) {
-		if i := int(key.n); i >= 1 && i <= len(t.arr) {
+	if n := key.num(); key.kind() == KindNumber && n == math.Trunc(n) {
+		if i := int(n); i >= 1 && i <= len(t.arr) {
 			return t.arr[i-1]
 		}
 	}
@@ -32,8 +32,8 @@ func (t *refTable) get(key Value) Value {
 }
 
 func (t *refTable) set(key, v Value) error {
-	if key.kind == KindNumber && key.n == math.Trunc(key.n) && !math.IsNaN(key.n) {
-		i := int(key.n)
+	if n := key.num(); key.kind() == KindNumber && n == math.Trunc(n) && !math.IsNaN(n) {
+		i := int(n)
 		if i >= 1 && i <= len(t.arr) {
 			t.arr[i-1] = v
 			if v.IsNil() && i == len(t.arr) {
@@ -84,16 +84,16 @@ func (t *refTable) sortedKeys() []tableKey {
 		}
 		switch a.kind {
 		case KindBool:
-			return !a.b && b.b
+			return a.n == 0 && b.n != 0
 		case KindNumber:
 			return a.n < b.n
 		case KindString:
 			return a.s < b.s
 		case KindObjRef:
-			if a.r.Endpoint != b.r.Endpoint {
-				return a.r.Endpoint < b.r.Endpoint
+			if a.s != b.s { // Endpoint
+				return a.s < b.s
 			}
-			return a.r.Key < b.r.Key
+			return a.s2 < b.s2 // Key
 		}
 		return false
 	})

@@ -6,9 +6,10 @@
 // dynamic values: arguments, results, monitored property values, trader
 // property values, and shipped code are all dynamically typed. Value is the
 // Go analog. A Value holds one of: nil, bool, float64, string, []byte,
-// *Table, or ObjRef (a remote object reference). Tables are associative
-// arrays with both an array part and a hash part, mirroring the Lua tables
-// the paper relies on for data description (§VI).
+// *Table, or ObjRef (a remote object reference), packed into four words
+// (32 bytes) with a ref's two strings inline; repr.go holds the layout.
+// Tables are associative arrays with both an array part and a hash part,
+// mirroring the Lua tables the paper relies on for data description (§VI).
 package wire
 
 import (
@@ -90,92 +91,84 @@ func ParseObjRef(s string) (ObjRef, error) {
 	return r, nil
 }
 
-// Value is a dynamically typed value. The zero Value is nil.
-type Value struct {
-	kind Kind
-	b    bool
-	n    float64
-	s    string // string payload; also used for bytes via conversion
-	t    *Table
-	r    ObjRef
-}
-
 // Constructors.
 
 // Nil returns the nil Value.
 func Nil() Value { return Value{} }
 
-// Bool returns a boolean Value.
-func Bool(b bool) Value { return Value{kind: KindBool, b: b} }
-
-// Number returns a numeric Value.
-func Number(n float64) Value { return Value{kind: KindNumber, n: n} }
+// Bool, Number, String, Bytes, TableVal and Ref are in repr.go.
 
 // Int returns a numeric Value holding an integer.
 func Int(n int) Value { return Number(float64(n)) }
 
-// String returns a string Value.
-func String(s string) Value { return Value{kind: KindString, s: s} }
-
-// Bytes returns a binary Value. The slice is copied.
-func Bytes(b []byte) Value { return Value{kind: KindBytes, s: string(b)} }
-
-// TableVal wraps a Table in a Value.
-func TableVal(t *Table) Value {
-	if t == nil {
-		return Nil()
-	}
-	return Value{kind: KindTable, t: t}
-}
-
-// Ref wraps an object reference in a Value.
-func Ref(r ObjRef) Value { return Value{kind: KindObjRef, r: r} }
-
-// Accessors.
+// Accessors. Each returns the zero payload when the kind does not match.
 
 // Kind reports the value's dynamic type.
-func (v Value) Kind() Kind { return v.kind }
+func (v Value) Kind() Kind { return v.kind() }
 
 // IsNil reports whether the value is nil.
-func (v Value) IsNil() bool { return v.kind == KindNil }
+func (v Value) IsNil() bool { return v.kind() == KindNil }
 
 // AsBool returns the boolean payload; ok is false if the value is not a
 // boolean.
-func (v Value) AsBool() (b, ok bool) { return v.b, v.kind == KindBool }
+func (v Value) AsBool() (b, ok bool) {
+	ok = v.kind() == KindBool
+	return ok && v.boolean(), ok
+}
 
 // AsNumber returns the numeric payload; ok is false if the value is not a
 // number.
-func (v Value) AsNumber() (float64, bool) { return v.n, v.kind == KindNumber }
+func (v Value) AsNumber() (float64, bool) {
+	if v.kind() != KindNumber {
+		return 0, false
+	}
+	return v.num(), true
+}
 
 // AsString returns the string payload; ok is false if the value is not a
 // string.
-func (v Value) AsString() (string, bool) { return v.s, v.kind == KindString }
+func (v Value) AsString() (string, bool) {
+	if v.kind() != KindString {
+		return "", false
+	}
+	return v.str(), true
+}
 
 // AsBytes returns the binary payload; ok is false if the value is not bytes.
 func (v Value) AsBytes() ([]byte, bool) {
-	if v.kind != KindBytes {
+	if v.kind() != KindBytes {
 		return nil, false
 	}
-	return []byte(v.s), true
+	return []byte(v.str()), true
 }
 
 // AsTable returns the table payload; ok is false if the value is not a
 // table.
-func (v Value) AsTable() (*Table, bool) { return v.t, v.kind == KindTable }
+func (v Value) AsTable() (*Table, bool) {
+	if v.kind() != KindTable {
+		return nil, false
+	}
+	return v.table(), true
+}
 
 // AsRef returns the object-reference payload; ok is false if the value is
 // not an object reference.
-func (v Value) AsRef() (ObjRef, bool) { return v.r, v.kind == KindObjRef }
+func (v Value) AsRef() (ObjRef, bool) {
+	if v.kind() != KindObjRef {
+		return ObjRef{}, false
+	}
+	return v.ref(), true
+}
 
 // Truthy reports the value's truth under the scripting language's rules
 // (only nil and false are false — Lua semantics, which the paper's shipped
 // predicates rely on).
 func (v Value) Truthy() bool {
-	switch v.kind {
+	switch v.kind() {
 	case KindNil:
 		return false
 	case KindBool:
-		return v.b
+		return v.boolean()
 	default:
 		return true
 	}
@@ -184,42 +177,40 @@ func (v Value) Truthy() bool {
 // Num returns the numeric payload or 0 if the value is not a number.
 // Convenience for metric plumbing where a missing number means zero.
 func (v Value) Num() float64 {
-	if v.kind != KindNumber {
+	if v.kind() != KindNumber {
 		return 0
 	}
-	return v.n
+	return v.num()
 }
 
 // Str returns the string payload or "" if the value is not a string.
 func (v Value) Str() string {
-	if v.kind != KindString {
+	if v.kind() != KindString {
 		return ""
 	}
-	return v.s
+	return v.str()
 }
 
 // Equal reports deep equality of two values. Tables compare by content
 // (recursively); NaN equals NaN so that codec round-trip properties hold.
 func (v Value) Equal(w Value) bool {
-	if v.kind != w.kind {
+	if v.kind() != w.kind() {
 		return false
 	}
-	switch v.kind {
+	switch v.kind() {
 	case KindNil:
 		return true
 	case KindBool:
-		return v.b == w.b
+		return v.boolean() == w.boolean()
 	case KindNumber:
-		if math.IsNaN(v.n) && math.IsNaN(w.n) {
-			return true
-		}
-		return math.Float64bits(v.n) == math.Float64bits(w.n)
+		a, b := v.num(), w.num()
+		return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
 	case KindString, KindBytes:
-		return v.s == w.s
+		return v.str() == w.str()
 	case KindObjRef:
-		return v.r == w.r
+		return v.ref() == w.ref()
 	case KindTable:
-		return v.t.equal(w.t)
+		return v.table().equal(w.table())
 	default:
 		return false
 	}
@@ -234,25 +225,25 @@ func (v Value) String() string {
 }
 
 func (v Value) format(sb *strings.Builder, depth int) {
-	switch v.kind {
+	switch v.kind() {
 	case KindNil:
 		sb.WriteString("nil")
 	case KindBool:
-		sb.WriteString(strconv.FormatBool(v.b))
+		sb.WriteString(strconv.FormatBool(v.boolean()))
 	case KindNumber:
-		sb.WriteString(FormatNumber(v.n))
+		sb.WriteString(FormatNumber(v.num()))
 	case KindString:
-		sb.WriteString(strconv.Quote(v.s))
+		sb.WriteString(strconv.Quote(v.str()))
 	case KindBytes:
-		fmt.Fprintf(sb, "bytes[%d]", len(v.s))
+		fmt.Fprintf(sb, "bytes[%d]", len(v.str()))
 	case KindObjRef:
-		sb.WriteString("<" + v.r.String() + ">")
+		sb.WriteString("<" + v.ref().String() + ">")
 	case KindTable:
 		if depth > 8 {
 			sb.WriteString("{...}")
 			return
 		}
-		v.t.format(sb, depth)
+		v.table().format(sb, depth)
 	}
 }
 
@@ -284,7 +275,7 @@ type Table struct {
 
 // smallTableMax is the largest hash part kept in Table.small: eight pairs
 // cover every record the infrastructure itself sends, a lookup scans at
-// most eight keys, and the copy Pairs iterates (8 x 152 bytes) fits a stack.
+// most eight keys, and the copy Pairs iterates (8 x 80 bytes) fits a stack.
 const smallTableMax = 8
 
 type tablePair struct {
@@ -292,43 +283,50 @@ type tablePair struct {
 	v Value
 }
 
-// tableKey is the comparable form of a Value usable as a table key.
+// tableKey is the comparable form of a Value usable as a table key: a
+// bool's 0 or 1 or a number in n, a string or a ref's Endpoint in s, a
+// ref's Key in s2. Unlike Value it compares by content, so it can key the
+// spilled map.
 type tableKey struct {
-	kind Kind
-	b    bool
-	n    float64
-	s    string
-	r    ObjRef
+	kind  Kind
+	n     float64
+	s, s2 string
 }
 
 func toKey(v Value) (tableKey, error) {
-	switch v.kind {
+	switch k := v.kind(); k {
 	case KindBool:
-		return tableKey{kind: KindBool, b: v.b}, nil
+		var n float64
+		if v.boolean() {
+			n = 1
+		}
+		return tableKey{kind: k, n: n}, nil
 	case KindNumber:
-		if math.IsNaN(v.n) {
+		n := v.num()
+		if math.IsNaN(n) {
 			return tableKey{}, errors.New("wire: NaN table key")
 		}
-		return tableKey{kind: KindNumber, n: v.n}, nil
+		return tableKey{kind: k, n: n}, nil
 	case KindString:
-		return tableKey{kind: KindString, s: v.s}, nil
+		return tableKey{kind: k, s: v.str()}, nil
 	case KindObjRef:
-		return tableKey{kind: KindObjRef, r: v.r}, nil
+		r := v.ref()
+		return tableKey{kind: k, s: r.Endpoint, s2: r.Key}, nil
 	default:
-		return tableKey{}, fmt.Errorf("wire: %s is not usable as a table key", v.kind)
+		return tableKey{}, fmt.Errorf("wire: %s is not usable as a table key", k)
 	}
 }
 
 func (k tableKey) value() Value {
 	switch k.kind {
 	case KindBool:
-		return Bool(k.b)
+		return Bool(k.n != 0)
 	case KindNumber:
 		return Number(k.n)
 	case KindString:
 		return String(k.s)
 	case KindObjRef:
-		return Ref(k.r)
+		return Ref(ObjRef{Endpoint: k.s, Key: k.s2})
 	default:
 		return Nil()
 	}
@@ -448,8 +446,8 @@ func (t *Table) hashSet(k tableKey, v Value) {
 // Get returns the value stored under key, or nil if absent or the key is
 // not usable.
 func (t *Table) Get(key Value) Value {
-	if key.kind == KindNumber {
-		n := key.n
+	if key.kind() == KindNumber {
+		n := key.num()
 		if n == math.Trunc(n) {
 			i := int(n)
 			if i >= 1 && i <= len(t.arr) {
@@ -465,14 +463,16 @@ func (t *Table) Get(key Value) Value {
 }
 
 // GetString returns the value stored under the string key name.
-func (t *Table) GetString(name string) Value { return t.Get(String(name)) }
+func (t *Table) GetString(name string) Value {
+	return t.hashGet(tableKey{kind: KindString, s: name})
+}
 
 // Set stores v under key. Setting nil deletes the key. Integer keys that
 // extend the array part contiguously are stored there. Set returns an error
 // only for unusable keys (nil, NaN, table, bytes).
 func (t *Table) Set(key, v Value) error {
-	if key.kind == KindNumber && key.n == math.Trunc(key.n) && !math.IsNaN(key.n) {
-		i := int(key.n)
+	if n := key.num(); key.kind() == KindNumber && n == math.Trunc(n) && !math.IsNaN(n) {
+		i := int(n)
 		if i >= 1 && i <= len(t.arr) {
 			t.arr[i-1] = v
 			if v.IsNil() && i == len(t.arr) {
@@ -502,18 +502,24 @@ func (t *Table) Set(key, v Value) error {
 	if err != nil {
 		return err
 	}
-	if v.IsNil() {
-		t.hashDelete(k)
-		return nil
-	}
-	t.hashSet(k, v)
+	t.hashPut(k, v)
 	return nil
 }
 
-// SetString stores v under the string key name.
+// SetString stores v under the string key name. A string key is always
+// usable and never lands in the array part, so it goes to the hash part
+// without a Value built for it.
 func (t *Table) SetString(name string, v Value) {
-	// Only unusable keys error, and a string key is always usable.
-	_ = t.Set(String(name), v)
+	t.hashPut(tableKey{kind: KindString, s: name}, v)
+}
+
+// hashPut stores v under k in the hash part; nil deletes.
+func (t *Table) hashPut(k tableKey, v Value) {
+	if v.IsNil() {
+		t.hashDelete(k)
+		return
+	}
+	t.hashSet(k, v)
 }
 
 // Pairs calls fn for every key/value pair: array part first in index order,
@@ -556,32 +562,19 @@ func (t *Table) sortedHash() []tablePair {
 	return ps
 }
 
-// keyCmp orders table keys: by kind, then by value within the kind.
+// keyCmp orders table keys: by kind, then by value within the kind. The
+// fields a kind does not use are zero, so one comparison serves them all.
 func keyCmp(a, b tableKey) int {
-	if a.kind != b.kind {
-		return cmp.Compare(a.kind, b.kind)
+	if c := cmp.Compare(a.kind, b.kind); c != 0 {
+		return c
 	}
-	switch a.kind {
-	case KindBool:
-		if a.b == b.b {
-			return 0
-		}
-		if b.b {
-			return -1
-		}
-		return 1
-	case KindNumber:
-		return cmp.Compare(a.n, b.n)
-	case KindString:
-		return strings.Compare(a.s, b.s)
-	case KindObjRef:
-		if c := strings.Compare(a.r.Endpoint, b.r.Endpoint); c != 0 {
-			return c
-		}
-		return strings.Compare(a.r.Key, b.r.Key)
-	default:
-		return 0
+	if c := cmp.Compare(a.n, b.n); c != 0 {
+		return c
 	}
+	if c := strings.Compare(a.s, b.s); c != 0 {
+		return c
+	}
+	return strings.Compare(a.s2, b.s2)
 }
 
 // Size reports the total number of stored pairs (array + hash).
@@ -618,8 +611,8 @@ func (t *Table) Copy() *Table {
 }
 
 func copyValue(v Value) Value {
-	if v.kind == KindTable {
-		return TableVal(v.t.Copy())
+	if v.kind() == KindTable {
+		return TableVal(v.table().Copy())
 	}
 	return v
 }
