@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"sync/atomic"
 	"time"
 
@@ -129,6 +130,13 @@ func runPostpone(cfg PostponeConfig, immediate bool) (PostponeResult, error) {
 	})
 
 	// Client stream in the main goroutine; events injected from a second.
+	// Each gap between events is stretched by a random part of one client
+	// period (fixed seed, the same in both modes), so events land at every
+	// phase of the client's call/think cycle. Unjittered, strategy plus
+	// gap is exactly three client periods at the defaults, and the events
+	// can lock onto the think gap: immediate mode then overlaps nothing.
+	jitter := rand.New(rand.NewSource(1))
+	period := int64(cfg.ServiceTime + cfg.ThinkTime)
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
@@ -143,7 +151,7 @@ func runPostpone(cfg PostponeConfig, immediate bool) (PostponeResult, error) {
 			sp.OnEvent("Disturbance")
 			res.Events++
 			// Space events so each is (usually) handled before the next.
-			time.Sleep(cfg.ServiceTime + cfg.StrategyTime + cfg.ThinkTime)
+			time.Sleep(cfg.ServiceTime + cfg.StrategyTime + cfg.ThinkTime + time.Duration(jitter.Int63n(period)))
 		}
 	}()
 

@@ -12,9 +12,11 @@ import (
 )
 
 // Allocation-regression guards for the invocation paths the pooled-buffer
-// overhaul optimized. Ceilings carry a little slack over measured counts
-// so runtime noise does not flake them; a real regression (per-call
-// buffers, goroutine spawns, reply-channel churn) blows well past slack.
+// overhaul optimized. The two invocation counts are pinned at what is
+// measured, with no slack: AllocsPerRun averages over 500 runs and rounds
+// down, so a rare background allocation does not show, while one more
+// object per call (a split message, a heap Reply, a per-call buffer) does.
+// The pipelined echo is a byte budget and keeps its slack.
 // NOTE: AllocsPerRun counts allocations on ALL goroutines, so the server
 // side of an invocation is included.
 
@@ -37,14 +39,16 @@ func TestAllocGuardCollocatedInvoke(t *testing.T) {
 	client.RegisterLocal(srv)
 	ctx := context.Background()
 	arg := wire.Int(42)
-	// Measured: 3 allocs/op (args slice, results slice, context check).
+	// Measured: 2 allocs/op, the variadic args slice and the Request. The
+	// Reply stays on the stack (it was a third allocation while dispatch
+	// returned a pointer).
 	allocs := testing.AllocsPerRun(500, func() {
 		if _, err := client.Invoke(ctx, ref, "echo", arg); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 4 {
-		t.Fatalf("collocated Invoke: %.1f allocs/op, want <= 4", allocs)
+	if allocs > 2 {
+		t.Fatalf("collocated Invoke: %.1f allocs/op, want <= 2", allocs)
 	}
 }
 
@@ -64,16 +68,27 @@ func TestAllocGuardInprocInvoke(t *testing.T) {
 	if _, err := client.Invoke(ctx, ref, "echo", arg); err != nil {
 		t.Fatal(err)
 	}
-	// Measured: 12 allocs/op across both sides of the full marshal →
-	// frame → dispatch → reply path (was 29 before buffer pooling, 14
-	// before a decoded message became one allocation).
+	// Measured: 5 allocs/op across both sides of the full marshal →
+	// frame → dispatch → reply path: the variadic args slice, the decoded
+	// request and the decoded reply (each one object with its values), and
+	// net.Pipe's write-deadline timer and its channel. It was 29 before
+	// buffer pooling, 14 before a decoded message was one allocation with
+	// its body, and 8 before it held its values too and the server's Reply
+	// left the heap. No slack: one more is a regression. Under -race,
+	// sync.Pool drops a quarter of what it is given, so pooled frame
+	// buffers are now and then allocated again; there the test keeps the
+	// ceiling of 13 it had before the count was pinned.
+	want := 5.0
+	if testutil.RaceEnabled {
+		want = 13
+	}
 	allocs := testing.AllocsPerRun(500, func() {
 		if _, err := client.Invoke(ctx, ref, "echo", arg); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 13 {
-		t.Fatalf("inproc Invoke: %.1f allocs/op, want <= 13", allocs)
+	if allocs > want {
+		t.Fatalf("inproc Invoke: %.1f allocs/op, want <= %.0f", allocs, want)
 	}
 }
 

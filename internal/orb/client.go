@@ -296,7 +296,8 @@ func (c *Client) invokeLocal(ctx context.Context, local *Server, key, op string,
 	if ctx.Done() == nil {
 		// Uncancellable context (e.g. Background): dispatch inline, free
 		// of any goroutine or channel cost.
-		return replyToResults(local.dispatch(req))
+		rep := local.dispatch(req)
+		return replyToResults(&rep)
 	}
 	c.mu.Lock()
 	if c.closed {
@@ -305,14 +306,14 @@ func (c *Client) invokeLocal(ctx context.Context, local *Server, key, op string,
 	}
 	c.localWG.Add(1)
 	c.mu.Unlock()
-	ch := make(chan *wire.Reply, 1)
+	ch := make(chan wire.Reply, 1)
 	go func() {
 		defer c.localWG.Done()
 		ch <- local.dispatch(req)
 	}()
 	select {
 	case rep := <-ch:
-		return replyToResults(rep)
+		return replyToResults(&rep)
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}

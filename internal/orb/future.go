@@ -213,7 +213,8 @@ func (c *Client) invokeLocalAsync(ctx context.Context, local *Server, key, op st
 	fut := &Future{done: make(chan struct{})}
 	go func() {
 		defer c.localWG.Done()
-		fut.complete(local.dispatch(req), nil)
+		rep := local.dispatch(req)
+		fut.complete(&rep, nil)
 	}()
 	return fut, nil
 }

@@ -621,7 +621,7 @@ func (s *Server) handle(cw *connWriter, j connJob) {
 			deadline = floor
 		}
 	}
-	if err := s.writeReply(cw, rep, deadline); err != nil {
+	if err := s.writeReply(cw, &rep, deadline); err != nil {
 		s.logf("orb: write reply: %v", err)
 	}
 }
@@ -697,12 +697,12 @@ func (s *Server) servantEntryFor(key string) *servantEntry {
 
 // dispatch routes a request to its servant, applying IDL checking when
 // configured, and converts errors into error replies.
-func (s *Server) dispatch(req *wire.Request) *wire.Reply {
+func (s *Server) dispatch(req *wire.Request) wire.Reply {
 	return s.dispatchEntry(s.servantEntryFor(req.ObjectKey), req)
 }
 
 // dispatchEntry is dispatch with the servant lookup already done.
-func (s *Server) dispatchEntry(entry *servantEntry, req *wire.Request) *wire.Reply {
+func (s *Server) dispatchEntry(entry *servantEntry, req *wire.Request) wire.Reply {
 	if s.sm != nil {
 		start := time.Now()
 		rep := s.dispatchEntryUntimed(entry, req)
@@ -712,17 +712,17 @@ func (s *Server) dispatchEntry(entry *servantEntry, req *wire.Request) *wire.Rep
 	return s.dispatchEntryUntimed(entry, req)
 }
 
-func (s *Server) dispatchEntryUntimed(entry *servantEntry, req *wire.Request) *wire.Reply {
+func (s *Server) dispatchEntryUntimed(entry *servantEntry, req *wire.Request) wire.Reply {
 	if req.Deadline != 0 && time.Now().UnixNano() > req.Deadline {
 		// Backstop for requests that expired after admission (e.g. while
 		// queued for a pool worker); admission-time expiry is caught in
 		// readFrames. Both count as ExpiredShed.
 		s.stats.expiredShed.Add(1)
-		return &wire.Reply{ID: req.ID, ErrCode: CodeDeadline,
+		return wire.Reply{ID: req.ID, ErrCode: CodeDeadline,
 			Err: fmt.Sprintf("deadline expired before dispatch of %q", req.Operation)}
 	}
 	if entry == nil {
-		return &wire.Reply{ID: req.ID, ErrCode: CodeNoSuchObject,
+		return wire.Reply{ID: req.ID, ErrCode: CodeNoSuchObject,
 			Err: fmt.Sprintf("no object %q", req.ObjectKey)}
 	}
 	if s.opts.Repo != nil && entry.iface != "" {
@@ -732,7 +732,7 @@ func (s *Server) dispatchEntryUntimed(entry *servantEntry, req *wire.Request) *w
 			if errors.As(err, &bad) && bad.Msg == "no such operation" {
 				code = CodeBadOperation
 			}
-			return &wire.Reply{ID: req.ID, ErrCode: code, Err: err.Error()}
+			return wire.Reply{ID: req.ID, ErrCode: code, Err: err.Error()}
 		}
 	}
 	results, err := safeInvoke(entry.servant, req.Operation, req.Args)
@@ -742,9 +742,9 @@ func (s *Server) dispatchEntryUntimed(entry *servantEntry, req *wire.Request) *w
 		if !errors.As(err, &app) {
 			code = CodeInternal
 		}
-		return &wire.Reply{ID: req.ID, ErrCode: code, Err: err.Error()}
+		return wire.Reply{ID: req.ID, ErrCode: code, Err: err.Error()}
 	}
-	return &wire.Reply{ID: req.ID, Results: results}
+	return wire.Reply{ID: req.ID, Results: results}
 }
 
 // safeInvoke shields the server from servant panics: a panicking servant

@@ -179,30 +179,35 @@ func (d *Decoder) value(depth int) (Value, error) {
 		}
 		return Ref(ObjRef{Endpoint: ep, Key: key}), nil
 	case tagTable:
-		arrLen, err := d.uvarint()
+		// Each element is one byte or more, each pair two: a hostile count
+		// reserves no more than the rest of the input could hold.
+		arrLen, err := d.count()
 		if err != nil {
 			return Nil(), err
 		}
-		if arrLen > uint64(d.Remaining()) {
-			return Nil(), ErrTruncated
-		}
-		t := &Table{arr: make([]Value, 0, arrLen)}
-		for i := uint64(0); i < arrLen; i++ {
-			e, err := d.value(depth + 1)
-			if err != nil {
+		var t *Table
+		var hashLen uint64
+		if arrLen == 0 {
+			// A record: its pair count comes next, so the table is sized
+			// before it is allocated.
+			if hashLen, err = d.count(); err != nil {
 				return Nil(), err
 			}
-			t.arr = append(t.arr, e)
+			t = NewTableSize(0, int(min(hashLen, uint64(d.Remaining()/2))))
+		} else {
+			t = NewTableSize(int(arrLen), 0)
+			for i := uint64(0); i < arrLen; i++ {
+				e, err := d.value(depth + 1)
+				if err != nil {
+					return Nil(), err
+				}
+				t.arr = append(t.arr, e)
+			}
+			if hashLen, err = d.count(); err != nil {
+				return Nil(), err
+			}
+			t.reserveHash(int(min(hashLen, uint64(d.Remaining()/2))))
 		}
-		hashLen, err := d.uvarint()
-		if err != nil {
-			return Nil(), err
-		}
-		if hashLen > uint64(d.Remaining()) {
-			return Nil(), ErrTruncated
-		}
-		// A pair is two bytes or more: a hostile count reserves no more.
-		t.reserveHash(int(min(hashLen, uint64(d.Remaining()/2))))
 		for i := uint64(0); i < hashLen; i++ {
 			k, err := d.value(depth + 1)
 			if err != nil {
@@ -236,6 +241,15 @@ func (d *Decoder) str() (string, error) {
 		return d.in.intern(b), nil
 	}
 	return string(b), nil
+}
+
+// count decodes an element count, refusing one larger than the bytes left.
+func (d *Decoder) count() (uint64, error) {
+	n, err := d.uvarint()
+	if err == nil && n > uint64(d.Remaining()) {
+		err = ErrTruncated
+	}
+	return n, err
 }
 
 func (d *Decoder) uvarint() (uint64, error) {

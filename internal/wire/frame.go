@@ -200,14 +200,34 @@ type Message struct {
 	UnsubID uint64 // set when Type == MsgUnsubscribe
 }
 
-// DecodeMessage decodes a frame payload into a protocol message. The
-// Message and its body are one allocation.
+// DecodeMessage decodes a frame payload into a protocol message. A message
+// of up to four values is one allocation: the Message, its body and the
+// backing array of its values together. One of more values allocates its
+// values apart: past four, a reply's or an event's one object would take
+// a larger size class than its two. The values slice has capacity n, as
+// if made alone.
 func DecodeMessage(payload []byte) (*Message, error) {
 	return decodeMessage(payload, nil)
 }
 
+// maxFusedValues is the most values a decoded message holds in the object
+// of its Message and body (see DecodeMessage).
+const maxFusedValues = 4
+
+// withValues allocates a message body B with room for n values, as one
+// object when n is at most maxFusedValues.
+func withValues[B any](n uint64) (*B, []Value) {
+	if n <= maxFusedValues {
+		if b, vs, ok := fuse[B, Value](int(n)); ok {
+			return b, vs
+		}
+	}
+	return new(B), make([]Value, 0, n)
+}
+
 // decodeMessage decodes payload, taking short strings from in when it is
-// not nil.
+// not nil. The header fields are read before anything is allocated, so the
+// value count is known when the message's one object is.
 func decodeMessage(payload []byte, in *internTable) (*Message, error) {
 	if len(payload) == 0 {
 		return nil, ErrTruncated
@@ -216,12 +236,7 @@ func decodeMessage(payload []byte, in *internTable) (*Message, error) {
 	d := &Decoder{buf: payload[1:], in: in}
 	switch mt {
 	case MsgRequest, MsgOneway:
-		x := &struct {
-			Message
-			req Request
-		}{Message: Message{Type: mt}}
-		x.Req = &x.req
-		req := x.Req
+		var req Request
 		var err error
 		if req.ID, err = d.u64(); err != nil {
 			return nil, err
@@ -240,36 +255,27 @@ func decodeMessage(payload []byte, in *internTable) (*Message, error) {
 		if _, err = d.str(); err != nil { // reserved
 			return nil, err
 		}
-		n, err := d.u64()
+		n, err := d.valueCount()
 		if err != nil {
 			return nil, err
 		}
-		if n > uint64(d.Remaining()) {
-			return nil, ErrTruncated
-		}
-		req.Args = make([]Value, 0, n)
-		for i := uint64(0); i < n; i++ {
-			v, err := d.Value()
-			if err != nil {
-				return nil, fmt.Errorf("wire: decode arg %d: %w", i, err)
-			}
-			req.Args = append(req.Args, v)
-		}
-		if d.Remaining() != 0 {
-			return nil, fmt.Errorf("wire: %d trailing bytes in request", d.Remaining())
+		x, args := withValues[struct {
+			Message
+			req Request
+		}](n)
+		x.req = req
+		x.Message = Message{Type: mt, Req: &x.req}
+		if x.req.Args, err = d.values(args, n, "arg", "request"); err != nil {
+			return nil, err
 		}
 		return &x.Message, nil
 	case MsgReply, MsgErrorReply:
-		x := &struct {
-			Message
-			rep Reply
-		}{Message: Message{Type: mt}}
-		x.Rep = &x.rep
-		rep := x.Rep
+		var rep Reply
 		var err error
 		if rep.ID, err = d.u64(); err != nil {
 			return nil, err
 		}
+		var n uint64
 		if mt == MsgErrorReply {
 			if rep.ErrCode, err = d.str(); err != nil {
 				return nil, err
@@ -280,34 +286,24 @@ func decodeMessage(payload []byte, in *internTable) (*Message, error) {
 			if rep.Err == "" {
 				rep.Err = "unknown remote error"
 			}
-			return &x.Message, nil
-		}
-		n, err := d.u64()
-		if err != nil {
+		} else if n, err = d.valueCount(); err != nil {
 			return nil, err
 		}
-		if n > uint64(d.Remaining()) {
-			return nil, ErrTruncated
+		x, results := withValues[struct {
+			Message
+			rep Reply
+		}](n)
+		x.rep = rep
+		x.Message = Message{Type: mt, Rep: &x.rep}
+		if mt == MsgErrorReply {
+			return &x.Message, nil
 		}
-		rep.Results = make([]Value, 0, n)
-		for i := uint64(0); i < n; i++ {
-			v, err := d.Value()
-			if err != nil {
-				return nil, fmt.Errorf("wire: decode result %d: %w", i, err)
-			}
-			rep.Results = append(rep.Results, v)
-		}
-		if d.Remaining() != 0 {
-			return nil, fmt.Errorf("wire: %d trailing bytes in reply", d.Remaining())
+		if x.rep.Results, err = d.values(results, n, "result", "reply"); err != nil {
+			return nil, err
 		}
 		return &x.Message, nil
 	case MsgSubscribe:
-		x := &struct {
-			Message
-			sub Subscribe
-		}{Message: Message{Type: mt}}
-		x.Sub = &x.sub
-		sub := x.Sub
+		var sub Subscribe
 		var err error
 		if sub.ID, err = d.u64(); err != nil {
 			return nil, err
@@ -321,23 +317,18 @@ func decodeMessage(payload []byte, in *internTable) (*Message, error) {
 		if sub.Topic, err = d.str(); err != nil {
 			return nil, err
 		}
-		n, err := d.u64()
+		n, err := d.valueCount()
 		if err != nil {
 			return nil, err
 		}
-		if n > uint64(d.Remaining()) {
-			return nil, ErrTruncated
-		}
-		sub.Args = make([]Value, 0, n)
-		for i := uint64(0); i < n; i++ {
-			v, err := d.Value()
-			if err != nil {
-				return nil, fmt.Errorf("wire: decode subscribe arg %d: %w", i, err)
-			}
-			sub.Args = append(sub.Args, v)
-		}
-		if d.Remaining() != 0 {
-			return nil, fmt.Errorf("wire: %d trailing bytes in subscribe", d.Remaining())
+		x, args := withValues[struct {
+			Message
+			sub Subscribe
+		}](n)
+		x.sub = sub
+		x.Message = Message{Type: mt, Sub: &x.sub}
+		if x.sub.Args, err = d.values(args, n, "subscribe arg", "subscribe"); err != nil {
+			return nil, err
 		}
 		return &x.Message, nil
 	case MsgUnsubscribe:
@@ -350,38 +341,54 @@ func decodeMessage(payload []byte, in *internTable) (*Message, error) {
 		}
 		return &Message{Type: mt, UnsubID: subID}, nil
 	case MsgEvent:
-		x := &struct {
-			Message
-			ev Event
-		}{Message: Message{Type: mt}}
-		x.Event = &x.ev
-		ev := x.Event
-		var err error
-		if ev.SubID, err = d.u64(); err != nil {
-			return nil, err
-		}
-		n, err := d.u64()
+		subID, err := d.u64()
 		if err != nil {
 			return nil, err
 		}
-		if n > uint64(d.Remaining()) {
-			return nil, ErrTruncated
+		n, err := d.valueCount()
+		if err != nil {
+			return nil, err
 		}
-		ev.Values = make([]Value, 0, n)
-		for i := uint64(0); i < n; i++ {
-			v, err := d.Value()
-			if err != nil {
-				return nil, fmt.Errorf("wire: decode event value %d: %w", i, err)
-			}
-			ev.Values = append(ev.Values, v)
-		}
-		if d.Remaining() != 0 {
-			return nil, fmt.Errorf("wire: %d trailing bytes in event", d.Remaining())
+		x, vals := withValues[struct {
+			Message
+			ev Event
+		}](n)
+		x.ev.SubID = subID
+		x.Message = Message{Type: mt, Event: &x.ev}
+		if x.ev.Values, err = d.values(vals, n, "event value", "event"); err != nil {
+			return nil, err
 		}
 		return &x.Message, nil
 	default:
 		return nil, fmt.Errorf("wire: unknown message type 0x%02x", payload[0])
 	}
+}
+
+// valueCount decodes a message's value count, refusing one larger than
+// the bytes left: each value is one byte or more.
+func (d *Decoder) valueCount() (uint64, error) {
+	n, err := d.u64()
+	if err == nil && n > uint64(d.Remaining()) {
+		err = ErrTruncated
+	}
+	return n, err
+}
+
+// values decodes a message's n values into vs, which has room for them,
+// and requires that they end the payload. item and msg name the value and
+// the message in errors.
+func (d *Decoder) values(vs []Value, n uint64, item, msg string) ([]Value, error) {
+	for i := uint64(0); i < n; i++ {
+		v, err := d.Value()
+		if err != nil {
+			return nil, fmt.Errorf("wire: decode %s %d: %w", item, i, err)
+		}
+		vs = append(vs, v)
+	}
+	if d.Remaining() != 0 {
+		return nil, fmt.Errorf("wire: %d trailing bytes in %s", d.Remaining(), msg)
+	}
+	return vs, nil
 }
 
 func appendUint64(dst []byte, v uint64) []byte {

@@ -39,6 +39,37 @@ func seedMessages(t testingT) [][]byte {
 	return seeds
 }
 
+// fusedSizeSeeds returns messages on both sides of every inline limit of
+// the decoder: requests, replies and events of 0 to 6 values (one object
+// up to 4) and replies carrying a record of 0 to 9 pairs (one object at 1,
+// 2, 4, 5, 7 and 8, spilled to a map past 8).
+func fusedSizeSeeds(t testingT) [][]byte {
+	var seeds [][]byte
+	add := func(b []byte, err error) {
+		if err != nil {
+			t.Fatalf("seed encode: %v", err)
+		}
+		seeds = append(seeds, b)
+	}
+	for n := 0; n <= 6; n++ {
+		vals := make([]Value, n)
+		for i := range vals {
+			vals[i] = Int(i)
+		}
+		add(EncodeRequest(&Request{ID: 1, ObjectKey: "svc", Operation: "op", Args: vals}, false))
+		add(EncodeReply(&Reply{ID: 1, Results: vals}))
+		add(AppendEvent(nil, &Event{SubID: 1, Values: vals}))
+	}
+	for n := 0; n <= 9; n++ {
+		rec := NewTable()
+		for i := 0; i < n; i++ {
+			rec.SetString(string(rune('a'+i)), Int(i))
+		}
+		add(EncodeReply(&Reply{ID: 1, Results: []Value{TableVal(rec)}}))
+	}
+	return seeds
+}
+
 // testingT is the subset of *testing.T and *testing.F the seed builder
 // needs, so the same seeds feed both the fuzzer and deterministic tests.
 type testingT interface {
@@ -59,6 +90,9 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add(req[:len(req)/2])
 	f.Add(deepTablePayload(byte(MsgEvent), maxDepth+8))
 	f.Add([]byte{0xff, 0x00, 0x7f})
+	for _, seed := range fusedSizeSeeds(f) {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if d := internDiff(fr, b); d != "" {
 			t.Fatal(d)

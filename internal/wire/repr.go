@@ -90,3 +90,65 @@ func (v Value) table() *Table { return (*Table)(v.p) }
 func (v Value) ref() ObjRef {
 	return ObjRef{Endpoint: unsafe.String((*byte)(v.p), int(v.n)), Key: unsafe.String((*byte)(v.q), int(v.meta>>8))}
 }
+
+// fuse returns a new H and an empty []E of capacity n whose backing array
+// is part of the same heap object, for n from 1 to maxFused; ok is false
+// for any other n. Each size is its own struct type, so the collector sees
+// the real element type and nothing here needs unsafe. The slice may
+// outgrow the array by append like any other; the array then stays with H.
+func fuse[H, E any](n int) (h *H, s []E, ok bool) {
+	switch n {
+	case 1:
+		x := new(struct {
+			h H
+			a [1]E
+		})
+		return &x.h, x.a[:0], true
+	case 2:
+		x := new(struct {
+			h H
+			a [2]E
+		})
+		return &x.h, x.a[:0], true
+	case 3:
+		x := new(struct {
+			h H
+			a [3]E
+		})
+		return &x.h, x.a[:0], true
+	case 4:
+		x := new(struct {
+			h H
+			a [4]E
+		})
+		return &x.h, x.a[:0], true
+	case 5:
+		x := new(struct {
+			h H
+			a [5]E
+		})
+		return &x.h, x.a[:0], true
+	case 6:
+		x := new(struct {
+			h H
+			a [6]E
+		})
+		return &x.h, x.a[:0], true
+	case 7:
+		x := new(struct {
+			h H
+			a [7]E
+		})
+		return &x.h, x.a[:0], true
+	case 8:
+		x := new(struct {
+			h H
+			a [8]E
+		})
+		return &x.h, x.a[:0], true
+	}
+	return nil, nil, false
+}
+
+// maxFused is the largest element count fuse handles.
+const maxFused = 8

@@ -276,3 +276,60 @@ func TestPairsMutationInsideCallback(t *testing.T) {
 		}
 	}
 }
+
+// TestFusedTableMatchesMapReference: tables that start as one object (a
+// list of 1 to 8 elements, a record of 1, 2, 4, 5, 7 or 8 pairs) and those
+// that do not, whether built by NewList and NewTableSize or decoded, follow
+// the reference under one op stream: growing past their inline storage,
+// shrinking, spilling to a map and coming back.
+func TestFusedTableMatchesMapReference(t *testing.T) {
+	for n := 0; n <= smallTableMax+1; n++ {
+		for _, list := range []bool{false, true} {
+			ref := &refTable{}
+			var built *Table
+			if list {
+				vals := make([]Value, n)
+				for i := range vals {
+					vals[i] = Int(i)
+					ref.set(Int(i+1), vals[i])
+				}
+				built = NewList(vals...)
+			} else {
+				built = NewTableSize(0, n)
+				for i := 0; i < n; i++ {
+					k := string(rune('a' + i))
+					built.SetString(k, Int(i))
+					ref.set(String(k), Int(i))
+				}
+			}
+			dec, err := DecodeValue(ref.encode())
+			if err != nil {
+				t.Fatal(err)
+			}
+			decoded, _ := dec.AsTable()
+			r := rand.New(rand.NewSource(int64(n)))
+			for step := 0; step < 200; step++ {
+				key, val := randomKey(r), Nil()
+				if r.Intn(10) < 6 {
+					val = Int(step)
+				}
+				errR := ref.set(key, val)
+				want := ref.encode()
+				for _, tb := range []*Table{built, decoded} {
+					if err := tb.Set(key, val); (err == nil) != (errR == nil) {
+						t.Fatalf("n=%d list=%v step %d: Set(%v) error %v, reference %v", n, list, step, key, err, errR)
+					}
+					if enc, _ := EncodeValue(TableVal(tb)); !bytes.Equal(enc, want) {
+						t.Fatalf("n=%d list=%v step %d: encoding\n got %x\nwant %x", n, list, step, enc, want)
+					}
+					if step%8 == 0 && fmt.Sprint(tablePairs(tb)) != fmt.Sprint(ref.pairs()) {
+						t.Fatalf("n=%d list=%v step %d: Pairs\n got %v\nwant %v", n, list, step, tablePairs(tb), ref.pairs())
+					}
+				}
+			}
+			if built.hash == nil || decoded.hash == nil {
+				t.Fatalf("n=%d list=%v: the op stream never spilled the hash part", n, list)
+			}
+		}
+	}
+}

@@ -337,7 +337,28 @@ func NewTable() *Table { return &Table{} }
 
 // NewTableSize returns an empty table with room for narr array elements
 // and nrec hash-part pairs, for builders that know what they will store.
-func NewTableSize(narr, nrec int) *Table {
+// A list of up to eight elements, or a record of 1, 2, 4, 5, 7 or 8 pairs,
+// is one heap object: the Table and its storage together. Those are the
+// sizes whose one object takes no larger a size class than the Table and
+// its storage apart (a record of 3 pairs would take 320 bytes for 304, one
+// of 6 pairs 576 for 544). Every other shape is allocated as two.
+func NewTableSize(narr, nrec int) *Table { return newTable(narr, nrec) }
+
+// newTable is NewTableSize, kept apart so that NewTableSize and NewList
+// stay cheap enough to inline.
+func newTable(narr, nrec int) *Table {
+	switch {
+	case nrec == 0:
+		if t, arr, ok := fuse[Table, Value](narr); ok {
+			t.arr = arr
+			return t
+		}
+	case narr == 0 && nrec != 3 && nrec != 6:
+		if t, small, ok := fuse[Table, tablePair](nrec); ok {
+			t.small = small
+			return t
+		}
+	}
 	t := &Table{arr: make([]Value, 0, narr)}
 	t.reserveHash(nrec)
 	return t
@@ -354,8 +375,8 @@ func (t *Table) reserveHash(n int) {
 
 // NewList returns a table whose array part holds vs in order.
 func NewList(vs ...Value) *Table {
-	t := &Table{arr: make([]Value, len(vs))}
-	copy(t.arr, vs)
+	t := newTable(len(vs), 0)
+	t.arr = append(t.arr, vs...)
 	return t
 }
 
