@@ -1,12 +1,20 @@
 // Package clock provides an injectable time source.
 //
-// Components in this repository never call time.Now or time.After directly;
-// they receive a Clock. Production code uses Real; experiments and tests use
-// Sim, a deterministic simulated clock whose timers fire only when the test
-// advances time. This is the substitution described in DESIGN.md §2.5: the
-// paper's experiments run over minutes of wall-clock time on real hosts, and
-// the simulated clock lets the same component code replay those minutes in
-// milliseconds, deterministically.
+// The components whose timing the paper's experiments replay take a Clock:
+// monitors (sampling periods and event timestamps), the trader's leases,
+// the sharded router, the agent, the host environment and the script
+// interpreter's time-of-day context. Production code uses Real; experiments
+// and tests use Sim, a deterministic simulated clock whose timers fire only
+// when the test advances time. This is the substitution described in
+// DESIGN.md §2.5: the paper's experiments run over minutes of wall-clock time
+// on real hosts, and the simulated clock lets the same component code replay
+// those minutes in milliseconds, deterministically.
+//
+// The ORB does not take a Clock. Its deadlines, write timeouts, retry
+// backoff, batch windows, inline-dispatch watchdog and the in-process
+// conn's timers call the time package directly, on wall time (a breaker's
+// cooldown alone takes an injected Now). Tests that need the ORB's timing
+// to be deterministic run it in a testing/synctest bubble instead.
 package clock
 
 import (

@@ -68,17 +68,19 @@ func TestAllocGuardInprocInvoke(t *testing.T) {
 	if _, err := client.Invoke(ctx, ref, "echo", arg); err != nil {
 		t.Fatal(err)
 	}
-	// Measured: 5 allocs/op across both sides of the full marshal →
-	// frame → dispatch → reply path: the variadic args slice, the decoded
-	// request and the decoded reply (each one object with its values), and
-	// net.Pipe's write-deadline timer and its channel. It was 29 before
-	// buffer pooling, 14 before a decoded message was one allocation with
-	// its body, and 8 before it held its values too and the server's Reply
-	// left the heap. No slack: one more is a regression. Under -race,
-	// sync.Pool drops a quarter of what it is given, so pooled frame
-	// buffers are now and then allocated again; there the test keeps the
-	// ceiling of 13 it had before the count was pinned.
-	want := 5.0
+	// Measured: 3 allocs/op across both sides of the full marshal →
+	// frame → dispatch → reply path: the variadic args slice, and the
+	// decoded request and the decoded reply (each one object with its
+	// values). The write deadline set on every frame is a stored value in
+	// the in-process conn; on net.Pipe it armed a new timer and its channel,
+	// 2 more. It was 29 before buffer pooling, 14 before a decoded message
+	// was one allocation with its body, 8 before it held its values too and
+	// the server's Reply left the heap, and 5 on net.Pipe. No slack: one
+	// more is a regression. Under -race, sync.Pool drops a quarter of what
+	// it is given, so pooled frame buffers are now and then allocated
+	// again; there the test keeps the ceiling of 13 it had before the count
+	// was pinned.
+	want := 3.0
 	if testutil.RaceEnabled {
 		want = 13
 	}

@@ -469,13 +469,13 @@ func (c *Client) dialEndpoint(ctx context.Context, endpoint string) (*clientConn
 // clientConn multiplexes requests over one transport connection: any
 // number of requests may be in flight at once (bounded by the client's
 // in-flight window), and replies complete out of order through the
-// pending map. One goroutine at a time reads it (the read role): on TCP an
+// pending map. One goroutine at a time reads it (the read role): an
 // uncancellable synchronous caller reads for itself (see passRole).
 type clientConn struct {
-	c   *Client           // owner: options and stats
-	w   connWriter        // the transport connection and its write side
-	fr  *wire.FrameReader // read by whoever holds the read role
-	raw syscall.RawConn   // nil: no file descriptor, always a background reader
+	c     *Client           // owner: options and stats
+	w     connWriter        // the transport connection and its write side
+	fr    *wire.FrameReader // read by whoever holds the read role
+	probe idleProber        // nil: a background reader for good notices the peer's close
 
 	// window is the in-flight cap semaphore (nil = unbounded): a slot is
 	// held from send until the reply arrives, the caller abandons the
@@ -502,9 +502,10 @@ type clientConn struct {
 // pooled; each pooled object's channel is allocated once and only ever
 // closed on connection death, which also retires the object from the pool.
 type pendingCall struct {
-	ch  chan *wire.Reply
-	fut *Future
-	bg  bool // counted in background: a future, or a caller that may give up
+	ch   chan *wire.Reply
+	fut  *Future
+	bg   bool // counted in background: a future, or a caller that may give up
+	sent bool // a synchronous caller whose request is out: it may read (see markSent)
 }
 
 var roleToken = new(wire.Reply) // on a waiting caller's channel: the read role
@@ -518,7 +519,7 @@ var pendingCallPool = sync.Pool{
 func getPendingCall() *pendingCall { return pendingCallPool.Get().(*pendingCall) }
 
 func putPendingCall(pc *pendingCall) {
-	pc.fut, pc.bg = nil, false
+	pc.fut, pc.bg, pc.sent = nil, false, false
 	pendingCallPool.Put(pc)
 }
 
@@ -532,9 +533,7 @@ func newClientConn(raw net.Conn, c *Client) *clientConn {
 		pending:    make(map[uint64]*pendingCall),
 		subs:       make(map[uint64]*Subscription),
 		readerDone: make(chan struct{}),
-	}
-	if sc, ok := raw.(syscall.Conn); ok {
-		cc.raw, _ = sc.SyscallConn() // an error leaves it nil: no file descriptor
+		probe:      probeFor(raw),
 	}
 	if c.maxInFlight > 0 {
 		cc.window = make(chan struct{}, c.maxInFlight)
@@ -544,8 +543,51 @@ func newClientConn(raw net.Conn, c *Client) *clientConn {
 			timeout: c.writeTimeout, onFail: cc.close,
 			frames: &c.stats.batchedFrames, flushes: &c.stats.batchFlushes}
 	}
-	cc.passRole() // with no file descriptor, to a background reader for good
+	cc.passRole() // an unprobed conn: to a background reader for good
 	return cc
+}
+
+// idleProber tells, without reading, whether an idle connection's peer is
+// still there: the in-process conn answers from its ends, and probeFor
+// makes one that peeks a socket.
+type idleProber interface{ peerAlive() bool }
+
+// probeFor returns conn's idle probe, or nil if it has none. A faultConn
+// forwards the probe of the conn it wraps, so a client still notices an
+// idle peer's close before it writes.
+func probeFor(conn net.Conn) idleProber {
+	switch c := conn.(type) {
+	case idleProber:
+		return c
+	case *faultConn:
+		return c.probe
+	case syscall.Conn:
+		if raw, err := c.SyscallConn(); err == nil {
+			p := &socketProbe{raw: raw}
+			p.peek = func(fd uintptr) bool { // made once: a peek allocates nothing
+				n, _, err := syscall.Recvfrom(int(fd), p.buf[:], syscall.MSG_PEEK|syscall.MSG_DONTWAIT)
+				p.ok = n > 0 || err == syscall.EAGAIN || err == syscall.EINTR
+				return true
+			}
+			return p
+		}
+	}
+	return nil
+}
+
+// socketProbe: pending data or EAGAIN means the peer is there, end of
+// stream or an error that it is gone. alive serialises it under cc.mu.
+type socketProbe struct {
+	raw  syscall.RawConn
+	peek func(fd uintptr) bool
+	buf  [1]byte
+	ok   bool
+}
+
+func (p *socketProbe) peerAlive() bool {
+	p.ok = false // stays false if Read fails before peeking
+	_ = p.raw.Read(p.peek)
+	return p.ok
 }
 
 func (cc *clientConn) isDead() bool {
@@ -559,17 +601,11 @@ func (cc *clientConn) isDead() bool {
 // meanwhile): if the peer closed it, the call redials instead of writing.
 func (cc *clientConn) alive() bool {
 	cc.mu.Lock()
-	if cc.dead || cc.reading || cc.raw == nil || time.Since(cc.idleSince) < idleProbe {
+	if cc.dead || cc.reading || cc.probe == nil || time.Since(cc.idleSince) < idleProbe {
 		defer cc.mu.Unlock()
 		return !cc.dead
 	}
-	ok := false // stays false if Read fails before peeking
-	_ = cc.raw.Read(func(fd uintptr) bool {
-		var b [1]byte
-		n, _, err := syscall.Recvfrom(int(fd), b[:], syscall.MSG_PEEK|syscall.MSG_DONTWAIT)
-		ok = n > 0 || err == syscall.EAGAIN || err == syscall.EINTR
-		return true
-	})
+	ok := cc.probe.peerAlive()
 	cc.mu.Unlock()
 	if !ok {
 		cc.close(fmt.Errorf("orb: connection lost: %w", io.ErrUnexpectedEOF))
@@ -639,12 +675,28 @@ func (cc *clientConn) register(fut *Future, cancellable bool) (*pendingCall, uin
 	cc.pending[id] = pc
 	if pc.bg = fut != nil || cancellable; pc.bg {
 		cc.background++
-	}
-	if !cc.reading {
-		cc.passRole()
+		if !cc.reading {
+			cc.passRole()
+		}
 	}
 	cc.mu.Unlock()
 	return pc, id, nil
+}
+
+// markSent marks a synchronous caller's request as out and reports whether
+// the caller took the read role, which was free. Only such a caller gets
+// the role: a holder still to write could wait on a peer waiting to write
+// to it, and an in-process conn has no buffer to break that tie.
+func (cc *clientConn) markSent(id uint64, pc *pendingCall) bool {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	if pc.bg || cc.pending[id] != pc { // a background waiter, answered already, or dead
+		return false
+	}
+	pc.sent = true
+	took := !cc.reading
+	cc.reading = true
+	return took
 }
 
 // removeLocked drops a pending entry (cc.mu held).
@@ -655,9 +707,13 @@ func (cc *clientConn) removeLocked(id uint64, pc *pendingCall) {
 	}
 }
 
-// needsBackground: is a read owed that no synchronous caller will do? (cc.mu held)
+// needsBackground: is a read owed that no synchronous caller will do? A
+// conn with no idle probe keeps its reader for good, to notice the peer's
+// close. So does a connection that has ever opened a push stream, on every
+// transport: events can follow an unsubscribe, which nothing acknowledges,
+// and an in-process conn has no buffer to hold them. (cc.mu held)
 func (cc *clientConn) needsBackground() bool {
-	return cc.raw == nil || cc.background > 0 || cc.orphans > 0 || len(cc.subs) > 0
+	return cc.probe == nil || cc.background > 0 || cc.orphans > 0 || cc.nextSub > 1
 }
 
 // releaseRole gives up the read role.
@@ -672,13 +728,14 @@ func (cc *clientConn) releaseRole() {
 	cc.passRole()
 }
 
-// passRole gives the read role to a synchronous caller still waiting (it
-// finds the token later), else to a background reader if needed (cc.mu held).
+// passRole gives the read role to a synchronous caller waiting for its
+// reply (it finds the token later), else to a background reader if needed
+// (cc.mu held).
 func (cc *clientConn) passRole() {
 	cc.reading = true
 	if len(cc.pending) > cc.background {
 		for _, pc := range cc.pending {
-			if !pc.bg {
+			if pc.sent {
 				pc.ch <- roleToken // buffered, and empty while nobody reads
 				return
 			}
@@ -692,7 +749,10 @@ func (cc *clientConn) passRole() {
 }
 
 // read routes frames with the read role: for a synchronous caller (self)
-// until its reply is in, for the background reader (nil) while one is needed.
+// until its reply is in. The background reader (nil) stays until it hands
+// a synchronous caller its reply when no read is owed, so cancellable calls
+// in a row share one reader; on a connection only they use, it stays for
+// the connection's life.
 func (cc *clientConn) read(self *pendingCall) {
 	defer cc.releaseRole()
 	for {
@@ -718,7 +778,7 @@ func (cc *clientConn) read(self *pendingCall) {
 			} else if cc.orphans > 0 {
 				cc.orphans--
 			}
-			more := self != nil || cc.needsBackground()
+			more := self != nil || !ok || pc.bg || cc.needsBackground()
 			cc.mu.Unlock()
 			switch {
 			case !ok:
@@ -850,10 +910,11 @@ func (cc *clientConn) roundTrip(ctx context.Context, key, op string, args []wire
 		return nil, err
 	}
 	if err := cc.sendRequest(ctx, id, key, op, args); err != nil {
-		if !cc.forget(id, false) && <-pc.ch == roleToken {
-			cc.releaseRole() // the write killed the connection; its close shut pc.ch
-		}
+		cc.forget(id, false)
 		return nil, err
+	}
+	if cc.markSent(id, pc) {
+		cc.read(pc)
 	}
 	for {
 		select {
@@ -896,10 +957,7 @@ func (cc *clientConn) forget(id uint64, sent bool) bool {
 	if !ok {
 		return false
 	}
-	if pc.fut == nil && len(pc.ch) > 0 && <-pc.ch == roleToken {
-		cc.releaseRole() // handed the role, then its send failed
-	}
-	putPendingCall(pc)
+	putPendingCall(pc) // a waiter still pending holds neither reply nor role
 	return true
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"syscall"
 	"time"
 )
 
@@ -128,7 +127,7 @@ func (f *FaultNetwork) Dial(addr string) (net.Conn, error) {
 	if readDelay == 0 && severFrames == 0 && severBytes == 0 {
 		return c, nil
 	}
-	return &faultConn{Conn: c, readDelay: readDelay, severFrames: severFrames, severBytes: severBytes}, nil
+	return &faultConn{Conn: c, probe: probeFor(c), readDelay: readDelay, severFrames: severFrames, severBytes: severBytes}, nil
 }
 
 // faultConn is a net.Conn applying per-connection read faults. It parses
@@ -136,6 +135,7 @@ func (f *FaultNetwork) Dial(addr string) (net.Conn, error) {
 // complete frames for frame-granular severing.
 type faultConn struct {
 	net.Conn
+	probe       idleProber // the wrapped conn's, which probeFor forwards (nil: none)
 	readDelay   time.Duration
 	severFrames int
 	severBytes  int
@@ -181,14 +181,6 @@ func (fc *faultConn) Read(p []byte) (int, error) {
 	fc.observeFrames(p[:n])
 	fc.mu.Unlock()
 	return n, err
-}
-
-// SyscallConn forwards the descriptor: a client keeps its caller-reads path.
-func (fc *faultConn) SyscallConn() (syscall.RawConn, error) {
-	if sc, ok := fc.Conn.(syscall.Conn); ok {
-		return sc.SyscallConn()
-	}
-	return nil, errors.ErrUnsupported
 }
 
 // sever closes the underlying connection; called with fc.mu held, which

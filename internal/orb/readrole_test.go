@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -21,14 +20,36 @@ import (
 // rescues the connection from a servant that blocks. CI runs them with
 // -race -count=20 to shake out handoff races.
 
-// TestReadRoleMixedCallers mixes every kind of waiter on one TCP
-// connection: uncancellable callers (which take the read role), cancellable
-// ones cancelled at random (which need a background reader), an
-// InvokeAsync window, and a subscription opened and closed mid-run. Every
-// call must complete exactly once with its own reply.
+// readRoleNetworks are the two transports the read-role tests run on: TCP,
+// whose idle probe peeks the socket, and the in-process conn, which answers
+// it from its ends.
+func readRoleNetworks() []roleNetwork {
+	return []roleNetwork{
+		{"tcp", TCPNetwork{}, "127.0.0.1:0"},
+		{"inproc", NewInprocNetwork(), "readrole"},
+	}
+}
+
+type roleNetwork struct {
+	name string
+	nw   Network
+	addr string
+}
+
+// TestReadRoleMixedCallers mixes every kind of waiter on one connection:
+// uncancellable callers (which take the read role), cancellable ones
+// cancelled at random (which need a background reader), an InvokeAsync
+// window, and a subscription opened and closed mid-run. Every call must
+// complete exactly once with its own reply.
 func TestReadRoleMixedCallers(t *testing.T) {
+	for _, tc := range readRoleNetworks() {
+		t.Run(tc.name, func(t *testing.T) { testReadRoleMixedCallers(t, tc.nw, tc.addr) })
+	}
+}
+
+func testReadRoleMixedCallers(t *testing.T, nw Network, addr string) {
 	checkLeaks := testutil.CheckGoroutines(t, 0)
-	srv, err := NewServer(ServerOptions{Network: TCPNetwork{}, Address: "127.0.0.1:0"})
+	srv, err := NewServer(ServerOptions{Network: nw, Address: addr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +61,7 @@ func TestReadRoleMixedCallers(t *testing.T) {
 	}))
 	src := newPushSource()
 	events := srv.Register("events", "", src)
-	client := NewClient(TCPNetwork{})
+	client := NewClient(nw)
 	// Dial first: a dial is shared by everyone waiting for it, and one that
 	// a cancelled caller abandons fails them all (not what this tests).
 	if _, err := client.Invoke(context.Background(), ref, "echo", wire.Int(0)); err != nil {
@@ -254,10 +275,10 @@ func TestReadRoleIdleProbeRacesRegister(t *testing.T) {
 }
 
 // TestReadRoleSurvivesFailedSend: an uncancellable caller on an idle
-// connection holds the read role before it sends. If the send fails the
-// role must move on: to the next caller when the frame was refused
-// locally, and to nobody — so Close returns — when the write killed the
-// connection.
+// connection whose send fails must leave the read role usable: free for the
+// next caller when the frame was refused locally, and to nobody — so Close
+// returns — when the write killed the connection. (The role goes only to a
+// caller whose request is out, so a failed sender never held it.)
 func TestReadRoleSurvivesFailedSend(t *testing.T) {
 	srv, err := NewServer(ServerOptions{Network: TCPNetwork{}, Address: "127.0.0.1:0"})
 	if err != nil {
@@ -308,32 +329,231 @@ func TestReadRoleSurvivesFailedSend(t *testing.T) {
 
 // TestIdleConnectionDeathRedialsBeforeWrite: the server closes an idle
 // connection and comes back at the same address. Nobody was reading the
-// connection, yet the next call must notice the close before writing into
-// it and redial — with no retry policy to paper over a failed attempt.
+// connection (no background reader: its only caller was synchronous), yet
+// the next call must notice the close through the idle probe before
+// writing into it and redial — with no retry policy to paper over a failed
+// attempt.
 func TestIdleConnectionDeathRedialsBeforeWrite(t *testing.T) {
-	srv, err := NewServer(ServerOptions{Network: TCPNetwork{}, Address: "127.0.0.1:0"})
+	for _, tc := range readRoleNetworks() {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, err := NewServer(ServerOptions{Network: tc.nw, Address: tc.addr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := srv.Register("echo", "", echoServant())
+			client := NewClient(tc.nw)
+			defer client.Close()
+			if _, err := client.Invoke(context.Background(), ref, "echo", wire.Int(1)); err != nil {
+				t.Fatal(err)
+			}
+			if readRoleHeld(t, client, ref) {
+				t.Fatal("a background reader holds the idle connection's read role")
+			}
+			_ = srv.Close()
+			time.Sleep(20 * time.Millisecond) // the connection sits idle, closed by its peer
+
+			_, addr, err := SplitEndpoint(ref.Endpoint)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv2, err := NewServer(ServerOptions{Network: tc.nw, Address: addr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv2.Close()
+			srv2.Register("echo", "", echoServant())
+			rs, err := client.Invoke(context.Background(), ref, "echo", wire.Int(2))
+			if err != nil || len(rs) != 1 || rs[0].Num() != 2 {
+				t.Fatalf("first call after the idle connection died = %v, %v", rs, err)
+			}
+		})
+	}
+}
+
+// readRoleHeld reports whether anyone holds the read role of the client's
+// connection to ref's endpoint, which must be live and idle.
+func readRoleHeld(t *testing.T, client *Client, ref wire.ObjRef) bool {
+	t.Helper()
+	client.mu.Lock()
+	cc := client.conns[ref.Endpoint]
+	client.mu.Unlock()
+	if cc == nil {
+		t.Fatalf("no connection to %s", ref.Endpoint)
+	}
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	return cc.reading
+}
+
+// TestInprocSyncCallersRunNoReader: on an in-process connection used only
+// by callers with an uncancellable context, each caller reads its own reply
+// and no background reader stays between calls — the read shape TCP has.
+// A subscription brings the background reader back, and it stays after
+// the subscription closes, for the connection's life (see needsBackground).
+func TestInprocSyncCallersRunNoReader(t *testing.T) {
+	src, srv, client, events := newPushPair(t, NewInprocNetwork(), "sync-only")
+	ref := srv.Register("echo", "", echoServant())
+	for i := 0; i < 20; i++ {
+		rs, err := client.Invoke(context.Background(), ref, "echo", wire.Int(i))
+		if err != nil || len(rs) != 1 || rs[0].Num() != float64(i) {
+			t.Fatalf("call %d = %v, %v", i, rs, err)
+		}
+		if readRoleHeld(t, client, ref) {
+			t.Fatalf("after call %d a background reader holds the read role", i)
+		}
+	}
+	sub, err := client.Subscribe(context.Background(), events, "load")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !readRoleHeld(t, client, ref) {
+		t.Fatal("an open subscription has no reader")
+	}
+	if err := src.sink("load").Push(wire.Int(7)); err != nil {
+		t.Fatal(err)
+	}
+	if ev := <-sub.Events(); len(ev) != 1 || ev[0].Num() != 7 {
+		t.Fatalf("event = %v", ev)
+	}
+	_ = sub.Close()
+	if _, err := client.Invoke(context.Background(), ref, "echo", wire.Int(1)); err != nil {
+		t.Fatal(err)
+	}
+	if !readRoleHeld(t, client, ref) {
+		t.Fatal("the reader left a connection that has carried a push stream")
+	}
+}
+
+// TestReadRoleCancellableCallsShareReader: the background reader a
+// cancellable call starts stays for the cancellable calls after it, on
+// both transports, and leaves once it hands a synchronous caller its reply
+// with no read owed, so that caller's successors read for themselves.
+func TestReadRoleCancellableCallsShareReader(t *testing.T) {
+	for _, tc := range readRoleNetworks() {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, err := NewServer(ServerOptions{Network: tc.nw, Address: tc.addr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			ref := srv.Register("echo", "", echoServant())
+			client := NewClient(tc.nw)
+			defer client.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			for i := 0; i < 5; i++ {
+				if _, err := client.Invoke(ctx, ref, "echo", wire.Int(i)); err != nil {
+					t.Fatal(err)
+				}
+				if !readRoleHeld(t, client, ref) {
+					t.Fatalf("after cancellable call %d no reader holds the role", i)
+				}
+			}
+			// The first synchronous reply comes through the reader, which
+			// then leaves; the second caller reads for itself.
+			for i := 0; i < 2; i++ {
+				if _, err := client.Invoke(context.Background(), ref, "echo", wire.Int(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if readRoleHeld(t, client, ref) {
+				t.Fatal("after synchronous calls a background reader holds the role")
+			}
+		})
+	}
+}
+
+// unprobedNetwork wraps each conn so it hides the conn's idle probe, as a
+// wrapping Network that does not forward it does.
+type unprobedNetwork struct{ Network }
+
+func (n unprobedNetwork) Dial(addr string) (net.Conn, error) {
+	c, err := n.Network.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return struct{ net.Conn }{c}, nil
+}
+
+// TestReadRoleUnprobedConnKeepsReader: a conn with no idle probe keeps a
+// background reader for good, so a peer's close while the connection
+// idles is still noticed and the next call redials instead of writing
+// into the dead connection.
+func TestReadRoleUnprobedConnKeepsReader(t *testing.T) {
+	for _, tc := range readRoleNetworks() {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, err := NewServer(ServerOptions{Network: tc.nw, Address: tc.addr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := srv.Register("echo", "", echoServant())
+			client := NewClient(unprobedNetwork{tc.nw})
+			defer client.Close()
+			if _, err := client.Invoke(context.Background(), ref, "echo", wire.Int(1)); err != nil {
+				t.Fatal(err)
+			}
+			if !readRoleHeld(t, client, ref) {
+				t.Fatal("an unprobed connection has no background reader")
+			}
+			_ = srv.Close()
+			time.Sleep(20 * time.Millisecond)
+			_, addr, err := SplitEndpoint(ref.Endpoint)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv2, err := NewServer(ServerOptions{Network: tc.nw, Address: addr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv2.Close()
+			srv2.Register("echo", "", echoServant())
+			if rs, err := client.Invoke(context.Background(), ref, "echo", wire.Int(2)); err != nil || len(rs) != 1 || rs[0].Num() != 2 {
+				t.Fatalf("first call after the unprobed connection died = %v, %v", rs, err)
+			}
+		})
+	}
+}
+
+// TestFaultNetworkForwardsIdleProbe: a FaultNetwork over the in-process
+// transport wraps each conn it arms, and the wrapper forwards the conn's
+// idle probe. So a synchronous caller still reads for itself, and a peer's
+// close while the connection idles is noticed before the next write.
+func TestFaultNetworkForwardsIdleProbe(t *testing.T) {
+	inner := NewInprocNetwork()
+	fn := NewFaultNetwork(inner)
+	srv, err := NewServer(ServerOptions{Network: inner, Address: "faulted"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref := srv.Register("echo", "", echoServant())
-	client := NewClient(TCPNetwork{})
+	client := NewClient(fn)
 	defer client.Close()
+	fn.SeverNextConnAfterFrames(1000) // armed, never reached: the conn is wrapped
 	if _, err := client.Invoke(context.Background(), ref, "echo", wire.Int(1)); err != nil {
 		t.Fatal(err)
 	}
+	client.mu.Lock()
+	_, wrapped := client.conns[ref.Endpoint].w.conn.(*faultConn)
+	client.mu.Unlock()
+	if !wrapped {
+		t.Fatal("the armed FaultNetwork did not wrap the conn")
+	}
+	if readRoleHeld(t, client, ref) {
+		t.Fatal("a background reader holds the wrapped connection's read role")
+	}
 	_ = srv.Close()
-	time.Sleep(20 * time.Millisecond) // the connection sits idle, closed by its peer
-
-	srv2, err := NewServer(ServerOptions{Network: TCPNetwork{},
-		Address: strings.TrimPrefix(ref.Endpoint, "tcp|")})
+	time.Sleep(20 * time.Millisecond)
+	srv2, err := NewServer(ServerOptions{Network: inner, Address: "faulted"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv2.Close()
 	srv2.Register("echo", "", echoServant())
-	rs, err := client.Invoke(context.Background(), ref, "echo", wire.Int(2))
-	if err != nil || len(rs) != 1 || rs[0].Num() != 2 {
-		t.Fatalf("first call after the idle connection died = %v, %v", rs, err)
+	if rs, err := client.Invoke(context.Background(), ref, "echo", wire.Int(2)); err != nil || len(rs) != 1 || rs[0].Num() != 2 {
+		t.Fatalf("first call after the wrapped connection died = %v, %v", rs, err)
+	}
+	if d := fn.Dials(); d != 2 {
+		t.Fatalf("dials = %d, want 2", d)
 	}
 }
 
@@ -358,14 +578,7 @@ func (r *rescueServant) Invoke(op string, args []wire.Value) ([]wire.Value, erro
 // a later request on the same connection has been dispatched. Only a rescue
 // can read that request, and it must come within a tick or two.
 func TestRescueBlockedInlineDispatch(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		nw   Network
-		addr string
-	}{
-		{"tcp", TCPNetwork{}, "127.0.0.1:0"},
-		{"inproc", NewInprocNetwork(), "rescue"},
-	} {
+	for _, tc := range readRoleNetworks() {
 		t.Run(tc.name, func(t *testing.T) {
 			checkLeaks := testutil.CheckGoroutines(t, 0)
 			srv, err := NewServer(ServerOptions{Network: tc.nw, Address: tc.addr})

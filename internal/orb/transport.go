@@ -11,7 +11,8 @@
 // oneway notifyEvent.
 //
 // Two transports are provided: TCP for real deployments and an in-process
-// channel transport for deterministic experiments and tests.
+// transport, a synchronous in-process conn, for deterministic experiments
+// and tests.
 package orb
 
 import (
@@ -129,7 +130,8 @@ func (t tcpListener) Close() error              { return t.l.Close() }
 func (t tcpListener) Addr() string              { return t.l.Addr().String() }
 
 // InprocNetwork is an in-process transport: listeners register under string
-// names and dialing creates a synchronous net.Pipe pair. All parties must
+// names and dialing creates the two ends of a synchronous in-process conn
+// (unbuffered, with net.Pipe's semantics; see pipe). All parties must
 // share the same InprocNetwork instance. It exists so whole experiments —
 // trader, agents, monitors, clients — run in one process with no sockets,
 // deterministically and fast.
@@ -176,7 +178,7 @@ func (n *InprocNetwork) Dial(addr string) (net.Conn, error) {
 	if !ok {
 		return nil, fmt.Errorf("orb: inproc dial %q: connection refused", addr)
 	}
-	client, server := net.Pipe()
+	client, server := newPipe()
 	select {
 	case l.accept <- server:
 		return client, nil
