@@ -121,8 +121,9 @@ loc:
 # rule and every quarantine built on it (trader offers, monitor aspects,
 # predicates and observers, script strategies), the wire fuzz properties
 # plus a short run of the native fuzzers — the wire decoder and the
-# compact value's representation, the VM-vs-reference differential fuzzer
-# and the trader's constraint and preference parsers — and the E15
+# compact value's representation, the VM-vs-reference differential fuzzer,
+# the script/wire conversion's round trip and the trader's constraint and
+# preference parsers — and the E15
 # governed-vs-ungoverned overload experiment.
 chaos:
 	$(GO) test -count=1 -run 'Admission|Overloaded|LegacyUnboundedSpill' ./internal/orb
@@ -134,6 +135,7 @@ chaos:
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzValueRepr -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzCompileResolve -fuzztime $(FUZZTIME) ./internal/script
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzVMDiff -fuzztime $(FUZZTIME) ./internal/script
+	$(GO) test -count=1 -run '^$$' -fuzz FuzzScriptWireRoundTrip -fuzztime $(FUZZTIME) ./internal/script
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzParseConstraint -fuzztime $(FUZZTIME) ./internal/trading
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzParsePreference -fuzztime $(FUZZTIME) ./internal/trading
 	$(GO) test -count=1 -run 'Overload|HostileQuarantine' ./internal/experiment

@@ -560,7 +560,7 @@ func BenchmarkE12StrategyEventInstallOnce(b *testing.B) {
 // seed had (scriptstrategy.go evaluated `return <src>` on every event): a
 // cache-disabled interpreter re-lexes, re-parses, and re-resolves the
 // strategy source per activation before calling it. The self stub mirrors
-// what buildScriptSelf provides — a monitor object whose getValue invokes
+// what the proxy's self provides — a monitor object whose getValue invokes
 // the real monitor servant over the ORB — so the two benchmarks differ
 // only in compile work.
 func BenchmarkE12StrategyEventReparse(b *testing.B) {

@@ -6,7 +6,9 @@ import (
 	"slices"
 
 	"autoadapt/internal/script"
+	"autoadapt/internal/scriptbind"
 	"autoadapt/internal/strikes"
+	"autoadapt/internal/trading"
 	"autoadapt/internal/wire"
 )
 
@@ -16,21 +18,30 @@ import (
 // strategies receive and installs compiled script functions as Strategy
 // values.
 //
-// The self object exposes, matching Fig. 7's usage:
+// self is the proxy's own object, one table per proxy, so whatever a
+// strategy stores on it (Fig. 7's self._loadavg) is there at the next
+// event. It exposes, matching Fig. 7's usage:
 //
-//	self:_select(query)            — re-query the trader and switch server;
-//	                                 returns true when a server was found
-//	self._observer                 — stands for the proxy as an observer
-//	self._loadavgmon               — monitor object for the watched property
-//	                                 (generalised: self:monitor(prop))
-//	self._loadavg                  — set by the strategy itself (Fig. 7 line 4)
+//	self:_select(query)  — re-query the trader and switch server;
+//	                       returns true when a server was found
+//	self._observer       — stands for the proxy as an observer
+//	self._server         — the bound server's reference
+//	self._loadavgmon     — monitor object for the watched property: each
+//	                       monitored property P is bound as
+//	                       _<lowercased P>mon and _monitor_<P>
 //
-// Monitor objects support getValue(), getAspectValue(name),
-// getAspectValues(name, ...) — one round trip, one sample, one result per
-// name — and attachEventObserver(observer, event, code), all forwarded over
-// the ORB. attachEventObserver(self._observer, event, code) is Fig. 7's
-// re-arm: the proxy re-subscribes event with the new code on that monitor,
-// replacing its earlier subscription there.
+// _observer and _select are written back at every activation; _server and
+// the monitor objects follow the binding, even a switch _select makes.
+//
+// A monitor object holds the monitor's reference as `ref` and the methods
+// getValue(), getAspectValue(name), getAspectValues(name, ...) — one round
+// trip, one sample, one result per name — attachEventObserver(observer,
+// event, code) and detachEventObserver(id), all forwarded over the ORB.
+// The methods are shared by the proxy's monitor objects and read the
+// reference from their receiver: call them as mon:getValue().
+// attachEventObserver(self._observer, event, code) is Fig. 7's re-arm: the
+// proxy re-subscribes event with the new code on that monitor, replacing
+// its earlier subscription there.
 
 // selfObserver is self._observer. Its endpoint has no "network|address"
 // form, so no real object reference equals it.
@@ -67,9 +78,8 @@ func (sp *SmartProxy) SetScriptStrategy(event, src string) error {
 func (sp *SmartProxy) installScriptStrategy(event string, fn script.Value) {
 	var fails strikes.Count // guarded by adaptMu, which every activation holds
 	sp.SetStrategy(event, func(ctx context.Context, p *SmartProxy) error {
-		self := p.buildScriptSelf(ctx)
 		p.scriptMu.Lock()
-		_, err := p.in.CallCtx(ctx, fn, []script.Value{self})
+		_, err := p.in.CallCtx(ctx, fn, []script.Value{p.scriptSelf()})
 		p.scriptMu.Unlock()
 		if !script.IsBudgetError(err) {
 			fails.Reset()
@@ -117,124 +127,120 @@ func (sp *SmartProxy) SetScriptStrategiesTable(src string) error {
 	return installErr
 }
 
-// buildScriptSelf constructs the `self` table passed to script strategies.
-// It is rebuilt per activation so monitor bindings always track the current
-// selection.
-func (sp *SmartProxy) buildScriptSelf(ctx context.Context) script.Value {
-	self := script.NewTable()
-	self.SetString("_observer", script.Ref(selfObserver))
-
-	// self:_select(query) — Fig. 7 line 9.
-	self.SetString("_select", script.Func("_select", func(_ *script.Interp, args []script.Value) ([]script.Value, error) {
-		query := ""
-		if len(args) > 1 {
-			query = args[1].Str()
-		}
-		// Runs without sp.mu: Select takes its own locks. The strategy
-		// runs under adaptMu, so concurrent adaptations cannot interleave.
-		ok, err := sp.Select(ctx, query)
-		if err != nil {
-			return []script.Value{script.Bool(false)}, nil
-		}
-		return []script.Value{script.Bool(ok)}, nil
-	}))
-
-	// self:monitor(prop) — generalized accessor; also bind the watched
-	// properties as _<lowercased-prop>mon fields (Fig. 7's _loadavgmon).
-	makeMonObj := func(ref wire.ObjRef) script.Value {
-		t := script.NewTable()
-		t.SetString("ref", script.Ref(ref))
-		t.SetString("getValue", script.Func("monitor.getValue", func(_ *script.Interp, _ []script.Value) ([]script.Value, error) {
-			rs, err := sp.opts.Client.Invoke(ctx, ref, "getValue")
-			if err != nil {
-				return nil, err
-			}
-			return fromWireAll(rs), nil
-		}))
-		t.SetString("getAspectValue", script.Func("monitor.getAspectValue", func(_ *script.Interp, args []script.Value) ([]script.Value, error) {
-			if len(args) < 2 {
-				return nil, fmt.Errorf("getAspectValue: name required")
-			}
-			rs, err := sp.opts.Client.Invoke(ctx, ref, "getAspectValue", wire.String(args[1].Str()))
-			if err != nil {
-				return nil, err
-			}
-			return fromWireAll(rs), nil
-		}))
-		t.SetString("getAspectValues", script.Func("monitor.getAspectValues", func(_ *script.Interp, args []script.Value) ([]script.Value, error) {
-			if len(args) < 2 {
-				return nil, fmt.Errorf("getAspectValues: name required")
-			}
-			names := make([]wire.Value, len(args)-1)
-			for i, a := range args[1:] {
-				names[i] = wire.String(a.Str())
-			}
-			rs, err := sp.opts.Client.Invoke(ctx, ref, "getAspectValues", names...)
-			if err != nil {
-				return nil, err
-			}
-			return fromWireAll(rs), nil
-		}))
-		t.SetString("attachEventObserver", script.Func("monitor.attachEventObserver", func(_ *script.Interp, args []script.Value) ([]script.Value, error) {
-			if len(args) < 4 {
-				return nil, fmt.Errorf("attachEventObserver: observer, event, code required")
-			}
-			obsRef, _ := args[1].AsRef()
-			if obsRef == selfObserver {
-				return nil, sp.rearm(ctx, ref, args[2].Str(), args[3].Str())
-			}
-			rs, err := sp.opts.Client.Invoke(ctx, ref, "attachEventObserver",
-				wire.Ref(obsRef), wire.String(args[2].Str()), wire.String(args[3].Str()))
-			if err != nil {
-				return nil, err
-			}
-			return fromWireAll(rs), nil
-		}))
-		t.SetString("detachEventObserver", script.Func("monitor.detachEventObserver", func(_ *script.Interp, args []script.Value) ([]script.Value, error) {
-			if len(args) < 2 {
-				return nil, fmt.Errorf("detachEventObserver: id required")
-			}
-			_, err := sp.opts.Client.Invoke(ctx, ref, "detachEventObserver", wire.Int(int(args[1].Num())))
-			return nil, err
-		}))
-		return script.TableVal(t)
-	}
-
-	sp.mu.Lock()
-	sel := sp.sel
-	sp.mu.Unlock()
-	if sel != nil {
-		// Properties served by one monitor (Fig. 6: LoadAvg and
-		// LoadAvgIncreasing) share one monitor object.
-		type builtMon struct {
-			ref wire.ObjRef
-			obj script.Value
-		}
-		built := make([]builtMon, 0, 4)
-		for prop := range sel.result.Offer.Props {
-			ref, ok := sel.result.Offer.MonitorFor(prop)
-			if !ok {
-				continue
-			}
-			i := slices.IndexFunc(built, func(b builtMon) bool { return b.ref == ref })
-			if i < 0 {
-				i = len(built)
-				built = append(built, builtMon{ref, makeMonObj(ref)})
-			}
-			self.SetString("_"+lowercase(prop)+"mon", built[i].obj)
-			self.SetString("_monitor_"+prop, built[i].obj)
-		}
-		self.SetString("_server", script.Ref(sel.result.Offer.Ref))
-	}
-	return script.TableVal(self)
+// scriptSelf is the proxy's one script-visible self table and the binding
+// its monitor fields were last built from. Guarded by scriptMu.
+type scriptSelf struct {
+	tbl      *script.Table
+	observer script.Value // self._observer
+	sel      script.Value // self._select
+	mons     *scriptbind.Methods
+	gen      uint64               // sp.gen the binding fields reflect
+	monKeys  []string             // the binding's _<prop>mon and _monitor_<prop> keys
+	keyCache map[string][2]string // a property's two monitor keys
 }
 
-func fromWireAll(vs []wire.Value) []script.Value {
-	out := make([]script.Value, len(vs))
-	for i, v := range vs {
-		out[i] = script.FromWire(v)
+// scriptSelf returns the `self` table passed to script strategies, made on
+// the first activation. It is the proxy's own object, so whatever a
+// strategy stores on it stays; the reserved fields are written back on
+// every activation, and the binding fields follow the current selection.
+func (sp *SmartProxy) scriptSelf() script.Value {
+	s := &sp.self
+	if s.tbl == nil {
+		s.tbl = script.NewTable()
+		s.observer = script.Ref(selfObserver)
+		s.sel = script.Func("_select", sp.scriptSelect)
+		s.mons = scriptbind.NewMethods(sp.opts.Client, "ref",
+			"getValue", "getAspectValue", "getAspectValues", "attachEventObserver", "detachEventObserver")
+		s.mons.Set("attachEventObserver", sp.scriptAttach)
+		s.keyCache = make(map[string][2]string)
+		s.gen = ^uint64(0) // reflects no binding yet
 	}
-	return out
+	s.tbl.SetString("_observer", s.observer)
+	s.tbl.SetString("_select", s.sel)
+	sp.refreshSelf()
+	return script.TableVal(s.tbl)
+}
+
+// scriptSelect is self:_select(query) — Fig. 7 line 9. After a switch it
+// refreshes self's binding fields, so the strategy sees the new server
+// before it returns.
+func (sp *SmartProxy) scriptSelect(in *script.Interp, args []script.Value) ([]script.Value, error) {
+	query := ""
+	if len(args) > 1 {
+		query = args[1].Str()
+	}
+	// Runs without sp.mu: Select takes its own locks. The strategy runs
+	// under adaptMu, so concurrent adaptations cannot interleave.
+	ok, err := sp.Select(in.Context(), query)
+	if ok && err == nil {
+		sp.refreshSelf()
+	}
+	return []script.Value{script.Bool(ok && err == nil)}, nil
+}
+
+// scriptAttach is a monitor object's attachEventObserver.
+// attachEventObserver(self._observer, event, code) is Fig. 7's re-arm; any
+// other observer is attached on the monitor itself.
+func (sp *SmartProxy) scriptAttach(in *script.Interp, mon wire.ObjRef, args []script.Value) ([]script.Value, error) {
+	if len(args) >= 3 {
+		if obs, _ := args[0].AsRef(); obs == selfObserver {
+			return nil, sp.rearm(in.Context(), mon, args[1].Str(), args[2].Str())
+		}
+	}
+	return scriptbind.Invoke(in, sp.opts.Client, mon, "attachEventObserver", args)
+}
+
+// refreshSelf rebuilds self's binding fields when the binding has changed
+// since they were built: _server, and the watched properties' monitor
+// objects as _<lowercased-prop>mon (Fig. 7's _loadavgmon) and
+// _monitor_<prop>. Properties served by one monitor (Fig. 6: LoadAvg and
+// LoadAvgIncreasing) share one monitor object.
+func (sp *SmartProxy) refreshSelf() {
+	s := &sp.self
+	sp.mu.Lock()
+	gen, bound := sp.gen, sp.sel != nil
+	var res trading.QueryResult
+	if bound {
+		res = sp.sel.result
+	}
+	sp.mu.Unlock()
+	if gen == s.gen {
+		return
+	}
+	s.gen = gen
+	for _, k := range s.monKeys {
+		s.tbl.SetString(k, script.Nil())
+	}
+	s.monKeys = s.monKeys[:0]
+	if !bound {
+		s.tbl.SetString("_server", script.Nil())
+		return
+	}
+	type builtMon struct {
+		ref wire.ObjRef
+		obj script.Value
+	}
+	built := make([]builtMon, 0, 4)
+	for prop := range res.Offer.Props {
+		ref, ok := res.Offer.MonitorFor(prop)
+		if !ok {
+			continue
+		}
+		i := slices.IndexFunc(built, func(b builtMon) bool { return b.ref == ref })
+		if i < 0 {
+			i = len(built)
+			built = append(built, builtMon{ref, s.mons.Object(ref)})
+		}
+		keys, ok := s.keyCache[prop] // derived once per name
+		if !ok {
+			keys = [2]string{"_" + lowercase(prop) + "mon", "_monitor_" + prop}
+			s.keyCache[prop] = keys
+		}
+		s.tbl.SetString(keys[0], built[i].obj)
+		s.tbl.SetString(keys[1], built[i].obj)
+		s.monKeys = append(s.monKeys, keys[0], keys[1])
+	}
+	s.tbl.SetString("_server", script.Ref(res.Offer.Ref))
 }
 
 func lowercase(s string) string {

@@ -141,6 +141,7 @@ type SmartProxy struct {
 
 	mu         sync.Mutex // guards selection, strategies, queue, stats
 	sel        *selection
+	gen        uint64 // bumped with every change to sel, so self can follow it
 	strategies map[string]Strategy
 	queue      []string
 	closed     bool
@@ -148,8 +149,9 @@ type SmartProxy struct {
 
 	adaptMu sync.Mutex // serializes adaptation passes
 
-	scriptMu sync.Mutex     // guards in: strategy compilation and execution
+	scriptMu sync.Mutex     // guards in and self: strategy compilation and execution
 	in       *script.Interp // strategy scripts
+	self     scriptSelf     // the strategies' self object
 
 	interceptors []Interceptor
 
@@ -348,6 +350,7 @@ func (sp *SmartProxy) bindResult(ctx context.Context, r trading.QueryResult) err
 	if old != nil && old.result.Offer.Ref == r.Offer.Ref {
 		// Same server: keep existing observations.
 		sp.sel.result = r
+		sp.gen++
 		sp.mu.Unlock()
 		return nil
 	}
@@ -377,6 +380,7 @@ func (sp *SmartProxy) bindResult(ctx context.Context, r trading.QueryResult) err
 		return ErrClosed
 	}
 	sp.sel = newSel
+	sp.gen++
 	if old != nil {
 		sp.stats.Switches++
 	}
@@ -599,6 +603,7 @@ func (sp *SmartProxy) Close() {
 	sp.closed = true
 	sel := sp.sel
 	sp.sel = nil
+	sp.gen++
 	sp.mu.Unlock()
 	teardown(sel)
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"autoadapt/internal/testutil"
+	"autoadapt/internal/wire"
 )
 
 // Allocation-regression guards for the interpreter hot paths, in the style
@@ -149,5 +150,27 @@ func TestCacheDisabledStillWorks(t *testing.T) {
 	}
 	if s := in.Stats(); s != (CacheStats{}) {
 		t.Fatalf("disabled cache reported stats %+v", s)
+	}
+}
+
+// A load sample crosses the script/wire boundary as a 3-number list on
+// every monitor read. Conversion sizes its target table first, so FromWire
+// costs the table and its array and ToWire one fused wire table. Measured:
+// 2 and 1, pinned with no slack.
+func TestAllocGuardFromWireList(t *testing.T) {
+	w := wire.TableVal(wire.NewList(wire.Number(80), wire.Number(40), wire.Number(30)))
+	if allocs := testing.AllocsPerRun(500, func() { _ = FromWire(w) }); allocs != 2 {
+		t.Fatalf("FromWire of a 3-number list: %.1f allocs/op, want 2", allocs)
+	}
+}
+
+func TestAllocGuardToWireList(t *testing.T) {
+	s := FromWire(wire.TableVal(wire.NewList(wire.Number(80), wire.Number(40), wire.Number(30))))
+	if allocs := testing.AllocsPerRun(500, func() {
+		if _, err := s.ToWire(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 1 {
+		t.Fatalf("ToWire of a 3-number list: %.1f allocs/op, want 1", allocs)
 	}
 }

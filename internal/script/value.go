@@ -307,7 +307,7 @@ func (v Value) ToWire() (wire.Value, error) {
 	case KindObjRef:
 		return wire.Ref(*v.r), nil
 	case KindTable:
-		out := wire.NewTable()
+		out := wire.NewTableSize(len(v.t.arr), len(v.t.strs)+len(v.t.hash))
 		var convErr error
 		v.t.Pairs(func(k, val Value) bool {
 			wk, err := k.ToWire()
@@ -360,7 +360,7 @@ func FromWire(v wire.Value) Value {
 		return Ref(r)
 	case wire.KindTable:
 		wt, _ := v.AsTable()
-		t := NewTable()
+		t := &Table{arr: make([]Value, 0, wt.Len())}
 		wt.Pairs(func(k, val wire.Value) bool {
 			// Wire table keys are always valid script keys.
 			_ = t.Set(FromWire(k), FromWire(val))
@@ -561,6 +561,9 @@ func (t *Table) Pairs(fn func(k, v Value) bool) {
 		if !fn(Int(i+1), v) {
 			return
 		}
+	}
+	if len(t.hash)+len(t.strs) == 0 {
+		return // a list: nothing to sort
 	}
 	keys := make([]tableKey, 0, len(t.hash)+len(t.strs))
 	for k := range t.hash {

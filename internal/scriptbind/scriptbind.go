@@ -48,18 +48,14 @@ func InstallORB(in *script.Interp, client *orb.Client) {
 			if !ok {
 				return nil, errors.New("orb.invoke: operation name must be a string")
 			}
+			if !oneway {
+				return Invoke(in, client, ref, op, args[2:])
+			}
 			wargs, err := toWireAll(args[2:])
 			if err != nil {
 				return nil, err
 			}
-			if oneway {
-				return nil, client.InvokeOneway(ref, op, wargs...)
-			}
-			rs, err := client.Invoke(in.Context(), ref, op, wargs...)
-			if err != nil {
-				return nil, err
-			}
-			return fromWireAll(rs), nil
+			return nil, client.InvokeOneway(ref, op, wargs...)
 		}
 	}
 	lib.SetString("invoke", script.Func("orb.invoke", invoke(false)))
@@ -98,28 +94,15 @@ func InstallORB(in *script.Interp, client *orb.Client) {
 //
 // and Bind(p, "getValue", ...) adds direct p:getValue(...) sugar.
 func ProxyTable(client *orb.Client, ref wire.ObjRef) script.Value {
-	t := script.NewTable()
-	t.SetString("_ref", script.Ref(ref))
-	t.SetString("call", script.Func("proxy.call", func(in *script.Interp, args []script.Value) ([]script.Value, error) {
-		// args[0] is the proxy table itself (method-call sugar).
-		if len(args) < 2 {
-			return nil, errors.New("proxy:call(op, ...)")
-		}
-		op, ok := args[1].AsString()
+	m := NewMethods(client, "_ref")
+	m.Set("call", func(in *script.Interp, ref wire.ObjRef, args []script.Value) ([]script.Value, error) {
+		op, ok := argAt(args, 0).AsString()
 		if !ok {
 			return nil, errors.New("proxy:call: operation name must be a string")
 		}
-		wargs, err := toWireAll(args[2:])
-		if err != nil {
-			return nil, err
-		}
-		rs, err := client.Invoke(in.Context(), ref, op, wargs...)
-		if err != nil {
-			return nil, err
-		}
-		return fromWireAll(rs), nil
-	}))
-	return script.TableVal(t)
+		return Invoke(in, client, ref, op, args[1:])
+	})
+	return m.Object(ref)
 }
 
 // Bind adds p:<op>(...) sugar for the named operations on a proxy table
@@ -129,25 +112,75 @@ func Bind(client *orb.Client, proxy script.Value, ops ...string) error {
 	if !ok {
 		return errors.New("scriptbind: Bind expects a proxy table")
 	}
-	ref, ok := t.GetString("_ref").AsRef()
-	if !ok {
+	if _, ok := t.GetString("_ref").AsRef(); !ok {
 		return errors.New("scriptbind: proxy table has no _ref")
 	}
-	for _, op := range ops {
-		opName := op
-		t.SetString(opName, script.Func("proxy."+opName, func(in *script.Interp, args []script.Value) ([]script.Value, error) {
-			wargs, err := toWireAll(args[1:]) // skip self
-			if err != nil {
-				return nil, err
-			}
-			rs, err := client.Invoke(in.Context(), ref, opName, wargs...)
-			if err != nil {
-				return nil, err
-			}
-			return fromWireAll(rs), nil
-		}))
-	}
+	NewMethods(client, "_ref", ops...).install(t)
 	return nil
+}
+
+// Methods is a set of bound operations for remote-object tables: one
+// script function per operation, shared by every table it is installed on.
+// A method reads its target from the reference field of its receiver, the
+// table it was called on with obj:op(...), and its context from the
+// interpreter, so it captures neither.
+type Methods struct {
+	field string
+	fns   map[string]script.Value
+}
+
+// NewMethods binds ops to forward over client to the reference in each
+// receiver's field.
+func NewMethods(client *orb.Client, field string, ops ...string) *Methods {
+	m := &Methods{field: field, fns: make(map[string]script.Value, len(ops))}
+	for _, op := range ops {
+		m.Set(op, func(in *script.Interp, ref wire.ObjRef, args []script.Value) ([]script.Value, error) {
+			return Invoke(in, client, ref, op, args)
+		})
+	}
+	return m
+}
+
+// Set binds op to body, which gets the receiver's reference and the
+// arguments after the receiver.
+func (m *Methods) Set(op string, body func(in *script.Interp, ref wire.ObjRef, args []script.Value) ([]script.Value, error)) {
+	m.fns[op] = script.Func("proxy."+op, func(in *script.Interp, args []script.Value) ([]script.Value, error) {
+		if t, ok := argAt(args, 0).AsTable(); ok {
+			if ref, ok := t.GetString(m.field).AsRef(); ok {
+				return body(in, ref, args[1:])
+			}
+		}
+		return nil, fmt.Errorf("%s: receiver has no %s reference; call it as obj:%s(...)", op, m.field, op)
+	})
+}
+
+// Object returns a new table holding ref in the reference field and every
+// bound operation.
+func (m *Methods) Object(ref wire.ObjRef) script.Value {
+	t := script.NewTable()
+	t.SetString(m.field, script.Ref(ref))
+	m.install(t)
+	return script.TableVal(t)
+}
+
+func (m *Methods) install(t *script.Table) {
+	for op, fn := range m.fns {
+		t.SetString(op, fn)
+	}
+}
+
+// Invoke calls op on ref with args converted to wire values, under the
+// interpreter's context, and returns the results as script values.
+func Invoke(in *script.Interp, client *orb.Client, ref wire.ObjRef, op string, args []script.Value) ([]script.Value, error) {
+	wargs, err := toWireAll(args)
+	if err != nil {
+		return nil, err
+	}
+	rs, err := client.Invoke(in.Context(), ref, op, wargs...)
+	if err != nil {
+		return nil, err
+	}
+	return fromWireAll(rs), nil
 }
 
 // InstallTrading adds the LuaTrading API to an interpreter:
