@@ -149,45 +149,66 @@ func StartTrader(opts TraderOptions) (*TraderHandle, error) {
 	for _, st := range opts.Types {
 		tr.AddType(st)
 	}
+	srv, ref, err := serveTrader(opts, trading.NewServant(tr))
+	if err != nil {
+		_ = client.Close()
+		return nil, err
+	}
+	h := &TraderHandle{Trader: tr, Ref: ref, server: srv, client: client}
+	h.stopReaper = startReaper(tr, opts.LeaseTTL, opts.ReapInterval)
+	return h, nil
+}
+
+// metricsServant is a trader servant whose `metrics` operation can be
+// armed; WithMetricsText returns the servant for chaining.
+type metricsServant[S any] interface {
+	orb.Servant
+	WithMetricsText(fn func() string) S
+}
+
+// serveTrader starts a trader daemon's server: the monitor and trader IDL
+// loaded into a repository that type-checks inbound calls when
+// opts.CheckIDL is set, and servant registered at the well-known trader key
+// with its `metrics` operation answering opts.Metrics' text when that is
+// set. StartTrader and StartShardedTrader differ only in the servant.
+func serveTrader[S metricsServant[S]](opts TraderOptions, servant S) (*orb.Server, ObjRef, error) {
 	var repo *idl.Repository
+	iface := ""
 	if opts.CheckIDL {
 		repo = idl.NewRepository()
 		if err := repo.LoadIDL(monitor.IDL); err != nil {
-			_ = client.Close()
-			return nil, fmt.Errorf("autoadapt: load monitor IDL: %w", err)
+			return nil, ObjRef{}, fmt.Errorf("autoadapt: load monitor IDL: %w", err)
 		}
 		if err := repo.LoadIDL(trading.InterfaceIDL); err != nil {
-			_ = client.Close()
-			return nil, fmt.Errorf("autoadapt: load trader IDL: %w", err)
+			return nil, ObjRef{}, fmt.Errorf("autoadapt: load trader IDL: %w", err)
 		}
+		iface = "Trader"
 	}
 	srv, err := orb.NewServer(orb.ServerOptions{
 		Network: opts.Network, Address: opts.Address, Repo: repo, Logger: opts.Logger,
 		MaxConcurrent: opts.MaxConcurrent, Metrics: opts.Metrics,
 	})
 	if err != nil {
-		_ = client.Close()
-		return nil, err
+		return nil, ObjRef{}, err
 	}
-	iface := ""
-	if opts.CheckIDL {
-		iface = "Trader"
-	}
-	servant := trading.NewServant(tr)
 	if opts.Metrics != nil {
 		servant.WithMetricsText(opts.Metrics.Text)
 	}
-	ref := srv.Register(trading.DefaultObjectKey, iface, servant)
-	h := &TraderHandle{Trader: tr, Ref: ref, server: srv, client: client}
-	if opts.LeaseTTL > 0 {
-		tr.SetLeaseTTL(opts.LeaseTTL)
-		interval := opts.ReapInterval
-		if interval <= 0 {
-			interval = opts.LeaseTTL / 3
-		}
-		h.stopReaper = tr.StartReaper(interval)
+	return srv, srv.Register(trading.DefaultObjectKey, iface, servant), nil
+}
+
+// startReaper makes tr's offers leases of ttl, garbage-collected every
+// interval (default ttl/3), and returns the reaper's stop function. It
+// returns nil, and leaves offers alive forever, when ttl is not positive.
+func startReaper(tr *trading.Trader, ttl, interval time.Duration) func() {
+	if ttl <= 0 {
+		return nil
 	}
-	return h, nil
+	tr.SetLeaseTTL(ttl)
+	if interval <= 0 {
+		interval = ttl / 3
+	}
+	return tr.StartReaper(interval)
 }
 
 // Endpoint returns the trader's endpoint string.
@@ -277,13 +298,8 @@ func StartShardedTrader(opts ShardedTraderOptions) (*ShardedTraderHandle, error)
 		tr := trading.NewTrader(trading.ClientResolver{Client: client})
 		tr.SetResolveTimeout(opts.ResolveTimeout)
 		tr.SetMetrics(opts.Metrics)
-		if opts.LeaseTTL > 0 {
-			tr.SetLeaseTTL(opts.LeaseTTL)
-			interval := opts.ReapInterval
-			if interval <= 0 {
-				interval = opts.LeaseTTL / 3
-			}
-			h.stoppers = append(h.stoppers, tr.StartReaper(interval))
+		if stop := startReaper(tr, opts.LeaseTTL, opts.ReapInterval); stop != nil {
+			h.stoppers = append(h.stoppers, stop)
 		}
 		traders[i] = tr
 		dirs[i] = trading.Local{T: tr}
@@ -331,33 +347,14 @@ func StartShardedTrader(opts ShardedTraderOptions) (*ShardedTraderHandle, error)
 		reg.GaugeFunc("trading_exports", sum(func(s trading.TraderStats) int64 { return s.Exports }))
 	}
 
-	var repo *idl.Repository
-	if opts.CheckIDL {
-		repo = idl.NewRepository()
-		if err := repo.LoadIDL(monitor.IDL); err != nil {
-			return fail(fmt.Errorf("autoadapt: load monitor IDL: %w", err))
-		}
-		if err := repo.LoadIDL(trading.InterfaceIDL); err != nil {
-			return fail(fmt.Errorf("autoadapt: load trader IDL: %w", err))
-		}
-	}
-	srv, err := orb.NewServer(orb.ServerOptions{
-		Network: opts.Network, Address: opts.Address, Repo: repo, Logger: opts.Logger,
-		MaxConcurrent: opts.MaxConcurrent, Metrics: opts.Metrics,
-	})
+	srv, ref, err := serveTrader(TraderOptions{
+		Network: opts.Network, Address: opts.Address, CheckIDL: opts.CheckIDL,
+		MaxConcurrent: opts.MaxConcurrent, Metrics: opts.Metrics, Logger: opts.Logger,
+	}, shard.NewServant(router))
 	if err != nil {
 		return fail(err)
 	}
-	h.server = srv
-	iface := ""
-	if opts.CheckIDL {
-		iface = "Trader"
-	}
-	servant := shard.NewServant(router)
-	if opts.Metrics != nil {
-		servant.WithMetricsText(opts.Metrics.Text)
-	}
-	h.Ref = srv.Register(trading.DefaultObjectKey, iface, servant)
+	h.server, h.Ref = srv, ref
 	return h, nil
 }
 

@@ -65,16 +65,6 @@ func (s *Static) Bind(ctx context.Context) error {
 	return nil
 }
 
-// Current returns the bound server reference.
-func (s *Static) Current() wire.ObjRef {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.proxy == nil {
-		return wire.ObjRef{}
-	}
-	return s.proxy.Ref()
-}
-
 // Invoke implements Invoker.
 func (s *Static) Invoke(ctx context.Context, op string, args ...wire.Value) ([]wire.Value, error) {
 	s.mu.Lock()

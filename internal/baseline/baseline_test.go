@@ -65,8 +65,8 @@ func TestStaticBindsLeastLoadedAndSticks(t *testing.T) {
 	if err := c.Bind(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if c.Current() != f.refs[1] {
-		t.Fatalf("bound to %v, want least-loaded h-1", c.Current())
+	if c.proxy.Ref() != f.refs[1] {
+		t.Fatalf("bound to %v, want least-loaded h-1", c.proxy.Ref())
 	}
 	for i := 0; i < 5; i++ {
 		if _, err := c.Invoke(ctx, "op"); err != nil {
@@ -84,8 +84,8 @@ func TestStaticUnboundInvokeFails(t *testing.T) {
 	if _, err := c.Invoke(context.Background(), "op"); err == nil {
 		t.Fatal("unbound invoke succeeded")
 	}
-	if !c.Current().IsZero() {
-		t.Fatal("unbound Current should be zero")
+	if c.proxy != nil {
+		t.Fatal("unbound client holds a proxy")
 	}
 }
 

@@ -31,8 +31,6 @@ type Clock interface {
 	// d after the call. The returned stop function releases the timer early;
 	// it reports whether the timer was stopped before firing.
 	After(d time.Duration) (<-chan time.Time, func() bool)
-	// Sleep blocks for d.
-	Sleep(d time.Duration)
 }
 
 // Real is a Clock backed by the system clock.
@@ -48,9 +46,6 @@ func (Real) After(d time.Duration) (<-chan time.Time, func() bool) {
 	t := time.NewTimer(d)
 	return t.C, t.Stop
 }
-
-// Sleep implements Clock.
-func (Real) Sleep(d time.Duration) { time.Sleep(d) }
 
 // Every runs fn every interval on c until the returned stop function is
 // called. The first timer is armed before Every returns, so a caller driving
@@ -172,8 +167,8 @@ func (s *Sim) After(d time.Duration) (<-chan time.Time, func() bool) {
 	return t.ch, stop
 }
 
-// Sleep implements Clock. It blocks until simulated time has advanced by d
-// (driven by another goroutine calling Advance).
+// Sleep blocks until simulated time has advanced by d (driven by another
+// goroutine calling Advance).
 func (s *Sim) Sleep(d time.Duration) {
 	if d <= 0 {
 		return

@@ -89,36 +89,52 @@ func TestFailoverBacksOffAcrossReselects(t *testing.T) {
 	}
 }
 
-// TestFailoverSkipsDeadLeasedOffer crashes the preferred server while its
-// offer stays listed (static properties, lease not yet run out): failover
-// must pass over the ref that just failed instead of re-binding it, and a
-// plain client still aimed at the dead ref follows the proxy through the
-// redirector.
-func TestFailoverSkipsDeadLeasedOffer(t *testing.T) {
-	w := newWorld(t, 0)
-	var hosts []*orb.Server
-	var refs []wire.ObjRef
-	for i, name := range []string{"h1", "h2"} {
+// rankedHosts starts one hello server per name on w's network and exports
+// each as a LoadShared offer whose static Rank is its position (1 first);
+// operation "boom" answers with an application error.
+func rankedHosts(t *testing.T, w *testWorld, names ...string) (srvs []*orb.Server, refs []wire.ObjRef, ids []string) {
+	t.Helper()
+	for i, name := range names {
 		srv, err := orb.NewServer(orb.ServerOptions{Network: w.net, Address: name})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { _ = srv.Close() })
-		ref := srv.Register("service", "", orb.ServantFunc(func(string, []wire.Value) ([]wire.Value, error) {
+		ref := srv.Register("service", "", orb.ServantFunc(func(op string, _ []wire.Value) ([]wire.Value, error) {
+			if op == "boom" {
+				return nil, orb.Appf("boom from %s", name)
+			}
 			return []wire.Value{wire.String("hello from " + name)}, nil
 		}))
-		if _, err := w.trader.Export("LoadShared", ref, map[string]trading.PropValue{
+		id, err := w.trader.Export("LoadShared", ref, map[string]trading.PropValue{
 			"Rank": {Static: wire.Int(i + 1)},
-		}); err != nil {
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-		hosts, refs = append(hosts, srv), append(refs, ref)
+		srvs, refs, ids = append(srvs, srv), append(refs, ref), append(ids, id)
 	}
+	return srvs, refs, ids
+}
+
+// rankedProxy is a failover proxy bound to the best-ranked offer.
+func rankedProxy(t *testing.T, w *testWorld) *SmartProxy {
+	t.Helper()
 	sp := w.newProxy(Options{Constraint: "Rank > 0", Preference: "min Rank", Failover: true})
-	ctx := context.Background()
-	if err := sp.Bind(ctx); err != nil {
+	if err := sp.Bind(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	return sp
+}
+
+// TestFailoverSkipsDeadLeasedOffer crashes the preferred server while its
+// offer stays listed (static properties, lease not yet run out): failover
+// must pass over the ref that just failed instead of re-binding it.
+func TestFailoverSkipsDeadLeasedOffer(t *testing.T) {
+	w := newWorld(t, 0)
+	hosts, refs, _ := rankedHosts(t, w, "h1", "h2")
+	sp := rankedProxy(t, w)
+	ctx := context.Background()
 	if cur, _ := sp.Current(); cur != refs[0] {
 		t.Fatalf("bound to %v, want h1", cur)
 	}
@@ -136,15 +152,88 @@ func TestFailoverSkipsDeadLeasedOffer(t *testing.T) {
 	if st := sp.Stats(); st.Switches != 1 {
 		t.Fatalf("stats = %+v, want exactly one switch", st)
 	}
+}
 
-	ic := orb.NewInterceptingClient(w.client)
-	ic.Use(NewRedirector(sp))
-	rs, err = ic.Invoke(ctx, refs[0], "hello")
+// TestRebindsToSurvivorOnDeadServer: a bound server crashes with its offer
+// still registered; the invocation in flight is not lost, the proxy moves to
+// the survivor once and stays there.
+func TestRebindsToSurvivorOnDeadServer(t *testing.T) {
+	w := newWorld(t, 0)
+	hosts, refs, _ := rankedHosts(t, w, "h1", "h2")
+	sp := rankedProxy(t, w)
+	ctx := context.Background()
+	if cur, _ := sp.Current(); cur != refs[0] {
+		t.Fatalf("bound to %v, want h1 (min Rank)", cur)
+	}
+	if rs, err := sp.Invoke(ctx, "hello"); err != nil || rs[0].Str() != "hello from h1" {
+		t.Fatalf("first invoke = %v, %v", rs, err)
+	}
+	_ = hosts[0].Close()
+	rs, err := sp.Invoke(ctx, "hello")
 	if err != nil {
-		t.Fatalf("redirected invoke: %v", err)
+		t.Fatalf("invoke across crash: %v", err)
 	}
 	if rs[0].Str() != "hello from h2" {
-		t.Fatalf("redirected reply = %q, want h2", rs[0].Str())
+		t.Fatalf("rebound reply = %q", rs[0].Str())
+	}
+	if cur, _ := sp.Current(); cur != refs[1] {
+		t.Fatalf("current = %v, want h2", cur)
+	}
+	if st := sp.Stats(); st.Switches != 1 || st.Invocations != 2 {
+		t.Fatalf("stats = %+v", st)
+	}
+	if rs, err := sp.Invoke(ctx, "hello"); err != nil || rs[0].Str() != "hello from h2" {
+		t.Fatalf("steady state = %v, %v", rs, err)
+	}
+}
+
+// TestStaleFallbackExhausted: with no offer left and the bound server dead,
+// the invocation fails with the transport fault and the proxy keeps its
+// binding, since the trader offers nothing new.
+func TestStaleFallbackExhausted(t *testing.T) {
+	w := newWorld(t, 0)
+	hosts, refs, ids := rankedHosts(t, w, "h1")
+	sp := rankedProxy(t, w)
+	ctx := context.Background()
+	if _, err := sp.Invoke(ctx, "hello"); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.trader.Withdraw(ids[0]); err != nil {
+		t.Fatal(err)
+	}
+	_ = hosts[0].Close()
+	before := sp.Stats()
+	_, err := sp.Invoke(ctx, "hello")
+	var re *orb.RemoteError
+	if err == nil || errors.As(err, &re) {
+		t.Fatalf("err = %v, want a transport fault", err)
+	}
+	st := sp.Stats()
+	if st.Selections != before.Selections+1 || st.Switches != before.Switches {
+		t.Fatalf("stats %+v -> %+v, want one re-selection and no switch", before, st)
+	}
+	if cur, _ := sp.Current(); cur != refs[0] {
+		t.Fatalf("binding moved to %v", cur)
+	}
+}
+
+// TestApplicationErrorsPassThrough: a servant-level error is an answer, not
+// a fault, so it causes no re-selection.
+func TestApplicationErrorsPassThrough(t *testing.T) {
+	w := newWorld(t, 0)
+	_, refs, _ := rankedHosts(t, w, "h1", "h2")
+	sp := rankedProxy(t, w)
+	before := sp.Stats()
+	_, err := sp.Invoke(context.Background(), "boom")
+	var re *orb.RemoteError
+	if !errors.As(err, &re) {
+		t.Fatalf("err = %v, want RemoteError", err)
+	}
+	if st := sp.Stats(); st.Switches != 0 || st.Selections != before.Selections {
+		t.Fatalf("app error caused rebinding: %+v", st)
+	}
+	if cur, _ := sp.Current(); cur != refs[0] {
+		t.Fatalf("binding moved to %v", cur)
 	}
 }
 

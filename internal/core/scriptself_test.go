@@ -133,7 +133,7 @@ func TestScriptSelfReservedFieldsRestored(t *testing.T) {
 	}
 	activate(t, sp, "Clobber")
 	activate(t, sp, "Use")
-	if ok, _ := global(t, sp, "probe_ok").AsBool(); !ok {
+	if v := global(t, sp, "probe_ok"); v.Kind() != script.KindBool || !v.Truthy() {
 		t.Fatal("self:_select after a strategy cleared it did not select")
 	}
 	if k := global(t, sp, "probe_observer").Str(); k != "objref" {
@@ -169,7 +169,7 @@ func TestScriptSelfFollowsSelectWithinActivation(t *testing.T) {
 	if ref, _ := global(t, sp, "probe_before").AsRef(); ref != hostRef(0) {
 		t.Fatalf("self._server before the switch = %v, want host-0", ref)
 	}
-	if ok, _ := global(t, sp, "probe_ok").AsBool(); !ok {
+	if v := global(t, sp, "probe_ok"); v.Kind() != script.KindBool || !v.Truthy() {
 		t.Fatal("self:_select reported no server")
 	}
 	if ref, _ := global(t, sp, "probe_server").AsRef(); ref != cur {

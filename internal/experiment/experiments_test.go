@@ -153,14 +153,6 @@ func TestMetrics(t *testing.T) {
 	if got := StdDev([]float64{2, 4}); got != 1 {
 		t.Fatalf("StdDev = %v", got)
 	}
-	ds := Seconds([]time.Duration{time.Second, 2 * time.Second})
-	if ds[1] != 2 {
-		t.Fatalf("Seconds = %v", ds)
-	}
-	is := Int64s([]int64{3})
-	if is[0] != 3 {
-		t.Fatalf("Int64s = %v", is)
-	}
 }
 
 func TestTableRender(t *testing.T) {
@@ -168,11 +160,11 @@ func TestTableRender(t *testing.T) {
 	tb.AddRow("x")
 	tb.AddRow("longer", "y", "dropped")
 	out := tb.Render()
-	if out == "" || len(tb.Rows()) != 2 {
+	if out == "" || len(tb.rows) != 2 {
 		t.Fatalf("render/rows broken: %q", out)
 	}
-	if tb.Rows()[1][1] != "y" {
-		t.Fatalf("rows = %v", tb.Rows())
+	if tb.rows[1][1] != "y" {
+		t.Fatalf("rows = %v", tb.rows)
 	}
 	if F(1.23456) != "1.235" || Ms(0.0015) != "1.5ms" || I(7) != "7" {
 		t.Fatal("format helpers wrong")

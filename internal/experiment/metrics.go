@@ -3,7 +3,6 @@ package experiment
 import (
 	"math"
 	"sort"
-	"time"
 )
 
 // Mean returns the arithmetic mean of xs (0 for empty input).
@@ -81,22 +80,4 @@ func MaxOverMean(xs []float64) float64 {
 		}
 	}
 	return mx / m
-}
-
-// Seconds converts durations to float seconds.
-func Seconds(ds []time.Duration) []float64 {
-	out := make([]float64, len(ds))
-	for i, d := range ds {
-		out[i] = d.Seconds()
-	}
-	return out
-}
-
-// Int64s converts integers to floats for the metric helpers.
-func Int64s(xs []int64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = float64(x)
-	}
-	return out
 }

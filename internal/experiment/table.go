@@ -30,15 +30,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// Rows returns the accumulated rows.
-func (t *Table) Rows() [][]string {
-	out := make([][]string, len(t.rows))
-	for i, r := range t.rows {
-		out[i] = append([]string(nil), r...)
-	}
-	return out
-}
-
 // Render returns the table as aligned text.
 func (t *Table) Render() string {
 	widths := make([]int, len(t.Headers))

@@ -17,8 +17,6 @@
 package hostenv
 
 import (
-	"context"
-	"errors"
 	"math"
 	"sync"
 	"time"
@@ -31,9 +29,6 @@ const SamplePeriod = 5 * time.Second
 
 // Damping periods for the three load averages.
 var loadPeriods = [3]time.Duration{time.Minute, 5 * time.Minute, 15 * time.Minute}
-
-// ErrHostClosed is returned by Serve on a closed host.
-var ErrHostClosed = errors.New("hostenv: host closed")
 
 // Options configures a simulated host.
 type Options struct {
@@ -54,7 +49,6 @@ type Host struct {
 	opts Options
 
 	mu       sync.Mutex
-	active   int     // in-flight request tasks
 	bg       float64 // background runnable tasks (may be fractional)
 	loads    [3]float64
 	closed   bool
@@ -89,7 +83,7 @@ func New(opts Options) *Host {
 // Name returns the host's name.
 func (h *Host) Name() string { return h.opts.Name }
 
-// Close stops the sampling loop. In-flight Serve calls complete normally.
+// Close stops the sampling loop.
 func (h *Host) Close() {
 	h.mu.Lock()
 	if h.closed {
@@ -130,29 +124,12 @@ func (h *Host) SetBackground(n float64) {
 	h.bg = n
 }
 
-// Background returns the current background load.
-func (h *Host) Background() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.bg
-}
-
-// Runnable reports the instantaneous run-queue length (background +
-// in-flight requests).
-func (h *Host) Runnable() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.runnableLocked()
-}
-
-func (h *Host) runnableLocked() float64 { return h.bg + float64(h.active) }
-
 // Sample performs one load-average update step, exactly as the Linux
 // kernel's calc_load: load' = load·e^(−Δt/τ) + n·(1−e^(−Δt/τ)).
 func (h *Host) Sample() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	n := h.runnableLocked()
+	n := h.bg
 	for i, period := range loadPeriods {
 		e := sampleDecay(SamplePeriod, period)
 		h.loads[i] = h.loads[i]*e + n*(1-e)
@@ -178,46 +155,6 @@ func (h *Host) SetLoadAvg(one, five, fifteen float64) {
 	h.loads = [3]float64{one, five, fifteen}
 }
 
-// Serve simulates executing one request with the given base CPU demand:
-// it occupies a run-queue slot for the dilated service time, sleeping on
-// the host's clock. It returns the dilated duration actually spent.
-func (h *Host) Serve(ctx context.Context, demand time.Duration) (time.Duration, error) {
-	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
-		return 0, ErrHostClosed
-	}
-	h.active++
-	dilation := h.runnableLocked() / h.opts.Capacity
-	if dilation < 1 {
-		dilation = 1
-	}
-	h.mu.Unlock()
-
-	d := time.Duration(float64(demand) * dilation)
-	ch, stopTimer := h.opts.Clock.After(d)
-	var err error
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	select {
-	case <-ch:
-	case <-done:
-		stopTimer()
-		err = ctx.Err()
-	}
-
-	h.mu.Lock()
-	h.active--
-	if err == nil {
-		h.served++
-		h.busyTime += d
-	}
-	h.mu.Unlock()
-	return d, err
-}
-
 // Served reports how many requests completed on this host.
 func (h *Host) Served() int64 {
 	h.mu.Lock()
@@ -230,12 +167,4 @@ func (h *Host) BusyTime() time.Duration {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.busyTime
-}
-
-// ResetStats clears served/busy counters (between experiment phases).
-func (h *Host) ResetStats() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.served = 0
-	h.busyTime = 0
 }

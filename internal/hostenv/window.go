@@ -2,10 +2,9 @@ package hostenv
 
 import "time"
 
-// Windowed accounting: the synchronous mode used by the experiment driver
-// (internal/experiment). Instead of occupying a run-queue slot for a
-// dilated wall-clock interval (Serve), requests deposit their CPU demand
-// into the current accounting window with RecordWork; SampleWindow then
+// Windowed accounting, as the experiment driver (internal/experiment) runs
+// a host: requests deposit their CPU demand into the current accounting
+// window with RecordWork; SampleWindow then
 // converts the window's accumulated demand into an average runnable-task
 // contribution (utilization) and feeds the kernel-style load averages.
 // This keeps multi-minute experiments single-threaded and deterministic
@@ -26,16 +25,10 @@ func (h *Host) RecordWork(demand time.Duration) time.Duration {
 	return d
 }
 
-// Dilation reports the current service-time dilation factor:
+// dilationLocked is the service-time dilation factor:
 // max(1, (background + window utilization) / capacity).
-func (h *Host) Dilation() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.dilationLocked()
-}
-
 func (h *Host) dilationLocked() float64 {
-	d := (h.bg + h.lastRho + float64(h.active)) / h.opts.Capacity
+	d := (h.bg + h.lastRho) / h.opts.Capacity
 	if d < 1 {
 		return 1
 	}
@@ -54,16 +47,9 @@ func (h *Host) SampleWindow(dt time.Duration) {
 	defer h.mu.Unlock()
 	h.lastRho = h.windowWork.Seconds() / dt.Seconds()
 	h.windowWork = 0
-	n := h.bg + h.lastRho + float64(h.active)
+	n := h.bg + h.lastRho
 	for i, period := range loadPeriods {
 		e := sampleDecay(dt, period)
 		h.loads[i] = h.loads[i]*e + n*(1-e)
 	}
-}
-
-// Utilization reports the previous window's request-driven utilization.
-func (h *Host) Utilization() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.lastRho
 }

@@ -25,23 +25,30 @@ func TestRecordWorkDilatesAndAccounts(t *testing.T) {
 	}
 }
 
+// dilation reads h's current service-time dilation factor.
+func dilation(h *Host) float64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.dilationLocked()
+}
+
 func TestDilationIncludesPreviousWindowUtilization(t *testing.T) {
 	h, _ := newSimHost("w")
 	defer h.Close()
 	// Deposit 2.5s of demand into a 5s window: utilization 0.5.
 	h.RecordWork(2500 * time.Millisecond)
 	h.SampleWindow(5 * time.Second)
-	if got := h.Utilization(); got != 0.5 {
-		t.Fatalf("Utilization = %v, want 0.5", got)
+	if got := h.lastRho; got != 0.5 {
+		t.Fatalf("utilization = %v, want 0.5", got)
 	}
-	if got := h.Dilation(); got != 1 { // 0.5 < 1 cpu → no dilation
-		t.Fatalf("Dilation = %v, want 1", got)
+	if got := dilation(h); got != 1 { // 0.5 < 1 cpu → no dilation
+		t.Fatalf("dilation = %v, want 1", got)
 	}
 	// Overload: 10s of demand in 5s → utilization 2 → dilation 2.
 	h.RecordWork(10 * time.Second)
 	h.SampleWindow(5 * time.Second)
-	if got := h.Dilation(); got != 2 {
-		t.Fatalf("Dilation = %v, want 2", got)
+	if got := dilation(h); got != 2 {
+		t.Fatalf("dilation = %v, want 2", got)
 	}
 }
 
@@ -90,11 +97,11 @@ func TestCapacityDividesDilation(t *testing.T) {
 	defer h.Close()
 	h.SetBackground(4)
 	// 4 runnable on 4 CPUs: no dilation.
-	if got := h.Dilation(); got != 1 {
-		t.Fatalf("Dilation on 4-cpu host = %v, want 1", got)
+	if got := dilation(h); got != 1 {
+		t.Fatalf("dilation on 4-cpu host = %v, want 1", got)
 	}
 	h.SetBackground(8)
-	if got := h.Dilation(); got != 2 {
-		t.Fatalf("Dilation = %v, want 2", got)
+	if got := dilation(h); got != 2 {
+		t.Fatalf("dilation = %v, want 2", got)
 	}
 }

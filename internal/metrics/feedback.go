@@ -1,13 +1,10 @@
 package metrics
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // SLOFeed turns a latency histogram and an error counter into windowed
 // SLO samples — the piece that closes the adaptation loop. A servant
-// (or an ORB interceptor on its behalf) calls Observe per request; a
+// calls ObserveLatency per request; a
 // monitor's Update calls Sample once per period and publishes the
 // result as aspects/dynamic properties (`p99_ms`, `err_rate`), so a
 // smart-proxy constraint can say `p99_ms < 50` over measured data.
@@ -59,22 +56,8 @@ func NewSLOFeed(reg *Registry, prefix string) *SLOFeed {
 	return f
 }
 
-// Observe records one request outcome: its latency and whether it
-// failed. Safe for concurrent use; never allocates.
-func (f *SLOFeed) Observe(d time.Duration, failed bool) {
-	if f == nil {
-		return
-	}
-	f.latency.Observe(d.Microseconds())
-	f.total.Inc()
-	if failed {
-		f.errs.Inc()
-	}
-}
-
-// ObserveLatency records a pre-measured latency in microseconds with a
-// success/failure flag — for simulated workloads whose "latency" never
-// passed through a wall clock.
+// ObserveLatency records one request outcome: its latency in microseconds
+// and whether it failed. Safe for concurrent use; never allocates.
 func (f *SLOFeed) ObserveLatency(us int64, failed bool) {
 	if f == nil {
 		return
@@ -125,14 +108,4 @@ func (f *SLOFeed) Sample() SLOSample {
 	}
 	f.last = s
 	return s
-}
-
-// Last returns the most recent window sample without closing a new one.
-func (f *SLOFeed) Last() SLOSample {
-	if f == nil {
-		return SLOSample{}
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.last
 }

@@ -69,13 +69,6 @@ func (g *Gauge) Set(v int64) {
 	}
 }
 
-// Add moves the value by d (negative to decrease).
-func (g *Gauge) Add(d int64) {
-	if g != nil {
-		g.v.Add(d)
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 {
 	if g == nil {
@@ -106,10 +99,6 @@ func NewRegistry() *Registry {
 		hists:  make(map[string]*Histogram),
 	}
 }
-
-// Default is the process-wide registry used by commands and anything
-// that has no better scope.
-var Default = NewRegistry()
 
 // Counter returns the counter registered under name, creating it if
 // needed. Returns nil on a nil registry.

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestBucketRoundTrip pins the histogram's resolution contract: exact
@@ -209,7 +208,6 @@ func TestNilRegistry(t *testing.T) {
 	r.Counter("x").Inc()
 	r.Counter("x").Add(2)
 	r.Gauge("y").Set(1)
-	r.Gauge("y").Add(1)
 	r.Histogram("z").Observe(5)
 	r.GaugeFunc("f", func() float64 { return 1 })
 	if got := r.Text(); got != "" {
@@ -264,14 +262,11 @@ func TestSLOFeedWindows(t *testing.T) {
 	if s.P99ms > 10 {
 		t.Fatalf("p99 did not decay: %.3f", s.P99ms)
 	}
-	// Observe with a wall duration still works.
-	f.Observe(3*time.Millisecond, true)
+	// A window after the decay reports only its own requests.
+	f.ObserveLatency(3000, true)
 	s = f.Sample()
 	if s.Count != 1 || s.ErrRate != 1 {
-		t.Fatalf("duration observe sample %+v", s)
-	}
-	if got := f.Last(); got != s {
-		t.Fatalf("Last %+v != Sample %+v", got, s)
+		t.Fatalf("sample after decay %+v", s)
 	}
 }
 

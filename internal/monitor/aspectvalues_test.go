@@ -119,7 +119,7 @@ func TestAspectsAndObserversStayOrdered(t *testing.T) {
 	}
 	defer m.Close()
 	var order []string
-	m.Interp().SetGlobal("note", script.Func("note", func(_ *script.Interp, args []script.Value) ([]script.Value, error) {
+	m.in.SetGlobal("note", script.Func("note", func(_ *script.Interp, args []script.Value) ([]script.Value, error) {
 		order = append(order, args[0].Str())
 		return nil, nil
 	}))

@@ -39,7 +39,7 @@ func TestCompositePredicateAcrossMonitors(t *testing.T) {
 	defer cpuMon.Close()
 	srv.Register("monitor/CPU", "", NewServant(cpuMon))
 
-	cpuMon.Interp().SetGlobal("memmon", scriptRef(memRef))
+	cpuMon.in.SetGlobal("memmon", scriptRef(memRef))
 	if _, err := cpuMon.AttachObserver(obsRef("app"), "Pressure", `
 		function(observer, value, monitor)
 			local memfree = orb.invoke(memmon, "getValue")
@@ -110,7 +110,7 @@ func TestCompositeAspectAcrossMonitors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer combo.Close()
-	combo.Interp().SetGlobal("basemon", scriptRef(baseRef))
+	combo.in.SetGlobal("basemon", scriptRef(baseRef))
 	if err := combo.DefineAspect("sum", `function(self, v, mon)
 		local other = orb.invoke(basemon, "getValue")
 		return (v or 0) + (other or 0)

@@ -183,7 +183,7 @@ type Monitor struct {
 	nextObsID int
 	selfTable script.Value // table exposing monitor methods to shipped code
 	closed    bool
-	ticks     int
+	ticks     int // update cycles run, read by the tests
 
 	stop chan struct{}
 	done chan struct{}
@@ -229,13 +229,6 @@ func New(opts Options) (*Monitor, error) {
 
 // Name returns the monitored property's name.
 func (m *Monitor) Name() string { return m.opts.Name }
-
-// Interp exposes the monitor's interpreter so hosts can inject primitives
-// (e.g. the simulated /proc/loadavg reader) before shipped code runs.
-// Callers must not retain it across goroutines.
-func (m *Monitor) Interp() *script.Interp {
-	return m.in
-}
 
 // compileFunction evaluates src, which must yield a function value, e.g.
 // "function(a, b) ... end" or "return function(a, b) ... end".
@@ -511,13 +504,6 @@ func (m *Monitor) deliver(toNotify []*observer, val wire.Value) {
 				m.opts.Name, oc.id, o.eventID, o.failures, oc.err)
 		}
 	}
-}
-
-// Ticks reports how many update cycles have run.
-func (m *Monitor) Ticks() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.ticks
 }
 
 // Value returns the current property value (getValue).

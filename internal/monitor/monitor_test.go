@@ -80,8 +80,8 @@ func TestUpdateFuncOnTick(t *testing.T) {
 		}
 	}
 	v, _ := m.Value()
-	if v.Num() != 3 || m.Ticks() != 3 {
-		t.Fatalf("value = %v, ticks = %d", v, m.Ticks())
+	if v.Num() != 3 || tickCount(m) != 3 {
+		t.Fatalf("value = %v, ticks = %d", v, tickCount(m))
 	}
 }
 
@@ -382,12 +382,19 @@ func waitForTimer(t *testing.T, sim *clock.Sim) {
 	}
 }
 
+// tickCount reads how many update cycles m has run.
+func tickCount(m *Monitor) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.ticks
+}
+
 func waitForTicks(t *testing.T, m *Monitor, want int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for m.Ticks() < want {
+	for tickCount(m) < want {
 		if time.Now().After(deadline) {
-			t.Fatalf("ticks = %d, want %d", m.Ticks(), want)
+			t.Fatalf("ticks = %d, want %d", tickCount(m), want)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -615,7 +622,7 @@ func TestHostPrimitiveInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	m.Interp().SetGlobal("readloadavg", script.Func("readloadavg",
+	m.in.SetGlobal("readloadavg", script.Func("readloadavg",
 		func(_ *script.Interp, _ []script.Value) ([]script.Value, error) {
 			return []script.Value{script.Number(1.5), script.Number(1.0), script.Number(0.5)}, nil
 		}))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -68,6 +69,14 @@ func TestInvokeAsyncBasic(t *testing.T) {
 	}
 	if got := client.Stats().AsyncInvokes; got != 1 {
 		t.Fatalf("AsyncInvokes = %d, want 1", got)
+	}
+}
+
+// TestFutureSize pins the completion handle at 88 bytes: one per async call
+// on the bulk path, so a field added to it is paid on every invocation.
+func TestFutureSize(t *testing.T) {
+	if n := reflect.TypeOf(Future{}).Size(); n > 88 {
+		t.Fatalf("Future is %d bytes, want <= 88", n)
 	}
 }
 

@@ -48,12 +48,6 @@ func (p BreakerPolicy) cooldown() time.Duration {
 	return p.Cooldown
 }
 
-// DefaultBreakerPolicy pairs with DefaultRetryPolicy: three consecutive
-// failures open the circuit, probed again after one second.
-func DefaultBreakerPolicy() BreakerPolicy {
-	return BreakerPolicy{Threshold: 3, Cooldown: time.Second}
-}
-
 // Breaker states.
 const (
 	BreakerClosed   = "closed"

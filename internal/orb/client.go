@@ -1009,13 +1009,3 @@ func (p *Proxy) Call1(ctx context.Context, op string, args ...wire.Value) (wire.
 	}
 	return rs[0], nil
 }
-
-// CallAsync begins a pipelined invocation of op (see Client.InvokeAsync).
-func (p *Proxy) CallAsync(ctx context.Context, op string, args ...wire.Value) (*Future, error) {
-	return p.c.InvokeAsync(ctx, p.ref, op, args...)
-}
-
-// Oneway sends a oneway invocation.
-func (p *Proxy) Oneway(op string, args ...wire.Value) error {
-	return p.c.InvokeOneway(p.ref, op, args...)
-}

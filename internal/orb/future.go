@@ -37,31 +37,6 @@ type Future struct {
 	once    sync.Once
 	results []wire.Value
 	err     error
-
-	// observers run once after completion (interceptor ReceiveReply).
-	obsMu     sync.Mutex
-	observers []func([]wire.Value, error)
-}
-
-// OnComplete registers fn to run exactly once when the future completes —
-// immediately, on the caller, if it already has. Completion may be
-// observed on whichever goroutine reads the connection, so fn must not block.
-func (f *Future) OnComplete(fn func(results []wire.Value, err error)) { f.addObserver(fn) }
-
-// addObserver registers fn to run when the future completes; if it
-// already has, fn runs immediately on the caller. Each observer runs
-// exactly once.
-func (f *Future) addObserver(fn func([]wire.Value, error)) {
-	f.obsMu.Lock()
-	select {
-	case <-f.done:
-		f.obsMu.Unlock()
-		fn(f.results, f.err)
-		return
-	default:
-	}
-	f.observers = append(f.observers, fn)
-	f.obsMu.Unlock()
 }
 
 // complete resolves the future. The first caller wins; sync.Once
@@ -81,15 +56,6 @@ func (f *Future) complete(rep *wire.Reply, err error) {
 			f.cc.releaseSlot()
 		}
 		close(f.done)
-		// Observers registered after this point see done closed and run on
-		// their own goroutine; the handoff under obsMu loses none.
-		f.obsMu.Lock()
-		obs := f.observers
-		f.observers = nil
-		f.obsMu.Unlock()
-		for _, fn := range obs {
-			fn(f.results, f.err)
-		}
 	})
 }
 

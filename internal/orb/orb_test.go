@@ -133,16 +133,6 @@ func TestNoSuchObject(t *testing.T) {
 	}
 }
 
-func TestUnregister(t *testing.T) {
-	n := NewInprocNetwork()
-	srv, client, ref := newPair(t, n, "server-unreg")
-	srv.Unregister("echo")
-	_, err := client.Invoke(context.Background(), ref, "echo")
-	if !IsRemoteCode(err, CodeNoSuchObject) {
-		t.Fatalf("err after unregister = %v", err)
-	}
-}
-
 func TestOnewayDelivered(t *testing.T) {
 	n := NewInprocNetwork()
 	srv, err := NewServer(ServerOptions{Network: n, Address: "server-ow"})
@@ -459,9 +449,6 @@ func TestProxyConvenience(t *testing.T) {
 	v, err = p.Call1(context.Background(), "nothing")
 	if err != nil || !v.IsNil() {
 		t.Fatalf("Call1(nothing) = %v, %v", v, err)
-	}
-	if err := p.Oneway("echo", wire.Int(1)); err != nil {
-		t.Fatalf("Oneway: %v", err)
 	}
 }
 

@@ -62,13 +62,6 @@ type RetryPolicy struct {
 	RetryIdempotent bool
 }
 
-// DefaultRetryPolicy is a sane connection-fault policy: three attempts,
-// 10ms base doubling to at most 1s, ±20% jitter, connect-phase only.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 3, BaseBackoff: 10 * time.Millisecond,
-		MaxBackoff: time.Second, Multiplier: 2, Jitter: 0.2}
-}
-
 // maxAttempts normalizes MaxAttempts.
 func (p RetryPolicy) maxAttempts() int {
 	if p.MaxAttempts < 1 {

@@ -69,13 +69,6 @@ type FastServant interface {
 	FastDispatch() bool
 }
 
-type inlineServant struct{ Servant }
-
-func (inlineServant) FastDispatch() bool { return true }
-
-// Inline marks sv as safe for inline dispatch (see FastServant).
-func Inline(sv Servant) Servant { return inlineServant{sv} }
-
 // AppError is an application-level error raised by a servant; it crosses
 // the wire with CodeApp and is reconstructed on the client as a RemoteError
 // with the same message.
@@ -257,13 +250,6 @@ func (s *Server) Register(key, iface string, sv Servant) wire.ObjRef {
 	defer s.mu.Unlock()
 	s.servants[key] = &servantEntry{servant: sv, iface: iface, inline: inline}
 	return wire.ObjRef{Endpoint: s.endpoint, Key: key}
-}
-
-// Unregister removes a servant.
-func (s *Server) Unregister(key string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.servants, key)
 }
 
 // RefFor returns the object reference for key (whether or not a servant is

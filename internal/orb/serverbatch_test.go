@@ -9,6 +9,12 @@ import (
 	"autoadapt/internal/wire"
 )
 
+// fastEcho echoes its arguments and opts into inline dispatch (FastServant).
+type fastEcho struct{}
+
+func (fastEcho) Invoke(_ string, args []wire.Value) ([]wire.Value, error) { return args, nil }
+func (fastEcho) FastDispatch() bool                                       { return true }
+
 func newBatchedEchoServer(t testing.TB, window time.Duration, bytes int) (*Server, wire.ObjRef) {
 	t.Helper()
 	srv, err := NewServer(ServerOptions{
@@ -19,9 +25,7 @@ func newBatchedEchoServer(t testing.TB, window time.Duration, bytes int) (*Serve
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = srv.Close() })
-	ref := srv.Register("echo", "", Inline(ServantFunc(func(op string, args []wire.Value) ([]wire.Value, error) {
-		return args, nil
-	})))
+	ref := srv.Register("echo", "", fastEcho{})
 	return srv, ref
 }
 

@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -187,18 +186,6 @@ func (n *InprocNetwork) Dial(addr string) (net.Conn, error) {
 		_ = server.Close()
 		return nil, fmt.Errorf("orb: inproc dial %q: connection refused", addr)
 	}
-}
-
-// Addresses lists currently listening inproc addresses (for diagnostics).
-func (n *InprocNetwork) Addresses() []string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]string, 0, len(n.listeners))
-	for a := range n.listeners {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
 }
 
 type inprocListener struct {

@@ -499,8 +499,8 @@ func renderResult(vs []Value, err error) string {
 	return escapeLine(strings.Join(parts, " | "))
 }
 
-// renderValue is a deterministic cousin of Table.DebugString: nested tables
-// recurse (bounded) instead of printing their pointer address.
+// renderValue renders a value deterministically: table pairs in Pairs
+// order, nested tables recursed (bounded) instead of printed as addresses.
 func renderValue(v Value, depth int) string {
 	t, ok := v.AsTable()
 	if !ok {

@@ -146,12 +146,9 @@ func New(opts Options) *Interp {
 	return in
 }
 
-// Globals returns the global environment table. Hosts extend the language
-// by storing Func values here (the paper's "register C functions so that
-// Lua code can call them").
-func (in *Interp) Globals() *Table { return in.globals }
-
-// SetGlobal is shorthand for Globals().SetString.
+// SetGlobal stores v as a global. Hosts extend the language this way with
+// Func values (the paper's "register C functions so that Lua code can
+// call them").
 func (in *Interp) SetGlobal(name string, v Value) { in.globals.SetString(name, v) }
 
 // Stats reports the chunk-cache counters (zero values when caching is

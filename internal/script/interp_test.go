@@ -42,7 +42,7 @@ func wantStr(t *testing.T, src string, want string) {
 func wantBool(t *testing.T, src string, want bool) {
 	t.Helper()
 	v := evalOne(t, src)
-	b, ok := v.AsBool()
+	b, ok := v.b, v.kind == KindBool
 	if !ok || b != want {
 		t.Fatalf("Eval(%q) = %v, want %v", src, v.ToString(), want)
 	}

@@ -356,21 +356,6 @@ func isLiteral(e expr) bool {
 	return ok
 }
 
-// valueExpr re-wraps a folded Value as a literal node at line.
-func valueExpr(v Value, line int) expr {
-	b := base{line: line}
-	switch v.Kind() {
-	case KindNil:
-		return &nilExpr{base: b}
-	case KindBool:
-		return &boolExpr{base: b, val: v.b}
-	case KindNumber:
-		return &numberExpr{base: b, val: v.n}
-	default:
-		return &stringExpr{base: b, val: v.s}
-	}
-}
-
 func foldUnary(ex *unExpr) expr {
 	v, ok := literalValue(ex.e)
 	if !ok {

@@ -223,7 +223,7 @@ func wantBoolIn(t *testing.T, in *Interp, src string, want bool) {
 	if err != nil {
 		t.Fatalf("Eval(%q): %v", src, err)
 	}
-	b, ok := vs[0].AsBool()
+	b, ok := vs[0].b, vs[0].kind == KindBool
 	if !ok || b != want {
 		t.Fatalf("Eval(%q) = %v, want %v", src, vs[0].ToString(), want)
 	}

@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"autoadapt/internal/wire"
 )
@@ -174,22 +173,11 @@ func (v Value) IsNil() bool { return v.kind == KindNil }
 // IsFunction reports whether the value is callable.
 func (v Value) IsFunction() bool { return v.kind == KindFunction }
 
-// AsBool returns the boolean payload.
-func (v Value) AsBool() (b, ok bool) { return v.b, v.kind == KindBool }
-
 // AsNumber returns the numeric payload.
 func (v Value) AsNumber() (float64, bool) { return v.n, v.kind == KindNumber }
 
 // AsString returns the string payload.
 func (v Value) AsString() (string, bool) { return v.s, v.kind == KindString }
-
-// AsBytes returns the binary payload.
-func (v Value) AsBytes() ([]byte, bool) {
-	if v.kind != KindBytes {
-		return nil, false
-	}
-	return []byte(v.s), true
-}
 
 // AsTable returns the table payload.
 func (v Value) AsTable() (*Table, bool) { return v.t, v.kind == KindTable }
@@ -201,10 +189,6 @@ func (v Value) AsRef() (wire.ObjRef, bool) {
 	}
 	return *v.r, true
 }
-
-// AsClosure returns the script closure payload, if the value is a script
-// (not host) function.
-func (v Value) AsClosure() (*Closure, bool) { return v.cl, v.cl != nil }
 
 // Truthy reports Lua truth: only nil and false are false.
 func (v Value) Truthy() bool {
@@ -540,17 +524,6 @@ func (t *Table) SetString(name string, v Value) {
 	t.strs[name] = v
 }
 
-// Size reports the number of stored pairs.
-func (t *Table) Size() int {
-	n := len(t.hash) + len(t.strs)
-	for _, v := range t.arr {
-		if !v.IsNil() {
-			n++
-		}
-	}
-	return n
-}
-
 // Pairs iterates array part then hash part in deterministic order (string
 // keys sort among the other kinds exactly as when they shared one map).
 func (t *Table) Pairs(fn func(k, v Value) bool) {
@@ -610,27 +583,4 @@ func keyLess(a, b tableKey) bool {
 	default:
 		return false
 	}
-}
-
-// DebugString renders the table's contents for diagnostics and tests.
-func (t *Table) DebugString() string {
-	var sb strings.Builder
-	sb.WriteByte('{')
-	first := true
-	t.Pairs(func(k, v Value) bool {
-		if !first {
-			sb.WriteString(", ")
-		}
-		first = false
-		sb.WriteString(k.ToString())
-		sb.WriteByte('=')
-		if v.kind == KindString {
-			fmt.Fprintf(&sb, "%q", v.s)
-		} else {
-			sb.WriteString(v.ToString())
-		}
-		return true
-	})
-	sb.WriteByte('}')
-	return sb.String()
 }

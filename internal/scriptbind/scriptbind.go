@@ -86,13 +86,13 @@ func InstallORB(in *script.Interp, client *orb.Client) {
 
 // ProxyTable builds the LuaCorba proxy object for ref: a table whose
 // `_ref` field holds the reference and whose `call` method forwards any
-// operation. For ergonomic method-call syntax, known operations can be
-// bound eagerly with Bind: p:getValue() etc. Since AdaptScript has no
-// metatables (by design — the sandbox stays simple), the generic form is
+// operation. Since AdaptScript has no metatables (by design — the sandbox
+// stays simple), the generic form is
 //
 //	p:call("anyOperation", args...)
 //
-// and Bind(p, "getValue", ...) adds direct p:getValue(...) sugar.
+// and installing a Methods set for known operations on the table adds
+// direct p:getValue(...) sugar.
 func ProxyTable(client *orb.Client, ref wire.ObjRef) script.Value {
 	m := NewMethods(client, "_ref")
 	m.Set("call", func(in *script.Interp, ref wire.ObjRef, args []script.Value) ([]script.Value, error) {
@@ -103,20 +103,6 @@ func ProxyTable(client *orb.Client, ref wire.ObjRef) script.Value {
 		return Invoke(in, client, ref, op, args[1:])
 	})
 	return m.Object(ref)
-}
-
-// Bind adds p:<op>(...) sugar for the named operations on a proxy table
-// built by ProxyTable.
-func Bind(client *orb.Client, proxy script.Value, ops ...string) error {
-	t, ok := proxy.AsTable()
-	if !ok {
-		return errors.New("scriptbind: Bind expects a proxy table")
-	}
-	if _, ok := t.GetString("_ref").AsRef(); !ok {
-		return errors.New("scriptbind: proxy table has no _ref")
-	}
-	NewMethods(client, "_ref", ops...).install(t)
-	return nil
 }
 
 // Methods is a set of bound operations for remote-object tables: one

@@ -155,9 +155,8 @@ func TestProxyBindSugar(t *testing.T) {
 	w := newWorld(t)
 	in := newInterp(t, w)
 	p := ProxyTable(w.client, w.svcRef)
-	if err := Bind(w.client, p, "hello", "add"); err != nil {
-		t.Fatal(err)
-	}
+	pt, _ := p.AsTable()
+	NewMethods(w.client, "_ref", "hello", "add").install(pt)
 	in.SetGlobal("p", p)
 	vs, err := in.Eval("t", `return p:hello(), p:add(1, 2)`)
 	if err != nil {
@@ -165,9 +164,6 @@ func TestProxyBindSugar(t *testing.T) {
 	}
 	if vs[0].Str() != "hi" || vs[1].Num() != 3 {
 		t.Fatalf("bound proxy = %v %v", vs[0].Str(), vs[1].Num())
-	}
-	if err := Bind(w.client, script.Int(1)); err == nil {
-		t.Fatal("Bind on non-table accepted")
 	}
 }
 

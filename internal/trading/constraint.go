@@ -36,28 +36,17 @@ import (
 //
 // Parsing compiles the expression once into a tree of cnodes that read the
 // values of the referenced properties from an array indexed like refs; the
-// trader fills that array from an offer's slots, Eval through a lookup.
+// trader fills that array from an offer's slots.
 type Constraint struct {
-	src  string
 	root *cnode
 	refs []string // property names the expression references, sorted
 }
-
-// Source returns the original constraint text.
-func (c *Constraint) Source() string { return c.src }
-
-// PropRefs returns the sorted set of property names the constraint
-// references. The trader uses it for demand-driven snapshots: only
-// referenced dynamic properties are resolved at query time. Barewords that
-// double as string literals ("LoadAvgIncreasing == no") are included — a
-// name's role is only decided at evaluation time.
-func (c *Constraint) PropRefs() []string { return slices.Clone(c.refs) }
 
 // ParseConstraint compiles a constraint expression. An empty source
 // compiles to a constraint matching every offer.
 func ParseConstraint(src string) (*Constraint, error) {
 	if strings.TrimSpace(src) == "" {
-		return &Constraint{src: src, root: &cnode{op: opLit, lit: boolVal(true)}}, nil
+		return &Constraint{root: &cnode{op: opLit, lit: boolVal(true)}}, nil
 	}
 	p := &cparser{src: src}
 	root, err := p.parseOr()
@@ -68,7 +57,7 @@ func ParseConstraint(src string) (*Constraint, error) {
 	if p.pos != len(p.src) {
 		return nil, fmt.Errorf("trading: constraint %q: trailing input at %d", src, p.pos)
 	}
-	return &Constraint{src: src, root: root, refs: numberRefs(root)}, nil
+	return &Constraint{root: root, refs: numberRefs(root)}, nil
 }
 
 // numberRefs lists the property names the expression reads, sorted, and
@@ -94,19 +83,8 @@ func numberRefs(root *cnode) []string {
 // the property does not exist for this offer.
 type PropLookup func(name string) (wire.Value, bool)
 
-// Eval evaluates the constraint against an offer's properties. Per OMG
-// semantics, an offer for which evaluation fails (e.g. a comparison against
-// a missing property) simply does not match — the error reports why.
-func (c *Constraint) Eval(lookup PropLookup) (bool, error) {
-	v, err := c.root.run(lookupVals(nil, c.refs, lookup))
-	if err != nil {
-		return false, err
-	}
-	return v.truthy(), nil
-}
-
-// lookupVals appends to dst the values lookup gives for refs: the adapter
-// that runs the public entry points on the compiled evaluator.
+// lookupVals appends to dst the values lookup gives for refs, in the form
+// the compiled evaluator reads.
 func lookupVals(dst []cval, refs []string, lookup PropLookup) []cval {
 	for _, name := range refs {
 		v, ok := lookup(name)

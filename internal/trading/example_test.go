@@ -40,22 +40,15 @@ func ExampleTrader_Query() {
 	// tcp|hostA:9000/service LoadAvg=12
 }
 
-// ExampleParseConstraint shows standalone use of the constraint language.
+// ExampleParseConstraint shows the constraint language's syntax check: a
+// query's constraint compiles once, and a malformed one is rejected before
+// any offer is looked at.
 func ExampleParseConstraint() {
-	c, err := trading.ParseConstraint("LoadAvg < 50 and exist Host")
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	props := map[string]wire.Value{
-		"LoadAvg": wire.Number(30),
-		"Host":    wire.String("hostA"),
-	}
-	ok, _ := c.Eval(func(name string) (wire.Value, bool) {
-		v, found := props[name]
-		return v, found
-	})
-	fmt.Println(ok)
+	_, err := trading.ParseConstraint("LoadAvg < 50 and exist Host")
+	fmt.Println(err)
+	_, err = trading.ParseConstraint("LoadAvg < 50 and")
+	fmt.Println(err)
 	// Output:
-	// true
+	// <nil>
+	// trading: constraint "LoadAvg < 50 and" at 16: unexpected end of constraint
 }

@@ -63,7 +63,7 @@ func fuzzLookup(asked map[string]bool) PropLookup {
 }
 
 // checkAsked fails unless every name the evaluator looked up is among refs:
-// the trader resolves only PropRefs() before it evaluates, so a name missing
+// the trader resolves only the referenced names before it evaluates, so a name missing
 // there would be read unresolved.
 func checkAsked(t *testing.T, src string, asked map[string]bool, refs []string) {
 	t.Helper()
@@ -83,7 +83,7 @@ func addSeeds(f *testing.F, seeds ...[]string) {
 }
 
 // FuzzParseConstraint: parsing never panics, and an accepted constraint
-// looks up only names in PropRefs() and evaluates, compiled, exactly as the
+// looks up only the names it references and evaluates, compiled, exactly as the
 // reference tree walk does: the same value, the same error-or-not, and
 // through the public Eval the same error text.
 func FuzzParseConstraint(f *testing.F) {
@@ -109,7 +109,7 @@ func FuzzParseConstraint(f *testing.F) {
 		case werr == nil && (!cvalValue(got).Equal(want) || ok != want.Truthy()):
 			t.Fatalf("%q: compiled %v (Eval %v), reference %v", src, cvalValue(got), ok, want)
 		}
-		checkAsked(t, src, asked, c.PropRefs())
+		checkAsked(t, src, asked, c.refs)
 	})
 }
 
@@ -134,6 +134,6 @@ func FuzzParsePreference(f *testing.F) {
 				t.Fatalf("%q: key of %s %+v, reference %+v", src, id, got, want)
 			}
 		}
-		checkAsked(t, src, asked, p.PropRefs())
+		checkAsked(t, src, asked, p.refs)
 	})
 }

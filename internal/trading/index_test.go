@@ -288,7 +288,8 @@ func diffRun(t *testing.T, seed int64, steps int) {
 			t.Fatalf("step %d (%s): %v", step, op, err)
 		}
 		typ := types[rng.Intn(len(types))]
-		cons, err := ParseConstraint(diffQueries.constraints[rng.Intn(len(diffQueries.constraints))])
+		consSrc := diffQueries.constraints[rng.Intn(len(diffQueries.constraints))]
+		cons, err := ParseConstraint(consSrc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -300,12 +301,12 @@ func diffRun(t *testing.T, seed int64, steps int) {
 			for _, max := range []int{0, 1, 3} {
 				// The reference runs first: the real query may quarantine.
 				want := referenceQuery(tr, exported, typ, cons, pref, max)
-				got, err := tr.Query(context.Background(), typ, cons.Source(), prefSrc, max)
+				got, err := tr.Query(context.Background(), typ, consSrc, prefSrc, max)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if err := sameResults(got, want); err != nil {
-					t.Fatalf("step %d (%s): query %s %q %q max %d: %v", step, op, typ, cons.Source(), prefSrc, max, err)
+					t.Fatalf("step %d (%s): query %s %q %q max %d: %v", step, op, typ, consSrc, prefSrc, max, err)
 				}
 			}
 		}

@@ -24,7 +24,6 @@ import (
 // "specifies only offer sorting, and no filtering" and must still see every
 // offer.
 type Preference struct {
-	src  string
 	kind prefKind
 	expr *cnode
 	refs []string // property names the expression references, sorted
@@ -44,10 +43,10 @@ const (
 func ParsePreference(src string) (*Preference, error) {
 	s := strings.TrimSpace(src)
 	if s == "" || s == "first" {
-		return &Preference{src: src, kind: prefFirst}, nil
+		return &Preference{kind: prefFirst}, nil
 	}
 	if s == "random" {
-		return &Preference{src: src, kind: prefRandom}, nil
+		return &Preference{kind: prefRandom}, nil
 	}
 	var kind prefKind
 	var rest string
@@ -70,16 +69,8 @@ func ParsePreference(src string) (*Preference, error) {
 	if p.pos != len(p.src) {
 		return nil, fmt.Errorf("trading: preference %q: trailing input", src)
 	}
-	return &Preference{src: src, kind: kind, expr: e, refs: numberRefs(e)}, nil
+	return &Preference{kind: kind, expr: e, refs: numberRefs(e)}, nil
 }
-
-// Source returns the original preference text.
-func (p *Preference) Source() string { return p.src }
-
-// PropRefs returns the sorted set of property names the preference
-// expression references ("first" and "random" reference none). The trader
-// uses it for demand-driven snapshots.
-func (p *Preference) PropRefs() []string { return slices.Clone(p.refs) }
 
 // Sort orders results in place, by the values in their snapshots.
 func (p *Preference) Sort(results []QueryResult) error {

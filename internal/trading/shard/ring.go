@@ -14,6 +14,8 @@
 // both owners.
 package shard
 
+import "autoadapt/internal/trading"
+
 // Ownership is decided by rendezvous (highest-random-weight) hashing: each
 // service type scores every live shard with a stable hash of
 // (type, shard name) and the highest score wins. Unlike modulo hashing,
@@ -21,33 +23,17 @@ package shard
 // types owned by the shard that died or rejoined — so churn causes minimal
 // re-exporting.
 
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-func fnvString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime64
-	}
-	// Field separator so ("ab","c") and ("a","bc") hash differently.
-	h ^= 0xff
-	h *= fnvPrime64
-	return h
-}
-
 // owner returns the index of the live shard owning serviceType, or -1 when
 // no shard is alive. names supplies the stable per-shard identity; alive
 // masks membership.
 func owner(serviceType string, names []string, alive func(int) bool) int {
 	best, bestScore := -1, uint64(0)
-	h := fnvString(fnvOffset64, serviceType)
+	h := trading.FNVString(trading.FNVOffset64, serviceType)
 	for i, name := range names {
 		if !alive(i) {
 			continue
 		}
-		score := fnvString(h, name)
+		score := trading.FNVString(h, name)
 		if best < 0 || score > bestScore || (score == bestScore && name < names[best]) {
 			best, bestScore = i, score
 		}

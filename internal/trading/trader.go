@@ -887,12 +887,17 @@ func (gi *groupIndex) place(h uint64, slot int32) {
 	gi.slots[i] = slot
 }
 
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
+// FNVOffset64 is the FNV-1a 64-bit offset basis: the h to start
+// FNVString from.
+const FNVOffset64 = 14695981039346656037
 
-func fnvString(h uint64, s string) uint64 {
+const fnvPrime64 = 1099511628211
+
+// FNVString folds s into the FNV-1a 64-bit hash h, followed by a field
+// separator, so a chain of calls hashes a tuple of strings. The trader
+// groups dynamic-property reads by it and the shard router ranks owners by
+// it.
+func FNVString(h uint64, s string) uint64 {
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
 		h *= fnvPrime64
@@ -929,7 +934,7 @@ func (t *Trader) resolveReferenced(ctx context.Context, offers []offerView, slot
 				// off one monitor each.
 				gi.reset(len(offers))
 			}
-			h := fnvString(fnvString(fnvOffset64, pv.Dynamic.Endpoint), pv.Dynamic.Key)
+			h := FNVString(FNVString(FNVOffset64, pv.Dynamic.Endpoint), pv.Dynamic.Key)
 			g := gi.lookup(groups, h, pv.Dynamic)
 			if g < 0 {
 				g = len(groups)

@@ -766,14 +766,14 @@ func TestPropRefs(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{"Down", "LoadAvg", "Mem"}
-	if got := c.PropRefs(); !slices.Equal(got, want) {
+	if got := c.refs; !slices.Equal(got, want) {
 		t.Fatalf("constraint PropRefs = %v, want %v", got, want)
 	}
 	p, err := ParsePreference("min LoadAvg / Weight")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.PropRefs(); !slices.Equal(got, []string{"LoadAvg", "Weight"}) {
+	if got := p.refs; !slices.Equal(got, []string{"LoadAvg", "Weight"}) {
 		t.Fatalf("preference PropRefs = %v", got)
 	}
 	for _, src := range []string{"", "first", "random"} {
@@ -781,7 +781,7 @@ func TestPropRefs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := p.PropRefs(); len(got) != 0 {
+		if got := p.refs; len(got) != 0 {
 			t.Fatalf("PropRefs(%q) = %v, want empty", src, got)
 		}
 	}

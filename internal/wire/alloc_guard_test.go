@@ -73,7 +73,7 @@ func TestAllocGuardDecodeMessage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	encRep, err := EncodeReply(&Reply{ID: 7, Results: []Value{Int(42)}})
+	encRep, err := AppendReply(nil, &Reply{ID: 7, Results: []Value{Int(42)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestAllocGuardFusedBytes(t *testing.T) {
 		}{
 			{"request", decodeMsg(enc(EncodeRequest(&Request{Args: vals}, false))),
 				func() { sinkPtr, sinkVals = new(requestBody), make([]Value, 0, n) }},
-			{"reply", decodeMsg(enc(EncodeReply(&Reply{Results: vals}))),
+			{"reply", decodeMsg(enc(AppendReply(nil, &Reply{Results: vals}))),
 				func() { sinkPtr, sinkVals = new(replyBody), make([]Value, 0, n) }},
 			{"subscribe", decodeMsg(enc(AppendSubscribe(nil, &Subscribe{Args: vals}))),
 				func() { sinkPtr, sinkVals = new(subscribeBody), make([]Value, 0, n) }},

@@ -121,10 +121,6 @@ type Decoder struct {
 	in  *internTable // nil: every string is a fresh copy (see FrameReader.Decode)
 }
 
-// NewDecoder returns a decoder over buf. The decoder does not copy buf, and
-// nothing it decodes aliases buf: every string it returns is a copy.
-func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
-
 // Remaining reports how many undecoded bytes are left.
 func (d *Decoder) Remaining() int { return len(d.buf) - d.pos }
 
@@ -264,7 +260,7 @@ func (d *Decoder) uvarint() (uint64, error) {
 // DecodeValue decodes a single value from buf, requiring that buf contain
 // exactly one value.
 func DecodeValue(buf []byte) (Value, error) {
-	d := NewDecoder(buf)
+	d := &Decoder{buf: buf}
 	v, err := d.Value()
 	if err != nil {
 		return Nil(), err

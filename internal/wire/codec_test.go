@@ -304,7 +304,7 @@ func TestOnewayRoundTrip(t *testing.T) {
 
 func TestReplyRoundTrip(t *testing.T) {
 	rep := &Reply{ID: 7, Results: []Value{Bool(true), NilOrTable()}}
-	payload, err := EncodeReply(rep)
+	payload, err := AppendReply(nil, rep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func NilOrTable() Value {
 
 func TestErrorReplyRoundTrip(t *testing.T) {
 	rep := &Reply{ID: 9, Err: "no such operation", ErrCode: "BAD_OPERATION"}
-	payload, err := EncodeReply(rep)
+	payload, err := AppendReply(nil, rep)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,12 +103,6 @@ func AppendRequest(dst []byte, req *Request, oneway bool) ([]byte, error) {
 	return buf, nil
 }
 
-// EncodeReply encodes a reply into a fresh frame payload. Hot paths use
-// AppendReply with a pooled buffer.
-func EncodeReply(rep *Reply) ([]byte, error) {
-	return AppendReply(nil, rep)
-}
-
 // AppendReply appends the encoding of a reply to dst and returns the
 // extended slice.
 func AppendReply(dst []byte, rep *Reply) ([]byte, error) {

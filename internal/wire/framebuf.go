@@ -27,9 +27,6 @@ type FrameBuffer struct {
 	B []byte
 }
 
-// Payload returns the payload encoded so far (everything after the header).
-func (fb *FrameBuffer) Payload() []byte { return fb.B[frameHeaderLen:] }
-
 // WriteFrame patches the length prefix and writes header+payload as one Write.
 func (fb *FrameBuffer) WriteFrame(w io.Writer) error {
 	frame, err := fb.Frame()

@@ -31,8 +31,8 @@ func seedMessages(t testingT) [][]byte {
 	}
 	add(EncodeRequest(&Request{ID: 7, ObjectKey: "svc", Operation: "work", Args: args, Deadline: 1 << 40}, false))
 	add(EncodeRequest(&Request{ID: 8, ObjectKey: "svc", Operation: "fire", Args: args[:1]}, true))
-	add(EncodeReply(&Reply{ID: 7, Results: args}))
-	add(EncodeReply(&Reply{ID: 7, Err: "server overloaded", ErrCode: StatusOverloaded}))
+	add(AppendReply(nil, &Reply{ID: 7, Results: args}))
+	add(AppendReply(nil, &Reply{ID: 7, Err: "server overloaded", ErrCode: StatusOverloaded}))
 	add(AppendSubscribe(nil, &Subscribe{ID: 9, SubID: 3, ObjectKey: "svc", Topic: "load", Args: args[:2]}))
 	seeds = append(seeds, AppendUnsubscribe(nil, 3))
 	add(AppendEvent(nil, &Event{SubID: 3, Values: args[:3]}))
@@ -57,7 +57,7 @@ func fusedSizeSeeds(t testingT) [][]byte {
 			vals[i] = Int(i)
 		}
 		add(EncodeRequest(&Request{ID: 1, ObjectKey: "svc", Operation: "op", Args: vals}, false))
-		add(EncodeReply(&Reply{ID: 1, Results: vals}))
+		add(AppendReply(nil, &Reply{ID: 1, Results: vals}))
 		add(AppendEvent(nil, &Event{SubID: 1, Values: vals}))
 	}
 	for n := 0; n <= 9; n++ {
@@ -65,7 +65,7 @@ func fusedSizeSeeds(t testingT) [][]byte {
 		for i := 0; i < n; i++ {
 			rec.SetString(string(rune('a'+i)), Int(i))
 		}
-		add(EncodeReply(&Reply{ID: 1, Results: []Value{TableVal(rec)}}))
+		add(AppendReply(nil, &Reply{ID: 1, Results: []Value{TableVal(rec)}}))
 	}
 	return seeds
 }

@@ -60,7 +60,7 @@ func TestInternTableBoundedProperty(t *testing.T) {
 	}
 	fr := NewFrameReader(nil)
 	for _, v := range []Value{TableVal(flood), queryReply3(), queryReply3()} {
-		payload, err := EncodeReply(&Reply{ID: 1, Results: []Value{v}})
+		payload, err := AppendReply(nil, &Reply{ID: 1, Results: []Value{v}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -380,15 +380,6 @@ func NewList(vs ...Value) *Table {
 	return t
 }
 
-// NewRecord returns a table populated from string-keyed fields.
-func NewRecord(fields map[string]Value) *Table {
-	t := NewTableSize(0, len(fields))
-	for k, v := range fields {
-		t.SetString(k, v)
-	}
-	return t
-}
-
 // Len reports the length of the array part (the # operator).
 func (t *Table) Len() int { return len(t.arr) }
 
@@ -607,35 +598,6 @@ func (t *Table) Size() int {
 		}
 	}
 	return n
-}
-
-// Copy returns a deep copy of the table. Object references and scalars are
-// copied by value; nested tables are copied recursively.
-func (t *Table) Copy() *Table {
-	out := &Table{arr: make([]Value, len(t.arr))}
-	for i, v := range t.arr {
-		out.arr[i] = copyValue(v)
-	}
-	if len(t.small) > 0 {
-		out.small = make([]tablePair, len(t.small))
-		for i, p := range t.small {
-			out.small[i] = tablePair{p.k, copyValue(p.v)}
-		}
-	}
-	if len(t.hash) > 0 {
-		out.hash = make(map[tableKey]Value, len(t.hash))
-		for k, v := range t.hash {
-			out.hash[k] = copyValue(v)
-		}
-	}
-	return out
-}
-
-func copyValue(v Value) Value {
-	if v.kind() == KindTable {
-		return TableVal(v.table().Copy())
-	}
-	return v
 }
 
 func (t *Table) equal(u *Table) bool {

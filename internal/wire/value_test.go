@@ -297,26 +297,6 @@ func TestTablePairsEarlyStop(t *testing.T) {
 	}
 }
 
-func TestTableCopyIsDeep(t *testing.T) {
-	inner := NewTable()
-	inner.SetString("x", Int(1))
-	tb := NewTable()
-	tb.SetString("inner", TableVal(inner))
-	cp := tb.Copy()
-	inner.SetString("x", Int(99))
-	cpInner, _ := cp.GetString("inner").AsTable()
-	if got := cpInner.GetString("x").Num(); got != 1 {
-		t.Fatalf("deep copy shares inner table: x = %v", got)
-	}
-}
-
-func TestNewRecord(t *testing.T) {
-	tb := NewRecord(map[string]Value{"a": Int(1), "b": String("two")})
-	if tb.GetString("a").Num() != 1 || tb.GetString("b").Str() != "two" {
-		t.Fatal("NewRecord fields wrong")
-	}
-}
-
 func TestValueStringRendering(t *testing.T) {
 	tb := NewTable()
 	tb.Append(Int(1))
