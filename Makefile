@@ -122,9 +122,12 @@ loc:
 # predicates and observers, script strategies), the wire fuzz properties
 # plus a short run of the native fuzzers — the wire decoder and the
 # compact value's representation, the VM-vs-reference differential fuzzer,
-# the script/wire conversion's round trip and the trader's constraint and
-# preference parsers — and the E15
-# governed-vs-ungoverned overload experiment.
+# the script/wire conversion's round trip, the trader's constraint and
+# preference parsers and its query reply's reader and writer against the
+# generic codec — and the E15
+# governed-vs-ungoverned overload experiment. The reply fuzzer's inputs are
+# whole replies: minimising each new one would spend the budget, so it
+# keeps them as found.
 chaos:
 	$(GO) test -count=1 -run 'Admission|Overloaded|LegacyUnboundedSpill' ./internal/orb
 	$(GO) test -count=1 -run 'Budget|CallCtx|MemBudget|Differential|DeepRecursion' ./internal/script
@@ -138,4 +141,5 @@ chaos:
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzScriptWireRoundTrip -fuzztime $(FUZZTIME) ./internal/script
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzParseConstraint -fuzztime $(FUZZTIME) ./internal/trading
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzParsePreference -fuzztime $(FUZZTIME) ./internal/trading
+	$(GO) test -count=1 -run '^$$' -fuzz FuzzQueryReply -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/trading
 	$(GO) test -count=1 -run 'Overload|HostileQuarantine' ./internal/experiment

@@ -255,7 +255,7 @@ func TestForgetRepoolsWaiter(t *testing.T) {
 		<-cc.readerDone
 	}()
 	allocs := testing.AllocsPerRun(2000, func() {
-		_, id, err := cc.register(nil, true)
+		_, id, err := cc.register(nil, true, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -159,11 +159,13 @@ func (b *breaker) snapshot() string {
 	return b.state
 }
 
-// isRemoteReply reports whether err is a servant-level reply: the peer
-// answered, so as far as liveness goes the endpoint is healthy.
+// isRemoteReply reports whether err is a servant-level reply, or a reply
+// the caller's decoder refused: the peer answered, so as far as liveness
+// goes the endpoint is healthy, and a retry would get the same answer.
 func isRemoteReply(err error) bool {
 	var re *RemoteError
-	return errors.As(err, &re)
+	var de *decodeError
+	return errors.As(err, &re) || errors.As(err, &de)
 }
 
 // endpointFault reports whether err indicts the *endpoint* (dial refused,

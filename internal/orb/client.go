@@ -209,6 +209,15 @@ func (c *Client) RegisterLocal(s *Server) {
 // deadline (or InvokeTimeout) rides the wire so the server can abort
 // dispatch once the caller has given up.
 func (c *Client) Invoke(ctx context.Context, ref wire.ObjRef, op string, args ...wire.Value) ([]wire.Value, error) {
+	return c.invoke(ctx, ref, op, args, nil)
+}
+
+// resultsDecoder reads a reply's n results from d into the caller's own
+// types (see Proxy.CallDecode).
+type resultsDecoder = func(d *wire.Decoder, n int) error
+
+// invoke is Invoke, with the results handed to dec when it is not nil.
+func (c *Client) invoke(ctx context.Context, ref wire.ObjRef, op string, args []wire.Value, dec resultsDecoder) ([]wire.Value, error) {
 	if ref.IsZero() {
 		return nil, errors.New("orb: invoke on nil object reference")
 	}
@@ -223,11 +232,14 @@ func (c *Client) Invoke(ctx context.Context, ref wire.ObjRef, op string, args ..
 		}
 	}
 	for attempt := 1; ; attempt++ {
-		rs, err := c.invokeOnce(ctx, ref, op, args)
+		rs, err := c.invokeOnce(ctx, ref, op, args, dec)
 		if err == nil {
 			return rs, nil
 		}
 		if attempt >= c.retry.maxAttempts() || !c.retry.Retryable(err) {
+			if de, ok := err.(*decodeError); ok {
+				err = de.err // the caller sees its decoder's error as it returned it
+			}
 			return nil, err
 		}
 		if serr := SleepBackoff(ctx, c.retry.Backoff(attempt)); serr != nil {
@@ -240,22 +252,22 @@ func (c *Client) Invoke(ctx context.Context, ref wire.ObjRef, op string, args ..
 // bypass the circuit breaker (an in-process servant cannot be
 // partitioned); remote calls consult the endpoint's breaker before
 // touching the transport and feed their outcome back into it.
-func (c *Client) invokeOnce(ctx context.Context, ref wire.ObjRef, op string, args []wire.Value) ([]wire.Value, error) {
+func (c *Client) invokeOnce(ctx context.Context, ref wire.ObjRef, op string, args []wire.Value, dec resultsDecoder) ([]wire.Value, error) {
 	if c.metrics != nil {
 		start := time.Now()
-		rs, err := c.invokeOnceUntimed(ctx, ref, op, args)
+		rs, err := c.invokeOnceUntimed(ctx, ref, op, args, dec)
 		c.metrics.observe(ref.Endpoint, time.Since(start), err)
 		return rs, err
 	}
-	return c.invokeOnceUntimed(ctx, ref, op, args)
+	return c.invokeOnceUntimed(ctx, ref, op, args, dec)
 }
 
-func (c *Client) invokeOnceUntimed(ctx context.Context, ref wire.ObjRef, op string, args []wire.Value) ([]wire.Value, error) {
+func (c *Client) invokeOnceUntimed(ctx context.Context, ref wire.ObjRef, op string, args []wire.Value, dec resultsDecoder) ([]wire.Value, error) {
 	c.localMu.RLock()
 	local, ok := c.local[ref.Endpoint]
 	c.localMu.RUnlock()
 	if ok {
-		return c.invokeLocal(ctx, local, ref.Key, op, args)
+		return c.invokeLocal(ctx, local, ref.Key, op, args, dec)
 	}
 	br := c.breakerFor(ref.Endpoint)
 	probe := false
@@ -265,7 +277,7 @@ func (c *Client) invokeOnceUntimed(ctx context.Context, ref wire.ObjRef, op stri
 			return nil, err
 		}
 	}
-	rs, err := c.invokeRemote(ctx, ref, op, args)
+	rs, err := c.invokeRemote(ctx, ref, op, args, dec)
 	if br != nil {
 		br.record(err, probe)
 	}
@@ -274,18 +286,20 @@ func (c *Client) invokeOnceUntimed(ctx context.Context, ref wire.ObjRef, op stri
 
 // invokeRemote is one transport-level attempt: connect (or reuse) and
 // round-trip.
-func (c *Client) invokeRemote(ctx context.Context, ref wire.ObjRef, op string, args []wire.Value) ([]wire.Value, error) {
+func (c *Client) invokeRemote(ctx context.Context, ref wire.ObjRef, op string, args []wire.Value, dec resultsDecoder) ([]wire.Value, error) {
 	cc, err := c.conn(ctx, ref.Endpoint)
 	if err != nil {
 		return nil, err
 	}
-	return cc.roundTrip(ctx, ref.Key, op, args)
+	return cc.roundTrip(ctx, ref.Key, op, args, dec)
 }
 
 // invokeLocal is the collocated fast path. It honors ctx: an already-done
 // context never dispatches, and a cancellable one can interrupt the wait
 // (the servant call itself runs to completion in a tracked goroutine).
-func (c *Client) invokeLocal(ctx context.Context, local *Server, key, op string, args []wire.Value) ([]wire.Value, error) {
+// Results for dec are encoded into a pooled buffer for it to read, as it
+// reads a remote reply's.
+func (c *Client) invokeLocal(ctx context.Context, local *Server, key, op string, args []wire.Value, dec resultsDecoder) ([]wire.Value, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -297,7 +311,7 @@ func (c *Client) invokeLocal(ctx context.Context, local *Server, key, op string,
 		// Uncancellable context (e.g. Background): dispatch inline, free
 		// of any goroutine or channel cost.
 		rep := local.dispatch(req)
-		return replyToResults(&rep)
+		return localResults(&rep, dec)
 	}
 	c.mu.Lock()
 	if c.closed {
@@ -313,10 +327,39 @@ func (c *Client) invokeLocal(ctx context.Context, local *Server, key, op string,
 	}()
 	select {
 	case rep := <-ch:
-		return replyToResults(&rep)
+		return localResults(&rep, dec)
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
+}
+
+// decodeError is a decoder's error on a reply that is valid wire. The
+// server answered, so retries, the breaker and the metrics take it as they
+// take a RemoteError; Invoke hands the caller the decoder's own error.
+type decodeError struct{ err error }
+
+func (e *decodeError) Error() string { return e.err.Error() }
+
+// localResults is replyToResults for a collocated reply, whose results, for
+// dec, go through the wire encoding.
+func localResults(rep *wire.Reply, dec resultsDecoder) ([]wire.Value, error) {
+	if dec == nil || rep.Err != "" {
+		return replyToResults(rep)
+	}
+	fb := wire.GetFrameBuffer()
+	defer wire.PutFrameBuffer(fb)
+	b := fb.B[:0]
+	for _, v := range rep.Results {
+		var err error
+		if b, err = wire.AppendValue(b, v); err != nil {
+			return nil, err
+		}
+	}
+	fb.B = b
+	if err := dec(wire.NewDecoder(b), len(rep.Results)); err != nil {
+		return nil, &decodeError{err}
+	}
+	return nil, nil
 }
 
 // replyToResults converts a reply into the Invoke return values.
@@ -504,11 +547,16 @@ type clientConn struct {
 type pendingCall struct {
 	ch   chan *wire.Reply
 	fut  *Future
-	bg   bool // counted in background: a future, or a caller that may give up
-	sent bool // a synchronous caller whose request is out: it may read (see markSent)
+	dec  resultsDecoder // a synchronous caller's, which reads the results itself
+	err  error          // dec's, when it fails on a reply that is valid wire
+	bg   bool           // counted in background: a future, or a caller that may give up
+	sent bool           // a synchronous caller whose request is out: it may read (see markSent)
 }
 
-var roleToken = new(wire.Reply) // on a waiting caller's channel: the read role
+var (
+	roleToken    = new(wire.Reply) // on a waiting caller's channel: the read role
+	decodedToken = new(wire.Reply) // on it: dec has read the results, or failed with err
+)
 
 const idleProbe = time.Millisecond // see alive
 
@@ -519,7 +567,7 @@ var pendingCallPool = sync.Pool{
 func getPendingCall() *pendingCall { return pendingCallPool.Get().(*pendingCall) }
 
 func putPendingCall(pc *pendingCall) {
-	pc.fut, pc.bg, pc.sent = nil, false, false
+	pc.fut, pc.dec, pc.err, pc.bg, pc.sent = nil, nil, nil, false, false
 	pendingCallPool.Put(pc)
 }
 
@@ -646,12 +694,7 @@ func (cc *clientConn) close(err error) {
 	}
 	_ = cc.w.conn.Close()
 	for _, pc := range waiters {
-		if pc.fut != nil {
-			pc.fut.complete(nil, err)
-			putPendingCall(pc)
-		} else {
-			close(pc.ch) // receivers translate a closed channel into deadErr
-		}
+		failCall(pc, err)
 	}
 	for _, s := range subs {
 		s.fail(err)
@@ -659,8 +702,9 @@ func (cc *clientConn) close(err error) {
 }
 
 // register allocates a request id and installs a waiter for its reply.
-// fut == nil installs a pooled synchronous waiter.
-func (cc *clientConn) register(fut *Future, cancellable bool) (*pendingCall, uint64, error) {
+// fut == nil installs a pooled synchronous waiter, whose results dec reads
+// when it is not nil.
+func (cc *clientConn) register(fut *Future, cancellable bool, dec resultsDecoder) (*pendingCall, uint64, error) {
 	cc.mu.Lock()
 	if cc.dead {
 		err := cc.deadErr
@@ -671,7 +715,7 @@ func (cc *clientConn) register(fut *Future, cancellable bool) (*pendingCall, uin
 	id := cc.nextID
 	cc.nextID++
 	pc := getPendingCall()
-	pc.fut = fut
+	pc.fut, pc.dec = fut, dec
 	cc.pending[id] = pc
 	if pc.bg = fut != nil || cancellable; pc.bg {
 		cc.background++
@@ -764,53 +808,107 @@ func (cc *clientConn) read(self *pendingCall) {
 			cc.close(fmt.Errorf("orb: connection lost: %w", err))
 			return
 		}
-		msg, err := cc.fr.Decode(payload)
+		id, isReply := wire.ReplyID(payload)
+		if !isReply {
+			if !cc.readOther(payload) {
+				return
+			}
+			continue
+		}
+		cc.mu.Lock()
+		pc, ok := cc.pending[id]
+		if ok {
+			cc.removeLocked(id, pc)
+		} else if cc.orphans > 0 {
+			cc.orphans--
+		}
+		more := self != nil || !ok || pc.bg || cc.needsBackground()
+		cc.mu.Unlock()
+		rep, err := cc.decodeReply(payload, pc)
 		if err != nil {
 			cc.close(fmt.Errorf("orb: protocol error: %w", err))
+			if ok {
+				failCall(pc, cc.deadError())
+			}
 			return
 		}
 		switch {
-		case msg.Rep != nil:
-			cc.mu.Lock()
-			pc, ok := cc.pending[msg.Rep.ID]
-			if ok {
-				cc.removeLocked(msg.Rep.ID, pc)
-			} else if cc.orphans > 0 {
-				cc.orphans--
-			}
-			more := self != nil || !ok || pc.bg || cc.needsBackground()
-			cc.mu.Unlock()
-			switch {
-			case !ok:
-				// The caller abandoned the request before its reply
-				// landed (forget won the race). Account for it: silent
-				// drops make pipelining bugs invisible.
-				cc.c.stats.lateReplies.Add(1)
-			case pc.fut != nil:
-				fut := pc.fut
-				putPendingCall(pc)
-				fut.complete(msg.Rep, nil)
-			default:
-				pc.ch <- msg.Rep
-				more = more && pc != self
-			}
-			if !more {
-				return
-			}
-		case msg.Event != nil:
-			cc.mu.Lock()
-			sub := cc.subs[msg.Event.SubID]
-			cc.mu.Unlock()
-			if sub != nil {
-				sub.deliver(msg.Event.Values)
-			} else {
-				// Raced with an unsubscribe; the stream is gone.
-				cc.c.stats.eventsDropped.Add(1)
-			}
+		case !ok:
+			// The caller abandoned the request before its reply
+			// landed (forget won the race). Account for it: silent
+			// drops make pipelining bugs invisible.
+			cc.c.stats.lateReplies.Add(1)
+		case pc.fut != nil:
+			fut := pc.fut
+			putPendingCall(pc)
+			fut.complete(rep, nil)
 		default:
-			cc.close(errors.New("orb: unexpected non-reply message from server"))
+			pc.ch <- rep
+			more = more && pc != self
+		}
+		if !more {
 			return
 		}
+	}
+}
+
+// decodeReply decodes a reply payload for pc, which the reader has claimed
+// (nil for a late reply, which nothing decodes into a caller's memory):
+// with pc's decoder when it has one, else into a wire.Reply. A decoder's
+// error on valid wire fails only its call; an error returned means the
+// payload is not valid wire.
+func (cc *clientConn) decodeReply(payload []byte, pc *pendingCall) (*wire.Reply, error) {
+	if pc != nil && pc.dec != nil {
+		if handled, err := cc.fr.DecodeResults(payload, pc.dec); handled {
+			if err != nil {
+				if _, perr := cc.fr.Decode(payload); perr != nil {
+					return nil, perr
+				}
+				pc.err = &decodeError{err}
+			}
+			return decodedToken, nil
+		}
+	}
+	msg, err := cc.fr.Decode(payload)
+	if err != nil {
+		return nil, err
+	}
+	return msg.Rep, nil
+}
+
+// readOther handles a frame that is not a reply: an event, or a protocol
+// error that closes the connection (false).
+func (cc *clientConn) readOther(payload []byte) bool {
+	msg, err := cc.fr.Decode(payload)
+	switch {
+	case err != nil:
+		cc.close(fmt.Errorf("orb: protocol error: %w", err))
+		return false
+	case msg.Event == nil:
+		cc.close(errors.New("orb: unexpected non-reply message from server"))
+		return false
+	}
+	cc.mu.Lock()
+	sub := cc.subs[msg.Event.SubID]
+	cc.mu.Unlock()
+	if sub != nil {
+		sub.deliver(msg.Event.Values)
+	} else {
+		// Raced with an unsubscribe; the stream is gone.
+		cc.c.stats.eventsDropped.Add(1)
+	}
+	return true
+}
+
+// failCall fails a waiter with the connection's death: a future completes
+// with err, and a synchronous caller finds its channel closed and reports
+// the connection's error.
+func failCall(pc *pendingCall, err error) {
+	if pc.fut != nil {
+		pc.fut.complete(nil, err)
+		putPendingCall(pc)
+	} else {
+		close(pc.ch)
 	}
 }
 
@@ -899,13 +997,13 @@ func (cc *clientConn) releaseSlot() {
 	}
 }
 
-func (cc *clientConn) roundTrip(ctx context.Context, key, op string, args []wire.Value) ([]wire.Value, error) {
+func (cc *clientConn) roundTrip(ctx context.Context, key, op string, args []wire.Value, dec resultsDecoder) ([]wire.Value, error) {
 	cc.c.stats.syncCalls.Add(1)
 	if err := cc.acquireSlot(ctx); err != nil {
 		return nil, err
 	}
 	defer cc.releaseSlot()
-	pc, id, err := cc.register(nil, ctx.Done() != nil)
+	pc, id, err := cc.register(nil, ctx.Done() != nil, dec)
 	if err != nil {
 		return nil, err
 	}
@@ -926,7 +1024,11 @@ func (cc *clientConn) roundTrip(ctx context.Context, key, op string, args []wire
 				cc.read(pc)
 				continue
 			}
+			err := pc.err
 			putPendingCall(pc)
+			if rep == decodedToken {
+				return nil, err
+			}
 			return replyToResults(rep)
 		case <-ctx.Done():
 			if !cc.forget(id, true) && !cc.isDead() {
@@ -995,7 +1097,20 @@ func (p *Proxy) Ref() wire.ObjRef { return p.ref }
 
 // Call invokes op with args and returns all results.
 func (p *Proxy) Call(ctx context.Context, op string, args ...wire.Value) ([]wire.Value, error) {
-	return p.c.Invoke(ctx, p.ref, op, args...)
+	return p.c.invoke(ctx, p.ref, op, args, nil)
+}
+
+// CallDecode invokes op with args, as Call does, and hands the reply's
+// results to dec instead of returning them: a decoder over their encoding
+// and their count. dec runs on the goroutine that reads the reply, so it
+// reads straight into the caller's own types, with no wire.Value tree in
+// between; it must read all n results. Its error fails the call (when the
+// bytes are valid wire; otherwise, as for any reply, the connection
+// closes). dec is not called for a reply that arrives after the call gave
+// up.
+func (p *Proxy) CallDecode(ctx context.Context, op string, dec func(d *wire.Decoder, n int) error, args ...wire.Value) error {
+	_, err := p.c.invoke(ctx, p.ref, op, args, dec)
+	return err
 }
 
 // Call1 invokes op and returns the first result (or nil).

@@ -143,7 +143,7 @@ func (c *Client) invokeRemoteAsync(ctx context.Context, ref wire.ObjRef, op stri
 		return nil, err
 	}
 	fut := &Future{cc: cc, done: make(chan struct{}), br: br, probe: probe}
-	_, id, err := cc.register(fut, false)
+	_, id, err := cc.register(fut, false, nil)
 	if err != nil {
 		fut.complete(nil, err) // frees the slot, feeds the breaker
 		return nil, err

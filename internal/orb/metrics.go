@@ -51,10 +51,10 @@ func classify(err error) int {
 		return classDeadline
 	}
 	var re *RemoteError
-	if errors.As(err, &re) {
-		if re.Code == CodeDeadline {
-			return classDeadline
-		}
+	if errors.As(err, &re) && re.Code == CodeDeadline {
+		return classDeadline
+	}
+	if isRemoteReply(err) {
 		return classApp
 	}
 	return classTransport

@@ -134,8 +134,7 @@ func (p RetryPolicy) Retryable(err error) bool {
 		// attempts is exactly the pressure release the server asked for.
 		return true
 	}
-	var re *RemoteError
-	if errors.As(err, &re) {
+	if isRemoteReply(err) {
 		return false // the server answered; its answer stands
 	}
 	if IsConnectError(err) {

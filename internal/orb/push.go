@@ -219,7 +219,7 @@ func safeSubscribe(es EventSource, topic string, args []wire.Value, sink EventSi
 // of the ack's processing are never dropped.
 func (cc *clientConn) subscribe(ctx context.Context, key, topic string, args []wire.Value) (*Subscription, error) {
 	sub := &Subscription{c: cc.c, cc: cc, ch: make(chan []wire.Value, DefaultSubscriptionBuffer)}
-	pc, id, err := cc.register(nil, true) // waits on ctx like a cancellable call
+	pc, id, err := cc.register(nil, true, nil) // waits on ctx like a cancellable call
 	if err != nil {
 		return nil, err
 	}

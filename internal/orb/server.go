@@ -69,6 +69,19 @@ type FastServant interface {
 	FastDispatch() bool
 }
 
+// ResultWriter is an optional Servant extension for a servant that encodes
+// an operation's results itself, straight into the reply frame, instead of
+// returning them as values for the ORB to encode. AppendResults appends
+// op's result count (wire.AppendValueCount) and results to dst, which holds
+// the reply's header, and returns the extended slice. handled false sends
+// the call to Invoke. Errors are Invoke's: an AppError, or any other error
+// for an internal one. Invoke must still answer every operation, as the
+// collocated path and a servant wrapper call it.
+type ResultWriter interface {
+	Servant
+	AppendResults(dst []byte, op string, args []wire.Value) (out []byte, handled bool, err error)
+}
+
 // AppError is an application-level error raised by a servant; it crosses
 // the wire with CodeApp and is reconstructed on the client as a RemoteError
 // with the same message.
@@ -402,7 +415,7 @@ func (s *Server) admit(cw *connWriter, j connJob) {
 		}
 		rep := &wire.Reply{ID: j.req.ID, ErrCode: CodeOverloaded,
 			Err: fmt.Sprintf("server overloaded: dispatch queue full, %q shed at admission", j.req.Operation)}
-		if err := s.writeReply(cw, rep, time.Now().Add(DefaultWriteTimeout)); err != nil {
+		if err := s.writeReply(cw, wire.GetFrameBuffer(), rep, false, time.Now().Add(DefaultWriteTimeout)); err != nil {
 			s.logf("orb: write overload reply: %v", err)
 		}
 	}
@@ -544,7 +557,7 @@ func (c *serverConn) readFrames() (rescued bool) {
 				if !job.oneway {
 					rep := &wire.Reply{ID: job.req.ID, ErrCode: CodeDeadline,
 						Err: fmt.Sprintf("deadline expired before dispatch of %q", job.req.Operation)}
-					if err := s.writeReply(c.cw, rep, time.Now().Add(time.Second)); err != nil {
+					if err := s.writeReply(c.cw, wire.GetFrameBuffer(), rep, false, time.Now().Add(time.Second)); err != nil {
 						s.logf("orb: write expired-shed reply: %v", err)
 					}
 				}
@@ -591,12 +604,15 @@ func (c *serverConn) readFrames() (rescued bool) {
 }
 
 // handle dispatches one request and, unless it was oneway, writes the reply
-// as a single frame from a pooled buffer.
+// as a single frame from a pooled buffer, which a ResultWriter servant
+// fills itself.
 func (s *Server) handle(cw *connWriter, j connJob) {
-	rep := s.dispatchEntry(j.entry, j.req)
 	if j.oneway {
-		return // no reply, errors dropped by design
+		s.dispatchEntry(j.entry, j.req, nil) // no reply, errors dropped by design
+		return
 	}
+	fb := wire.GetFrameBuffer()
+	rep, written := s.dispatchEntry(j.entry, j.req, fb)
 	// Bound the reply write by the request's wire deadline (with a small
 	// floor so even an already-expired caller gets its DEADLINE_EXCEEDED
 	// reply rather than a hang).
@@ -607,28 +623,30 @@ func (s *Server) handle(cw *connWriter, j connJob) {
 			deadline = floor
 		}
 	}
-	if err := s.writeReply(cw, &rep, deadline); err != nil {
+	if err := s.writeReply(cw, fb, &rep, written, deadline); err != nil {
 		s.logf("orb: write reply: %v", err)
 	}
 }
 
-// writeReply encodes and writes one reply frame from a pooled buffer. A
-// reply too large to frame is answered with a CodeInternal error reply in
-// its place, so the caller learns of it instead of waiting out its deadline.
-func (s *Server) writeReply(cw *connWriter, rep *wire.Reply, deadline time.Time) error {
-	fb := wire.GetFrameBuffer()
-	out, err := wire.AppendReply(fb.B, rep)
-	if err != nil {
-		wire.PutFrameBuffer(fb)
-		s.logf("orb: encode reply: %v", err)
-		return nil // local encode bug; the connection itself is fine
+// writeReply writes one reply frame from fb, a pooled buffer it recycles:
+// rep encoded, or the reply fb holds already when written. A reply too
+// large to frame is answered with a CodeInternal error reply in its place,
+// so the caller learns of it instead of waiting out its deadline.
+func (s *Server) writeReply(cw *connWriter, fb *wire.FrameBuffer, rep *wire.Reply, written bool, deadline time.Time) error {
+	if !written {
+		out, err := wire.AppendReply(fb.B, rep)
+		if err != nil {
+			wire.PutFrameBuffer(fb)
+			s.logf("orb: encode reply: %v", err)
+			return nil // local encode bug; the connection itself is fine
+		}
+		fb.B = out
 	}
-	fb.B = out
 	frame, err := fb.Frame()
 	if err != nil {
 		wire.PutFrameBuffer(fb)
-		return s.writeReply(cw, &wire.Reply{ID: rep.ID, ErrCode: CodeInternal,
-			Err: "reply exceeds frame size limit"}, deadline)
+		return s.writeReply(cw, wire.GetFrameBuffer(), &wire.Reply{ID: rep.ID, ErrCode: CodeInternal,
+			Err: "reply exceeds frame size limit"}, false, deadline)
 	}
 	err = cw.writeFrame(frame, deadline)
 	wire.PutFrameBuffer(fb)
@@ -667,7 +685,7 @@ func (s *Server) handleSubscribe(cw *connWriter, sub *wire.Subscribe, subs map[u
 		}
 		subs[sub.SubID] = &serverSub{sink: sink, cancel: cancel}
 	}
-	if err := s.writeReply(cw, rep, time.Now().Add(DefaultWriteTimeout)); err != nil {
+	if err := s.writeReply(cw, wire.GetFrameBuffer(), rep, false, time.Now().Add(DefaultWriteTimeout)); err != nil {
 		s.logf("orb: write subscribe ack: %v", err)
 	}
 }
@@ -684,32 +702,36 @@ func (s *Server) servantEntryFor(key string) *servantEntry {
 // dispatch routes a request to its servant, applying IDL checking when
 // configured, and converts errors into error replies.
 func (s *Server) dispatch(req *wire.Request) wire.Reply {
-	return s.dispatchEntry(s.servantEntryFor(req.ObjectKey), req)
+	rep, _ := s.dispatchEntry(s.servantEntryFor(req.ObjectKey), req, nil)
+	return rep
 }
 
-// dispatchEntry is dispatch with the servant lookup already done.
-func (s *Server) dispatchEntry(entry *servantEntry, req *wire.Request) wire.Reply {
+// dispatchEntry is dispatch with the servant lookup already done. Given a
+// frame buffer, it lets a ResultWriter servant encode its reply there:
+// written reports that fb holds the reply, and rep then carries only its
+// id.
+func (s *Server) dispatchEntry(entry *servantEntry, req *wire.Request, fb *wire.FrameBuffer) (rep wire.Reply, written bool) {
 	if s.sm != nil {
 		start := time.Now()
-		rep := s.dispatchEntryUntimed(entry, req)
+		rep, written = s.dispatchEntryUntimed(entry, req, fb)
 		s.sm.observe(time.Since(start), rep.ErrCode)
-		return rep
+		return rep, written
 	}
-	return s.dispatchEntryUntimed(entry, req)
+	return s.dispatchEntryUntimed(entry, req, fb)
 }
 
-func (s *Server) dispatchEntryUntimed(entry *servantEntry, req *wire.Request) wire.Reply {
+func (s *Server) dispatchEntryUntimed(entry *servantEntry, req *wire.Request, fb *wire.FrameBuffer) (wire.Reply, bool) {
 	if req.Deadline != 0 && time.Now().UnixNano() > req.Deadline {
 		// Backstop for requests that expired after admission (e.g. while
 		// queued for a pool worker); admission-time expiry is caught in
 		// readFrames. Both count as ExpiredShed.
 		s.stats.expiredShed.Add(1)
 		return wire.Reply{ID: req.ID, ErrCode: CodeDeadline,
-			Err: fmt.Sprintf("deadline expired before dispatch of %q", req.Operation)}
+			Err: fmt.Sprintf("deadline expired before dispatch of %q", req.Operation)}, false
 	}
 	if entry == nil {
 		return wire.Reply{ID: req.ID, ErrCode: CodeNoSuchObject,
-			Err: fmt.Sprintf("no object %q", req.ObjectKey)}
+			Err: fmt.Sprintf("no object %q", req.ObjectKey)}, false
 	}
 	if s.opts.Repo != nil && entry.iface != "" {
 		if _, err := s.opts.Repo.CheckCall(entry.iface, req.Operation, req.Args); err != nil {
@@ -718,31 +740,43 @@ func (s *Server) dispatchEntryUntimed(entry *servantEntry, req *wire.Request) wi
 			if errors.As(err, &bad) && bad.Msg == "no such operation" {
 				code = CodeBadOperation
 			}
-			return wire.Reply{ID: req.ID, ErrCode: code, Err: err.Error()}
+			return wire.Reply{ID: req.ID, ErrCode: code, Err: err.Error()}, false
 		}
 	}
-	results, err := safeInvoke(entry.servant, req.Operation, req.Args)
+	results, written, err := safeInvoke(entry.servant, req, fb)
 	if err != nil {
 		code := CodeApp
 		var app *AppError
 		if !errors.As(err, &app) {
 			code = CodeInternal
 		}
-		return wire.Reply{ID: req.ID, ErrCode: code, Err: err.Error()}
+		return wire.Reply{ID: req.ID, ErrCode: code, Err: err.Error()}, false
 	}
-	return wire.Reply{ID: req.ID, Results: results}
+	return wire.Reply{ID: req.ID, Results: results}, written
 }
 
-// safeInvoke shields the server from servant panics: a panicking servant
-// produces an INTERNAL error reply instead of tearing the process down.
-func safeInvoke(sv Servant, op string, args []wire.Value) (results []wire.Value, err error) {
+// safeInvoke calls the servant: a ResultWriter's AppendResults into fb when
+// there is one, else Invoke. It shields the server from servant panics: a
+// panicking servant produces an INTERNAL error reply instead of tearing
+// the process down. fb holds a written reply only when written is true.
+func safeInvoke(sv Servant, req *wire.Request, fb *wire.FrameBuffer) (results []wire.Value, written bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			results = nil
-			err = fmt.Errorf("servant panic in %s: %v", op, r)
+			results, written = nil, false
+			err = fmt.Errorf("servant panic in %s: %v", req.Operation, r)
 		}
 	}()
-	return sv.Invoke(op, args)
+	if rw, ok := sv.(ResultWriter); ok && fb != nil {
+		out, handled, err := rw.AppendResults(wire.AppendReplyHeader(fb.B, req.ID), req.Operation, req.Args)
+		if handled {
+			if err == nil {
+				fb.B = out
+			}
+			return nil, err == nil, err
+		}
+	}
+	results, err = sv.Invoke(req.Operation, req.Args)
+	return results, false, err
 }
 
 // watch is the inline-dispatch watchdog. A reader lists its connection as an

@@ -317,11 +317,13 @@ func diffRun(t *testing.T, seed int64, steps int) {
 	}
 }
 
-// TestQueryWireMatchesResultsToWire: the servant's query reply, encoded
-// straight from the offers' slots, is byte for byte resultsToWire over
-// Query's rows — for every differential query shape, over offers with
-// static, dynamic, failing and quarantined properties, a property exported
-// with a nil value, and names first seen by Export and by Modify.
+// TestQueryWireMatchesResultsToWire: the servant's query reply, written
+// straight from the offers' slots, and resultsToWire's over Query's rows
+// are byte for byte the generic codec's encoding of the same rows built as
+// tables (resultsToTables) — for every differential query shape, over
+// offers with static, dynamic, failing and quarantined properties, a
+// property exported with a nil value, and names first seen by Export and by
+// Modify; and so is resultsToWire over the fuzzers' random offers.
 func TestQueryWireMatchesResultsToWire(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	res := &loadResolver{loads: map[wire.ObjRef]float64{}, down: map[wire.ObjRef]bool{}}
@@ -384,20 +386,19 @@ func TestQueryWireMatchesResultsToWire(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := wire.EncodeValue(resultsToWire(rs))
+					want, err := wire.EncodeValue(resultsToTables(rs))
 					if err != nil {
 						t.Fatal(err)
 					}
-					reply, err := sv.Invoke("query", []wire.Value{wire.String("A"), wire.String(cons), wire.String(pref), wire.Int(max)})
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := wire.EncodeValue(reply[0])
+					got, err := sv.appendQuery(nil, []wire.Value{wire.String("A"), wire.String(cons), wire.String(pref), wire.Int(max)})
 					if err != nil {
 						t.Fatal(err)
 					}
 					if !bytes.Equal(got, want) {
-						t.Fatalf("round %d, query %q %q max %d: servant reply %v, resultsToWire %v", round, cons, pref, max, reply[0], resultsToWire(rs))
+						t.Fatalf("round %d, query %q %q max %d: servant reply\n%x\nreference\n%x", round, cons, pref, max, got, want)
+					}
+					if got, _ := resultsToWire(nil, rs); !bytes.Equal(got, want) {
+						t.Fatalf("round %d, query %q %q max %d: resultsToWire\n%x\nreference\n%x", round, cons, pref, max, got, want)
 					}
 				}
 			}
@@ -410,6 +411,11 @@ func TestQueryWireMatchesResultsToWire(t *testing.T) {
 	}
 	if quarantined == 0 {
 		t.Fatal("no offer was ever quarantined: the test covers less than it claims")
+	}
+	// The fuzzers' offers: every kind of value, names that sort around the
+	// row's own keys, dynamic properties with and without an aspect.
+	for seed := int64(0); seed < 300; seed++ {
+		checkWritten(t, randomResults(rand.New(rand.NewSource(seed))))
 	}
 }
 

@@ -45,7 +45,14 @@ const DefaultObjectKey = "Trader"
 // Servant exposes a trading directory over the ORB. Wire representation:
 //
 //	properties:  table{ name = value | table{dynamic=<objref>, aspect=string} }
-//	query reply: list of table{id, type, ref, properties=table{name=value}}
+//	query reply: list of table{dynamics=table{name=table{aspect=string, ref=<objref>}},
+//	                           id=string, properties=table{name=value}, ref=<objref>, type=string}
+//
+// A query reply row carries dynamics only when the offer has a dynamic
+// property, and an aspect only when the source has one (see reply.go). The
+// servant writes the reply straight into the reply frame (replyRow, through
+// orb.ResultWriter), and Lookup.Query reads it straight into QueryResults
+// (readResults).
 //
 // The directory behind the servant can be a single in-process trader
 // (NewServant) or any other Directory implementation, such as the shard
@@ -53,13 +60,13 @@ const DefaultObjectKey = "Trader"
 // the difference.
 type Servant struct {
 	dir     Directory
-	query   func(ctx context.Context, serviceType, constraint, preference string, maxResults int) (wire.Value, error)
+	query   func(ctx context.Context, serviceType, constraint, preference string, maxResults int, dst []byte) ([]byte, error)
 	types   func() []string            // listTypes; nil → empty list
 	stats   func() (TraderStats, bool) // stats; nil or false → unsupported
 	metrics func() string              // metrics exposition; nil → unsupported
 }
 
-// NewServant wraps an in-process trader. Its query replies are encoded
+// NewServant wraps an in-process trader. Its query replies are written
 // straight from the offers' slots (Trader.queryWire).
 func NewServant(t *Trader) *Servant {
 	return &Servant{
@@ -74,12 +81,12 @@ func NewServant(t *Trader) *Servant {
 // shard router — under the same wire interface as a single trader.
 // typeNames backs the listTypes operation and may be nil.
 func NewDirectoryServant(d Directory, typeNames func() []string) *Servant {
-	query := func(ctx context.Context, serviceType, constraint, preference string, maxResults int) (wire.Value, error) {
+	query := func(ctx context.Context, serviceType, constraint, preference string, maxResults int, dst []byte) ([]byte, error) {
 		results, err := d.Query(ctx, serviceType, constraint, preference, maxResults)
 		if err != nil {
-			return wire.Nil(), err
+			return dst, err
 		}
-		return resultsToWire(results), nil
+		return resultsToWire(dst, results)
 	}
 	return &Servant{dir: d, query: query, types: typeNames}
 }
@@ -92,30 +99,54 @@ func (s *Servant) WithMetricsText(fn func() string) *Servant {
 	return s
 }
 
-var _ orb.Servant = (*Servant)(nil)
+var _ orb.ResultWriter = (*Servant)(nil)
 
-// Invoke implements orb.Servant.
+// AppendResults implements orb.ResultWriter: a query's reply is written
+// straight into the reply frame.
+func (s *Servant) AppendResults(dst []byte, op string, args []wire.Value) ([]byte, bool, error) {
+	if op != "query" {
+		return dst, false, nil
+	}
+	out, err := s.appendQuery(wire.AppendValueCount(dst, 1), args)
+	return out, true, err
+}
+
+// appendQuery appends the reply to a query call with args.
+func (s *Servant) appendQuery(dst []byte, args []wire.Value) ([]byte, error) {
+	if len(args) < 1 {
+		return nil, orb.Appf("query: service type required")
+	}
+	max := 0
+	if len(args) > 3 {
+		max = int(args[3].Num())
+	}
+	constraint, preference := "", ""
+	if len(args) > 1 {
+		constraint = args[1].Str()
+	}
+	if len(args) > 2 {
+		preference = args[2].Str()
+	}
+	out, err := s.query(context.Background(), args[0].Str(), constraint, preference, max, dst)
+	if err != nil {
+		return nil, orb.Appf("query: %v", err)
+	}
+	return out, nil
+}
+
+// Invoke implements orb.Servant. A query's reply is the written one,
+// decoded.
 func (s *Servant) Invoke(op string, args []wire.Value) ([]wire.Value, error) {
 	ctx := context.Background()
 	switch op {
 	case "query":
-		if len(args) < 1 {
-			return nil, orb.Appf("query: service type required")
-		}
-		max := 0
-		if len(args) > 3 {
-			max = int(args[3].Num())
-		}
-		constraint, preference := "", ""
-		if len(args) > 1 {
-			constraint = args[1].Str()
-		}
-		if len(args) > 2 {
-			preference = args[2].Str()
-		}
-		reply, err := s.query(ctx, args[0].Str(), constraint, preference, max)
+		b, err := s.appendQuery(nil, args)
 		if err != nil {
-			return nil, orb.Appf("query: %v", err)
+			return nil, err
+		}
+		reply, err := wire.DecodeValue(b)
+		if err != nil {
+			return nil, err
 		}
 		return []wire.Value{reply}, nil
 	case "export":
@@ -266,163 +297,18 @@ func propValueFromWire(v wire.Value) (PropValue, error) {
 func PropsToWire(props map[string]PropValue) wire.Value {
 	tb := wire.NewTableSize(0, len(props))
 	for name, pv := range props {
-		if pv.IsDynamic() {
-			tb.SetString(name, dynamicToWire("dynamic", pv))
-		} else {
+		if !pv.IsDynamic() {
 			tb.SetString(name, pv.Static)
+			continue
 		}
+		d := wire.NewTableSize(0, 2)
+		d.SetString("dynamic", wire.Ref(pv.Dynamic))
+		if pv.Aspect != "" {
+			d.SetString("aspect", wire.String(pv.Aspect))
+		}
+		tb.SetString(name, wire.TableVal(d))
 	}
 	return wire.TableVal(tb)
-}
-
-// dynamicToWire encodes a dynamic property's source: its monitor under
-// refKey, plus the aspect when there is one.
-func dynamicToWire(refKey string, pv PropValue) wire.Value {
-	d := wire.NewTableSize(0, 2)
-	d.SetString(refKey, wire.Ref(pv.Dynamic))
-	if pv.Aspect != "" {
-		d.SetString("aspect", wire.String(pv.Aspect))
-	}
-	return wire.TableVal(d)
-}
-
-// replyRow builds one row of a query reply — the wire format's single
-// definition, filled by resultsToWire from a QueryResult's maps and by
-// queryWire from an offer's slots.
-type replyRow struct {
-	row, snap, dyn *wire.Table
-	n              int // size hint for the property tables
-}
-
-func newReplyRow(o *Offer, n int) replyRow {
-	row := wire.NewTableSize(0, 5)
-	row.SetString("id", wire.String(o.ID))
-	row.SetString("type", wire.String(o.ServiceType))
-	row.SetString("ref", wire.Ref(o.Ref))
-	return replyRow{row: row, snap: wire.NewTableSize(0, n), n: n}
-}
-
-// property adds one snapshot value.
-func (r *replyRow) property(name string, v wire.Value) { r.snap.SetString(name, v) }
-
-// dynamic adds the source of one dynamic property. Sources travel with the
-// offer so clients (smart proxies) can attach observers to the same
-// monitors the trader consults.
-func (r *replyRow) dynamic(name string, pv PropValue) {
-	if r.dyn == nil {
-		r.dyn = wire.NewTableSize(0, r.n)
-	}
-	r.dyn.SetString(name, dynamicToWire("ref", pv))
-}
-
-func (r *replyRow) value() wire.Value {
-	r.row.SetString("properties", wire.TableVal(r.snap))
-	if r.dyn != nil {
-		r.row.SetString("dynamics", wire.TableVal(r.dyn))
-	}
-	return wire.TableVal(r.row)
-}
-
-func resultsToWire(results []QueryResult) wire.Value {
-	out := wire.NewTableSize(len(results), 0)
-	for _, r := range results {
-		row := newReplyRow(&r.Offer, max(len(r.Snapshot), len(r.Offer.Props)))
-		for name, v := range r.Snapshot {
-			row.property(name, v)
-		}
-		for name, pv := range r.Offer.Props {
-			if pv.IsDynamic() {
-				row.dynamic(name, pv)
-			}
-		}
-		out.Append(row.value())
-	}
-	return wire.TableVal(out)
-}
-
-// queryWire is Query encoded as the servant's reply: rows go from the
-// offers' slots straight into wire tables, with no Props or Snapshot map in
-// between. The encoded bytes are those of resultsToWire over Query's rows.
-func (t *Trader) queryWire(ctx context.Context, serviceType, constraint, preference string, maxResults int) (wire.Value, error) {
-	var out *wire.Table
-	err := t.query(ctx, serviceType, constraint, preference, maxResults, func(sc *queryScratch) {
-		out = wire.NewTableSize(len(sc.matched), 0)
-		for _, i := range sc.matched {
-			c := &sc.candidates[i]
-			row := newReplyRow(&c.rec.offer, len(c.props.slots))
-			for k, s := range c.props.slots {
-				pv := &c.props.val[k]
-				name := sc.slotNames[s]
-				if v := sc.snapValue(c, int(s), pv); v != nil {
-					row.property(name, *v)
-				}
-				if pv.IsDynamic() {
-					row.dynamic(name, *pv)
-				}
-			}
-			out.Append(row.value())
-		}
-	})
-	if err != nil {
-		return wire.Nil(), err
-	}
-	return wire.TableVal(out), nil
-}
-
-// ResultsFromWire decodes a query reply on the client side.
-func ResultsFromWire(v wire.Value) ([]QueryResult, error) {
-	tb, ok := v.AsTable()
-	if !ok {
-		return nil, fmt.Errorf("trading: query reply is %s, want table", v.Kind())
-	}
-	out := make([]QueryResult, 0, tb.Len())
-	for i := 1; i <= tb.Len(); i++ {
-		entry, ok := tb.Index(i).AsTable()
-		if !ok {
-			return nil, fmt.Errorf("trading: query reply entry %d is not a table", i)
-		}
-		ref, ok := entry.GetString("ref").AsRef()
-		if !ok {
-			return nil, fmt.Errorf("trading: query reply entry %d has no ref", i)
-		}
-		qr := QueryResult{
-			Offer: Offer{
-				ID:          entry.GetString("id").Str(),
-				ServiceType: entry.GetString("type").Str(),
-				Ref:         ref,
-			},
-		}
-		if snap, ok := entry.GetString("properties").AsTable(); ok {
-			qr.Snapshot = make(map[string]wire.Value, snap.Size())
-			snap.Pairs(func(k, val wire.Value) bool {
-				if name, ok := k.AsString(); ok {
-					qr.Snapshot[name] = val
-				}
-				return true
-			})
-		} else {
-			qr.Snapshot = map[string]wire.Value{}
-		}
-		if dyn, ok := entry.GetString("dynamics").AsTable(); ok {
-			qr.Offer.Props = make(map[string]PropValue, dyn.Size())
-			dyn.Pairs(func(k, val wire.Value) bool {
-				name, nameOK := k.AsString()
-				d, tblOK := val.AsTable()
-				if !nameOK || !tblOK {
-					return true
-				}
-				if ref, ok := d.GetString("ref").AsRef(); ok {
-					qr.Offer.Props[name] = PropValue{
-						Dynamic: ref,
-						Aspect:  d.GetString("aspect").Str(),
-					}
-				}
-				return true
-			})
-		}
-		out = append(out, qr)
-	}
-	return out, nil
 }
 
 // Lookup is the client-side convenience wrapper around a remote trader —
@@ -440,15 +326,18 @@ func NewLookup(client *orb.Client, ref wire.ObjRef) *Lookup {
 // Ref returns the trader's object reference.
 func (l *Lookup) Ref() wire.ObjRef { return l.proxy.Ref() }
 
-// Query performs a remote query.
+// Query performs a remote query. The reply is read straight into the
+// rows returned (readResults).
 func (l *Lookup) Query(ctx context.Context, serviceType, constraint, preference string, maxResults int) ([]QueryResult, error) {
-	v, err := l.proxy.Call1(ctx, "query",
-		wire.String(serviceType), wire.String(constraint),
-		wire.String(preference), wire.Int(maxResults))
+	var out []QueryResult
+	err := l.proxy.CallDecode(ctx, "query", func(d *wire.Decoder, n int) (err error) {
+		out, err = readResults(d, n)
+		return err
+	}, wire.String(serviceType), wire.String(constraint), wire.String(preference), wire.Int(maxResults))
 	if err != nil {
-		return nil, err
+		return nil, err // out may be written still, by a reply that lost the race with ctx
 	}
-	return ResultsFromWire(v)
+	return out, nil
 }
 
 // Export exports an offer remotely and returns the offer id.

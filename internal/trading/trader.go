@@ -23,7 +23,17 @@ var (
 	ErrUnknownServiceType = errors.New("trading: unknown service type")
 	// ErrUnknownOffer is returned by Withdraw/Modify for missing offers.
 	ErrUnknownOffer = errors.New("trading: unknown offer")
+	// ErrTooManyNames is returned by Export and Modify when the offer
+	// would number a property name past maxTypeNames in its type.
+	ErrTooManyNames = errors.New("trading: too many property names in service type")
 )
+
+// maxTypeNames bounds a service type's slot table: the property names its
+// offers have ever used, withdrawn offers' names included, since slots are
+// never reused. Past it, Export and Modify refuse an offer with a name the
+// type has not seen, so exports with ever-new names cannot grow the table
+// for the trader's life.
+const maxTypeNames = 1024
 
 // PropValue is one offer property: either a static value, or a *dynamic
 // property* — a reference to an object that yields the current value when
@@ -308,15 +318,29 @@ func (rt *registeredType) slot(name string) int {
 	return s
 }
 
-// check rejects, for a Strict type, properties the type does not declare.
+// check rejects, for a Strict type, properties the type does not declare,
+// and for any other names that would number its slots past maxTypeNames.
+// A Strict type's names are all numbered by AddType.
 func (rt *registeredType) check(props map[string]PropValue) error {
-	if !rt.Strict {
+	if rt.Strict {
+		for name := range props {
+			if _, ok := rt.declared[name]; !ok {
+				return fmt.Errorf("trading: offer property %q not declared by type %q", name, rt.Name)
+			}
+		}
 		return nil
 	}
+	if len(rt.names)+len(props) <= maxTypeNames {
+		return nil // even all new, the names fit
+	}
+	fresh := 0
 	for name := range props {
-		if _, ok := rt.declared[name]; !ok {
-			return fmt.Errorf("trading: offer property %q not declared by type %q", name, rt.Name)
+		if _, ok := rt.slots[name]; !ok {
+			fresh++
 		}
+	}
+	if fresh > 0 && len(rt.names)+fresh > maxTypeNames {
+		return fmt.Errorf("%w: %q has %d, the offer adds %d, the bound is %d", ErrTooManyNames, rt.Name, len(rt.names), fresh, maxTypeNames)
 	}
 	return nil
 }
@@ -756,6 +780,7 @@ type queryScratch struct {
 	aspects    []string
 	pend       []pendingProp
 	results    []Resolution
+	row        replyRow // queryWire's, one row at a time
 	outcomes   []resolveOutcome
 	gi         groupIndex
 }
@@ -797,6 +822,7 @@ func putQueryScratch(sc *queryScratch) {
 	clear(sc.aspects[:cap(sc.aspects)])
 	clear(sc.pend[:cap(sc.pend)])
 	clear(sc.results[:cap(sc.results)])
+	clear(sc.row[:cap(sc.row)])
 	queryScratchPool.Put(sc)
 }
 

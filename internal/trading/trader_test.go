@@ -499,21 +499,24 @@ func TestPropsWireRoundTrip(t *testing.T) {
 	}
 }
 
+// TestResultsFromWireErrors: the reference reader and the direct one
+// refuse a reply of the wrong shape alike.
 func TestResultsFromWireErrors(t *testing.T) {
-	if _, err := ResultsFromWire(wire.String("x")); err == nil {
-		t.Fatal("non-table reply accepted")
-	}
 	bad := wire.NewTable()
 	bad.Append(wire.String("not-a-table"))
-	if _, err := ResultsFromWire(wire.TableVal(bad)); err == nil {
-		t.Fatal("malformed entry accepted")
-	}
 	noRef := wire.NewTable()
 	entry := wire.NewTable()
 	entry.SetString("id", wire.String("offer-1"))
 	noRef.Append(wire.TableVal(entry))
-	if _, err := ResultsFromWire(wire.TableVal(noRef)); err == nil {
-		t.Fatal("entry without ref accepted")
+	for _, v := range []wire.Value{wire.String("x"), wire.TableVal(bad), wire.TableVal(noRef)} {
+		if _, err := ResultsFromWire(v); err == nil {
+			t.Fatalf("reply %v accepted", v)
+		}
+		b, err := wire.EncodeValue(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkRead(t, b)
 	}
 }
 
@@ -784,5 +787,49 @@ func TestPropRefs(t *testing.T) {
 		if got := p.refs; len(got) != 0 {
 			t.Fatalf("PropRefs(%q) = %v, want empty", src, got)
 		}
+	}
+}
+
+// TestSlotNamesBounded: a non-Strict type numbers every property name its
+// offers ever used, withdrawn offers' included, up to maxTypeNames. Past
+// that, Export and Modify refuse an offer with a name the type has not seen
+// (ErrTooManyNames), before anything changes; names it has seen still go.
+func TestSlotNamesBounded(t *testing.T) {
+	tr := NewTrader(nil)
+	tr.AddType(ServiceType{Name: "S", Props: []string{"Load"}})
+	one := PropValue{Static: wire.Int(1)}
+	for i := 1; i < maxTypeNames; i++ {
+		id, err := tr.Export("S", serverRef(i), map[string]PropValue{"Load": one, fmt.Sprint("name", i): one})
+		if err != nil {
+			t.Fatalf("export %d: %v", i, err)
+		}
+		if err := tr.Withdraw(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	id, err := tr.Export("S", serverRef(0), map[string]PropValue{"Load": one, "name7": one})
+	if err != nil {
+		t.Fatalf("export with seen names: %v", err)
+	}
+	rt := tr.types["S"]
+	before, next := tr.Stats(), tr.nextID
+	if _, err := tr.Export("S", serverRef(1), map[string]PropValue{"Load": one, "fresh": one}); !errors.Is(err, ErrTooManyNames) {
+		t.Fatalf("export with a fresh name past the bound: %v, want ErrTooManyNames", err)
+	}
+	if err := tr.Modify(id, map[string]PropValue{"fresh": one}); !errors.Is(err, ErrTooManyNames) {
+		t.Fatalf("modify with a fresh name past the bound: %v, want ErrTooManyNames", err)
+	}
+	after := tr.Stats()
+	if len(rt.names) != maxTypeNames || len(rt.slots) != maxTypeNames || tr.nextID != next ||
+		after.Exports != before.Exports || after.Offers != 1 {
+		t.Fatalf("refusals changed the trader: %d names, %d slots, next id %d (was %d), stats %+v (was %+v)",
+			len(rt.names), len(rt.slots), tr.nextID, next, after, before)
+	}
+	rs, err := tr.Query(context.Background(), "S", "exist name7", "", 0)
+	if err != nil || len(rs) != 1 || rs[0].Offer.ID != id {
+		t.Fatalf("the refused Modify changed the offer: %v, %v", rs, err)
+	}
+	if err := tr.Modify(id, map[string]PropValue{"name9": one}); err != nil {
+		t.Fatalf("modify with a seen name: %v", err)
 	}
 }

@@ -84,8 +84,7 @@ func appendValue(dst []byte, v Value, depth int) ([]byte, error) {
 		return appendString(dst, r.Key), nil
 	case KindTable:
 		t := v.table()
-		dst = append(dst, tagTable)
-		dst = binary.AppendUvarint(dst, uint64(len(t.arr)))
+		dst = AppendTableHeader(dst, len(t.arr))
 		var err error
 		for _, e := range t.arr {
 			if dst, err = appendValue(dst, e, depth+1); err != nil {
@@ -94,7 +93,7 @@ func appendValue(dst []byte, v Value, depth int) ([]byte, error) {
 		}
 		// Deterministic order: encode pairs sorted by key, matching Pairs.
 		ps := t.sortedHash()
-		dst = binary.AppendUvarint(dst, uint64(len(ps)))
+		dst = AppendCount(dst, len(ps))
 		for i := range ps {
 			if dst, err = appendValue(dst, ps[i].k.value(), depth+1); err != nil {
 				return dst, err
@@ -114,12 +113,46 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
+// Streaming primitives, for a writer that encodes a table shape it knows
+// without building the tables, and a reader that decodes one into its own
+// types. A table is its header (AppendTableHeader: the tag and the array
+// length), its array elements, its pair count (AppendCount) and its pairs,
+// each key before its value, in keyCmp order: strings sort by
+// strings.Compare. A record has no array elements. Writing them so gives
+// the bytes AppendValue gives for the same table.
+
+// AppendTableHeader appends the start of a table with narr array elements.
+func AppendTableHeader(dst []byte, narr int) []byte {
+	dst = append(dst, tagTable)
+	return binary.AppendUvarint(dst, uint64(narr))
+}
+
+// AppendCount appends a table's pair count, which follows its array
+// elements.
+func AppendCount(dst []byte, n int) []byte {
+	return binary.AppendUvarint(dst, uint64(n))
+}
+
+// AppendString appends s as a string value.
+func AppendString(dst []byte, s string) []byte {
+	return appendString(append(dst, tagString), s)
+}
+
+// AppendValueAt is AppendValue for a value nested depth tables deep, so
+// the depth limit counts the tables a streaming writer put around it.
+func AppendValueAt(dst []byte, v Value, depth int) ([]byte, error) {
+	return appendValue(dst, v, depth)
+}
+
 // Decoder reads values from a byte slice.
 type Decoder struct {
 	buf []byte
 	pos int
 	in  *internTable // nil: every string is a fresh copy (see FrameReader.Decode)
 }
+
+// NewDecoder returns a decoder over buf that copies every string.
+func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
 
 // Remaining reports how many undecoded bytes are left.
 func (d *Decoder) Remaining() int { return len(d.buf) - d.pos }
@@ -129,12 +162,60 @@ func (d *Decoder) Value() (Value, error) {
 	return d.value(0)
 }
 
-func (d *Decoder) value(depth int) (Value, error) {
+// ValueAt decodes the next value, nested depth tables deep: the depth
+// limit counts the tables a streaming reader has opened around it.
+func (d *Decoder) ValueAt(depth int) (Value, error) {
+	return d.value(depth)
+}
+
+// TableHeader reads the start of a table nested depth tables deep and
+// returns its array length. ok is false, and nothing is read, when the next
+// value is something else. The pair count (Count) follows the array
+// elements.
+func (d *Decoder) TableHeader(depth int) (narr int, ok bool, err error) {
 	if depth > maxDepth {
-		return Nil(), ErrTooDeep
+		return 0, false, ErrTooDeep
 	}
 	if d.pos >= len(d.buf) {
-		return Nil(), ErrTruncated
+		return 0, false, ErrTruncated
+	}
+	if d.buf[d.pos] != tagTable {
+		return 0, false, nil
+	}
+	d.pos++
+	// Each element is one byte or more, each pair two: a hostile count
+	// reserves no more than the rest of the input could hold.
+	n, err := d.count()
+	return int(n), true, err
+}
+
+// Count reads a table's pair count.
+func (d *Decoder) Count() (int, error) {
+	n, err := d.count()
+	return int(n), err
+}
+
+// KeyError is the error decoding gives a table pair whose key is k, or nil
+// if k can key a table. Decoding reports it once the pair's value is read.
+func KeyError(k Value) error {
+	if k.kind() == KindNumber && !math.IsNaN(k.num()) {
+		return nil
+	}
+	if _, err := toKey(k); err != nil {
+		return keyError(err)
+	}
+	return nil
+}
+
+func keyError(err error) error { return fmt.Errorf("wire: decode table: %w", err) }
+
+func (d *Decoder) value(depth int) (Value, error) {
+	arrLen, ok, err := d.TableHeader(depth)
+	if err != nil {
+		return Nil(), err
+	}
+	if ok {
+		return d.table(uint64(arrLen), depth)
 	}
 	tag := d.buf[d.pos]
 	d.pos++
@@ -174,53 +255,51 @@ func (d *Decoder) value(depth int) (Value, error) {
 			return Nil(), err
 		}
 		return Ref(ObjRef{Endpoint: ep, Key: key}), nil
-	case tagTable:
-		// Each element is one byte or more, each pair two: a hostile count
-		// reserves no more than the rest of the input could hold.
-		arrLen, err := d.count()
-		if err != nil {
-			return Nil(), err
-		}
-		var t *Table
-		var hashLen uint64
-		if arrLen == 0 {
-			// A record: its pair count comes next, so the table is sized
-			// before it is allocated.
-			if hashLen, err = d.count(); err != nil {
-				return Nil(), err
-			}
-			t = NewTableSize(0, int(min(hashLen, uint64(d.Remaining()/2))))
-		} else {
-			t = NewTableSize(int(arrLen), 0)
-			for i := uint64(0); i < arrLen; i++ {
-				e, err := d.value(depth + 1)
-				if err != nil {
-					return Nil(), err
-				}
-				t.arr = append(t.arr, e)
-			}
-			if hashLen, err = d.count(); err != nil {
-				return Nil(), err
-			}
-			t.reserveHash(int(min(hashLen, uint64(d.Remaining()/2))))
-		}
-		for i := uint64(0); i < hashLen; i++ {
-			k, err := d.value(depth + 1)
-			if err != nil {
-				return Nil(), err
-			}
-			v, err := d.value(depth + 1)
-			if err != nil {
-				return Nil(), err
-			}
-			if err := t.Set(k, v); err != nil {
-				return Nil(), fmt.Errorf("wire: decode table: %w", err)
-			}
-		}
-		return TableVal(t), nil
 	default:
 		return Nil(), fmt.Errorf("wire: unknown value tag 0x%02x", tag)
 	}
+}
+
+// table decodes the rest of a table whose header TableHeader has read.
+func (d *Decoder) table(arrLen uint64, depth int) (Value, error) {
+	var err error
+	var t *Table
+	var hashLen uint64
+	if arrLen == 0 {
+		// A record: its pair count comes next, so the table is sized
+		// before it is allocated.
+		if hashLen, err = d.count(); err != nil {
+			return Nil(), err
+		}
+		t = NewTableSize(0, int(min(hashLen, uint64(d.Remaining()/2))))
+	} else {
+		t = NewTableSize(int(arrLen), 0)
+		for i := uint64(0); i < arrLen; i++ {
+			e, err := d.value(depth + 1)
+			if err != nil {
+				return Nil(), err
+			}
+			t.arr = append(t.arr, e)
+		}
+		if hashLen, err = d.count(); err != nil {
+			return Nil(), err
+		}
+		t.reserveHash(int(min(hashLen, uint64(d.Remaining()/2))))
+	}
+	for i := uint64(0); i < hashLen; i++ {
+		k, err := d.value(depth + 1)
+		if err != nil {
+			return Nil(), err
+		}
+		v, err := d.value(depth + 1)
+		if err != nil {
+			return Nil(), err
+		}
+		if err := t.Set(k, v); err != nil {
+			return Nil(), keyError(err)
+		}
+	}
+	return TableVal(t), nil
 }
 
 func (d *Decoder) str() (string, error) {

@@ -106,18 +106,14 @@ func AppendRequest(dst []byte, req *Request, oneway bool) ([]byte, error) {
 // AppendReply appends the encoding of a reply to dst and returns the
 // extended slice.
 func AppendReply(dst []byte, rep *Reply) ([]byte, error) {
-	mt := MsgReply
 	if rep.Err != "" {
-		mt = MsgErrorReply
-	}
-	buf := append(dst, byte(mt))
-	buf = appendUint64(buf, rep.ID)
-	if rep.Err != "" {
+		buf := append(dst, byte(MsgErrorReply))
+		buf = appendUint64(buf, rep.ID)
 		buf = appendString(buf, rep.ErrCode)
 		buf = appendString(buf, rep.Err)
 		return buf, nil
 	}
-	buf = appendUint64(buf, uint64(len(rep.Results)))
+	buf := AppendValueCount(AppendReplyHeader(dst, rep.ID), len(rep.Results))
 	var err error
 	for _, r := range rep.Results {
 		if buf, err = AppendValue(buf, r); err != nil {
@@ -125,6 +121,29 @@ func AppendReply(dst []byte, rep *Reply) ([]byte, error) {
 		}
 	}
 	return buf, nil
+}
+
+// AppendReplyHeader appends the start of a reply with results: its type
+// and id. The results follow as AppendReply writes them: their count
+// (AppendValueCount), then each value.
+func AppendReplyHeader(dst []byte, id uint64) []byte {
+	return appendUint64(append(dst, byte(MsgReply)), id)
+}
+
+// AppendValueCount appends the count of a message's values.
+func AppendValueCount(dst []byte, n int) []byte {
+	return appendUint64(dst, uint64(n))
+}
+
+// ReplyID returns the id of a reply or error-reply payload without
+// decoding it; ok is false for any other payload.
+func ReplyID(payload []byte) (id uint64, ok bool) {
+	if len(payload) < 9 || (MsgType(payload[0]) != MsgReply && MsgType(payload[0]) != MsgErrorReply) {
+		return 0, false
+	}
+	d := Decoder{buf: payload[1:9]}
+	id, _ = d.u64()
+	return id, true
 }
 
 // Subscribe opens a push subscription on an object: the server routes

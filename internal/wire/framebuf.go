@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"sync"
 )
@@ -93,6 +94,7 @@ type FrameReader struct {
 	buf  []byte
 	hdr  [frameHeaderLen]byte // here, not on the stack: io.ReadFull would move it to the heap
 	strs *internTable         // allocated by the first Decode
+	dec  Decoder              // DecodeResults's, here so that handing it on allocates nothing
 }
 
 // maxReaderBuf bounds the payload buffer a FrameReader keeps between
@@ -181,8 +183,41 @@ func (fr *FrameReader) Next() ([]byte, error) {
 // strings from the reader's intern table. Call it from the goroutine that
 // reads fr.
 func (fr *FrameReader) Decode(payload []byte) (*Message, error) {
+	return decodeMessage(payload, fr.interned())
+}
+
+func (fr *FrameReader) interned() *internTable {
 	if fr.strs == nil {
 		fr.strs = new(internTable)
 	}
-	return decodeMessage(payload, fr.strs)
+	return fr.strs
+}
+
+// DecodeResults hands the results of a reply payload to dec, a decoder
+// over them and their count, so the caller reads them into its own types;
+// the decoder takes short strings from the reader's intern table. It
+// returns false, reading nothing, when the payload is not a reply with
+// results. An error is the header's, dec's, or bytes dec left unread.
+// Call it from the goroutine that reads fr.
+func (fr *FrameReader) DecodeResults(payload []byte, dec func(d *Decoder, n int) error) (bool, error) {
+	if len(payload) == 0 || MsgType(payload[0]) != MsgReply {
+		return false, nil
+	}
+	fr.dec = Decoder{buf: payload[1:], in: fr.interned()}
+	d := &fr.dec
+	defer func() { d.buf = nil }()
+	if _, err := d.u64(); err != nil {
+		return true, err
+	}
+	n, err := d.valueCount()
+	if err != nil {
+		return true, err
+	}
+	if err := dec(d, int(n)); err != nil {
+		return true, err
+	}
+	if d.Remaining() != 0 {
+		return true, fmt.Errorf("wire: %d trailing bytes in reply", d.Remaining())
+	}
+	return true, nil
 }
