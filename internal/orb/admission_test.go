@@ -90,8 +90,22 @@ func TestAdmissionStormGoroutineFlat(t *testing.T) {
 
 // TestAdmissionQueueFullShed saturates a 1-worker/1-slot pool and checks
 // the next request is refused at admission with a classified, retryable
-// ErrOverloaded instead of being queued behind a wedged servant.
+// ErrOverloaded instead of being queued behind a wedged servant. It runs
+// over TCP and over the in-process conn alike.
 func TestAdmissionQueueFullShed(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		network Network
+		address string
+	}{
+		{"tcp", TCPNetwork{}, "127.0.0.1:0"},
+		{"inproc", NewInprocNetwork(), "shed"},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testAdmissionQueueFullShed(t, tc.network, tc.address) })
+	}
+}
+
+func testAdmissionQueueFullShed(t *testing.T, network Network, address string) {
 	// parkServant reports each dispatch entry on entered, so the test can
 	// park the resident worker and the single pool worker one at a time —
 	// polling queue depth instead would race the pool worker draining the
@@ -99,7 +113,7 @@ func TestAdmissionQueueFullShed(t *testing.T) {
 	entered := make(chan struct{}, 16)
 	release := make(chan struct{})
 	srv, err := NewServer(ServerOptions{
-		Network: TCPNetwork{}, Address: "127.0.0.1:0",
+		Network: network, Address: address,
 		MaxConcurrent: 1, MaxQueue: 1,
 	})
 	if err != nil {
@@ -112,7 +126,7 @@ func TestAdmissionQueueFullShed(t *testing.T) {
 		}
 		return args, nil
 	}))
-	client := NewClient(TCPNetwork{})
+	client := NewClient(network)
 	var releaseOnce sync.Once
 	openRelease := func() { releaseOnce.Do(func() { close(release) }) }
 	defer srv.Close()

@@ -76,3 +76,21 @@ func TestBubbleInprocInvokes(t *testing.T) {
 		_ = srv.Close()
 	})
 }
+
+// TestBubblePipeMatchesNetPipe runs the pipe contract in a bubble, so its
+// blocked() sleeps and deadlines run on the fake clock. A call that waited
+// on anything but a channel would not count as durably blocked, and the
+// bubble's clock would stall with it.
+func TestBubblePipeMatchesNetPipe(t *testing.T) {
+	for _, tc := range pipeContract {
+		t.Run(tc.name, func(t *testing.T) {
+			synctest.Run(func() { matchNetPipe(t, tc.run) })
+		})
+	}
+}
+
+// TestBubbleAdmissionQueueFullShed runs the admission test's in-process row
+// in a bubble, where its polls and timeouts take no wall time.
+func TestBubbleAdmissionQueueFullShed(t *testing.T) {
+	synctest.Run(func() { testAdmissionQueueFullShed(t, NewInprocNetwork(), "shed") })
+}

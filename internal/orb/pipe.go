@@ -4,6 +4,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,18 +15,36 @@ import (
 // once the peer's Reads have taken every byte, so a peer that stops reading
 // stalls its writer until the write deadline. Writes never interleave.
 //
-// A deadline is a stored value, so Set*Deadline allocates nothing. A call
-// arms its direction's one reusable timer only when no peer is waiting for
-// it. A waiting call sleeps on its direction's wake channel, which a
-// Set*Deadline, the timer and Close poke; it then checks everything again.
+// Each direction is a lane. The first of a Read and a Write to reach it
+// parks its buffer there; the second copies between the two buffers under
+// the lane's lock and wakes the first, so a frame costs one copy and one
+// wake. A Write that filled a waiting Read then yields, so the reader
+// handles the frame before the writer runs on, as when the writer waited.
+//
+// A deadline is a stored value, so Set*Deadline allocates nothing, and a
+// call reads the clock only if its direction has one. A parked call arms
+// its direction's one reusable timer and sleeps on its wake channel, which
+// the peer, a Set*Deadline, the timer and Close poke; it then checks
+// everything again. The lane's lock is never held across the sleep.
 type pipe struct {
-	rx     <-chan []byte // the peer's writes
-	rxN    chan<- int    // how much of each one this end took
-	tx     chan<- []byte
-	txN    <-chan int
+	out    lane // this end's writes
 	peer   *pipe
 	closed atomic.Bool
 	rd, wr pipeDeadline
+}
+
+// lane is one direction: at most one Read and one Write wait on it, since
+// each direction's call holds its calls mutex.
+type lane struct {
+	mu   sync.Mutex
+	r, w waiter
+}
+
+// waiter is a parked call. Its peer clears waiting once it is served.
+type waiter struct {
+	waiting bool
+	buf     []byte // a Read's space or a Write's bytes
+	n       int    // how much of buf the peer filled or took
 }
 
 // pipeDeadline is one direction's deadline.
@@ -38,10 +57,8 @@ type pipeDeadline struct {
 
 // newPipe returns the two ends of a synchronous in-process conn.
 func newPipe() (*pipe, *pipe) {
-	ab, ba, abN, baN := make(chan []byte), make(chan []byte), make(chan int), make(chan int)
-	a := &pipe{rx: ba, rxN: baN, tx: ab, txN: abN}
-	b := &pipe{rx: ab, rxN: abN, tx: ba, txN: baN, peer: a}
-	a.peer = b
+	a, b := &pipe{}, &pipe{}
+	a.peer, b.peer = b, a
 	wake := func() chan struct{} { return make(chan struct{}, 1) }
 	a.rd.wake, a.wr.wake, b.rd.wake, b.wr.wake = wake(), wake(), wake(), wake()
 	return a, b
@@ -60,74 +77,115 @@ func (d *pipeDeadline) stop() {
 	}
 }
 
-// Read and Write implement net.Conn; handOff does their waiting.
+// Read implements net.Conn: it takes from a Write parked on the peer's lane,
+// or parks b there for a Write to fill.
 func (p *pipe) Read(b []byte) (int, error) {
-	p.rd.calls.Lock()
-	defer p.rd.calls.Unlock()
-	return p.handOff(&p.rd, p.rx, nil, b)
-}
-
-func (p *pipe) Write(b []byte) (n int, err error) {
-	p.wr.calls.Lock() // the whole of b goes together
-	defer p.wr.calls.Unlock()
-	for nw := -1; err == nil && (nw < 0 || len(b) > 0); b, n = b[nw:], n+nw {
-		nw, err = p.handOff(&p.wr, nil, p.tx, b) // at least once, as net.Pipe
+	d, l := &p.rd, &p.peer.out
+	d.calls.Lock()
+	defer d.calls.Unlock()
+	left, err := p.check(d)
+	if err != nil {
+		return 0, err
 	}
-	return n, err
+	l.mu.Lock()
+	if w := &l.w; w.waiting {
+		n := copy(b, w.buf[w.n:])
+		w.n += n
+		if w.waiting = w.n < len(w.buf); !w.waiting { // a zero-length Write is taken too
+			p.peer.wr.poke()
+		}
+		l.mu.Unlock()
+		return n, nil
+	}
+	l.r = waiter{waiting: true, buf: b}
+	l.mu.Unlock()
+	return p.park(d, l, &l.r, left)
 }
 
-// handOff meets the peer once: it takes a write into b from rx, or gives b
-// to a read on tx (the other is nil), and returns the bytes moved. After
-// net.Pipe's checks it tries a peer already waiting, and arms d's timer
-// only if it must wait itself. The caller holds d.calls.
-func (p *pipe) handOff(d *pipeDeadline, rx <-chan []byte, tx chan<- []byte, b []byte) (int, error) {
-	for waiting := false; ; waiting = true {
-		at, now := d.at.Load(), time.Now().UnixNano()
-		switch {
-		case p.closed.Load() || tx != nil && p.peer.closed.Load():
-			return 0, io.ErrClosedPipe
-		case p.peer.closed.Load():
-			return 0, io.EOF
-		case at != 0 && at <= now:
-			op := "read"
-			if tx != nil {
-				op = "write"
-			}
-			return 0, &net.OpError{Op: op, Net: "pipe", Err: os.ErrDeadlineExceeded}
-		case !waiting:
-			select {
-			case bw := <-rx:
-				return p.took(b, bw), nil
-			case tx <- b:
-				return <-p.txN, nil
-			default:
-			}
+// Write implements net.Conn: it fills a Read parked on p's lane, or parks
+// what is left of b there for Reads to take. Like net.Pipe's, it meets a
+// Read at least once, so a zero-length Write waits for one.
+func (p *pipe) Write(b []byte) (n int, err error) {
+	d, l := &p.wr, &p.out
+	d.calls.Lock() // the whole of b goes together
+	defer d.calls.Unlock()
+	for once := true; once || len(b) > 0; once = false {
+		left, err := p.check(d)
+		if err != nil {
+			return n, err
 		}
+		l.mu.Lock()
+		if r := &l.r; r.waiting {
+			nw := copy(r.buf, b)
+			r.n, r.waiting = nw, false
+			p.peer.rd.poke()
+			l.mu.Unlock()
+			runtime.Gosched() // the reader runs first, as if this Write had parked
+			b, n = b[nw:], n+nw
+			continue
+		}
+		l.w = waiter{waiting: true, buf: b}
+		l.mu.Unlock()
+		nw, err := p.park(d, l, &l.w, left)
+		return n + nw, err
+	}
+	return n, nil
+}
+
+// park sleeps until the peer serves w, and returns how many bytes it moved.
+// A Close or a passed deadline ends the wait first, with the bytes moved so
+// far, unless the peer has served w by then. left is check's result.
+func (p *pipe) park(d *pipeDeadline, l *lane, w *waiter, left time.Duration) (int, error) {
+	for {
 		switch {
-		case at == 0:
+		case left == 0:
 			d.stop()
 		case d.timer == nil:
-			d.timer = time.AfterFunc(time.Duration(at-now), d.poke)
+			d.timer = time.AfterFunc(left, d.poke)
 		default:
-			d.timer.Reset(time.Duration(at - now))
+			d.timer.Reset(left)
 		}
-		select {
-		case bw := <-rx:
+		<-d.wake // a tick left armed by a failed call lands here too
+		var err error
+		left, err = p.check(d)
+		l.mu.Lock()
+		n, served := w.n, !w.waiting
+		if served || err != nil {
+			*w = waiter{}
+		}
+		l.mu.Unlock()
+		if served {
 			d.stop()
-			return p.took(b, bw), nil
-		case tx <- b:
-			d.stop()
-			return <-p.txN, nil
-		case <-d.wake: // a tick left armed by a failed call lands here too
+			return n, nil
+		}
+		if err != nil {
+			return n, err
 		}
 	}
 }
 
-// took copies the peer's write bw into b and tells the peer how much.
-func (p *pipe) took(b, bw []byte) int {
-	n := copy(b, bw)
-	p.rxN <- n
-	return n
+// check makes net.Pipe's checks for a call on d, one of p's directions: a
+// closed end, then a passed deadline. It reads the clock only if d has a
+// deadline, and returns how long is left of it (0: no deadline).
+func (p *pipe) check(d *pipeDeadline) (time.Duration, error) {
+	switch {
+	case p.closed.Load() || d == &p.wr && p.peer.closed.Load():
+		return 0, io.ErrClosedPipe
+	case p.peer.closed.Load():
+		return 0, io.EOF
+	}
+	at := d.at.Load()
+	if at == 0 {
+		return 0, nil
+	}
+	if left := time.Duration(at - time.Now().UnixNano()); left > 0 {
+		return left, nil
+	}
+	op := "read"
+	if d == &p.wr {
+		op = "write"
+	}
+	return 0, &net.OpError{Op: op, Net: "pipe", Err: os.ErrDeadlineExceeded}
 }
 
 // setDeadline stores t in each of ds and pokes its call if one waits.

@@ -64,6 +64,17 @@ func goWrite(c net.Conn, b []byte) <-chan string {
 // blocked lets a call started just before reach its wait.
 func blocked() { time.Sleep(20 * time.Millisecond) }
 
+// pending reports what a call started earlier returned, or that it has not.
+func pending(ch <-chan string) string {
+	blocked()
+	select {
+	case s := <-ch:
+		return s
+	default:
+		return "pending"
+	}
+}
+
 var pipeContract = []struct {
 	name string
 	run  func(t *testing.T, a, b net.Conn) []string
@@ -149,6 +160,45 @@ var pipeContract = []struct {
 		}
 		return []string{strings.Join(sizes, ","), fmt.Sprint(bytes.Equal(got, msg)), await(t, w)}
 	}},
+	{"zero-length write waits for a read", func(t *testing.T, a, b net.Conn) []string {
+		w := goWrite(a, nil)
+		out := []string{pending(w), outcome(b.Read(make([]byte, 8))), await(t, w)}
+		r := goRead(b, 8) // a Read already waiting takes it as well
+		blocked()
+		return append(out, outcome(a.Write([]byte{})), await(t, r))
+	}},
+	{"read into a zero-length buffer", func(t *testing.T, a, b net.Conn) []string {
+		w := goWrite(a, []byte("abc"))
+		blocked()
+		out := []string{outcome(b.Read(nil)), pending(w), outcome(b.Read(make([]byte, 8))), await(t, w)}
+		r := goRead(b, 0) // waiting first: a Write fills it with nothing
+		blocked()
+		w = goWrite(a, []byte("xy"))
+		out = append(out, await(t, r), pending(w))
+		return append(out, outcome(b.Read(make([]byte, 8))), await(t, w))
+	}},
+	{"write deadline passes after a partial take", func(t *testing.T, a, b net.Conn) []string {
+		w := goWrite(a, bytes.Repeat([]byte("0123456789"), 100))
+		blocked()
+		out := []string{outcome(b.Read(make([]byte, 7)))}
+		_ = a.SetWriteDeadline(time.Now().Add(30 * time.Millisecond))
+		return append(out, await(t, w))
+	}},
+	{"Close while a write is half taken", func(t *testing.T, a, b net.Conn) []string {
+		w := goWrite(a, bytes.Repeat([]byte("0123456789"), 100))
+		blocked()
+		out := []string{outcome(b.Read(make([]byte, 7)))}
+		_ = b.Close()
+		return append(out, await(t, w), outcome(b.Read(make([]byte, 7))))
+	}},
+	{"read deadline passes after the buffer is filled", func(t *testing.T, a, b net.Conn) []string {
+		_ = b.SetReadDeadline(time.Now().Add(time.Hour))
+		r := goRead(b, 8)
+		blocked()
+		out := []string{outcome(a.Write([]byte("abc")))}
+		_ = b.SetReadDeadline(time.Now().Add(-time.Second)) // the data was there first
+		return append(out, await(t, r), outcome(b.Read(make([]byte, 8))))
+	}},
 	{"concurrent writers never interleave", func(t *testing.T, a, b net.Conn) []string {
 		const frame, frames = 4096, 20
 		var wg sync.WaitGroup
@@ -189,17 +239,23 @@ func TestPipeMatchesNetPipe(t *testing.T) {
 	for _, tc := range pipeContract {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			var results [2][]string
-			for i, mk := range []func() (net.Conn, net.Conn){net.Pipe, func() (net.Conn, net.Conn) { return newPipe() }} {
-				a, b := mk()
-				results[i] = tc.run(t, a, b)
-				_, _ = a.Close(), b.Close()
-			}
-			ref, got := strings.Join(results[0], " | "), strings.Join(results[1], " | ")
-			if ref != got {
-				t.Errorf("in-process conn differs from net.Pipe:\n net.Pipe: %s\n     ours: %s", ref, got)
-			}
+			matchNetPipe(t, tc.run)
 		})
+	}
+}
+
+// matchNetPipe runs one contract case on net.Pipe and on the in-process
+// conn and compares what each reported.
+func matchNetPipe(t *testing.T, run func(t *testing.T, a, b net.Conn) []string) {
+	var results [2][]string
+	for i, mk := range []func() (net.Conn, net.Conn){net.Pipe, func() (net.Conn, net.Conn) { return newPipe() }} {
+		a, b := mk()
+		results[i] = run(t, a, b)
+		_, _ = a.Close(), b.Close()
+	}
+	ref, got := strings.Join(results[0], " | "), strings.Join(results[1], " | ")
+	if ref != got {
+		t.Errorf("in-process conn differs from net.Pipe:\n net.Pipe: %s\n     ours: %s", ref, got)
 	}
 }
 

@@ -130,10 +130,11 @@ func (t tcpListener) Addr() string              { return t.l.Addr().String() }
 
 // InprocNetwork is an in-process transport: listeners register under string
 // names and dialing creates the two ends of a synchronous in-process conn
-// (unbuffered, with net.Pipe's semantics; see pipe). All parties must
-// share the same InprocNetwork instance. It exists so whole experiments —
-// trader, agents, monitors, clients — run in one process with no sockets,
-// deterministically and fast.
+// (unbuffered, with net.Pipe's semantics; a Write copies a frame straight
+// into a waiting Read's buffer; see pipe). All parties must share the same
+// InprocNetwork instance. It exists so whole experiments — trader, agents,
+// monitors, clients — run in one process with no sockets, deterministically
+// and fast.
 type InprocNetwork struct {
 	mu        sync.Mutex
 	listeners map[string]*inprocListener
