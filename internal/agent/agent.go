@@ -63,16 +63,12 @@ type Options struct {
 	ConfigScript string
 	// Logger receives diagnostics. Nil discards.
 	Logger *log.Logger
-	// NotifyClient delivers monitor notifications; if nil, a client on
-	// Network is created and owned by the agent, configured with Retry
-	// and InvokeTimeout below.
-	NotifyClient *orb.Client
-	// Retry governs the owned client's transport-fault retries, so a
-	// briefly unreachable trader or observer doesn't lose notifications.
-	// Ignored when NotifyClient is supplied.
+	// Retry governs the transport-fault retries of the client on Network
+	// the agent delivers monitor notifications with, so a briefly
+	// unreachable trader or observer doesn't lose notifications.
 	Retry orb.RetryPolicy
-	// InvokeTimeout bounds each of the owned client's invocations
-	// (0 = unbounded). Ignored when NotifyClient is supplied.
+	// InvokeTimeout bounds each of that client's invocations
+	// (0 = unbounded).
 	InvokeTimeout time.Duration
 	// LeaseTTL, when positive, must match the trader's offer lease TTL:
 	// the agent then runs a background heartbeat renewing the offer at
@@ -93,13 +89,13 @@ type Options struct {
 
 // Agent is a running service agent.
 type Agent struct {
-	opts        Options
-	server      *orb.Server
-	mon         *monitor.Monitor
-	ownedClient *orb.Client
-	svcRef      wire.ObjRef
-	monRef      wire.ObjRef
-	extraProps  map[string]trading.PropValue
+	opts       Options
+	server     *orb.Server
+	mon        *monitor.Monitor
+	notify     *orb.Client // delivers monitor notifications
+	svcRef     wire.ObjRef
+	monRef     wire.ObjRef
+	extraProps map[string]trading.PropValue
 
 	// exportProps is the full property map the offer was exported with,
 	// kept so the heartbeat can re-export an offer the trader forgot.
@@ -152,18 +148,14 @@ func Start(ctx context.Context, opts Options) (*Agent, error) {
 	}
 	a.server = srv
 
-	notify := opts.NotifyClient
-	if notify == nil {
-		a.ownedClient = orb.NewClientOpts(orb.ClientOptions{
-			Networks:      []orb.Network{opts.Network},
-			Retry:         opts.Retry,
-			InvokeTimeout: opts.InvokeTimeout,
-		})
-		notify = a.ownedClient
-	}
+	a.notify = orb.NewClientOpts(orb.ClientOptions{
+		Networks:      []orb.Network{opts.Network},
+		Retry:         opts.Retry,
+		InvokeTimeout: opts.InvokeTimeout,
+	})
 
 	mon, err := monitor.NewLoadAverage(opts.LoadSource, opts.Clock, opts.MonitorPeriod,
-		monitor.ORBNotifier{Client: notify},
+		monitor.ORBNotifier{Client: a.notify},
 		monitor.WithSelfRef(srv.RefFor(MonitorKey)),
 		monitor.WithLogger(opts.Logger),
 		monitor.WithScriptBudgets(opts.ScriptWallBudget, opts.ScriptMemBudget))
@@ -337,8 +329,8 @@ func (a *Agent) shutdown() {
 	if a.mon != nil {
 		a.mon.Close()
 	}
-	if a.ownedClient != nil {
-		_ = a.ownedClient.Close()
+	if a.notify != nil {
+		_ = a.notify.Close()
 	}
 	if a.server != nil {
 		_ = a.server.Close()

@@ -132,7 +132,7 @@ func (sp *SmartProxy) routedInvoke(ctx context.Context, r *opRoute, op string, a
 // tryAlternative retries op as its registered alternative when the failure
 // says the operation is unknown to the server.
 func (sp *SmartProxy) tryAlternative(ctx context.Context, proxy *orb.Proxy, op string, args []wire.Value, err error) ([]wire.Value, bool) {
-	if !orb.IsRemoteCode(err, orb.CodeBadOperation) && !orb.IsRemoteCode(err, orb.CodeApp) {
+	if !orb.IsRemoteCode(err, orb.CodeBadOperation, orb.CodeApp) {
 		return nil, false
 	}
 	sp.mu.Lock()

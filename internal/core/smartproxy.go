@@ -507,16 +507,12 @@ func (sp *SmartProxy) Invoke(ctx context.Context, op string, args ...wire.Value)
 	return nil, err
 }
 
-// indictsBinding is the proxy's one fault rule: err says the bound server
-// is unusable (a transport fault or a breaker fast-fail) unless it is the
-// server's own answer (orb.RemoteError) or the caller's own cancellation
-// or deadline, neither of which another server would cure.
+// indictsBinding is the proxy's one fault rule (see orb.Fault): err says
+// the bound server, or the path to it, is unusable. The server's own answer,
+// the caller's cancellation and a request the client cannot send are not,
+// as another server would not cure them.
 func indictsBinding(err error) bool {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return false
-	}
-	var re *orb.RemoteError
-	return !errors.As(err, &re)
+	return orb.FaultOf(err).In(orb.Refused, orb.Unreachable, orb.Lost, orb.Unknown)
 }
 
 // failover re-selects away from every server that failed during this

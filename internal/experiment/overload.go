@@ -131,7 +131,7 @@ func runOverload(cfg OverloadConfig, mode string) (OverloadResult, error) {
 				case err == nil:
 					r.Good++
 					latencies = append(latencies, lat.Seconds()*1e3)
-				case errors.Is(err, orb.ErrOverloaded):
+				case orb.FaultOf(err) == orb.Overloaded:
 					r.Shed++
 				default:
 					r.Missed++

@@ -10,7 +10,7 @@ import (
 )
 
 // DefaultBatchBytes is the pending-byte threshold that flushes a write
-// batch early (see ClientOptions.BatchBytes, ServerOptions.BatchBytes).
+// batch early (see ClientOptions.BatchWindow, ServerOptions.BatchWindow).
 const DefaultBatchBytes = 32 << 10
 
 // connWriter is the write side of one connection, the client's or the

@@ -294,7 +294,7 @@ func TestBatchedConnSeveredMidBatch(t *testing.T) {
 	fn := NewFaultNetwork(TCPNetwork{})
 	fn.SeverNextConnAfterFrames(1)
 	client := NewClientOpts(ClientOptions{Networks: []Network{fn},
-		MaxInFlight: 64, BatchWindow: time.Millisecond, BatchBytes: 1 << 20})
+		MaxInFlight: 64, BatchWindow: time.Millisecond})
 	t.Cleanup(func() { _ = client.Close() })
 	ctx := context.Background()
 

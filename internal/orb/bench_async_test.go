@@ -21,7 +21,7 @@ func newBenchTCP(b *testing.B) (wire.ObjRef, func()) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ref := srv.Register("echo", "", fastEcho{})
+	ref := srv.Register("echo", "", echoServant())
 	return ref, func() { _ = srv.Close() }
 }
 
@@ -46,8 +46,8 @@ func BenchmarkE13BlockingSequentialTCP(b *testing.B) {
 // BenchmarkE13PipelinedWindow64TCP keeps a FIFO window of 64 requests in
 // flight on one connection from one goroutine: issue with InvokeAsync,
 // retire the oldest future when the window is full. Write batching
-// coalesces the bursts into few syscalls; the low byte threshold keeps the
-// flush self-clocking off replies instead of waiting out the timer window.
+// coalesces the bursts into few syscalls, each flushed by the timer window
+// or DefaultBatchBytes.
 // Acceptance: >= 2x the blocking baseline's throughput.
 func BenchmarkE13PipelinedWindow64TCP(b *testing.B) {
 	const window = 64
@@ -57,7 +57,6 @@ func BenchmarkE13PipelinedWindow64TCP(b *testing.B) {
 		Networks:    []Network{TCPNetwork{}},
 		MaxInFlight: window,
 		BatchWindow: 100 * time.Microsecond,
-		BatchBytes:  1024,
 	})
 	defer client.Close()
 	ctx := context.Background()
@@ -168,7 +167,6 @@ func BenchmarkE13OpenLoop10kClients(b *testing.B) {
 				Networks:    []Network{TCPNetwork{}},
 				MaxInFlight: 1024,
 				BatchWindow: 100 * time.Microsecond,
-				BatchBytes:  4096,
 			}
 		}, true)
 	})

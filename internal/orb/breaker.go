@@ -29,9 +29,8 @@ var ErrCircuitOpen = errors.New("orb: circuit open")
 // BreakerPolicy configures the per-endpoint circuit breakers of a Client.
 // The zero value disables breaking entirely (every invocation is tried).
 type BreakerPolicy struct {
-	// Threshold is the number of consecutive classified failures (see
-	// endpointFault) that opens an endpoint's circuit. Values below 1
-	// disable the breaker.
+	// Threshold is the number of consecutive strikes (see Fault) that
+	// opens an endpoint's circuit. Values below 1 disable the breaker.
 	Threshold int
 	// Cooldown is how long an open circuit refuses invocations before
 	// allowing a half-open probe. Default 1s.
@@ -102,32 +101,22 @@ func (b *breaker) allow(endpoint string) (probe bool, err error) {
 	}
 }
 
-// record classifies one invocation outcome. A reply from the server —
-// success or application error — proves the endpoint alive and recloses
-// the circuit; an endpoint fault counts toward Threshold (or reopens a
-// half-open circuit at once); neutral outcomes (caller cancellation,
-// deterministic client-side errors) release a probe slot but leave the
-// state unchanged.
+// record applies one invocation outcome by its Fault: a reply proves the
+// endpoint alive and recloses the circuit, a strike counts toward Threshold
+// (or reopens a half-open circuit at once), and a neutral outcome releases a
+// probe slot but leaves the state unchanged.
 func (b *breaker) record(err error, probe bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	switch {
-	case errors.Is(err, ErrOverloaded):
-		// Admission shed: the peer answered, so it is alive — but it
-		// refused the work, so this is no evidence it can serve either.
-		// Leave the consecutive-failure count and the state alone; just
-		// release a probe slot so half-open circuits can try again.
-		if probe {
-			b.probing = false
-		}
-	case err == nil || isRemoteReply(err):
+	switch FaultOf(err) {
+	case NoFault, Answered, Expired:
 		if b.state != BreakerClosed {
 			b.counters.reclosed.Inc()
 		}
 		b.state = BreakerClosed
 		b.fails = 0
 		b.probing = false
-	case endpointFault(err):
+	case Unreachable, Lost, Unknown:
 		if probe || b.state == BreakerHalfOpen {
 			b.trip()
 			return
@@ -157,35 +146,6 @@ func (b *breaker) snapshot() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state
-}
-
-// isRemoteReply reports whether err is a servant-level reply, or a reply
-// the caller's decoder refused: the peer answered, so as far as liveness
-// goes the endpoint is healthy, and a retry would get the same answer.
-func isRemoteReply(err error) bool {
-	var re *RemoteError
-	var de *decodeError
-	return errors.As(err, &re) || errors.As(err, &de)
-}
-
-// endpointFault reports whether err indicts the *endpoint* (dial refused,
-// connection lost, write failure) rather than the caller or the request.
-// The classification mirrors RetryPolicy: context cancellation and
-// deterministic client-side failures are neutral, remote replies are
-// successes, everything else travelled (or failed to travel) the wire.
-func endpointFault(err error) bool {
-	switch {
-	case err == nil:
-		return false
-	case errors.Is(err, ErrCircuitOpen):
-		return false // our own fast-fail must not feed back into the count
-	case errors.Is(err, ErrClosed), errors.Is(err, ErrUnknownNetwork):
-		return false
-	}
-	if !isRetryNeutral(err) && !isRemoteReply(err) {
-		return true
-	}
-	return false
 }
 
 // breakerFor returns (creating on first use) the breaker guarding

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"syscall"
 	"time"
@@ -50,10 +51,10 @@ func (e *RemoteError) Is(target error) bool {
 	return target == ErrOverloaded && e.Code == CodeOverloaded
 }
 
-// IsRemoteCode reports whether err is a RemoteError carrying code.
-func IsRemoteCode(err error, code string) bool {
+// IsRemoteCode reports whether err is a RemoteError carrying one of codes.
+func IsRemoteCode(err error, codes ...string) bool {
 	var re *RemoteError
-	return errors.As(err, &re) && re.Code == code
+	return errors.As(err, &re) && slices.Contains(codes, re.Code)
 }
 
 // ClientOptions configures a Client's fault-tolerance layer.
@@ -87,14 +88,11 @@ type ClientOptions struct {
 	// one server connection.
 	MaxInFlight int
 	// BatchWindow enables write batching: request frames are coalesced
-	// for up to this duration (or until BatchBytes accumulate) and
+	// for up to this duration (or until DefaultBatchBytes accumulate) and
 	// flushed with a single Write, trading up to BatchWindow of latency
 	// for far fewer syscalls when many sub-frame-size calls share a
 	// connection. 0 disables batching (every frame is its own Write).
 	BatchWindow time.Duration
-	// BatchBytes flushes a batch early once this many bytes are pending.
-	// 0 means DefaultBatchBytes. Only meaningful with BatchWindow > 0.
-	BatchBytes int
 	// Metrics, when non-nil, instruments the client: per-endpoint invoke
 	// latency histograms and outcome-class counters, breaker transition
 	// counters, and the ClientStats counters as gauges (see metrics.go).
@@ -112,7 +110,6 @@ type Client struct {
 	writeTimeout time.Duration
 	maxInFlight  int
 	batchWindow  time.Duration
-	batchBytes   int
 
 	stats   clientStats
 	metrics *clientMetrics // nil = instrumentation disabled
@@ -171,10 +168,6 @@ func NewClientOpts(opts ClientOptions) *Client {
 	if now == nil {
 		now = time.Now
 	}
-	bb := opts.BatchBytes
-	if bb <= 0 {
-		bb = DefaultBatchBytes
-	}
 	c := &Client{
 		networks:      m,
 		retry:         opts.Retry,
@@ -182,7 +175,6 @@ func NewClientOpts(opts ClientOptions) *Client {
 		writeTimeout:  wt,
 		maxInFlight:   opts.MaxInFlight,
 		batchWindow:   opts.BatchWindow,
-		batchBytes:    bb,
 		breakerPolicy: opts.Breaker,
 		breakerNow:    now,
 		breakers:      make(map[string]*breaker),
@@ -458,8 +450,7 @@ func (c *Client) conn(ctx context.Context, endpoint string) (*clientConn, error)
 			case <-d.done:
 				// A dial its starter abandoned failed with the starter's
 				// context error, not this caller's: loop and dial again.
-				abandoned := errors.Is(d.err, context.Canceled) || errors.Is(d.err, context.DeadlineExceeded)
-				if d.err != nil && (!abandoned || ctx.Err() != nil) {
+				if d.err != nil && (FaultOf(d.err) != Abandoned || ctx.Err() != nil) {
 					return nil, d.err
 				}
 				continue // adopt the fresh conn (or redial if it died already)
@@ -587,7 +578,7 @@ func newClientConn(raw net.Conn, c *Client) *clientConn {
 		cc.window = make(chan struct{}, c.maxInFlight)
 	}
 	if c.batchWindow > 0 {
-		cc.w.batch = &frameBatch{w: &cc.w, window: c.batchWindow, limit: c.batchBytes,
+		cc.w.batch = &frameBatch{w: &cc.w, window: c.batchWindow, limit: DefaultBatchBytes,
 			timeout: c.writeTimeout, onFail: cc.close,
 			frames: &c.stats.batchedFrames, flushes: &c.stats.batchFlushes}
 	}

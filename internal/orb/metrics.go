@@ -1,8 +1,6 @@
 package orb
 
 import (
-	"context"
-	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,7 +27,7 @@ const (
 	classApp
 	classOverloaded
 	classDeadline
-	classRejected // local fast-fail: circuit open
+	classRejected // refused or unsendable before it left the client
 	classTransport
 	classCount
 )
@@ -38,26 +36,14 @@ var classNames = [classCount]string{
 	"ok", "app", "overloaded", "deadline", "rejected", "transport",
 }
 
-// classify maps an invocation outcome to its class.
-func classify(err error) int {
-	switch {
-	case err == nil:
-		return classOK
-	case errors.Is(err, ErrOverloaded):
-		return classOverloaded
-	case errors.Is(err, ErrCircuitOpen):
-		return classRejected
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		return classDeadline
-	}
-	var re *RemoteError
-	if errors.As(err, &re) && re.Code == CodeDeadline {
-		return classDeadline
-	}
-	if isRemoteReply(err) {
-		return classApp
-	}
-	return classTransport
+// classify maps an invocation outcome to its class by its Fault.
+func classify(err error) int { return faultClasses[FaultOf(err)] }
+
+var faultClasses = [...]int{
+	NoFault: classOK, Answered: classApp, Overloaded: classOverloaded,
+	Expired: classDeadline, Abandoned: classDeadline,
+	Unsendable: classRejected, Refused: classRejected,
+	Unreachable: classTransport, Lost: classTransport, Unknown: classTransport,
 }
 
 // clientMetrics caches per-endpoint instrument handles so the steady

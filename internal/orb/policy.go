@@ -2,13 +2,10 @@ package orb
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"time"
-
-	"autoadapt/internal/wire"
 )
 
 // Fault-tolerance policy for invocations.
@@ -19,9 +16,8 @@ import (
 // twice — those are always safe to retry. Any later failure (write error,
 // connection lost while awaiting the reply) leaves the server possibly
 // having dispatched the operation; such failures are retried only when the
-// policy declares the workload idempotent. Application errors
-// (RemoteError), context cancellation, and deterministic client-side
-// errors are never retried.
+// policy declares the workload idempotent. These are the Unreachable and
+// Lost faults; Fault's table gives the rest of the retry set.
 
 // ConnectError wraps a transport failure that occurred before the request
 // reached the wire: dialing the endpoint, or finding the cached connection
@@ -33,13 +29,6 @@ func (e *ConnectError) Error() string { return fmt.Sprintf("orb: connect: %v", e
 
 // Unwrap exposes the underlying failure to errors.Is/As.
 func (e *ConnectError) Unwrap() error { return e.Err }
-
-// IsConnectError reports whether err is (or wraps) a connect-phase
-// failure.
-func IsConnectError(err error) bool {
-	var ce *ConnectError
-	return errors.As(err, &ce)
-}
 
 // RetryPolicy configures automatic re-invocation on transport faults.
 // The zero value disables retries (a single attempt).
@@ -101,46 +90,16 @@ func (p RetryPolicy) Backoff(attempt int) time.Duration {
 	return time.Duration(d)
 }
 
-// isRetryNeutral reports failures that neither indict the endpoint nor can
-// be cured by retrying: the caller gave up, or the request itself is
-// deterministically unencodable. Shared by the retry policy and the
-// circuit breaker's failure classification.
-func isRetryNeutral(err error) bool {
-	switch {
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+// Retryable reports whether a failed invocation may be attempted again
+// under this policy (see Fault).
+func (p RetryPolicy) Retryable(err error) bool {
+	switch FaultOf(err) {
+	case Overloaded, Unreachable: // never dispatched, so never run twice
 		return true
-	case errors.Is(err, wire.ErrFrameTooLarge), errors.Is(err, wire.ErrTooDeep):
-		return true
+	case Lost, Unknown:
+		return p.RetryIdempotent
 	}
 	return false
-}
-
-// Retryable reports whether a failed invocation may be attempted again
-// under this policy.
-func (p RetryPolicy) Retryable(err error) bool {
-	switch {
-	case err == nil:
-		return false
-	case errors.Is(err, ErrCircuitOpen):
-		return false // the breaker's whole point is to not keep trying
-	case errors.Is(err, ErrClosed), errors.Is(err, ErrUnknownNetwork):
-		return false
-	case isRetryNeutral(err):
-		return false
-	}
-	if errors.Is(err, ErrOverloaded) {
-		// The server shed the request at admission: nothing was dispatched,
-		// so a retry can never double-execute, and the backoff between
-		// attempts is exactly the pressure release the server asked for.
-		return true
-	}
-	if isRemoteReply(err) {
-		return false // the server answered; its answer stands
-	}
-	if IsConnectError(err) {
-		return true
-	}
-	return p.RetryIdempotent
 }
 
 // SleepBackoff waits for d or until ctx is done, returning ctx.Err() in

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -753,5 +754,30 @@ func TestRegisterReplacesServant(t *testing.T) {
 	}
 	if _, ok := srv.Lookup("ghost"); ok {
 		t.Fatal("Lookup succeeded for missing key")
+	}
+}
+
+// TestServerCloseRacesAccept: a conn the server accepts while it closes is
+// closed with the rest, so Close returns instead of waiting on its reader.
+func TestServerCloseRacesAccept(t *testing.T) {
+	n := NewInprocNetwork()
+	for i := range 300 {
+		addr := fmt.Sprintf("race-%d", i)
+		srv, err := NewServer(ServerOptions{Network: n, Address: addr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn, err := n.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		go func() { _ = srv.Close(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("Close of server %d hung on a conn it had just accepted", i)
+		}
+		_ = conn.Close()
 	}
 }

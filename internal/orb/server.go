@@ -34,7 +34,7 @@ const (
 
 // Admission-control defaults. A server dispatches at most MaxConcurrent
 // requests at once across all connections, beyond one per connection (run by
-// its reader or resident worker) and FastServants; up to MaxQueue more wait
+// its reader or resident worker); up to MaxQueue more wait
 // in the dispatch queue, and beyond that two-way requests are shed with
 // CodeOverloaded replies and oneways are dropped.
 const (
@@ -56,17 +56,6 @@ type ServantFunc func(op string, args []wire.Value) ([]wire.Value, error)
 // Invoke implements Servant.
 func (f ServantFunc) Invoke(op string, args []wire.Value) ([]wire.Value, error) {
 	return f(op, args)
-}
-
-// FastServant is an optional Servant extension. A servant that implements
-// it (reporting true) is always dispatched on its connection's reader, even
-// with requests queued behind it, and no watchdog rescues it (see watch).
-// Only servants that return quickly and never block may opt in — a
-// FastServant stalls every other request on its connection while it runs,
-// and one that blocks forever wedges the connection.
-type FastServant interface {
-	Servant
-	FastDispatch() bool
 }
 
 // ResultWriter is an optional Servant extension for a servant that encodes
@@ -108,16 +97,13 @@ type ServerOptions struct {
 	// Logger receives connection-level errors. Nil discards them.
 	Logger *log.Logger
 	// BatchWindow, when positive, coalesces reply and event frames per
-	// connection for up to this long (or until BatchBytes accumulate) and
-	// writes them with one syscall — the server-side mirror of
-	// ClientOptions.BatchWindow. Replies gain up to BatchWindow of
+	// connection for up to this long (or until DefaultBatchBytes
+	// accumulate) and writes them with one syscall — the server-side
+	// mirror of ClientOptions.BatchWindow. Replies gain up to BatchWindow of
 	// latency, so this suits pipelined/async traffic, not ping-pong RPC.
 	BatchWindow time.Duration
-	// BatchBytes is the pending-byte threshold that flushes a reply batch
-	// early. 0 means DefaultBatchBytes. Ignored unless BatchWindow > 0.
-	BatchBytes int
 	// MaxConcurrent caps the server-wide dispatch pool: requests executing
-	// at once beyond one per connection and FastServants. 0 means
+	// at once beyond one per connection. 0 means
 	// DefaultMaxConcurrent; negative is an error.
 	MaxConcurrent int
 	// MaxQueue bounds how many admitted requests may wait for a pool
@@ -153,8 +139,8 @@ type ServerStats struct {
 	// QueueDepth is the number of admitted requests currently waiting for
 	// a pool worker (a gauge, not a counter).
 	QueueDepth int
-	// InlineDispatches counts requests run on their connection's reader
-	// (FastServants aside); InlineRescues, those a watchdog tick outlasted.
+	// InlineDispatches counts requests run on their connection's reader;
+	// InlineRescues, those a watchdog tick outlasted.
 	InlineDispatches, InlineRescues uint64
 }
 
@@ -207,7 +193,6 @@ func (s *Server) Stats() ServerStats {
 type servantEntry struct {
 	servant Servant
 	iface   string // interface name for type checking ("" = unchecked)
-	inline  bool   // always dispatch on the reader (see FastServant)
 }
 
 // NewServer starts a server listening on the configured address. The
@@ -229,9 +214,6 @@ func NewServer(opts ServerOptions) (*Server, error) {
 		endpoint: JoinEndpoint(opts.Network.Name(), l.Addr()),
 		servants: make(map[string]*servantEntry),
 		conns:    make(map[*serverConn]struct{}),
-	}
-	if s.opts.BatchBytes <= 0 {
-		s.opts.BatchBytes = DefaultBatchBytes
 	}
 	s.maxConcurrent = opts.MaxConcurrent
 	if s.maxConcurrent == 0 {
@@ -255,13 +237,9 @@ func (s *Server) Endpoint() string { return s.endpoint }
 // (may be "" to skip type checking even when a repository is configured).
 // Re-registering a key replaces the servant.
 func (s *Server) Register(key, iface string, sv Servant) wire.ObjRef {
-	inline := false
-	if fs, ok := sv.(FastServant); ok {
-		inline = fs.FastDispatch()
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.servants[key] = &servantEntry{servant: sv, iface: iface, inline: inline}
+	s.servants[key] = &servantEntry{servant: sv, iface: iface}
 	return wire.ObjRef{Endpoint: s.endpoint, Key: key}
 }
 
@@ -325,11 +303,19 @@ func (s *Server) acceptLoop() {
 			jobs: make(chan connJob), subs: make(map[uint64]*serverSub)}
 		if s.opts.BatchWindow > 0 {
 			// A failed flush drops the connection; its reader tears down the rest.
-			c.cw.batch = &frameBatch{w: c.cw, window: s.opts.BatchWindow, limit: s.opts.BatchBytes,
+			c.cw.batch = &frameBatch{w: c.cw, window: s.opts.BatchWindow, limit: DefaultBatchBytes,
 				timeout: DefaultWriteTimeout, onFail: func(error) { _ = conn.Close() },
 				frames: &s.stats.batchedFrames, flushes: &s.stats.batchFlushes}
 		}
 		s.connsMu.Lock()
+		s.mu.RLock()
+		closed := s.closed
+		s.mu.RUnlock()
+		if closed { // Close has shut the live conns already
+			s.connsMu.Unlock()
+			_ = conn.Close()
+			return
+		}
 		s.conns[c] = struct{}{}
 		s.connsMu.Unlock()
 		c.busy.Add(1) // the worker
@@ -564,8 +550,6 @@ func (c *serverConn) readFrames() (rescued bool) {
 				continue
 			}
 			switch {
-			case job.entry != nil && job.entry.inline:
-				s.handle(c.cw, job)
 			case !c.slot.CompareAndSwap(false, true): // pipelining, or a slow servant
 				s.admit(c.cw, job)
 			case c.fr.Buffered() == 0:

@@ -9,23 +9,17 @@ import (
 	"autoadapt/internal/wire"
 )
 
-// fastEcho echoes its arguments and opts into inline dispatch (FastServant).
-type fastEcho struct{}
-
-func (fastEcho) Invoke(_ string, args []wire.Value) ([]wire.Value, error) { return args, nil }
-func (fastEcho) FastDispatch() bool                                       { return true }
-
-func newBatchedEchoServer(t testing.TB, window time.Duration, bytes int) (*Server, wire.ObjRef) {
+func newBatchedEchoServer(t testing.TB, window time.Duration) (*Server, wire.ObjRef) {
 	t.Helper()
 	srv, err := NewServer(ServerOptions{
 		Network: TCPNetwork{}, Address: "127.0.0.1:0",
-		BatchWindow: window, BatchBytes: bytes,
+		BatchWindow: window,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = srv.Close() })
-	ref := srv.Register("echo", "", fastEcho{})
+	ref := srv.Register("echo", "", echoServant())
 	return srv, ref
 }
 
@@ -33,7 +27,7 @@ func newBatchedEchoServer(t testing.TB, window time.Duration, bytes int) (*Serve
 // clients: a pipelining client gets every reply, correctly correlated, and
 // the server demonstrably coalesced them (fewer flushes than frames).
 func TestServerBatchedRepliesRoundTrip(t *testing.T) {
-	srv, ref := newBatchedEchoServer(t, 200*time.Microsecond, 2048)
+	srv, ref := newBatchedEchoServer(t, 200*time.Microsecond)
 	client := NewClientOpts(ClientOptions{
 		Networks:    []Network{TCPNetwork{}},
 		MaxInFlight: 64,
@@ -72,7 +66,7 @@ func TestServerBatchedRepliesRoundTrip(t *testing.T) {
 // request/response traffic working (each reply waits out at most one
 // window), and that concurrent connections batch independently.
 func TestServerBatchedSequential(t *testing.T) {
-	_, ref := newBatchedEchoServer(t, 100*time.Microsecond, DefaultBatchBytes)
+	_, ref := newBatchedEchoServer(t, 100*time.Microsecond)
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -104,12 +98,11 @@ func TestServerBatchedSequential(t *testing.T) {
 // server-side delta. See EXPERIMENTS.md E13 and BENCH_7.json.
 func BenchmarkE13PipelinedServerBatchedTCP(b *testing.B) {
 	const window = 64
-	_, ref := newBatchedEchoServer(b, 100*time.Microsecond, 1024)
+	_, ref := newBatchedEchoServer(b, 100*time.Microsecond)
 	client := NewClientOpts(ClientOptions{
 		Networks:    []Network{TCPNetwork{}},
 		MaxInFlight: window,
 		BatchWindow: 100 * time.Microsecond,
-		BatchBytes:  1024,
 	})
 	defer client.Close()
 	ctx := context.Background()

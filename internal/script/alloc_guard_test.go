@@ -116,7 +116,7 @@ func TestAllocGuardCachedEval(t *testing.T) {
 	if _, err := in.Eval("guard", src); err != nil {
 		t.Fatal(err)
 	}
-	before := in.Stats()
+	before := countsOf(in.cache)
 	// Measured: 2 allocs (the Closure wrapper and the return slice).
 	if allocs := testing.AllocsPerRun(200, func() {
 		if _, err := in.Eval("guard", src); err != nil {
@@ -125,7 +125,7 @@ func TestAllocGuardCachedEval(t *testing.T) {
 	}); allocs > 3 {
 		t.Fatalf("cached re-Eval: %.1f allocs/op, want <= 3 (cache hit must skip parsing)", allocs)
 	}
-	after := in.Stats()
+	after := countsOf(in.cache)
 	if after.Hits <= before.Hits {
 		t.Fatalf("expected cache hits to grow: before %+v after %+v", before, after)
 	}
@@ -148,7 +148,7 @@ func TestCacheDisabledStillWorks(t *testing.T) {
 			t.Fatalf("bad result %v", vs)
 		}
 	}
-	if s := in.Stats(); s != (CacheStats{}) {
+	if s := countsOf(in.cache); s != (cacheCounts{}) {
 		t.Fatalf("disabled cache reported stats %+v", s)
 	}
 }

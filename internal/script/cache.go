@@ -62,21 +62,6 @@ func NewChunkCache(size int) *ChunkCache {
 	return c
 }
 
-// CacheStats are the cache's counters, readable via Interp.Stats or
-// ChunkCache.Stats.
-type CacheStats struct {
-	Hits    uint64
-	Misses  uint64
-	Entries int
-}
-
-// Stats returns a snapshot of the counters.
-func (c *ChunkCache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{Hits: c.hits, Misses: c.misses, Entries: len(c.entries)}
-}
-
 // hashKey hashes (mode, chunk, src) without materialising any composite
 // string, so a cache hit allocates nothing.
 func (c *ChunkCache) hashKey(mode byte, chunk, src string) uint64 {

@@ -11,7 +11,7 @@ func TestChunkCacheHitMissCounters(t *testing.T) {
 	if _, err := in.Eval("c", "return 1"); err != nil {
 		t.Fatal(err)
 	}
-	s := in.Stats()
+	s := countsOf(in.cache)
 	if s.Misses != 1 || s.Hits != 0 || s.Entries != 1 {
 		t.Fatalf("after first Eval: %+v", s)
 	}
@@ -20,7 +20,7 @@ func TestChunkCacheHitMissCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s = in.Stats()
+	s = countsOf(in.cache)
 	if s.Hits != 5 || s.Misses != 1 {
 		t.Fatalf("after repeats: %+v", s)
 	}
@@ -29,14 +29,14 @@ func TestChunkCacheHitMissCounters(t *testing.T) {
 	if _, err := in.Eval("other", "return 1"); err != nil {
 		t.Fatal(err)
 	}
-	if s = in.Stats(); s.Misses != 2 || s.Entries != 2 {
+	if s = countsOf(in.cache); s.Misses != 2 || s.Entries != 2 {
 		t.Fatalf("after chunk-name change: %+v", s)
 	}
 	// Expression and chunk modes are distinct keys even for identical text.
 	if _, err := in.EvalExpr("c", "1"); err != nil {
 		t.Fatal(err)
 	}
-	if s = in.Stats(); s.Misses != 3 {
+	if s = countsOf(in.cache); s.Misses != 3 {
 		t.Fatalf("after mode change: %+v", s)
 	}
 }
@@ -55,7 +55,7 @@ func TestChunkCacheCachesProtosNotResults(t *testing.T) {
 			t.Fatalf("run %d: got %v", want, got)
 		}
 	}
-	if s := in.Stats(); s.Hits != 4 {
+	if s := countsOf(in.cache); s.Hits != 4 {
 		t.Fatalf("expected 4 hits, got %+v", s)
 	}
 }
@@ -73,16 +73,16 @@ func TestChunkCacheLRUEviction(t *testing.T) {
 	eval("return 2") // B; cache = {B, A}
 	eval("return 1") // hit A; cache = {A, B}
 	eval("return 3") // C evicts B; cache = {C, A}
-	base := cache.Stats()
+	base := countsOf(cache)
 	if base.Entries != 2 {
 		t.Fatalf("entries = %d, want 2", base.Entries)
 	}
 	eval("return 1") // A must have survived as recently used
-	if s := cache.Stats(); s.Hits != base.Hits+1 {
+	if s := countsOf(cache); s.Hits != base.Hits+1 {
 		t.Fatalf("recently used entry was evicted: %+v vs %+v", s, base)
 	}
 	eval("return 2") // B was evicted → miss (and re-stored, evicting C)
-	if s := cache.Stats(); s.Misses != base.Misses+1 {
+	if s := countsOf(cache); s.Misses != base.Misses+1 {
 		t.Fatalf("evicted entry did not miss: %+v vs %+v", s, base)
 	}
 }
@@ -128,7 +128,7 @@ func TestSharedCacheConcurrentCompile(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	s := cache.Stats()
+	s := countsOf(cache)
 	if s.Misses > uint64(len(sources)) {
 		// Benign compile races may duplicate a miss, but 8 goroutines × 50
 		// rounds must be overwhelmingly hits.
@@ -137,4 +137,20 @@ func TestSharedCacheConcurrentCompile(t *testing.T) {
 	if s.Hits < 3000 {
 		t.Fatalf("expected shared cache to serve most compiles: %+v", s)
 	}
+}
+
+// cacheCounts is a snapshot of a chunk cache's counters.
+type cacheCounts struct {
+	Hits, Misses uint64
+	Entries      int
+}
+
+// countsOf reads c's counters; a nil cache (caching disabled) reads zero.
+func countsOf(c *ChunkCache) cacheCounts {
+	if c == nil {
+		return cacheCounts{}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return cacheCounts{Hits: c.hits, Misses: c.misses, Entries: len(c.entries)}
 }

@@ -151,15 +151,6 @@ func New(opts Options) *Interp {
 // call them").
 func (in *Interp) SetGlobal(name string, v Value) { in.globals.SetString(name, v) }
 
-// Stats reports the chunk-cache counters (zero values when caching is
-// disabled).
-func (in *Interp) Stats() CacheStats {
-	if in.cache == nil {
-		return CacheStats{}
-	}
-	return in.cache.Stats()
-}
-
 // compileChunk parses+resolves src through the chunk cache. mode selects
 // whether src is a full chunk or an expression to wrap in "return (src)";
 // the wrapper string is only built on a miss, so cache hits do zero parse

@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log"
-	"net"
 	"strconv"
 	"strings"
 	"sync"
@@ -277,10 +275,7 @@ func (r *Router) splitOfferID(id string) (shard int, rest string, ok bool) {
 // shard alive; context expiry indicts the caller and counts neither way.
 func (r *Router) noteFault(idx int, err error) {
 	switch {
-	case err == nil:
-		r.noteOK(idx)
-		return
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+	case orb.FaultOf(err) == orb.Abandoned:
 		return
 	case !transportFault(err):
 		r.noteOK(idx)
@@ -578,31 +573,9 @@ func (r *Router) StartProbe(interval time.Duration) (stop func()) {
 }
 
 // transportFault reports whether err indicts the shard's transport rather
-// than the caller or the application. A remote application reply (the
-// server answered), a trading sentinel from an in-process shard, or the
-// caller's own context expiry all prove the shard functioning; connection
-// failures, severed streams, open breakers, and closed clients do not.
-// Unrecognized errors default to "not transport" so application errors
-// from in-process (Local) shards never kill a healthy shard.
+// than the caller or the application (see orb.Fault). An answer, a trading
+// sentinel from an in-process shard (Unknown) and the caller's own expiry
+// all prove the shard functioning, so they never strike a healthy shard.
 func transportFault(err error) bool {
-	switch {
-	case err == nil:
-		return false
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		return false
-	case errors.Is(err, trading.ErrUnknownOffer), errors.Is(err, trading.ErrUnknownServiceType):
-		return false
-	case errors.Is(err, orb.ErrCircuitOpen), errors.Is(err, orb.ErrClosed), errors.Is(err, orb.ErrUnknownNetwork):
-		return true
-	case errors.Is(err, io.EOF), errors.Is(err, io.ErrUnexpectedEOF), errors.Is(err, io.ErrClosedPipe), errors.Is(err, net.ErrClosed):
-		return true
-	case orb.IsConnectError(err), errors.Is(err, orb.ErrInjectedFault):
-		return true
-	}
-	var re *orb.RemoteError
-	if errors.As(err, &re) {
-		return false
-	}
-	var ne net.Error
-	return errors.As(err, &ne)
+	return orb.FaultOf(err).In(orb.Refused, orb.Unreachable, orb.Lost)
 }

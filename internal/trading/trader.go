@@ -233,19 +233,12 @@ func (r ClientResolver) ResolveBatch(ctx context.Context, ref wire.ObjRef, aspec
 }
 
 // rejectedByObject reports whether err is the referenced object's own
-// answer to a call it received — a servant's application error, or its
-// interface check refusing the operation or its arguments — as opposed to a
-// failure to reach the object or to get an answer in time.
+// answer to a call it received (an Answered orb.Fault) — a servant's
+// application error, or its interface check refusing the operation or its
+// arguments — as opposed to a failure to reach the object or to get an
+// answer in time.
 func rejectedByObject(err error) bool {
-	var re *orb.RemoteError
-	if !errors.As(err, &re) {
-		return false
-	}
-	switch re.Code {
-	case orb.CodeApp, orb.CodeInternal, orb.CodeBadOperation, orb.CodeBadParam:
-		return true
-	}
-	return false
+	return orb.IsRemoteCode(err, orb.CodeApp, orb.CodeInternal, orb.CodeBadOperation, orb.CodeBadParam)
 }
 
 // NewTrader returns an empty trader using resolver for dynamic properties.

@@ -19,6 +19,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -123,7 +124,7 @@ type sweep struct {
 	spans       map[types.Object]span
 	methods     map[*types.TypeName][]*types.Func // concrete methods by receiver base type
 	byName      map[string][]*types.Func
-	stdNames    map[types.Object][]string // method names of interfaces a non-module object's type involves
+	stdIfaces   map[types.Object][]*types.Interface // interfaces a non-module object's type involves
 	candidates  []types.Object
 	isCandidate map[types.Object]bool
 }
@@ -197,7 +198,7 @@ func newSweep(t *testing.T) *sweep {
 		dir: dir, fset: fset, byPkg: map[*types.Package]*sweepPkg{},
 		uses: map[types.Object][]types.Object{}, spans: map[types.Object]span{},
 		methods: map[*types.TypeName][]*types.Func{}, byName: map[string][]*types.Func{},
-		stdNames: map[types.Object][]string{}, isCandidate: map[types.Object]bool{},
+		stdIfaces: map[types.Object][]*types.Interface{}, isCandidate: map[types.Object]bool{},
 	}
 	listed := goList(t, ".")
 	listed = append(listed, goList(t, "benchmark")...)
@@ -308,26 +309,37 @@ func (sw *sweep) collect(p *sweepPkg, files []*ast.File, info *types.Info) {
 }
 
 // facadeHandles returns the exported methods of every internal type the
-// facade names through an alias or an exported field: the library API a
-// facade user holds.
+// facade names through an alias or an exported field, and of every internal
+// type those methods return: the library API a facade user holds.
 func (sw *sweep) facadeHandles() []types.Object {
 	var out []types.Object
-	add := func(t types.Type) {
+	seen := map[*types.Named]bool{}
+	var add func(t types.Type)
+	add = func(t types.Type) {
 		if ptr, ok := t.(*types.Pointer); ok {
 			t = ptr.Elem()
 		}
 		named, ok := t.(*types.Named)
-		if !ok || sw.byPkg[named.Obj().Pkg()] == nil {
+		if !ok || sw.byPkg[named.Obj().Pkg()] == nil || seen[named] {
 			return
 		}
+		seen[named] = true
+		var methods []*types.Func
 		if it, ok := named.Underlying().(*types.Interface); ok {
 			for i := 0; i < it.NumMethods(); i++ {
-				out = append(out, it.Method(i))
+				methods = append(methods, it.Method(i))
 			}
 		}
 		for i := 0; i < named.NumMethods(); i++ {
 			if m := named.Method(i); m.Exported() {
-				out = append(out, m)
+				methods = append(methods, m)
+			}
+		}
+		for _, m := range methods {
+			out = append(out, m)
+			res := m.Type().(*types.Signature).Results()
+			for i := 0; i < res.Len(); i++ {
+				add(res.At(i).Type())
 			}
 		}
 	}
@@ -358,14 +370,28 @@ func (sw *sweep) facadeHandles() []types.Object {
 
 // reach returns everything reached from roots. A declaration reaches what
 // it names. A method is reached when its receiver type is reached and
-// reached code calls it directly or through an interface method of the
-// same name.
+// reached code calls it directly or through an interface its receiver type
+// implements. fmt's any-typed methods, and the methods of a generic
+// interface (a type parameter's constraint), which Implements cannot check
+// against an uninstantiated type, count by name alone.
 func (sw *sweep) reach(roots []types.Object) map[types.Object]bool {
 	reached := map[types.Object]bool{}
 	called := map[*types.Func]bool{}
-	ifaceNames := map[string]bool{}
+	byName := map[string]bool{}
+	ifaces := map[string][]*types.Interface{} // the interfaces each method name is called through
 	var queue []types.Object
 	var mark func(o types.Object)
+	viaIface := func(m *types.Func) bool {
+		if byName[m.Name()] {
+			return true
+		}
+		for _, it := range ifaces[m.Name()] {
+			if implements(recvTypeName(m), it) {
+				return true
+			}
+		}
+		return false
+	}
 	mark = func(o types.Object) {
 		if reached[o] {
 			return
@@ -374,27 +400,41 @@ func (sw *sweep) reach(roots []types.Object) map[types.Object]bool {
 		queue = append(queue, o)
 		if tn, ok := o.(*types.TypeName); ok {
 			for _, m := range sw.methods[tn] {
-				if called[m] || ifaceNames[m.Name()] {
+				if called[m] || viaIface(m) {
 					mark(m)
 				}
 			}
 		}
 	}
 	callName := func(name string) {
-		if ifaceNames[name] {
+		if byName[name] {
 			return
 		}
-		ifaceNames[name] = true
+		byName[name] = true
 		for _, m := range sw.byName[name] {
 			if reached[recvTypeName(m)] {
 				mark(m)
 			}
 		}
 	}
+	callIface := func(it *types.Interface) {
+		for i := 0; i < it.NumMethods(); i++ {
+			name := it.Method(i).Name()
+			if slices.Contains(ifaces[name], it) {
+				continue
+			}
+			ifaces[name] = append(ifaces[name], it)
+			for _, m := range sw.byName[name] {
+				if tn := recvTypeName(m); reached[tn] && implements(tn, it) {
+					mark(m)
+				}
+			}
+		}
+	}
 	use := func(o types.Object) {
 		if o.Pkg() == nil || sw.byPkg[o.Pkg()] == nil {
-			for _, n := range sw.interfaceNames(o) {
-				callName(n)
+			for _, it := range sw.interfaces(o) {
+				callIface(it)
 			}
 			return
 		}
@@ -402,7 +442,12 @@ func (sw *sweep) reach(roots []types.Object) map[types.Object]bool {
 		switch {
 		case ok && isInterfaceMethod(f):
 			mark(f)
-			callName(f.Name())
+			recv := f.Type().(*types.Signature).Recv().Type()
+			if named, ok := recv.(*types.Named); ok && named.TypeParams().Len() > 0 {
+				callName(f.Name())
+			} else {
+				callIface(recv.Underlying().(*types.Interface))
+			}
 		case ok && recvTypeName(f) != nil:
 			called[f] = true
 			if reached[recvTypeName(f)] {
@@ -435,20 +480,28 @@ func (sw *sweep) reach(roots []types.Object) map[types.Object]bool {
 	return reached
 }
 
-// interfaceNames lists the method names of the interfaces a standard
-// library object's type mentions: the interface itself, a variable's type,
-// or a function's parameters. Passing a value there lets the library call
-// those methods.
-func (sw *sweep) interfaceNames(o types.Object) []string {
-	if names, ok := sw.stdNames[o]; ok {
-		return names
+// implements reports whether tn's type, or a pointer to it, implements it.
+// A generic type's methods are checked by name, as its type is not
+// instantiated.
+func implements(tn *types.TypeName, it *types.Interface) bool {
+	t := tn.Type()
+	if named, ok := t.(*types.Named); ok && named.TypeParams().Len() > 0 {
+		return true
 	}
-	var names []string
+	return types.Implements(t, it) || types.Implements(types.NewPointer(t), it)
+}
+
+// interfaces lists the interfaces a standard library object's type
+// mentions: the interface itself, a variable's type, or a function's
+// parameters. Passing a value there lets the library call their methods.
+func (sw *sweep) interfaces(o types.Object) []*types.Interface {
+	if its, ok := sw.stdIfaces[o]; ok {
+		return its
+	}
+	var its []*types.Interface
 	addType := func(t types.Type) {
-		if it, ok := t.Underlying().(*types.Interface); ok {
-			for i := 0; i < it.NumMethods(); i++ {
-				names = append(names, it.Method(i).Name())
-			}
+		if it, ok := t.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+			its = append(its, it)
 		}
 	}
 	switch o := o.(type) {
@@ -464,8 +517,8 @@ func (sw *sweep) interfaceNames(o types.Object) []string {
 			addType(pt)
 		}
 	}
-	sw.stdNames[o] = names
-	return names
+	sw.stdIfaces[o] = its
+	return its
 }
 
 // resolve turns an allowlist name into the objects it covers: a package
