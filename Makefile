@@ -120,21 +120,23 @@ loc:
 # the hostile differential corpus, run VM vs. reference), the one strike
 # rule and every quarantine built on it (trader offers, monitor aspects,
 # predicates and observers, script strategies), the wire fuzz properties
-# plus a short run of the native fuzzers — the wire decoder and the
+# plus a short run of the native fuzzers — the wire decoder (its copying,
+# interning and borrowed decodes against each other) and the
 # compact value's representation, the VM-vs-reference differential fuzzer,
 # the script/wire conversion's round trip, the trader's constraint and
 # preference parsers and its query reply's reader and writer against the
 # generic codec — and the E15
 # governed-vs-ungoverned overload experiment. The reply fuzzer's inputs are
-# whole replies: minimising each new one would spend the budget, so it
-# keeps them as found.
+# whole replies, and the decoder's include requests past the 1 KiB a
+# borrowed request's views start at: minimising each new one would spend
+# the budget, so both keep them as found.
 chaos:
 	$(GO) test -count=1 -run 'Admission|Overloaded|LegacyUnboundedSpill' ./internal/orb
 	$(GO) test -count=1 -run 'Budget|CallCtx|MemBudget|Differential|DeepRecursion' ./internal/script
 	$(GO) test -count=1 -run 'Quarantine|OrdinaryScriptErrors|Reinstalled' ./internal/monitor ./internal/core
 	$(GO) test -count=1 -run 'Quarantin|Strike' ./internal/trading ./internal/strikes
 	$(GO) test -count=1 -run 'Property|Decode|Frame|Truncat|Overloaded' ./internal/wire
-	$(GO) test -count=1 -run '^$$' -fuzz FuzzDecodeMessage -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -count=1 -run '^$$' -fuzz FuzzDecodeMessage -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/wire
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzValueRepr -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzCompileResolve -fuzztime $(FUZZTIME) ./internal/script
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzVMDiff -fuzztime $(FUZZTIME) ./internal/script

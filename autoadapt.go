@@ -51,7 +51,8 @@ type (
 	ObjRef = wire.ObjRef
 	// Network is a transport (TCP or in-process).
 	Network = orb.Network
-	// Servant is the dynamic skeleton interface.
+	// Servant is the dynamic skeleton interface. Over a connection its args
+	// are borrowed until it returns: it keeps a string arg with wire.Keep.
 	Servant = orb.Servant
 	// ServantFunc adapts a function to Servant.
 	ServantFunc = orb.ServantFunc

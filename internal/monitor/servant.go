@@ -49,7 +49,11 @@ func (s *Servant) Invoke(op string, args []wire.Value) ([]wire.Value, error) {
 		if len(args) < 1 {
 			return nil, orb.Appf("setValue: value required")
 		}
-		if err := s.m.SetValue(args[0]); err != nil {
+		v := args[0]
+		if str, ok := v.AsString(); ok {
+			v = wire.String(wire.Keep(str))
+		}
+		if err := s.m.SetValue(v); err != nil {
 			return nil, wrapMonErr(err)
 		}
 		return nil, nil
@@ -91,7 +95,7 @@ func (s *Servant) Invoke(op string, args []wire.Value) ([]wire.Value, error) {
 		if len(args) < 2 {
 			return nil, orb.Appf("defineAspect: name and evaluator required")
 		}
-		if err := s.m.DefineAspect(args[0].Str(), args[1].Str()); err != nil {
+		if err := s.m.DefineAspect(wire.Keep(args[0].Str()), wire.Keep(args[1].Str())); err != nil {
 			return nil, wrapMonErr(err)
 		}
 		return nil, nil
@@ -103,7 +107,7 @@ func (s *Servant) Invoke(op string, args []wire.Value) ([]wire.Value, error) {
 		if !ok {
 			return nil, orb.Appf("attachEventObserver: first argument must be an object reference")
 		}
-		id, err := s.m.AttachObserver(ref, args[1].Str(), args[2].Str())
+		id, err := s.m.AttachObserver(ref, wire.Keep(args[1].Str()), wire.Keep(args[2].Str()))
 		if err != nil {
 			return nil, wrapMonErr(err)
 		}

@@ -46,11 +46,19 @@ const (
 // dispatch routine (the paper's DIR). The ORB delivers the operation name
 // and dynamically typed arguments; the servant returns result values or an
 // error.
+//
+// As with a CORBA ServerRequest, the ORB owns a remote call's args: the
+// slice, and each top-level string arg long enough to be a view into the
+// frame it came in (wire.Borrowed), are valid until Invoke returns and the
+// reply is written, so results may be args. A servant that keeps a string
+// arg past its return keeps wire.Keep(s), which copies only a long one;
+// tables, object references and numbers are its own.
 type Servant interface {
 	Invoke(op string, args []wire.Value) ([]wire.Value, error)
 }
 
-// ServantFunc adapts a function to the Servant interface.
+// ServantFunc adapts a function to the Servant interface. Its args are
+// borrowed as a Servant's are.
 type ServantFunc func(op string, args []wire.Value) ([]wire.Value, error)
 
 // Invoke implements Servant.
@@ -147,6 +155,7 @@ type ServerStats struct {
 type serverStats struct {
 	batchedFrames, batchFlushes, inlineDispatches, inlineRescues atomic.Uint64
 	shedRequests, expiredShed, spilledRequests                   atomic.Uint64
+	borrowed                                                     atomic.Int64 // messages read, not yet released
 }
 
 // Server is an object adapter: it owns a listener, a table of servants
@@ -327,10 +336,11 @@ func (s *Server) acceptLoop() {
 
 // connJob is one decoded request bound for the dispatch path. It carries
 // its connection's writer so pool workers can answer on behalf of any
-// connection.
+// connection. Its message is borrowed: whoever answers the request, or
+// drops it, releases it.
 type connJob struct {
 	entry  *servantEntry // pre-resolved servant (nil → NO_SUCH_OBJECT)
-	req    *wire.Request
+	msg    *wire.Borrowed
 	cw     *connWriter
 	oneway bool
 }
@@ -396,14 +406,15 @@ func (s *Server) admit(cw *connWriter, j connJob) {
 		s.maybeSpawnWorker()
 	default:
 		s.stats.shedRequests.Add(1)
-		if j.oneway {
-			return
+		if !j.oneway {
+			req := j.msg.Req
+			rep := &wire.Reply{ID: req.ID, ErrCode: CodeOverloaded,
+				Err: fmt.Sprintf("server overloaded: dispatch queue full, %q shed at admission", req.Operation)}
+			if err := s.writeReply(cw, wire.GetFrameBuffer(), rep, false, time.Now().Add(DefaultWriteTimeout)); err != nil {
+				s.logf("orb: write overload reply: %v", err)
+			}
 		}
-		rep := &wire.Reply{ID: j.req.ID, ErrCode: CodeOverloaded,
-			Err: fmt.Sprintf("server overloaded: dispatch queue full, %q shed at admission", j.req.Operation)}
-		if err := s.writeReply(cw, wire.GetFrameBuffer(), rep, false, time.Now().Add(DefaultWriteTimeout)); err != nil {
-			s.logf("orb: write overload reply: %v", err)
-		}
+		s.release(j.msg)
 	}
 }
 
@@ -513,23 +524,21 @@ func (c *serverConn) read() {
 func (c *serverConn) readFrames() (rescued bool) {
 	s := c.s
 	for {
-		payload, err := c.fr.Next()
+		// A read or decode error drops the connection: a protocol error
+		// leaves the stream position undefined.
+		msg, err := c.fr.NextBorrowed()
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.ErrClosedPipe) {
-				s.logf("orb: read frame: %v", err)
+				s.logf("orb: read message: %v", err)
 			}
 			return false
 		}
-		msg, err := c.fr.Decode(payload)
-		if err != nil {
-			s.logf("orb: decode message: %v", err)
-			return false // protocol error: drop the connection
-		}
+		s.stats.borrowed.Add(1)
 		switch msg.Type {
 		case wire.MsgRequest, wire.MsgOneway:
 			job := connJob{
 				entry:  s.servantEntryFor(msg.Req.ObjectKey),
-				req:    msg.Req,
+				msg:    msg,
 				cw:     c.cw,
 				oneway: msg.Type == wire.MsgOneway,
 			}
@@ -538,15 +547,16 @@ func (c *serverConn) readFrames() (rescued bool) {
 			// consuming a worker — under overload the backlog is exactly
 			// what made it late, so dispatching it would compound the
 			// overload with work nobody is waiting for.
-			if d := job.req.Deadline; d != 0 && time.Now().UnixNano() > d {
+			if d := msg.Req.Deadline; d != 0 && time.Now().UnixNano() > d {
 				s.stats.expiredShed.Add(1)
 				if !job.oneway {
-					rep := &wire.Reply{ID: job.req.ID, ErrCode: CodeDeadline,
-						Err: fmt.Sprintf("deadline expired before dispatch of %q", job.req.Operation)}
+					rep := &wire.Reply{ID: msg.Req.ID, ErrCode: CodeDeadline,
+						Err: fmt.Sprintf("deadline expired before dispatch of %q", msg.Req.Operation)}
 					if err := s.writeReply(c.cw, wire.GetFrameBuffer(), rep, false, time.Now().Add(time.Second)); err != nil {
 						s.logf("orb: write expired-shed reply: %v", err)
 					}
 				}
+				s.release(msg)
 				continue
 			}
 			switch {
@@ -572,6 +582,7 @@ func (c *serverConn) readFrames() (rescued bool) {
 			// contract), and serial handling makes duplicate-id checks
 			// race-free without a lock.
 			s.handleSubscribe(c.cw, msg.Sub, c.subs)
+			s.release(msg)
 		case wire.MsgUnsubscribe:
 			if ss, ok := c.subs[msg.UnsubID]; ok {
 				delete(c.subs, msg.UnsubID)
@@ -580,8 +591,10 @@ func (c *serverConn) readFrames() (rescued bool) {
 					ss.cancel()
 				}
 			}
+			s.release(msg)
 		default:
 			s.logf("orb: unexpected %s message on server connection", msg.Type)
+			s.release(msg)
 			return false
 		}
 	}
@@ -589,20 +602,23 @@ func (c *serverConn) readFrames() (rescued bool) {
 
 // handle dispatches one request and, unless it was oneway, writes the reply
 // as a single frame from a pooled buffer, which a ResultWriter servant
-// fills itself.
+// fills itself. Then it releases the request, whose args the reply may
+// have been encoded from.
 func (s *Server) handle(cw *connWriter, j connJob) {
+	req := j.msg.Req
 	if j.oneway {
-		s.dispatchEntry(j.entry, j.req, nil) // no reply, errors dropped by design
+		s.dispatchEntry(j.entry, req, nil) // no reply, errors dropped by design
+		s.release(j.msg)
 		return
 	}
 	fb := wire.GetFrameBuffer()
-	rep, written := s.dispatchEntry(j.entry, j.req, fb)
+	rep, written := s.dispatchEntry(j.entry, req, fb)
 	// Bound the reply write by the request's wire deadline (with a small
 	// floor so even an already-expired caller gets its DEADLINE_EXCEEDED
 	// reply rather than a hang).
 	var deadline time.Time
-	if j.req.Deadline != 0 {
-		deadline = time.Unix(0, j.req.Deadline)
+	if req.Deadline != 0 {
+		deadline = time.Unix(0, req.Deadline)
 		if floor := time.Now().Add(time.Second); deadline.Before(floor) {
 			deadline = floor
 		}
@@ -610,6 +626,14 @@ func (s *Server) handle(cw *connWriter, j connJob) {
 	if err := s.writeReply(cw, fb, &rep, written, deadline); err != nil {
 		s.logf("orb: write reply: %v", err)
 	}
+	s.release(j.msg)
+}
+
+// release returns a message readFrames borrowed once it has been handled,
+// however that ended.
+func (s *Server) release(msg *wire.Borrowed) {
+	msg.Release()
+	s.stats.borrowed.Add(-1)
 }
 
 // writeReply writes one reply frame from fb, a pooled buffer it recycles:

@@ -1,6 +1,10 @@
 package trading
 
-import "sync"
+import (
+	"sync"
+
+	"autoadapt/internal/wire"
+)
 
 // Compile-once caches for constraint and preference sources. Auto-adaptive
 // applications issue the same handful of query strings over and over (the
@@ -30,6 +34,7 @@ func (c *parseCache[T]) get(src string, parse func(string) (T, error)) (T, error
 		return v, nil
 	}
 	c.mu.Unlock()
+	src = wire.Keep(src) // the cache keeps it, and what parses from it
 	v, err := parse(src)
 	if err != nil {
 		return v, err

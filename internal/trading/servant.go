@@ -161,7 +161,7 @@ func (s *Servant) Invoke(op string, args []wire.Value) ([]wire.Value, error) {
 		if err != nil {
 			return nil, orb.Appf("export: %v", err)
 		}
-		id, err := s.dir.Export(ctx, args[0].Str(), ref, props)
+		id, err := s.dir.Export(ctx, wire.Keep(args[0].Str()), ref, props)
 		if err != nil {
 			return nil, orb.Appf("export: %v", err)
 		}
@@ -198,9 +198,9 @@ func (s *Servant) Invoke(op string, args []wire.Value) ([]wire.Value, error) {
 		if len(args) < 1 {
 			return nil, orb.Appf("addType: name required")
 		}
-		st := ServiceType{Name: args[0].Str()}
+		st := ServiceType{Name: wire.Keep(args[0].Str())}
 		if len(args) > 1 {
-			st.Interface = args[1].Str()
+			st.Interface = wire.Keep(args[1].Str())
 		}
 		if len(args) > 2 {
 			if tb, ok := args[2].AsTable(); ok {

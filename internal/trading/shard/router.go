@@ -231,7 +231,7 @@ func (r *Router) route(serviceType string) (ownerIdx, prevIdx int, err error) {
 	if own < 0 {
 		return -1, -1, ErrNoShards
 	}
-	r.routes[serviceType] = &typeRoute{owner: own, prev: -1}
+	r.routes[wire.Keep(serviceType)] = &typeRoute{owner: own, prev: -1}
 	return own, -1, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"unsafe"
 )
 
 // Binary encoding of Values.
@@ -146,9 +147,10 @@ func AppendValueAt(dst []byte, v Value, depth int) ([]byte, error) {
 
 // Decoder reads values from a byte slice.
 type Decoder struct {
-	buf []byte
-	pos int
-	in  *internTable // nil: every string is a fresh copy (see FrameReader.Decode)
+	buf  []byte
+	pos  int
+	in   *internTable // nil: every string is a fresh copy (see FrameReader.Decode)
+	view bool         // a message's top-level long strings alias buf (see FrameReader.NextBorrowed)
 }
 
 // NewDecoder returns a decoder over buf that copies every string.
@@ -234,13 +236,13 @@ func (d *Decoder) value(depth int) (Value, error) {
 		d.pos += 8
 		return Number(math.Float64frombits(bits)), nil
 	case tagString:
-		s, err := d.str()
+		s, err := d.strAt(depth)
 		if err != nil {
 			return Nil(), err
 		}
 		return String(s), nil
 	case tagBytes:
-		s, err := d.str()
+		s, err := d.strAt(depth)
 		if err != nil {
 			return Nil(), err
 		}
@@ -302,7 +304,12 @@ func (d *Decoder) table(arrLen uint64, depth int) (Value, error) {
 	return TableVal(t), nil
 }
 
-func (d *Decoder) str() (string, error) {
+func (d *Decoder) str() (string, error) { return d.strAt(-1) }
+
+// strAt decodes a string or bytes payload nested depth tables deep: when d
+// views its buffer, a message's top-level one (depth 0) of viewMin bytes or
+// more is a view into it; else it is interned or copied.
+func (d *Decoder) strAt(depth int) (string, error) {
 	n, err := d.uvarint()
 	if err != nil {
 		return "", err
@@ -312,6 +319,9 @@ func (d *Decoder) str() (string, error) {
 	}
 	b := d.buf[d.pos : d.pos+int(n)]
 	d.pos += int(n)
+	if depth == 0 && d.view && len(b) >= viewMin {
+		return unsafe.String(unsafe.SliceData(b), len(b)), nil
+	}
 	if d.in != nil && len(b) > 0 && len(b) <= maxInterned {
 		return d.in.intern(b), nil
 	}

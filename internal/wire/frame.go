@@ -220,7 +220,7 @@ type Message struct {
 // a larger size class than its two. The values slice has capacity n, as
 // if made alone.
 func DecodeMessage(payload []byte) (*Message, error) {
-	return decodeMessage(payload, nil)
+	return decodeMessage(payload, nil, nil)
 }
 
 // maxFusedValues is the most values a decoded message holds in the object
@@ -239,9 +239,11 @@ func withValues[B any](n uint64) (*B, []Value) {
 }
 
 // decodeMessage decodes payload, taking short strings from in when it is
-// not nil. The header fields are read before anything is allocated, so the
-// value count is known when the message's one object is.
-func decodeMessage(payload []byte, in *internTable) (*Message, error) {
+// not nil, and a request into b when b is not nil, its long top-level
+// strings views when b holds the buffer payload is in. The header fields
+// are read before anything is allocated, so the value count is known when
+// the message's one object is.
+func decodeMessage(payload []byte, in *internTable, b *Borrowed) (*Message, error) {
 	if len(payload) == 0 {
 		return nil, ErrTruncated
 	}
@@ -272,16 +274,27 @@ func decodeMessage(payload []byte, in *internTable) (*Message, error) {
 		if err != nil {
 			return nil, err
 		}
-		x, args := withValues[struct {
-			Message
-			req Request
-		}](n)
-		x.req = req
-		x.Message = Message{Type: mt, Req: &x.req}
-		if x.req.Args, err = d.values(args, n, "arg", "request"); err != nil {
+		var msg *Message
+		var args []Value
+		if b == nil {
+			x, vs := withValues[struct {
+				Message
+				req Request
+			}](n)
+			x.req, msg, args = req, &x.Message, vs
+			*msg = Message{Type: mt, Req: &x.req}
+		} else {
+			b.req, msg, args = req, &b.Message, b.args[:0]
+			*msg = Message{Type: mt, Req: &b.req}
+			if n > maxFusedValues {
+				args = make([]Value, 0, n)
+			}
+			d.view = b.buf != nil
+		}
+		if msg.Req.Args, err = d.values(args, n, "arg", "request"); err != nil {
 			return nil, err
 		}
-		return &x.Message, nil
+		return msg, nil
 	case MsgReply, MsgErrorReply:
 		var rep Reply
 		var err error

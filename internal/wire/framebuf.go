@@ -14,9 +14,11 @@ import (
 // that reuses its payload buffer across frames and interns the short
 // strings its connection repeats.
 //
-// Decoded values never alias the input buffer: every string is either a
+// Decode's values never alias the input buffer: every string is either a
 // fresh copy or an interned one, and both are ordinary Go strings. That is
-// what makes payload-buffer reuse safe.
+// what makes payload-buffer reuse safe. NextBorrowed, the server's read, is
+// the one exception: a request's long top-level strings are views into a
+// pooled buffer the request owns until it is released (see Borrowed).
 
 // FrameBuffer is a reusable encode buffer whose first 4 bytes are reserved
 // for the frame length prefix. Encode the payload by appending to B (after
@@ -152,24 +154,40 @@ func (fr *FrameReader) Buffered() int { return fr.br.Buffered() }
 // Next reads one frame and returns its payload, rejecting frames larger
 // than MaxFrameSize. The returned slice is reused by the next call.
 func (fr *FrameReader) Next() ([]byte, error) {
-	if _, err := io.ReadFull(fr.br, fr.hdr[:]); err != nil {
+	n, err := fr.header()
+	if err != nil {
 		return nil, err
+	}
+	return fr.body(fr.payload(n))
+}
+
+// header reads a frame's length prefix.
+func (fr *FrameReader) header() (int, error) {
+	if _, err := io.ReadFull(fr.br, fr.hdr[:]); err != nil {
+		return 0, err
 	}
 	n := int(binary.BigEndian.Uint32(fr.hdr[:]))
 	if n > MaxFrameSize {
-		return nil, ErrFrameTooLarge
+		return 0, ErrFrameTooLarge
 	}
-	var buf []byte
+	return n, nil
+}
+
+// payload returns room for an n-byte payload: the reader's own buffer, or
+// for a frame larger than maxReaderBuf a one-off one, so a connection keeps
+// at most maxReaderBuf of payload memory between frames.
+func (fr *FrameReader) payload(n int) []byte {
 	if n > maxReaderBuf {
-		// A big frame gets a one-off buffer, so a connection keeps at most
-		// maxReaderBuf of payload memory between frames.
-		buf = make([]byte, n)
-	} else {
-		if cap(fr.buf) < n {
-			fr.buf = make([]byte, n)
-		}
-		buf = fr.buf[:n]
+		return make([]byte, n)
 	}
+	if cap(fr.buf) < n {
+		fr.buf = make([]byte, n)
+	}
+	return fr.buf[:n]
+}
+
+// body reads a frame's payload into buf and returns it.
+func (fr *FrameReader) body(buf []byte) ([]byte, error) {
 	if _, err := io.ReadFull(fr.br, buf); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return nil, ErrTruncated
@@ -183,7 +201,7 @@ func (fr *FrameReader) Next() ([]byte, error) {
 // strings from the reader's intern table. Call it from the goroutine that
 // reads fr.
 func (fr *FrameReader) Decode(payload []byte) (*Message, error) {
-	return decodeMessage(payload, fr.interned())
+	return decodeMessage(payload, fr.interned(), nil)
 }
 
 func (fr *FrameReader) interned() *internTable {

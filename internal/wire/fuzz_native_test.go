@@ -79,7 +79,8 @@ type testingT interface {
 // FuzzDecodeMessage is the coverage-guided companion to the
 // testing/quick properties: DecodeMessage must never panic, any payload it
 // accepts must decode identically a second time, and one long-lived
-// reader's interning decode must agree with it on every input.
+// reader's interning decode and the server's borrowed decode must agree
+// with it on every input (see borrowDiff).
 func FuzzDecodeMessage(f *testing.F) {
 	fr := NewFrameReader(nil)
 	for _, seed := range seedMessages(f) {
@@ -90,11 +91,14 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add(req[:len(req)/2])
 	f.Add(deepTablePayload(byte(MsgEvent), maxDepth+8))
 	f.Add([]byte{0xff, 0x00, 0x7f})
-	for _, seed := range fusedSizeSeeds(f) {
+	for _, seed := range append(fusedSizeSeeds(f), straddleSeeds(f)...) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if d := internDiff(fr, b); d != "" {
+			t.Fatal(d)
+		}
+		if d := borrowDiff(b); d != "" {
 			t.Fatal(d)
 		}
 		msg, err := DecodeMessage(b)
