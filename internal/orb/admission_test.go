@@ -1,6 +1,7 @@
 package orb
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net"
@@ -60,8 +61,9 @@ func TestAdmissionStormGoroutineFlat(t *testing.T) {
 	}
 
 	// Wait for the storm to be fully admitted: pool saturated, remainder
-	// queued (resident worker + maxConcurrent pool workers are parked in
-	// the servant, so queue depth settles at n - maxConcurrent - 1).
+	// queued (maxConcurrent pool workers are parked in the servant, and so
+	// is the reader's rescued dispatch if the first request ran inline, so
+	// queue depth settles at n - maxConcurrent - 1 or one above).
 	deadline := time.Now().Add(5 * time.Second)
 	for srv.Stats().QueueDepth < n-maxConcurrent-1 {
 		if time.Now().After(deadline) {
@@ -107,7 +109,8 @@ func TestAdmissionQueueFullShed(t *testing.T) {
 
 func testAdmissionQueueFullShed(t *testing.T, network Network, address string) {
 	// parkServant reports each dispatch entry on entered, so the test can
-	// park the resident worker and the single pool worker one at a time —
+	// park the reader's inline dispatch, which the watchdog rescues, and the
+	// single pool worker one at a time —
 	// polling queue depth instead would race the pool worker draining the
 	// queue between pipelined sends.
 	entered := make(chan struct{}, 16)
@@ -152,7 +155,7 @@ func testAdmissionQueueFullShed(t *testing.T, network Network, address string) {
 		}
 	}
 	park()
-	waitEntered("resident worker") // #1 parks the connection's resident worker
+	waitEntered("inline dispatch") // #1 parks on the reader until the watchdog rescues it
 	park()
 	waitEntered("pool worker") // #2 overflows and parks the only pool worker
 	park()                     // #3 sits in the queue's single slot
@@ -186,6 +189,78 @@ func testAdmissionQueueFullShed(t *testing.T, network Network, address string) {
 	if rs, err := client.Invoke(ctx, ref, "echo", wire.String("alive")); err != nil || rs[0].Str() != "alive" {
 		t.Fatalf("post-shed invoke = %v, %v", rs, err)
 	}
+}
+
+// TestServerConnGoroutines: an idle server connection costs its server one
+// goroutine, its reader, over TCP and over the in-process conn alike.
+func TestServerConnGoroutines(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		network Network
+		address string
+	}{
+		{"tcp", TCPNetwork{}, "127.0.0.1:0"},
+		{"inproc", NewInprocNetwork(), "idle"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			testServerConnGoroutines(t, tc.network, tc.address, func(cond func() bool) bool {
+				deadline := time.Now().Add(5 * time.Second)
+				for !cond() {
+					if time.Now().After(deadline) {
+						return false
+					}
+					time.Sleep(time.Millisecond)
+				}
+				return true
+			})
+		})
+	}
+}
+
+// testServerConnGoroutines opens n idle connections to a fresh server and
+// checks that they cost n goroutines once await reports cond holds: await
+// polls until a deadline, or lets a synctest bubble settle first.
+func testServerConnGoroutines(t *testing.T, network Network, address string, await func(cond func() bool) bool) {
+	srv, err := NewServer(ServerOptions{Network: network, Address: address})
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	defer srv.Close()
+	_, addr, _ := SplitEndpoint(srv.Endpoint())
+	const n = 8
+	base := serverConnGoroutines()
+	for i := 0; i < n; i++ {
+		conn, err := network.Dial(addr)
+		if err != nil {
+			t.Fatalf("dial #%d: %v", i, err)
+		}
+		defer conn.Close()
+	}
+	var accepted, got int
+	if !await(func() bool {
+		srv.connsMu.Lock()
+		accepted = len(srv.conns)
+		srv.connsMu.Unlock()
+		got = serverConnGoroutines() - base
+		return accepted == n && got == n
+	}) {
+		t.Fatalf("%d idle connections (%d accepted) cost %d goroutines, want %d", n, accepted, got, n)
+	}
+}
+
+// serverConnGoroutines counts the goroutines that run a server connection's
+// code or were started by it. Unlike runtime.NumGoroutine it does not move
+// when a goroutine an earlier test left winding down exits.
+func serverConnGoroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte("orb.(*serverConn)")) {
+			n++
+		}
+	}
+	return n
 }
 
 // TestAdmissionExpiredDeadlineShed hand-writes a request frame whose wire

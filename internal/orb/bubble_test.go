@@ -94,3 +94,14 @@ func TestBubblePipeMatchesNetPipe(t *testing.T) {
 func TestBubbleAdmissionQueueFullShed(t *testing.T) {
 	synctest.Run(func() { testAdmissionQueueFullShed(t, NewInprocNetwork(), "shed") })
 }
+
+// TestBubbleServerConnGoroutines runs the goroutine count's in-process row in
+// a bubble: once every goroutine of it is blocked, the count is exact.
+func TestBubbleServerConnGoroutines(t *testing.T) {
+	synctest.Run(func() {
+		testServerConnGoroutines(t, NewInprocNetwork(), "idle", func(cond func() bool) bool {
+			synctest.Wait()
+			return cond()
+		})
+	})
+}

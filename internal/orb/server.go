@@ -34,9 +34,9 @@ const (
 
 // Admission-control defaults. A server dispatches at most MaxConcurrent
 // requests at once across all connections, beyond one per connection (run by
-// its reader or resident worker); up to MaxQueue more wait
-// in the dispatch queue, and beyond that two-way requests are shed with
-// CodeOverloaded replies and oneways are dropped.
+// its reader); up to MaxQueue more wait in the dispatch queue, and beyond
+// that two-way requests are shed with CodeOverloaded replies and oneways are
+// dropped.
 const (
 	DefaultMaxConcurrent = 64
 	DefaultMaxQueue      = 1024
@@ -141,8 +141,8 @@ type ServerStats struct {
 	// deadline had already passed when they were read off the connection —
 	// the caller has given up, so dispatching would be pure waste.
 	ExpiredShed uint64
-	// SpilledRequests counts requests that overflowed their connection's
-	// resident worker into the shared dispatch pool.
+	// SpilledRequests counts requests admitted to the shared dispatch pool:
+	// every request its connection's reader did not run itself.
 	SpilledRequests uint64
 	// QueueDepth is the number of admitted requests currently waiting for
 	// a pool worker (a gauge, not a counter).
@@ -309,7 +309,7 @@ func (s *Server) acceptLoop() {
 			return // listener closed
 		}
 		c := &serverConn{s: s, conn: conn, cw: &connWriter{conn: conn}, fr: wire.NewFrameReader(conn),
-			jobs: make(chan connJob), subs: make(map[uint64]*serverSub)}
+			subs: make(map[uint64]*serverSub)}
 		if s.opts.BatchWindow > 0 {
 			// A failed flush drops the connection; its reader tears down the rest.
 			c.cw.batch = &frameBatch{w: c.cw, window: s.opts.BatchWindow, limit: DefaultBatchBytes,
@@ -327,10 +327,8 @@ func (s *Server) acceptLoop() {
 		}
 		s.conns[c] = struct{}{}
 		s.connsMu.Unlock()
-		c.busy.Add(1) // the worker
-		s.wg.Add(2)
+		s.wg.Add(1)
 		go c.read()
-		go c.work()
 	}
 }
 
@@ -396,9 +394,9 @@ func (s *Server) poolWorker() {
 	}
 }
 
-// admit routes one non-inline request past its connection's busy resident
-// worker: into the bounded dispatch pool, or — when pool and queue are
-// saturated — sheds it with a CodeOverloaded reply (oneways are dropped).
+// admit routes one request its connection's reader does not run itself:
+// into the bounded dispatch pool, or — when pool and queue are saturated —
+// sheds it with a CodeOverloaded reply (oneways are dropped).
 func (s *Server) admit(cw *connWriter, j connJob) {
 	select {
 	case s.queue <- j:
@@ -461,46 +459,39 @@ type serverSub struct {
 	cancel func()
 }
 
-// serverConn is one accepted connection and its two goroutines. The reader
-// runs a request itself when nothing is buffered behind it and the worker is
-// idle; the worker takes the rest, and past a busy worker requests go to the
-// pool or are shed (see admit). A rescue (see watch) starts a new reader.
+// serverConn is one accepted connection and its one goroutine, the reader.
+// The reader runs a request itself when nothing is buffered behind it and
+// the connection's slot is free; every other request goes to the pool or is
+// shed (see admit). A rescue (see watch) starts a new reader.
 type serverConn struct {
 	s    *Server
 	conn net.Conn
 	cw   *connWriter
 	fr   *wire.FrameReader // with its intern table, used by the reader only (a rescue hands both on)
-	jobs chan connJob      // to the worker
 
-	slot      atomic.Bool   // held by whichever of the two runs a dispatch
+	slot      atomic.Bool   // held by the reader's dispatch, rescued or not
 	inlineSeq atomic.Uint64 // odd while the reader runs one
 	listed    atomic.Bool   // in watch.conns
 	seen      uint64        // inlineSeq at the watchdog's previous visit (watch.mu)
 
 	subs map[uint64]*serverSub // push streams, owned by the read role
-	busy sync.WaitGroup        // the worker and rescued dispatches
-}
-
-// work runs the resident worker until the connection ends.
-func (c *serverConn) work() {
-	defer c.s.wg.Done()
-	defer c.busy.Done()
-	for j := range c.jobs {
-		c.s.handle(c.cw, j)
-		c.slot.Store(false)
-	}
+	busy sync.WaitGroup        // rescued dispatches
 }
 
 // read runs the reader until the connection ends or a rescue replaces it.
 func (c *serverConn) read() {
 	defer c.s.wg.Done()
 	if c.readFrames() {
-		c.busy.Done() // rescued, and now its dispatch is over
+		// Rescued, and now its dispatch is over. The watchdog counts it
+		// under watch.mu after winning the CAS this reader lost: take the
+		// lock once, so the Adds come before this Done and s.wg's.
+		watch.mu.Lock()
+		watch.mu.Unlock()
+		c.busy.Done()
 		return
 	}
-	// Reading failed: the worker and any rescued dispatches finish, then the streams
-	// (sinks first, so pushes fail fast, then servant cancels) and the socket.
-	close(c.jobs)
+	// Reading failed: any rescued dispatch finishes, then the streams (sinks
+	// first, so pushes fail fast, then servant cancels) and the socket.
 	c.busy.Wait()
 	for _, ss := range c.subs {
 		ss.sink.closed.Store(true)
@@ -559,23 +550,21 @@ func (c *serverConn) readFrames() (rescued bool) {
 				s.release(msg)
 				continue
 			}
-			switch {
-			case !c.slot.CompareAndSwap(false, true): // pipelining, or a slow servant
+			// Pipelining, or a rescued dispatch still running: the pool.
+			if c.fr.Buffered() != 0 || !c.slot.CompareAndSwap(false, true) {
 				s.admit(c.cw, job)
-			case c.fr.Buffered() == 0:
-				s.stats.inlineDispatches.Add(1)
-				seq := c.inlineSeq.Add(1)
-				if !c.listed.Swap(true) {
-					watchInline(c)
-				}
-				s.handle(c.cw, job)
-				kept := c.inlineSeq.CompareAndSwap(seq, seq+1)
-				c.slot.Store(false)
-				if !kept {
-					return true
-				}
-			default:
-				c.jobs <- job // the worker freed the slot, so it is about to receive
+				continue
+			}
+			s.stats.inlineDispatches.Add(1)
+			seq := c.inlineSeq.Add(1)
+			if !c.listed.Swap(true) {
+				watchInline(c)
+			}
+			s.handle(c.cw, job)
+			kept := c.inlineSeq.CompareAndSwap(seq, seq+1)
+			c.slot.Store(false)
+			if !kept {
+				return true
 			}
 		case wire.MsgSubscribe:
 			// Handled inline: registering a sink must be quick (EventSource
@@ -819,7 +808,10 @@ func watchLoop() {
 		for _, c := range watch.conns {
 			v := c.inlineSeq.Load()
 			if v&1 == 1 && v == c.seen && c.inlineSeq.CompareAndSwap(v, v+1) {
-				// busy counts the stuck dispatch; the worker keeps it and wg > 0.
+				// The stuck reader holds s.wg until it has seen these Adds
+				// (see read), so neither meets a Wait at zero: Close waits on
+				// s.wg, and only the reader holding the read role, which
+				// starts below, waits on busy.
 				c.s.stats.inlineRescues.Add(1)
 				c.busy.Add(1)
 				c.s.wg.Add(1)

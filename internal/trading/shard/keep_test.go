@@ -12,7 +12,7 @@ import (
 
 // TestKeepRouterTypeNames: the type names a router keeps in its maps
 // arrive through the servant as views into a pooled buffer when they are
-// this long: the route a query creates keeps its own copy (wire.Keep), and
+// this long: the route a query records keeps its own copy (wire.Keep), and
 // the types it learns from addType are kept by the trader servant it wraps.
 // Under -race a released buffer is poisoned, and a site without its Keep
 // fails here; other builds check the same values without the poison.
@@ -57,5 +57,20 @@ func TestKeepRouterTypeNames(t *testing.T) {
 	r.mu.RUnlock()
 	if !ok {
 		t.Error("query: the route is not kept under its type name")
+	}
+	// A type the shards learned without the router gets its route from the
+	// owner's answer to a query, under the query's own type name.
+	late := "late" + strings.Repeat("x", 2048)
+	for _, d := range r.opts.Shards {
+		if err := d.AddType(context.Background(), trading.ServiceType{Name: late}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	call("query", wire.String(late))
+	r.mu.RLock()
+	_, ok = r.routes[late]
+	r.mu.RUnlock()
+	if !ok {
+		t.Error("query: the route the owner's answer records is not kept under its type name")
 	}
 }

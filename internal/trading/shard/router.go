@@ -199,40 +199,39 @@ func (r *Router) ownerLocked(serviceType string) int {
 }
 
 // route returns serviceType's current owner and, when a handoff grace
-// window is open, the previous owner to merge with (-1 otherwise). The
-// ownership record is created on first use.
-func (r *Router) route(serviceType string) (ownerIdx, prevIdx int, err error) {
+// window is open, the previous owner to merge with (-1 otherwise). A type
+// with no ownership record yet (recorded false) is routed without one.
+func (r *Router) route(serviceType string) (ownerIdx, prevIdx int, recorded bool, err error) {
 	r.mu.RLock()
-	rt, ok := r.routes[serviceType]
-	if ok {
+	rt, recorded := r.routes[serviceType]
+	if recorded {
 		ownerIdx, prevIdx = rt.owner, rt.prev
-		expired := prevIdx >= 0 && r.opts.Clock.Now().After(rt.prevUntil)
-		r.mu.RUnlock()
-		if expired {
-			prevIdx = -1
-			r.clearPrev(serviceType)
-		}
-		if ownerIdx < 0 {
-			return -1, -1, ErrNoShards
-		}
-		return ownerIdx, prevIdx, nil
+	} else {
+		ownerIdx, prevIdx = r.ownerLocked(serviceType), -1
 	}
+	expired := prevIdx >= 0 && r.opts.Clock.Now().After(rt.prevUntil)
 	r.mu.RUnlock()
+	if expired {
+		prevIdx = -1
+		r.clearPrev(serviceType)
+	}
+	if ownerIdx < 0 {
+		return -1, -1, recorded, ErrNoShards
+	}
+	return ownerIdx, prevIdx, recorded, nil
+}
 
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if rt, ok := r.routes[serviceType]; ok {
-		if rt.owner < 0 {
-			return -1, -1, ErrNoShards
-		}
-		return rt.owner, rt.prev, nil
+// keepRouteLocked records serviceType's ownership, which membership changes
+// then hand off, once the type is known to exist: on AddType, on an export
+// and on its owner's answer to a query. A record for every name queried
+// would let any client grow the map without bound. Callers hold r.mu.
+func (r *Router) keepRouteLocked(serviceType string) {
+	if _, ok := r.routes[serviceType]; ok {
+		return
 	}
-	own := r.ownerLocked(serviceType)
-	if own < 0 {
-		return -1, -1, ErrNoShards
+	if own := r.ownerLocked(serviceType); own >= 0 {
+		r.routes[wire.Keep(serviceType)] = &typeRoute{owner: own, prev: -1}
 	}
-	r.routes[wire.Keep(serviceType)] = &typeRoute{owner: own, prev: -1}
-	return own, -1, nil
 }
 
 // clearPrev lazily retires an expired handoff grace window.
@@ -335,7 +334,7 @@ func (r *Router) reassignLocked() {
 // consulted too and the merged results re-sorted by preference.
 func (r *Router) Query(ctx context.Context, serviceType, constraint, preference string, maxResults int) ([]trading.QueryResult, error) {
 	r.cnt.queries.Add(1)
-	own, prev, err := r.route(serviceType)
+	own, prev, recorded, err := r.route(serviceType)
 	if err != nil {
 		return nil, err
 	}
@@ -344,11 +343,16 @@ func (r *Router) Query(ctx context.Context, serviceType, constraint, preference 
 		// The owner is unreachable: it has been marked dead and ownership
 		// reassigned. Answer from the new owner — the offers reappear
 		// there as agents re-export.
-		if own2, _, rerr := r.route(serviceType); rerr == nil && own2 != own {
+		if own2, _, _, rerr := r.route(serviceType); rerr == nil && own2 != own {
 			r.logf("shard: query %q rerouted to %s after %v", serviceType, r.opts.Names[own2], err)
 			return r.queryShard(ctx, own2, serviceType, constraint, preference, maxResults)
 		}
 		return nil, err
+	}
+	if !recorded {
+		r.mu.Lock()
+		r.keepRouteLocked(serviceType)
+		r.mu.Unlock()
 	}
 	if prev < 0 || prev == own {
 		return rs, nil
@@ -406,7 +410,7 @@ func mergeResults(preference string, maxResults int, lists ...[]trading.QueryRes
 // mid-export the router retries once on the reassigned owner.
 func (r *Router) Export(ctx context.Context, serviceType string, ref wire.ObjRef, props map[string]trading.PropValue) (string, error) {
 	for attempt := 0; ; attempt++ {
-		own, _, err := r.route(serviceType)
+		own, _, _, err := r.route(serviceType)
 		if err != nil {
 			return "", err
 		}
@@ -416,6 +420,7 @@ func (r *Router) Export(ctx context.Context, serviceType string, ref wire.ObjRef
 			qid := r.qualify(own, id)
 			r.mu.Lock()
 			r.exported[qid] = serviceType
+			r.keepRouteLocked(serviceType)
 			r.mu.Unlock()
 			return qid, nil
 		}
@@ -423,7 +428,7 @@ func (r *Router) Export(ctx context.Context, serviceType string, ref wire.ObjRef
 		if attempt > 0 || !transportFault(err) {
 			return "", err
 		}
-		if own2, _, rerr := r.route(serviceType); rerr != nil || own2 == own {
+		if own2, _, _, rerr := r.route(serviceType); rerr != nil || own2 == own {
 			return "", err
 		}
 	}
@@ -485,7 +490,7 @@ func (r *Router) Renew(ctx context.Context, offerID string) error {
 		return fmt.Errorf("%w: %q (shard %s is down)", trading.ErrUnknownOffer, offerID, r.opts.Names[idx])
 	}
 	if known {
-		if own, _, err := r.route(serviceType); err == nil && own != idx {
+		if own, _, _, err := r.route(serviceType); err == nil && own != idx {
 			// Ownership moved while the offer stayed put. Retire the old
 			// copy (best effort — its lease would expire anyway) and make
 			// the exporter re-export at the new owner.
@@ -513,6 +518,7 @@ func (r *Router) Renew(ctx context.Context, offerID string) error {
 func (r *Router) AddType(ctx context.Context, st trading.ServiceType) error {
 	r.mu.Lock()
 	r.types[st.Name] = st
+	r.keepRouteLocked(st.Name)
 	r.mu.Unlock()
 	var firstErr error
 	for i, s := range r.shards {

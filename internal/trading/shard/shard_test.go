@@ -335,6 +335,66 @@ func TestShardDeathReassignsAndMigrates(t *testing.T) {
 	}
 }
 
+// TestRouterRoutesOnlyKnownTypes: the router records a type's ownership only
+// once the type is known, so queries for names no shard knows leave its
+// route map as it was, while a known type still routes and hands off across
+// a shard's death and rejoin.
+func TestRouterRoutesOnlyKnownTypes(t *testing.T) {
+	ctx := context.Background()
+	r, _, flaky := newCluster(t, 3, Options{HandoffGrace: time.Hour})
+	routes := func() int {
+		r.mu.RLock()
+		defer r.mu.RUnlock()
+		return len(r.routes)
+	}
+	if err := r.AddType(ctx, trading.ServiceType{Name: "Known"}); err != nil {
+		t.Fatal(err)
+	}
+	id, err := r.Export(ctx, "Known", svcRef(1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := routes()
+	for i := 0; i < 1000; i++ {
+		if _, err := r.Query(ctx, fmt.Sprintf("Unknown%d", i), "", "", 0); !errors.Is(err, trading.ErrUnknownServiceType) {
+			t.Fatalf("query for an unknown type: err = %v, want ErrUnknownServiceType", err)
+		}
+	}
+	if got := routes(); got != before {
+		t.Fatalf("1000 queries for unknown types took the route count from %d to %d", before, got)
+	}
+
+	if rs, err := r.Query(ctx, "Known", "", "", 0); err != nil || len(rs) != 1 {
+		t.Fatalf("query for the known type: %d results, err %v", len(rs), err)
+	}
+	own := r.Owner("Known")
+	flaky[own].setDown(true)
+	r.Probe(ctx)
+	if got := r.Owner("Known"); got == own || got < 0 {
+		t.Fatalf("ownership did not move off the dead shard: %d -> %d", own, got)
+	}
+	if err := r.Renew(ctx, id); !errors.Is(err, trading.ErrUnknownOffer) {
+		t.Fatalf("renew on the dead shard: err = %v, want ErrUnknownOffer", err)
+	}
+	if _, err := r.Export(ctx, "Known", svcRef(1), nil); err != nil {
+		t.Fatal(err)
+	}
+	flaky[own].setDown(false)
+	r.Probe(ctx)
+	if got := r.Owner("Known"); got != own {
+		t.Fatalf("rejoined shard did not take its type back: owner = %d, want %d", got, own)
+	}
+	if rs, err := r.Query(ctx, "Known", "", "", 0); err != nil || len(rs) != 1 {
+		t.Fatalf("query during the handoff: %d results, err %v", len(rs), err)
+	}
+	if st := r.Stats(); st.Reassigns != 2 || st.HandoffMerges != 1 {
+		t.Fatalf("stats = %+v, want 2 reassigns and 1 handoff merge", st)
+	}
+	if got := routes(); got != before {
+		t.Fatalf("route count %d after the handoff, want %d", got, before)
+	}
+}
+
 // TestProbeMarksDeadAndRejoins: the liveness poll is the only thing that
 // notices a shard nobody is calling. A failed poll marks it dead and moves
 // its types; a poll that succeeds again revives it, with its service types
