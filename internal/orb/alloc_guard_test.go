@@ -149,3 +149,25 @@ func TestAllocGuardPipelinedBulkEcho(t *testing.T) {
 		t.Fatalf("pipelined 4 KiB echo: %.1f KiB allocated per op, want <= 6", perOp)
 	}
 }
+
+// TestAllocGuardPoolSpawn: starting a pool worker allocates nothing. The
+// pool spawns a worker for a request that finds none idle, about once per
+// pipelined request under E13's server-batched load, so a closure built
+// per spawn was one allocation per op there. Each run spawns a worker on
+// an empty queue and waits for it to retire; the goroutine itself reuses
+// a dead one's stack.
+func TestAllocGuardPoolSpawn(t *testing.T) {
+	srv, err := NewServer(ServerOptions{Network: NewInprocNetwork(), Address: "alloc-spawn"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	spawn := func() {
+		srv.maybeSpawnWorker()
+		srv.poolWG.Wait()
+	}
+	spawn()
+	if allocs := testing.AllocsPerRun(500, spawn); allocs != 0 {
+		t.Fatalf("pool spawn: %.1f allocs/op, want 0", allocs)
+	}
+}

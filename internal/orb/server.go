@@ -1,6 +1,7 @@
 package orb
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -176,11 +177,13 @@ type Server struct {
 	sm    *serverMetrics // nil = instrumentation disabled
 
 	// Admission control: queue feeds a pool of at most maxConcurrent
-	// workers, spawned lazily as demand appears.
+	// workers, spawned lazily as demand appears. poolWorker is
+	// s.poolWorkerLoop bound once, so a spawn allocates no closure.
 	queue         chan connJob
 	maxConcurrent int
 	poolWorkers   atomic.Int64
 	poolWG        sync.WaitGroup
+	poolWorker    func()
 
 	wg sync.WaitGroup
 }
@@ -224,15 +227,9 @@ func NewServer(opts ServerOptions) (*Server, error) {
 		servants: make(map[string]*servantEntry),
 		conns:    make(map[*serverConn]struct{}),
 	}
-	s.maxConcurrent = opts.MaxConcurrent
-	if s.maxConcurrent == 0 {
-		s.maxConcurrent = DefaultMaxConcurrent
-	}
-	maxQueue := opts.MaxQueue
-	if maxQueue == 0 {
-		maxQueue = DefaultMaxQueue
-	}
-	s.queue = make(chan connJob, maxQueue)
+	s.maxConcurrent = cmp.Or(opts.MaxConcurrent, DefaultMaxConcurrent)
+	s.queue = make(chan connJob, cmp.Or(opts.MaxQueue, DefaultMaxQueue))
+	s.poolWorker = s.poolWorkerLoop
 	s.sm = newServerMetrics(opts.Metrics, s)
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -362,14 +359,14 @@ func (s *Server) maybeSpawnWorker() {
 	}
 }
 
-// poolWorker drains the dispatch queue and retires when it runs dry, so an
-// idle server parks no goroutines. Retirement must not strand a job that
+// poolWorkerLoop drains the dispatch queue and retires when it runs dry, so
+// an idle server parks no goroutines. Retirement must not strand a job that
 // raced in behind the empty check: the worker decrements its slot FIRST
 // and then re-checks the queue. A job enqueued before the re-check is
 // drained here; one enqueued after it is seen by its enqueuer's
 // maybeSpawnWorker with the already-decremented count, which spawns a
 // replacement. Either way someone owns the job.
-func (s *Server) poolWorker() {
+func (s *Server) poolWorkerLoop() {
 	defer s.poolWG.Done()
 	for {
 		select {

@@ -1,9 +1,6 @@
 package script
 
-import (
-	"hash/maphash"
-	"sync"
-)
+import "sync"
 
 // ChunkCache is a content-addressed cache of compiled (parsed + resolved)
 // chunks. The adaptation protocol ships the SAME source strings over and
@@ -17,9 +14,8 @@ import (
 // cache exceeds its bound.
 type ChunkCache struct {
 	mu      sync.Mutex
-	seed    maphash.Seed
 	max     int
-	entries map[uint64]*cacheEntry
+	entries map[cacheKey]*cacheEntry
 	// Intrusive LRU list with a sentinel: lru.next is most recent.
 	lru    cacheEntry
 	hits   uint64
@@ -39,10 +35,15 @@ const (
 // 256 distinct sources is far past any workload in this repository.
 const DefaultCacheSize = 256
 
-type cacheEntry struct {
-	key        uint64
+// cacheKey is a compiled chunk's identity. Looking it up builds no
+// composite string, so a cache hit allocates nothing.
+type cacheKey struct {
 	mode       byte
 	chunk, src string
+}
+
+type cacheEntry struct {
+	key        cacheKey
 	proto      *funcProto
 	prev, next *cacheEntry
 }
@@ -52,37 +53,24 @@ func NewChunkCache(size int) *ChunkCache {
 	if size < 1 {
 		size = 1
 	}
+	// Not sized to max: every Interp has a private cache holding a few
+	// sources, and 256 empty slots of 40-byte keys cost each one 26 KiB.
 	c := &ChunkCache{
-		seed:    maphash.MakeSeed(),
 		max:     size,
-		entries: make(map[uint64]*cacheEntry, size),
+		entries: make(map[cacheKey]*cacheEntry),
 	}
 	c.lru.next = &c.lru
 	c.lru.prev = &c.lru
 	return c
 }
 
-// hashKey hashes (mode, chunk, src) without materialising any composite
-// string, so a cache hit allocates nothing.
-func (c *ChunkCache) hashKey(mode byte, chunk, src string) uint64 {
-	var h maphash.Hash
-	h.SetSeed(c.seed)
-	h.WriteByte(mode)
-	h.WriteString(chunk)
-	h.WriteByte(0)
-	h.WriteString(src)
-	return h.Sum64()
-}
-
 // lookup returns the cached proto for (mode, chunk, src), bumping it to
-// most-recently-used. A 64-bit hash can collide, so the stored identity is
-// compared in full before trusting the entry.
+// most-recently-used.
 func (c *ChunkCache) lookup(mode byte, chunk, src string) (*funcProto, bool) {
-	key := c.hashKey(mode, chunk, src)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok || e.mode != mode || e.chunk != chunk || e.src != src {
+	e, ok := c.entries[cacheKey{mode, chunk, src}]
+	if !ok {
 		c.misses++
 		return nil, false
 	}
@@ -93,10 +81,9 @@ func (c *ChunkCache) lookup(mode byte, chunk, src string) (*funcProto, bool) {
 }
 
 // store inserts a freshly compiled proto, evicting the least-recently-used
-// entry when full. A hash collision overwrites the older entry — correctness
-// is preserved because lookup verifies the full identity.
+// entry when full.
 func (c *ChunkCache) store(mode byte, chunk, src string, proto *funcProto) {
-	key := c.hashKey(mode, chunk, src)
+	key := cacheKey{mode, chunk, src}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if old, ok := c.entries[key]; ok {
@@ -111,7 +98,7 @@ func (c *ChunkCache) store(mode byte, chunk, src string, proto *funcProto) {
 		oldest.unlink()
 		delete(c.entries, oldest.key)
 	}
-	e := &cacheEntry{key: key, mode: mode, chunk: chunk, src: src, proto: proto}
+	e := &cacheEntry{key: key, proto: proto}
 	c.entries[key] = e
 	e.linkAfter(&c.lru)
 }

@@ -46,7 +46,7 @@ type Constraint struct {
 // compiles to a constraint matching every offer.
 func ParseConstraint(src string) (*Constraint, error) {
 	if strings.TrimSpace(src) == "" {
-		return &Constraint{root: &cnode{op: opLit, lit: boolVal(true)}}, nil
+		return &Constraint{root: &cnode{op: opLit, lit: wire.Bool(true)}}, nil
 	}
 	p := &cparser{src: src}
 	root, err := p.parseOr()
@@ -79,111 +79,23 @@ func numberRefs(root *cnode) []string {
 	return refs
 }
 
-// PropLookup resolves a property name during evaluation. ok=false means
-// the property does not exist for this offer.
-type PropLookup func(name string) (wire.Value, bool)
-
-// lookupVals appends to dst the values lookup gives for refs, in the form
-// the compiled evaluator reads.
-func lookupVals(dst []cval, refs []string, lookup PropLookup) []cval {
-	for _, name := range refs {
-		v, ok := lookup(name)
-		if !ok {
-			dst = append(dst, cval{kind: kindMissing})
-		} else if c, ok := scalarOf(&v); ok {
-			dst = append(dst, c)
-		} else {
-			held := v // escapes; taking &v would move every v to the heap
-			dst = append(dst, cval{kind: held.Kind(), v: &held})
-		}
-	}
-	return dst
-}
-
 // ---- compiled form ----
-
-// cval is a value as the compiled evaluator passes it, in 40 bytes instead
-// of a wire.Value's 80: scalars inline (a boolean as n = 0 or 1), and for
-// bytes, tables and object references — which the language can only compare
-// for equality — a pointer to the wire.Value they came from. kindMissing
-// marks a property the offer does not have; it never leaves a value array.
-type cval struct {
-	kind wire.Kind
-	n    float64
-	s    string
-	v    *wire.Value
-}
-
-const kindMissing wire.Kind = -1
-
-func boolVal(b bool) cval {
-	if b {
-		return cval{kind: wire.KindBool, n: 1}
-	}
-	return cval{kind: wire.KindBool}
-}
-
-func numVal(n float64) cval { return cval{kind: wire.KindNumber, n: n} }
-
-// scalarOf converts a nil, boolean, number or string; ok is false for the
-// other kinds.
-func scalarOf(v *wire.Value) (cval, bool) {
-	switch v.Kind() {
-	case wire.KindNil:
-		return cval{}, true
-	case wire.KindBool:
-		b, _ := v.AsBool()
-		return boolVal(b), true
-	case wire.KindNumber:
-		return numVal(v.Num()), true
-	case wire.KindString:
-		return cval{kind: wire.KindString, s: v.Str()}, true
-	}
-	return cval{}, false
-}
-
-// valueOf converts *v, which must stay put while the result is in use.
-func valueOf(v *wire.Value) cval {
-	if c, ok := scalarOf(v); ok {
-		return c
-	}
-	return cval{kind: v.Kind(), v: v}
-}
-
-// truthy is wire.Value.Truthy: only nil and false are false.
-func (a cval) truthy() bool {
-	switch a.kind {
-	case wire.KindNil:
-		return false
-	case wire.KindBool:
-		return a.n != 0
-	}
-	return true
-}
 
 // looseEqual compares for the constraint language: wire.Value.Equal (NaN
 // equals NaN, -0 does not equal +0), except that booleans compare equal to
 // the barewords "yes"/"no"/"true"/"false" so paper-style constraints work
 // against boolean-valued properties.
-func (a cval) looseEqual(b cval) bool {
-	if a.kind == b.kind {
-		switch a.kind {
-		case wire.KindNil:
-			return true
-		case wire.KindBool:
-			return a.n == b.n
-		case wire.KindNumber:
-			return math.Float64bits(a.n) == math.Float64bits(b.n) || math.IsNaN(a.n) && math.IsNaN(b.n)
-		case wire.KindString:
-			return a.s == b.s
-		}
-		return a.v.Equal(*b.v)
+func looseEqual(a, b wire.Value) bool {
+	if a.Kind() == b.Kind() {
+		return a.Equal(b)
 	}
-	switch {
-	case a.kind == wire.KindBool && b.kind == wire.KindString:
-		return boolWord(a.n != 0, b.s)
-	case b.kind == wire.KindBool && a.kind == wire.KindString:
-		return boolWord(b.n != 0, a.s)
+	if ab, ok := a.AsBool(); ok {
+		bs, ok := b.AsString()
+		return ok && boolWord(ab, bs)
+	}
+	if bb, ok := b.AsBool(); ok {
+		as, ok := a.AsString()
+		return ok && boolWord(bb, as)
 	}
 	return false
 }
@@ -196,20 +108,24 @@ func boolWord(b bool, s string) bool {
 }
 
 // compare orders two numbers or two strings.
-func (a cval) compare(b cval) (int, error) {
-	switch {
-	case a.kind == wire.KindNumber && b.kind == wire.KindNumber:
-		switch {
-		case a.n < b.n:
-			return -1, nil
-		case a.n > b.n:
-			return 1, nil
+func compare(a, b wire.Value) (int, error) {
+	if an, ok := a.AsNumber(); ok {
+		if bn, ok := b.AsNumber(); ok {
+			switch {
+			case an < bn:
+				return -1, nil
+			case an > bn:
+				return 1, nil
+			}
+			return 0, nil
 		}
-		return 0, nil
-	case a.kind == wire.KindString && b.kind == wire.KindString:
-		return strings.Compare(a.s, b.s), nil
 	}
-	return 0, fmt.Errorf("trading: cannot order %s against %s", a.kind, b.kind)
+	if as, ok := a.AsString(); ok {
+		if bs, ok := b.AsString(); ok {
+			return strings.Compare(as, bs), nil
+		}
+	}
+	return 0, fmt.Errorf("trading: cannot order %s against %s", a.Kind(), b.Kind())
 }
 
 // cop is a compiled node's operation.
@@ -246,9 +162,9 @@ var binOps = map[string]cop{
 // parsing, so one tree serves every query that uses its source.
 type cnode struct {
 	op   cop
-	ref  int    // opProp, opExist: index of name in the expression's refs
-	name string // opProp, opExist
-	lit  cval   // opLit: a number, string or boolean
+	ref  int        // opProp, opExist: index of name in the expression's refs
+	name string     // opProp, opExist
+	lit  wire.Value // opLit: a number, string or boolean; opProp: name as a string
 	l, r *cnode
 }
 
@@ -260,82 +176,86 @@ func (n *cnode) walk(fn func(*cnode)) {
 	}
 }
 
-// run evaluates the expression over vals, the values of its refs in order.
-func (n *cnode) run(vals []cval) (cval, error) {
+// run evaluates the expression over vals, the values of its refs in order;
+// a nil entry is a property the offer does not have.
+func (n *cnode) run(vals []*wire.Value) (wire.Value, error) {
 	switch n.op {
 	case opLit:
 		return n.lit, nil
 	case opProp:
-		if v := vals[n.ref]; v.kind != kindMissing {
-			return v, nil
+		if v := vals[n.ref]; v != nil {
+			return *v, nil
 		}
 		// Unquoted barewords double as string literals (paper's "== no").
-		return cval{kind: wire.KindString, s: n.name}, nil
+		return n.lit, nil
 	case opExist:
-		return boolVal(vals[n.ref].kind != kindMissing), nil
+		return wire.Bool(vals[n.ref] != nil), nil
 	}
 	l, err := n.l.run(vals)
 	if err != nil {
-		return cval{}, err
+		return wire.Value{}, err
 	}
 	switch n.op {
 	case opNot:
-		return boolVal(!l.truthy()), nil
+		return wire.Bool(!l.Truthy()), nil
 	case opNeg:
-		if l.kind != wire.KindNumber {
-			return cval{}, fmt.Errorf("trading: cannot negate %s", l.kind)
+		x, ok := l.AsNumber()
+		if !ok {
+			return wire.Value{}, fmt.Errorf("trading: cannot negate %s", l.Kind())
 		}
-		return numVal(-l.n), nil
+		return wire.Number(-x), nil
 	case opAnd:
-		if !l.truthy() {
-			return boolVal(false), nil
+		if !l.Truthy() {
+			return wire.Bool(false), nil
 		}
 	case opOr:
-		if l.truthy() {
-			return boolVal(true), nil
+		if l.Truthy() {
+			return wire.Bool(true), nil
 		}
 	}
 	r, err := n.r.run(vals)
 	if err != nil {
-		return cval{}, err
+		return wire.Value{}, err
 	}
 	switch n.op {
 	case opAnd, opOr:
-		return boolVal(r.truthy()), nil
+		return wire.Bool(r.Truthy()), nil
 	case opEq:
-		return boolVal(l.looseEqual(r)), nil
+		return wire.Bool(looseEqual(l, r)), nil
 	case opNe:
-		return boolVal(!l.looseEqual(r)), nil
+		return wire.Bool(!looseEqual(l, r)), nil
 	case opLt, opLe, opGt, opGe:
-		c, err := l.compare(r)
+		c, err := compare(l, r)
 		if err != nil {
-			return cval{}, err
+			return wire.Value{}, err
 		}
 		switch n.op {
 		case opLt:
-			return boolVal(c < 0), nil
+			return wire.Bool(c < 0), nil
 		case opLe:
-			return boolVal(c <= 0), nil
+			return wire.Bool(c <= 0), nil
 		case opGt:
-			return boolVal(c > 0), nil
+			return wire.Bool(c > 0), nil
 		}
-		return boolVal(c >= 0), nil
+		return wire.Bool(c >= 0), nil
 	}
-	if l.kind != wire.KindNumber || r.kind != wire.KindNumber {
-		return cval{}, fmt.Errorf("trading: arithmetic on %s and %s", l.kind, r.kind)
+	ln, lok := l.AsNumber()
+	rn, rok := r.AsNumber()
+	if !lok || !rok {
+		return wire.Value{}, fmt.Errorf("trading: arithmetic on %s and %s", l.Kind(), r.Kind())
 	}
 	switch n.op {
 	case opAdd:
-		return numVal(l.n + r.n), nil
+		return wire.Number(ln + rn), nil
 	case opSub:
-		return numVal(l.n - r.n), nil
+		return wire.Number(ln - rn), nil
 	case opMul:
-		return numVal(l.n * r.n), nil
+		return wire.Number(ln * rn), nil
 	}
-	if r.n == 0 {
-		return cval{}, fmt.Errorf("trading: division by zero")
+	if rn == 0 {
+		return wire.Value{}, fmt.Errorf("trading: division by zero")
 	}
-	return numVal(l.n / r.n), nil
+	return wire.Number(ln / rn), nil
 }
 
 // ---- parser ----
@@ -547,7 +467,7 @@ func (p *cparser) parsePrimary() (*cnode, error) {
 		}
 		s := p.src[start:p.pos]
 		p.pos++
-		return &cnode{op: opLit, lit: cval{kind: wire.KindString, s: s}}, nil
+		return &cnode{op: opLit, lit: wire.String(s)}, nil
 	case c >= '0' && c <= '9' || c == '.':
 		start := p.pos
 		for p.pos < len(p.src) {
@@ -563,18 +483,18 @@ func (p *cparser) parsePrimary() (*cnode, error) {
 		if err != nil || math.IsNaN(n) {
 			return nil, p.errf("malformed number %q", p.src[start:p.pos])
 		}
-		return &cnode{op: opLit, lit: numVal(n)}, nil
+		return &cnode{op: opLit, lit: wire.Number(n)}, nil
 	default:
 		w := p.takeIdent()
 		switch w {
 		case "":
 			return nil, p.errf("unexpected character %q", string(rune(c)))
 		case "true", "TRUE":
-			return &cnode{op: opLit, lit: boolVal(true)}, nil
+			return &cnode{op: opLit, lit: wire.Bool(true)}, nil
 		case "false", "FALSE":
-			return &cnode{op: opLit, lit: boolVal(false)}, nil
+			return &cnode{op: opLit, lit: wire.Bool(false)}, nil
 		default:
-			return &cnode{op: opProp, name: w}, nil
+			return &cnode{op: opProp, name: w, lit: wire.String(w)}, nil
 		}
 	}
 }

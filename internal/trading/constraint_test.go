@@ -22,11 +22,11 @@ func props(m map[string]wire.Value) PropLookup {
 // which evaluation fails (a comparison against a missing property) does not
 // match; the error reports why.
 func (c *Constraint) Eval(lookup PropLookup) (bool, error) {
-	v, err := c.root.run(lookupVals(nil, c.refs, lookup))
+	v, err := c.root.run(lookupVals(c.refs, lookup))
 	if err != nil {
 		return false, err
 	}
-	return v.truthy(), nil
+	return v.Truthy(), nil
 }
 
 func evalConstraint(t *testing.T, src string, lookup PropLookup) bool {

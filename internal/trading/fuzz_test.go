@@ -33,14 +33,14 @@ var preferenceSeeds = []string{
 	"minLoadAvg", "min", "max ", "with", "sideways x",
 }
 
-// fuzzLookup serves a property of every kind the evaluator tells apart —
-// numbers (NaN and both zeros among them), strings, bools — or reports it
-// missing, chosen by the name's length so fuzzed names reach every kind. It
-// records each name it is asked for.
+// fuzzLookup serves a property of every kind a wire.Value has — numbers
+// (NaN and both zeros among them), strings, bools, nil, bytes, a table and
+// an object reference — or reports it missing, chosen by the name's length
+// so fuzzed names reach every kind. It records each name it is asked for.
 func fuzzLookup(asked map[string]bool) PropLookup {
 	return func(name string) (wire.Value, bool) {
 		asked[name] = true
-		switch len(name) % 9 {
+		switch len(name) % 13 {
 		case 0:
 			return wire.Number(float64(len(name))), true
 		case 1:
@@ -57,6 +57,14 @@ func fuzzLookup(asked map[string]bool) PropLookup {
 			return wire.String(name), true
 		case 7:
 			return wire.Bool(false), true
+		case 8:
+			return wire.Nil(), true
+		case 9:
+			return wire.Bytes([]byte("no")), true
+		case 10:
+			return wire.TableVal(wire.NewList(wire.Number(1), wire.String("no"))), true
+		case 11:
+			return wire.Ref(wire.ObjRef{Endpoint: "inproc|host", Key: "monitor/" + name}), true
 		}
 		return wire.Value{}, false
 	}
@@ -99,15 +107,15 @@ func FuzzParseConstraint(f *testing.F) {
 		asked := map[string]bool{}
 		lookup := fuzzLookup(asked)
 		want, werr := c.root.eval(lookup)
-		got, gerr := c.root.run(lookupVals(nil, c.refs, lookup))
+		got, gerr := c.root.run(lookupVals(c.refs, lookup))
 		ok, err := c.Eval(lookup)
 		switch {
 		case (gerr == nil) != (werr == nil) || (err == nil) != (werr == nil):
 			t.Fatalf("%q: compiled err %v, Eval err %v, reference err %v", src, gerr, err, werr)
 		case werr != nil && err.Error() != werr.Error():
 			t.Fatalf("%q: Eval error %q, reference %q", src, err, werr)
-		case werr == nil && (!cvalValue(got).Equal(want) || ok != want.Truthy()):
-			t.Fatalf("%q: compiled %v (Eval %v), reference %v", src, cvalValue(got), ok, want)
+		case werr == nil && (!got.Equal(want) || ok != want.Truthy()):
+			t.Fatalf("%q: compiled %v (Eval %v), reference %v", src, got, ok, want)
 		}
 		checkAsked(t, src, asked, c.refs)
 	})
@@ -129,7 +137,7 @@ func FuzzParsePreference(f *testing.F) {
 		lookup := fuzzLookup(asked)
 		for _, id := range []string{"offer-1", "offer-2"} {
 			want := referenceKey(p, id, lookup)
-			got := p.key(id, lookupVals(nil, p.refs, lookup))
+			got := p.key(id, lookupVals(p.refs, lookup))
 			if got != want && !(math.IsNaN(got.num) && math.IsNaN(want.num) && got.ok == want.ok) {
 				t.Fatalf("%q: key of %s %+v, reference %+v", src, id, got, want)
 			}

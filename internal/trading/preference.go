@@ -83,14 +83,18 @@ func (p *Preference) Sort(results []QueryResult) error {
 	}
 	idx := make([]int, len(results))
 	keys := make([]prefKey, len(results))
-	var vals []cval
+	held := make([]wire.Value, len(p.refs))
+	vals := make([]*wire.Value, len(p.refs))
 	for i := range results {
 		idx[i] = i
-		snap := results[i].Snapshot
-		vals = lookupVals(vals[:0], p.refs, func(name string) (wire.Value, bool) {
-			v, ok := snap[name]
-			return v, ok
-		})
+		for k, name := range p.refs {
+			var ok bool
+			held[k], ok = results[i].Snapshot[name]
+			vals[k] = nil
+			if ok {
+				vals[k] = &held[k]
+			}
+		}
 		keys[i] = p.key(results[i].Offer.ID, vals)
 	}
 	sortByKeys(idx, keys)
@@ -133,7 +137,7 @@ func sortByKeys(idx []int, keys []prefKey) {
 
 // key computes the sort key of the offer with the given id, whose values of
 // p.refs are vals.
-func (p *Preference) key(id string, vals []cval) prefKey {
+func (p *Preference) key(id string, vals []*wire.Value) prefKey {
 	if p.kind == prefRandom {
 		return prefKey{ok: true, num: float64(offerHash(id))}
 	}
@@ -142,15 +146,15 @@ func (p *Preference) key(id string, vals []cval) prefKey {
 		return prefKey{}
 	}
 	if p.kind == prefWith {
-		if v.truthy() {
+		if v.Truthy() {
 			return prefKey{ok: true, num: 0}
 		}
 		return prefKey{ok: true, num: 1}
 	}
-	if v.kind != wire.KindNumber {
+	n, ok := v.AsNumber()
+	if !ok {
 		return prefKey{}
 	}
-	n := v.n
 	if p.kind == prefMax {
 		n = -n
 	}

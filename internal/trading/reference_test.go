@@ -12,23 +12,26 @@ import (
 // walks the same parsed tree, but looks every name up through a PropLookup
 // as evaluation reaches it and computes in wire.Values.
 
-// litValue is the wire form of a literal node's value.
-func litValue(c cval) wire.Value {
-	switch c.kind {
-	case wire.KindBool:
-		return wire.Bool(c.n != 0)
-	case wire.KindNumber:
-		return wire.Number(c.n)
-	case wire.KindString:
-		return wire.String(c.s)
+// PropLookup resolves a property name during evaluation. ok=false means
+// the property does not exist for this offer.
+type PropLookup func(name string) (wire.Value, bool)
+
+// lookupVals is the value array the compiled evaluator reads for refs,
+// filled from lookup.
+func lookupVals(refs []string, lookup PropLookup) []*wire.Value {
+	vals := make([]*wire.Value, len(refs))
+	for i, name := range refs {
+		if v, ok := lookup(name); ok {
+			vals[i] = &v
+		}
 	}
-	return wire.Nil()
+	return vals
 }
 
 func (n *cnode) eval(lookup PropLookup) (wire.Value, error) {
 	switch n.op {
 	case opLit:
-		return litValue(n.lit), nil
+		return n.lit, nil
 	case opProp:
 		v, ok := lookup(n.name)
 		if !ok {
@@ -101,11 +104,11 @@ func (n *cnode) eval(lookup PropLookup) (wire.Value, error) {
 			return wire.Number(ln / rn), nil
 		}
 	case opEq:
-		return wire.Bool(looseEqual(l, r)), nil
+		return wire.Bool(refLooseEqual(l, r)), nil
 	case opNe:
-		return wire.Bool(!looseEqual(l, r)), nil
+		return wire.Bool(!refLooseEqual(l, r)), nil
 	default:
-		cmp, err := compareValues(l, r)
+		cmp, err := refCompare(l, r)
 		if err != nil {
 			return wire.Nil(), err
 		}
@@ -122,9 +125,9 @@ func (n *cnode) eval(lookup PropLookup) (wire.Value, error) {
 	}
 }
 
-// looseEqual is wire.Value.Equal, except that booleans equal the barewords
+// refLooseEqual is wire.Value.Equal, except that booleans equal the barewords
 // "yes"/"no"/"true"/"false".
-func looseEqual(a, b wire.Value) bool {
+func refLooseEqual(a, b wire.Value) bool {
 	if a.Kind() == b.Kind() {
 		return a.Equal(b)
 	}
@@ -141,7 +144,7 @@ func looseEqual(a, b wire.Value) bool {
 	return false
 }
 
-func compareValues(a, b wire.Value) (int, error) {
+func refCompare(a, b wire.Value) (int, error) {
 	an, aok := a.AsNumber()
 	bn, bok := b.AsNumber()
 	if aok && bok {
@@ -186,12 +189,4 @@ func referenceKey(p *Preference, id string, lookup PropLookup) prefKey {
 		n = -n
 	}
 	return prefKey{ok: true, num: n}
-}
-
-// cvalValue is the wire form of a value the compiled evaluator produced.
-func cvalValue(c cval) wire.Value {
-	if c.v != nil {
-		return *c.v
-	}
-	return litValue(c)
 }

@@ -657,7 +657,7 @@ func (t *Trader) query(ctx context.Context, serviceType, constraint, preference 
 			continue // probed above, but untrusted until rehabilitated
 		}
 		sc.load(c, vals)
-		if v, err := cons.root.run(vals[:len(cons.refs)]); err != nil || !v.truthy() {
+		if v, err := cons.root.run(vals[:len(cons.refs)]); err != nil || !v.Truthy() {
 			continue
 		}
 		matched = append(matched, i)
@@ -680,15 +680,13 @@ func (t *Trader) query(ctx context.Context, serviceType, constraint, preference 
 }
 
 // load fills vals with candidate c's values of the query's names: statics
-// from its slots, dynamics from this query's resolutions, and kindMissing
-// where the offer lacks the property or its dynamic value did not resolve.
-func (sc *queryScratch) load(c *offerView, vals []cval) {
+// from its slots, dynamics from this query's resolutions, and nil where the
+// offer lacks the property or its dynamic value did not resolve.
+func (sc *queryScratch) load(c *offerView, vals []*wire.Value) {
 	for u, s := range sc.slotOf {
-		vals[u] = cval{kind: kindMissing}
+		vals[u] = nil
 		if pv, ok := c.props.get(s); ok {
-			if v := sc.snapValue(c, s, pv); v != nil {
-				vals[u] = valueOf(v)
-			}
+			vals[u] = sc.snapValue(c, s, pv)
 		}
 	}
 }
@@ -764,8 +762,8 @@ type queryScratch struct {
 	slotOf     []int    // each name's slot in the type; -1 = none
 	slotNames  []string // the type's names by slot
 	candidates []offerView
-	vals       []cval // one candidate's values of names
-	prefVals   []cval // the same, of the preference's refs
+	vals       []*wire.Value // one candidate's values of names
+	prefVals   []*wire.Value // the same, of the preference's refs
 	matched    []int
 	keys       []prefKey
 	tasks      []resolveTask

@@ -347,6 +347,36 @@ func TestPreferenceMinUnevaluableSortsLast(t *testing.T) {
 	}
 }
 
+// TestPreferenceSortAllocsIndependentOfRows is the alloc guard of Sort, the
+// shard merge's ordering: it allocates per call, not per row, whatever the
+// kind of the values its expression reads.
+func TestPreferenceSortAllocsIndependentOfRows(t *testing.T) {
+	home := wire.Ref(wire.ObjRef{Endpoint: "inproc|host", Key: "home"})
+	for _, src := range []string{"min LoadAvg / Weight", "with Home == Home and Tags != Tags"} {
+		pref, err := ParsePreference(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		measure := func(n int) float64 {
+			rows := make([]QueryResult, n)
+			for i := range rows {
+				rows[i] = QueryResult{Offer: Offer{ID: fmt.Sprintf("offer-%d", i)}, Snapshot: map[string]wire.Value{
+					"LoadAvg": wire.Int((i * 37) % n), "Weight": wire.Int(2), "Home": home,
+					"Tags": wire.TableVal(wire.NewList(wire.Int(i))),
+				}}
+			}
+			return testing.AllocsPerRun(50, func() {
+				if err := pref.Sort(rows); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if one, many := measure(1), measure(100); one != many {
+			t.Errorf("%q: Sort allocates %.0f for 1 row, %.0f for 100; want equal", src, one, many)
+		}
+	}
+}
+
 // TestTraderOverORB runs the full remote path: trader servant on an inproc
 // server, exports and queries through the Lookup wrapper, with dynamic
 // properties resolved through real ORB callbacks to a monitor-like servant.
