@@ -667,9 +667,8 @@ func BenchmarkE9FaultedInvoke(b *testing.B) {
 	defer srv.Close()
 	ref := srv.Register("echo", "", echoServantBench())
 	client := orb.NewClientOpts(orb.ClientOptions{
-		Networks: []orb.Network{fnet},
-		Retry: orb.RetryPolicy{MaxAttempts: 3, BaseBackoff: 10 * time.Millisecond,
-			MaxBackoff: time.Second, Multiplier: 2, Jitter: 0.2},
+		Networks:      []orb.Network{fnet},
+		Retry:         orb.RetryPolicy{MaxAttempts: 3, BaseBackoff: 10 * time.Millisecond, Jitter: 0.2},
 		InvokeTimeout: 5 * time.Second,
 	})
 	defer client.Close()

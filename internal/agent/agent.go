@@ -63,13 +63,6 @@ type Options struct {
 	ConfigScript string
 	// Logger receives diagnostics. Nil discards.
 	Logger *log.Logger
-	// Retry governs the transport-fault retries of the client on Network
-	// the agent delivers monitor notifications with, so a briefly
-	// unreachable trader or observer doesn't lose notifications.
-	Retry orb.RetryPolicy
-	// InvokeTimeout bounds each of that client's invocations
-	// (0 = unbounded).
-	InvokeTimeout time.Duration
 	// LeaseTTL, when positive, must match the trader's offer lease TTL:
 	// the agent then runs a background heartbeat renewing the offer at
 	// roughly a third of the TTL (jittered), and re-exports the offer
@@ -148,17 +141,17 @@ func Start(ctx context.Context, opts Options) (*Agent, error) {
 	}
 	a.server = srv
 
-	a.notify = orb.NewClientOpts(orb.ClientOptions{
-		Networks:      []orb.Network{opts.Network},
-		Retry:         opts.Retry,
-		InvokeTimeout: opts.InvokeTimeout,
-	})
+	a.notify = orb.NewClient(opts.Network)
 
-	mon, err := monitor.NewLoadAverage(opts.LoadSource, opts.Clock, opts.MonitorPeriod,
-		monitor.ORBNotifier{Client: a.notify},
-		monitor.WithSelfRef(srv.RefFor(MonitorKey)),
-		monitor.WithLogger(opts.Logger),
-		monitor.WithScriptBudgets(opts.ScriptWallBudget, opts.ScriptMemBudget))
+	mon, err := monitor.NewLoadAverage(opts.LoadSource, monitor.Options{
+		Period:           opts.MonitorPeriod,
+		Clock:            opts.Clock,
+		Notifier:         monitor.ORBNotifier{Client: a.notify},
+		Logger:           opts.Logger,
+		ScriptWallBudget: opts.ScriptWallBudget,
+		ScriptMemBudget:  opts.ScriptMemBudget,
+		SelfRef:          srv.RefFor(MonitorKey),
+	})
 	if err != nil {
 		return nil, fmt.Errorf("agent: create monitor: %w", err)
 	}

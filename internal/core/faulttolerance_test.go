@@ -60,35 +60,6 @@ func TestSmartProxySurvivesDroppedConnection(t *testing.T) {
 	}
 }
 
-// TestFailoverBacksOffAcrossReselects exercises the policy-driven failover
-// loop: the bound server is dead, re-selection keeps returning it for a
-// while, and the proxy must keep trying (with backoff) until a healthy
-// offer appears, instead of giving up after one shot.
-func TestFailoverBacksOffAcrossReselects(t *testing.T) {
-	w := newWorld(t, 2)
-	w.setLoad(0, 10, 15, 15)
-	w.setLoad(1, 20, 25, 25)
-	sp := w.newProxy(Options{
-		Failover: true,
-		Retry:    orb.RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond},
-	})
-	ctx := context.Background()
-	if err := sp.Bind(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if ref, _ := sp.Current(); ref != hostRef(0) {
-		t.Fatalf("bound to %v", ref)
-	}
-	_ = w.hosts[0].Close()
-	rs, err := sp.Invoke(ctx, "hello")
-	if err != nil {
-		t.Fatalf("failover invoke: %v", err)
-	}
-	if rs[0].Str() != "hello from host-1" {
-		t.Fatalf("failover answered %q", rs[0].Str())
-	}
-}
-
 // rankedHosts starts one hello server per name on w's network and exports
 // each as a LoadShared offer whose static Rank is its position (1 first);
 // operation "boom" answers with an application error.
@@ -151,6 +122,44 @@ func TestFailoverSkipsDeadLeasedOffer(t *testing.T) {
 	}
 	if st := sp.Stats(); st.Switches != 1 {
 		t.Fatalf("stats = %+v, want exactly one switch", st)
+	}
+}
+
+// TestFailoverReselectsOnce pins the paper's failover: with the bound
+// server dead and its offer still listed, an invocation makes exactly one
+// re-selection and answers from, or fails with the fault of, the server it
+// lands on. It never goes on to a third server, even a live one.
+func TestFailoverReselectsOnce(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		dead []int // indexes into h1, h2, h3; h1 (Rank 1) is bound
+		want string
+	}{
+		{"next is dead", []int{0, 1}, ""},
+		{"next is live", []int{0, 2}, "hello from h2"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			w := newWorld(t, 0)
+			hosts, refs, _ := rankedHosts(t, w, "h1", "h2", "h3")
+			sp := rankedProxy(t, w)
+			for _, i := range c.dead {
+				_ = hosts[i].Close()
+			}
+			before := sp.Stats()
+			rs, err := sp.Invoke(context.Background(), "hello")
+			if st := sp.Stats(); st.Selections != before.Selections+1 || st.Switches != before.Switches+1 {
+				t.Fatalf("stats %+v -> %+v, want one re-selection and one switch", before, st)
+			}
+			if cur, _ := sp.Current(); cur != refs[1] {
+				t.Fatalf("bound to %v after failover, want h2", cur)
+			}
+			switch {
+			case c.want == "" && !indictsBinding(err):
+				t.Fatalf("err = %v, want h2's transport fault", err)
+			case c.want != "" && (err != nil || rs[0].Str() != c.want):
+				t.Fatalf("invoke = %v, %v, want %q", rs, err, c.want)
+			}
+		})
 	}
 }
 

@@ -98,14 +98,9 @@ type Options struct {
 	// invocation fails with a transport-level error (server crashed,
 	// connection lost — not application errors, not the caller's own
 	// cancellation or deadline), the proxy re-selects with its configured
-	// constraint, passing over every server that already failed during the
-	// invocation, and retries it, governed by Retry.
+	// constraint, passing over the server that failed, and retries the
+	// invocation once on the server it lands on.
 	Failover bool
-	// Retry shapes the failover path: MaxAttempts bounds the total number
-	// of invocation attempts (the first included) and Backoff spaces the
-	// re-selections. The zero value keeps the paper's behaviour of a
-	// single immediate retry.
-	Retry orb.RetryPolicy
 }
 
 // watchSub is one live push subscription serving a Watch, remembered with
@@ -515,42 +510,29 @@ func indictsBinding(err error) bool {
 	return orb.FaultOf(err).In(orb.Refused, orb.Unreachable, orb.Lost, orb.Unknown)
 }
 
-// failover re-selects away from every server that failed during this
-// invocation and retries, spacing attempts with the configured retry
-// policy's backoff. With a zero-value policy it performs a single immediate
-// retry (the paper's behaviour). When the trader offers nothing new the
-// proxy keeps its binding and the invocation fails with the last fault.
+// failover makes the paper's one re-selection: it re-selects away from the
+// server that failed and retries the invocation once, immediately, on the
+// server it lands on, whose answer or fault is the invocation's. When the
+// trader offers nothing new the proxy keeps its binding and the invocation
+// fails with the original fault.
 func (sp *SmartProxy) failover(ctx context.Context, dead wire.ObjRef, op string, args []wire.Value, cause error) ([]wire.Value, error) {
 	sp.logf("core: failover: %s unreachable, re-selecting", dead)
-	policy := sp.opts.Retry
-	attempts := max(policy.MaxAttempts, 2) // the original call was attempt 1; retry at least once
 	failed := []wire.ObjRef{dead}
-	for attempt := 2; attempt <= attempts; attempt++ {
-		if attempt > 2 && orb.SleepBackoff(ctx, policy.Backoff(attempt-1)) != nil {
-			break
-		}
-		ok, err := sp.selectSkipping(ctx, sp.opts.Constraint, failed)
-		if err == nil && !ok && sp.opts.FallbackSortOnly {
-			ok, err = sp.selectSkipping(ctx, "", failed)
-		}
-		if err != nil {
-			sp.logf("core: failover re-selection: %v", err)
-			break
-		}
-		sp.mu.Lock()
-		sel := sp.sel
-		sp.mu.Unlock()
-		if !ok || sel == nil || slices.Contains(failed, sel.result.Offer.Ref) {
-			continue
-		}
-		rs, err := sel.proxy.Call(ctx, op, args...)
-		if err == nil || !indictsBinding(err) {
-			return rs, err
-		}
-		cause = err
-		failed = append(failed, sel.result.Offer.Ref) // this server failed too; keep hunting
+	ok, err := sp.selectSkipping(ctx, sp.opts.Constraint, failed)
+	if err == nil && !ok && sp.opts.FallbackSortOnly {
+		ok, err = sp.selectSkipping(ctx, "", failed)
 	}
-	return nil, cause
+	if err != nil {
+		sp.logf("core: failover re-selection: %v", err)
+		return nil, cause
+	}
+	sp.mu.Lock()
+	sel := sp.sel
+	sp.mu.Unlock()
+	if !ok || sel == nil || sel.result.Offer.Ref == dead {
+		return nil, cause
+	}
+	return sel.proxy.Call(ctx, op, args...)
 }
 
 // Adapt drains the event queue and runs the strategy for each pending

@@ -121,7 +121,7 @@ func TestE11CrashFailover(t *testing.T) {
 	// with retry/backoff and a per-endpoint circuit breaker.
 	cli := orb.NewClientOpts(orb.ClientOptions{
 		Networks: []orb.Network{fnet},
-		Retry:    orb.RetryPolicy{MaxAttempts: 3, BaseBackoff: 20 * time.Millisecond, Multiplier: 2},
+		Retry:    orb.RetryPolicy{MaxAttempts: 3, BaseBackoff: 20 * time.Millisecond},
 		Breaker:  orb.BreakerPolicy{Threshold: 3, Cooldown: time.Hour},
 	})
 	defer cli.Close()
@@ -165,7 +165,7 @@ func TestE11CrashFailover(t *testing.T) {
 	// the breaker; the second fails fast without touching the network.
 	cli2 := orb.NewClientOpts(orb.ClientOptions{
 		Networks: []orb.Network{fnet},
-		Retry:    orb.RetryPolicy{MaxAttempts: 3, BaseBackoff: 20 * time.Millisecond, Multiplier: 2},
+		Retry:    orb.RetryPolicy{MaxAttempts: 3, BaseBackoff: 20 * time.Millisecond},
 		Breaker:  orb.BreakerPolicy{Threshold: 3, Cooldown: time.Hour},
 	})
 	defer cli2.Close()

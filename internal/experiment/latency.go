@@ -41,14 +41,16 @@ const (
 	PolicyP99Route     = "p99"
 )
 
+// faultServer is the server E16's latency fault strikes.
+const faultServer = 0
+
 // SLORouteConfig sizes experiment E16.
 type SLORouteConfig struct {
 	Servers  int           // default 3
 	Duration time.Duration // simulated run length (default 120s)
 	Step     time.Duration // driver step = SLO monitor period (default 1s)
-	// The latency fault: FaultServer's service time becomes FaultLatency
-	// (instead of BaseLatency) between FaultAt and FaultOff.
-	FaultServer  int
+	// The latency fault: server faultServer's service time becomes
+	// FaultLatency (instead of BaseLatency) between FaultAt and FaultOff.
 	FaultAt      time.Duration // default 30s
 	FaultOff     time.Duration // default 90s
 	BaseLatency  time.Duration // healthy service time (default 5ms)
@@ -169,14 +171,9 @@ func SLORouting(cfg SLORouteConfig, policy string) (*SLORouteResult, error) {
 				m.Close()
 			}
 		}
-		for _, h := range hosts {
-			if h != nil {
-				h.Close()
-			}
-		}
 	}()
 	for i := 0; i < cfg.Servers; i++ {
-		host := hostenv.New(hostenv.Options{Name: fmt.Sprintf("host-%d", i)})
+		host := hostenv.New(fmt.Sprintf("host-%d", i))
 		hosts[i] = host
 		lm, err := monitor.New(monitor.Options{
 			Name: "LoadAvg",
@@ -328,7 +325,7 @@ func SLORouting(cfg SLORouteConfig, policy string) (*SLORouteResult, error) {
 			res.Requests++
 
 			lat := cfg.BaseLatency
-			if faultOn && i == cfg.FaultServer {
+			if faultOn && i == faultServer {
 				lat = cfg.FaultLatency
 			}
 			latMs := float64(lat) / float64(time.Millisecond) * jitter()
@@ -339,11 +336,11 @@ func SLORouting(cfg SLORouteConfig, policy string) (*SLORouteResult, error) {
 			if now >= cfg.FaultAt+grace && now < cfg.FaultOff {
 				fault = append(fault, latMs)
 				faultTotal++
-				if i == cfg.FaultServer {
+				if i == faultServer {
 					faultFaulty++
 				}
 			}
-			if now >= cfg.FaultOff+grace && i == cfg.FaultServer {
+			if now >= cfg.FaultOff+grace && i == faultServer {
 				res.RecoveryFaulty++
 			}
 		}

@@ -57,10 +57,9 @@ type LoadShareConfig struct {
 	Threshold     float64       // LoadAvg limit in constraints (default 3)
 	// Background injects external load: at BackgroundAt, BackgroundLoad
 	// runnable tasks appear on the host currently serving the most
-	// clients, and disappear at BackgroundOff (0 = never).
+	// clients, and stay for the rest of the run.
 	BackgroundLoad float64
 	BackgroundAt   time.Duration
-	BackgroundOff  time.Duration
 }
 
 func (c *LoadShareConfig) fillDefaults() {
@@ -207,12 +206,6 @@ func LoadSharing(cfg LoadShareConfig, policy string) (*LoadShareResult, error) {
 		if cfg.BackgroundLoad > 0 && !bgOn && now >= cfg.BackgroundAt {
 			w.Hosts[busiestHost(w)].SetBackground(cfg.BackgroundLoad)
 			bgOn = true
-		}
-		if bgOn && cfg.BackgroundOff > 0 && now >= cfg.BackgroundOff {
-			for _, h := range w.Hosts {
-				h.SetBackground(0)
-			}
-			bgOn = false
 		}
 		// Run due client requests within this step.
 		for i := range invokers {

@@ -71,7 +71,7 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	w.Lookup = trading.NewLookup(w.Client, traderRef)
 
 	for i := 0; i < cfg.Servers; i++ {
-		host := hostenv.New(hostenv.Options{Name: fmt.Sprintf("host-%d", i)})
+		host := hostenv.New(fmt.Sprintf("host-%d", i))
 		w.Hosts = append(w.Hosts, host)
 
 		srv, err := orb.NewServer(orb.ServerOptions{Network: w.Net, Address: fmt.Sprintf("host-%d", i)})
@@ -184,9 +184,6 @@ func (w *World) BusySeconds() []float64 {
 func (w *World) Close() {
 	for _, m := range w.Monitors {
 		m.Close()
-	}
-	for _, h := range w.Hosts {
-		h.Close()
 	}
 	for _, c := range w.clients {
 		_ = c.Close()

@@ -9,9 +9,9 @@
 // so a monitor reading a simulated host sees exactly the signal the paper's
 // Fig. 3 monitor reads from /proc/loadavg.
 //
-// Service times dilate with contention: a request whose base demand is d
-// completes after d·max(1, runnable/capacity) — a processor-sharing
-// approximation. That preserves the behaviour the paper's experiment
+// Service times dilate with contention: a host has one CPU, and a request
+// whose base demand is d completes after d·max(1, runnable) — a
+// processor-sharing approximation. That preserves the behaviour the paper's experiment
 // depends on: a loaded server answers slowly, and moving clients away from
 // it lowers both its load average and its response times.
 package hostenv
@@ -20,8 +20,6 @@ import (
 	"math"
 	"sync"
 	"time"
-
-	"autoadapt/internal/clock"
 )
 
 // SamplePeriod is the load-average sampling interval (Linux LOAD_FREQ).
@@ -30,87 +28,27 @@ const SamplePeriod = 5 * time.Second
 // Damping periods for the three load averages.
 var loadPeriods = [3]time.Duration{time.Minute, 5 * time.Minute, 15 * time.Minute}
 
-// Options configures a simulated host.
-type Options struct {
-	// Name identifies the host in diagnostics.
-	Name string
-	// Capacity is the number of CPUs (default 1).
-	Capacity float64
-	// Clock drives sampling and service timing. Required; experiments
-	// pass a *clock.Sim.
-	Clock clock.Clock
-	// AutoSample starts the 5-second sampling loop. When false the
-	// embedding test/experiment calls Sample explicitly.
-	AutoSample bool
-}
-
-// Host is one simulated machine.
+// Host is one simulated machine with one CPU. The embedding experiment
+// drives its clock: it calls SampleWindow once per period.
 type Host struct {
-	opts Options
+	name string
 
 	mu       sync.Mutex
 	bg       float64 // background runnable tasks (may be fractional)
 	loads    [3]float64
-	closed   bool
 	served   int64
 	busyTime time.Duration
 
 	// Windowed accounting (see window.go).
 	windowWork time.Duration
 	lastRho    float64
-
-	stop chan struct{}
-	done chan struct{}
 }
 
-// New creates a host. With AutoSample, the sampling loop runs until Close.
-func New(opts Options) *Host {
-	if opts.Capacity <= 0 {
-		opts.Capacity = 1
-	}
-	if opts.Clock == nil {
-		opts.Clock = clock.Real{}
-	}
-	h := &Host{opts: opts}
-	if opts.AutoSample {
-		h.stop = make(chan struct{})
-		h.done = make(chan struct{})
-		go h.sampleLoop()
-	}
-	return h
-}
+// New creates an idle host.
+func New(name string) *Host { return &Host{name: name} }
 
 // Name returns the host's name.
-func (h *Host) Name() string { return h.opts.Name }
-
-// Close stops the sampling loop.
-func (h *Host) Close() {
-	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
-		return
-	}
-	h.closed = true
-	h.mu.Unlock()
-	if h.stop != nil {
-		close(h.stop)
-		<-h.done
-	}
-}
-
-func (h *Host) sampleLoop() {
-	defer close(h.done)
-	for {
-		ch, stopTimer := h.opts.Clock.After(SamplePeriod)
-		select {
-		case <-h.stop:
-			stopTimer()
-			return
-		case <-ch:
-			h.Sample()
-		}
-	}
-}
+func (h *Host) Name() string { return h.name }
 
 // SetBackground sets the host's background runnable-task count — the
 // knob the experiments turn to unbalance the system, standing in for the
@@ -122,18 +60,6 @@ func (h *Host) SetBackground(n float64) {
 		n = 0
 	}
 	h.bg = n
-}
-
-// Sample performs one load-average update step, exactly as the Linux
-// kernel's calc_load: load' = load·e^(−Δt/τ) + n·(1−e^(−Δt/τ)).
-func (h *Host) Sample() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	n := h.bg
-	for i, period := range loadPeriods {
-		e := sampleDecay(SamplePeriod, period)
-		h.loads[i] = h.loads[i]*e + n*(1-e)
-	}
 }
 
 // sampleDecay is the kernel damping coefficient e^(−Δt/τ).

@@ -26,9 +26,9 @@ func (h *Host) RecordWork(demand time.Duration) time.Duration {
 }
 
 // dilationLocked is the service-time dilation factor:
-// max(1, (background + window utilization) / capacity).
+// max(1, background + window utilization) on the host's one CPU.
 func (h *Host) dilationLocked() float64 {
-	d := (h.bg + h.lastRho) / h.opts.Capacity
+	d := h.bg + h.lastRho
 	if d < 1 {
 		return 1
 	}
@@ -37,8 +37,9 @@ func (h *Host) dilationLocked() float64 {
 
 // SampleWindow closes the current accounting window of length dt: the
 // window's demand becomes a utilization term (demand/dt), the load
-// averages take one damped step against runnable = background + that
-// utilization, and the window resets.
+// averages take one damped step against runnable n = background + that
+// utilization, exactly as the Linux kernel's calc_load does
+// (load' = load·e^(−dt/τ) + n·(1−e^(−dt/τ))), and the window resets.
 func (h *Host) SampleWindow(dt time.Duration) {
 	if dt <= 0 {
 		dt = SamplePeriod

@@ -7,8 +7,7 @@ import (
 )
 
 func TestRecordWorkDilatesAndAccounts(t *testing.T) {
-	h, _ := newSimHost("w")
-	defer h.Close()
+	h := New("w")
 	// Idle host: no dilation.
 	d := h.RecordWork(100 * time.Millisecond)
 	if d != 100*time.Millisecond {
@@ -33,8 +32,7 @@ func dilation(h *Host) float64 {
 }
 
 func TestDilationIncludesPreviousWindowUtilization(t *testing.T) {
-	h, _ := newSimHost("w")
-	defer h.Close()
+	h := New("w")
 	// Deposit 2.5s of demand into a 5s window: utilization 0.5.
 	h.RecordWork(2500 * time.Millisecond)
 	h.SampleWindow(5 * time.Second)
@@ -53,8 +51,7 @@ func TestDilationIncludesPreviousWindowUtilization(t *testing.T) {
 }
 
 func TestSampleWindowFeedsLoadAverages(t *testing.T) {
-	h, _ := newSimHost("w")
-	defer h.Close()
+	h := New("w")
 	// One window of full utilization: load1 takes one kernel step toward 1.
 	h.RecordWork(5 * time.Second)
 	h.SampleWindow(5 * time.Second)
@@ -72,8 +69,7 @@ func TestSampleWindowFeedsLoadAverages(t *testing.T) {
 }
 
 func TestSampleWindowDefaultPeriod(t *testing.T) {
-	h, _ := newSimHost("w")
-	defer h.Close()
+	h := New("w")
 	h.SetBackground(1)
 	h.SampleWindow(0) // defaults to SamplePeriod
 	one, _, _, _ := h.LoadAvg()
@@ -83,25 +79,10 @@ func TestSampleWindowDefaultPeriod(t *testing.T) {
 }
 
 func TestSetLoadAvgDirect(t *testing.T) {
-	h, _ := newSimHost("w")
-	defer h.Close()
+	h := New("w")
 	h.SetLoadAvg(1.5, 2.5, 3.5)
 	one, five, fifteen, err := h.LoadAvg()
 	if err != nil || one != 1.5 || five != 2.5 || fifteen != 3.5 {
 		t.Fatalf("SetLoadAvg round trip = %v %v %v, %v", one, five, fifteen, err)
-	}
-}
-
-func TestCapacityDividesDilation(t *testing.T) {
-	h := New(Options{Name: "smp", Capacity: 4})
-	defer h.Close()
-	h.SetBackground(4)
-	// 4 runnable on 4 CPUs: no dilation.
-	if got := dilation(h); got != 1 {
-		t.Fatalf("dilation on 4-cpu host = %v, want 1", got)
-	}
-	h.SetBackground(8)
-	if got := dilation(h); got != 2 {
-		t.Fatalf("dilation = %v, want 2", got)
 	}
 }

@@ -2,13 +2,10 @@ package monitor
 
 import (
 	"fmt"
-	"log"
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
-	"autoadapt/internal/clock"
 	"autoadapt/internal/wire"
 )
 
@@ -98,26 +95,19 @@ end`
 const Load1Aspect = "Load1"
 
 // NewLoadAverage builds the paper's Fig. 3 LoadAverageMonitor: property
-// "LoadAvg" whose value is the table {one, five, fifteen}, refreshed every
-// period (60s in the paper), with the "Increasing" aspect pre-defined from
-// the verbatim Fig. 3 script.
-func NewLoadAverage(src LoadSource, clk clock.Clock, period time.Duration, notifier Notifier, opts ...func(*Options)) (*Monitor, error) {
-	o := Options{
-		Name:     "LoadAvg",
-		Period:   period,
-		Clock:    clk,
-		Notifier: notifier,
-		Update: func() (wire.Value, error) {
-			one, five, fifteen, err := src.LoadAvg()
-			if err != nil {
-				return wire.Nil(), err
-			}
-			return wire.TableVal(wire.NewList(
-				wire.Number(one), wire.Number(five), wire.Number(fifteen))), nil
-		},
-	}
-	for _, f := range opts {
-		f(&o)
+// "LoadAvg" whose value is the table {one, five, fifteen} read from src,
+// refreshed every opts.Period (60s in the paper), with the "Increasing"
+// aspect pre-defined from the verbatim Fig. 3 script. It sets opts.Name and
+// opts.Update; the caller fills in the rest.
+func NewLoadAverage(src LoadSource, o Options) (*Monitor, error) {
+	o.Name = "LoadAvg"
+	o.Update = func() (wire.Value, error) {
+		one, five, fifteen, err := src.LoadAvg()
+		if err != nil {
+			return wire.Nil(), err
+		}
+		return wire.TableVal(wire.NewList(
+			wire.Number(one), wire.Number(five), wire.Number(fifteen))), nil
 	}
 	m, err := New(o)
 	if err != nil {
@@ -132,24 +122,4 @@ func NewLoadAverage(src LoadSource, clk clock.Clock, period time.Duration, notif
 		return nil, err
 	}
 	return m, nil
-}
-
-// WithSelfRef sets the monitor's own object reference option.
-func WithSelfRef(ref wire.ObjRef) func(*Options) {
-	return func(o *Options) { o.SelfRef = ref }
-}
-
-// WithLogger sets the monitor's logger option.
-func WithLogger(l *log.Logger) func(*Options) {
-	return func(o *Options) { o.Logger = l }
-}
-
-// WithScriptBudgets bounds every shipped-code evaluation (aspects, event
-// predicates, update scripts) by wall clock and accounted allocation.
-// Zero leaves a bound off.
-func WithScriptBudgets(wall time.Duration, mem int64) func(*Options) {
-	return func(o *Options) {
-		o.ScriptWallBudget = wall
-		o.ScriptMemBudget = mem
-	}
 }

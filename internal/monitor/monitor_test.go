@@ -346,7 +346,7 @@ func TestTimerDrivenMonitorWithSimClock(t *testing.T) {
 		l := loads[idx%len(loads)]
 		idx++
 		return l, 20, 30, nil
-	}), sim, time.Minute, rec)
+	}), Options{Clock: sim, Period: time.Minute, Notifier: rec})
 	if err != nil {
 		t.Fatal(err)
 	}

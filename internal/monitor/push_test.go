@@ -91,7 +91,7 @@ func TestQuarantineDetachesDeadObserver(t *testing.T) {
 	})
 	m, err := NewLoadAverage(LoadSourceFunc(func() (float64, float64, float64, error) {
 		return 90, 20, 30, nil // high and rising: fires every tick
-	}), sim, time.Minute, failing)
+	}), Options{Clock: sim, Period: time.Minute, Notifier: failing})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -158,7 +158,7 @@ func TestBreakerFastFailBeatsRetryPath(t *testing.T) {
 	fnet := NewFaultNetwork(NewInprocNetwork())
 	cli := NewClientOpts(ClientOptions{
 		Networks: []Network{fnet},
-		Retry:    RetryPolicy{MaxAttempts: 3, BaseBackoff: 30 * time.Millisecond, Multiplier: 2},
+		Retry:    RetryPolicy{MaxAttempts: 3, BaseBackoff: 30 * time.Millisecond},
 		Breaker:  BreakerPolicy{Threshold: 3, Cooldown: time.Hour},
 	})
 	defer cli.Close()

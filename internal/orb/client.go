@@ -234,7 +234,7 @@ func (c *Client) invoke(ctx context.Context, ref wire.ObjRef, op string, args []
 			}
 			return nil, err
 		}
-		if serr := SleepBackoff(ctx, c.retry.Backoff(attempt)); serr != nil {
+		if serr := sleepBackoff(ctx, c.retry.backoff(attempt)); serr != nil {
 			return nil, err // the deadline beat the backoff; report the fault
 		}
 	}

@@ -124,7 +124,7 @@ func TestCallDecodeWrongShapeFailsOnlyItsCall(t *testing.T) {
 			t.Fatalf("str: %v, want the decoder's error", err)
 		}
 		strict := NewClientOpts(ClientOptions{Networks: []Network{w.nw},
-			Retry:   RetryPolicy{MaxAttempts: 3, RetryIdempotent: true},
+			Retry:   RetryPolicy{MaxAttempts: 3},
 			Breaker: BreakerPolicy{Threshold: 1, Cooldown: time.Minute}})
 		defer strict.Close()
 		if err := strict.NewProxy(w.proxy.Ref()).CallDecode(ctx, "str", refuse); err != wrong {

@@ -25,14 +25,14 @@ import (
 //	Refused      ErrCircuitOpen, ErrClosed,              neutral  no          rejected    yes       yes
 //	             ErrUnknownNetwork
 //	Unreachable  ConnectError                            strike   yes         transport   yes       yes
-//	Lost         io.EOF, ErrUnexpectedEOF, ErrClosedPipe, strike  idempotent  transport   yes       yes
+//	Lost         io.EOF, ErrUnexpectedEOF, ErrClosedPipe, strike  no          transport   yes       yes
 //	             net.ErrClosed, any net.Error,
 //	             ErrInjectedFault
-//	Unknown      anything else                           strike   idempotent  transport   yes       no
+//	Unknown      anything else                           strike   no          transport   yes       no
 //
-// "failover" is a smart proxy's re-selection and routed retry, "shard" the
-// sharded trader's strike against a shard, and "idempotent" retries only
-// under RetryPolicy.RetryIdempotent. The trader asks a monitor for its
+// "retry" is RetryPolicy's re-invocation, "failover" a smart proxy's
+// re-selection and routed retry, and "shard" the sharded trader's strike
+// against a shard. The trader asks a monitor for its
 // aspects one by one when a batched read is Answered with CodeApp,
 // CodeInternal, CodeBadOperation or CodeBadParam.
 type Fault uint8

@@ -52,39 +52,37 @@ var faultNames = [...]string{"NoFault", "Answered", "Expired", "Overloaded", "Ab
 	"Unsendable", "Refused", "Unreachable", "Lost", "Unknown"}
 
 // TestFaultTable pins FaultOf and the ORB's three sets over it (Fault's doc
-// comment): what the breaker does with an outcome, whether a plain and an
-// idempotent RetryPolicy retry it, and its metrics class.
+// comment): what the breaker does with an outcome, whether a RetryPolicy
+// retries it, and its metrics class.
 func TestFaultTable(t *testing.T) {
 	type sets struct {
-		breaker     string
-		retry, idem bool
-		class       string
+		breaker string
+		retry   bool
+		class   string
 	}
 	want := map[Fault]sets{
-		NoFault:     {"reset", false, false, "ok"},
-		Answered:    {"reset", false, false, "app"},
-		Expired:     {"reset", false, false, "deadline"},
-		Overloaded:  {"neutral", true, true, "overloaded"},
-		Abandoned:   {"neutral", false, false, "deadline"},
-		Unsendable:  {"neutral", false, false, "rejected"},
-		Refused:     {"neutral", false, false, "rejected"},
-		Unreachable: {"strike", true, true, "transport"},
-		Lost:        {"strike", false, true, "transport"},
-		Unknown:     {"strike", false, true, "transport"},
+		NoFault:     {"reset", false, "ok"},
+		Answered:    {"reset", false, "app"},
+		Expired:     {"reset", false, "deadline"},
+		Overloaded:  {"neutral", true, "overloaded"},
+		Abandoned:   {"neutral", false, "deadline"},
+		Unsendable:  {"neutral", false, "rejected"},
+		Refused:     {"neutral", false, "rejected"},
+		Unreachable: {"strike", true, "transport"},
+		Lost:        {"strike", false, "transport"},
+		Unknown:     {"strike", false, "transport"},
 	}
 	for _, c := range faultCases {
 		if got := FaultOf(c.err); got != c.fault {
 			t.Errorf("FaultOf(%v) = %s, want %s", c.err, faultNames[got], faultNames[c.fault])
 		}
 		w := want[c.fault]
-		got := sets{breakerEffect(c.err), RetryPolicy{}.Retryable(c.err),
-			RetryPolicy{RetryIdempotent: true}.Retryable(c.err), classNames[classify(c.err)]}
+		got := sets{breakerEffect(c.err), RetryPolicy{}.Retryable(c.err), classNames[classify(c.err)]}
 		if got.breaker != w.breaker {
 			t.Errorf("breaker on %v (%s): %s, want %s", c.err, faultNames[c.fault], got.breaker, w.breaker)
 		}
-		if got.retry != w.retry || got.idem != w.idem {
-			t.Errorf("Retryable(%v) (%s): %v, idempotent %v; want %v, %v",
-				c.err, faultNames[c.fault], got.retry, got.idem, w.retry, w.idem)
+		if got.retry != w.retry {
+			t.Errorf("Retryable(%v) (%s): %v, want %v", c.err, faultNames[c.fault], got.retry, w.retry)
 		}
 		if got.class != w.class {
 			t.Errorf("class of %v (%s): %s, want %s", c.err, faultNames[c.fault], got.class, w.class)

@@ -21,11 +21,11 @@ func TestBackoffSchedule(t *testing.T) {
 	for _, c := range cases {
 		p := RetryPolicy{BaseBackoff: c.base}
 		for i, want := range c.want {
-			if got := p.Backoff(i + 1); got != want {
+			if got := p.backoff(i + 1); got != want {
 				t.Errorf("base %v: backoff after attempt %d = %v, want %v", c.base, i+1, got, want)
 			}
 		}
-		if got := p.Backoff(0); got != c.want[0] {
+		if got := p.backoff(0); got != c.want[0] {
 			t.Errorf("base %v: backoff after attempt 0 = %v, want the first delay %v", c.base, got, c.want[0])
 		}
 	}
@@ -38,10 +38,10 @@ func TestBackoffJitterBounds(t *testing.T) {
 		p := RetryPolicy{BaseBackoff: 20 * time.Millisecond, Jitter: j}
 		frac := min(j, 1)
 		for attempt := 1; attempt <= 8; attempt++ {
-			d := float64(RetryPolicy{BaseBackoff: p.BaseBackoff}.Backoff(attempt))
+			d := float64(RetryPolicy{BaseBackoff: p.BaseBackoff}.backoff(attempt))
 			lo, hi := time.Duration(d*(1-frac)), time.Duration(d*(1+frac))
 			for range 200 {
-				if got := p.Backoff(attempt); got < lo || got > hi {
+				if got := p.backoff(attempt); got < lo || got > hi {
 					t.Fatalf("jitter %v, attempt %d: backoff %v outside [%v, %v]", j, attempt, got, lo, hi)
 				}
 			}

@@ -514,9 +514,11 @@ func TestMidReplySeverEvictsAndReconnects(t *testing.T) {
 	}
 }
 
-// TestSeverRecoveredByIdempotentRetry drives the same fault through the
-// retry layer: with RetryIdempotent, one Invoke call absorbs the sever.
-func TestSeverRecoveredByIdempotentRetry(t *testing.T) {
+// TestSeverMidFlightNotRetried drives the same fault through the retry
+// layer: a call whose connection dies after its request was written may
+// have run, so even a policy with attempts to spare fails it (Lost) rather
+// than send it again. The next call redials.
+func TestSeverMidFlightNotRetried(t *testing.T) {
 	inner := NewInprocNetwork()
 	fnet := NewFaultNetwork(inner)
 	srv, err := NewServer(ServerOptions{Network: inner, Address: "sever-retry"})
@@ -527,7 +529,7 @@ func TestSeverRecoveredByIdempotentRetry(t *testing.T) {
 	ref := srv.Register("echo", "", echoServant())
 	client := NewClientOpts(ClientOptions{
 		Networks: []Network{fnet},
-		Retry:    RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, RetryIdempotent: true},
+		Retry:    RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond},
 	})
 	defer client.Close()
 
@@ -535,11 +537,17 @@ func TestSeverRecoveredByIdempotentRetry(t *testing.T) {
 	if _, err := client.Invoke(context.Background(), ref, "echo", wire.Int(1)); err != nil {
 		t.Fatalf("first invoke: %v", err)
 	}
-	// The first conn is now severed; this invoke loses it mid-flight and
-	// must recover on a fresh connection within the same call.
+	// The first conn is now severed; this invoke loses it mid-flight.
+	_, err = client.Invoke(context.Background(), ref, "add", wire.Int(40), wire.Int(2))
+	if f := FaultOf(err); f != Lost {
+		t.Fatalf("invoke across sever: %v (%s), want a Lost fault", err, faultNames[f])
+	}
+	if n := fnet.Dials(); n != 1 {
+		t.Fatalf("dials = %d after the lost call, want 1: it was retried", n)
+	}
 	rs, err := client.Invoke(context.Background(), ref, "add", wire.Int(40), wire.Int(2))
 	if err != nil {
-		t.Fatalf("invoke across sever with idempotent retry: %v", err)
+		t.Fatalf("invoke after sever: %v", err)
 	}
 	if rs[0].Num() != 42 {
 		t.Fatalf("result = %v", rs[0])

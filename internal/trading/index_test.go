@@ -220,7 +220,7 @@ func diffRun(t *testing.T, seed int64, steps int) {
 	tr.SetLeaseTTL(30 * time.Second)
 	types := []string{"A", "B", "C"}
 	for _, n := range types {
-		tr.AddType(ServiceType{Name: n, Props: []string{"Load", "Trend", "Cores", "Tier"}, Strict: n == "C"})
+		tr.AddType(ServiceType{Name: n, Props: []string{"Load", "Trend", "Cores", "Tier"}})
 	}
 	randProps := func(host int) map[string]PropValue {
 		mon := monitorRef(host)

@@ -26,10 +26,6 @@ type Options struct {
 	// at least one. Use trading.Local for in-process shards and
 	// *trading.Lookup for remote ones.
 	Shards []trading.Directory
-	// Names give each shard its stable hashing identity. Ownership must
-	// not depend on slice order, so reconfigurations that renumber shards
-	// keep their type assignments. Defaults to "shard0", "shard1", ...
-	Names []string
 	// HandoffGrace is how long queries also consult a type's previous
 	// owner after ownership moves between two live shards (a shard
 	// rejoining after a death). It should cover one offer lease TTL so
@@ -81,7 +77,6 @@ func (c *counters) snapshot() Stats {
 
 // shardState is the router's view of one shard.
 type shardState struct {
-	name    string
 	primary trading.Directory
 	alive   bool
 }
@@ -99,6 +94,9 @@ type typeRoute struct {
 type Router struct {
 	opts Options
 	cnt  counters
+	// names give the shards their hashing identities, "shard0", "shard1",
+	// ... by position.
+	names []string
 
 	mu     sync.RWMutex
 	shards []*shardState
@@ -117,15 +115,6 @@ func NewRouter(opts Options) (*Router, error) {
 	if len(opts.Shards) == 0 {
 		return nil, errors.New("shard: Options.Shards is required")
 	}
-	if len(opts.Names) == 0 {
-		opts.Names = make([]string, len(opts.Shards))
-		for i := range opts.Shards {
-			opts.Names[i] = "shard" + strconv.Itoa(i)
-		}
-	}
-	if len(opts.Names) != len(opts.Shards) {
-		return nil, fmt.Errorf("shard: %d names for %d shards", len(opts.Names), len(opts.Shards))
-	}
 	if opts.HandoffGrace <= 0 {
 		opts.HandoffGrace = 30 * time.Second
 	}
@@ -134,16 +123,14 @@ func NewRouter(opts Options) (*Router, error) {
 	}
 	r := &Router{
 		opts:     opts,
+		names:    make([]string, len(opts.Shards)),
 		routes:   make(map[string]*typeRoute),
 		types:    make(map[string]trading.ServiceType),
 		exported: make(map[string]string),
 	}
 	for i, d := range opts.Shards {
-		r.shards = append(r.shards, &shardState{
-			name:    opts.Names[i],
-			primary: d,
-			alive:   true,
-		})
+		r.names[i] = "shard" + strconv.Itoa(i)
+		r.shards = append(r.shards, &shardState{primary: d, alive: true})
 	}
 	return r, nil
 }
@@ -161,7 +148,7 @@ func (r *Router) Stats() Stats { return r.cnt.snapshot() }
 func (r *Router) NumShards() int { return len(r.opts.Shards) }
 
 // ShardName reports the stable name of shard i.
-func (r *Router) ShardName(i int) string { return r.opts.Names[i] }
+func (r *Router) ShardName(i int) string { return r.names[i] }
 
 // Alive reports whether shard i is currently considered live.
 func (r *Router) Alive(i int) bool {
@@ -195,7 +182,7 @@ func (r *Router) KnownTypes() []trading.ServiceType {
 // ownerLocked computes the HRW owner over live shards. Callers hold r.mu
 // (either mode).
 func (r *Router) ownerLocked(serviceType string) int {
-	return owner(serviceType, r.opts.Names, func(i int) bool { return r.shards[i].alive })
+	return owner(serviceType, r.names, func(i int) bool { return r.shards[i].alive })
 }
 
 // route returns serviceType's current owner and, when a handoff grace
@@ -261,7 +248,7 @@ func (r *Router) splitOfferID(id string) (shard int, rest string, ok bool) {
 		return 0, "", false
 	}
 	n, err := strconv.Atoi(id[1:slash])
-	if err != nil || n < 0 || n >= len(r.opts.Names) {
+	if err != nil || n < 0 || n >= len(r.names) {
 		return 0, "", false
 	}
 	return n, id[slash+1:], true
@@ -286,7 +273,7 @@ func (r *Router) noteFault(idx int, err error) {
 	r.cnt.strikes.Add(1)
 	if s.alive {
 		s.alive = false
-		r.logf("shard: %s marked dead (%v)", s.name, err)
+		r.logf("shard: %s marked dead (%v)", r.names[idx], err)
 		r.reassignLocked()
 	}
 }
@@ -301,7 +288,7 @@ func (r *Router) noteOK(idx int) {
 	defer r.mu.Unlock()
 	if s := r.shards[idx]; !s.alive {
 		s.alive = true
-		r.logf("shard: %s rejoined", s.name)
+		r.logf("shard: %s rejoined", r.names[idx])
 		r.reassignLocked()
 	}
 }
@@ -344,7 +331,7 @@ func (r *Router) Query(ctx context.Context, serviceType, constraint, preference 
 		// reassigned. Answer from the new owner — the offers reappear
 		// there as agents re-export.
 		if own2, _, _, rerr := r.route(serviceType); rerr == nil && own2 != own {
-			r.logf("shard: query %q rerouted to %s after %v", serviceType, r.opts.Names[own2], err)
+			r.logf("shard: query %q rerouted to %s after %v", serviceType, r.names[own2], err)
 			return r.queryShard(ctx, own2, serviceType, constraint, preference, maxResults)
 		}
 		return nil, err
@@ -447,7 +434,7 @@ func (r *Router) Withdraw(ctx context.Context, offerID string) error {
 	if !alive {
 		// The shard is gone and the offer's lease with it; by the trader's
 		// contract the offer is already unknown.
-		return fmt.Errorf("%w: %q (shard %s is down)", trading.ErrUnknownOffer, offerID, r.opts.Names[idx])
+		return fmt.Errorf("%w: %q (shard %s is down)", trading.ErrUnknownOffer, offerID, r.names[idx])
 	}
 	err := r.shards[idx].primary.Withdraw(ctx, rest)
 	r.noteFault(idx, err)
@@ -464,7 +451,7 @@ func (r *Router) Modify(ctx context.Context, offerID string, props map[string]tr
 	alive := r.shards[idx].alive
 	r.mu.RUnlock()
 	if !alive {
-		return fmt.Errorf("%w: %q (shard %s is down)", trading.ErrUnknownOffer, offerID, r.opts.Names[idx])
+		return fmt.Errorf("%w: %q (shard %s is down)", trading.ErrUnknownOffer, offerID, r.names[idx])
 	}
 	err := r.shards[idx].primary.Modify(ctx, rest, props)
 	r.noteFault(idx, err)
@@ -487,7 +474,7 @@ func (r *Router) Renew(ctx context.Context, offerID string) error {
 	serviceType, known := r.exported[offerID]
 	r.mu.RUnlock()
 	if !alive {
-		return fmt.Errorf("%w: %q (shard %s is down)", trading.ErrUnknownOffer, offerID, r.opts.Names[idx])
+		return fmt.Errorf("%w: %q (shard %s is down)", trading.ErrUnknownOffer, offerID, r.names[idx])
 	}
 	if known {
 		if own, _, _, err := r.route(serviceType); err == nil && own != idx {
@@ -500,14 +487,14 @@ func (r *Router) Renew(ctx context.Context, offerID string) error {
 			r.mu.Unlock()
 			r.cnt.migrated.Add(1)
 			return fmt.Errorf("%w: %q (type %q reassigned to %s)",
-				trading.ErrUnknownOffer, offerID, serviceType, r.opts.Names[own])
+				trading.ErrUnknownOffer, offerID, serviceType, r.names[own])
 		}
 	}
 	err := r.shards[idx].primary.Renew(ctx, rest)
 	r.noteFault(idx, err)
 	if err != nil && transportFault(err) && !r.Alive(idx) {
 		// The renew killed the shard: translate to the re-export signal.
-		return fmt.Errorf("%w: %q (shard %s died: %v)", trading.ErrUnknownOffer, offerID, r.opts.Names[idx], err)
+		return fmt.Errorf("%w: %q (shard %s died: %v)", trading.ErrUnknownOffer, offerID, r.names[idx], err)
 	}
 	return err
 }

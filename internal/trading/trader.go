@@ -74,15 +74,14 @@ func (o Offer) MonitorFor(prop string) (wire.ObjRef, bool) {
 }
 
 // ServiceType describes an exportable service: the interface its instances
-// implement, plus the property names offers of this type may carry. The
+// implement, plus the property names offers of this type usually carry. The
 // paper's trader types properties; ours records names for documentation and
-// validates that exported offers do not invent undeclared properties when
-// Strict is set.
+// numbers them first. An offer may carry other names too, up to
+// maxTypeNames per type.
 type ServiceType struct {
 	Name      string
 	Interface string
 	Props     []string
-	Strict    bool
 }
 
 // QueryResult is one matched offer together with the property snapshot the
@@ -287,17 +286,15 @@ func (t *Trader) SetResolveTimeout(d time.Duration) {
 	t.resolveTimeout = d
 }
 
-// registeredType is a service type plus what the trader keeps per type:
-// the declared-property set of a Strict type, and the slot table that
-// numbers the type's property names. AddType numbers the declared names;
+// registeredType is a service type plus the slot table that numbers the
+// type's property names. AddType numbers the declared names;
 // names first seen by Export or Modify are appended under the write lock.
 // Slots are never renumbered or reused, so a slot's name never changes and
 // a names slice captured under the read lock stays valid.
 type registeredType struct {
 	ServiceType
-	declared map[string]struct{} // nil unless Strict
-	slots    map[string]int      // property name → slot
-	names    []string            // slot → property name
+	slots map[string]int // property name → slot
+	names []string       // slot → property name
 }
 
 // slot returns name's slot, numbering it first if the type has not seen it.
@@ -311,18 +308,8 @@ func (rt *registeredType) slot(name string) int {
 	return s
 }
 
-// check rejects, for a Strict type, properties the type does not declare,
-// and for any other names that would number its slots past maxTypeNames.
-// A Strict type's names are all numbered by AddType.
+// check rejects names that would number the type's slots past maxTypeNames.
 func (rt *registeredType) check(props map[string]PropValue) error {
-	if rt.Strict {
-		for name := range props {
-			if _, ok := rt.declared[name]; !ok {
-				return fmt.Errorf("trading: offer property %q not declared by type %q", name, rt.Name)
-			}
-		}
-		return nil
-	}
 	if len(rt.names)+len(props) <= maxTypeNames {
 		return nil // even all new, the names fit
 	}
@@ -394,13 +381,7 @@ func (t *Trader) AddType(st ServiceType) {
 		rt = &registeredType{slots: make(map[string]int, len(st.Props))}
 		t.types[st.Name] = rt
 	}
-	rt.ServiceType, rt.declared = st, nil
-	if st.Strict {
-		rt.declared = make(map[string]struct{}, len(st.Props))
-		for _, p := range st.Props {
-			rt.declared[p] = struct{}{}
-		}
-	}
+	rt.ServiceType = st
 	for _, p := range st.Props {
 		rt.slot(p)
 	}
@@ -471,8 +452,8 @@ func (t *Trader) Withdraw(id string) error {
 	return nil
 }
 
-// Modify replaces the properties of an existing offer, which a Strict type
-// checks as Export does. It is lease-aware: modifying an expired offer
+// Modify replaces the properties of an existing offer, checked as Export
+// checks them. It is lease-aware: modifying an expired offer
 // reports ErrUnknownOffer without touching the record, so a later Renew
 // resurrects the offer with its pre-expiry properties deterministically.
 func (t *Trader) Modify(id string, props map[string]PropValue) error {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -84,48 +83,7 @@ func TestExportRequiresKnownType(t *testing.T) {
 	}
 }
 
-func TestStrictTypeRejectsUndeclaredProps(t *testing.T) {
-	tr := NewTrader(nil)
-	tr.AddType(ServiceType{Name: "S", Props: []string{"a"}, Strict: true})
-	_, err := tr.Export("S", serverRef(0), map[string]PropValue{"b": {Static: wire.Int(1)}})
-	if err == nil {
-		t.Fatal("undeclared property accepted by strict type")
-	}
-	if _, err := tr.Export("S", serverRef(0), map[string]PropValue{"a": {Static: wire.Int(1)}}); err != nil {
-		t.Fatalf("declared property rejected: %v", err)
-	}
-}
-
-// TestModifyStrictRejectsUndeclaredProps: Modify checks a Strict type's
-// declaration as Export does, locally and through the servant, and a
-// rejected Modify leaves the offer's properties as they were.
-func TestModifyStrictRejectsUndeclaredProps(t *testing.T) {
-	tr := NewTrader(nil)
-	tr.AddType(ServiceType{Name: "S", Props: []string{"a"}, Strict: true})
-	id, err := tr.Export("S", serverRef(0), map[string]PropValue{"a": {Static: wire.Int(1)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Modify(id, map[string]PropValue{"b": {Static: wire.Int(2)}}); err == nil {
-		t.Fatal("local Modify accepted a property the strict type does not declare")
-	}
-	modify := []wire.Value{wire.String(id), PropsToWire(map[string]PropValue{"a": {Static: wire.Int(3)}, "c": {Static: wire.Int(3)}})}
-	if _, err := NewServant(tr).Invoke("modify", modify); err == nil || !strings.Contains(err.Error(), "not declared") {
-		t.Fatalf("Modify through the servant: err = %v, want the undeclared property refused", err)
-	}
-	rs, err := tr.Query(context.Background(), "S", "", "", 0)
-	if err != nil || len(rs) != 1 {
-		t.Fatalf("query = %v, %v", rs, err)
-	}
-	if len(rs[0].Offer.Props) != 1 || rs[0].Snapshot["a"].Num() != 1 {
-		t.Fatalf("after refused modifies the offer has %v, want a = 1 only", rs[0].Snapshot)
-	}
-	if err := tr.Modify(id, map[string]PropValue{"a": {Static: wire.Int(4)}}); err != nil {
-		t.Fatalf("declared property rejected: %v", err)
-	}
-}
-
-// TestFreshNamesKeepOfferStorageBounded: on a non-Strict type every name an
+// TestFreshNamesKeepOfferStorageBounded: every name an
 // export invents takes a new slot, and an offer stores only the slots it
 // uses, so offers whose names were numbered late cost no more than early
 // ones — heap per offer stays flat instead of growing with the slot table.
@@ -820,7 +778,7 @@ func TestPropRefs(t *testing.T) {
 	}
 }
 
-// TestSlotNamesBounded: a non-Strict type numbers every property name its
+// TestSlotNamesBounded: a type numbers every property name its
 // offers ever used, withdrawn offers' included, up to maxTypeNames. Past
 // that, Export and Modify refuse an offer with a name the type has not seen
 // (ErrTooManyNames), before anything changes; names it has seen still go.

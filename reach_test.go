@@ -4,6 +4,12 @@ package autoadapt
 // reached from a root — the facade, a command, an example or the benchmark
 // module — or be listed in testdata/reach_allow.txt with its reason. Code
 // that only its own package's tests call is not part of the system.
+//
+// The same sweep checks fields: every exported field of an exported struct
+// type under internal/ that a root reaches must be written by code a root
+// reaches (a composite-literal key, an assignment or inc/dec target, or
+// &x.F), or be listed with its reason. An option that only tests set is a
+// configuration the system never runs.
 
 import (
 	"bufio"
@@ -51,12 +57,20 @@ func TestReachability(t *testing.T) {
 		}
 	}
 	roots = append(roots, sw.facadeHandles()...)
+	var declAllow, fieldAllow []*allowEntry
+	allowField := map[*types.Var]bool{}
 	for _, e := range allow {
 		objs := sw.resolve(e.name)
 		if len(objs) == 0 {
 			t.Errorf("%s:%d: allowlist entry %s names nothing", e.file, e.line, e.name)
 		}
 		e.objs = objs
+		if f, ok := field(objs); ok {
+			allowField[f] = true
+			fieldAllow = append(fieldAllow, e)
+			continue
+		}
+		declAllow = append(declAllow, e)
 		allowRoots = append(allowRoots, objs...)
 	}
 
@@ -71,7 +85,7 @@ func TestReachability(t *testing.T) {
 			allowed = append(allowed, o)
 		}
 	}
-	for _, e := range allow {
+	for _, e := range declAllow {
 		if len(e.objs) == 0 {
 			continue
 		}
@@ -88,17 +102,51 @@ func TestReachability(t *testing.T) {
 	}
 
 	for _, o := range lost {
-		pos := sw.fset.Position(o.Pos())
-		if rel, err := filepath.Rel(sw.dir, pos.Filename); err == nil {
-			pos.Filename = rel
-		}
-		t.Errorf("unreachable: %s (%s, %d lines)", sw.name(o), pos, sw.lines(o))
+		t.Errorf("unreachable: %s (%s, %d lines)", sw.name(o), sw.pos(o), sw.lines(o))
 	}
+
+	written := map[*types.Var]bool{}
+	for o := range fromRoots {
+		for _, f := range sw.writes[o] {
+			written[f] = true
+		}
+	}
+	fields, unset := 0, 0
+	for _, o := range sw.candidates {
+		tn, ok := o.(*types.TypeName)
+		if !ok || tn.IsAlias() || !fromRoots[o] {
+			continue
+		}
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		for i := range st.NumFields() {
+			f := st.Field(i)
+			if !f.Exported() || f.Embedded() {
+				continue
+			}
+			fields++
+			if written[f] || allowField[f] {
+				continue
+			}
+			unset++
+			t.Errorf("unset field: %s.%s (%s): no root writes it", sw.name(tn), f.Name(), sw.pos(f))
+		}
+	}
+	for _, e := range fieldAllow {
+		if f, _ := field(e.objs); written[f] {
+			t.Errorf("%s:%d: stale allowlist entry %s: a root writes the field", e.file, e.line, e.name)
+		}
+	}
+
 	total, six := sw.count(lost)
 	t.Logf("reach: %d packages, %d exported identifiers under internal/", len(sw.pkgs), len(sw.candidates))
 	t.Logf("reach: %d unreachable, %d lines (%d in the six-package set)", len(lost), total, six)
+	t.Logf("reach: %d unset fields of %d exported fields in reached struct types", unset, fields)
 	atotal, _ := sw.count(allowed)
-	t.Logf("reach: %d allowlisted entries cover %d identifiers no root reaches, %d lines", len(allow), len(allowed), atotal)
+	t.Logf("reach: %d allowlisted entries cover %d identifiers no root reaches, %d lines, and %d fields no root writes",
+		len(allow), len(allowed), atotal, len(fieldAllow))
 }
 
 // sweepPkg is one type-checked package of the module or the benchmark module.
@@ -121,6 +169,7 @@ type sweep struct {
 	byPkg map[*types.Package]*sweepPkg
 
 	uses        map[types.Object][]types.Object // what each declaration names
+	writes      map[types.Object][]*types.Var   // the struct fields each declaration writes
 	spans       map[types.Object]span
 	methods     map[*types.TypeName][]*types.Func // concrete methods by receiver base type
 	byName      map[string][]*types.Func
@@ -196,7 +245,7 @@ func newSweep(t *testing.T) *sweep {
 	}
 	sw := &sweep{
 		dir: dir, fset: fset, byPkg: map[*types.Package]*sweepPkg{},
-		uses: map[types.Object][]types.Object{}, spans: map[types.Object]span{},
+		uses: map[types.Object][]types.Object{}, writes: map[types.Object][]*types.Var{}, spans: map[types.Object]span{},
 		methods: map[*types.TypeName][]*types.Func{}, byName: map[string][]*types.Func{},
 		stdIfaces: map[types.Object][]*types.Interface{}, isCandidate: map[types.Object]bool{},
 	}
@@ -214,7 +263,10 @@ func newSweep(t *testing.T) *sweep {
 			}
 			files = append(files, f)
 		}
-		info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+		info := &types.Info{
+			Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		}
 		conf := types.Config{Importer: im}
 		tp, err := conf.Check(lp.ImportPath, fset, files, info)
 		if err != nil {
@@ -233,9 +285,31 @@ func newSweep(t *testing.T) *sweep {
 	return sw
 }
 
-// collect records each declaration of p: its span, what it names, and, for
-// an internal package, which exported identifiers it declares.
+// collect records each declaration of p: its span, what it names, the
+// fields it writes, and, for an internal package, which exported
+// identifiers it declares.
 func (sw *sweep) collect(p *sweepPkg, files []*ast.File, info *types.Info) {
+	// target records the fields an assigned or addressed expression writes:
+	// in a.B[i].C, both B and C.
+	target := func(o types.Object, e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.SelectorExpr:
+				if sel := info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+					sw.writes[o] = append(sw.writes[o], origin(sel.Obj()).(*types.Var))
+				}
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			case *ast.ParenExpr:
+				e = x.X
+			default:
+				return
+			}
+		}
+	}
 	declare := func(o types.Object, node ast.Node, doc *ast.CommentGroup) {
 		if o == nil {
 			return
@@ -258,9 +332,26 @@ func (sw *sweep) collect(p *sweepPkg, files []*ast.File, info *types.Info) {
 			}
 		}
 		ast.Inspect(node, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				if u := info.Uses[id]; u != nil {
+			switch n := n.(type) {
+			case *ast.Ident:
+				if u := info.Uses[n]; u != nil {
 					sw.uses[o] = append(sw.uses[o], origin(u))
+				}
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok {
+					if f, ok := info.Uses[id].(*types.Var); ok && f.IsField() {
+						sw.writes[o] = append(sw.writes[o], f.Origin())
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					target(o, lhs)
+				}
+			case *ast.IncDecStmt:
+				target(o, n.X)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					target(o, n.X)
 				}
 			}
 			return true
@@ -524,7 +615,8 @@ func (sw *sweep) interfaces(o types.Object) []*types.Interface {
 // resolve turns an allowlist name into the objects it covers: a package
 // ("internal/testutil") covers every declaration in it, a type
 // ("internal/clock.Sim") covers itself and its methods, and a function,
-// variable, constant or method ("internal/orb.Client.Stats") covers itself.
+// variable, constant, method ("internal/orb.Client.Stats") or struct field
+// ("internal/orb.ClientOptions.Now") covers itself.
 func (sw *sweep) resolve(name string) []types.Object {
 	for _, p := range sw.pkgs {
 		if p.path == name {
@@ -545,8 +637,8 @@ func (sw *sweep) resolve(name string) []types.Object {
 				return nil
 			}
 			m, _, _ := types.LookupFieldOrMethod(tn.Type(), true, p.types, method)
-			if f, ok := m.(*types.Func); ok && f.Pkg() == p.types {
-				return []types.Object{f}
+			if m != nil && m.Pkg() == p.types {
+				return []types.Object{m}
 			}
 			return nil
 		}
@@ -569,6 +661,15 @@ func (sw *sweep) name(o types.Object) string {
 		}
 	}
 	return p + "." + o.Name()
+}
+
+// pos is where o is declared, relative to the module root.
+func (sw *sweep) pos(o types.Object) token.Position {
+	pos := sw.fset.Position(o.Pos())
+	if rel, err := filepath.Rel(sw.dir, pos.Filename); err == nil {
+		pos.Filename = rel
+	}
+	return pos
 }
 
 func (sw *sweep) lines(o types.Object) int {
@@ -618,6 +719,15 @@ func recvTypeName(f *types.Func) *types.TypeName {
 		return named.Origin().Obj()
 	}
 	return nil
+}
+
+// field reports whether an allowlist entry's objects are one struct field.
+func field(objs []types.Object) (*types.Var, bool) {
+	if len(objs) != 1 {
+		return nil, false
+	}
+	f, ok := objs[0].(*types.Var)
+	return f, ok && f.IsField()
 }
 
 func isInterfaceMethod(f *types.Func) bool {
