@@ -18,6 +18,7 @@ package autoadapt
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -279,8 +280,11 @@ const e10MonServiceTime = 200 * time.Microsecond
 // = 1 reproduces the seed's serial resolution loop; workers = 0 keeps the
 // trader's default bounded fan-out. With twoAspects every offer also
 // carries LoadAvgIncreasing, a second aspect of the same monitor — the
-// paper's Fig. 6 offer — and the query references both.
-func benchRemoteQuery(b *testing.B, offers, hosts, workers int, twoAspects bool) {
+// paper's Fig. 6 offer — and the query references both. withCores adds a
+// static Cores property, 1 on every fourth offer, and a leading Cores >= 2
+// to the query: the trader never resolves the offers it rejects. The
+// monitor round trips per query are reported as roundtrips/op.
+func benchRemoteQuery(b *testing.B, offers, hosts, workers int, shape e10Shape) {
 	var servers []*orb.Server
 	for h := 0; h < hosts; h++ {
 		srv, err := orb.NewServer(orb.ServerOptions{Network: orb.TCPNetwork{}, Address: "127.0.0.1:0"})
@@ -297,6 +301,7 @@ func benchRemoteQuery(b *testing.B, offers, hosts, workers int, twoAspects bool)
 		tr.SetResolveParallel(workers)
 	}
 	tr.AddType(trading.ServiceType{Name: "S"})
+	var roundTrips atomic.Int64
 	for i := 0; i < offers; i++ {
 		load := float64(i % 10)
 		read := func(aspect wire.Value) wire.Value {
@@ -320,12 +325,16 @@ func benchRemoteQuery(b *testing.B, offers, hosts, workers int, twoAspects bool)
 				default:
 					return nil, fmt.Errorf("monitor: no such operation %q", op)
 				}
+				roundTrips.Add(1)
 				time.Sleep(e10MonServiceTime)
 				return out, nil
 			}))
 		props := map[string]trading.PropValue{"LoadAvg": {Dynamic: monRef}}
-		if twoAspects {
+		if shape >= twoAspects {
 			props["LoadAvgIncreasing"] = trading.PropValue{Dynamic: monRef, Aspect: "Increasing"}
+		}
+		if shape == withCores {
+			props["Cores"] = trading.PropValue{Static: wire.Int([...]int{1, 2, 4, 8}[i%4])}
 		}
 		svcRef := wire.ObjRef{Endpoint: fmt.Sprintf("inproc|svc-%d", i), Key: "svc"}
 		if _, err := tr.Export("S", svcRef, props); err != nil {
@@ -333,8 +342,11 @@ func benchRemoteQuery(b *testing.B, offers, hosts, workers int, twoAspects bool)
 		}
 	}
 	constraint := "LoadAvg < 5"
-	if twoAspects {
+	if shape >= twoAspects {
 		constraint += " and LoadAvgIncreasing == no"
+	}
+	if shape == withCores {
+		constraint = "Cores >= 2 and " + constraint
 	}
 	ctx := context.Background()
 	query := func() {
@@ -347,21 +359,35 @@ func benchRemoteQuery(b *testing.B, offers, hosts, workers int, twoAspects bool)
 		}
 	}
 	query() // warm connections to every monitor host
+	roundTrips.Store(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		query()
 	}
+	b.ReportMetric(float64(roundTrips.Load())/float64(b.N), "roundtrips/op")
 }
 
-func BenchmarkE10RemoteQuery16(b *testing.B)        { benchRemoteQuery(b, 16, 4, 0, false) }
-func BenchmarkE10RemoteQuery64(b *testing.B)        { benchRemoteQuery(b, 64, 4, 0, false) }
-func BenchmarkE10RemoteQuery256(b *testing.B)       { benchRemoteQuery(b, 256, 4, 0, false) }
-func BenchmarkE10RemoteQuery64Serial(b *testing.B)  { benchRemoteQuery(b, 64, 4, 1, false) }
-func BenchmarkE10RemoteQuery256Serial(b *testing.B) { benchRemoteQuery(b, 256, 4, 1, false) }
+// e10Shape is what an E10 offer carries and its query reads.
+type e10Shape int
 
-func BenchmarkE10RemoteQuery64TwoAspects(b *testing.B)       { benchRemoteQuery(b, 64, 4, 0, true) }
-func BenchmarkE10RemoteQuery64TwoAspectsSerial(b *testing.B) { benchRemoteQuery(b, 64, 4, 1, true) }
+const (
+	oneAspect  e10Shape = iota // LoadAvg
+	twoAspects                 // LoadAvg, LoadAvgIncreasing
+	withCores                  // both, and a static Cores
+)
+
+func BenchmarkE10RemoteQuery16(b *testing.B)        { benchRemoteQuery(b, 16, 4, 0, oneAspect) }
+func BenchmarkE10RemoteQuery64(b *testing.B)        { benchRemoteQuery(b, 64, 4, 0, oneAspect) }
+func BenchmarkE10RemoteQuery256(b *testing.B)       { benchRemoteQuery(b, 256, 4, 0, oneAspect) }
+func BenchmarkE10RemoteQuery64Serial(b *testing.B)  { benchRemoteQuery(b, 64, 4, 1, oneAspect) }
+func BenchmarkE10RemoteQuery256Serial(b *testing.B) { benchRemoteQuery(b, 256, 4, 1, oneAspect) }
+
+func BenchmarkE10RemoteQuery64TwoAspects(b *testing.B) { benchRemoteQuery(b, 64, 4, 0, twoAspects) }
+func BenchmarkE10RemoteQuery64TwoAspectsSerial(b *testing.B) {
+	benchRemoteQuery(b, 64, 4, 1, twoAspects)
+}
+func BenchmarkE10RemoteQuery64CoresSerial(b *testing.B) { benchRemoteQuery(b, 64, 4, 1, withCores) }
 
 // ---- E6 ----
 

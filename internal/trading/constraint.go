@@ -37,10 +37,29 @@ import (
 // Parsing compiles the expression once into a tree of cnodes that read the
 // values of the referenced properties from an array indexed like refs; the
 // trader fills that array from an offer's slots.
+//
+// The top-level "and" chain accepts an offer iff each of its conjuncts is
+// truthy without error, in any order: the trader evaluates those that read
+// only static properties before it resolves anything (passStatic), and after
+// resolution only the rest (passRest).
 type Constraint struct {
 	root *cnode
-	refs []string // property names the expression references, sorted
+	refs []string   // property names the expression references, sorted
+	conj []conjunct // the top-level "and" chain; none for the empty constraint
 }
+
+// conjunct is one term of a constraint's top-level "and" chain and the
+// indices into the constraint's refs of the names it reads.
+type conjunct struct {
+	n    *cnode
+	refs []int
+}
+
+// maxStatic is how many conjuncts fit an offer's mask of open ones.
+const maxStatic = 64
+
+// unresolved is passStatic's value of a dynamic property.
+var unresolved wire.Value
 
 // ParseConstraint compiles a constraint expression. An empty source
 // compiles to a constraint matching every offer.
@@ -57,7 +76,50 @@ func ParseConstraint(src string) (*Constraint, error) {
 	if p.pos != len(p.src) {
 		return nil, fmt.Errorf("trading: constraint %q: trailing input at %d", src, p.pos)
 	}
-	return &Constraint{root: root, refs: numberRefs(root)}, nil
+	refs := numberRefs(root) // before conjuncts, which reads the numbered refs
+	return &Constraint{root: root, refs: refs, conj: conjuncts(root, nil)}, nil
+}
+
+// conjuncts appends the terms of n's "and" chain to conj, left to right.
+func conjuncts(n *cnode, conj []conjunct) []conjunct {
+	if n.op == opAnd {
+		return conjuncts(n.r, conjuncts(n.l, conj))
+	}
+	var refs []int
+	n.walk(func(m *cnode) {
+		if (m.op == opProp || m.op == opExist) && !slices.Contains(refs, m.ref) {
+			refs = append(refs, m.ref)
+		}
+	})
+	return append(conj, conjunct{n: n, refs: refs})
+}
+
+// passStatic evaluates the first maxStatic conjuncts that read no
+// unresolved value in vals, reporting whether none rejected and the mask of
+// those it left open.
+func (c *Constraint) passStatic(vals []*wire.Value) (open uint64, ok bool) {
+	for k := range min(len(c.conj), maxStatic) {
+		if slices.ContainsFunc(c.conj[k].refs, func(u int) bool { return vals[u] == &unresolved }) {
+			open |= 1 << k
+		} else if v, err := c.conj[k].n.run(vals); err != nil || !v.Truthy() {
+			return 0, false
+		}
+	}
+	return open, true
+}
+
+// passRest reports whether the conjuncts passStatic left open, and those
+// past maxStatic, all accept vals.
+func (c *Constraint) passRest(open uint64, vals []*wire.Value) bool {
+	for k := range c.conj {
+		if k < maxStatic && open&(1<<k) == 0 {
+			continue
+		}
+		if v, err := c.conj[k].n.run(vals); err != nil || !v.Truthy() {
+			return false
+		}
+	}
+	return true
 }
 
 // numberRefs lists the property names the expression reads, sorted, and
@@ -105,27 +167,6 @@ func boolWord(b bool, s string) bool {
 		return s == "yes" || s == "true"
 	}
 	return s == "no" || s == "false"
-}
-
-// compare orders two numbers or two strings.
-func compare(a, b wire.Value) (int, error) {
-	if an, ok := a.AsNumber(); ok {
-		if bn, ok := b.AsNumber(); ok {
-			switch {
-			case an < bn:
-				return -1, nil
-			case an > bn:
-				return 1, nil
-			}
-			return 0, nil
-		}
-	}
-	if as, ok := a.AsString(); ok {
-		if bs, ok := b.AsString(); ok {
-			return strings.Compare(as, bs), nil
-		}
-	}
-	return 0, fmt.Errorf("trading: cannot order %s against %s", a.Kind(), b.Kind())
 }
 
 // cop is a compiled node's operation.
@@ -180,16 +221,14 @@ func (n *cnode) walk(fn func(*cnode)) {
 // a nil entry is a property the offer does not have.
 func (n *cnode) run(vals []*wire.Value) (wire.Value, error) {
 	switch n.op {
-	case opLit:
-		return n.lit, nil
-	case opProp:
-		if v := vals[n.ref]; v != nil {
-			return *v, nil
-		}
-		// Unquoted barewords double as string literals (paper's "== no").
-		return n.lit, nil
+	case opLit, opProp:
+		return *n.leaf(vals), nil
 	case opExist:
 		return wire.Bool(vals[n.ref] != nil), nil
+	}
+	if n.op >= opEq && n.op <= opGe && n.l.op <= opProp && n.r.op <= opProp {
+		// Both operands are leaves ("Cores >= 2"): compare them in place.
+		return n.cmp(n.l.leaf(vals), n.r.leaf(vals))
 	}
 	l, err := n.l.run(vals)
 	if err != nil {
@@ -220,24 +259,8 @@ func (n *cnode) run(vals []*wire.Value) (wire.Value, error) {
 	switch n.op {
 	case opAnd, opOr:
 		return wire.Bool(r.Truthy()), nil
-	case opEq:
-		return wire.Bool(looseEqual(l, r)), nil
-	case opNe:
-		return wire.Bool(!looseEqual(l, r)), nil
-	case opLt, opLe, opGt, opGe:
-		c, err := compare(l, r)
-		if err != nil {
-			return wire.Value{}, err
-		}
-		switch n.op {
-		case opLt:
-			return wire.Bool(c < 0), nil
-		case opLe:
-			return wire.Bool(c <= 0), nil
-		case opGt:
-			return wire.Bool(c > 0), nil
-		}
-		return wire.Bool(c >= 0), nil
+	case opEq, opNe, opLt, opLe, opGt, opGe:
+		return n.cmp(&l, &r)
 	}
 	ln, lok := l.AsNumber()
 	rn, rok := r.AsNumber()
@@ -256,6 +279,46 @@ func (n *cnode) run(vals []*wire.Value) (wire.Value, error) {
 		return wire.Value{}, fmt.Errorf("trading: division by zero")
 	}
 	return wire.Number(ln / rn), nil
+}
+
+// leaf is where the value of an opLit or opProp node is. Unquoted
+// barewords double as string literals (paper's "== no").
+func (n *cnode) leaf(vals []*wire.Value) *wire.Value {
+	if n.op == opProp && vals[n.ref] != nil {
+		return vals[n.ref]
+	}
+	return &n.lit
+}
+
+// cmp applies the comparison n.op to a and b. Only two numbers or two
+// strings are ordered, and a NaN orders equal to every number.
+func (n *cnode) cmp(a, b *wire.Value) (wire.Value, error) {
+	if n.op == opEq || n.op == opNe {
+		return wire.Bool(looseEqual(*a, *b) == (n.op == opEq)), nil
+	}
+	an, aok := a.AsNumber()
+	bn, bok := b.AsNumber()
+	var c int
+	switch {
+	case aok && bok && an < bn:
+		c = -1
+	case aok && bok && an > bn:
+		c = 1
+	case aok && bok:
+	case a.Kind() == wire.KindString && b.Kind() == wire.KindString:
+		c = strings.Compare(a.Str(), b.Str())
+	default:
+		return wire.Value{}, fmt.Errorf("trading: cannot order %s against %s", a.Kind(), b.Kind())
+	}
+	switch n.op {
+	case opLt:
+		return wire.Bool(c < 0), nil
+	case opLe:
+		return wire.Bool(c <= 0), nil
+	case opGt:
+		return wire.Bool(c > 0), nil
+	}
+	return wire.Bool(c >= 0), nil
 }
 
 // ---- parser ----

@@ -1,8 +1,10 @@
 package trading
 
 import (
+	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"autoadapt/internal/wire"
@@ -21,9 +23,23 @@ var constraintSeeds = []string{
 	"up == true", "up == yes", "up != no", "2.5e1 == 25",
 	"s + 1 == 2", "n / 0 == 1", "-s == 0", "n < missing",
 	"a + b * 2 - a / b", "Load < 10", "Load < 25",
+	// conjunct-wise evaluation: or, not, exist on a dynamic name, a
+	// bareword, a division by zero in a static conjunct, a chain past 64
+	"LoadAvg < 50 or Cores >= 2 and LoadAvgIncreasing == no", "not (Cores >= 2) and LoadAvg < 50",
+	"exist LoadAvg and Cores >= 2", "LoadAvgIncreasing == no and Cores >= 2", "Cores / 0 == 1 and LoadAvg < 50",
+	longChain + " and true", longChain + " and q == 1",
 	// rejected by the parser
 	"x ==", "(x == 1", "x == 'unterminated", "and x", "x == 1 extra garbage(", "exist", "x @ 1", "1..2 == 1",
 }
+
+// longChain is an "and" chain of 70 conjuncts, each true of any value.
+var longChain = func() string {
+	terms := make([]string, 70)
+	for i := range terms {
+		terms[i] = fmt.Sprintf("x%d != 'zz'", i)
+	}
+	return strings.Join(terms, " and ")
+}()
 
 // preferenceSeeds are the preferences this package's tests already use.
 var preferenceSeeds = []string{
@@ -93,7 +109,10 @@ func addSeeds(f *testing.F, seeds ...[]string) {
 // FuzzParseConstraint: parsing never panics, and an accepted constraint
 // looks up only the names it references and evaluates, compiled, exactly as the
 // reference tree walk does: the same value, the same error-or-not, and
-// through the public Eval the same error text.
+// through the public Eval the same error text. Evaluated conjunct by
+// conjunct as the trader does — the static pass over the refs marked
+// static, then the conjuncts it left open — it accepts exactly when the
+// reference is truthy without error, whichever refs are marked dynamic.
 func FuzzParseConstraint(f *testing.F) {
 	addSeeds(f, constraintSeeds, diffQueries.constraints)
 	for _, q := range batchQueries {
@@ -118,6 +137,19 @@ func FuzzParseConstraint(f *testing.F) {
 			t.Fatalf("%q: compiled %v (Eval %v), reference %v", src, got, ok, want)
 		}
 		checkAsked(t, src, asked, c.refs)
+		vals := lookupVals(c.refs, lookup)
+		for _, dyn := range []uint64{0, ^uint64(0), FNVString(FNVOffset64, src)} {
+			static := slices.Clone(vals)
+			for u := range static {
+				if dyn>>(u%64)&1 != 0 {
+					static[u] = &unresolved
+				}
+			}
+			open, pass := c.passStatic(static)
+			if pass = pass && c.passRest(open, vals); pass != (werr == nil && want.Truthy()) {
+				t.Fatalf("%q: conjunct-wise %v with dynamic refs %b, reference %v (err %v)", src, pass, dyn, want, werr)
+			}
+		}
 	})
 }
 

@@ -467,7 +467,8 @@ func TestWithdrawnMidQueryIsGone(t *testing.T) {
 // TestIndexConcurrentQueriesAndWrites runs queries, local and through the
 // servant, against concurrent Export/Withdraw/Modify on one type, some of
 // them with property names the type has never seen, so its slot table grows
-// while queries read it; it is meaningful under -race.
+// while queries read it, and Modify swaps properties the queries' static
+// pass (Cores >= 1) is reading; it is meaningful under -race.
 func TestIndexConcurrentQueriesAndWrites(t *testing.T) {
 	res := &loadResolver{loads: map[wire.ObjRef]float64{}, down: map[wire.ObjRef]bool{monitorRef(1): true}}
 	for i := 0; i < 4; i++ {
@@ -518,10 +519,10 @@ func TestIndexConcurrentQueriesAndWrites(t *testing.T) {
 				var rs []QueryResult
 				var err error
 				if q == 0 {
-					rs, err = tr.Query(context.Background(), "S", "Load < 25", "min Load", 3)
+					rs, err = tr.Query(context.Background(), "S", "Cores >= 1 and Load < 25", "min Load", 3)
 				} else {
 					var reply []wire.Value
-					if reply, err = sv.Invoke("query", []wire.Value{wire.String("S"), wire.String("Load < 25"), wire.String("min Load"), wire.Int(3)}); err == nil {
+					if reply, err = sv.Invoke("query", []wire.Value{wire.String("S"), wire.String("Cores >= 1 and Load < 25"), wire.String("min Load"), wire.Int(3)}); err == nil {
 						rs, err = ResultsFromWire(reply[0])
 					}
 				}
@@ -529,9 +530,12 @@ func TestIndexConcurrentQueriesAndWrites(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				for j := 1; j < len(rs); j++ {
-					if rs[j-1].Snapshot["Load"].Num() > rs[j].Snapshot["Load"].Num() {
+				for j := range rs {
+					if j > 0 && rs[j-1].Snapshot["Load"].Num() > rs[j].Snapshot["Load"].Num() {
 						t.Errorf("results out of preference order: %v", rs)
+					}
+					if rs[j].Snapshot["Cores"].Num() < 1 {
+						t.Errorf("static conjunct admitted %v", rs[j])
 					}
 				}
 			}
@@ -545,7 +549,8 @@ func TestIndexConcurrentQueriesAndWrites(t *testing.T) {
 
 // TestQueryAllocsIndependentOfCandidates is the alloc guard of the
 // snapshot-free evaluation: what a query allocates depends on the rows it
-// returns, not on how many offers of the type it had to consider.
+// returns, not on how many offers of the type it had to consider, nor on
+// how many of them the static conjunct (a quarter have one core) rejects.
 func TestQueryAllocsIndependentOfCandidates(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("the race detector disables the pooled query scratch")
@@ -560,7 +565,7 @@ func TestQueryAllocsIndependentOfCandidates(t *testing.T) {
 			_, err := tr.Export("LoadShared", serverRef(i), map[string]PropValue{
 				"LoadAvg":           {Dynamic: monitorRef(i)},
 				"LoadAvgIncreasing": {Dynamic: monitorRef(i), Aspect: "Increasing"},
-				"Cores":             {Static: wire.Int(4)},
+				"Cores":             {Static: wire.Int([...]int{1, 4, 4, 4}[i%4])},
 			})
 			if err != nil {
 				t.Fatal(err)

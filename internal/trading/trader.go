@@ -499,12 +499,14 @@ func (t *Trader) OfferCount() int {
 // Query is liveness-aware (see lease.go): offers whose lease has expired
 // are never candidates, and quarantined offers — those whose dynamic
 // properties failed to resolve on several consecutive queries — are
-// excluded from the results. Quarantined offers still have their dynamic
-// properties resolved as *probes*, so a recovered monitor rehabilitates
-// its offer and the next query sees it again.
+// excluded from the results. Quarantined offers that their static conjuncts
+// admit still have their dynamic properties resolved as *probes*, so a
+// recovered monitor rehabilitates its offer and the next query sees it again.
 //
 // Resolution is demand-driven: dynamic properties are resolved only when
-// the constraint or preference references them by name. Identical reads —
+// the constraint or preference references them by name, and only for
+// offers that no conjunct of the constraint's top-level "and" chain reading
+// only static properties rejects. Identical reads —
 // same object, same aspect — are resolved once per query and the value
 // shared; the distinct reads are grouped by object, each object is
 // interrogated once for all of its aspects (BatchResolver), and the objects
@@ -606,9 +608,22 @@ func (t *Trader) query(ctx context.Context, serviceType, constraint, preference 
 		}
 	}
 	t.mu.RUnlock()
-	sc.candidates = candidates
 	t.statScanned.Add(int64(len(recs)))
 	t.statCandidates.Add(int64(len(candidates)))
+
+	// The static pass drops the candidates a static conjunct rejects before
+	// anything is resolved for them; the survivors keep their open conjuncts.
+	vals := slices.Grow(sc.vals[:0], len(names))[:len(names)]
+	sc.vals = vals
+	kept := candidates[:0]
+	for i := range candidates {
+		c := &candidates[i]
+		sc.load(c, vals[:len(cons.refs)], false)
+		if c.open, ok = cons.passStatic(vals[:len(cons.refs)]); ok {
+			kept = append(kept, *c)
+		}
+	}
+	candidates, sc.candidates = kept, kept
 
 	resolveCtx := ctx
 	if resolveTimeout > 0 {
@@ -625,9 +640,8 @@ func (t *Trader) query(ctx context.Context, serviceType, constraint, preference 
 	t.resolveReferenced(resolveCtx, candidates, resolve, workers, sc)
 	t.noteResolveOutcomes(ctx, candidates, sc.outcomes)
 
-	vals := slices.Grow(sc.vals[:0], len(names))[:len(names)]
 	prefVals := slices.Grow(sc.prefVals[:0], len(prefAt))[:len(prefAt)]
-	sc.vals, sc.prefVals = vals, prefVals
+	sc.prefVals = prefVals
 	keys := slices.Grow(sc.keys[:0], len(candidates))[:len(candidates)]
 	sc.keys = keys
 	ranked := pref.kind != prefFirst
@@ -637,8 +651,8 @@ func (t *Trader) query(ctx context.Context, serviceType, constraint, preference 
 		if c.quarantined {
 			continue // probed above, but untrusted until rehabilitated
 		}
-		sc.load(c, vals)
-		if v, err := cons.root.run(vals[:len(cons.refs)]); err != nil || !v.Truthy() {
+		sc.load(c, vals, true)
+		if !cons.passRest(c.open, vals[:len(cons.refs)]) {
 			continue
 		}
 		matched = append(matched, i)
@@ -660,13 +674,17 @@ func (t *Trader) query(ctx context.Context, serviceType, constraint, preference 
 	return nil
 }
 
-// load fills vals with candidate c's values of the query's names: statics
-// from its slots, dynamics from this query's resolutions, and nil where the
-// offer lacks the property or its dynamic value did not resolve.
-func (sc *queryScratch) load(c *offerView, vals []*wire.Value) {
-	for u, s := range sc.slotOf {
+// load fills vals with candidate c's values of the first len(vals) of the
+// query's names: statics from its slots, dynamics from this query's
+// resolutions (&unresolved until resolved), and nil where the offer lacks
+// the property or its dynamic value did not resolve.
+func (sc *queryScratch) load(c *offerView, vals []*wire.Value, resolved bool) {
+	for u := range vals {
+		s := sc.slotOf[u]
 		vals[u] = nil
-		if pv, ok := c.props.get(s); ok {
+		if pv, ok := c.props.get(s); ok && !resolved && pv.IsDynamic() {
+			vals[u] = &unresolved
+		} else if ok {
 			vals[u] = sc.snapValue(c, s, pv)
 		}
 	}
@@ -716,12 +734,14 @@ func (sc *queryScratch) result(c *offerView) QueryResult {
 
 // offerView pairs an offer's record with the properties captured under the
 // trader lock, pinning a consistent property set for the rest of the query.
-// quarantined marks offers resolved only as probes, never matched; lo:hi is
+// quarantined marks offers resolved only as probes, never matched; open is
+// the mask of the constraint's conjuncts the static pass left open; lo:hi is
 // the offer's range in the query's pend list.
 type offerView struct {
 	rec         *offerRecord
 	props       slotProps
 	quarantined bool
+	open        uint64
 	lo, hi      int
 }
 
@@ -921,6 +941,7 @@ func (t *Trader) resolveReferenced(ctx context.Context, offers []offerView, slot
 	for i := range offers {
 		outcomes = append(outcomes, resolveNone)
 		offers[i].lo = len(pend)
+		g := -1
 		for _, s := range slots {
 			pv, ok := offers[i].props.get(s)
 			if !ok || !pv.IsDynamic() {
@@ -932,12 +953,14 @@ func (t *Trader) resolveReferenced(ctx context.Context, offers []offerView, slot
 				// off one monitor each.
 				gi.reset(len(offers))
 			}
-			h := FNVString(FNVString(FNVOffset64, pv.Dynamic.Endpoint), pv.Dynamic.Key)
-			g := gi.lookup(groups, h, pv.Dynamic)
-			if g < 0 {
-				g = len(groups)
-				groups = append(groups, resolveGroup{ref: pv.Dynamic, hash: h, head: -1, tail: -1})
-				gi.insert(groups, g)
+			// An offer's properties usually name one monitor (Fig. 6).
+			if g < 0 || groups[g].ref != pv.Dynamic {
+				h := FNVString(FNVString(FNVOffset64, pv.Dynamic.Endpoint), pv.Dynamic.Key)
+				if g = gi.lookup(groups, h, pv.Dynamic); g < 0 {
+					g = len(groups)
+					groups = append(groups, resolveGroup{ref: pv.Dynamic, hash: h, head: -1, tail: -1})
+					gi.insert(groups, g)
+				}
 			}
 			idx := groups[g].head
 			for idx >= 0 && tasks[idx].aspect != pv.Aspect {
