@@ -125,7 +125,8 @@ loc:
 # compact value's representation, the VM-vs-reference differential fuzzer,
 # the script/wire conversion's round trip, the trader's constraint and
 # preference parsers and its query reply's reader and writer against the
-# generic codec — and the E15
+# generic codec, the monitor servant's written reads against its values —
+# and the E15
 # governed-vs-ungoverned overload experiment. The reply fuzzer's inputs are
 # whole replies, and the decoder's include requests past the 1 KiB a
 # borrowed request's views start at: minimising each new one would spend
@@ -144,4 +145,5 @@ chaos:
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzParseConstraint -fuzztime $(FUZZTIME) ./internal/trading
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzParsePreference -fuzztime $(FUZZTIME) ./internal/trading
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzQueryReply -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/trading
+	$(GO) test -count=1 -run '^$$' -fuzz FuzzServantReplies -fuzztime $(FUZZTIME) ./internal/monitor
 	$(GO) test -count=1 -run 'Overload|HostileQuarantine' ./internal/experiment

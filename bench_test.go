@@ -18,6 +18,7 @@ package autoadapt
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -273,6 +274,16 @@ func BenchmarkE5TraderQuery1000Dynamic(b *testing.B) { benchTrader(b, 1000, 1) }
 // would measure a degenerate zero-RTT network no deployment has.
 const e10MonServiceTime = 200 * time.Microsecond
 
+// serviceWait waits d out: it yields until the deadline, so other
+// goroutines run meanwhile and concurrent waits overlap, and it ends at the
+// deadline. A 200 µs time.Sleep lasts about 1.1 ms on a 2-CPU Linux
+// machine, the timer's granularity there.
+func serviceWait(d time.Duration) {
+	for end := time.Now().Add(d); time.Now().Before(end); {
+		runtime.Gosched()
+	}
+}
+
 // benchRemoteQuery measures end-to-end trader query latency when every
 // offer's LoadAvg is a dynamic property served by a monitor servant behind
 // a real TCP ORB endpoint, as the offer count grows. Monitors are spread
@@ -326,7 +337,7 @@ func benchRemoteQuery(b *testing.B, offers, hosts, workers int, shape e10Shape) 
 					return nil, fmt.Errorf("monitor: no such operation %q", op)
 				}
 				roundTrips.Add(1)
-				time.Sleep(e10MonServiceTime)
+				serviceWait(e10MonServiceTime)
 				return out, nil
 			}))
 		props := map[string]trading.PropValue{"LoadAvg": {Dynamic: monRef}}

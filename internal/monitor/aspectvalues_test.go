@@ -15,8 +15,24 @@ type dropSink struct{}
 
 func (dropSink) Push(...wire.Value) error { return nil }
 
+// aspectValues is AppendValues decoded: the values in the order named.
+func aspectValues(m *Monitor, names ...string) ([]wire.Value, error) {
+	b, err := m.AppendValues(nil, names...)
+	if err != nil {
+		return nil, err
+	}
+	d := wire.NewDecoder(b)
+	vs := make([]wire.Value, len(names))
+	for i := range vs {
+		if vs[i], err = d.Value(); err != nil {
+			return nil, err
+		}
+	}
+	return vs, nil
+}
+
 // TestAspectValuesReadOneSample: while one goroutine feeds new values and
-// another ticks, every AspectValues answer is the value and the aspects
+// another ticks, every AppendValues answer is the value and the aspects
 // computed from that very value. (A push observer is attached so that
 // SetValue recomputes the aspects under the same hold of the lock, as a
 // Tick does.) Run under -race.
@@ -70,13 +86,13 @@ func TestAspectValuesReadOneSample(t *testing.T) {
 	}()
 	last := -1.0
 	for last < samples {
-		vs, err := m.AspectValues("Double", "", "Same")
+		vs, err := aspectValues(m, "Double", "", "Same")
 		if err != nil {
 			t.Fatal(err)
 		}
 		v := vs[1].Num()
 		if len(vs) != 3 || vs[2].Num() != v || vs[0].Num() != 2*v {
-			t.Fatalf("AspectValues(Double, value, Same) = %v: not one sample", vs)
+			t.Fatalf("AppendValues(Double, value, Same) = %v: not one sample", vs)
 		}
 		if v < last {
 			t.Fatalf("value went back from %v to %v", last, v)
@@ -97,15 +113,15 @@ func TestAspectValuesErrors(t *testing.T) {
 	}
 	// One undefined name fails the call: a caller wanting the rest asks
 	// name by name.
-	if _, err := m.AspectValues("A", "missing"); !errors.Is(err, ErrNoSuchAspect) {
-		t.Fatalf("AspectValues with an undefined aspect: %v", err)
+	if _, err := aspectValues(m, "A", "missing"); !errors.Is(err, ErrNoSuchAspect) {
+		t.Fatalf("AppendValues with an undefined aspect: %v", err)
 	}
-	if vs, err := m.AspectValues(); err != nil || len(vs) != 0 {
-		t.Fatalf("AspectValues() = %v, %v", vs, err)
+	if vs, err := aspectValues(m); err != nil || len(vs) != 0 {
+		t.Fatalf("AppendValues() = %v, %v", vs, err)
 	}
 	m.Close()
-	if _, err := m.AspectValues("A"); !errors.Is(err, ErrClosed) {
-		t.Fatalf("AspectValues on a closed monitor: %v", err)
+	if _, err := aspectValues(m, "A"); !errors.Is(err, ErrClosed) {
+		t.Fatalf("AppendValues on a closed monitor: %v", err)
 	}
 }
 

@@ -181,7 +181,8 @@ type Monitor struct {
 	aspects   []*aspect    // ordered by name, the order each sample evaluates them in
 	observers []*observer  // ordered by id, likewise
 	nextObsID int
-	selfTable script.Value // table exposing monitor methods to shipped code
+	selfTable script.Value    // table exposing monitor methods to shipped code
+	args      [3]script.Value // detectLocked's argument array (Interp.Call keeps none)
 	closed    bool
 	ticks     int // update cycles run, read by the tests
 
@@ -381,7 +382,8 @@ func (m *Monitor) detectLocked() ([]*observer, wire.Value) {
 	// Recompute aspects.
 	for i := 0; i < len(m.aspects); i++ {
 		a := m.aspects[i]
-		vs, err := m.in.Call(a.fn, []script.Value{a.self, m.value, m.selfTable})
+		m.args = [3]script.Value{a.self, m.value, m.selfTable}
+		vs, err := m.in.Call(a.fn, m.args[:])
 		if err != nil {
 			m.logf("monitor %s: aspect %s: %v", m.opts.Name, a.name, err)
 			if script.IsBudgetError(err) && a.budgetFails.Fail() {
@@ -413,7 +415,8 @@ func (m *Monitor) detectLocked() ([]*observer, wire.Value) {
 		if !o.ref.IsZero() {
 			obsArg = script.Ref(o.ref)
 		}
-		vs, err := m.in.Call(o.fn, []script.Value{obsArg, m.value, m.selfTable})
+		m.args = [3]script.Value{obsArg, m.value, m.selfTable}
+		vs, err := m.in.Call(o.fn, m.args[:])
 		if err != nil {
 			m.logf("monitor %s: predicate for %s: %v", m.opts.Name, o.eventID, err)
 			if script.IsBudgetError(err) && o.budgetFails.Fail() {
@@ -591,31 +594,31 @@ func (m *Monitor) AspectValue(name string) (wire.Value, error) {
 	return v.ToWire()
 }
 
-// AspectValues returns, position for position, the last computed value of
-// each named aspect, "" naming the property value itself
-// (getAspectValues). They are read under one hold of the monitor's lock, so
-// all of them belong to one sample; separate AspectValue calls can straddle
-// a Tick. One undefined name fails the whole call.
-func (m *Monitor) AspectValues(names ...string) ([]wire.Value, error) {
-	out := make([]wire.Value, len(names))
+// AppendValues appends to dst, position for position, the wire encoding
+// of the last computed value of each named aspect, "" naming the property
+// value itself: the servant's getValue, getAspectValue and getAspectValues
+// replies. They are read under one hold of the monitor's lock, so all of
+// them belong to one sample; separate AspectValue calls can straddle a
+// Tick. One undefined name fails the whole call.
+func (m *Monitor) AppendValues(dst []byte, names ...string) ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return nil, ErrClosed
+		return dst, ErrClosed
 	}
-	for i, name := range names {
+	for _, name := range names {
 		v, err := m.value, error(nil)
 		if name != "" {
 			v, err = m.aspectLocked(name)
 		}
 		if err == nil {
-			out[i], err = v.ToWire()
+			dst, err = v.AppendWire(dst)
 		}
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
 	}
-	return out, nil
+	return dst, nil
 }
 
 // DefinedAspects lists aspect names, sorted (definedAspects).

@@ -9,6 +9,8 @@ import (
 
 // Servant exposes a Monitor over the ORB under the paper's EventMonitor
 // interface (which transitively includes BasicMonitor and AspectsManager).
+// It writes the reads a trader resolves dynamic properties with straight
+// into the reply frame (orb.ResultWriter, Monitor.AppendValues).
 type Servant struct {
 	m *Monitor
 }
@@ -16,7 +18,7 @@ type Servant struct {
 // NewServant wraps m.
 func NewServant(m *Monitor) *Servant { return &Servant{m: m} }
 
-var _ orb.Servant = (*Servant)(nil)
+var _ orb.ResultWriter = (*Servant)(nil)
 var _ orb.EventSource = (*Servant)(nil)
 
 // Subscribe implements orb.EventSource: the topic is the event id and
@@ -35,16 +37,51 @@ func (s *Servant) Subscribe(topic string, args []wire.Value, sink orb.EventSink)
 	return func() { s.m.DetachObserver(id) }, nil
 }
 
+// AppendResults implements orb.ResultWriter for getValue, getAspectValue
+// and getAspectValues. Invoke answers the rest, and getAspectValue without
+// a name or with "", which names an aspect there, not the property value.
+func (s *Servant) AppendResults(dst []byte, op string, args []wire.Value) ([]byte, bool, error) {
+	var buf [8]string // keeps the usual handful of names off the heap
+	names := buf[:0]
+	switch {
+	case op == "getValue":
+		names = append(names, "")
+	case op == "getAspectValue" && len(args) > 0 && args[0].Str() != "":
+		names = append(names, args[0].Str())
+	case op == "getAspectValues":
+		// Not in the paper's IDL, whose subset cannot say "any number of
+		// names": a caller refused the operation falls back to the two above.
+		if len(args) < 1 {
+			return dst, true, orb.Appf("getAspectValues: at least one aspect name required")
+		}
+		for i, a := range args {
+			if a.Kind() != wire.KindString {
+				return dst, true, orb.Appf("getAspectValues: argument %d: aspect names are strings", i+1)
+			}
+			names = append(names, a.Str())
+		}
+	default:
+		return dst, false, nil
+	}
+	dst, err := s.m.AppendValues(wire.AppendValueCount(dst, len(names)), names...)
+	return dst, true, wrapMonErr(err)
+}
+
 // Invoke implements orb.Servant, dispatching the operations of Figs. 1-2
-// and getAspectValues, the positional multi-read of Monitor.AspectValues.
+// and getAspectValues, the positional multi-read of Monitor.AppendValues.
+// Its replies to getValue and getAspectValues are the written ones decoded.
 func (s *Servant) Invoke(op string, args []wire.Value) ([]wire.Value, error) {
 	switch op {
-	case "getValue":
-		v, err := s.m.Value()
+	case "getValue", "getAspectValues":
+		b, _, err := s.AppendResults(wire.AppendReplyHeader(nil, 0), op, args)
 		if err != nil {
-			return nil, wrapMonErr(err)
+			return nil, err
 		}
-		return []wire.Value{v}, nil
+		msg, err := wire.DecodeMessage(b)
+		if err != nil {
+			return nil, err
+		}
+		return msg.Rep.Results, nil
 	case "setValue":
 		if len(args) < 1 {
 			return nil, orb.Appf("setValue: value required")
@@ -66,25 +103,6 @@ func (s *Servant) Invoke(op string, args []wire.Value) ([]wire.Value, error) {
 			return nil, wrapMonErr(err)
 		}
 		return []wire.Value{v}, nil
-	case "getAspectValues":
-		// Not in the paper's IDL, whose subset cannot say "any number of
-		// names": a caller refused the operation falls back to the two above.
-		if len(args) < 1 {
-			return nil, orb.Appf("getAspectValues: at least one aspect name required")
-		}
-		var buf [8]string // keeps the usual handful of names off the heap
-		names := buf[:0]
-		for i, a := range args {
-			if a.Kind() != wire.KindString {
-				return nil, orb.Appf("getAspectValues: argument %d: aspect names are strings", i+1)
-			}
-			names = append(names, a.Str())
-		}
-		vs, err := s.m.AspectValues(names...)
-		if err != nil {
-			return nil, wrapMonErr(err)
-		}
-		return vs, nil
 	case "definedAspects":
 		out := wire.NewTable()
 		for _, n := range s.m.DefinedAspects() {
@@ -126,6 +144,9 @@ func (s *Servant) Invoke(op string, args []wire.Value) ([]wire.Value, error) {
 }
 
 func wrapMonErr(err error) error {
+	if err == nil {
+		return nil // before appErr, which errors.As moves to the heap
+	}
 	var appErr *orb.AppError
 	if errors.As(err, &appErr) {
 		return err

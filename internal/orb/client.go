@@ -204,12 +204,15 @@ func (c *Client) Invoke(ctx context.Context, ref wire.ObjRef, op string, args ..
 	return c.invoke(ctx, ref, op, args, nil)
 }
 
-// resultsDecoder reads a reply's n results from d into the caller's own
-// types (see Proxy.CallDecode).
-type resultsDecoder = func(d *wire.Decoder, n int) error
+// ResultReader reads a reply's n results from d into its implementer's own
+// memory (see Proxy.CallDecode). It escapes: implemented on a pointer the
+// caller already holds, it costs no allocation, where a closure costs some.
+type ResultReader interface {
+	ReadResults(d *wire.Decoder, n int) error
+}
 
 // invoke is Invoke, with the results handed to dec when it is not nil.
-func (c *Client) invoke(ctx context.Context, ref wire.ObjRef, op string, args []wire.Value, dec resultsDecoder) ([]wire.Value, error) {
+func (c *Client) invoke(ctx context.Context, ref wire.ObjRef, op string, args []wire.Value, dec ResultReader) ([]wire.Value, error) {
 	if ref.IsZero() {
 		return nil, errors.New("orb: invoke on nil object reference")
 	}
@@ -244,7 +247,7 @@ func (c *Client) invoke(ctx context.Context, ref wire.ObjRef, op string, args []
 // bypass the circuit breaker (an in-process servant cannot be
 // partitioned); remote calls consult the endpoint's breaker before
 // touching the transport and feed their outcome back into it.
-func (c *Client) invokeOnce(ctx context.Context, ref wire.ObjRef, op string, args []wire.Value, dec resultsDecoder) ([]wire.Value, error) {
+func (c *Client) invokeOnce(ctx context.Context, ref wire.ObjRef, op string, args []wire.Value, dec ResultReader) ([]wire.Value, error) {
 	if c.metrics != nil {
 		start := time.Now()
 		rs, err := c.invokeOnceUntimed(ctx, ref, op, args, dec)
@@ -254,7 +257,7 @@ func (c *Client) invokeOnce(ctx context.Context, ref wire.ObjRef, op string, arg
 	return c.invokeOnceUntimed(ctx, ref, op, args, dec)
 }
 
-func (c *Client) invokeOnceUntimed(ctx context.Context, ref wire.ObjRef, op string, args []wire.Value, dec resultsDecoder) ([]wire.Value, error) {
+func (c *Client) invokeOnceUntimed(ctx context.Context, ref wire.ObjRef, op string, args []wire.Value, dec ResultReader) ([]wire.Value, error) {
 	c.localMu.RLock()
 	local, ok := c.local[ref.Endpoint]
 	c.localMu.RUnlock()
@@ -278,7 +281,7 @@ func (c *Client) invokeOnceUntimed(ctx context.Context, ref wire.ObjRef, op stri
 
 // invokeRemote is one transport-level attempt: connect (or reuse) and
 // round-trip.
-func (c *Client) invokeRemote(ctx context.Context, ref wire.ObjRef, op string, args []wire.Value, dec resultsDecoder) ([]wire.Value, error) {
+func (c *Client) invokeRemote(ctx context.Context, ref wire.ObjRef, op string, args []wire.Value, dec ResultReader) ([]wire.Value, error) {
 	cc, err := c.conn(ctx, ref.Endpoint)
 	if err != nil {
 		return nil, err
@@ -290,12 +293,13 @@ func (c *Client) invokeRemote(ctx context.Context, ref wire.ObjRef, op string, a
 // context never dispatches, and a cancellable one can interrupt the wait
 // (the servant call itself runs to completion in a tracked goroutine).
 // Results for dec are encoded into a pooled buffer for it to read, as it
-// reads a remote reply's.
-func (c *Client) invokeLocal(ctx context.Context, local *Server, key, op string, args []wire.Value, dec resultsDecoder) ([]wire.Value, error) {
+// reads a remote reply's. The servant gets a copy of args, so that no
+// caller's argument array escapes: the compiler cannot see it keeps none.
+func (c *Client) invokeLocal(ctx context.Context, local *Server, key, op string, args []wire.Value, dec ResultReader) ([]wire.Value, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	req := &wire.Request{ObjectKey: key, Operation: op, Args: args}
+	req := &wire.Request{ObjectKey: key, Operation: op, Args: slices.Clone(args)}
 	if dl, ok := ctx.Deadline(); ok {
 		req.Deadline = dl.UnixNano()
 	}
@@ -334,7 +338,7 @@ func (e *decodeError) Error() string { return e.err.Error() }
 
 // localResults is replyToResults for a collocated reply, whose results, for
 // dec, go through the wire encoding.
-func localResults(rep *wire.Reply, dec resultsDecoder) ([]wire.Value, error) {
+func localResults(rep *wire.Reply, dec ResultReader) ([]wire.Value, error) {
 	if dec == nil || rep.Err != "" {
 		return replyToResults(rep)
 	}
@@ -348,7 +352,7 @@ func localResults(rep *wire.Reply, dec resultsDecoder) ([]wire.Value, error) {
 		}
 	}
 	fb.B = b
-	if err := dec(wire.NewDecoder(b), len(rep.Results)); err != nil {
+	if err := dec.ReadResults(wire.NewDecoder(b), len(rep.Results)); err != nil {
 		return nil, &decodeError{err}
 	}
 	return nil, nil
@@ -538,10 +542,10 @@ type clientConn struct {
 type pendingCall struct {
 	ch   chan *wire.Reply
 	fut  *Future
-	dec  resultsDecoder // a synchronous caller's, which reads the results itself
-	err  error          // dec's, when it fails on a reply that is valid wire
-	bg   bool           // counted in background: a future, or a caller that may give up
-	sent bool           // a synchronous caller whose request is out: it may read (see markSent)
+	dec  ResultReader // a synchronous caller's, which reads the results itself
+	err  error        // dec's, when it fails on a reply that is valid wire
+	bg   bool         // counted in background: a future, or a caller that may give up
+	sent bool         // a synchronous caller whose request is out: it may read (see markSent)
 }
 
 var (
@@ -695,7 +699,7 @@ func (cc *clientConn) close(err error) {
 // register allocates a request id and installs a waiter for its reply.
 // fut == nil installs a pooled synchronous waiter, whose results dec reads
 // when it is not nil.
-func (cc *clientConn) register(fut *Future, cancellable bool, dec resultsDecoder) (*pendingCall, uint64, error) {
+func (cc *clientConn) register(fut *Future, cancellable bool, dec ResultReader) (*pendingCall, uint64, error) {
 	cc.mu.Lock()
 	if cc.dead {
 		err := cc.deadErr
@@ -850,7 +854,7 @@ func (cc *clientConn) read(self *pendingCall) {
 // payload is not valid wire.
 func (cc *clientConn) decodeReply(payload []byte, pc *pendingCall) (*wire.Reply, error) {
 	if pc != nil && pc.dec != nil {
-		if handled, err := cc.fr.DecodeResults(payload, pc.dec); handled {
+		if handled, err := cc.fr.DecodeResults(payload, pc.dec.ReadResults); handled {
 			if err != nil {
 				if _, perr := cc.fr.Decode(payload); perr != nil {
 					return nil, perr
@@ -988,7 +992,7 @@ func (cc *clientConn) releaseSlot() {
 	}
 }
 
-func (cc *clientConn) roundTrip(ctx context.Context, key, op string, args []wire.Value, dec resultsDecoder) ([]wire.Value, error) {
+func (cc *clientConn) roundTrip(ctx context.Context, key, op string, args []wire.Value, dec ResultReader) ([]wire.Value, error) {
 	cc.c.stats.syncCalls.Add(1)
 	if err := cc.acquireSlot(ctx); err != nil {
 		return nil, err
@@ -999,7 +1003,7 @@ func (cc *clientConn) roundTrip(ctx context.Context, key, op string, args []wire
 		return nil, err
 	}
 	if err := cc.sendRequest(ctx, id, key, op, args); err != nil {
-		cc.forget(id, false)
+		cc.abandon(id, pc, dec, false)
 		return nil, err
 	}
 	if cc.markSent(id, pc) {
@@ -1022,7 +1026,7 @@ func (cc *clientConn) roundTrip(ctx context.Context, key, op string, args []wire
 			}
 			return replyToResults(rep)
 		case <-ctx.Done():
-			if !cc.forget(id, true) && !cc.isDead() {
+			if !cc.abandon(id, pc, dec, true) && !cc.isDead() {
 				// The reply won the race with our cancellation: it was (or
 				// is being) delivered into a waiter nobody will read.
 				cc.c.stats.lateReplies.Add(1)
@@ -1052,6 +1056,17 @@ func (cc *clientConn) forget(id uint64, sent bool) bool {
 	}
 	putPendingCall(pc) // a waiter still pending holds neither reply nor role
 	return true
+}
+
+// abandon is forget for a synchronous caller about to return. When the
+// reader has claimed pc, dec may be running: wait, so that it never writes
+// after the call has returned.
+func (cc *clientConn) abandon(id uint64, pc *pendingCall, dec ResultReader, sent bool) bool {
+	ok := cc.forget(id, sent)
+	if !ok && dec != nil {
+		<-pc.ch // delivered, or closed with the connection
+	}
+	return ok
 }
 
 func (cc *clientConn) sendOneway(key, op string, args []wire.Value) error {
@@ -1097,9 +1112,10 @@ func (p *Proxy) Call(ctx context.Context, op string, args ...wire.Value) ([]wire
 // reads straight into the caller's own types, with no wire.Value tree in
 // between; it must read all n results. Its error fails the call (when the
 // bytes are valid wire; otherwise, as for any reply, the connection
-// closes). dec is not called for a reply that arrives after the call gave
-// up.
-func (p *Proxy) CallDecode(ctx context.Context, op string, dec func(d *wire.Decoder, n int) error, args ...wire.Value) error {
+// closes). dec never runs after CallDecode returns, so it may be pooled: a
+// reply for a call that gave up is counted late and never decoded, unless
+// the reader had claimed it, and then the call waits for dec to finish.
+func (p *Proxy) CallDecode(ctx context.Context, op string, dec ResultReader, args ...wire.Value) error {
 	_, err := p.c.invoke(ctx, p.ref, op, args, dec)
 	return err
 }

@@ -22,7 +22,7 @@ type numberDecoder struct {
 	calls atomic.Int64
 }
 
-func (nd *numberDecoder) decode(d *wire.Decoder, n int) error {
+func (nd *numberDecoder) ReadResults(d *wire.Decoder, n int) error {
 	nd.calls.Add(1)
 	if n != 1 {
 		return errors.New("wrong shape")
@@ -38,6 +38,11 @@ func (nd *numberDecoder) decode(d *wire.Decoder, n int) error {
 	nd.got = num
 	return nil
 }
+
+// refuser fails every reply with err, reading nothing.
+type refuser struct{ err error }
+
+func (r refuser) ReadResults(*wire.Decoder, int) error { return r.err }
 
 // decodeWorld serves "num" (a number), "str" (a string), "slow" (a number
 // once released) and, through a ResultWriter, "raw" (whatever bytes the
@@ -114,13 +119,13 @@ func TestCallDecodeWrongShapeFailsOnlyItsCall(t *testing.T) {
 	forTransports(t, func(t *testing.T, w *decodeWorld) {
 		ctx := context.Background()
 		var nd numberDecoder
-		if err := w.proxy.CallDecode(ctx, "num", nd.decode); err != nil || nd.got != 7 {
+		if err := w.proxy.CallDecode(ctx, "num", &nd); err != nil || nd.got != 7 {
 			t.Fatalf("num: %v, got %v", err, nd.got)
 		}
 		cc := w.conn()
 		wrong := errors.New("wrong shape")
-		refuse := func(*wire.Decoder, int) error { return wrong }
-		if err := w.proxy.CallDecode(ctx, "str", nd.decode); err == nil || err.Error() != "wrong shape" {
+		refuse := refuser{wrong}
+		if err := w.proxy.CallDecode(ctx, "str", &nd); err == nil || err.Error() != "wrong shape" {
 			t.Fatalf("str: %v, want the decoder's error", err)
 		}
 		strict := NewClientOpts(ClientOptions{Networks: []Network{w.nw},
@@ -137,7 +142,7 @@ func TestCallDecodeWrongShapeFailsOnlyItsCall(t *testing.T) {
 			t.Fatalf("breaker %s after a refused reply, want closed", st)
 		}
 		nd.got = 0
-		if err := w.proxy.CallDecode(ctx, "num", nd.decode); err != nil || nd.got != 7 {
+		if err := w.proxy.CallDecode(ctx, "num", &nd); err != nil || nd.got != 7 {
 			t.Fatalf("num after a wrong shape: %v, got %v", err, nd.got)
 		}
 		if w.conn() != cc || cc.isDead() {
@@ -159,14 +164,14 @@ func TestCallDecodeInvalidWireClosesConnection(t *testing.T) {
 			t.Fatal(err)
 		}
 		cc := w.conn()
-		err := w.proxy.CallDecode(ctx, "raw", nd.decode)
+		err := w.proxy.CallDecode(ctx, "raw", &nd)
 		if err == nil || !strings.Contains(err.Error(), "protocol error: wire: decode result 0: wire: unknown value tag 0xff") {
 			t.Fatalf("raw: %v, want the protocol error", err)
 		}
 		if !cc.isDead() {
 			t.Fatal("an invalid reply left the connection up")
 		}
-		if err := w.proxy.CallDecode(ctx, "num", nd.decode); err != nil || nd.got != 7 {
+		if err := w.proxy.CallDecode(ctx, "num", &nd); err != nil || nd.got != 7 {
 			t.Fatalf("num on a new connection: %v, got %v", err, nd.got)
 		}
 	})
@@ -181,7 +186,7 @@ func TestCallDecodeCancelledInFlight(t *testing.T) {
 		var nd numberDecoder
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan error, 1)
-		go func() { done <- w.proxy.CallDecode(ctx, "slow", nd.decode) }()
+		go func() { done <- w.proxy.CallDecode(ctx, "slow", &nd) }()
 		<-w.started
 		cancel()
 		if err := <-done; !errors.Is(err, context.Canceled) {
@@ -197,8 +202,48 @@ func TestCallDecodeCancelledInFlight(t *testing.T) {
 		if n := nd.calls.Load(); n != 0 {
 			t.Fatalf("the late reply reached the decoder %d times", n)
 		}
-		if err := w.proxy.CallDecode(context.Background(), "num", nd.decode); err != nil || nd.got != 7 {
+		if err := w.proxy.CallDecode(context.Background(), "num", &nd); err != nil || nd.got != 7 {
 			t.Fatalf("num after the late reply: %v, got %v", err, nd.got)
+		}
+	})
+}
+
+// blockingReader is a numberDecoder that reports when it starts reading
+// and then waits to be released.
+type blockingReader struct {
+	numberDecoder
+	entered, release chan struct{}
+}
+
+func (b *blockingReader) ReadResults(d *wire.Decoder, n int) error {
+	close(b.entered)
+	<-b.release
+	return b.numberDecoder.ReadResults(d, n)
+}
+
+// TestCallDecodeWaitsForRunningDecoder: a call that gives up while the
+// reader is running its decoder returns only once the decoder has, so a
+// pooled reader is never written after the call returns.
+func TestCallDecodeWaitsForRunningDecoder(t *testing.T) {
+	forTransports(t, func(t *testing.T, w *decodeWorld) {
+		br := &blockingReader{entered: make(chan struct{}), release: make(chan struct{})}
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() { done <- w.proxy.CallDecode(ctx, "num", br) }()
+		<-br.entered
+		cancel()
+		select {
+		case err := <-done:
+			close(br.release) // so that the connection can close
+			t.Fatalf("the call returned (%v) while its decoder ran", err)
+		case <-time.After(20 * time.Millisecond):
+		}
+		close(br.release)
+		if err := <-done; !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled call: %v", err)
+		}
+		if br.got != 7 {
+			t.Fatalf("decoder read %v, want 7", br.got)
 		}
 	})
 }
@@ -212,10 +257,10 @@ func TestCallDecodeCollocated(t *testing.T) {
 	defer cancel()
 	for _, ctx := range []context.Context{context.Background(), ctx} {
 		var nd numberDecoder
-		if err := w.proxy.CallDecode(ctx, "num", nd.decode); err != nil || nd.got != 7 {
+		if err := w.proxy.CallDecode(ctx, "num", &nd); err != nil || nd.got != 7 {
 			t.Fatalf("num: %v, got %v", err, nd.got)
 		}
-		if err := w.proxy.CallDecode(ctx, "str", nd.decode); err == nil || err.Error() != "wrong shape" {
+		if err := w.proxy.CallDecode(ctx, "str", &nd); err == nil || err.Error() != "wrong shape" {
 			t.Fatalf("str: %v, want the decoder's error", err)
 		}
 	}

@@ -36,6 +36,7 @@ package script
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"autoadapt/internal/wire"
@@ -319,6 +320,31 @@ func (v Value) ToWire() (wire.Value, error) {
 	default:
 		return wire.Nil(), fmt.Errorf("script: cannot convert kind %v", v.kind)
 	}
+}
+
+// AppendWire appends to dst the bytes wire.AppendValue writes for
+// v.ToWire(). A list, such as a load triple, is written in place, with no
+// wire.Table built for it: ToWire maps a table with only an array part, and
+// no nil in it, onto a wire list element for element.
+func (v Value) AppendWire(dst []byte) ([]byte, error) {
+	if v.kind != KindTable || len(v.t.strs) != 0 || len(v.t.hash) != 0 || slices.ContainsFunc(v.t.arr, Value.IsNil) {
+		w, err := v.ToWire()
+		if err != nil {
+			return dst, err
+		}
+		return wire.AppendValue(dst, w)
+	}
+	dst = wire.AppendTableHeader(dst, len(v.t.arr))
+	for _, e := range v.t.arr {
+		w, err := e.ToWire()
+		if err == nil {
+			dst, err = wire.AppendValueAt(dst, w, 1)
+		}
+		if err != nil {
+			return dst, err
+		}
+	}
+	return wire.AppendCount(dst, 0), nil
 }
 
 // FromWire converts a wire value into a script value, recursively for

@@ -8,6 +8,7 @@ import (
 
 	"autoadapt/internal/monitor"
 	"autoadapt/internal/orb"
+	"autoadapt/internal/testutil"
 	"autoadapt/internal/trading"
 	"autoadapt/internal/wire"
 )
@@ -166,6 +167,138 @@ func TestQueryInvokesEachMonitorOnce(t *testing.T) {
 		}
 		if ops := drain(); len(ops) != 1 || ops[0] != op {
 			t.Fatalf("aspect %q: monitor invocations %v, want one %s", aspect, ops, op)
+		}
+	}
+}
+
+// TestAllocGuardResolveBatch pins what ClientResolver's round trips to a
+// monitor allocate over the in-process transport, client and server
+// together. A 2-aspect batch, the shape of the Fig. 6 offer, allocates
+// nothing: the monitor writes its values into the reply frame and the
+// resolver reads them into the caller's slots, a number and an interned
+// string. It was 3: the argument slice, the reply message and the
+// monitor's result slice. A getValue of a load triple allocates the table
+// it decodes.
+func TestAllocGuardResolveBatch(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("sync.Pool drops a quarter of what it is given under -race")
+	}
+	nw := orb.NewInprocNetwork()
+	srv, err := orb.NewServer(orb.ServerOptions{Network: nw, Address: "hosts"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	m, err := monitor.New(monitor.Options{Name: "LoadAvg"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	for name, src := range map[string]string{"Increasing": monitor.IncreasingAspectSrc, monitor.Load1Aspect: monitor.Load1AspectSrc} {
+		if err := m.DefineAspect(name, src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.SetValue(wire.TableVal(wire.NewList(wire.Number(1), wire.Number(5), wire.Number(15)))); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	ref := srv.Register("monitor/LoadAvg", "", monitor.NewServant(m))
+	client := orb.NewClient(nw)
+	defer client.Close()
+	r := trading.ClientResolver{Client: client}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		aspects []string
+		want    float64
+	}{
+		{[]string{monitor.Load1Aspect, "Increasing"}, 0},
+		{[]string{""}, 1},
+	} {
+		out := make([]trading.Resolution, len(tc.aspects))
+		r.ResolveBatch(ctx, ref, tc.aspects, out) // dials
+		allocs := testing.AllocsPerRun(500, func() {
+			r.ResolveBatch(ctx, ref, tc.aspects, out)
+			for _, res := range out {
+				if res.Err != nil || res.Value.IsNil() {
+					t.Fatalf("%q: %v", tc.aspects, out)
+				}
+			}
+		})
+		if allocs > tc.want {
+			t.Fatalf("ResolveBatch(%q): %.1f allocs/op, want <= %.0f", tc.aspects, allocs, tc.want)
+		}
+	}
+}
+
+// TestClientResolverReplyShapes: replies of an unexpected length resolve
+// as they did when the resolver decoded a []wire.Value. A batch answered
+// with too few or too many values is asked again aspect by aspect; a
+// single read takes the first value, and a reply with none reads as nil.
+func TestClientResolverReplyShapes(t *testing.T) {
+	nw := orb.NewInprocNetwork()
+	srv, err := orb.NewServer(orb.ServerOptions{Network: nw, Address: "hosts"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var ops []string
+	extra := 0 // values added to every reply, or dropped when negative
+	ref := srv.Register("mon", "", orb.ServantFunc(func(op string, args []wire.Value) ([]wire.Value, error) {
+		ops = append(ops, op)
+		out := []wire.Value{wire.Int(7)} // the property value
+		if op != "getValue" {
+			out = out[:0]
+			for _, a := range args {
+				v := wire.Int(7)
+				if a.Str() != "" {
+					v = wire.String(op + ":" + a.Str())
+				}
+				out = append(out, v)
+			}
+		}
+		if extra < 0 {
+			return out[:len(out)+extra], nil
+		}
+		for i := 0; i < extra; i++ {
+			out = append(out, wire.Int(99))
+		}
+		return out, nil
+	}))
+	client := orb.NewClient(nw)
+	defer client.Close()
+	r := trading.ClientResolver{Client: client}
+	for _, tc := range []struct {
+		extra   int
+		aspects []string
+		want    []string
+		ops     []string
+	}{
+		{0, []string{"A", "", "B"}, []string{`"getAspectValues:A"`, "7", `"getAspectValues:B"`}, []string{"getAspectValues"}},
+		{1, []string{"A", "", "B"}, []string{`"getAspectValue:A"`, "7", `"getAspectValue:B"`},
+			[]string{"getAspectValues", "getAspectValue", "getValue", "getAspectValue"}},
+		{-1, []string{"A", "", "B"}, []string{"nil", "nil", "nil"},
+			[]string{"getAspectValues", "getAspectValue", "getValue", "getAspectValue"}},
+		{1, []string{""}, []string{"7"}, []string{"getValue"}},
+		{-1, []string{"A"}, []string{"nil"}, []string{"getAspectValue"}},
+	} {
+		extra, ops = tc.extra, nil
+		out := make([]trading.Resolution, len(tc.aspects))
+		for i := range out {
+			out[i].Value = wire.String("stale")
+		}
+		r.ResolveBatch(context.Background(), ref, tc.aspects, out)
+		var got []string
+		for _, res := range out {
+			if res.Err != nil {
+				t.Fatalf("extra %d, %q: %v", tc.extra, tc.aspects, res.Err)
+			}
+			got = append(got, res.Value.String())
+		}
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) || fmt.Sprint(ops) != fmt.Sprint(tc.ops) {
+			t.Fatalf("extra %d, %q: %v after %v, want %v after %v", tc.extra, tc.aspects, got, ops, tc.want, tc.ops)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
 
 	"autoadapt/internal/wire"
 )
@@ -158,14 +159,18 @@ func resultsToWire(dst []byte, results []QueryResult) ([]byte, error) {
 	return wire.AppendCount(dst, 0), nil
 }
 
-// readResults reads the results of a query call into rows: the reply is
-// the first of n, and any others are read and ignored. It accepts and
-// rejects what decoding the reply as a wire.Value and then reading that
-// table would, with the same error text: a decode error first, else the
-// shape's.
-func readResults(d *wire.Decoder, n int) ([]QueryResult, error) {
+// rowsReader reads the results of a query call into rows (Lookup.Query's
+// orb.ResultReader): the reply is the first of n, and any others are read
+// and ignored. It accepts and rejects what decoding the reply as a
+// wire.Value and then reading that table would, with the same error text:
+// a decode error first, else the shape's.
+type rowsReader struct{ rows []QueryResult }
+
+var rowsReaders = sync.Pool{New: func() any { return new(rowsReader) }}
+
+func (r *rowsReader) ReadResults(d *wire.Decoder, n int) error {
 	if n == 0 {
-		return nil, fmt.Errorf("trading: query reply is %s, want table", wire.Nil().Kind())
+		return fmt.Errorf("trading: query reply is %s, want table", wire.Nil().Kind())
 	}
 	rows, shapeErr, err := readReply(d)
 	for ; err == nil && n > 1; n-- {
@@ -174,10 +179,10 @@ func readResults(d *wire.Decoder, n int) ([]QueryResult, error) {
 	if err == nil {
 		err = shapeErr
 	}
-	if err != nil {
-		return nil, err
+	if err == nil {
+		r.rows = rows
 	}
-	return rows, nil
+	return err
 }
 
 // readReply reads one query reply, returning a decode error in err and a

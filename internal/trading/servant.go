@@ -327,17 +327,18 @@ func NewLookup(client *orb.Client, ref wire.ObjRef) *Lookup {
 func (l *Lookup) Ref() wire.ObjRef { return l.proxy.Ref() }
 
 // Query performs a remote query. The reply is read straight into the
-// rows returned (readResults).
+// rows returned, by a pooled rowsReader.
 func (l *Lookup) Query(ctx context.Context, serviceType, constraint, preference string, maxResults int) ([]QueryResult, error) {
-	var out []QueryResult
-	err := l.proxy.CallDecode(ctx, "query", func(d *wire.Decoder, n int) (err error) {
-		out, err = readResults(d, n)
-		return err
-	}, wire.String(serviceType), wire.String(constraint), wire.String(preference), wire.Int(maxResults))
+	r := rowsReaders.Get().(*rowsReader)
+	err := l.proxy.CallDecode(ctx, "query", r,
+		wire.String(serviceType), wire.String(constraint), wire.String(preference), wire.Int(maxResults))
+	rows := r.rows
+	r.rows = nil
+	rowsReaders.Put(r) // CallDecode never runs r after it has returned
 	if err != nil {
-		return nil, err // out may be written still, by a reply that lost the race with ctx
+		return nil, err
 	}
-	return out, nil
+	return rows, nil
 }
 
 // Export exports an offer remotely and returns the offer id.
@@ -375,6 +376,9 @@ func (l *Lookup) Renew(ctx context.Context, offerID string) error {
 // offer message so client code can match it with errors.Is(err,
 // ErrUnknownOffer) — the sentinel identity does not survive the wire.
 func mapOfferErr(err error) error {
+	if err == nil {
+		return nil // before re, which errors.As moves to the heap
+	}
 	var re *orb.RemoteError
 	if errors.As(err, &re) && strings.Contains(re.Msg, ErrUnknownOffer.Error()) {
 		return fmt.Errorf("%w: %v", ErrUnknownOffer, err)

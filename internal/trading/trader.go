@@ -175,31 +175,23 @@ func (r perAspect) ResolveBatch(ctx context.Context, ref wire.ObjRef, aspects []
 }
 
 // ClientResolver adapts an orb.Client to DynamicResolver and BatchResolver.
+// Replies are read straight into the query's Resolution slots (slotReader)
+// from argument arrays on the stack: a resolution allocates only for
+// values that need memory of their own, a table or a long string.
 type ClientResolver struct{ Client *orb.Client }
 
 // ResolveDynamic implements DynamicResolver: getValue() or
 // getAspectValue(aspect) on the referenced object.
 func (r ClientResolver) ResolveDynamic(ctx context.Context, ref wire.ObjRef, aspect string) (wire.Value, error) {
-	op := "getValue"
-	var args []wire.Value
-	if aspect != "" {
-		op = "getAspectValue"
-		args = []wire.Value{wire.String(aspect)}
-	}
-	rs, err := r.Client.Invoke(ctx, ref, op, args...)
-	if err != nil {
-		return wire.Nil(), err
-	}
-	if len(rs) == 0 {
-		return wire.Nil(), nil
-	}
-	return rs[0], nil
+	var out [1]Resolution
+	r.ResolveBatch(ctx, ref, []string{aspect}, out[:])
+	return out[0].Value, out[0].Err
 }
 
 // ResolveBatch implements BatchResolver: one getAspectValues(aspects...)
 // round trip for two or more aspects of an object, whose monitor reads them
 // under one lock, so the values belong to one sample. A single aspect goes
-// out as the ResolveDynamic call it always was.
+// out as the getValue() or getAspectValue(aspect) call it always was.
 //
 // When the object answers the batch with an error of its own — one of the
 // aspects is undefined, or the peer predates getAspectValues — or with the
@@ -209,26 +201,62 @@ func (r ClientResolver) ResolveDynamic(ctx context.Context, ref wire.ObjRef, asp
 // group at once: asking an unreachable monitor N more times would cost N
 // more timeouts to learn the same thing.
 func (r ClientResolver) ResolveBatch(ctx context.Context, ref wire.ObjRef, aspects []string, out []Resolution) {
+	var buf [8]wire.Value
 	if len(aspects) > 1 {
-		args := make([]wire.Value, len(aspects))
-		for i, aspect := range aspects {
-			args[i] = wire.String(aspect)
+		args := buf[:0]
+		for _, aspect := range aspects {
+			args = append(args, wire.String(aspect))
 		}
-		rs, err := r.Client.Invoke(ctx, ref, "getAspectValues", args...)
-		switch {
-		case err == nil && len(rs) == len(aspects):
-			for i := range out {
-				out[i] = Resolution{Value: rs[i]}
-			}
-			return
-		case err != nil && !rejectedByObject(err):
-			for i := range out {
-				out[i] = Resolution{Value: wire.Nil(), Err: err}
-			}
+		n, err := r.read(ctx, ref, "getAspectValues", args, out)
+		if (err == nil && n == len(aspects)) || (err != nil && !rejectedByObject(err)) {
 			return
 		}
 	}
-	perAspect{r}.ResolveBatch(ctx, ref, aspects, out)
+	for i, aspect := range aspects {
+		op, args := "getValue", buf[:0]
+		if aspect != "" {
+			op, args = "getAspectValue", append(args, wire.String(aspect))
+		}
+		r.read(ctx, ref, op, args, out[i:i+1])
+	}
+}
+
+// read invokes op with args on ref and reads the results into out, nil past
+// the last, or the call's error into every slot. It returns the count.
+func (r ClientResolver) read(ctx context.Context, ref wire.ObjRef, op string, args []wire.Value, out []Resolution) (int, error) {
+	s := slotReaders.Get().(*slotReader)
+	s.out = out
+	err := r.Client.NewProxy(ref).CallDecode(ctx, op, s, args...)
+	n := s.n
+	s.out = nil
+	slotReaders.Put(s) // CallDecode never runs s after it has returned
+	for i := range out {
+		if err != nil || i >= n {
+			out[i] = Resolution{Err: err}
+		}
+	}
+	return n, err
+}
+
+// slotReader reads result i into out[i] while there is a slot for it.
+type slotReader struct {
+	out []Resolution
+	n   int
+}
+
+var slotReaders = sync.Pool{New: func() any { return new(slotReader) }}
+
+func (s *slotReader) ReadResults(d *wire.Decoder, n int) error {
+	for s.n = 0; s.n < n; s.n++ {
+		v, err := d.Value()
+		if err != nil {
+			return err
+		}
+		if s.n < len(s.out) {
+			s.out[s.n] = Resolution{Value: v}
+		}
+	}
+	return nil
 }
 
 // rejectedByObject reports whether err is the referenced object's own
