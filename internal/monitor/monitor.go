@@ -476,7 +476,8 @@ func (m *Monitor) deliver(toNotify []*observer, val wire.Value) {
 		id  int
 		err error
 	}
-	outcomes := make([]outcome, 0, len(toNotify))
+	var buf [8]outcome // on the stack; more observers spill to the heap
+	outcomes := buf[:0]
 	for _, o := range toNotify {
 		var err error
 		switch {

@@ -249,7 +249,8 @@ func TestAllocGuardGetValue(t *testing.T) {
 // TestAllocGuardSetValue pins what a pushed sample costs a monitor shaped
 // like the repository benchmark's: two aspects (Fig. 3's Increasing and
 // Load1) and one push observer. The three evaluations share one argument
-// array, held under the monitor's lock; each had its own before (14).
+// array, held under the monitor's lock; each had its own before (14). The
+// delivery outcomes live on the stack (11 while they took a slice each).
 func TestAllocGuardSetValue(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("sync.Pool drops a quarter of what it is given under -race")
@@ -279,7 +280,7 @@ func TestAllocGuardSetValue(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const want = 11
+	const want = 10
 	if allocs > want {
 		t.Fatalf("SetValue with one push observer: %.1f allocs/op, want <= %d", allocs, want)
 	}

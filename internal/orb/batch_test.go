@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -429,6 +430,43 @@ func TestOversizedReplyAnswered(t *testing.T) {
 	}
 	if rs, err := client.Invoke(ctx, ref, "echo", wire.Int(7)); err != nil || len(rs) != 1 || rs[0].Num() != 7 {
 		t.Fatalf("connection unusable after the oversized reply: %v, err %v", rs, err)
+	}
+}
+
+// TestUnencodableReplyAnswered: results the wire cannot encode, here a list
+// nested past its depth limit, come back as an INTERNAL error reply with the
+// encoder's reason, long before the caller's deadline, and the caller's
+// fault table reads it as an answer.
+func TestUnencodableReplyAnswered(t *testing.T) {
+	nw := NewInprocNetwork()
+	srv, err := NewServer(ServerOptions{Network: nw, Address: "deep-host"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	ref := srv.Register("deep", "", ServantFunc(func(op string, args []wire.Value) ([]wire.Value, error) {
+		v := wire.Int(1)
+		for range 70 {
+			v = wire.TableVal(wire.NewList(v))
+		}
+		return []wire.Value{v}, nil
+	}))
+	client := NewClient(nw)
+	t.Cleanup(func() { _ = client.Close() })
+	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+	defer cancel()
+	began := time.Now()
+	_, err = client.Invoke(ctx, ref, "get")
+	elapsed := time.Since(began)
+	var re *RemoteError
+	if !errors.As(err, &re) || re.Code != CodeInternal || !strings.Contains(re.Msg, wire.ErrTooDeep.Error()) {
+		t.Fatalf("err = %v after %v, want a RemoteError carrying %s and the encoder's error", err, elapsed, CodeInternal)
+	}
+	if elapsed > 250*time.Millisecond {
+		t.Fatalf("the error reply took %v of the caller's 500ms", elapsed)
+	}
+	if f := FaultOf(err); f != Answered {
+		t.Fatalf("FaultOf = %v, want Answered", f)
 	}
 }
 

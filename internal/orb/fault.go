@@ -32,7 +32,9 @@ import (
 //
 // "retry" is RetryPolicy's re-invocation, "failover" a smart proxy's
 // re-selection and routed retry, and "shard" the sharded trader's strike
-// against a shard. The trader asks a monitor for its
+// against a shard. Results a server cannot encode or frame come back as
+// CodeInternal, so Answered: the server and the path to it work, and a
+// retry would fail alike. The trader asks a monitor for its
 // aspects one by one when a batched read is Answered with CodeApp,
 // CodeInternal, CodeBadOperation or CodeBadParam.
 type Fault uint8

@@ -623,16 +623,17 @@ func (s *Server) release(msg *wire.Borrowed) {
 }
 
 // writeReply writes one reply frame from fb, a pooled buffer it recycles:
-// rep encoded, or the reply fb holds already when written. A reply too
-// large to frame is answered with a CodeInternal error reply in its place,
-// so the caller learns of it instead of waiting out its deadline.
+// rep encoded, or the reply fb holds already when written. A reply that
+// does not encode, or is too large to frame, is answered with a
+// CodeInternal error reply in its place, so the caller learns of it instead
+// of waiting out its deadline.
 func (s *Server) writeReply(cw *connWriter, fb *wire.FrameBuffer, rep *wire.Reply, written bool, deadline time.Time) error {
 	if !written {
 		out, err := wire.AppendReply(fb.B, rep)
 		if err != nil {
 			wire.PutFrameBuffer(fb)
-			s.logf("orb: encode reply: %v", err)
-			return nil // local encode bug; the connection itself is fine
+			return s.writeReply(cw, wire.GetFrameBuffer(), &wire.Reply{ID: rep.ID, ErrCode: CodeInternal,
+				Err: "encode reply: " + err.Error()}, false, deadline)
 		}
 		fb.B = out
 	}
