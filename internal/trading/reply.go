@@ -31,11 +31,12 @@ import (
 // are wire.AppendValue's of the same rows built as tables.
 
 // rowProp is one property of a row being written: its snapshot value (nil:
-// none) and, for a dynamic property, its source (nil: static).
+// none) and, for a dynamic property, its source (zero: static).
 type rowProp struct {
-	name string
-	snap *wire.Value
-	dyn  *PropValue
+	name   string
+	snap   *wire.Value
+	src    wire.ObjRef
+	aspect string
 }
 
 // replyRow is a row's properties, the row's one definition as a writer.
@@ -49,7 +50,7 @@ func (r replyRow) appendTo(dst []byte, o *Offer) ([]byte, error) {
 		if p.snap != nil && !p.snap.IsNil() {
 			nsnap++
 		}
-		if p.dyn != nil {
+		if !p.src.IsZero() {
 			ndyn++
 		}
 	}
@@ -61,17 +62,17 @@ func (r replyRow) appendTo(dst []byte, o *Offer) ([]byte, error) {
 	if ndyn > 0 {
 		dst = appendRecord(wire.AppendString(dst, "dynamics"), ndyn)
 		for _, p := range r {
-			if p.dyn == nil {
+			if p.src.IsZero() {
 				continue
 			}
 			dst = wire.AppendString(dst, p.name)
-			if p.dyn.Aspect != "" {
+			if p.aspect != "" {
 				dst = appendRecord(dst, 2)
-				dst = wire.AppendString(wire.AppendString(dst, "aspect"), p.dyn.Aspect)
+				dst = wire.AppendString(wire.AppendString(dst, "aspect"), p.aspect)
 			} else {
 				dst = appendRecord(dst, 1)
 			}
-			dst = appendRef(wire.AppendString(dst, "ref"), p.dyn.Dynamic)
+			dst = appendRef(wire.AppendString(dst, "ref"), p.src)
 		}
 	}
 	dst = wire.AppendString(wire.AppendString(dst, "id"), o.ID)
@@ -109,11 +110,11 @@ func (t *Trader) queryWire(ctx context.Context, serviceType, constraint, prefere
 		for _, i := range sc.matched {
 			c := &sc.candidates[i]
 			row := sc.row[:0]
-			for k, s := range c.props.slots {
-				pv := &c.props.val[k]
-				p := rowProp{name: sc.slotNames[s], snap: sc.snapValue(c, int(s), pv)}
-				if pv.IsDynamic() {
-					p.dyn = pv
+			for k := range c.props.slots {
+				s := c.props.slot(k)
+				p := rowProp{name: sc.slotNames[s], snap: sc.snapValue(c, s, k)}
+				if c.props.dynamic(k) {
+					p.src, p.aspect = c.props.source(k)
 				}
 				row = append(row, p)
 			}
@@ -146,9 +147,9 @@ func resultsToWire(dst []byte, results []QueryResult) ([]byte, error) {
 				continue
 			}
 			if j := slices.IndexFunc(row, func(p rowProp) bool { return p.name == name }); j >= 0 {
-				row[j].dyn = &pv
+				row[j].src, row[j].aspect = pv.Dynamic, pv.Aspect
 			} else {
-				row = append(row, rowProp{name: name, dyn: &pv})
+				row = append(row, rowProp{name: name, src: pv.Dynamic, aspect: pv.Aspect})
 			}
 		}
 		var err error

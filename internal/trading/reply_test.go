@@ -384,8 +384,8 @@ func lookupWorld(t *testing.T, n int) (remote, local *Lookup) {
 	tr.mu.Lock()
 	for _, rec := range tr.offers {
 		props := map[string]PropValue{"Cores": {Static: wire.Int(4)}, "Host": {Static: wire.String(rec.offer.Ref.Endpoint)}}
-		for i, s := range rec.props.slots {
-			props[tr.types["LoadShared"].names[s]] = rec.props.val[i]
+		for i := range rec.props.slots {
+			props[tr.types["LoadShared"].names[rec.props.slot(i)]] = rec.props.prop(i)
 		}
 		rec.props = tr.types["LoadShared"].slotted(props)
 	}

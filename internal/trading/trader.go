@@ -358,45 +358,90 @@ func (rt *registeredType) slotted(props map[string]PropValue) slotProps {
 	if len(props) == 0 {
 		return slotProps{}
 	}
-	p := slotProps{slots: make([]int32, 0, len(props)), val: make([]PropValue, len(props))}
-	for name := range props {
+	p := slotProps{slots: make([]int32, 0, len(props))}
+	ndyn := 0
+	for name, pv := range props {
 		p.slots = append(p.slots, int32(rt.slot(name)))
+		if pv.IsDynamic() {
+			ndyn++
+		}
 	}
 	slices.Sort(p.slots)
+	p.val = make([]wire.Value, len(props), len(props)+ndyn)
 	for i, s := range p.slots {
-		p.val[i] = props[rt.names[s]]
+		pv := props[rt.names[s]]
+		if !pv.IsDynamic() {
+			p.val[i] = pv.Static
+			continue
+		}
+		p.slots[i] |= int32(len(p.val)) << slotBits
+		p.val[i] = wire.Ref(pv.Dynamic)
+		p.val = append(p.val, wire.String(pv.Aspect))
 	}
 	return p
 }
 
-// slotProps is one offer's properties by its type's slots: val[i] is the
-// property in slot slots[i], and slots ascends. Storage is proportional to
-// the offer's own properties, however many slots its type has numbered. A
-// property exported with a nil static value is present. A published
-// slotProps is never mutated — Export and Modify install fresh slices — so
-// a query that copied it under the read lock reads a consistent set after
-// releasing the lock.
+// slotProps is one offer's properties by its type's slots. The low
+// slotBits of slots[i] are a slot number, ascending with i, and val[i]
+// holds that slot's property: a static's value, or a dynamic's object as a
+// wire.Ref. Above slotBits, slots[i] is 0 for a static and, for a dynamic,
+// the index in val of its aspect, a string stored after the len(slots)
+// property entries. That index, never the stored value's kind, makes a
+// property dynamic, so a static object reference stays static. Storage is
+// proportional to the offer's own properties, however many slots its type
+// has numbered. A property exported with a nil static value is present. A
+// published slotProps is never mutated — Export and Modify install fresh
+// slices — so a query that copied it under the read lock reads a
+// consistent set after releasing the lock.
 type slotProps struct {
 	slots []int32
-	val   []PropValue
+	val   []wire.Value
 }
 
-// get returns the property in slot s; a negative s, or a slot the offer
-// does not use, is absent. Slots are distinct and ascend from 0, so slot s
-// sits at index s when the offer has every slot below it — the usual case,
-// offers of a type carrying the same names — and otherwise below s.
-func (p slotProps) get(s int) (*PropValue, bool) {
+// slotBits holds a slot number: maxTypeNames fits below it, and an aspect's
+// index, less than 2*maxTypeNames, above it.
+const (
+	slotBits = 16
+	slotMask = 1<<slotBits - 1
+)
+
+// slot returns the slot number of the property at index i.
+func (p slotProps) slot(i int) int { return int(p.slots[i] & slotMask) }
+
+// dynamic reports whether the property at index i is resolved at query time.
+func (p slotProps) dynamic(i int) bool { return p.slots[i]>>slotBits != 0 }
+
+// source returns the object and aspect of the dynamic property at index i.
+func (p slotProps) source(i int) (wire.ObjRef, string) {
+	ref, _ := p.val[i].AsRef()
+	return ref, p.val[p.slots[i]>>slotBits].Str()
+}
+
+// prop returns the property at index i as a PropValue: its static value,
+// or its object and aspect.
+func (p slotProps) prop(i int) PropValue {
+	if !p.dynamic(i) {
+		return PropValue{Static: p.val[i]}
+	}
+	ref, aspect := p.source(i)
+	return PropValue{Dynamic: ref, Aspect: aspect}
+}
+
+// get returns the index of the property in slot s; a negative s, or a slot
+// the offer does not use, is absent. Slots are distinct and ascend from 0,
+// so slot s sits at index s when the offer has every slot below it — the
+// usual case, offers of a type carrying the same names — and otherwise
+// below s.
+func (p slotProps) get(s int) (int, bool) {
 	if s < 0 {
-		return nil, false
+		return 0, false
 	}
-	if s < len(p.slots) && int(p.slots[s]) == s {
-		return &p.val[s], true
+	if s < len(p.slots) && p.slot(s) == s {
+		return s, true
 	}
-	i, ok := slices.BinarySearch(p.slots[:min(s, len(p.slots))], int32(s))
-	if !ok {
-		return nil, false
-	}
-	return &p.val[i], true
+	return slices.BinarySearchFunc(p.slots[:min(s, len(p.slots))], s, func(e int32, s int) int {
+		return int(e&slotMask) - s
+	})
 }
 
 // AddType registers a service type. Re-adding a name replaces its
@@ -710,20 +755,20 @@ func (sc *queryScratch) load(c *offerView, vals []*wire.Value, resolved bool) {
 	for u := range vals {
 		s := sc.slotOf[u]
 		vals[u] = nil
-		if pv, ok := c.props.get(s); ok && !resolved && pv.IsDynamic() {
+		if i, ok := c.props.get(s); ok && !resolved && c.props.dynamic(i) {
 			vals[u] = &unresolved
 		} else if ok {
-			vals[u] = sc.snapValue(c, s, pv)
+			vals[u] = sc.snapValue(c, s, i)
 		}
 	}
 }
 
-// snapValue is the value c's property pv, in slot s, has for this query:
-// its static value, or its dynamic value if the query resolved it; nil
-// otherwise.
-func (sc *queryScratch) snapValue(c *offerView, s int, pv *PropValue) *wire.Value {
-	if !pv.IsDynamic() {
-		return &pv.Static
+// snapValue is the value c's property at index i, in slot s, has for this
+// query: its static value, or its dynamic value if the query resolved it;
+// nil otherwise.
+func (sc *queryScratch) snapValue(c *offerView, s, i int) *wire.Value {
+	if !c.props.dynamic(i) {
+		return &c.props.val[i]
 	}
 	for _, p := range sc.pend[c.lo:c.hi] {
 		if p.slot == s {
@@ -749,11 +794,11 @@ func (sc *queryScratch) result(c *offerView) QueryResult {
 	if n > 0 {
 		r.Offer.Props = make(map[string]PropValue, n)
 	}
-	for i, s := range c.props.slots {
-		pv := &c.props.val[i]
+	for i := range c.props.slots {
+		s := c.props.slot(i)
 		name := sc.slotNames[s]
-		r.Offer.Props[name] = *pv
-		if v := sc.snapValue(c, int(s), pv); v != nil {
+		r.Offer.Props[name] = c.props.prop(i)
+		if v := sc.snapValue(c, s, i); v != nil {
 			r.Snapshot[name] = *v
 		}
 	}
@@ -970,11 +1015,13 @@ func (t *Trader) resolveReferenced(ctx context.Context, offers []offerView, slot
 		outcomes = append(outcomes, resolveNone)
 		offers[i].lo = len(pend)
 		g := -1
+		props := &offers[i].props
 		for _, s := range slots {
-			pv, ok := offers[i].props.get(s)
-			if !ok || !pv.IsDynamic() {
+			k, ok := props.get(s)
+			if !ok || !props.dynamic(k) {
 				continue
 			}
+			ref, aspect := props.source(k)
 			if gi == nil {
 				gi = &sc.gi
 				// Offers in the paper's scenario read their dynamic props
@@ -982,21 +1029,21 @@ func (t *Trader) resolveReferenced(ctx context.Context, offers []offerView, slot
 				gi.reset(len(offers))
 			}
 			// An offer's properties usually name one monitor (Fig. 6).
-			if g < 0 || groups[g].ref != pv.Dynamic {
-				h := FNVString(FNVString(FNVOffset64, pv.Dynamic.Endpoint), pv.Dynamic.Key)
-				if g = gi.lookup(groups, h, pv.Dynamic); g < 0 {
+			if g < 0 || groups[g].ref != ref {
+				h := FNVString(FNVString(FNVOffset64, ref.Endpoint), ref.Key)
+				if g = gi.lookup(groups, h, ref); g < 0 {
 					g = len(groups)
-					groups = append(groups, resolveGroup{ref: pv.Dynamic, hash: h, head: -1, tail: -1})
+					groups = append(groups, resolveGroup{ref: ref, hash: h, head: -1, tail: -1})
 					gi.insert(groups, g)
 				}
 			}
 			idx := groups[g].head
-			for idx >= 0 && tasks[idx].aspect != pv.Aspect {
+			for idx >= 0 && tasks[idx].aspect != aspect {
 				idx = tasks[idx].next
 			}
 			if idx < 0 {
 				idx = len(tasks)
-				tasks = append(tasks, resolveTask{aspect: pv.Aspect, next: -1})
+				tasks = append(tasks, resolveTask{aspect: aspect, next: -1})
 				if tail := groups[g].tail; tail >= 0 {
 					tasks[tail].next = idx
 				} else {

@@ -67,8 +67,10 @@ func newLoadedTrader(loads []float64, increasing []bool) (*Trader, *stubResolver
 	return tr, res
 }
 
-// TestPropValueSize pins an offer's per-property slot at the compact
-// value plus its dynamic ref and aspect: 32 + 32 + 16 bytes.
+// TestPropValueSize pins PropValue, now only the API type Export, Modify
+// and Query pass properties in, at the compact value plus its dynamic ref
+// and aspect: 32 + 32 + 16 bytes. The trader stores a static property in
+// 32 bytes (TestStaticSlotSize).
 func TestPropValueSize(t *testing.T) {
 	if got := unsafe.Sizeof(PropValue{}); got > 80 {
 		t.Errorf("unsafe.Sizeof(PropValue{}) = %d, want <= 80", got)
