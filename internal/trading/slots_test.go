@@ -15,8 +15,8 @@ import (
 
 // benchProps is the offer the repository benchmark exports: a number and a
 // string static, and two dynamics on one monitor, each with an aspect.
-func benchProps(i int) map[string]PropValue {
-	mon := monitorRef(i)
+func benchProps() map[string]PropValue {
+	mon := monitorRef(1)
 	return map[string]PropValue{
 		"LoadAvg":           {Dynamic: mon, Aspect: "Load1"},
 		"LoadAvgIncreasing": {Dynamic: mon, Aspect: "Increasing"},
@@ -36,7 +36,7 @@ func TestAllocGuardExportModify(t *testing.T) {
 	}
 	tr := NewTrader(nil)
 	tr.AddType(ServiceType{Name: "LoadShared", Props: []string{"LoadAvg", "LoadAvgIncreasing", "Cores", "Host"}})
-	props, ref := benchProps(1), serverRef(1)
+	props, ref := benchProps(), serverRef(1)
 	for i := 0; i < 200; i++ { // numbers offer ids past the small-integer strings
 		if _, err := tr.Export("LoadShared", ref, props); err != nil {
 			t.Fatal(err)
