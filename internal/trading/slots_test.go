@@ -13,21 +13,11 @@ import (
 	"autoadapt/internal/wire"
 )
 
-// benchProps is the offer the repository benchmark exports: a number and a
-// string static, and two dynamics on one monitor, each with an aspect.
-func benchProps() map[string]PropValue {
-	mon := monitorRef(1)
-	return map[string]PropValue{
-		"LoadAvg":           {Dynamic: mon, Aspect: "Load1"},
-		"LoadAvgIncreasing": {Dynamic: mon, Aspect: "Increasing"},
-		"Cores":             {Static: wire.Int(4)},
-		"Host":              {Static: wire.String(mon.Endpoint)},
-	}
-}
-
-// TestAllocGuardExportModify pins what storing an offer allocates: an
-// Export followed by its Withdraw (the maps keep their size), and a Modify.
-// The props map is built once, outside the count. Export allocates the
+// TestAllocGuardExportModify pins what storing the repository benchmark's
+// offer allocates (a number and a string static, two dynamics on one
+// monitor with an aspect each): an Export followed by its Withdraw (the
+// maps keep their size), and a Modify. The props map is built once,
+// outside the count. Export allocates the
 // id's number, the id, the record and the offer's two slot slices; Withdraw
 // nothing; Modify the two slot slices.
 func TestAllocGuardExportModify(t *testing.T) {
@@ -36,7 +26,13 @@ func TestAllocGuardExportModify(t *testing.T) {
 	}
 	tr := NewTrader(nil)
 	tr.AddType(ServiceType{Name: "LoadShared", Props: []string{"LoadAvg", "LoadAvgIncreasing", "Cores", "Host"}})
-	props, ref := benchProps(), serverRef(1)
+	mon, ref := monitorRef(1), serverRef(1)
+	props := map[string]PropValue{
+		"LoadAvg":           {Dynamic: mon, Aspect: "Load1"},
+		"LoadAvgIncreasing": {Dynamic: mon, Aspect: "Increasing"},
+		"Cores":             {Static: wire.Int(4)},
+		"Host":              {Static: wire.String(mon.Endpoint)},
+	}
 	for i := 0; i < 200; i++ { // numbers offer ids past the small-integer strings
 		if _, err := tr.Export("LoadShared", ref, props); err != nil {
 			t.Fatal(err)
