@@ -1,8 +1,8 @@
 // Command loadshare is the paper's §V load-sharing client, runnable
 // against a live deployment (cmd/trader + several cmd/agentd instances).
 // It creates a smart proxy with the paper's constraint and Fig. 4 watch,
-// installs the Fig. 7 re-selection strategy, and calls the service in a
-// loop, printing which server answers.
+// installs the Fig. 7 re-selection strategy and the sort-only fallback, and
+// calls the service in a loop, printing which server answers.
 //
 // Usage:
 //
@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"autoadapt"
+	"autoadapt/internal/core"
 	"autoadapt/internal/monitor"
 	"autoadapt/internal/wire"
 )
@@ -52,10 +53,9 @@ func run() error {
 
 	constraint := fmt.Sprintf("LoadAvg < %g and LoadAvgIncreasing == no", *limit)
 	proxy, err := platform.NewSmartProxy(autoadapt.ProxyOptions{
-		ServiceType:      *svcType,
-		Constraint:       constraint,
-		Preference:       "min LoadAvg",
-		FallbackSortOnly: true,
+		ServiceType: *svcType,
+		Constraint:  constraint,
+		Preference:  "min LoadAvg",
 		Watches: []autoadapt.Watch{{
 			Prop:      "LoadAvg",
 			Event:     monitor.LoadIncreaseEvent,
@@ -68,9 +68,10 @@ func run() error {
 	}
 	defer proxy.Close()
 
-	// The Fig. 7 strategy as shipped script source, with the limits from
-	// the command line standing in for the paper's 50/70.
+	// The Fig. 7 strategy and the sort-only fallback as shipped script
+	// source, the limits from the command line standing in for 50/70.
 	err = proxy.SetScriptStrategiesTable(fmt.Sprintf(`{
+		_nomatch = %s,
 		LoadIncrease = function(self)
 			self._loadavg = self._loadavgmon:getValue()
 			local query
@@ -86,7 +87,7 @@ func run() error {
 					end]])
 			end
 		end
-	}`, *limit, *limit*1.4))
+	}`, core.SortOnlyStrategy, *limit, *limit*1.4))
 	if err != nil {
 		return err
 	}

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"autoadapt"
+	"autoadapt/internal/core"
 	"autoadapt/internal/monitor"
 	"autoadapt/internal/wire"
 )
@@ -131,16 +132,18 @@ func run() error {
 
 	constraint, watch, strategy := adaptationPolicy()
 	proxy, err := platform.NewSmartProxy(autoadapt.ProxyOptions{
-		ServiceType:      "ImageService",
-		Constraint:       constraint,
-		Preference:       "min LoadAvg",
-		FallbackSortOnly: true,
-		Watches:          []autoadapt.Watch{watch},
+		ServiceType: "ImageService",
+		Constraint:  constraint,
+		Preference:  "min LoadAvg",
+		Watches:     []autoadapt.Watch{watch},
 	})
 	if err != nil {
 		return err
 	}
 	defer proxy.Close()
+	if err := proxy.SetScriptStrategy(core.EventNoMatch, core.SortOnlyStrategy); err != nil {
+		return err
+	}
 	proxy.SetStrategy(monitor.LoadIncreaseEvent, strategy)
 	if err := proxy.Bind(ctx); err != nil {
 		return err

@@ -75,12 +75,11 @@ func run() error {
 	}
 
 	sp, err := core.New(core.Options{
-		Client:           w.Client,
-		Lookup:           w.Lookup,
-		ServiceType:      experiment.ServiceTypeName,
-		Constraint:       "LoadAvg < 3 and LoadAvgIncreasing == no",
-		Preference:       "min LoadAvg",
-		FallbackSortOnly: true,
+		Client:      w.Client,
+		Lookup:      w.Lookup,
+		ServiceType: experiment.ServiceTypeName,
+		Constraint:  "LoadAvg < 3 and LoadAvgIncreasing == no",
+		Preference:  "min LoadAvg",
 		Watches: []core.Watch{{
 			Prop:      "LoadAvg",
 			Event:     monitor.LoadIncreaseEvent,
@@ -91,6 +90,9 @@ func run() error {
 		return err
 	}
 	defer sp.Close()
+	if err := sp.SetScriptStrategy(core.EventNoMatch, core.SortOnlyStrategy); err != nil {
+		return err
+	}
 	if err := sp.SetScriptStrategiesTable(fig7Strategy); err != nil {
 		return err
 	}

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"autoadapt"
+	"autoadapt/internal/core"
 	"autoadapt/internal/monitor"
 	"autoadapt/internal/wire"
 )
@@ -106,10 +107,9 @@ func run() error {
 
 	// 4. The smart proxy (the paper's load-sharing proxy).
 	proxy, err := platform.NewSmartProxy(autoadapt.ProxyOptions{
-		ServiceType:      "Hello",
-		Constraint:       "LoadAvg < 1 and LoadAvgIncreasing == no",
-		Preference:       "min LoadAvg",
-		FallbackSortOnly: true,
+		ServiceType: "Hello",
+		Constraint:  "LoadAvg < 1 and LoadAvgIncreasing == no",
+		Preference:  "min LoadAvg",
 		Watches: []autoadapt.Watch{{
 			Prop:      "LoadAvg",
 			Event:     monitor.LoadIncreaseEvent,
@@ -121,6 +121,10 @@ func run() error {
 		return err
 	}
 	defer proxy.Close()
+	// Paper §V: when nothing satisfies the constraint, degrade to sort-only.
+	if err := proxy.SetScriptStrategy(core.EventNoMatch, core.SortOnlyStrategy); err != nil {
+		return err
+	}
 	proxy.SetStrategy(monitor.LoadIncreaseEvent, func(ctx context.Context, p *autoadapt.SmartProxy) error {
 		ok, err := p.Select(ctx, "LoadAvg < 1 and LoadAvgIncreasing == no")
 		if err == nil && ok {

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"autoadapt/internal/core"
 	"autoadapt/internal/monitor"
 	"autoadapt/internal/trading"
 	"autoadapt/internal/wire"
@@ -87,10 +88,9 @@ func runFullStack(t *testing.T, network Network, addr func(string) string) {
 	ctx := context.Background()
 
 	proxy, err := platform.NewSmartProxy(ProxyOptions{
-		ServiceType:      "Hello",
-		Constraint:       "LoadAvg < 1 and LoadAvgIncreasing == no",
-		Preference:       "min LoadAvg",
-		FallbackSortOnly: true,
+		ServiceType: "Hello",
+		Constraint:  "LoadAvg < 1 and LoadAvgIncreasing == no",
+		Preference:  "min LoadAvg",
 		Watches: []Watch{{
 			Prop:      "LoadAvg",
 			Event:     monitor.LoadIncreaseEvent,
@@ -101,6 +101,9 @@ func runFullStack(t *testing.T, network Network, addr func(string) string) {
 		t.Fatal(err)
 	}
 	t.Cleanup(proxy.Close)
+	if err := proxy.SetScriptStrategy(core.EventNoMatch, core.SortOnlyStrategy); err != nil {
+		t.Fatal(err)
+	}
 	proxy.SetStrategy(monitor.LoadIncreaseEvent, func(ctx context.Context, p *SmartProxy) error {
 		_, err := p.Select(ctx, "LoadAvg < 1 and LoadAvgIncreasing == no")
 		return err

@@ -13,8 +13,9 @@ import (
 // TestAllocGuardProxyInvoke pins what a smart-proxy invocation adds to
 // orb.Proxy.Call on the success path, with no events pending: nothing.
 // AllocsPerRun counts every goroutine, so the server's side is included.
-// Measured: 2 allocs/op, the decoded reply and the caller's variadic
-// argument slice, which the interceptor loop made escape to the heap.
+// Measured: 1 alloc/op, the decoded reply. The caller's variadic argument
+// slice stays on its stack; it was a second allocation while Invoke handed
+// args to a chain of interceptors, which made it escape.
 func TestAllocGuardProxyInvoke(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("sync.Pool drops a quarter of what it is given under -race")
@@ -49,7 +50,7 @@ func TestAllocGuardProxyInvoke(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 2 {
-		t.Fatalf("SmartProxy.Invoke: %.1f allocs/op, want <= 2", allocs)
+	if allocs > 1 {
+		t.Fatalf("SmartProxy.Invoke: %.1f allocs/op, want <= 1", allocs)
 	}
 }

@@ -62,7 +62,7 @@ func TestUnsendableRequestKeepsBinding(t *testing.T) {
 	w := newWorld(t, 2)
 	w.setLoad(0, 10, 15, 15)
 	w.setLoad(1, 20, 25, 25)
-	sp := w.newProxy(Options{Failover: true})
+	sp := install(t, w.newProxy(Options{}), EventFailed, FailoverStrategy)
 	ctx := context.Background()
 	if err := sp.Bind(ctx); err != nil {
 		t.Fatal(err)

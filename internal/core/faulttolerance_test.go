@@ -91,7 +91,7 @@ func rankedHosts(t *testing.T, w *testWorld, names ...string) (srvs []*orb.Serve
 // rankedProxy is a failover proxy bound to the best-ranked offer.
 func rankedProxy(t *testing.T, w *testWorld) *SmartProxy {
 	t.Helper()
-	sp := w.newProxy(Options{Constraint: "Rank > 0", Preference: "min Rank", Failover: true})
+	sp := install(t, w.newProxy(Options{Constraint: "Rank > 0", Preference: "min Rank"}), EventFailed, FailoverStrategy)
 	if err := sp.Bind(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestFailoverLeavesCallerDeadlineAlone(t *testing.T) {
 	w := newWorld(t, 2)
 	w.setLoad(0, 10, 15, 15)
 	w.setLoad(1, 20, 25, 25)
-	sp := w.newProxy(Options{Failover: true})
+	sp := install(t, w.newProxy(Options{}), EventFailed, FailoverStrategy)
 	if err := sp.Bind(context.Background()); err != nil {
 		t.Fatal(err)
 	}

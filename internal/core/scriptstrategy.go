@@ -4,11 +4,11 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 
 	"autoadapt/internal/script"
 	"autoadapt/internal/scriptbind"
 	"autoadapt/internal/strikes"
-	"autoadapt/internal/trading"
 	"autoadapt/internal/wire"
 )
 
@@ -25,7 +25,9 @@ import (
 //	self:_select(query)  — re-query the trader and switch server;
 //	                       returns true when a server was found
 //	self._observer       — stands for the proxy as an observer
-//	self._server         — the bound server's reference
+//	self._server         — the main route's server reference
+//	self._constraint     — the constraint of the route an EventFailed or
+//	                       EventNoMatch activation repairs; nil otherwise
 //	self._loadavgmon     — monitor object for the watched property: each
 //	                       monitored property P is bound as
 //	                       _<lowercased P>mon and _monitor_<P>
@@ -79,7 +81,15 @@ func (sp *SmartProxy) installScriptStrategy(event string, fn script.Value) {
 	var fails strikes.Count // guarded by adaptMu, which every activation holds
 	sp.SetStrategy(event, func(ctx context.Context, p *SmartProxy) error {
 		p.scriptMu.Lock()
-		_, err := p.in.CallCtx(ctx, fn, []script.Value{p.scriptSelf()})
+		self := p.scriptSelf()
+		rp, _ := ctx.Value(repairKey{}).(*repair)
+		if rp != nil {
+			p.self.tbl.SetString("_constraint", script.String(rp.route.constraint))
+		}
+		_, err := p.in.CallCtx(ctx, fn, []script.Value{self})
+		if rp != nil {
+			p.self.tbl.SetString("_constraint", script.Nil())
+		}
 		p.scriptMu.Unlock()
 		if !script.IsBudgetError(err) {
 			fails.Reset()
@@ -198,11 +208,7 @@ func (sp *SmartProxy) scriptAttach(in *script.Interp, mon wire.ObjRef, args []sc
 func (sp *SmartProxy) refreshSelf() {
 	s := &sp.self
 	sp.mu.Lock()
-	gen, bound := sp.gen, sp.sel != nil
-	var res trading.QueryResult
-	if bound {
-		res = sp.sel.result
-	}
+	gen, bound, res := sp.gen, sp.main.proxy != nil, sp.main.result
 	sp.mu.Unlock()
 	if gen == s.gen {
 		return
@@ -233,7 +239,7 @@ func (sp *SmartProxy) refreshSelf() {
 		}
 		keys, ok := s.keyCache[prop] // derived once per name
 		if !ok {
-			keys = [2]string{"_" + lowercase(prop) + "mon", "_monitor_" + prop}
+			keys = [2]string{"_" + strings.ToLower(prop) + "mon", "_monitor_" + prop}
 			s.keyCache[prop] = keys
 		}
 		s.tbl.SetString(keys[0], built[i].obj)
@@ -241,14 +247,4 @@ func (sp *SmartProxy) refreshSelf() {
 		s.monKeys = append(s.monKeys, keys[0], keys[1])
 	}
 	s.tbl.SetString("_server", script.Ref(res.Offer.Ref))
-}
-
-func lowercase(s string) string {
-	b := []byte(s)
-	for i := range b {
-		if b[i] >= 'A' && b[i] <= 'Z' {
-			b[i] += 'a' - 'A'
-		}
-	}
-	return string(b)
 }

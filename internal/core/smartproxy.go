@@ -33,8 +33,8 @@ import (
 
 // Errors reported by smart proxies.
 var (
-	// ErrNoOffer is returned when selection finds no acceptable offer and
-	// no fallback succeeds.
+	// ErrNoOffer is returned when a route's constraint matches nothing and
+	// no EventNoMatch strategy binds it otherwise.
 	ErrNoOffer = errors.New("core: no offer satisfies the requirements")
 	// ErrNotBound is returned by Invoke before any server is selected.
 	ErrNotBound = errors.New("core: smart proxy is not bound to a server")
@@ -42,8 +42,9 @@ var (
 	ErrClosed = errors.New("core: smart proxy closed")
 )
 
-// Strategy is an adaptation strategy: it runs with the proxy's adaptation
-// lock held, just before the invocation that triggered its activation.
+// Strategy is an adaptation strategy. It runs with the proxy's adaptation
+// lock held: for a notification, just before the next invocation; for
+// EventFailed, inside the invocation that failed.
 type Strategy func(ctx context.Context, sp *SmartProxy) error
 
 // Watch declares one event subscription installed on every server the
@@ -74,10 +75,7 @@ type Options struct {
 	Constraint string
 	// Preference orders matching offers; the first is chosen.
 	Preference string
-	// FallbackSortOnly enables the paper's degraded query: when no offer
-	// satisfies Constraint, re-query with no constraint, preference only.
-	FallbackSortOnly bool
-	// Watches are installed on each newly selected server's monitors.
+	// Watches are installed on each server the main route binds to.
 	Watches []Watch
 	// Immediate disables the paper's postponed event handling: strategies
 	// run in the notification upcall instead of before the next
@@ -94,13 +92,6 @@ type Options struct {
 	// the adaptation path.
 	ScriptWallBudget time.Duration
 	ScriptMemBudget  int64
-	// Failover treats availability as a nonfunctional requirement: when an
-	// invocation fails with a transport-level error (server crashed,
-	// connection lost — not application errors, not the caller's own
-	// cancellation or deadline), the proxy re-selects with its configured
-	// constraint, passing over the server that failed, and retries the
-	// invocation once on the server it lands on.
-	Failover bool
 }
 
 // watchSub is one live push subscription serving a Watch, remembered with
@@ -109,12 +100,6 @@ type Options struct {
 type watchSub struct {
 	monitor wire.ObjRef
 	sub     *orb.Subscription
-}
-
-type selection struct {
-	result trading.QueryResult
-	proxy  *orb.Proxy
-	subs   []watchSub
 }
 
 // Stats counts proxy activity for the experiment harness.
@@ -134,9 +119,9 @@ type Stats struct {
 type SmartProxy struct {
 	opts Options
 
-	mu         sync.Mutex // guards selection, strategies, queue, stats
-	sel        *selection
-	gen        uint64 // bumped with every change to sel, so self can follow it
+	mu         sync.Mutex // guards the routes' bindings, strategies, queue, stats
+	main       route      // serves every operation without a route of its own
+	gen        uint64     // bumped with every change of binding, so self can follow main
 	strategies map[string]Strategy
 	queue      []string
 	closed     bool
@@ -148,18 +133,11 @@ type SmartProxy struct {
 	in       *script.Interp // strategy scripts
 	self     scriptSelf     // the strategies' self object
 
-	interceptors []Interceptor
-
 	// §IV-A behaviors: per-operation routes and alternative methods
 	// (see routing.go). Guarded by mu.
-	routes map[string]*opRoute
+	routes map[string]*route
 	altOps map[string]string
 }
-
-// Interceptor observes every invocation passing through the proxy (the
-// paper's "trivial implementation of service invocation interceptors").
-// Returning an error aborts the invocation.
-type Interceptor func(op string, args []wire.Value) error
 
 // New creates an unbound smart proxy. Call Bind (or BindTo) before Invoke.
 func New(opts Options) (*SmartProxy, error) {
@@ -168,6 +146,7 @@ func New(opts Options) (*SmartProxy, error) {
 	}
 	sp := &SmartProxy{
 		opts:       opts,
+		main:       route{constraint: opts.Constraint, preference: opts.Preference},
 		strategies: make(map[string]Strategy),
 		in: script.New(script.Options{
 			MaxSteps:   opts.MaxScriptSteps,
@@ -211,13 +190,9 @@ func (sp *SmartProxy) OnEvent(event string) {
 		}
 		return
 	}
-	for _, e := range sp.queue {
-		if e == event {
-			sp.mu.Unlock()
-			return // collapse duplicates
-		}
+	if !slices.Contains(sp.queue, event) { // duplicates collapse
+		sp.queue = append(sp.queue, event)
 	}
-	sp.queue = append(sp.queue, event)
 	sp.mu.Unlock()
 }
 
@@ -225,9 +200,7 @@ func (sp *SmartProxy) OnEvent(event string) {
 func (sp *SmartProxy) PendingEvents() []string {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
-	out := make([]string, len(sp.queue))
-	copy(out, sp.queue)
-	return out
+	return slices.Clone(sp.queue)
 }
 
 // SetStrategy installs a Go adaptation strategy for event.
@@ -244,145 +217,12 @@ func (sp *SmartProxy) Stats() Stats {
 	return sp.stats
 }
 
-// AddInterceptor appends an invocation interceptor.
-func (sp *SmartProxy) AddInterceptor(i Interceptor) {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	sp.interceptors = append(sp.interceptors, i)
-}
-
-// Current returns the currently selected server's reference (zero if
-// unbound) and the offer it came from.
+// Current returns the main route's server reference (zero if unbound) and
+// the offer it came from.
 func (sp *SmartProxy) Current() (wire.ObjRef, trading.QueryResult) {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
-	if sp.sel == nil {
-		return wire.ObjRef{}, trading.QueryResult{}
-	}
-	return sp.sel.result.Offer.Ref, sp.sel.result
-}
-
-// Bind performs initial selection with the configured constraint,
-// applying the sort-only fallback if enabled (paper §V).
-func (sp *SmartProxy) Bind(ctx context.Context) error {
-	ok, err := sp.Select(ctx, sp.opts.Constraint)
-	if err != nil {
-		return err
-	}
-	if ok {
-		return nil
-	}
-	if sp.opts.FallbackSortOnly {
-		ok, err = sp.Select(ctx, "")
-		if err != nil {
-			return err
-		}
-		if ok {
-			return nil
-		}
-	}
-	return ErrNoOffer
-}
-
-// Select queries the trader with the given constraint (and the proxy's
-// configured preference), switching to the best offer if one is found.
-// It reports whether a server was selected. Keeping the current server
-// when the query comes back empty is the paper's Fig. 7 behaviour.
-func (sp *SmartProxy) Select(ctx context.Context, constraint string) (bool, error) {
-	return sp.selectSkipping(ctx, constraint, nil)
-}
-
-// selectSkipping is Select that never binds a server in failed.
-func (sp *SmartProxy) selectSkipping(ctx context.Context, constraint string, failed []wire.ObjRef) (bool, error) {
-	sp.mu.Lock()
-	if sp.closed {
-		sp.mu.Unlock()
-		return false, ErrClosed
-	}
-	sp.stats.Selections++
-	sp.mu.Unlock()
-	r, ok, err := sp.pick(ctx, constraint, sp.opts.Preference, failed)
-	if !ok {
-		return false, err
-	}
-	return true, sp.bindResult(ctx, r)
-}
-
-// pick is the one trader lookup behind Select, failover and operation
-// routes. It asks for the best len(failed)+1 offers and returns the first
-// whose server has not already failed during this invocation, so a dead
-// server whose lease has not yet run out is passed over. With nothing
-// failed it is a plain best-1 query.
-func (sp *SmartProxy) pick(ctx context.Context, constraint, preference string, failed []wire.ObjRef) (trading.QueryResult, bool, error) {
-	if sp.opts.Lookup == nil {
-		return trading.QueryResult{}, false, errors.New("core: no trading lookup configured")
-	}
-	results, err := sp.opts.Lookup.Query(ctx, sp.opts.ServiceType, constraint, preference, len(failed)+1)
-	if err != nil {
-		return trading.QueryResult{}, false, fmt.Errorf("core: select: %w", err)
-	}
-	for _, r := range results {
-		if !slices.Contains(failed, r.Offer.Ref) {
-			return r, true, nil
-		}
-	}
-	return trading.QueryResult{}, false, nil
-}
-
-// BindTo binds the proxy directly to a query result (bypassing the
-// trader), installing watches. Exposed for tests and static baselines.
-func (sp *SmartProxy) BindTo(ctx context.Context, r trading.QueryResult) error {
-	return sp.bindResult(ctx, r)
-}
-
-func (sp *SmartProxy) bindResult(ctx context.Context, r trading.QueryResult) error {
-	sp.mu.Lock()
-	if sp.closed {
-		sp.mu.Unlock()
-		return ErrClosed
-	}
-	old := sp.sel
-	if old != nil && old.result.Offer.Ref == r.Offer.Ref {
-		// Same server: keep existing observations.
-		sp.sel.result = r
-		sp.gen++
-		sp.mu.Unlock()
-		return nil
-	}
-	sp.mu.Unlock()
-
-	// Subscribe on the new server's monitors before switching, so no event
-	// window is lost. A monitor that refuses leaves its watch unserved.
-	newSel := &selection{result: r, proxy: sp.opts.Client.NewProxy(r.Offer.Ref)}
-	for _, w := range sp.opts.Watches {
-		mon, ok := r.Offer.MonitorFor(w.Prop)
-		if !ok {
-			sp.logf("core: offer %s has no monitor for property %q", r.Offer.ID, w.Prop)
-			continue
-		}
-		sub, err := sp.subscribe(ctx, mon, w.Event, w.Predicate)
-		if err != nil {
-			sp.logf("core: subscribe %q on %s: %v; watch skipped", w.Event, mon, err)
-			continue
-		}
-		newSel.subs = append(newSel.subs, watchSub{monitor: mon, sub: sub})
-	}
-
-	sp.mu.Lock()
-	if sp.closed {
-		sp.mu.Unlock()
-		teardown(newSel)
-		return ErrClosed
-	}
-	sp.sel = newSel
-	sp.gen++
-	if old != nil {
-		sp.stats.Switches++
-	}
-	sp.mu.Unlock()
-
-	teardown(old)
-	return nil
+	return sp.main.result.Offer.Ref, sp.main.result
 }
 
 // subscribe ships predicate to mon as a push subscription for event and
@@ -411,14 +251,8 @@ func (sp *SmartProxy) drainSub(sub *orb.Subscription) {
 	}
 }
 
-// teardown closes a selection's push subscriptions, which cancels the
-// monitor-side observers.
-func teardown(sel *selection) {
-	if sel != nil {
-		closeSubs(sel.subs)
-	}
-}
-
+// closeSubs closes push subscriptions, which cancels the monitor-side
+// observers.
 func closeSubs(subs []watchSub) {
 	for _, ws := range subs {
 		_ = ws.sub.Close()
@@ -437,26 +271,27 @@ func (sp *SmartProxy) rearm(ctx context.Context, mon wire.ObjRef, event, predica
 	fresh := watchSub{monitor: mon, sub: sub}
 	var stale []watchSub
 	sp.mu.Lock()
-	if sp.sel == nil { // closed meanwhile: nothing owns the new subscription
+	if sp.closed { // closed meanwhile: nothing owns the new subscription
 		stale = append(stale, fresh)
 	} else {
-		kept := sp.sel.subs[:0]
-		for _, ws := range sp.sel.subs {
+		kept := sp.main.subs[:0]
+		for _, ws := range sp.main.subs {
 			if ws.monitor == mon {
 				stale = append(stale, ws)
 			} else {
 				kept = append(kept, ws)
 			}
 		}
-		sp.sel.subs = append(kept, fresh)
+		sp.main.subs = append(kept, fresh)
 	}
 	sp.mu.Unlock()
 	closeSubs(stale)
 	return nil
 }
 
-// Invoke forwards op to the currently selected server, first handling any
-// pending events by activating their adaptation strategies (paper §IV-A).
+// Invoke forwards op to the server of its route — its own (RouteOperation)
+// or the main one — first handling any pending events by activating their
+// adaptation strategies (paper §IV-A).
 func (sp *SmartProxy) Invoke(ctx context.Context, op string, args ...wire.Value) ([]wire.Value, error) {
 	if err := sp.Adapt(ctx); err != nil {
 		// Adaptation failures must not break the functional path; the
@@ -468,38 +303,42 @@ func (sp *SmartProxy) Invoke(ctx context.Context, op string, args ...wire.Value)
 		sp.mu.Unlock()
 		return nil, ErrClosed
 	}
-	sel := sp.sel
-	route := sp.routes[op]
-	interceptors := sp.interceptors
+	r := sp.routes[op]
+	if r == nil {
+		r = &sp.main
+	}
+	proxy := r.proxy
 	sp.stats.Invocations++
 	sp.mu.Unlock()
-	for _, ic := range interceptors {
-		if err := ic(op, args); err != nil {
-			return nil, fmt.Errorf("core: interceptor rejected %q: %w", op, err)
-		}
-	}
-	// Per-operation routing (paper §IV-A: "choice of different components
-	// for different requested operations").
-	if route != nil {
-		return sp.routedInvoke(ctx, route, op, args)
-	}
-	if sel == nil {
+	if proxy == nil {
 		return nil, ErrNotBound
 	}
-	rs, err := sel.proxy.Call(ctx, op, args...)
+	rs, err := proxy.Call(ctx, op, args...)
 	if err == nil {
 		return rs, nil
 	}
+	return sp.invokeFailed(ctx, r, proxy, op, args, err)
+}
+
+// invokeFailed is the invoke path after proxy, r's server, failed op with
+// cause: it tries op's alternative method and, when cause indicts the
+// server, runs r's _failed strategy. If that leaves r on another server,
+// the invocation is retried there once, and that answer or fault is the
+// invocation's; otherwise it fails with cause and r keeps its server.
+func (sp *SmartProxy) invokeFailed(ctx context.Context, r *route, proxy *orb.Proxy, op string, args []wire.Value, cause error) ([]wire.Value, error) {
 	sp.mu.Lock()
 	sp.stats.FailedInvokes++
 	sp.mu.Unlock()
-	if rs, ok := sp.tryAlternative(ctx, sel.proxy, op, args, err); ok {
+	if rs, ok := sp.tryAlternative(ctx, proxy, op, args, cause); ok {
 		return rs, nil
 	}
-	if sp.opts.Failover && indictsBinding(err) {
-		return sp.failover(ctx, sel.result.Offer.Ref, op, args, err)
+	if !indictsBinding(cause) {
+		return nil, cause
 	}
-	return nil, err
+	if next := sp.repairFailed(ctx, r, proxy.Ref()); next != nil {
+		return next.Call(ctx, op, args...)
+	}
+	return nil, cause
 }
 
 // indictsBinding is the proxy's one fault rule (see orb.Fault): err says
@@ -508,31 +347,6 @@ func (sp *SmartProxy) Invoke(ctx context.Context, op string, args ...wire.Value)
 // as another server would not cure them.
 func indictsBinding(err error) bool {
 	return orb.FaultOf(err).In(orb.Refused, orb.Unreachable, orb.Lost, orb.Unknown)
-}
-
-// failover makes the paper's one re-selection: it re-selects away from the
-// server that failed and retries the invocation once, immediately, on the
-// server it lands on, whose answer or fault is the invocation's. When the
-// trader offers nothing new the proxy keeps its binding and the invocation
-// fails with the original fault.
-func (sp *SmartProxy) failover(ctx context.Context, dead wire.ObjRef, op string, args []wire.Value, cause error) ([]wire.Value, error) {
-	sp.logf("core: failover: %s unreachable, re-selecting", dead)
-	failed := []wire.ObjRef{dead}
-	ok, err := sp.selectSkipping(ctx, sp.opts.Constraint, failed)
-	if err == nil && !ok && sp.opts.FallbackSortOnly {
-		ok, err = sp.selectSkipping(ctx, "", failed)
-	}
-	if err != nil {
-		sp.logf("core: failover re-selection: %v", err)
-		return nil, cause
-	}
-	sp.mu.Lock()
-	sel := sp.sel
-	sp.mu.Unlock()
-	if !ok || sel == nil || sel.result.Offer.Ref == dead {
-		return nil, cause
-	}
-	return sel.proxy.Call(ctx, op, args...)
 }
 
 // Adapt drains the event queue and runs the strategy for each pending
@@ -579,9 +393,8 @@ func (sp *SmartProxy) Close() {
 		return
 	}
 	sp.closed = true
-	sel := sp.sel
-	sp.sel = nil
-	sp.gen++
+	subs := sp.main.subs
+	sp.main.subs = nil
 	sp.mu.Unlock()
-	teardown(sel)
+	closeSubs(subs)
 }

@@ -123,6 +123,15 @@ func (w *testWorld) newProxy(opts Options) *SmartProxy {
 	return sp
 }
 
+// install installs the shipped strategy src for event on sp.
+func install(t *testing.T, sp *SmartProxy, event, src string) *SmartProxy {
+	t.Helper()
+	if err := sp.SetScriptStrategy(event, src); err != nil {
+		t.Fatal(err)
+	}
+	return sp
+}
+
 func hostRef(i int) wire.ObjRef {
 	return wire.ObjRef{Endpoint: fmt.Sprintf("inproc|host-%d", i), Key: "service"}
 }
@@ -163,7 +172,7 @@ func TestBindFallbackSortOnly(t *testing.T) {
 	w.setLoad(0, 90, 50, 50)
 	w.setLoad(1, 60, 50, 50)
 	w.setLoad(2, 80, 50, 50)
-	sp := w.newProxy(Options{FallbackSortOnly: true})
+	sp := install(t, w.newProxy(Options{}), EventNoMatch, SortOnlyStrategy)
 	if err := sp.Bind(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -375,35 +384,6 @@ func TestStrategyErrorDoesNotBreakInvocation(t *testing.T) {
 	sp.OnEvent("E")
 	if _, err := sp.Invoke(context.Background(), "hello"); err != nil {
 		t.Fatalf("invocation failed because of strategy error: %v", err)
-	}
-}
-
-func TestInterceptors(t *testing.T) {
-	w := newWorld(t, 1)
-	w.setLoad(0, 10, 15, 15)
-	sp := w.newProxy(Options{})
-	if err := sp.Bind(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	var seen []string
-	sp.AddInterceptor(func(op string, args []wire.Value) error {
-		seen = append(seen, op)
-		return nil
-	})
-	sp.AddInterceptor(func(op string, args []wire.Value) error {
-		if op == "forbidden" {
-			return errors.New("blocked")
-		}
-		return nil
-	})
-	if _, err := sp.Invoke(context.Background(), "hello"); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 1 || seen[0] != "hello" {
-		t.Fatalf("interceptor saw %v", seen)
-	}
-	if _, err := sp.Invoke(context.Background(), "forbidden"); err == nil {
-		t.Fatal("interceptor did not block")
 	}
 }
 
@@ -803,7 +783,7 @@ func TestFailoverReselectsOnServerCrash(t *testing.T) {
 	w := newWorld(t, 2)
 	w.setLoad(0, 10, 15, 15)
 	w.setLoad(1, 20, 25, 25)
-	sp := w.newProxy(Options{Failover: true})
+	sp := install(t, w.newProxy(Options{}), EventFailed, FailoverStrategy)
 	ctx := context.Background()
 	if err := sp.Bind(ctx); err != nil {
 		t.Fatal(err)
@@ -833,7 +813,7 @@ func TestFailoverDoesNotRetryApplicationErrors(t *testing.T) {
 	w := newWorld(t, 2)
 	w.setLoad(0, 10, 15, 15)
 	w.setLoad(1, 20, 25, 25)
-	sp := w.newProxy(Options{Failover: true})
+	sp := install(t, w.newProxy(Options{}), EventFailed, FailoverStrategy)
 	ctx := context.Background()
 	if err := sp.Bind(ctx); err != nil {
 		t.Fatal(err)
@@ -851,7 +831,8 @@ func TestFailoverDoesNotRetryApplicationErrors(t *testing.T) {
 func TestFailoverLastServerGivesUp(t *testing.T) {
 	w := newWorld(t, 1)
 	w.setLoad(0, 10, 15, 15)
-	sp := w.newProxy(Options{Failover: true, FallbackSortOnly: true})
+	sp := install(t, w.newProxy(Options{}), EventFailed, FailoverStrategy)
+	install(t, sp, EventNoMatch, SortOnlyStrategy)
 	ctx := context.Background()
 	if err := sp.Bind(ctx); err != nil {
 		t.Fatal(err)

@@ -226,12 +226,14 @@ func e11Proxy(t *testing.T, cli *orb.Client, lookup trading.Directory) *core.Sma
 		Lookup:      lookup,
 		ServiceType: ServiceTypeName,
 		Preference:  "min LoadAvg",
-		Failover:    true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(sp.Close)
+	if err := sp.SetScriptStrategy(core.EventFailed, core.FailoverStrategy); err != nil {
+		t.Fatal(err)
+	}
 	if err := sp.Bind(context.Background()); err != nil {
 		t.Fatal(err)
 	}

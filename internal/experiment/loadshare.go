@@ -40,8 +40,8 @@ const (
 )
 
 // AllPolicies lists every selection policy in report order. rebind is
-// static selection plus failure-driven rebinding (a smart proxy with
-// Failover and no watches): under E1's fault-free load it behaves like
+// static selection plus failure-driven rebinding (a smart proxy with the
+// shipped failover strategy and no watches): under E1's fault-free load it behaves like
 // static, and E11 exercises its self-healing path.
 var AllPolicies = []string{PolicyAdaptive, PolicyStatic, PolicyRebind, PolicyRoundRobin, PolicyRandom}
 
@@ -125,12 +125,11 @@ func LoadSharing(cfg LoadShareConfig, policy string) (*LoadShareResult, error) {
 		switch policy {
 		case PolicyAdaptive:
 			sp, err := core.New(core.Options{
-				Client:           w.Client,
-				Lookup:           w.Lookup,
-				ServiceType:      ServiceTypeName,
-				Constraint:       constraint,
-				Preference:       "min LoadAvg",
-				FallbackSortOnly: true,
+				Client:      w.Client,
+				Lookup:      w.Lookup,
+				ServiceType: ServiceTypeName,
+				Constraint:  constraint,
+				Preference:  "min LoadAvg",
 				Watches: []core.Watch{{
 					Prop:      "LoadAvg",
 					Event:     monitor.LoadIncreaseEvent,
@@ -145,6 +144,9 @@ func LoadSharing(cfg LoadShareConfig, policy string) (*LoadShareResult, error) {
 				return err
 			})
 			defer sp.Close()
+			if err := sp.SetScriptStrategy(core.EventNoMatch, core.SortOnlyStrategy); err != nil {
+				return nil, err
+			}
 			if err := sp.Bind(ctx); err != nil {
 				return nil, fmt.Errorf("bind adaptive client %d: %w", i, err)
 			}
@@ -162,12 +164,14 @@ func LoadSharing(cfg LoadShareConfig, policy string) (*LoadShareResult, error) {
 				Lookup:      w.Lookup,
 				ServiceType: ServiceTypeName,
 				Preference:  "min LoadAvg",
-				Failover:    true,
 			})
 			if err != nil {
 				return nil, err
 			}
 			defer sp.Close()
+			if err := sp.SetScriptStrategy(core.EventFailed, core.FailoverStrategy); err != nil {
+				return nil, err
+			}
 			if err := sp.Bind(ctx); err != nil {
 				return nil, err
 			}

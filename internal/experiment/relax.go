@@ -104,12 +104,11 @@ func runRelax(cfg RelaxConfig, strategy string) (RelaxResult, error) {
 	}
 
 	sp, err := core.New(core.Options{
-		Client:           w.Client,
-		Lookup:           w.Lookup,
-		ServiceType:      ServiceTypeName,
-		Constraint:       constraint,
-		Preference:       "min LoadAvg",
-		FallbackSortOnly: true,
+		Client:      w.Client,
+		Lookup:      w.Lookup,
+		ServiceType: ServiceTypeName,
+		Constraint:  constraint,
+		Preference:  "min LoadAvg",
 		Watches: []core.Watch{{
 			Prop:      "LoadAvg",
 			Event:     monitor.LoadIncreaseEvent,
@@ -120,6 +119,9 @@ func runRelax(cfg RelaxConfig, strategy string) (RelaxResult, error) {
 		return res, err
 	}
 	defer sp.Close()
+	if err := sp.SetScriptStrategy(core.EventNoMatch, core.SortOnlyStrategy); err != nil {
+		return res, err
+	}
 
 	switch strategy {
 	case "strict":
@@ -174,6 +176,9 @@ func runRelax(cfg RelaxConfig, strategy string) (RelaxResult, error) {
 
 	tick := func() error {
 		if err := w.TickMonitors(); err != nil {
+			return err
+		}
+		if err := w.settle(sp); err != nil {
 			return err
 		}
 		// One invocation per tick drives postponed handling.

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"time"
 
+	"autoadapt/internal/core"
 	"autoadapt/internal/hostenv"
 	"autoadapt/internal/monitor"
 	"autoadapt/internal/orb"
@@ -153,6 +154,34 @@ func (w *World) TickMonitors() error {
 		}
 	}
 	return nil
+}
+
+// settle waits until every event the monitors have pushed has landed: in
+// the queue of one of sps, or dropped by the client because its
+// subscription had closed or its buffer was full. A proxy moves pushed
+// events into its queue on a goroutine of its own, so an invocation made
+// straight after TickMonitors can run before they arrive. An event that
+// has not landed within the bound is lost, and the wait fails.
+func (w *World) settle(sps ...*core.SmartProxy) error {
+	const bound = 5 * time.Second
+	deadline := time.Now().Add(bound)
+	for {
+		var pushed uint64
+		for _, m := range w.Monitors {
+			pushed += m.Pushed()
+		}
+		landed := w.Client.Stats().EventsDropped
+		for _, sp := range sps {
+			landed += uint64(sp.Stats().EventsQueued)
+		}
+		if landed >= pushed {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("experiment: %d of %d pushed events not queued after %v", pushed-landed, pushed, bound)
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
 }
 
 // SampleHosts closes one accounting window of length dt on every host.

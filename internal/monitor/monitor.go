@@ -17,6 +17,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"autoadapt/internal/clock"
@@ -184,7 +185,8 @@ type Monitor struct {
 	selfTable script.Value    // table exposing monitor methods to shipped code
 	args      [3]script.Value // detectLocked's argument array (Interp.Call keeps none)
 	closed    bool
-	ticks     int // update cycles run, read by the tests
+	ticks     int           // update cycles run, read by the tests
+	pushed    atomic.Uint64 // events a sink accepted (Pushed)
 
 	stop chan struct{}
 	done chan struct{}
@@ -482,7 +484,9 @@ func (m *Monitor) deliver(toNotify []*observer, val wire.Value) {
 		var err error
 		switch {
 		case o.sink != nil:
-			err = o.sink.Push(wire.String(o.eventID), val)
+			if err = o.sink.Push(wire.String(o.eventID), val); err == nil {
+				m.pushed.Add(1)
+			}
 		case m.opts.Notifier != nil:
 			err = m.opts.Notifier.Notify(o.ref, o.eventID)
 		default:
@@ -684,6 +688,10 @@ func (m *Monitor) DetachObserver(id int) {
 		m.observers = slices.Delete(m.observers, i, i+1)
 	}
 }
+
+// Pushed reports how many events the monitor's push observers have handed
+// to their subscription sinks, so a harness can wait until they all land.
+func (m *Monitor) Pushed() uint64 { return m.pushed.Load() }
 
 // ObserverCount reports registered observers (diagnostics).
 func (m *Monitor) ObserverCount() int {

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"autoadapt/internal/core"
 	"autoadapt/internal/orb"
 	"autoadapt/internal/wire"
 )
@@ -80,14 +81,16 @@ func TestShardedTraderFullStack(t *testing.T) {
 
 	// A smart proxy binds and invokes against the sharded trader unchanged.
 	proxy, err := platform.NewSmartProxy(ProxyOptions{
-		ServiceType:      "Hello",
-		Preference:       "min LoadAvg",
-		FallbackSortOnly: true,
+		ServiceType: "Hello",
+		Preference:  "min LoadAvg",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(proxy.Close)
+	if err := proxy.SetScriptStrategy(core.EventNoMatch, core.SortOnlyStrategy); err != nil {
+		t.Fatal(err)
+	}
 	if err := proxy.Bind(ctx); err != nil {
 		t.Fatal(err)
 	}
