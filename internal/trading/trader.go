@@ -489,7 +489,8 @@ func (t *Trader) Export(serviceType string, ref wire.ObjRef, props map[string]Pr
 	}
 	t.nextID++
 	t.statExports.Add(1)
-	id := "offer-" + strconv.Itoa(t.nextID)
+	var buf [32]byte // the id is built on the stack and converted once
+	id := string(strconv.AppendInt(append(buf[:0], "offer-"...), int64(t.nextID), 10))
 	rec := &offerRecord{
 		offer: Offer{ID: id, ServiceType: serviceType, Ref: ref},
 		props: st.slotted(props),
