@@ -26,27 +26,25 @@ import (
 const (
 	EventFailed  = "_failed"
 	EventNoMatch = "_nomatch"
-)
 
-// Shipped default strategies, installed with SetScriptStrategy.
-const (
-	// FailoverStrategy, for EventFailed, treats availability as a
-	// nonfunctional requirement: re-select with the route's constraint,
-	// passing over the server that failed.
+	// FailoverStrategy, the shipped default for EventFailed, treats
+	// availability as a nonfunctional requirement: re-select with the
+	// route's constraint, passing over the server that failed.
 	FailoverStrategy = `function(self) self:_select(self._constraint) end`
-	// SortOnlyStrategy, for EventNoMatch, is the paper's degraded query
-	// (§V): re-query with no constraint, preference only.
+	// SortOnlyStrategy, the shipped default for EventNoMatch, is the
+	// paper's degraded query (§V): re-query with no constraint.
 	SortOnlyStrategy = `function(self) self:_select("") end`
 )
 
 // route is one selection the proxy holds. Its binding fields are guarded
-// by the proxy's mu; constraint and preference never change.
+// by the proxy's mu; the other three never change.
 type route struct {
 	constraint string
 	preference string
 	result     trading.QueryResult
+	watches    []Watch    // the main route's: Options.Watches
 	proxy      *orb.Proxy // nil while unbound
-	subs       []watchSub // the main route's watch subscriptions
+	subs       []watchSub // watches' subscriptions on proxy's monitors
 }
 
 // repair is the route an EventFailed or EventNoMatch activation acts on.
@@ -99,7 +97,7 @@ func (sp *SmartProxy) bind(ctx context.Context, r *route) error {
 	}
 	rp := &repair{route: r}
 	sp.adaptMu.Lock()
-	err = sp.activate(ctx, EventNoMatch, rp)
+	err = sp.activate(context.WithValue(ctx, repairKey{}, rp), EventNoMatch, false)
 	sp.adaptMu.Unlock()
 	if err == nil && !rp.picked {
 		err = ErrNoOffer
@@ -115,7 +113,8 @@ func (sp *SmartProxy) repairFailed(ctx context.Context, r *route, dead wire.ObjR
 	sp.adaptMu.Lock()
 	defer sp.adaptMu.Unlock()
 	if sp.server(r).Ref() == dead {
-		if err := sp.activate(ctx, EventFailed, &repair{route: r, failed: []wire.ObjRef{dead}}); err != nil {
+		rp := &repair{route: r, failed: []wire.ObjRef{dead}}
+		if err := sp.activate(context.WithValue(ctx, repairKey{}, rp), EventFailed, false); err != nil {
 			sp.logf("core: after %s failed: %v", dead, err)
 		}
 	}
@@ -132,22 +131,6 @@ func (sp *SmartProxy) server(r *route) *orb.Proxy {
 	return r.proxy
 }
 
-// activate runs event's strategy, if one is installed, to repair rp.route.
-// The caller holds adaptMu. It is not a notification, so it does not count
-// in EventsHandled.
-func (sp *SmartProxy) activate(ctx context.Context, event string, rp *repair) error {
-	sp.mu.Lock()
-	s := sp.strategies[event]
-	sp.mu.Unlock()
-	if s == nil {
-		return nil
-	}
-	if err := s(context.WithValue(ctx, repairKey{}, rp), sp); err != nil {
-		return fmt.Errorf("core: strategy %q: %w", event, err)
-	}
-	return nil
-}
-
 // Select queries the trader with the given constraint (and the route's
 // preference), switching to the best offer if one is found. It reports
 // whether a server was selected. Keeping the current server when the query
@@ -156,13 +139,12 @@ func (sp *SmartProxy) activate(ctx context.Context, event string, rp *repair) er
 // (given its context): there it acts on the route being repaired and
 // passes over the servers that failed during the invocation.
 func (sp *SmartProxy) Select(ctx context.Context, constraint string) (bool, error) {
-	rp, _ := ctx.Value(repairKey{}).(*repair)
-	if rp == nil {
-		return sp.selectRoute(ctx, &sp.main, constraint, nil)
+	if rp, _ := ctx.Value(repairKey{}).(*repair); rp != nil {
+		ok, err := sp.selectRoute(ctx, rp.route, constraint, rp.failed)
+		rp.picked = rp.picked || (ok && err == nil)
+		return ok, err
 	}
-	ok, err := sp.selectRoute(ctx, rp.route, constraint, rp.failed)
-	rp.picked = rp.picked || (ok && err == nil)
-	return ok, err
+	return sp.selectRoute(ctx, &sp.main, constraint, nil)
 }
 
 // selectRoute is the one trader lookup behind Bind, Select and
@@ -199,9 +181,9 @@ func (sp *SmartProxy) BindTo(ctx context.Context, res trading.QueryResult) error
 	return sp.point(ctx, &sp.main, res)
 }
 
-// point binds r to the offer in res. The main route subscribes its watches
-// on the new server's monitors before switching, so no event window is
-// lost; a rebind to the same server keeps them.
+// point binds r to the offer in res. It subscribes r's watches on the new
+// server's monitors before switching, so no event window is lost; a rebind
+// to the same server keeps them.
 func (sp *SmartProxy) point(ctx context.Context, r *route, res trading.QueryResult) error {
 	sp.mu.Lock()
 	if sp.closed {
@@ -217,11 +199,7 @@ func (sp *SmartProxy) point(ctx context.Context, r *route, res trading.QueryResu
 	sp.mu.Unlock()
 
 	var subs []watchSub
-	watches := sp.opts.Watches
-	if r != &sp.main {
-		watches = nil // per-operation routes carry none
-	}
-	for _, w := range watches {
+	for _, w := range r.watches {
 		mon, ok := res.Offer.MonitorFor(w.Prop)
 		if !ok {
 			sp.logf("core: offer %s has no monitor for property %q", res.Offer.ID, w.Prop)

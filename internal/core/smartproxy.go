@@ -146,7 +146,7 @@ func New(opts Options) (*SmartProxy, error) {
 	}
 	sp := &SmartProxy{
 		opts:       opts,
-		main:       route{constraint: opts.Constraint, preference: opts.Preference},
+		main:       route{constraint: opts.Constraint, preference: opts.Preference, watches: opts.Watches},
 		strategies: make(map[string]Strategy),
 		in: script.New(script.Options{
 			MaxSteps:   opts.MaxScriptSteps,
@@ -370,19 +370,31 @@ func (sp *SmartProxy) runStrategies(ctx context.Context, events []string) error 
 	defer sp.adaptMu.Unlock()
 	var firstErr error
 	for _, e := range events {
-		sp.mu.Lock()
-		s := sp.strategies[e]
-		sp.stats.EventsHandled++
-		sp.mu.Unlock()
-		if s == nil {
-			sp.logf("core: no strategy for event %q", e)
-			continue
-		}
-		if err := s(ctx, sp); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("core: strategy %q: %w", e, err)
+		if err := sp.activate(ctx, e, true); err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
 	return firstErr
+}
+
+// activate runs event's strategy, if one is installed. The caller holds
+// adaptMu. Only a notification counts in EventsHandled: EventFailed and
+// EventNoMatch are the proxy's own events, not queued ones.
+func (sp *SmartProxy) activate(ctx context.Context, event string, notification bool) error {
+	sp.mu.Lock()
+	s := sp.strategies[event]
+	if notification {
+		sp.stats.EventsHandled++
+	}
+	sp.mu.Unlock()
+	if s == nil {
+		sp.logf("core: no strategy for event %q", event)
+		return nil
+	}
+	if err := s(ctx, sp); err != nil {
+		return fmt.Errorf("core: strategy %q: %w", event, err)
+	}
+	return nil
 }
 
 // Close closes the proxy's subscriptions; later calls fail with ErrClosed.
