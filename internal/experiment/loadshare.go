@@ -41,8 +41,8 @@ const (
 
 // AllPolicies lists every selection policy in report order. rebind is
 // static selection plus failure-driven rebinding (a smart proxy with the
-// shipped failover strategy and no watches): under E1's fault-free load it behaves like
-// static, and E11 exercises its self-healing path.
+// shipped failover strategy and no watches): under E1's fault-free load it
+// behaves like static, and E11 exercises its self-healing path.
 var AllPolicies = []string{PolicyAdaptive, PolicyStatic, PolicyRebind, PolicyRoundRobin, PolicyRandom}
 
 // LoadShareConfig parameterizes experiment E1.

@@ -31,7 +31,7 @@ import (
 //	Unknown      anything else                           strike   no          transport   yes       no
 //
 // "retry" is RetryPolicy's re-invocation, "failover" a smart proxy's
-// re-selection and routed retry, and "shard" the sharded trader's strike
+// _failed strategy and its one retry, and "shard" the sharded trader's strike
 // against a shard. Results a server cannot encode or frame come back as
 // CodeInternal, so Answered: the server and the path to it work, and a
 // retry would fail alike. The trader asks a monitor for its
