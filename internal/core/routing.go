@@ -36,13 +36,13 @@ const (
 	SortOnlyStrategy = `function(self) self:_select("") end`
 )
 
-// route is one selection the proxy holds. Its binding fields are guarded
-// by the proxy's mu; the other three never change.
+// route is one selection the proxy holds. The first three fields never
+// change; the binding, after them, is guarded by the proxy's mu.
 type route struct {
 	constraint string
 	preference string
+	watches    []Watch // the main route's: Options.Watches
 	result     trading.QueryResult
-	watches    []Watch    // the main route's: Options.Watches
 	proxy      *orb.Proxy // nil while unbound
 	subs       []watchSub // watches' subscriptions on proxy's monitors
 }
