@@ -115,26 +115,6 @@ func BenchmarkE4DirectGoCall(b *testing.B) {
 	}
 }
 
-func BenchmarkE4CollocatedFastPath(b *testing.B) {
-	n := orb.NewInprocNetwork()
-	srv, err := orb.NewServer(orb.ServerOptions{Network: n, Address: "b4-local"})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	ref := srv.Register("echo", "", echoServantBench())
-	client := orb.NewClient(n)
-	defer client.Close()
-	client.RegisterLocal(srv)
-	ctx := context.Background()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := client.Invoke(ctx, ref, "echo", wire.Int(42)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkE4InprocORBCall(b *testing.B) {
 	n := orb.NewInprocNetwork()
 	srv, err := orb.NewServer(orb.ServerOptions{Network: n, Address: "b4-inproc"})
@@ -555,7 +535,6 @@ func benchE12Proxy(b *testing.B) (*core.SmartProxy, *orb.Client, wire.ObjRef) {
 	}))
 	client := orb.NewClient(n)
 	b.Cleanup(func() { client.Close() })
-	client.RegisterLocal(srv) // collocated fast path, as a real agent host
 	sp, err := core.New(core.Options{Client: client})
 	if err != nil {
 		b.Fatal(err)

@@ -248,11 +248,11 @@ func TestCallDecodeWaitsForRunningDecoder(t *testing.T) {
 	})
 }
 
-// TestCallDecodeCollocated: a collocated call hands the decoder its results
-// encoded, as a remote one does, with or without a cancellable context.
+// TestCallDecodeCollocated: a call to a server in the same process hands
+// the decoder its results encoded, with an uncancellable context (the caller
+// reads its own reply) and with a cancellable one (a background reader does).
 func TestCallDecodeCollocated(t *testing.T) {
 	w := newDecodeWorld(t, NewInprocNetwork(), "decode-local")
-	w.client.RegisterLocal(w.srv)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	for _, ctx := range []context.Context{context.Background(), ctx} {
@@ -263,9 +263,6 @@ func TestCallDecodeCollocated(t *testing.T) {
 		if err := w.proxy.CallDecode(ctx, "str", &nd); err == nil || err.Error() != "wrong shape" {
 			t.Fatalf("str: %v, want the decoder's error", err)
 		}
-	}
-	if w.conn() != nil {
-		t.Fatal("a collocated call dialed")
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"autoadapt/internal/metrics"
+	"autoadapt/internal/testutil"
 	"autoadapt/internal/wire"
 )
 
@@ -125,9 +126,11 @@ func TestClassify(t *testing.T) {
 	}
 }
 
-// TestAllocGuardInstrumentedInvoke is the issue's acceptance guard: an
-// instrumented collocated invoke may cost at most 1 alloc/op more than
-// the uninstrumented path (guarded at 4 in alloc_guard_test.go).
+// TestAllocGuardInstrumentedInvoke: an instrumented invoke over the
+// in-process transport, client and server both with a registry, costs at
+// most one allocation more than the uninstrumented one
+// (TestAllocGuardInprocInvoke). Measured: 1 allocs/op, the same as without
+// metrics. Under -race that guard's ceiling is 13, so this one's is 14.
 func TestAllocGuardInstrumentedInvoke(t *testing.T) {
 	n := NewInprocNetwork()
 	srv, err := NewServer(ServerOptions{Network: n, Address: "alloc-m", Metrics: metrics.NewRegistry()})
@@ -138,20 +141,23 @@ func TestAllocGuardInstrumentedInvoke(t *testing.T) {
 	ref := srv.Register("echo", "", echoGuardServant())
 	client := NewClientOpts(ClientOptions{Networks: []Network{n}, Metrics: metrics.NewRegistry()})
 	defer client.Close()
-	client.RegisterLocal(srv)
 	ctx := context.Background()
 	arg := wire.Int(42)
-	// Warm the per-endpoint handle cache so its one-time creation is not
-	// measured.
+	// Warm the connection and the per-endpoint handle cache so their
+	// one-time creation is not measured.
 	if _, err := client.Invoke(ctx, ref, "echo", arg); err != nil {
 		t.Fatal(err)
+	}
+	want := 1.0
+	if testutil.RaceEnabled {
+		want = 14
 	}
 	allocs := testing.AllocsPerRun(500, func() {
 		if _, err := client.Invoke(ctx, ref, "echo", arg); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 5 { // uninstrumented guard (4) + the issue's 1 alloc budget
-		t.Fatalf("instrumented collocated Invoke: %.1f allocs/op, want <= 5", allocs)
+	if allocs > want {
+		t.Fatalf("instrumented inproc Invoke: %.1f allocs/op, want <= %.0f", allocs, want)
 	}
 }

@@ -415,8 +415,7 @@ func TestIDLCheckedDispatch(t *testing.T) {
 
 func TestLocalFastPath(t *testing.T) {
 	n := NewInprocNetwork()
-	srv, client, ref := newPair(t, n, "server-local")
-	client.RegisterLocal(srv)
+	_, client, ref := newPair(t, n, "server-local")
 	got, err := client.Invoke(context.Background(), ref, "add", wire.Int(20), wire.Int(22))
 	if err != nil {
 		t.Fatal(err)
