@@ -125,15 +125,6 @@ type Client struct {
 	conns  map[string]*clientConn
 	dials  map[string]*inflightDial // per-endpoint singleflight
 	closed bool
-
-	// localWG tracks goroutines spawned by the collocated fast paths so
-	// Close can wait for them (the repo's no-goroutine-leaks convention).
-	localWG sync.WaitGroup
-
-	// LocalServers, when registered, enable a fast path: invocations on
-	// references served by this process bypass the transport entirely.
-	localMu sync.RWMutex
-	local   map[string]*Server
 }
 
 // inflightDial de-duplicates concurrent dials to one endpoint: the first
@@ -180,21 +171,17 @@ func NewClientOpts(opts ClientOptions) *Client {
 		breakers:      make(map[string]*breaker),
 		conns:         make(map[string]*clientConn),
 		dials:         make(map[string]*inflightDial),
-		local:         make(map[string]*Server),
 	}
 	c.metrics = newClientMetrics(opts.Metrics, &c.stats)
 	return c
 }
 
-// RegisterLocal enables the in-process fast path for a co-located server:
-// invocations on its references skip the transport. This mirrors CORBA
-// collocation optimization and keeps micro-benchmarks honest about where
-// time goes (see bench E4).
-func (c *Client) RegisterLocal(s *Server) {
-	c.localMu.Lock()
-	defer c.localMu.Unlock()
-	c.local[s.Endpoint()] = s
-}
+// RegisterLocal does nothing. A call to a server in this process takes the
+// same path as any other: it dials the server's endpoint (an InprocNetwork
+// for an in-process one) and the server dispatches it. The method stays only
+// because the benchmark's orb.collocated_x probe still calls it; the change
+// that drops that probe deletes it.
+func (c *Client) RegisterLocal(*Server) {}
 
 // Invoke calls op on the object named by ref and waits for its reply,
 // applying the client's retry policy to transport faults. The context
@@ -218,6 +205,9 @@ func (c *Client) invoke(ctx context.Context, ref wire.ObjRef, op string, args []
 	}
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err // an already-done context never sends
 	}
 	if c.timeout > 0 {
 		if _, has := ctx.Deadline(); !has {
@@ -243,10 +233,9 @@ func (c *Client) invoke(ctx context.Context, ref wire.ObjRef, op string, args []
 	}
 }
 
-// invokeOnce performs a single invocation attempt. Collocated calls
-// bypass the circuit breaker (an in-process servant cannot be
-// partitioned); remote calls consult the endpoint's breaker before
-// touching the transport and feed their outcome back into it.
+// invokeOnce performs a single invocation attempt. It consults the
+// endpoint's breaker before touching the transport and feeds the outcome
+// back into it.
 func (c *Client) invokeOnce(ctx context.Context, ref wire.ObjRef, op string, args []wire.Value, dec ResultReader) ([]wire.Value, error) {
 	if c.metrics != nil {
 		start := time.Now()
@@ -258,12 +247,6 @@ func (c *Client) invokeOnce(ctx context.Context, ref wire.ObjRef, op string, arg
 }
 
 func (c *Client) invokeOnceUntimed(ctx context.Context, ref wire.ObjRef, op string, args []wire.Value, dec ResultReader) ([]wire.Value, error) {
-	c.localMu.RLock()
-	local, ok := c.local[ref.Endpoint]
-	c.localMu.RUnlock()
-	if ok {
-		return c.invokeLocal(ctx, local, ref.Key, op, args, dec)
-	}
 	br := c.breakerFor(ref.Endpoint)
 	probe := false
 	if br != nil {
@@ -289,74 +272,12 @@ func (c *Client) invokeRemote(ctx context.Context, ref wire.ObjRef, op string, a
 	return cc.roundTrip(ctx, ref.Key, op, args, dec)
 }
 
-// invokeLocal is the collocated fast path. It honors ctx: an already-done
-// context never dispatches, and a cancellable one can interrupt the wait
-// (the servant call itself runs to completion in a tracked goroutine).
-// Results for dec are encoded into a pooled buffer for it to read, as it
-// reads a remote reply's. The servant gets a copy of args, so that no
-// caller's argument array escapes: the compiler cannot see it keeps none.
-func (c *Client) invokeLocal(ctx context.Context, local *Server, key, op string, args []wire.Value, dec ResultReader) ([]wire.Value, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	req := &wire.Request{ObjectKey: key, Operation: op, Args: slices.Clone(args)}
-	if dl, ok := ctx.Deadline(); ok {
-		req.Deadline = dl.UnixNano()
-	}
-	if ctx.Done() == nil {
-		// Uncancellable context (e.g. Background): dispatch inline, free
-		// of any goroutine or channel cost.
-		rep := local.dispatch(req)
-		return localResults(&rep, dec)
-	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClosed
-	}
-	c.localWG.Add(1)
-	c.mu.Unlock()
-	ch := make(chan wire.Reply, 1)
-	go func() {
-		defer c.localWG.Done()
-		ch <- local.dispatch(req)
-	}()
-	select {
-	case rep := <-ch:
-		return localResults(&rep, dec)
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
 // decodeError is a decoder's error on a reply that is valid wire. The
 // server answered, so retries, the breaker and the metrics take it as they
 // take a RemoteError; Invoke hands the caller the decoder's own error.
 type decodeError struct{ err error }
 
 func (e *decodeError) Error() string { return e.err.Error() }
-
-// localResults is replyToResults for a collocated reply, whose results, for
-// dec, go through the wire encoding.
-func localResults(rep *wire.Reply, dec ResultReader) ([]wire.Value, error) {
-	if dec == nil || rep.Err != "" {
-		return replyToResults(rep)
-	}
-	fb := wire.GetFrameBuffer()
-	defer wire.PutFrameBuffer(fb)
-	b := fb.B[:0]
-	for _, v := range rep.Results {
-		var err error
-		if b, err = wire.AppendValue(b, v); err != nil {
-			return nil, err
-		}
-	}
-	fb.B = b
-	if err := dec.ReadResults(wire.NewDecoder(b), len(rep.Results)); err != nil {
-		return nil, &decodeError{err}
-	}
-	return nil, nil
-}
 
 // replyToResults converts a reply into the Invoke return values.
 func replyToResults(rep *wire.Reply) ([]wire.Value, error) {
@@ -372,25 +293,6 @@ func (c *Client) InvokeOneway(ref wire.ObjRef, op string, args ...wire.Value) er
 		return errors.New("orb: oneway invoke on nil object reference")
 	}
 	c.stats.oneways.Add(1)
-	c.localMu.RLock()
-	local, ok := c.local[ref.Endpoint]
-	c.localMu.RUnlock()
-	if ok {
-		// Preserve oneway semantics (fire and forget, asynchronously) but
-		// track the dispatch so Close waits for it.
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			return ErrClosed
-		}
-		c.localWG.Add(1)
-		c.mu.Unlock()
-		go func() {
-			defer c.localWG.Done()
-			local.dispatch(&wire.Request{ObjectKey: ref.Key, Operation: op, Args: args})
-		}()
-		return nil
-	}
 	cc, err := c.conn(context.Background(), ref.Endpoint)
 	if err != nil {
 		return err
@@ -398,8 +300,7 @@ func (c *Client) InvokeOneway(ref wire.ObjRef, op string, args ...wire.Value) er
 	return cc.sendOneway(ref.Key, op, args)
 }
 
-// Close tears down every connection and waits for the client's background
-// goroutines (connection readers, tracked local dispatches) to finish.
+// Close tears down every connection and waits for its reader to finish.
 // In-flight invocations fail with ErrClosed or a transport error.
 func (c *Client) Close() error {
 	c.mu.Lock()
@@ -420,7 +321,6 @@ func (c *Client) Close() error {
 	for _, cc := range conns {
 		<-cc.readerDone
 	}
-	c.localWG.Wait()
 	return nil
 }
 

@@ -23,8 +23,8 @@ import (
 // completes exactly once — with the reply, the connection's death, or the
 // caller's cancellation — and is safe for concurrent use.
 type Future struct {
-	// cc is nil for collocated invocations. A remote future holds one of
-	// cc's in-flight window slots until it completes.
+	// cc carries the request; the future holds one of its in-flight
+	// window slots until it completes.
 	cc   *clientConn
 	id   uint64
 	done chan struct{}
@@ -52,9 +52,7 @@ func (f *Future) complete(rep *wire.Reply, err error) {
 		if f.br != nil {
 			f.br.record(f.err, f.probe)
 		}
-		if f.cc != nil {
-			f.cc.releaseSlot()
-		}
+		f.cc.releaseSlot()
 		close(f.done)
 	})
 }
@@ -64,9 +62,7 @@ func (f *Future) complete(rep *wire.Reply, err error) {
 // err — unless a real reply already won the race, in which case that
 // outcome stands.
 func (f *Future) cancel(err error) {
-	if f.cc != nil {
-		f.cc.forget(f.id, true)
-	}
+	f.cc.forget(f.id, true)
 	f.complete(nil, err)
 }
 
@@ -88,9 +84,7 @@ func (f *Future) Wait(ctx context.Context) ([]wire.Value, error) {
 	case <-f.done:
 		return f.results, f.err
 	case <-ctx.Done():
-		if f.cc != nil {
-			f.cc.c.stats.canceled.Add(1)
-		}
+		f.cc.c.stats.canceled.Add(1)
 		f.cancel(ctx.Err())
 		return f.results, f.err
 	}
@@ -101,7 +95,10 @@ func (f *Future) Wait(ctx context.Context) ([]wire.Value, error) {
 // a single attempt — an async caller owns redelivery — but it respects
 // the per-endpoint circuit breaker and the connection's in-flight window
 // (ctx bounds both the send and, via the wire deadline, server dispatch).
-// Collocated references dispatch in a tracked goroutine.
+// An already-done ctx sends nothing. Breaker bookkeeping is exactly-once
+// per allow: failures before the future is registered record here; from
+// then on its completion owns the record and the window slot (including
+// the send-failure path, where cancel/close completes it).
 func (c *Client) InvokeAsync(ctx context.Context, ref wire.ObjRef, op string, args ...wire.Value) (*Future, error) {
 	if ref.IsZero() {
 		return nil, errors.New("orb: async invoke on nil object reference")
@@ -110,20 +107,9 @@ func (c *Client) InvokeAsync(ctx context.Context, ref wire.ObjRef, op string, ar
 		ctx = context.Background()
 	}
 	c.stats.asyncCalls.Add(1)
-	c.localMu.RLock()
-	local, ok := c.local[ref.Endpoint]
-	c.localMu.RUnlock()
-	if ok {
-		return c.invokeLocalAsync(ctx, local, ref.Key, op, args)
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	return c.invokeRemoteAsync(ctx, ref, op, args)
-}
-
-// invokeRemoteAsync issues one pipelined request. Breaker bookkeeping is
-// exactly-once per allow: failures before the future is registered record
-// here; from then on its completion owns the record and the window slot
-// (including the send-failure path, where cancel/close completes it).
-func (c *Client) invokeRemoteAsync(ctx context.Context, ref wire.ObjRef, op string, args []wire.Value) (*Future, error) {
 	br := c.breakerFor(ref.Endpoint)
 	probe := false
 	if br != nil {
@@ -156,32 +142,6 @@ func (c *Client) invokeRemoteAsync(ctx context.Context, ref wire.ObjRef, op stri
 		fut.complete(nil, err)
 		return nil, err
 	}
-	return fut, nil
-}
-
-// invokeLocalAsync is the collocated async fast path: dispatch runs in a
-// goroutine tracked by localWG so Close still drains it.
-func (c *Client) invokeLocalAsync(ctx context.Context, local *Server, key, op string, args []wire.Value) (*Future, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	req := &wire.Request{ObjectKey: key, Operation: op, Args: args}
-	if dl, ok := ctx.Deadline(); ok {
-		req.Deadline = dl.UnixNano()
-	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClosed
-	}
-	c.localWG.Add(1)
-	c.mu.Unlock()
-	fut := &Future{done: make(chan struct{})}
-	go func() {
-		defer c.localWG.Done()
-		rep := local.dispatch(req)
-		fut.complete(&rep, nil)
-	}()
 	return fut, nil
 }
 

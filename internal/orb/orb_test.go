@@ -413,6 +413,8 @@ func TestIDLCheckedDispatch(t *testing.T) {
 	}
 }
 
+// TestLocalFastPath: a server in the same process answers results and
+// application errors over the in-process transport.
 func TestLocalFastPath(t *testing.T) {
 	n := NewInprocNetwork()
 	_, client, ref := newPair(t, n, "server-local")
@@ -421,12 +423,11 @@ func TestLocalFastPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got[0].Num() != 42 {
-		t.Fatalf("local fast path = %v", got[0].Num())
+		t.Fatalf("in-process add = %v", got[0].Num())
 	}
-	// Errors work identically on the fast path.
 	_, err = client.Invoke(context.Background(), ref, "fail")
 	if !IsRemoteCode(err, CodeApp) {
-		t.Fatalf("fast path error = %v", err)
+		t.Fatalf("in-process error = %v", err)
 	}
 }
 

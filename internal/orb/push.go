@@ -51,11 +51,9 @@ type EventSource interface {
 
 // Subscription is the client's end of a push stream.
 type Subscription struct {
-	c      *Client
-	cc     *clientConn // nil for collocated subscriptions
-	id     uint64      // stream id on cc
-	cancel func()      // collocated: the servant's cancel
-	ch     chan []wire.Value
+	cc *clientConn
+	id uint64 // stream id on cc
+	ch chan []wire.Value
 
 	mu     sync.Mutex
 	closed bool
@@ -75,8 +73,8 @@ func (s *Subscription) Err() error {
 }
 
 // Close unsubscribes: the event channel is closed, the server's sink is
-// cancelled (best effort for remote subscriptions), and late events are
-// dropped. Close is idempotent.
+// cancelled (best effort), and late events are dropped. Close is
+// idempotent.
 func (s *Subscription) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -86,35 +84,26 @@ func (s *Subscription) Close() error {
 	s.closed = true
 	close(s.ch)
 	s.mu.Unlock()
-	if s.cancel != nil {
-		s.cancel()
-	}
-	if s.cc != nil {
-		s.cc.removeSub(s.id)
-		return s.cc.sendUnsubscribe(s.id)
-	}
-	return nil
+	s.cc.removeSub(s.id)
+	return s.cc.sendUnsubscribe(s.id)
 }
 
-// deliver hands one pushed event to the subscriber, reporting whether the
-// subscription is still open. A full buffer drops the event (and counts
-// it) instead of stalling the delivering goroutine — for remote
-// subscriptions that goroutine is the connection's reader, which must
-// never block on a slow consumer.
-func (s *Subscription) deliver(values []wire.Value) bool {
+// deliver hands one pushed event to the subscriber. A full buffer drops
+// the event (and counts it) instead of stalling the delivering goroutine,
+// the connection's reader, which must never block on a slow consumer.
+func (s *Subscription) deliver(values []wire.Value) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		s.c.stats.eventsDropped.Add(1)
-		return false
+		s.cc.c.stats.eventsDropped.Add(1)
+		return
 	}
 	select {
 	case s.ch <- values:
-		s.c.stats.eventsPushed.Add(1)
+		s.cc.c.stats.eventsPushed.Add(1)
 	default:
-		s.c.stats.eventsDropped.Add(1)
+		s.cc.c.stats.eventsDropped.Add(1)
 	}
-	return true
 }
 
 // fail ends the subscription with err (connection death). Idempotent.
@@ -130,24 +119,12 @@ func (s *Subscription) fail(err error) {
 	s.mu.Unlock()
 }
 
-// localSink adapts a collocated Subscription to the EventSink the servant
-// pushes into.
-type localSink struct{ sub *Subscription }
-
-// Push implements EventSink.
-func (ls localSink) Push(values ...wire.Value) error {
-	if !ls.sub.deliver(values) {
-		return ErrSubscriptionClosed
-	}
-	return nil
-}
-
 // Subscribe opens a push subscription on the object named by ref: topic
 // and args are delivered to the servant's EventSource.Subscribe, and
 // events it pushes arrive on the returned Subscription's channel.
-// Collocated references bypass the transport. Subscribe performs a single
-// attempt (no retry policy) and does not consume an in-flight window slot —
-// subscriptions are long-lived control state, not pipelined requests.
+// Subscribe performs a single attempt (no retry policy) and does not
+// consume an in-flight window slot — subscriptions are long-lived control
+// state, not pipelined requests.
 func (c *Client) Subscribe(ctx context.Context, ref wire.ObjRef, topic string, args ...wire.Value) (*Subscription, error) {
 	if ref.IsZero() {
 		return nil, errors.New("orb: subscribe on nil object reference")
@@ -156,39 +133,11 @@ func (c *Client) Subscribe(ctx context.Context, ref wire.ObjRef, topic string, a
 		ctx = context.Background()
 	}
 	c.stats.subscribes.Add(1)
-	c.localMu.RLock()
-	local, ok := c.local[ref.Endpoint]
-	c.localMu.RUnlock()
-	if ok {
-		return c.subscribeLocal(local, ref.Key, topic, args)
-	}
 	cc, err := c.conn(ctx, ref.Endpoint)
 	if err != nil {
 		return nil, err
 	}
 	return cc.subscribe(ctx, ref.Key, topic, args)
-}
-
-// subscribeLocal is the collocated fast path: the servant's sink feeds the
-// subscription channel directly. Errors surface exactly as a remote
-// subscribe would report them (RemoteError), so callers need not care
-// where the object lives.
-func (c *Client) subscribeLocal(local *Server, key, topic string, args []wire.Value) (*Subscription, error) {
-	sv, ok := local.Lookup(key)
-	if !ok {
-		return nil, &RemoteError{Code: CodeNoSuchObject, Msg: fmt.Sprintf("no object %q", key)}
-	}
-	es, ok := sv.(EventSource)
-	if !ok {
-		return nil, &RemoteError{Code: CodeBadOperation, Msg: fmt.Sprintf("object %q does not push events", key)}
-	}
-	sub := &Subscription{c: c, ch: make(chan []wire.Value, DefaultSubscriptionBuffer)}
-	cancel, err := safeSubscribe(es, topic, args, localSink{sub})
-	if err != nil {
-		return nil, remoteSubscribeError(err)
-	}
-	sub.cancel = cancel
-	return sub, nil
 }
 
 // remoteSubscribeError converts a servant-side subscribe error into the
@@ -218,7 +167,7 @@ func safeSubscribe(es EventSource, topic string, args []wire.Value, sink EventSi
 // reply. The stream is installed *before* the send so events racing ahead
 // of the ack's processing are never dropped.
 func (cc *clientConn) subscribe(ctx context.Context, key, topic string, args []wire.Value) (*Subscription, error) {
-	sub := &Subscription{c: cc.c, cc: cc, ch: make(chan []wire.Value, DefaultSubscriptionBuffer)}
+	sub := &Subscription{cc: cc, ch: make(chan []wire.Value, DefaultSubscriptionBuffer)}
 	pc, id, err := cc.register(nil, true, nil) // waits on ctx like a cancellable call
 	if err != nil {
 		return nil, err

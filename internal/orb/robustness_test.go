@@ -627,12 +627,12 @@ func TestServerAbortsExpiredDeadline(t *testing.T) {
 	}
 }
 
-// TestCollocatedInvokeHonorsContext covers the fast-path ctx bugs: an
-// already-cancelled context must not dispatch, and a deadline must
-// interrupt the wait on a slow servant.
-func TestCollocatedInvokeHonorsContext(t *testing.T) {
+// TestInvokeHonorsContext: an already-cancelled context sends nothing, so
+// the servant never sees the call, and a deadline interrupts the wait on a
+// slow servant.
+func TestInvokeHonorsContext(t *testing.T) {
 	n := NewInprocNetwork()
-	srv, err := NewServer(ServerOptions{Network: n, Address: "colloc"})
+	srv, err := NewServer(ServerOptions{Network: n, Address: "ctx"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -647,15 +647,27 @@ func TestCollocatedInvokeHonorsContext(t *testing.T) {
 	}))
 	client := NewClient(n)
 	defer client.Close()
-	client.RegisterLocal(srv)
+	// Dial first, so that the cancelled call finds a connection to send on.
+	if _, err := client.Invoke(context.Background(), ref, "fast"); err != nil {
+		t.Fatal(err)
+	}
 
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := client.Invoke(cancelled, ref, "fast"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if dispatched.Load() != 0 {
-		t.Fatal("cancelled context still dispatched locally")
+	if _, err := client.InvokeAsync(cancelled, ref, "fast"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("async err = %v, want context.Canceled", err)
+	}
+	// The server reads a connection's requests in order, so once a later
+	// call is answered, a request the cancelled calls sent would have been
+	// dispatched.
+	if _, err := client.Invoke(context.Background(), ref, "fast"); err != nil {
+		t.Fatal(err)
+	}
+	if got := dispatched.Load(); got != 2 {
+		t.Fatalf("%d dispatches, want 2: cancelled context still dispatched", got)
 	}
 
 	ctx, cancel2 := context.WithTimeout(context.Background(), 20*time.Millisecond)
@@ -666,7 +678,7 @@ func TestCollocatedInvokeHonorsContext(t *testing.T) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
 	if elapsed := time.Since(start); elapsed > 150*time.Millisecond {
-		t.Fatalf("local dispatch ignored deadline (took %v)", elapsed)
+		t.Fatalf("invoke ignored deadline (took %v)", elapsed)
 	}
 }
 

@@ -73,8 +73,8 @@ func (f ServantFunc) Invoke(op string, args []wire.Value) ([]wire.Value, error) 
 // op's result count (wire.AppendValueCount) and results to dst, which holds
 // the reply's header, and returns the extended slice. handled false sends
 // the call to Invoke. Errors are Invoke's: an AppError, or any other error
-// for an internal one. Invoke must still answer every operation, as the
-// collocated path and a servant wrapper call it.
+// for an internal one. Invoke must still answer every operation, as a
+// oneway request and a servant wrapper call it.
 type ResultWriter interface {
 	Servant
 	AppendResults(dst []byte, op string, args []wire.Value) (out []byte, handled bool, err error)
@@ -253,18 +253,6 @@ func (s *Server) Register(key, iface string, sv Servant) wire.ObjRef {
 // currently registered under it).
 func (s *Server) RefFor(key string) wire.ObjRef {
 	return wire.ObjRef{Endpoint: s.endpoint, Key: key}
-}
-
-// Lookup returns the servant registered under key, if any. Local callers
-// (e.g. the in-process fast path) use this to bypass the network.
-func (s *Server) Lookup(key string) (Servant, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e, ok := s.servants[key]
-	if !ok {
-		return nil, false
-	}
-	return e.servant, true
 }
 
 // Close stops accepting, closes every live connection, and waits for
@@ -694,15 +682,9 @@ func (s *Server) servantEntryFor(key string) *servantEntry {
 	return entry
 }
 
-// dispatch routes a request to its servant, applying IDL checking when
-// configured, and converts errors into error replies.
-func (s *Server) dispatch(req *wire.Request) wire.Reply {
-	rep, _ := s.dispatchEntry(s.servantEntryFor(req.ObjectKey), req, nil)
-	return rep
-}
-
-// dispatchEntry is dispatch with the servant lookup already done. Given a
-// frame buffer, it lets a ResultWriter servant encode its reply there:
+// dispatchEntry routes a request to entry's servant (nil if none is
+// registered), applying IDL checking when configured, and converts errors
+// into error replies. Given a frame buffer, it lets a ResultWriter servant encode its reply there:
 // written reports that fb holds the reply, and rep then carries only its
 // id.
 func (s *Server) dispatchEntry(entry *servantEntry, req *wire.Request, fb *wire.FrameBuffer) (rep wire.Reply, written bool) {
