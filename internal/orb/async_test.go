@@ -427,21 +427,28 @@ func TestSubscribePushDelivery(t *testing.T) {
 	if err := sub.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	// The server processes the unsubscribe asynchronously; once it has,
-	// pushes fail with ErrSubscriptionClosed and the servant's cancel ran.
+	// Once the server has read the unsubscribe, pushes fail with
+	// ErrSubscriptionClosed and the servant's cancel ran.
+	pushUntilClosed(t, sink)
+	if src.sink("load") != nil {
+		t.Fatal("servant cancel did not run on unsubscribe")
+	}
+}
+
+// pushUntilClosed pushes on sink until it reports ErrSubscriptionClosed: the
+// server reads an unsubscribe on its own connection goroutine.
+func pushUntilClosed(t *testing.T, sink EventSink) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		err := sink.Push(wire.Int(99))
 		if errors.Is(err, ErrSubscriptionClosed) {
-			break
+			return
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("push after unsubscribe: err = %v, want ErrSubscriptionClosed", err)
 		}
 		time.Sleep(time.Millisecond)
-	}
-	if src.sink("load") != nil {
-		t.Fatal("servant cancel did not run on unsubscribe")
 	}
 }
 
@@ -516,18 +523,7 @@ func TestSubscribeCollocatedFastPath(t *testing.T) {
 	if err := sub.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	// The server reads the unsubscribe on its own connection goroutine.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		err := sink.Push(wire.Int(1))
-		if errors.Is(err, ErrSubscriptionClosed) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("push after close: %v, want ErrSubscriptionClosed", err)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	pushUntilClosed(t, sink)
 	if src.sink("load") != nil {
 		t.Fatal("cancel did not run on close")
 	}

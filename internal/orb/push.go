@@ -140,17 +140,6 @@ func (c *Client) Subscribe(ctx context.Context, ref wire.ObjRef, topic string, a
 	return cc.subscribe(ctx, ref.Key, topic, args)
 }
 
-// remoteSubscribeError converts a servant-side subscribe error into the
-// RemoteError the wire protocol would carry.
-func remoteSubscribeError(err error) error {
-	code := CodeApp
-	var app *AppError
-	if !errors.As(err, &app) {
-		code = CodeInternal
-	}
-	return &RemoteError{Code: code, Msg: err.Error()}
-}
-
 // safeSubscribe shields the caller from a panicking EventSource.
 func safeSubscribe(es EventSource, topic string, args []wire.Value, sink EventSink) (cancel func(), err error) {
 	defer func() {

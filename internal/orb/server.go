@@ -661,9 +661,7 @@ func (s *Server) handleSubscribe(cw *connWriter, sub *wire.Subscribe, subs map[u
 		sink := &eventSink{w: cw, subID: sub.SubID}
 		cancel, err := safeSubscribe(es, sub.Topic, sub.Args, sink)
 		if err != nil {
-			var re *RemoteError
-			errors.As(remoteSubscribeError(err), &re)
-			rep.ErrCode, rep.Err = re.Code, re.Msg
+			rep.ErrCode, rep.Err = servantErrorCode(err), err.Error()
 			break
 		}
 		subs[sub.SubID] = &serverSub{sink: sink, cancel: cancel}
@@ -722,14 +720,19 @@ func (s *Server) dispatchEntryUntimed(entry *servantEntry, req *wire.Request, fb
 	}
 	results, written, err := safeInvoke(entry.servant, req, fb)
 	if err != nil {
-		code := CodeApp
-		var app *AppError
-		if !errors.As(err, &app) {
-			code = CodeInternal
-		}
-		return wire.Reply{ID: req.ID, ErrCode: code, Err: err.Error()}, false
+		return wire.Reply{ID: req.ID, ErrCode: servantErrorCode(err), Err: err.Error()}, false
 	}
 	return wire.Reply{ID: req.ID, Results: results}, written
+}
+
+// servantErrorCode is the reply code for a servant's error: CodeApp for an
+// AppError, CodeInternal for any other.
+func servantErrorCode(err error) string {
+	var app *AppError
+	if errors.As(err, &app) {
+		return CodeApp
+	}
+	return CodeInternal
 }
 
 // safeInvoke calls the servant: a ResultWriter's AppendResults into fb when
