@@ -682,9 +682,9 @@ func (s *Server) servantEntryFor(key string) *servantEntry {
 
 // dispatchEntry routes a request to entry's servant (nil if none is
 // registered), applying IDL checking when configured, and converts errors
-// into error replies. Given a frame buffer, it lets a ResultWriter servant encode its reply there:
-// written reports that fb holds the reply, and rep then carries only its
-// id.
+// into error replies. Given a frame buffer, it lets a ResultWriter servant
+// encode its reply there: written reports that fb holds the reply, and rep
+// then carries only its id.
 func (s *Server) dispatchEntry(entry *servantEntry, req *wire.Request, fb *wire.FrameBuffer) (rep wire.Reply, written bool) {
 	if s.sm != nil {
 		start := time.Now()
