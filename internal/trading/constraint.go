@@ -101,7 +101,7 @@ func (c *Constraint) passStatic(vals []*wire.Value) (open uint64, ok bool) {
 	for k := range min(len(c.conj), maxStatic) {
 		if slices.ContainsFunc(c.conj[k].refs, func(u int) bool { return vals[u] == &unresolved }) {
 			open |= 1 << k
-		} else if v, err := c.conj[k].n.run(vals); err != nil || !v.Truthy() {
+		} else if ok, err := c.conj[k].n.test(vals); err != nil || !ok {
 			return 0, false
 		}
 	}
@@ -115,7 +115,7 @@ func (c *Constraint) passRest(open uint64, vals []*wire.Value) bool {
 		if k < maxStatic && open&(1<<k) == 0 {
 			continue
 		}
-		if v, err := c.conj[k].n.run(vals); err != nil || !v.Truthy() {
+		if ok, err := c.conj[k].n.test(vals); err != nil || !ok {
 			return false
 		}
 	}
@@ -218,49 +218,34 @@ func (n *cnode) walk(fn func(*cnode)) {
 }
 
 // run evaluates the expression over vals, the values of its refs in order;
-// a nil entry is a property the offer does not have.
+// a nil entry is a property the offer does not have. A truth-valued node
+// (exist, not, and, or, a comparison) is test's answer as a wire.Bool.
 func (n *cnode) run(vals []*wire.Value) (wire.Value, error) {
 	switch n.op {
 	case opLit, opProp:
 		return *n.leaf(vals), nil
-	case opExist:
-		return wire.Bool(vals[n.ref] != nil), nil
-	}
-	if n.op >= opEq && n.op <= opGe && n.l.op <= opProp && n.r.op <= opProp {
-		// Both operands are leaves ("Cores >= 2"): compare them in place.
-		return n.cmp(n.l.leaf(vals), n.r.leaf(vals))
+	case opNeg, opAdd, opSub, opMul, opDiv:
+	default:
+		b, err := n.test(vals)
+		if err != nil {
+			return wire.Value{}, err
+		}
+		return wire.Bool(b), nil
 	}
 	l, err := n.l.run(vals)
 	if err != nil {
 		return wire.Value{}, err
 	}
-	switch n.op {
-	case opNot:
-		return wire.Bool(!l.Truthy()), nil
-	case opNeg:
+	if n.op == opNeg {
 		x, ok := l.AsNumber()
 		if !ok {
 			return wire.Value{}, fmt.Errorf("trading: cannot negate %s", l.Kind())
 		}
 		return wire.Number(-x), nil
-	case opAnd:
-		if !l.Truthy() {
-			return wire.Bool(false), nil
-		}
-	case opOr:
-		if l.Truthy() {
-			return wire.Bool(true), nil
-		}
 	}
 	r, err := n.r.run(vals)
 	if err != nil {
 		return wire.Value{}, err
-	}
-	switch n.op {
-	case opAnd, opOr:
-		return wire.Bool(r.Truthy()), nil
-	case opEq, opNe, opLt, opLe, opGt, opGe:
-		return n.cmp(&l, &r)
 	}
 	ln, lok := l.AsNumber()
 	rn, rok := r.AsNumber()
@@ -281,6 +266,41 @@ func (n *cnode) run(vals []*wire.Value) (wire.Value, error) {
 	return wire.Number(ln / rn), nil
 }
 
+// test evaluates the expression for its truth: whether run's value is
+// truthy, or run's error. A truth-valued node answers without building a
+// wire.Value; any other is run.
+func (n *cnode) test(vals []*wire.Value) (bool, error) {
+	switch n.op {
+	case opExist:
+		return vals[n.ref] != nil, nil
+	case opNot:
+		b, err := n.l.test(vals)
+		return !b && err == nil, err
+	case opAnd, opOr:
+		b, err := n.l.test(vals)
+		if err != nil || b != (n.op == opAnd) {
+			return b && err == nil, err // "and" false, "or" true: r is not read
+		}
+		return n.r.test(vals)
+	case opEq, opNe, opLt, opLe, opGt, opGe:
+		if n.l.op <= opProp && n.r.op <= opProp {
+			// Both operands are leaves ("Cores >= 2"): compare them in place.
+			return n.cmp(n.l.leaf(vals), n.r.leaf(vals))
+		}
+		l, err := n.l.run(vals)
+		if err != nil {
+			return false, err
+		}
+		r, err := n.r.run(vals)
+		if err != nil {
+			return false, err
+		}
+		return n.cmp(&l, &r)
+	}
+	v, err := n.run(vals)
+	return err == nil && v.Truthy(), err
+}
+
 // leaf is where the value of an opLit or opProp node is. Unquoted
 // barewords double as string literals (paper's "== no").
 func (n *cnode) leaf(vals []*wire.Value) *wire.Value {
@@ -290,11 +310,12 @@ func (n *cnode) leaf(vals []*wire.Value) *wire.Value {
 	return &n.lit
 }
 
-// cmp applies the comparison n.op to a and b. Only two numbers or two
-// strings are ordered, and a NaN orders equal to every number.
-func (n *cnode) cmp(a, b *wire.Value) (wire.Value, error) {
+// cmp applies the comparison n.op to a and b, the one compare routine
+// of run and test. Only two numbers or two strings are ordered, and a NaN
+// orders equal to every number.
+func (n *cnode) cmp(a, b *wire.Value) (bool, error) {
 	if n.op == opEq || n.op == opNe {
-		return wire.Bool(looseEqual(*a, *b) == (n.op == opEq)), nil
+		return looseEqual(*a, *b) == (n.op == opEq), nil
 	}
 	an, aok := a.AsNumber()
 	bn, bok := b.AsNumber()
@@ -308,17 +329,17 @@ func (n *cnode) cmp(a, b *wire.Value) (wire.Value, error) {
 	case a.Kind() == wire.KindString && b.Kind() == wire.KindString:
 		c = strings.Compare(a.Str(), b.Str())
 	default:
-		return wire.Value{}, fmt.Errorf("trading: cannot order %s against %s", a.Kind(), b.Kind())
+		return false, fmt.Errorf("trading: cannot order %s against %s", a.Kind(), b.Kind())
 	}
 	switch n.op {
 	case opLt:
-		return wire.Bool(c < 0), nil
+		return c < 0, nil
 	case opLe:
-		return wire.Bool(c <= 0), nil
+		return c <= 0, nil
 	case opGt:
-		return wire.Bool(c > 0), nil
+		return c > 0, nil
 	}
-	return wire.Bool(c >= 0), nil
+	return c >= 0, nil
 }
 
 // ---- parser ----

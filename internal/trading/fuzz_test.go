@@ -28,6 +28,19 @@ var constraintSeeds = []string{
 	"LoadAvg < 50 or Cores >= 2 and LoadAvgIncreasing == no", "not (Cores >= 2) and LoadAvg < 50",
 	"exist LoadAvg and Cores >= 2", "LoadAvgIncreasing == no and Cores >= 2", "Cores / 0 == 1 and LoadAvg < 50",
 	longChain + " and true", longChain + " and q == 1",
+	// the truth-valued path, on fuzzLookup's kinds by name length: nan is
+	// NaN, negz -0, zeroP +0, up true, isDown1 false, s the string "no",
+	// alpha1 the string "alpha1", missingProp1 absent (a bareword); yes and
+	// no are properties too, so the words a bool equals are quoted
+	"nan < 1", "1 < nan", "nan <= 1", "1 <= nan", "nan > 1", "1 > nan", "nan >= 1", "1 >= nan",
+	"nan == nan", "nan != nan", "nan == 1", "nan < nan",
+	"-0 == 0", "negz == 0", "negz != 0", "negz == zeroP", "negz < zeroP", "negz >= zeroP", "-zeroP == negz",
+	"up == 'yes'", "up == 'no'", "up == 'true'", "up == 'false'", "'yes' == up", "up != 'no'", "up == true", "up == false",
+	"isDown1 == 'no'", "isDown1 == 'false'", "isDown1 == 'yes'", "isDown1 != 'true'", "up == s", "isDown1 == s", "up == no",
+	"alpha1 < 'beta'", "alpha1 >= alpha1", "alpha1 > s", "s < 'np'", "'a' < 'b'", "s <= no",
+	"missingProp1 < 5", "5 > missingProp1", "missingProp1 == 5", "missingProp1 == missingProp1", "missingProp1 > 'm'",
+	"not (nan < 1)", "not (up == no) and negz == 0", "nan < 1 or up == yes", "not (missingProp1 < 5)",
+	"missingProp1 < 5 or up == yes", "up == yes or missingProp1 < 5", "not not (alpha1 < s)", "not exist missingProp1 or nan >= nan",
 	// rejected by the parser
 	"x ==", "(x == 1", "x == 'unterminated", "and x", "x == 1 extra garbage(", "exist", "x @ 1", "1..2 == 1",
 }
@@ -109,7 +122,7 @@ func addSeeds(f *testing.F, seeds ...[]string) {
 // FuzzParseConstraint: parsing never panics, and an accepted constraint
 // looks up only the names it references and evaluates, compiled, exactly as the
 // reference tree walk does: the same value, the same error-or-not, and
-// through the public Eval the same error text. Evaluated conjunct by
+// through the public Eval and the truth-valued test the same error text. Evaluated conjunct by
 // conjunct as the trader does — the static pass over the refs marked
 // static, then the conjuncts it left open — it accepts exactly when the
 // reference is truthy without error, whichever refs are marked dynamic.
@@ -138,6 +151,9 @@ func FuzzParseConstraint(f *testing.F) {
 		}
 		checkAsked(t, src, asked, c.refs)
 		vals := lookupVals(c.refs, lookup)
+		if ok, err := c.root.test(vals); (err == nil) != (werr == nil) || werr != nil && err.Error() != werr.Error() || werr == nil && ok != want.Truthy() {
+			t.Fatalf("%q: truth %v (err %v), reference %v (err %v)", src, ok, err, want, werr)
+		}
 		for _, dyn := range []uint64{0, ^uint64(0), FNVString(FNVOffset64, src)} {
 			static := slices.Clone(vals)
 			for u := range static {

@@ -25,8 +25,9 @@ type TraderStats struct {
 	// Offers is the current live offer count (lease-aware).
 	Offers int64
 	// Scanned counts the offer records Query visited to find its candidates,
-	// and Candidates those that became candidates. The per-type index makes
-	// them differ only by expired-but-unreaped records.
+	// and Candidates those whose lease had not expired, before the static
+	// pass drops any. The per-type index makes them differ only by
+	// expired-but-unreaped records.
 	Scanned    int64
 	Candidates int64
 }

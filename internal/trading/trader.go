@@ -671,37 +671,43 @@ func (t *Trader) query(ctx context.Context, serviceType, constraint, preference 
 		slotOf = append(slotOf, s)
 	}
 	sc.slotOf, sc.slotNames = slotOf, rt.names
+	// Without a resolver nothing resolves and dynamic properties read as
+	// missing.
+	resolve := slotOf
+	if t.resolver == nil {
+		resolve = nil
+	}
 	// The type's list is already in export order, the deterministic base
-	// order preferences refine. Capture each candidate's properties while
-	// holding the lock: Export and Modify install fresh slices and never
-	// mutate published ones, and an offer's other fields are immutable
-	// after export, so the captured pair stays consistent after the lock is
-	// released even if a concurrent Modify swaps in replacement properties.
+	// order preferences refine. Each live offer meets the static pass as it
+	// is captured, still under the lock, so only the offers that no static
+	// conjunct rejects become candidates, each keeping its open conjuncts
+	// and adding the reads of its dynamic properties while they are in
+	// cache. Export and Modify install fresh slices and never mutate
+	// published ones, and an offer's other fields are immutable after
+	// export, so the captured properties stay consistent after the lock is
+	// released even if a concurrent Modify swaps in replacements.
+	vals := slices.Grow(sc.vals[:0], len(names))[:len(names)]
+	sc.vals = vals
 	candidates := sc.candidates[:0]
+	sc.tasks, sc.groups, sc.pend, sc.contiguous = sc.tasks[:0], sc.groups[:0], sc.pend[:0], true
 	now := t.clk.Now()
 	recs := t.byType[serviceType]
+	live := 0
 	for _, rec := range recs {
-		if !rec.expired(now) {
-			candidates = append(candidates, offerView{rec: rec, props: rec.props, quarantined: rec.strikes.Out()})
+		if rec.expired(now) {
+			continue
+		}
+		live++
+		sc.loadStatic(&rec.props, vals[:len(cons.refs)])
+		if open, ok := cons.passStatic(vals[:len(cons.refs)]); ok {
+			candidates = append(candidates, offerView{rec: rec, props: rec.props, quarantined: rec.strikes.Out(), open: open})
+			sc.addReads(&candidates[len(candidates)-1], resolve, len(recs))
 		}
 	}
 	t.mu.RUnlock()
+	sc.candidates = candidates
 	t.statScanned.Add(int64(len(recs)))
-	t.statCandidates.Add(int64(len(candidates)))
-
-	// The static pass drops the candidates a static conjunct rejects before
-	// anything is resolved for them; the survivors keep their open conjuncts.
-	vals := slices.Grow(sc.vals[:0], len(names))[:len(names)]
-	sc.vals = vals
-	kept := candidates[:0]
-	for i := range candidates {
-		c := &candidates[i]
-		sc.load(c, vals[:len(cons.refs)], false)
-		if c.open, ok = cons.passStatic(vals[:len(cons.refs)]); ok {
-			kept = append(kept, *c)
-		}
-	}
-	candidates, sc.candidates = kept, kept
+	t.statCandidates.Add(int64(live))
 
 	resolveCtx := ctx
 	if resolveTimeout > 0 {
@@ -709,13 +715,7 @@ func (t *Trader) query(ctx context.Context, serviceType, constraint, preference 
 		resolveCtx, cancel = context.WithTimeout(ctx, resolveTimeout)
 		defer cancel()
 	}
-	// Without a resolver nothing resolves and dynamic properties read as
-	// missing.
-	resolve := slotOf
-	if t.resolver == nil {
-		resolve = nil
-	}
-	t.resolveReferenced(resolveCtx, candidates, resolve, workers, sc)
+	t.resolveReferenced(resolveCtx, candidates, workers, sc)
 	t.noteResolveOutcomes(ctx, candidates, sc.outcomes)
 
 	prefVals := slices.Grow(sc.prefVals[:0], len(prefAt))[:len(prefAt)]
@@ -729,7 +729,7 @@ func (t *Trader) query(ctx context.Context, serviceType, constraint, preference 
 		if c.quarantined {
 			continue // probed above, but untrusted until rehabilitated
 		}
-		sc.load(c, vals, true)
+		sc.load(c, vals)
 		if !cons.passRest(c.open, vals[:len(cons.refs)]) {
 			continue
 		}
@@ -752,17 +752,29 @@ func (t *Trader) query(ctx context.Context, serviceType, constraint, preference 
 	return nil
 }
 
+// loadStatic fills vals with the values in p of the first len(vals) of the
+// query's names: statics from its slots, &unresolved for dynamics, and nil
+// where the offer lacks the property.
+func (sc *queryScratch) loadStatic(p *slotProps, vals []*wire.Value) {
+	for u := range vals {
+		vals[u] = nil
+		if i, ok := p.get(sc.slotOf[u]); ok && p.dynamic(i) {
+			vals[u] = &unresolved
+		} else if ok {
+			vals[u] = &p.val[i]
+		}
+	}
+}
+
 // load fills vals with candidate c's values of the first len(vals) of the
 // query's names: statics from its slots, dynamics from this query's
-// resolutions (&unresolved until resolved), and nil where the offer lacks
-// the property or its dynamic value did not resolve.
-func (sc *queryScratch) load(c *offerView, vals []*wire.Value, resolved bool) {
+// resolutions, and nil where the offer lacks the property or its dynamic
+// value did not resolve.
+func (sc *queryScratch) load(c *offerView, vals []*wire.Value) {
 	for u := range vals {
 		s := sc.slotOf[u]
 		vals[u] = nil
-		if i, ok := c.props.get(s); ok && !resolved && c.props.dynamic(i) {
-			vals[u] = &unresolved
-		} else if ok {
+		if i, ok := c.props.get(s); ok {
 			vals[u] = sc.snapValue(c, s, i)
 		}
 	}
@@ -853,6 +865,7 @@ type queryScratch struct {
 	row        replyRow // queryWire's, one row at a time
 	outcomes   []resolveOutcome
 	gi         groupIndex
+	contiguous bool // every task so far joined the newest group
 }
 
 // resolveOutcome summarizes one offer's dynamic-property resolutions
@@ -882,16 +895,20 @@ func putQueryScratch(sc *queryScratch) {
 		return // oversized: let the GC reclaim the whole scratch
 	}
 	// Drop references so a pooled scratch does not pin offers or resolved
-	// values between queries.
+	// values between queries. A query writes these slices only below their
+	// final lengths, and each came out of the pool cleared, so clearing up
+	// to the length clears all it wrote. queryWire reuses row for each row
+	// it writes, so a shorter row can leave a longer one's tail: row is
+	// cleared to its capacity, the most properties of one offer.
 	sc.slotNames = nil
-	clear(sc.candidates[:cap(sc.candidates)])
-	clear(sc.vals[:cap(sc.vals)])
-	clear(sc.prefVals[:cap(sc.prefVals)])
-	clear(sc.tasks[:cap(sc.tasks)])
-	clear(sc.groups[:cap(sc.groups)])
-	clear(sc.aspects[:cap(sc.aspects)])
-	clear(sc.pend[:cap(sc.pend)])
-	clear(sc.results[:cap(sc.results)])
+	clear(sc.candidates)
+	clear(sc.vals)
+	clear(sc.prefVals)
+	clear(sc.tasks)
+	clear(sc.groups)
+	clear(sc.aspects)
+	clear(sc.pend)
+	clear(sc.results)
 	clear(sc.row[:cap(sc.row)])
 	queryScratchPool.Put(sc)
 }
@@ -900,7 +917,7 @@ func putQueryScratch(sc *queryScratch) {
 // properties point at the same object and aspect share a single task. The
 // tasks of one object form a chain through next, in order of first
 // reference; slot is the task's place in the query's aspects and results
-// once the groups are laid out.
+// when the groups had to be laid out.
 type resolveTask struct {
 	aspect string
 	next   int // next task of the same group, -1 at the end
@@ -983,6 +1000,32 @@ func (gi *groupIndex) place(h uint64, slot int32) {
 	gi.slots[i] = slot
 }
 
+// refHash hashes ref for the query's group index with a fixed function,
+// eight bytes at a time, ending in splitmix64's finalizer so every input
+// bit reaches the low bits the index masks.
+func refHash(ref wire.ObjRef) uint64 {
+	h := hashString(hashString(0, ref.Endpoint), ref.Key)
+	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>27) * 0x94d049bb133111eb
+	return h ^ h>>31
+}
+
+// hashString folds s into h a word at a time, the last word holding the
+// bytes past the last full eight and their count.
+func hashString(h uint64, s string) uint64 {
+	for ; len(s) >= 8; s = s[8:] {
+		// One load: the compiler merges the eight byte reads.
+		w := uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+			uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+		h = (h ^ w) * 0x9e3779b97f4a7c15
+	}
+	w := uint64(len(s))
+	for i := 0; i < len(s); i++ {
+		w = w<<8 | uint64(s[i])
+	}
+	return (h ^ w) * 0x9e3779b97f4a7c15
+}
+
 // FNVOffset64 is the FNV-1a 64-bit offset basis: the h to start
 // FNVString from.
 const FNVOffset64 = 14695981039346656037
@@ -990,9 +1033,9 @@ const FNVOffset64 = 14695981039346656037
 const fnvPrime64 = 1099511628211
 
 // FNVString folds s into the FNV-1a 64-bit hash h, followed by a field
-// separator, so a chain of calls hashes a tuple of strings. The trader
-// groups dynamic-property reads by it and the shard router ranks owners by
-// it.
+// separator, so a chain of calls hashes a tuple of strings. The shard
+// router ranks a service type's owners by it; the trader's per-query group
+// index hashes with refHash instead, a word at a time.
 func FNVString(h uint64, s string) uint64 {
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
@@ -1004,78 +1047,87 @@ func FNVString(h uint64, s string) uint64 {
 	return h
 }
 
-// resolveReferenced resolves, for every candidate, its dynamic properties
-// in slots (those of what the constraint or preference references). The
-// reads are grouped by the object they address and, within a group,
-// identical aspects are deduplicated into one task, across all offers;
-// resolveAll then interrogates each object once. It leaves each candidate's
-// lo:hi range of sc.pend, its sc.outcomes entry, and the sc.results those
-// pend entries index behind.
-func (t *Trader) resolveReferenced(ctx context.Context, offers []offerView, slots []int, workers int, sc *queryScratch) {
-	outcomes := sc.outcomes[:0]
-	tasks, groups, pend := sc.tasks[:0], sc.groups[:0], sc.pend[:0]
-	// The index is reset lazily so purely static queries pay nothing for it.
-	var gi *groupIndex
-	for i := range offers {
-		outcomes = append(outcomes, resolveNone)
-		offers[i].lo = len(pend)
-		g := -1
-		props := &offers[i].props
-		for _, s := range slots {
-			k, ok := props.get(s)
-			if !ok || !props.dynamic(k) {
-				continue
-			}
-			ref, aspect := props.source(k)
-			if gi == nil {
-				gi = &sc.gi
-				// Offers in the paper's scenario read their dynamic props
-				// off one monitor each.
-				gi.reset(len(offers))
-			}
-			// An offer's properties usually name one monitor (Fig. 6).
-			if g < 0 || groups[g].ref != ref {
-				h := FNVString(FNVString(FNVOffset64, ref.Endpoint), ref.Key)
-				if g = gi.lookup(groups, h, ref); g < 0 {
-					g = len(groups)
-					groups = append(groups, resolveGroup{ref: ref, hash: h, head: -1, tail: -1})
-					gi.insert(groups, g)
-				}
-			}
-			idx := groups[g].head
-			for idx >= 0 && tasks[idx].aspect != aspect {
-				idx = tasks[idx].next
-			}
-			if idx < 0 {
-				idx = len(tasks)
-				tasks = append(tasks, resolveTask{aspect: aspect, next: -1})
-				if tail := groups[g].tail; tail >= 0 {
-					tasks[tail].next = idx
-				} else {
-					groups[g].head = idx
-				}
-				groups[g].tail = idx
-			}
-			pend = append(pend, pendingProp{slot: s, task: idx})
+// addReads adds the reads of candidate c's dynamic properties in slots
+// (those the constraint or preference references) and sets c's lo:hi range
+// of sc.pend to them. The reads are grouped by the object they address
+// and, within a group, identical aspects are deduplicated into one task,
+// across all offers. hint, the count of the type's offers, sizes the index.
+func (sc *queryScratch) addReads(c *offerView, slots []int, hint int) {
+	tasks, groups, pend := sc.tasks, sc.groups, sc.pend
+	c.lo = len(pend)
+	g := -1
+	props := &c.props
+	for _, s := range slots {
+		k, ok := props.get(s)
+		if !ok || !props.dynamic(k) {
+			continue
 		}
-		offers[i].hi = len(pend)
+		ref, aspect := props.source(k)
+		if len(groups) == 0 {
+			// The index is reset at the query's first read, so purely
+			// static queries pay nothing for it.
+			sc.gi.reset(hint)
+		}
+		// An offer's properties usually name one monitor (Fig. 6).
+		if g < 0 || groups[g].ref != ref {
+			h := refHash(ref)
+			if g = sc.gi.lookup(groups, h, ref); g < 0 {
+				g = len(groups)
+				groups = append(groups, resolveGroup{ref: ref, hash: h, head: -1, tail: -1, lo: len(tasks)})
+				sc.gi.insert(groups, g)
+			}
+		}
+		idx := groups[g].head
+		for idx >= 0 && tasks[idx].aspect != aspect {
+			idx = tasks[idx].next
+		}
+		if idx < 0 {
+			idx = len(tasks)
+			sc.contiguous = sc.contiguous && g == len(groups)-1
+			tasks = append(tasks, resolveTask{aspect: aspect, next: -1})
+			if tail := groups[g].tail; tail >= 0 {
+				tasks[tail].next = idx
+			} else {
+				groups[g].head = idx
+			}
+			groups[g].tail = idx
+			groups[g].hi = len(tasks)
+		}
+		pend = append(pend, pendingProp{slot: s, task: idx})
 	}
-	// Lay the groups out back to back, in order of first reference, so each
-	// has its aspects and its results contiguous, then point every pending
-	// property at its task's slot in that layout.
+	c.hi = len(pend)
+	sc.tasks, sc.groups, sc.pend = tasks, groups, pend
+}
+
+// resolveReferenced resolves the reads addReads added for offers:
+// resolveAll interrogates each object once. It leaves each candidate's
+// sc.outcomes entry, and the sc.results its pend entries index, behind.
+func (t *Trader) resolveReferenced(ctx context.Context, offers []offerView, workers int, sc *queryScratch) {
+	tasks, groups, pend := sc.tasks, sc.groups, sc.pend
+	// Each group's aspects and results are the range lo:hi of the query's.
+	// When the tasks came group by group, as when every offer reads a
+	// monitor of its own, they are already laid out: task i is slot i.
+	// Otherwise lay the groups out back to back, in order of first
+	// reference, then point every pending property at its task's slot.
 	aspects := slices.Grow(sc.aspects[:0], len(tasks))[:0]
-	for g := range groups {
-		groups[g].lo = len(aspects)
-		for i := groups[g].head; i >= 0; i = tasks[i].next {
-			tasks[i].slot = len(aspects)
+	if sc.contiguous {
+		for i := range tasks {
 			aspects = append(aspects, tasks[i].aspect)
 		}
-		groups[g].hi = len(aspects)
+	} else {
+		for g := range groups {
+			groups[g].lo = len(aspects)
+			for i := groups[g].head; i >= 0; i = tasks[i].next {
+				tasks[i].slot = len(aspects)
+				aspects = append(aspects, tasks[i].aspect)
+			}
+			groups[g].hi = len(aspects)
+		}
+		for i := range pend {
+			pend[i].task = tasks[pend[i].task].slot
+		}
 	}
-	for i := range pend {
-		pend[i].task = tasks[pend[i].task].slot
-	}
-	sc.outcomes, sc.tasks, sc.groups, sc.aspects, sc.pend = outcomes, tasks, groups, aspects, pend
+	sc.aspects = aspects
 	results := t.resolveAll(ctx, groups, aspects, workers, sc)
 	if tm := t.tm.Load(); tm != nil {
 		tm.resolveTasks.Observe(int64(len(tasks)))
@@ -1089,15 +1141,19 @@ func (t *Trader) resolveReferenced(ctx context.Context, offers []offerView, slot
 			tm.resolveErrors.Add(failed)
 		}
 	}
+	outcomes := sc.outcomes[:0]
 	for i := range offers {
+		o := resolveNone
 		for _, p := range pend[offers[i].lo:offers[i].hi] {
 			if results[p.task].Err != nil {
-				outcomes[i] = resolveSomeFailed
-			} else if outcomes[i] == resolveNone {
-				outcomes[i] = resolveAllOK
+				o = resolveSomeFailed
+			} else if o == resolveNone {
+				o = resolveAllOK
 			}
 		}
+		outcomes = append(outcomes, o)
 	}
+	sc.outcomes = outcomes
 }
 
 // resolveGroup interrogates one group's object for the group's aspects.
