@@ -671,25 +671,17 @@ func (t *Trader) query(ctx context.Context, serviceType, constraint, preference 
 		slotOf = append(slotOf, s)
 	}
 	sc.slotOf, sc.slotNames = slotOf, rt.names
-	// Without a resolver nothing resolves and dynamic properties read as
-	// missing.
-	resolve := slotOf
-	if t.resolver == nil {
-		resolve = nil
-	}
 	// The type's list is already in export order, the deterministic base
 	// order preferences refine. Each live offer meets the static pass as it
 	// is captured, still under the lock, so only the offers that no static
-	// conjunct rejects become candidates, each keeping its open conjuncts
-	// and adding the reads of its dynamic properties while they are in
-	// cache. Export and Modify install fresh slices and never mutate
-	// published ones, and an offer's other fields are immutable after
-	// export, so the captured properties stay consistent after the lock is
-	// released even if a concurrent Modify swaps in replacements.
+	// conjunct rejects become candidates, each keeping its open conjuncts.
+	// Export and Modify install fresh slices and never mutate published
+	// ones, and an offer's other fields are immutable after export, so the
+	// captured properties stay consistent after the lock is released even
+	// if a concurrent Modify swaps in replacements.
 	vals := slices.Grow(sc.vals[:0], len(names))[:len(names)]
 	sc.vals = vals
 	candidates := sc.candidates[:0]
-	sc.tasks, sc.groups, sc.pend, sc.contiguous = sc.tasks[:0], sc.groups[:0], sc.pend[:0], true
 	now := t.clk.Now()
 	recs := t.byType[serviceType]
 	live := 0
@@ -701,7 +693,6 @@ func (t *Trader) query(ctx context.Context, serviceType, constraint, preference 
 		sc.loadStatic(&rec.props, vals[:len(cons.refs)])
 		if open, ok := cons.passStatic(vals[:len(cons.refs)]); ok {
 			candidates = append(candidates, offerView{rec: rec, props: rec.props, quarantined: rec.strikes.Out(), open: open})
-			sc.addReads(&candidates[len(candidates)-1], resolve, len(recs))
 		}
 	}
 	t.mu.RUnlock()
@@ -715,7 +706,13 @@ func (t *Trader) query(ctx context.Context, serviceType, constraint, preference 
 		resolveCtx, cancel = context.WithTimeout(ctx, resolveTimeout)
 		defer cancel()
 	}
-	t.resolveReferenced(resolveCtx, candidates, workers, sc)
+	// Without a resolver nothing resolves and dynamic properties read as
+	// missing.
+	resolve := slotOf
+	if t.resolver == nil {
+		resolve = nil
+	}
+	t.resolveReferenced(resolveCtx, candidates, resolve, workers, sc)
 	t.noteResolveOutcomes(ctx, candidates, sc.outcomes)
 
 	prefVals := slices.Grow(sc.prefVals[:0], len(prefAt))[:len(prefAt)]
@@ -865,7 +862,6 @@ type queryScratch struct {
 	row        replyRow // queryWire's, one row at a time
 	outcomes   []resolveOutcome
 	gi         groupIndex
-	contiguous bool // every task so far joined the newest group
 }
 
 // resolveOutcome summarizes one offer's dynamic-property resolutions
@@ -917,7 +913,7 @@ func putQueryScratch(sc *queryScratch) {
 // properties point at the same object and aspect share a single task. The
 // tasks of one object form a chain through next, in order of first
 // reference; slot is the task's place in the query's aspects and results
-// when the groups had to be laid out.
+// once the groups are laid out.
 type resolveTask struct {
 	aspect string
 	next   int // next task of the same group, -1 at the end
@@ -1047,87 +1043,78 @@ func FNVString(h uint64, s string) uint64 {
 	return h
 }
 
-// addReads adds the reads of candidate c's dynamic properties in slots
-// (those the constraint or preference references) and sets c's lo:hi range
-// of sc.pend to them. The reads are grouped by the object they address
-// and, within a group, identical aspects are deduplicated into one task,
-// across all offers. hint, the count of the type's offers, sizes the index.
-func (sc *queryScratch) addReads(c *offerView, slots []int, hint int) {
-	tasks, groups, pend := sc.tasks, sc.groups, sc.pend
-	c.lo = len(pend)
-	g := -1
-	props := &c.props
-	for _, s := range slots {
-		k, ok := props.get(s)
-		if !ok || !props.dynamic(k) {
-			continue
-		}
-		ref, aspect := props.source(k)
-		if len(groups) == 0 {
-			// The index is reset at the query's first read, so purely
-			// static queries pay nothing for it.
-			sc.gi.reset(hint)
-		}
-		// An offer's properties usually name one monitor (Fig. 6).
-		if g < 0 || groups[g].ref != ref {
-			h := refHash(ref)
-			if g = sc.gi.lookup(groups, h, ref); g < 0 {
-				g = len(groups)
-				groups = append(groups, resolveGroup{ref: ref, hash: h, head: -1, tail: -1, lo: len(tasks)})
-				sc.gi.insert(groups, g)
+// resolveReferenced resolves, for every candidate, its dynamic properties
+// in slots (those of what the constraint or preference references). The
+// reads are grouped by the object they address and, within a group,
+// identical aspects are deduplicated into one task, across all offers;
+// resolveAll then interrogates each object once. It leaves each candidate's
+// lo:hi range of sc.pend, its sc.outcomes entry, and the sc.results those
+// pend entries index behind.
+func (t *Trader) resolveReferenced(ctx context.Context, offers []offerView, slots []int, workers int, sc *queryScratch) {
+	outcomes := sc.outcomes[:0]
+	tasks, groups, pend := sc.tasks[:0], sc.groups[:0], sc.pend[:0]
+	// The index is reset lazily so purely static queries pay nothing for it.
+	var gi *groupIndex
+	for i := range offers {
+		outcomes = append(outcomes, resolveNone)
+		offers[i].lo = len(pend)
+		g := -1
+		props := &offers[i].props
+		for _, s := range slots {
+			k, ok := props.get(s)
+			if !ok || !props.dynamic(k) {
+				continue
 			}
-		}
-		idx := groups[g].head
-		for idx >= 0 && tasks[idx].aspect != aspect {
-			idx = tasks[idx].next
-		}
-		if idx < 0 {
-			idx = len(tasks)
-			sc.contiguous = sc.contiguous && g == len(groups)-1
-			tasks = append(tasks, resolveTask{aspect: aspect, next: -1})
-			if tail := groups[g].tail; tail >= 0 {
-				tasks[tail].next = idx
-			} else {
-				groups[g].head = idx
+			ref, aspect := props.source(k)
+			if gi == nil {
+				gi = &sc.gi
+				// Offers in the paper's scenario read their dynamic props
+				// off one monitor each.
+				gi.reset(len(offers))
 			}
-			groups[g].tail = idx
-			groups[g].hi = len(tasks)
+			// An offer's properties usually name one monitor (Fig. 6).
+			if g < 0 || groups[g].ref != ref {
+				h := refHash(ref)
+				if g = gi.lookup(groups, h, ref); g < 0 {
+					g = len(groups)
+					groups = append(groups, resolveGroup{ref: ref, hash: h, head: -1, tail: -1})
+					gi.insert(groups, g)
+				}
+			}
+			idx := groups[g].head
+			for idx >= 0 && tasks[idx].aspect != aspect {
+				idx = tasks[idx].next
+			}
+			if idx < 0 {
+				idx = len(tasks)
+				tasks = append(tasks, resolveTask{aspect: aspect, next: -1})
+				if tail := groups[g].tail; tail >= 0 {
+					tasks[tail].next = idx
+				} else {
+					groups[g].head = idx
+				}
+				groups[g].tail = idx
+			}
+			pend = append(pend, pendingProp{slot: s, task: idx})
 		}
-		pend = append(pend, pendingProp{slot: s, task: idx})
+		offers[i].hi = len(pend)
 	}
-	c.hi = len(pend)
-	sc.tasks, sc.groups, sc.pend = tasks, groups, pend
-}
-
-// resolveReferenced resolves the reads addReads added for offers:
-// resolveAll interrogates each object once. It leaves each candidate's
-// sc.outcomes entry, and the sc.results its pend entries index, behind.
-func (t *Trader) resolveReferenced(ctx context.Context, offers []offerView, workers int, sc *queryScratch) {
-	tasks, groups, pend := sc.tasks, sc.groups, sc.pend
-	// Each group's aspects and results are the range lo:hi of the query's.
-	// When the tasks came group by group, as when every offer reads a
-	// monitor of its own, they are already laid out: task i is slot i.
-	// Otherwise lay the groups out back to back, in order of first
-	// reference, then point every pending property at its task's slot.
+	// Lay the groups out back to back, in order of first reference, so each
+	// has its aspects and its results contiguous, then point every pending
+	// property at its task's slot in that layout.
 	aspects := slices.Grow(sc.aspects[:0], len(tasks))[:0]
-	if sc.contiguous {
-		for i := range tasks {
+	for g := range groups {
+		groups[g].lo = len(aspects)
+		for i := groups[g].head; i >= 0; i = tasks[i].next {
+			tasks[i].slot = len(aspects)
 			aspects = append(aspects, tasks[i].aspect)
 		}
-	} else {
-		for g := range groups {
-			groups[g].lo = len(aspects)
-			for i := groups[g].head; i >= 0; i = tasks[i].next {
-				tasks[i].slot = len(aspects)
-				aspects = append(aspects, tasks[i].aspect)
-			}
-			groups[g].hi = len(aspects)
-		}
-		for i := range pend {
-			pend[i].task = tasks[pend[i].task].slot
-		}
+		groups[g].hi = len(aspects)
 	}
-	sc.aspects = aspects
+	for i := range pend {
+		pend[i].task = tasks[pend[i].task].slot
+	}
+	sc.outcomes, sc.tasks, sc.groups, sc.aspects, sc.pend = outcomes, tasks, groups, aspects, pend
 	results := t.resolveAll(ctx, groups, aspects, workers, sc)
 	if tm := t.tm.Load(); tm != nil {
 		tm.resolveTasks.Observe(int64(len(tasks)))
@@ -1141,19 +1128,15 @@ func (t *Trader) resolveReferenced(ctx context.Context, offers []offerView, work
 			tm.resolveErrors.Add(failed)
 		}
 	}
-	outcomes := sc.outcomes[:0]
 	for i := range offers {
-		o := resolveNone
 		for _, p := range pend[offers[i].lo:offers[i].hi] {
 			if results[p.task].Err != nil {
-				o = resolveSomeFailed
-			} else if o == resolveNone {
-				o = resolveAllOK
+				outcomes[i] = resolveSomeFailed
+			} else if outcomes[i] == resolveNone {
+				outcomes[i] = resolveAllOK
 			}
 		}
-		outcomes = append(outcomes, o)
 	}
-	sc.outcomes = outcomes
 }
 
 // resolveGroup interrogates one group's object for the group's aspects.
