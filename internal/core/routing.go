@@ -205,7 +205,7 @@ func (sp *SmartProxy) point(ctx context.Context, r *route, res trading.QueryResu
 			sp.logf("core: offer %s has no monitor for property %q", res.Offer.ID, w.Prop)
 			continue
 		}
-		sub, err := sp.subscribe(ctx, mon, w.Event, w.Predicate)
+		sub, err := sp.opts.Client.Subscribe(ctx, mon, w.Event, (*pushReader)(sp), wire.String(w.Predicate))
 		if err != nil { // a monitor that refuses leaves its watch unserved
 			sp.logf("core: subscribe %q on %s: %v; watch skipped", w.Event, mon, err)
 			continue

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 
 	"autoadapt/internal/script"
 	"autoadapt/internal/scriptbind"
@@ -238,7 +239,7 @@ func (sp *SmartProxy) refreshSelf() {
 		}
 		keys, ok := s.keyCache[prop] // derived once per name
 		if !ok {
-			keys = [2]string{"_" + lowercase(prop) + "mon", "_monitor_" + prop}
+			keys = [2]string{"_" + strings.ToLower(prop) + "mon", "_monitor_" + prop}
 			s.keyCache[prop] = keys
 		}
 		s.tbl.SetString(keys[0], built[i].obj)
@@ -246,14 +247,4 @@ func (sp *SmartProxy) refreshSelf() {
 		s.monKeys = append(s.monKeys, keys[0], keys[1])
 	}
 	s.tbl.SetString("_server", script.Ref(res.Offer.Ref))
-}
-
-func lowercase(s string) string {
-	b := []byte(s)
-	for i := range b {
-		if b[i] >= 'A' && b[i] <= 'Z' {
-			b[i] += 'a' - 'A'
-		}
-	}
-	return string(b)
 }

@@ -196,6 +196,39 @@ func (sp *SmartProxy) OnEvent(event string) {
 	sp.mu.Unlock()
 }
 
+// pushReader is the proxy as the orb.EventReader of its watches'
+// subscriptions: a pushed event, (eventID, value), goes from the
+// connection's reader straight to OnEvent.
+type pushReader SmartProxy
+
+// ReadEvent implements orb.EventReader: it reads the event id and skips the
+// value. An Immediate strategy runs on a goroutine of its own: one that
+// called the server that pushed the event would wait for a reply that only
+// this reader can read.
+func (r *pushReader) ReadEvent(d *wire.Decoder, n int) error {
+	if n == 0 {
+		return nil
+	}
+	id, err := d.Value()
+	for i := 1; i < n && err == nil; i++ {
+		err = d.Skip(0)
+	}
+	switch sp := (*SmartProxy)(r); {
+	case err != nil:
+		return err
+	case sp.opts.Immediate:
+		go sp.OnEvent(id.Str())
+	default:
+		sp.OnEvent(id.Str())
+	}
+	return nil
+}
+
+// EndEvents implements orb.EventReader.
+func (r *pushReader) EndEvents(err error) {
+	(*SmartProxy)(r).logf("core: event subscription ended: %v", err)
+}
+
 // PendingEvents returns the queued event ids (diagnostics).
 func (sp *SmartProxy) PendingEvents() []string {
 	sp.mu.Lock()
@@ -225,32 +258,6 @@ func (sp *SmartProxy) Current() (wire.ObjRef, trading.QueryResult) {
 	return sp.main.result.Offer.Ref, sp.main.result
 }
 
-// subscribe ships predicate to mon as a push subscription for event and
-// starts feeding what it pushes into the proxy's event queue.
-func (sp *SmartProxy) subscribe(ctx context.Context, mon wire.ObjRef, event, predicate string) (*orb.Subscription, error) {
-	sub, err := sp.opts.Client.Subscribe(ctx, mon, event, wire.String(predicate))
-	if err != nil {
-		return nil, err
-	}
-	go sp.drainSub(sub)
-	return sub, nil
-}
-
-// drainSub feeds one subscription's pushed events — (eventID, value)
-// pairs — into the proxy's event queue. The goroutine ends when the
-// subscription closes: on rebind, re-arm, Close, or connection death.
-func (sp *SmartProxy) drainSub(sub *orb.Subscription) {
-	for ev := range sub.Events() {
-		if len(ev) == 0 {
-			continue
-		}
-		sp.OnEvent(ev[0].Str())
-	}
-	if err := sub.Err(); err != nil {
-		sp.logf("core: event subscription ended: %v", err)
-	}
-}
-
 // closeSubs closes push subscriptions, which cancels the monitor-side
 // observers.
 func closeSubs(subs []watchSub) {
@@ -264,7 +271,7 @@ func closeSubs(subs []watchSub) {
 // so the old predicate stops firing and a rebind or Close still tears the
 // new one down.
 func (sp *SmartProxy) rearm(ctx context.Context, mon wire.ObjRef, event, predicate string) error {
-	sub, err := sp.subscribe(ctx, mon, event, predicate)
+	sub, err := sp.opts.Client.Subscribe(ctx, mon, event, (*pushReader)(sp), wire.String(predicate))
 	if err != nil {
 		return err
 	}

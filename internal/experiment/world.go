@@ -158,10 +158,10 @@ func (w *World) TickMonitors() error {
 
 // settle waits until every event the monitors have pushed has landed: in
 // the queue of one of sps, or dropped by the client because its
-// subscription had closed or its buffer was full. A proxy moves pushed
-// events into its queue on a goroutine of its own, so an invocation made
-// straight after TickMonitors can run before they arrive. An event that
-// has not landed within the bound is lost, and the wait fails.
+// subscription had closed. The client connection's reader queues an
+// event when it reads the frame, which can be after TickMonitors returns:
+// an invocation made straight after it can run before the events arrive.
+// An event that has not landed within the bound is lost, and the wait fails.
 func (w *World) settle(sps ...*core.SmartProxy) error {
 	const bound = 5 * time.Second
 	deadline := time.Now().Add(bound)

@@ -10,10 +10,12 @@ import (
 	"autoadapt/internal/wire"
 )
 
-// dropSink accepts and discards every pushed event.
+// dropSink accepts and discards every pushed event, encoded as the ORB's
+// sinks take them or not.
 type dropSink struct{}
 
-func (dropSink) Push(...wire.Value) error { return nil }
+func (dropSink) Push(...wire.Value) error      { return nil }
+func (dropSink) PushEncoded(int, []byte) error { return nil }
 
 // aspectValues is AppendValues decoded: the values in the order named.
 func aspectValues(m *Monitor, names ...string) ([]wire.Value, error) {

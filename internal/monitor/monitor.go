@@ -351,10 +351,10 @@ func (m *Monitor) Tick() error {
 			m.version++
 		}
 	}
-	toNotify, val := m.detectLocked()
+	toNotify, fired := m.detectLocked()
 	m.mu.Unlock()
 
-	m.deliver(toNotify, val)
+	m.deliver(toNotify, fired)
 	return nil
 }
 
@@ -373,14 +373,14 @@ func (m *Monitor) findObserver(id int) (int, bool) {
 
 // detectLocked recomputes every aspect and evaluates every observer's
 // predicate (in name and id order, for determinism), returning the
-// observers whose events fired plus a wire snapshot of the property value
-// to push with them. An aspect evaluator or predicate that aborts on its
+// observers whose events fired plus the property value encoded to push
+// with them (nil when none fired). An aspect evaluator or predicate that aborts on its
 // budget strikes.Limit times in a row is quarantined (removed). Ordinary
 // script errors (a typo'd field, a type error) do not count — only
 // resource aborts (step/wall/memory budget, cancellation), which mark the
 // code as hostile or runaway: each evaluation burns the full budget, so
 // keeping it would tax every tick forever. Caller holds m.mu.
-func (m *Monitor) detectLocked() ([]*observer, wire.Value) {
+func (m *Monitor) detectLocked() ([]*observer, *sample) {
 	// Recompute aspects.
 	for i := 0; i < len(m.aspects); i++ {
 		a := m.aspects[i]
@@ -437,13 +437,43 @@ func (m *Monitor) detectLocked() ([]*observer, wire.Value) {
 			toNotify = append(toNotify, o)
 		}
 	}
-	val := wire.Nil()
-	if len(toNotify) > 0 {
-		if v, err := m.value.ToWire(); err == nil {
-			val = v
-		}
+	if len(toNotify) == 0 {
+		return nil, nil
 	}
-	return toNotify, val
+	fired := samples.Get().(*sample)
+	var err error
+	if fired.val, err = m.value.AppendWire(fired.val[:0]); err != nil {
+		fired.val, _ = wire.AppendValue(fired.val[:0], wire.Nil())
+	}
+	return toNotify, fired
+}
+
+// sample is a fired sample's value, encoded once under the monitor's lock
+// for every observer that fired on it, and the buffer deliver writes each
+// pushed event in: the value goes from the script list to the event frame
+// with no wire value built for it.
+type sample struct{ val, ev []byte }
+
+var samples = sync.Pool{New: func() any { return new(sample) }}
+
+// encodedSink is an orb.EventSink that takes an event encoded, as the
+// ORB's do (see orb.EventSink).
+type encodedSink interface {
+	PushEncoded(n int, enc []byte) error
+}
+
+// push pushes (eventID, the sample) on sink: encoded where the sink takes
+// it so, else decoded.
+func (f *sample) push(sink orb.EventSink, eventID string) error {
+	if es, ok := sink.(encodedSink); ok {
+		f.ev = append(wire.AppendString(f.ev[:0], eventID), f.val...)
+		return es.PushEncoded(2, f.ev)
+	}
+	v, err := wire.DecodeValue(f.val)
+	if err != nil {
+		return err
+	}
+	return sink.Push(wire.String(eventID), v)
 }
 
 // hasPushObserversLocked reports whether any observer streams through a
@@ -470,10 +500,11 @@ func (m *Monitor) AspectCount() int {
 // failure is a strike against the observer and detaches it at
 // strikes.Limit (immediately when its subscription is gone), a success
 // resets its strikes.
-func (m *Monitor) deliver(toNotify []*observer, val wire.Value) {
+func (m *Monitor) deliver(toNotify []*observer, fired *sample) {
 	if len(toNotify) == 0 {
 		return
 	}
+	defer samples.Put(fired)
 	type outcome struct {
 		id  int
 		err error
@@ -484,7 +515,7 @@ func (m *Monitor) deliver(toNotify []*observer, val wire.Value) {
 		var err error
 		switch {
 		case o.sink != nil:
-			if err = o.sink.Push(wire.String(o.eventID), val); err == nil {
+			if err = fired.push(o.sink, o.eventID); err == nil {
 				m.pushed.Add(1)
 			}
 		case m.opts.Notifier != nil:
@@ -539,12 +570,12 @@ func (m *Monitor) SetValue(v wire.Value) error {
 	m.value = script.FromWire(v)
 	m.version++
 	var toNotify []*observer
-	val := wire.Nil()
+	var fired *sample
 	if m.hasPushObserversLocked() {
-		toNotify, val = m.detectLocked()
+		toNotify, fired = m.detectLocked()
 	}
 	m.mu.Unlock()
-	m.deliver(toNotify, val)
+	m.deliver(toNotify, fired)
 	return nil
 }
 

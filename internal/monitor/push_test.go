@@ -16,6 +16,25 @@ const overPredicateSrc = `function(observer, value, monitor)
 	return value > 50
 end`
 
+// eventQueue is a test orb.EventReader: each event's values, decoded, go
+// onto the channel.
+type eventQueue chan []wire.Value
+
+func (q eventQueue) ReadEvent(d *wire.Decoder, n int) error {
+	vals := make([]wire.Value, n)
+	for i := range vals {
+		v, err := d.Value()
+		if err != nil {
+			return err
+		}
+		vals[i] = v
+	}
+	q <- vals
+	return nil
+}
+
+func (q eventQueue) EndEvents(error) {}
+
 // TestPushObserverStreamsWithoutTick is the acceptance check for push
 // delivery: a client subscribes to the monitor servant over the ORB and
 // receives a detection the moment SetValue crosses the predicate — no Tick
@@ -35,7 +54,8 @@ func TestPushObserverStreamsWithoutTick(t *testing.T) {
 	client := orb.NewClient(orb.TCPNetwork{})
 	defer client.Close()
 
-	sub, err := client.Subscribe(context.Background(), ref, "Overload", wire.String(overPredicateSrc))
+	events := make(eventQueue, 8)
+	sub, err := client.Subscribe(context.Background(), ref, "Overload", events, wire.String(overPredicateSrc))
 	if err != nil {
 		t.Fatalf("Subscribe: %v", err)
 	}
@@ -46,7 +66,7 @@ func TestPushObserverStreamsWithoutTick(t *testing.T) {
 		t.Fatal(err)
 	}
 	select {
-	case ev := <-sub.Events():
+	case ev := <-events:
 		t.Fatalf("event %v for a value under the limit", ev)
 	case <-time.After(50 * time.Millisecond):
 	}
@@ -56,7 +76,7 @@ func TestPushObserverStreamsWithoutTick(t *testing.T) {
 		t.Fatal(err)
 	}
 	select {
-	case ev := <-sub.Events():
+	case ev := <-events:
 		if len(ev) != 2 || ev[0].Str() != "Overload" || ev[1].Num() != 60 {
 			t.Fatalf("event = %v, want [Overload 60]", ev)
 		}
@@ -171,5 +191,75 @@ func TestPushObserverDetachedWhenSubscriptionGone(t *testing.T) {
 	}
 	if got := m.ObserverCount(); got != 0 {
 		t.Fatalf("ObserverCount = %d after push onto a dead subscription, want 0", got)
+	}
+}
+
+// recordSink keeps what is pushed on it: as values through Push, or as
+// the bytes PushEncoded is given, decoded here.
+type recordSink struct{ events [][]wire.Value }
+
+func (s *recordSink) Push(vals ...wire.Value) error {
+	s.events = append(s.events, vals)
+	return nil
+}
+
+func (s *recordSink) PushEncoded(n int, enc []byte) error {
+	d := wire.NewDecoder(enc)
+	vals := make([]wire.Value, n)
+	for i := range vals {
+		v, err := d.Value()
+		if err != nil {
+			return err
+		}
+		vals[i] = v
+	}
+	if d.Remaining() != 0 {
+		return errors.New("trailing bytes in an encoded event")
+	}
+	return s.Push(vals...)
+}
+
+// plainSink takes values only.
+type plainSink struct{ r *recordSink }
+
+func (s plainSink) Push(vals ...wire.Value) error { return s.r.Push(vals...) }
+
+// TestPushedSampleIsItsWireValue: a fired sample reaches a sink as (event
+// id, the value set), whether the sink takes the event encoded, as the
+// ORB's sinks do, or as values.
+func TestPushedSampleIsItsWireValue(t *testing.T) {
+	rec := wire.NewTable()
+	rec.SetString("a", wire.Int(1))
+	samples := []wire.Value{
+		wire.Number(7),
+		wire.TableVal(wire.NewList(wire.Number(60), wire.Number(40), wire.Number(30))),
+		wire.TableVal(rec),
+		wire.String("hot"),
+	}
+	encoded, plain := &recordSink{}, &recordSink{}
+	m, err := New(Options{Name: "p"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	for _, sink := range []orb.EventSink{encoded, plainSink{plain}} {
+		if _, err := m.AttachPushObserver("Fired", "function() return true end", sink); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, v := range samples {
+		if err := m.SetValue(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, sink := range map[string]*recordSink{"encoded": encoded, "plain": plain} {
+		if len(sink.events) != len(samples) {
+			t.Fatalf("%s sink: %d events, want %d", name, len(sink.events), len(samples))
+		}
+		for i, ev := range sink.events {
+			if len(ev) != 2 || ev[0].Str() != "Fired" || !ev[1].Equal(samples[i]) {
+				t.Errorf("%s sink: event %d = %v, want [Fired %v]", name, i, ev, samples[i])
+			}
+		}
 	}
 }

@@ -382,6 +382,32 @@ func (p *pushSource) sink(topic string) EventSink {
 	return p.sinks[topic]
 }
 
+// eventQueue is a test EventReader: the connection's reader decodes each
+// event onto events, and the stream's death onto ended.
+type eventQueue struct {
+	events chan []wire.Value
+	ended  chan error
+}
+
+func newEventQueue() *eventQueue {
+	return &eventQueue{events: make(chan []wire.Value, 64), ended: make(chan error, 1)}
+}
+
+func (q *eventQueue) ReadEvent(d *wire.Decoder, n int) error {
+	vals := make([]wire.Value, n)
+	for i := range vals {
+		v, err := d.Value()
+		if err != nil {
+			return err
+		}
+		vals[i] = v
+	}
+	q.events <- vals
+	return nil
+}
+
+func (q *eventQueue) EndEvents(err error) { q.ended <- err }
+
 func newPushPair(t *testing.T, n Network, addr string) (*pushSource, *Server, *Client, wire.ObjRef) {
 	t.Helper()
 	srv, err := NewServer(ServerOptions{Network: n, Address: addr})
@@ -398,7 +424,8 @@ func newPushPair(t *testing.T, n Network, addr string) (*pushSource, *Server, *C
 
 func TestSubscribePushDelivery(t *testing.T) {
 	src, _, client, ref := newPushPair(t, TCPNetwork{}, "127.0.0.1:0")
-	sub, err := client.Subscribe(context.Background(), ref, "load")
+	q := newEventQueue()
+	sub, err := client.Subscribe(context.Background(), ref, "load", q)
 	if err != nil {
 		t.Fatalf("Subscribe: %v", err)
 	}
@@ -413,7 +440,7 @@ func TestSubscribePushDelivery(t *testing.T) {
 	}
 	for i := 0; i < 3; i++ {
 		select {
-		case ev := <-sub.Events():
+		case ev := <-q.events:
 			if len(ev) != 1 || int(ev[0].Num()) != i {
 				t.Fatalf("event %d = %v", i, ev)
 			}
@@ -454,11 +481,11 @@ func pushUntilClosed(t *testing.T, sink EventSink) {
 
 func TestSubscribeRefusedAndMissing(t *testing.T) {
 	_, _, client, ref := newPushPair(t, TCPNetwork{}, "127.0.0.1:0")
-	if _, err := client.Subscribe(context.Background(), ref, "forbidden"); !IsRemoteCode(err, CodeApp) {
+	if _, err := client.Subscribe(context.Background(), ref, "forbidden", newEventQueue()); !IsRemoteCode(err, CodeApp) {
 		t.Fatalf("refused subscribe err = %v, want APP_ERROR", err)
 	}
 	missing := wire.ObjRef{Endpoint: ref.Endpoint, Key: "nope"}
-	if _, err := client.Subscribe(context.Background(), missing, "x"); !IsRemoteCode(err, CodeNoSuchObject) {
+	if _, err := client.Subscribe(context.Background(), missing, "x", newEventQueue()); !IsRemoteCode(err, CodeNoSuchObject) {
 		t.Fatalf("missing object err = %v, want NO_SUCH_OBJECT", err)
 	}
 	// Plain servants cannot be subscribed to.
@@ -468,14 +495,15 @@ func TestSubscribeRefusedAndMissing(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = srv2.Close() })
 	plain := srv2.Register("echo", "", echoServant())
-	if _, err := client.Subscribe(context.Background(), plain, "x"); !IsRemoteCode(err, CodeBadOperation) {
+	if _, err := client.Subscribe(context.Background(), plain, "x", newEventQueue()); !IsRemoteCode(err, CodeBadOperation) {
 		t.Fatalf("non-source err = %v, want BAD_OPERATION", err)
 	}
 }
 
 func TestSubscriptionFailsOnConnectionDeath(t *testing.T) {
 	src, srv, client, ref := newPushPair(t, TCPNetwork{}, "127.0.0.1:0")
-	sub, err := client.Subscribe(context.Background(), ref, "load")
+	q := newEventQueue()
+	sub, err := client.Subscribe(context.Background(), ref, "load", q)
 	if err != nil {
 		t.Fatalf("Subscribe: %v", err)
 	}
@@ -484,15 +512,21 @@ func TestSubscriptionFailsOnConnectionDeath(t *testing.T) {
 	}
 	_ = srv.Close()
 	select {
-	case _, ok := <-sub.Events():
-		if ok {
-			t.Fatal("unexpected event")
+	case ev := <-q.events:
+		t.Fatalf("unexpected event %v", ev)
+	case err := <-q.ended:
+		if err == nil || sub.Err() != err {
+			t.Fatalf("ended with %v, Err() = %v: want the connection's death", err, sub.Err())
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("subscription did not observe connection death")
 	}
-	if sub.Err() == nil {
-		t.Fatal("Err() = nil after connection death")
+	// The reader heard the end once, and a Close after it tells nobody.
+	if err := sub.Close(); err != nil {
+		t.Fatalf("Close after death: %v", err)
+	}
+	if len(q.ended) != 0 {
+		t.Fatal("EndEvents called twice")
 	}
 }
 
@@ -501,7 +535,8 @@ func TestSubscriptionFailsOnConnectionDeath(t *testing.T) {
 func TestSubscribeCollocatedFastPath(t *testing.T) {
 	n := NewInprocNetwork()
 	src, _, client, ref := newPushPair(t, n, "push-local")
-	sub, err := client.Subscribe(context.Background(), ref, "load")
+	q := newEventQueue()
+	sub, err := client.Subscribe(context.Background(), ref, "load", q)
 	if err != nil {
 		t.Fatalf("Subscribe: %v", err)
 	}
@@ -513,7 +548,7 @@ func TestSubscribeCollocatedFastPath(t *testing.T) {
 		t.Fatalf("Push: %v", err)
 	}
 	select {
-	case ev := <-sub.Events():
+	case ev := <-q.events:
 		if len(ev) != 1 || ev[0].Str() != "direct" {
 			t.Fatalf("event = %v", ev)
 		}

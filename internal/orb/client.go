@@ -774,25 +774,32 @@ func (cc *clientConn) decodeReply(payload []byte, pc *pendingCall) (*wire.Reply,
 // readOther handles a frame that is not a reply: an event, or a protocol
 // error that closes the connection (false).
 func (cc *clientConn) readOther(payload []byte) bool {
-	msg, err := cc.fr.Decode(payload)
-	switch {
-	case err != nil:
-		cc.close(fmt.Errorf("orb: protocol error: %w", err))
-		return false
-	case msg.Event == nil:
+	subID, ok := wire.EventSubID(payload)
+	if !ok {
 		cc.close(errors.New("orb: unexpected non-reply message from server"))
 		return false
 	}
-	cc.mu.Lock()
-	sub := cc.subs[msg.Event.SubID]
-	cc.mu.Unlock()
-	if sub != nil {
-		sub.deliver(msg.Event.Values)
-	} else {
-		// Raced with an unsubscribe; the stream is gone.
-		cc.c.stats.eventsDropped.Add(1)
+	if err := cc.readEvent(subID, payload); err != nil {
+		cc.close(fmt.Errorf("orb: protocol error: %w", err))
+		return false
 	}
 	return true
+}
+
+// readEvent hands an event to its subscription's reader. An event for a
+// stream that is gone (it raced with an unsubscribe), or that the reader
+// refuses, is dropped; the error is the payload's, which is not valid wire.
+func (cc *clientConn) readEvent(subID uint64, payload []byte) error {
+	cc.mu.Lock()
+	sub := cc.subs[subID]
+	cc.mu.Unlock()
+	if sub != nil && sub.read(cc.fr, payload) {
+		cc.c.stats.eventsPushed.Add(1)
+		return nil
+	}
+	cc.c.stats.eventsDropped.Add(1)
+	_, err := cc.fr.Decode(payload)
+	return err
 }
 
 // failCall fails a waiter with the connection's death: a future completes

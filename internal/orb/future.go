@@ -158,8 +158,8 @@ type ClientStats struct {
 	WindowWaits   uint64 // sends that blocked on a full in-flight window
 	BatchFlushes  uint64 // coalesced batch writes
 	BatchedFrames uint64 // frames that rode a batch
-	EventsPushed  uint64 // pushed events delivered to subscriptions
-	EventsDropped uint64 // pushed events discarded (full buffer or gone sub)
+	EventsPushed  uint64 // pushed events their subscriptions' readers took
+	EventsDropped uint64 // pushed events for a gone sub, or refused by its reader
 	Subscribes    uint64 // Subscribe calls
 }
 

@@ -14,17 +14,12 @@ import (
 //
 // A Subscribe frame opens a one-way event stream on an existing multiplexed
 // connection: the servant (an EventSource) pushes Event frames tagged with
-// the subscription id, and the client demultiplexes them into a buffered
-// channel — no polling, no per-event request/reply round trip. This is the
-// push half of the paper's event monitor: observers used to be notified by
-// oneway invocations driven off a Tick poll; with a subscription the
+// the subscription id, and whoever holds the connection's read role hands
+// each to the subscriber's EventReader — no polling, no per-event
+// request/reply round trip, and no buffer or goroutine per stream. This is
+// the push half of the paper's event monitor: observers used to be notified
+// by oneway invocations driven off a Tick poll; with a subscription the
 // notification is streamed the moment the monitor detects the event.
-
-// DefaultSubscriptionBuffer is every subscription's event buffer. A full
-// buffer drops new events
-// (counted in ClientStats.EventsDropped) rather than blocking the
-// connection's reader.
-const DefaultSubscriptionBuffer = 16
 
 // ErrSubscriptionClosed is returned by EventSink.Push once the subscriber
 // is gone (unsubscribed, or its connection died): the servant should stop
@@ -32,7 +27,9 @@ const DefaultSubscriptionBuffer = 16
 var ErrSubscriptionClosed = errors.New("orb: subscription closed")
 
 // EventSink is the servant's handle for pushing events to one subscriber.
-// Push is safe for concurrent use and never blocks on the subscriber.
+// Push is safe for concurrent use and never blocks on the subscriber. The
+// ORB's sinks also have PushEncoded(n int, enc []byte) error, for n values
+// given encoded: wire.AppendValue's bytes, one value after another.
 type EventSink interface {
 	Push(values ...wire.Value) error
 }
@@ -49,32 +46,41 @@ type EventSource interface {
 	Subscribe(topic string, args []wire.Value, sink EventSink) (cancel func(), err error)
 }
 
+// EventReader is a subscriber's end of a push stream. Whoever holds the
+// connection's read role calls ReadEvent for each event, with a decoder
+// over its n values, to be read or skipped (wire.Decoder.Skip) in order,
+// every one; an error drops the event (ClientStats.EventsDropped).
+// ReadEvent must not block, call over its connection, or close its
+// subscription. EndEvents hears, once, the error that ends the stream with
+// its connection (Subscription.Err). Both are called from the moment the
+// stream is installed, during Subscribe, and neither after Close returns.
+type EventReader interface {
+	ReadEvent(d *wire.Decoder, n int) error
+	EndEvents(err error)
+}
+
 // Subscription is the client's end of a push stream.
 type Subscription struct {
 	cc *clientConn
 	id uint64 // stream id on cc
-	ch chan []wire.Value
+	r  EventReader
 
-	mu     sync.Mutex
+	mu     sync.Mutex // held while r reads an event, so Close waits for it
 	closed bool
 	err    error
 }
 
-// Events returns the stream of pushed events. The channel is closed when
-// the subscription ends — by Close, or by connection death (see Err).
-func (s *Subscription) Events() <-chan []wire.Value { return s.ch }
-
-// Err reports why the event channel closed: nil after a clean Close, the
-// connection's death error otherwise. Valid once Events is closed.
+// Err reports why the stream ended: nil while it is open and after Close,
+// the connection's death error otherwise.
 func (s *Subscription) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.err
 }
 
-// Close unsubscribes: the event channel is closed, the server's sink is
-// cancelled (best effort), and late events are dropped. Close is
-// idempotent.
+// Close unsubscribes: once it returns, the subscription's reader is not
+// called again; the server's sink is cancelled (best effort), and late
+// events are dropped. Close is idempotent.
 func (s *Subscription) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -82,50 +88,36 @@ func (s *Subscription) Close() error {
 		return nil
 	}
 	s.closed = true
-	close(s.ch)
 	s.mu.Unlock()
 	s.cc.removeSub(s.id)
 	return s.cc.sendUnsubscribe(s.id)
 }
 
-// deliver hands one pushed event to the subscriber. A full buffer drops
-// the event (and counts it) instead of stalling the delivering goroutine,
-// the connection's reader, which must never block on a slow consumer.
-func (s *Subscription) deliver(values []wire.Value) {
+// read hands an event payload to the subscription's reader, unless it is
+// closed, and reports whether the reader took the event.
+func (s *Subscription) read(fr *wire.FrameReader, payload []byte) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		s.cc.c.stats.eventsDropped.Add(1)
-		return
-	}
-	select {
-	case s.ch <- values:
-		s.cc.c.stats.eventsPushed.Add(1)
-	default:
-		s.cc.c.stats.eventsDropped.Add(1)
-	}
+	return !s.closed && fr.DecodeEvent(payload, s.r.ReadEvent) == nil
 }
 
-// fail ends the subscription with err (connection death). Idempotent.
+// fail ends the subscription with err, its connection's death, and tells
+// its reader. Idempotent.
 func (s *Subscription) fail(err error) {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
+	defer s.mu.Unlock()
+	if !s.closed {
+		s.closed, s.err = true, err
+		s.r.EndEvents(err)
 	}
-	s.closed = true
-	s.err = err
-	close(s.ch)
-	s.mu.Unlock()
 }
 
 // Subscribe opens a push subscription on the object named by ref: topic
-// and args are delivered to the servant's EventSource.Subscribe, and
-// events it pushes arrive on the returned Subscription's channel.
-// Subscribe performs a single attempt (no retry policy) and does not
-// consume an in-flight window slot — subscriptions are long-lived control
-// state, not pipelined requests.
-func (c *Client) Subscribe(ctx context.Context, ref wire.ObjRef, topic string, args ...wire.Value) (*Subscription, error) {
+// and args are delivered to the servant's EventSource.Subscribe, and the
+// events it pushes to r (see EventReader). Subscribe performs a single
+// attempt (no retry policy) and does not consume an in-flight window slot
+// — subscriptions are long-lived control state, not pipelined requests.
+func (c *Client) Subscribe(ctx context.Context, ref wire.ObjRef, topic string, r EventReader, args ...wire.Value) (*Subscription, error) {
 	if ref.IsZero() {
 		return nil, errors.New("orb: subscribe on nil object reference")
 	}
@@ -137,7 +129,7 @@ func (c *Client) Subscribe(ctx context.Context, ref wire.ObjRef, topic string, a
 	if err != nil {
 		return nil, err
 	}
-	return cc.subscribe(ctx, ref.Key, topic, args)
+	return cc.subscribe(ctx, ref.Key, topic, r, args)
 }
 
 // safeSubscribe shields the caller from a panicking EventSource.
@@ -155,8 +147,8 @@ func safeSubscribe(es EventSource, topic string, args []wire.Value, sink EventSi
 // stream locally, send the Subscribe frame, and wait for the server's ack
 // reply. The stream is installed *before* the send so events racing ahead
 // of the ack's processing are never dropped.
-func (cc *clientConn) subscribe(ctx context.Context, key, topic string, args []wire.Value) (*Subscription, error) {
-	sub := &Subscription{cc: cc, ch: make(chan []wire.Value, DefaultSubscriptionBuffer)}
+func (cc *clientConn) subscribe(ctx context.Context, key, topic string, r EventReader, args []wire.Value) (*Subscription, error) {
+	sub := &Subscription{cc: cc, r: r}
 	pc, id, err := cc.register(nil, true, nil) // waits on ctx like a cancellable call
 	if err != nil {
 		return nil, err
@@ -183,7 +175,6 @@ func (cc *clientConn) subscribe(ctx context.Context, key, topic string, args []w
 		if _, err := replyToResults(rep); err != nil {
 			// The servant refused: no sink was registered server-side.
 			cc.removeSub(subID)
-			sub.fail(err)
 			return nil, err
 		}
 		return sub, nil
@@ -191,11 +182,9 @@ func (cc *clientConn) subscribe(ctx context.Context, key, topic string, args []w
 		if !cc.forget(id, true) && !cc.isDead() {
 			cc.c.stats.lateReplies.Add(1)
 		}
-		cc.removeSub(subID)
-		sub.fail(ctx.Err())
 		// The server may have registered the sink before our patience ran
-		// out; tell it to tear the stream down (best effort).
-		_ = cc.sendUnsubscribe(subID)
+		// out; Close tells it to tear the stream down (best effort).
+		_ = sub.Close()
 		return nil, ctx.Err()
 	}
 }
@@ -218,12 +207,9 @@ func (cc *clientConn) sendSubscribe(ctx context.Context, sub *wire.Subscribe) er
 
 // sendUnsubscribe tells the server to tear down stream subID.
 func (cc *clientConn) sendUnsubscribe(subID uint64) error {
-	cc.mu.Lock()
-	if cc.dead {
-		cc.mu.Unlock()
+	if cc.isDead() {
 		return nil // the stream died with the connection; nothing to tell
 	}
-	cc.mu.Unlock()
 	fb := wire.GetFrameBuffer()
 	fb.B = wire.AppendUnsubscribe(fb.B, subID)
 	return cc.send(fb, time.Time{})

@@ -136,7 +136,8 @@ func testReadRoleMixedCallers(t *testing.T, nw Network, addr string) {
 
 	// A subscription opened and closed while the callers run.
 	time.Sleep(5 * time.Millisecond)
-	sub, err := client.Subscribe(context.Background(), events, "load")
+	q := newEventQueue()
+	sub, err := client.Subscribe(context.Background(), events, "load", q)
 	if err != nil {
 		t.Fatalf("Subscribe: %v", err)
 	}
@@ -145,7 +146,7 @@ func testReadRoleMixedCallers(t *testing.T, nw Network, addr string) {
 			t.Fatalf("Push #%d: %v", i, err)
 		}
 		select {
-		case ev := <-sub.Events():
+		case ev := <-q.events:
 			if len(ev) != 1 || int(ev[0].Num()) != i {
 				t.Fatalf("event %d = %v", i, ev)
 			}
@@ -402,7 +403,8 @@ func TestInprocSyncCallersRunNoReader(t *testing.T) {
 			t.Fatalf("after call %d a background reader holds the read role", i)
 		}
 	}
-	sub, err := client.Subscribe(context.Background(), events, "load")
+	q := newEventQueue()
+	sub, err := client.Subscribe(context.Background(), events, "load", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +414,7 @@ func TestInprocSyncCallersRunNoReader(t *testing.T) {
 	if err := src.sink("load").Push(wire.Int(7)); err != nil {
 		t.Fatal(err)
 	}
-	if ev := <-sub.Events(); len(ev) != 1 || ev[0].Num() != 7 {
+	if ev := <-q.events; len(ev) != 1 || ev[0].Num() != 7 {
 		t.Fatalf("event = %v", ev)
 	}
 	_ = sub.Close()

@@ -411,28 +411,33 @@ type eventSink struct {
 	closed atomic.Bool
 }
 
-// Push implements EventSink. A write failure closes the connection (the
-// stream position is undefined mid-frame), which tears down every
-// subscription on it.
+// Push implements EventSink.
 func (es *eventSink) Push(values ...wire.Value) error {
+	var enc []byte
+	for _, v := range values {
+		var err error
+		if enc, err = wire.AppendValue(enc, v); err != nil {
+			return err
+		}
+	}
+	return es.PushEncoded(len(values), enc)
+}
+
+// PushEncoded is Push for values given encoded (see EventSink). A write
+// failure closes the connection (the stream position is undefined
+// mid-frame), which tears down every subscription on it.
+func (es *eventSink) PushEncoded(n int, enc []byte) error {
 	if es.closed.Load() {
 		return ErrSubscriptionClosed
 	}
 	fb := wire.GetFrameBuffer()
-	out, err := wire.AppendEvent(fb.B, &wire.Event{SubID: es.subID, Values: values})
-	if err != nil {
-		wire.PutFrameBuffer(fb)
-		return err
-	}
-	fb.B = out
+	defer wire.PutFrameBuffer(fb)
+	fb.B = append(wire.AppendValueCount(wire.AppendEventHeader(fb.B, es.subID), n), enc...)
 	frame, err := fb.Frame()
 	if err != nil {
-		wire.PutFrameBuffer(fb)
 		return err // oversized event: nothing was written, the stream is fine
 	}
-	err = es.w.writeFrame(frame, time.Now().Add(DefaultWriteTimeout))
-	wire.PutFrameBuffer(fb)
-	if err != nil {
+	if err = es.w.writeFrame(frame, time.Now().Add(DefaultWriteTimeout)); err != nil {
 		_ = es.w.conn.Close()
 	}
 	return err

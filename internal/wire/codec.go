@@ -200,8 +200,13 @@ func (d *Decoder) Count() (int, error) {
 // KeyError is the error decoding gives a table pair whose key is k, or nil
 // if k can key a table. Decoding reports it once the pair's value is read.
 func KeyError(k Value) error {
-	if k.kind() == KindNumber && !math.IsNaN(k.num()) {
+	switch k.kind() {
+	case KindString:
 		return nil
+	case KindNumber:
+		if !math.IsNaN(k.num()) {
+			return nil
+		}
 	}
 	if _, err := toKey(k); err != nil {
 		return keyError(err)
@@ -210,6 +215,69 @@ func KeyError(k Value) error {
 }
 
 func keyError(err error) error { return fmt.Errorf("wire: decode table: %w", err) }
+
+// Skip reads past the next value, nested depth tables deep, and checks it
+// as ValueAt would, without building it.
+func (d *Decoder) Skip(depth int) error {
+	arrLen, ok, err := d.TableHeader(depth)
+	if err != nil {
+		return err
+	}
+	if ok {
+		for i := 0; i < arrLen; i++ {
+			if err := d.Skip(depth + 1); err != nil {
+				return err
+			}
+		}
+		pairs, err := d.count()
+		if err != nil {
+			return err
+		}
+		for i := uint64(0); i < pairs; i++ {
+			k, err := d.value(depth + 1) // a key is read, to be checked
+			if err != nil {
+				return err
+			}
+			if err := d.Skip(depth + 1); err != nil {
+				return err
+			}
+			if err := KeyError(k); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	tag := d.buf[d.pos]
+	d.pos++
+	switch tag {
+	case tagNil, tagFalse, tagTrue:
+		return nil
+	case tagNumber:
+		if d.Remaining() < 8 {
+			return ErrTruncated
+		}
+		d.pos += 8
+		return nil
+	case tagString, tagBytes:
+		return d.skipStr()
+	case tagObjRef:
+		if err := d.skipStr(); err != nil {
+			return err
+		}
+		return d.skipStr()
+	default:
+		return fmt.Errorf("wire: unknown value tag 0x%02x", tag)
+	}
+}
+
+// skipStr reads past a string or bytes payload.
+func (d *Decoder) skipStr() error {
+	n, err := d.count()
+	if err == nil {
+		d.pos += int(n)
+	}
+	return err
+}
 
 func (d *Decoder) value(depth int) (Value, error) {
 	arrLen, ok, err := d.TableHeader(depth)

@@ -141,9 +141,23 @@ func ReplyID(payload []byte) (id uint64, ok bool) {
 	if len(payload) < 9 || (MsgType(payload[0]) != MsgReply && MsgType(payload[0]) != MsgErrorReply) {
 		return 0, false
 	}
+	return headerID(payload), true
+}
+
+// EventSubID returns the subscription id of an event payload without
+// decoding it; ok is false for any other payload.
+func EventSubID(payload []byte) (subID uint64, ok bool) {
+	if len(payload) < 9 || MsgType(payload[0]) != MsgEvent {
+		return 0, false
+	}
+	return headerID(payload), true
+}
+
+// headerID reads the id after a payload's type byte.
+func headerID(payload []byte) uint64 {
 	d := Decoder{buf: payload[1:9]}
-	id, _ = d.u64()
-	return id, true
+	id, _ := d.u64()
+	return id
 }
 
 // Subscribe opens a push subscription on an object: the server routes
@@ -190,9 +204,7 @@ func AppendUnsubscribe(dst []byte, subID uint64) []byte {
 
 // AppendEvent appends the encoding of a pushed event to dst.
 func AppendEvent(dst []byte, ev *Event) ([]byte, error) {
-	buf := append(dst, byte(MsgEvent))
-	buf = appendUint64(buf, ev.SubID)
-	buf = appendUint64(buf, uint64(len(ev.Values)))
+	buf := AppendValueCount(AppendEventHeader(dst, ev.SubID), len(ev.Values))
 	var err error
 	for _, v := range ev.Values {
 		if buf, err = AppendValue(buf, v); err != nil {
@@ -200,6 +212,13 @@ func AppendEvent(dst []byte, ev *Event) ([]byte, error) {
 		}
 	}
 	return buf, nil
+}
+
+// AppendEventHeader appends the start of an event: its type and
+// subscription id. The values follow as AppendEvent writes them: their
+// count (AppendValueCount), then each value.
+func AppendEventHeader(dst []byte, subID uint64) []byte {
+	return appendUint64(append(dst, byte(MsgEvent)), subID)
 }
 
 // Message is a decoded protocol message: exactly one of Req, Rep, Sub,

@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -96,7 +97,7 @@ type FrameReader struct {
 	buf  []byte
 	hdr  [frameHeaderLen]byte // here, not on the stack: io.ReadFull would move it to the heap
 	strs *internTable         // allocated by the first Decode
-	dec  Decoder              // DecodeResults's, here so that handing it on allocates nothing
+	dec  Decoder              // DecodeResults's and DecodeEvent's, here so that handing it on allocates nothing
 }
 
 // maxReaderBuf bounds the payload buffer a FrameReader keeps between
@@ -221,21 +222,36 @@ func (fr *FrameReader) DecodeResults(payload []byte, dec func(d *Decoder, n int)
 	if len(payload) == 0 || MsgType(payload[0]) != MsgReply {
 		return false, nil
 	}
+	return true, fr.decodeValues(payload, dec, "reply")
+}
+
+// DecodeEvent is DecodeResults for an event payload (see EventSubID): dec
+// reads, or skips (Decoder.Skip), each of the event's values.
+func (fr *FrameReader) DecodeEvent(payload []byte, dec func(d *Decoder, n int) error) error {
+	if _, ok := EventSubID(payload); !ok {
+		return errors.New("wire: not an event")
+	}
+	return fr.decodeValues(payload, dec, "event")
+}
+
+// decodeValues hands dec the values of a payload laid out as a reply with
+// results or an event is: type, id, count, values.
+func (fr *FrameReader) decodeValues(payload []byte, dec func(d *Decoder, n int) error, msg string) error {
 	fr.dec = Decoder{buf: payload[1:], in: fr.interned()}
 	d := &fr.dec
 	defer func() { d.buf = nil }()
 	if _, err := d.u64(); err != nil {
-		return true, err
+		return err
 	}
 	n, err := d.valueCount()
 	if err != nil {
-		return true, err
+		return err
 	}
 	if err := dec(d, int(n)); err != nil {
-		return true, err
+		return err
 	}
 	if d.Remaining() != 0 {
-		return true, fmt.Errorf("wire: %d trailing bytes in reply", d.Remaining())
+		return fmt.Errorf("wire: %d trailing bytes in %s", d.Remaining(), msg)
 	}
-	return true, nil
+	return nil
 }

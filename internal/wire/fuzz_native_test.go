@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -101,6 +102,9 @@ func FuzzDecodeMessage(f *testing.F) {
 		if d := borrowDiff(b); d != "" {
 			t.Fatal(d)
 		}
+		if d := eventDiff(fr, b); d != "" {
+			t.Fatal(d)
+		}
 		msg, err := DecodeMessage(b)
 		if err != nil {
 			return
@@ -113,6 +117,43 @@ func FuzzDecodeMessage(f *testing.F) {
 			t.Fatalf("decode not deterministic: %v then %v", msg.Type, again.Type)
 		}
 	})
+}
+
+// eventDiff reads a payload the client takes for an event (EventSubID)
+// both ways a subscriber's reader can: each value decoded, and each
+// skipped (Decoder.Skip). Both must accept what DecodeMessage accepts and
+// nothing else, and the decoded values must be its values.
+func eventDiff(fr *FrameReader, b []byte) string {
+	if _, ok := EventSubID(b); !ok {
+		return ""
+	}
+	want, werr := DecodeMessage(b)
+	var got []Value
+	rerr := fr.DecodeEvent(b, func(d *Decoder, n int) error {
+		for i := 0; i < n; i++ {
+			v, err := d.Value()
+			if err != nil {
+				return err
+			}
+			got = append(got, v)
+		}
+		return nil
+	})
+	serr := fr.DecodeEvent(b, func(d *Decoder, n int) error {
+		for i := 0; i < n; i++ {
+			if err := d.Skip(0); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if (rerr == nil) != (werr == nil) || (serr == nil) != (werr == nil) {
+		return fmt.Sprintf("event read err %v, skip err %v, DecodeMessage err %v", rerr, serr, werr)
+	}
+	if werr == nil && !equalValues(got, want.Event.Values) {
+		return fmt.Sprintf("event read %v, DecodeMessage %v", got, want.Event.Values)
+	}
+	return ""
 }
 
 // TestDecodeMessageEveryPrefix truncates valid encodings of all seven
