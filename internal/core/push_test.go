@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -114,5 +115,42 @@ func TestImmediateStrategyCallsPushingServer(t *testing.T) {
 	}
 	if n := len(sp.PendingEvents()); n != 0 {
 		t.Fatalf("immediate mode queued %d events", n)
+	}
+}
+
+// TestImmediatePushedEventsShareOneGoroutine: events pushed while an
+// Immediate strategy runs wait for it on the proxy's one drainer, their
+// duplicates collapsed, not on a goroutine each.
+func TestImmediatePushedEventsShareOneGoroutine(t *testing.T) {
+	w := newWorld(t, 1)
+	w.setLoad(0, 10, 15, 15)
+	sp := w.newProxy(Options{Watches: loadWatch, Immediate: true})
+	if err := sp.Bind(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	var runs atomic.Int64
+	sp.SetStrategy(monitor.LoadIncreaseEvent, func(context.Context, *SmartProxy) error {
+		if runs.Add(1) == 1 {
+			<-gate
+		}
+		return nil
+	})
+	w.setLoad(0, 60, 30, 20)
+	waitFor(t, func() bool { return runs.Load() == 1 })
+	base := settledGoroutines(t)
+	const more = 20
+	for i := 1; i <= more; i++ {
+		w.setLoad(0, 60+float64(i), 30, 20) // a new sample: one more event
+	}
+	waitFor(t, func() bool { return w.client.Stats().EventsPushed == more+1 })
+	if n := settledGoroutines(t); n > base {
+		t.Errorf("%d goroutines with %d events waiting on a strategy, %d before", n, more, base)
+	}
+	close(gate)
+	waitFor(t, func() bool { return runs.Load() == 2 })
+	settledGoroutines(t)
+	if n := runs.Load(); n != 2 {
+		t.Fatalf("strategy ran %d times, want 2: the waiting events are one", n)
 	}
 }

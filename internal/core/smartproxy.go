@@ -78,7 +78,7 @@ type Options struct {
 	// Watches are installed on each server the main route binds to.
 	Watches []Watch
 	// Immediate disables the paper's postponed event handling: strategies
-	// run in the notification upcall instead of before the next
+	// run as soon as the notification arrives instead of before the next
 	// invocation. This is ablation A1 (experiment E3).
 	Immediate bool
 	// Logger receives adaptation diagnostics; nil discards.
@@ -124,6 +124,8 @@ type SmartProxy struct {
 	gen        uint64     // bumped with every change of binding, so self can follow main
 	strategies map[string]Strategy
 	queue      []string
+	immediate  []string // Immediate mode's events, for drainImmediate
+	draining   bool     // a drainImmediate goroutine runs
 	closed     bool
 	stats      Stats
 
@@ -174,25 +176,46 @@ func (sp *SmartProxy) logf(format string, args ...any) {
 
 // OnEvent receives an event notification. In the default (postponed) mode
 // it enqueues the event for handling at the next invocation; duplicate
-// pending events collapse. In Immediate mode the strategy runs here.
+// pending events collapse. In Immediate mode the strategy runs at once, on
+// the proxy's one drainer goroutine (drainImmediate), never the caller's:
+// for a pushed event that is the connection's reader, and a strategy that
+// called the server that pushed the event would wait for a reply only that
+// reader can read.
 func (sp *SmartProxy) OnEvent(event string) {
 	sp.mu.Lock()
+	defer sp.mu.Unlock()
 	if sp.closed {
-		sp.mu.Unlock()
 		return
 	}
 	sp.stats.EventsQueued++
+	q := &sp.queue
 	if sp.opts.Immediate {
+		q = &sp.immediate
+	}
+	if !slices.Contains(*q, event) { // duplicates collapse
+		*q = append(*q, event)
+	}
+	if sp.opts.Immediate && !sp.draining {
+		sp.draining = true
+		go sp.drainImmediate()
+	}
+}
+
+// drainImmediate runs the strategies of Immediate mode's events one after
+// another until none is left (ablation A1): one goroutine, however fast
+// events come.
+func (sp *SmartProxy) drainImmediate() {
+	sp.mu.Lock()
+	for len(sp.immediate) > 0 && !sp.closed {
+		event := sp.immediate[0]
+		sp.immediate = sp.immediate[1:]
 		sp.mu.Unlock()
-		// Immediate mode: adapt in the upcall (ablation A1).
 		if err := sp.runStrategies(context.Background(), []string{event}); err != nil {
 			sp.logf("core: immediate strategy for %q: %v", event, err)
 		}
-		return
+		sp.mu.Lock()
 	}
-	if !slices.Contains(sp.queue, event) { // duplicates collapse
-		sp.queue = append(sp.queue, event)
-	}
+	sp.draining = false
 	sp.mu.Unlock()
 }
 
@@ -202,9 +225,7 @@ func (sp *SmartProxy) OnEvent(event string) {
 type pushReader SmartProxy
 
 // ReadEvent implements orb.EventReader: it reads the event id and skips the
-// value. An Immediate strategy runs on a goroutine of its own: one that
-// called the server that pushed the event would wait for a reply that only
-// this reader can read.
+// value.
 func (r *pushReader) ReadEvent(d *wire.Decoder, n int) error {
 	if n == 0 {
 		return nil
@@ -213,15 +234,10 @@ func (r *pushReader) ReadEvent(d *wire.Decoder, n int) error {
 	for i := 1; i < n && err == nil; i++ {
 		err = d.Skip(0)
 	}
-	switch sp := (*SmartProxy)(r); {
-	case err != nil:
-		return err
-	case sp.opts.Immediate:
-		go sp.OnEvent(id.Str())
-	default:
-		sp.OnEvent(id.Str())
+	if err == nil {
+		(*SmartProxy)(r).OnEvent(id.Str())
 	}
-	return nil
+	return err
 }
 
 // EndEvents implements orb.EventReader.

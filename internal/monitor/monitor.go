@@ -374,12 +374,13 @@ func (m *Monitor) findObserver(id int) (int, bool) {
 // detectLocked recomputes every aspect and evaluates every observer's
 // predicate (in name and id order, for determinism), returning the
 // observers whose events fired plus the property value encoded to push
-// with them (nil when none fired). An aspect evaluator or predicate that aborts on its
-// budget strikes.Limit times in a row is quarantined (removed). Ordinary
-// script errors (a typo'd field, a type error) do not count — only
-// resource aborts (step/wall/memory budget, cancellation), which mark the
-// code as hostile or runaway: each evaluation burns the full budget, so
-// keeping it would tax every tick forever. Caller holds m.mu.
+// with them (nil when none fired). An aspect evaluator or predicate that
+// aborts on its budget strikes.Limit times in a row is quarantined
+// (removed). Ordinary script errors (a typo'd field, a type error) do not
+// count — only resource aborts (step/wall/memory budget, cancellation),
+// which mark the code as hostile or runaway: each evaluation burns the
+// full budget, so keeping it would tax every tick forever. Caller holds
+// m.mu.
 func (m *Monitor) detectLocked() ([]*observer, *sample) {
 	// Recompute aspects.
 	for i := 0; i < len(m.aspects); i++ {

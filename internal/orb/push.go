@@ -65,7 +65,7 @@ type Subscription struct {
 	id uint64 // stream id on cc
 	r  EventReader
 
-	mu     sync.Mutex // held while r reads an event, so Close waits for it
+	mu     sync.Mutex // held while r reads an event or hears the end, so Close waits for it
 	closed bool
 	err    error
 }
@@ -113,8 +113,8 @@ func (s *Subscription) fail(err error) {
 }
 
 // Subscribe opens a push subscription on the object named by ref: topic
-// and args are delivered to the servant's EventSource.Subscribe, and the
-// events it pushes to r (see EventReader). Subscribe performs a single
+// and args are delivered to the servant's EventSource.Subscribe, and r
+// reads the events it pushes (see EventReader). Subscribe performs a single
 // attempt (no retry policy) and does not consume an in-flight window slot
 // — subscriptions are long-lived control state, not pipelined requests.
 func (c *Client) Subscribe(ctx context.Context, ref wire.ObjRef, topic string, r EventReader, args ...wire.Value) (*Subscription, error) {
